@@ -20,6 +20,7 @@ from typing import Any, Iterator, Tuple
 from repro.bag.bag import Bag
 
 __all__ = [
+    "BASE_TYPES",
     "intern_key",
     "is_base_value",
     "is_hashable_key",
@@ -32,12 +33,13 @@ __all__ = [
     "render_value",
 ]
 
-_BASE_TYPES = (str, int, float, bool)
+#: The Python types of base (atomic) values — the paper's ``Base``.
+BASE_TYPES = (str, int, float, bool)
 
 
 def is_base_value(value: Any) -> bool:
     """True iff ``value`` is a base (atomic) value."""
-    return isinstance(value, _BASE_TYPES)
+    return isinstance(value, BASE_TYPES)
 
 
 def is_hashable_key(value: Any) -> bool:
@@ -51,7 +53,7 @@ def is_hashable_key(value: Any) -> bool:
     storage layer's persistent indexes (:mod:`repro.storage.index`) — the
     two must never disagree about which keys hashing can match faithfully.
     """
-    return isinstance(value, _BASE_TYPES) and value == value
+    return isinstance(value, BASE_TYPES) and value == value
 
 
 def is_nested_value(value: Any) -> bool:
@@ -63,7 +65,7 @@ def is_nested_value(value: Any) -> bool:
     stack = [value]
     while stack:
         current = stack.pop()
-        if isinstance(current, _BASE_TYPES):
+        if isinstance(current, BASE_TYPES):
             continue
         if isinstance(current, tuple):
             stack.extend(current)
@@ -87,7 +89,7 @@ def value_depth(value: Any) -> int:
     stack = [(value, 0)]
     while stack:
         current, depth = stack.pop()
-        if isinstance(current, _BASE_TYPES):
+        if isinstance(current, BASE_TYPES):
             if depth > best:
                 best = depth
             continue
@@ -123,7 +125,7 @@ def value_size(value: Any) -> int:
     stack = [(value, 1)]
     while stack:
         current, weight = stack.pop()
-        if isinstance(current, _BASE_TYPES):
+        if isinstance(current, BASE_TYPES):
             total += weight
             continue
         if isinstance(current, tuple):

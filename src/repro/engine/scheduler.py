@@ -36,6 +36,7 @@ import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from functools import lru_cache
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.bag.builder import REPRO_NO_BUILDER
@@ -44,6 +45,7 @@ from repro.bag.codec import UnsendableValueError, decode_pairs, encode_pairs
 __all__ = [
     "EXECUTION_BACKENDS",
     "PROCESS_DELTA_THRESHOLD",
+    "THREAD_DELTA_THRESHOLD",
     "REPRO_BACKEND",
     "REPRO_PARALLEL_VIEWS",
     "ExecutionBackend",
@@ -67,7 +69,10 @@ __all__ = [
 REPRO_PARALLEL_VIEWS = "REPRO_PARALLEL_VIEWS"
 
 
+@lru_cache(maxsize=None)
 def _auto_workers() -> int:
+    # A platform fact, probed once per process (like the two probes below):
+    # the apply path asks on every store delta.
     cpus = os.cpu_count() or 1
     if cpus <= 1:
         return 1
@@ -207,6 +212,13 @@ EXECUTION_BACKENDS = ("serial", "threads", "processes", "subinterpreters")
 #: core_scale.json for the measured crossover methodology).
 PROCESS_DELTA_THRESHOLD = 128
 
+#: Minimum delta cardinality before ``auto`` hands shard units to the thread
+#: pool at all.  Measured on the 2-CPU sizing host (8 shards, two indexes):
+#: the per-unit hand-off through the GIL makes a 4-row delta 3.1× its serial
+#: fold (52 µs vs 17 µs), 32 rows 2.1×, 64 rows 1.6×; from 96 rows on the
+#: ratio sits at its 1.3–1.4× floor, so below that the fold runs inline.
+THREAD_DELTA_THRESHOLD = 96
+
 
 def parse_backend_spec(spec: str) -> Tuple[str, Optional[int]]:
     """Parse ``"name"`` or ``"name:workers"`` into ``(name, workers)``.
@@ -267,6 +279,7 @@ def forced_backend(spec: Optional[str]) -> Iterator[None]:
             os.environ[REPRO_BACKEND] = saved
 
 
+@lru_cache(maxsize=None)
 def _fork_available() -> bool:
     try:
         return "fork" in multiprocessing.get_all_start_methods()
@@ -274,6 +287,7 @@ def _fork_available() -> bool:
         return False
 
 
+@lru_cache(maxsize=None)
 def _interpreters_module():
     """The PEP 734 interpreters module, or ``None`` when the runtime lacks it."""
     try:
@@ -308,6 +322,7 @@ def backend_availability() -> Dict[str, Dict[str, object]]:
     }
 
 
+@lru_cache(maxsize=None)
 def availability_fallback(name: str) -> Tuple[str, str]:
     """Degrade an unavailable backend along the documented chain.
 
@@ -330,10 +345,12 @@ def recommend_backend(delta_size: int, shard_count: int, workers: int) -> str:
     and *shards* both > 1) and enough delta per shard to amortize dispatch;
     process offload additionally re-ships the folded shard contents home,
     so it needs :data:`PROCESS_DELTA_THRESHOLD` distinct delta elements
-    before the cost model prefers it over in-process threads.  On a
-    single-CPU host ``workers`` resolves to 1 and everything stays serial.
+    before the cost model prefers it over in-process threads, and deltas
+    under :data:`THREAD_DELTA_THRESHOLD` fold inline (the pool hand-off
+    costs more than the fold).  On a single-CPU host ``workers`` resolves
+    to 1 and everything stays serial.
     """
-    if shard_count <= 1 or workers <= 1:
+    if shard_count <= 1 or workers <= 1 or delta_size < THREAD_DELTA_THRESHOLD:
         return "serial"
     if delta_size >= PROCESS_DELTA_THRESHOLD and _fork_available():
         return "processes"

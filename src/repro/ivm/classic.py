@@ -21,7 +21,7 @@ from repro.instrument import OpCounter
 from repro.ivm.database import Database, ShreddedDelta
 from repro.ivm.updates import Update
 from repro.ivm.views import View
-from repro.nrc.analysis import referenced_relations
+from repro.nrc.analysis import referenced_deltas, referenced_relations
 from repro.nrc.ast import Expr
 from repro.nrc.compile import run_bag, try_compile
 
@@ -47,6 +47,7 @@ class ClassicIVMView(View):
             sorted(referenced_relations(query))
         )
         self._delta_query = delta(query, self._targets)
+        self._delta_sources = referenced_deltas(self._delta_query)
         # The delta pipeline is compiled once here and reused on every
         # update; ``None`` (escape hatch or unsupported node) means the
         # interpreter remains in charge.
@@ -91,7 +92,9 @@ class ClassicIVMView(View):
             deltas = {
                 (name, 1): bag for name, bag in update.relations.items() if not bag.is_empty()
             }
-        if deltas:
+        # An update that binds none of the delta query's symbols changes
+        # nothing: every term would walk its relations against an empty Δ.
+        if self.reads_any(deltas):
             # The shared context's environment is read-only here: the delta
             # query binds nothing view-local.
             environment = (

@@ -698,19 +698,25 @@ class Database:
         if update.is_empty():
             return ShreddedDelta()
         shredded_delta = self.shred_update(update)
+        # The requested backend is resolved once per apply — ``REPRO_BACKEND``
+        # / ``forced_backend`` stay dynamic between applies — and shared by
+        # the view dispatcher and every store delta below.
+        from repro.engine.scheduler import resolve_backend_spec
 
-        self._notify_views(update, shredded_delta)
+        spec = resolve_backend_spec(self._backend_spec)
+
+        self._notify_views(update, shredded_delta, spec[0])
 
         # Nested instances: one delta pass per store updates the bag and all
         # of its persistent indexes.  Each store's delta runs on the resolved
         # execution backend (serial/threads/processes/subinterpreters) —
         # interchangeable bit-for-bit, so the choice is pure scheduling.
         for name, bag in update.relations.items():
-            self._apply_store_delta(self._storage, name, bag)
+            self._apply_store_delta(self._storage, name, bag, spec)
 
         # Shredded mirror: flat relations and dictionaries.
         for flat_name, bag in shredded_delta.bags.items():
-            self._apply_store_delta(self._flat_storage, flat_name, bag)
+            self._apply_store_delta(self._flat_storage, flat_name, bag, spec)
         for dict_name, dictionary in shredded_delta.dictionaries.items():
             self._dict_store.apply_delta(dict_name, dictionary)
 
@@ -727,8 +733,14 @@ class Database:
     # ------------------------------------------------------------------ #
     # Execution backends
     # ------------------------------------------------------------------ #
-    def _apply_store_delta(self, manager: StorageManager, name: str, delta: Bag) -> None:
-        """Apply one store's delta on the resolved execution backend.
+    def _apply_store_delta(
+        self,
+        manager: StorageManager,
+        name: str,
+        delta: Bag,
+        spec: Tuple[str, Optional[int]],
+    ) -> None:
+        """Apply one store's delta on the backend ``spec`` resolves to.
 
         Empty deltas stay a strict no-op (matching ``RelationStore.
         apply_delta``'s early return) and are not counted.  The requested
@@ -741,20 +753,19 @@ class Database:
             manager.apply_delta(name, delta)
             return
         store = manager.ensure(name)
-        backend = self._resolve_execution_backend(store, delta)
+        backend = self._resolve_execution_backend(store, delta, spec)
         effective = backend.apply_delta(store, delta)
         self._backend_applies[effective] = self._backend_applies.get(effective, 0) + 1
 
-    def _resolve_execution_backend(self, store, delta: Bag):
+    def _resolve_execution_backend(self, store, delta: Bag, spec: Tuple[str, Optional[int]]):
         from repro.engine.scheduler import (
             _auto_workers,
             availability_fallback,
             create_execution_backend,
             recommend_backend,
-            resolve_backend_spec,
         )
 
-        name, workers = resolve_backend_spec(self._backend_spec)
+        name, workers = spec
         if name == "auto":
             name = recommend_backend(
                 delta.distinct_size(),
@@ -935,7 +946,9 @@ class Database:
             return "shared-snapshot inline"
         return f"threads({workers})"
 
-    def _notify_views(self, update: Update, shredded_delta: ShreddedDelta) -> None:
+    def _notify_views(
+        self, update: Update, shredded_delta: ShreddedDelta, requested_backend: str
+    ) -> None:
         """Refresh every registered view against the pre-update state.
 
         ``workers == 0`` reproduces the legacy flow exactly: serial, each
@@ -948,8 +961,11 @@ class Database:
         freezes the shared store builders — unsynchronized check-then-act
         state — so legacy refreshes always run serially on the
         coordinating thread, *before* the pool phase (never overlapping
-        it).  The context is released before the stores mutate so
-        unretained snapshots die and the builders keep mutating in place.
+        it).  So do views the update cannot touch (``affected_by`` is false:
+        their refresh only records an empty update) — the pool is engaged
+        only when at least two refreshes have work to do.  The context is
+        released before the stores mutate so unretained snapshots die and
+        the builders keep mutating in place.
         """
         notifiable = [
             (view, on_update)
@@ -962,12 +978,8 @@ class Database:
         # A pinned serial execution backend means "single-threaded": clamp
         # multi-worker refresh down to the shared-snapshot inline mode (the
         # 0 legacy per-view path is preserved untouched).
-        if workers > 1:
-            from repro.engine.scheduler import resolve_backend_spec
-
-            requested, _ = resolve_backend_spec(self._backend_spec)
-            if requested == "serial":
-                workers = 1
+        if workers > 1 and requested_backend == "serial":
+            workers = 1
         if workers == 0:
             for _, on_update in notifiable:
                 on_update(update, shredded_delta)
@@ -981,14 +993,18 @@ class Database:
             context = RefreshContext(self, update, shredded_delta)
         pool_tasks: List[Callable[[], None]] = []
         for view, on_update in notifiable:
-            if getattr(view, "accepts_refresh_context", False):
-                pool_tasks.append(
-                    lambda on_update=on_update: on_update(update, shredded_delta, context)
-                )
-            else:
+            if not getattr(view, "accepts_refresh_context", False):
                 # Legacy third-party backends keep the two-argument protocol
                 # and must not run concurrently with anything (see docstring).
                 on_update(update, shredded_delta)
+                continue
+            affected_by = getattr(view, "affected_by", None)
+            if affected_by is not None and not affected_by(context):
+                on_update(update, shredded_delta, context)
+            else:
+                pool_tasks.append(
+                    lambda on_update=on_update: on_update(update, shredded_delta, context)
+                )
         if workers > 1 and len(pool_tasks) > 1:
             scheduler = self._scheduler
             if scheduler is None:

@@ -39,7 +39,7 @@ from repro.ivm.footprint import FootprintPlan, analyze, footprint_enabled
 from repro.ivm.updates import Update
 from repro.ivm.views import View
 from repro.labels import Label
-from repro.nrc.analysis import referenced_sources
+from repro.nrc.analysis import referenced_deltas, referenced_sources
 from repro.nrc.ast import Expr
 from repro.nrc.compile import CompiledQuery, run_bag, try_compile
 from repro.nrc.evaluator import Environment, evaluate
@@ -150,6 +150,9 @@ class NestedIVMView(View):
                     footprint_plan=analyze(delta_expression),
                 )
             )
+        self._delta_sources = referenced_deltas(self._flat_delta).union(
+            *(referenced_deltas(state.delta_expression) for state in self._dict_states)
+        )
         self._execution_mode = (
             "compiled"
             if self._compiled_flat_delta is not None
@@ -312,15 +315,30 @@ class NestedIVMView(View):
     # ------------------------------------------------------------------ #
     # Maintenance
     # ------------------------------------------------------------------ #
+    def affected_by(self, context) -> bool:
+        # The maintenance queries run in the shredded world: match against
+        # the shredded Δ symbols (flat bags and dictionary deltas).
+        return self.reads_any(context.delta_symbols)
+
     def on_update(self, update: Update, shredded_delta: ShreddedDelta, context=None) -> None:
         counter = OpCounter()
         started = self._now()
+        delta_symbols = (
+            context.delta_symbols
+            if context is not None
+            else shredded_delta.as_delta_symbols(order=1)
+        )
+        if not self.reads_any(delta_symbols):
+            # No shredded Δ symbol of this update occurs in the flat delta or
+            # any dictionary delta: flat view, dictionaries and the cached
+            # reconstruction all stand.
+            self.stats.record_update(self._now() - started, counter)
+            return
         self._result_cache = None
 
         if context is not None:
             delta_env = context.shredded_delta_environment()
         else:
-            delta_symbols = shredded_delta.as_delta_symbols(order=1)
             delta_env = self._database.shredded_environment(delta_symbols)
         # The post-update environment costs O(|DB|) to assemble (it unions
         # the deltas into the flat mirror); it is built lazily below, only

@@ -161,6 +161,9 @@ class RecursiveIVMView(View):
                 compiled_delta=try_compile(delta_expression),
             )
         self.stats.record_init(self._now() - started, counter)
+        self._delta_sources = referenced_deltas(self._residual_delta).union(
+            *(referenced_deltas(m.delta_expression) for m in self._materializations.values())
+        )
         # The materialization-maintenance deltas read base relations too;
         # fold their join atoms into the registered set.
         self._register_indexes(
@@ -202,7 +205,9 @@ class RecursiveIVMView(View):
             deltas = {
                 (name, 1): bag for name, bag in update.relations.items() if not bag.is_empty()
             }
-        if deltas:
+        # Neither the residual nor any materialization delta mentions a symbol
+        # the update binds: nothing to evaluate, nothing to maintain.
+        if self.reads_any(deltas):
             # Refresh the view using the residual delta: it reads only the
             # update and the materialized sub-expressions, never the base
             # relations.

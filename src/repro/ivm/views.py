@@ -14,48 +14,54 @@ times used by the benchmark harness to compare strategies.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Deque, Dict
 
 from repro.instrument import OpCounter
 
-__all__ = ["MaintenanceStats", "View"]
+__all__ = ["RECENT_UPDATES", "MaintenanceStats", "View"]
+
+
+#: Per-update samples a view keeps (its most recent refreshes); the totals
+#: are running sums, so a long-lived view's accounting stays O(1) in memory.
+RECENT_UPDATES = 256
 
 
 @dataclass
 class MaintenanceStats:
-    """Work accounting for a view: initialization plus per-update refreshes."""
+    """Work accounting for a view: initialization plus per-update refreshes.
+
+    ``update_seconds`` / ``update_operations`` hold the last
+    :data:`RECENT_UPDATES` refreshes (newest last); ``updates_applied`` and
+    the ``total_*`` figures cover every refresh since construction.
+    """
 
     init_seconds: float = 0.0
     init_operations: int = 0
-    update_seconds: List[float] = field(default_factory=list)
-    update_operations: List[int] = field(default_factory=list)
+    update_seconds: Deque[float] = field(default_factory=lambda: deque(maxlen=RECENT_UPDATES))
+    update_operations: Deque[int] = field(default_factory=lambda: deque(maxlen=RECENT_UPDATES))
+    updates_applied: int = 0
+    total_update_seconds: float = 0.0
+    total_update_operations: int = 0
 
     def record_init(self, seconds: float, counter: OpCounter) -> None:
         self.init_seconds = seconds
         self.init_operations = counter.total()
 
     def record_update(self, seconds: float, counter: OpCounter) -> None:
+        operations = counter.total()
         self.update_seconds.append(seconds)
-        self.update_operations.append(counter.total())
-
-    @property
-    def updates_applied(self) -> int:
-        return len(self.update_seconds)
-
-    @property
-    def total_update_seconds(self) -> float:
-        return sum(self.update_seconds)
-
-    @property
-    def total_update_operations(self) -> int:
-        return sum(self.update_operations)
+        self.update_operations.append(operations)
+        self.updates_applied += 1
+        self.total_update_seconds += seconds
+        self.total_update_operations += operations
 
     @property
     def mean_update_operations(self) -> float:
-        if not self.update_operations:
+        if not self.updates_applied:
             return 0.0
-        return sum(self.update_operations) / len(self.update_operations)
+        return self.total_update_operations / self.updates_applied
 
     def summary(self) -> Dict[str, float]:
         return {
@@ -96,8 +102,25 @@ class View:
     #: that its ``on_update`` signature takes the third argument.
     accepts_refresh_context = False
 
+    #: The update symbols ``(source, order)`` this view's maintenance queries
+    #: mention; ``None`` (the default) means "unknown: refresh on every
+    #: update".  Delta-maintained backends set it at construction.
+    _delta_sources = None
+
     def __init__(self) -> None:
         self.stats = MaintenanceStats()
+
+    def reads_any(self, symbols) -> bool:
+        """False when an update binding only ``symbols`` cannot change this
+        view: none of them occurs in its maintenance queries, so every delta
+        would evaluate to the empty bag."""
+        sources = self._delta_sources
+        return sources is None or not sources.isdisjoint(symbols)
+
+    def affected_by(self, context) -> bool:
+        """Whether the update behind a refresh ``context`` can change this
+        view; the dispatcher schedules only affected views."""
+        return self.reads_any(context.relation_deltas)
 
     # Subclasses implement result() and on_update().
     def result(self):

@@ -1,21 +1,30 @@
-"""Compilation of NRC+ / IncNRC+_l expressions into reusable Python closures.
+"""Compilation of NRC+ / IncNRC+_l expressions into fused, push-based pipelines.
 
-The recursive interpreter (:mod:`repro.nrc.evaluator`) pays two prices on
-every update the cost model does not charge for: each ``for`` binder copies a
-whole :class:`~repro.nrc.evaluator.Environment`, and each ``for``-over-``for``
-join is executed as a nested loop with a predicate check per pair — time
-proportional to the *product* of the operands instead of the matching pairs
-assumed by the paper's ``tcost`` bound (Section 4).  This module lowers an
-expression once, at view-registration time, into a tree of closures that
+The recursive interpreter (:mod:`repro.nrc.evaluator`) pays prices on every
+update the cost model does not charge for: each ``for`` binder copies a
+whole :class:`~repro.nrc.evaluator.Environment`, each ``for``-over-``for``
+join is a nested loop with a predicate check per pair — time proportional to
+the *product* of the operands instead of the matching pairs assumed by the
+paper's ``tcost`` bound (Section 4) — and every operator hands its parent a
+freshly built bag.  This module lowers an expression once, at
+view-registration time, into a tree of closures that
 
+* compiles every bag-typed node to a **producer** ``emit(ctx, frame, mult,
+  sink)`` adding ``mult × ⟦e⟧`` into the caller's accumulator: loops call
+  their body's ``emit`` with the scaled multiplicity, so an evaluation
+  builds no intermediate bag.  Bags materialise only at *pipeline breakers*
+  — the query root, ``let`` bounds and bodies, hoisted loop-invariant
+  nodes, loop and ``flatten`` sources, general ``×`` factors, ``sng(e)`` and
+  dictionary bodies (see :class:`_Node`),
 * replaces per-binder environment copies with **slot-indexed frames** (one
   flat Python list per evaluation; every binder writes a pre-assigned slot),
 * turns the canonical join shape ``for x in e₁ union (for y in e₂ union
   (where p …))`` into a **hash-join** whenever ``p`` contains an equality
   between a projection of the inner variable and a projection of an outer
-  variable (or a constant): the build side is indexed once per evaluation and
-  probed per outer tuple, so selective joins cost time proportional to the
-  matching pairs, and
+  variable (or a constant): the build side is indexed once per evaluation,
+  an enclosing loop resolves that index once for its whole walk (and skips
+  the walk when the build side is empty), and each outer tuple probes it, so
+  selective joins cost time proportional to the matching pairs, and
 * **hoists loop-invariant sub-expressions**: any computation that reads no
   binder slot is evaluated at most once per evaluation (memoized in a
   per-call cache), no matter how many loop iterations reference it.
@@ -39,18 +48,19 @@ Well-typed queries (:mod:`repro.nrc.typecheck`) are unaffected.
 
 Operation counters are threaded through so the cost-model experiments keep
 working: compiled evaluation reports the operations it *actually* performs
-(hash probes instead of skipped pairs), which is exactly the work reduction
-the pipeline exists to deliver.
+(hash probes instead of skipped pairs, no merges of bags it never built),
+added in bulk — once per loop, not once per element.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
+from functools import partial
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.bag.bag import Bag, EMPTY_BAG
-from repro.bag.values import intern_key, is_base_value, is_hashable_key
+from repro.bag.values import BASE_TYPES, intern_key, is_hashable_key
 from repro.dictionaries import DictValue, EMPTY_DICT, IntensionalDict
 from repro.errors import CompileError, EvaluationError, UnboundVariableError
 from repro.instrument import OpCounter, maybe_count
@@ -144,6 +154,7 @@ def run_bag(
     return _interpret_bag(expr, env, counter)
 
 
+
 # --------------------------------------------------------------------------- #
 # Runtime pieces
 # --------------------------------------------------------------------------- #
@@ -206,31 +217,169 @@ def _as_dict(value: Any) -> DictValue:
     return value
 
 
-def _accumulate(
-    accumulator: Dict[Any, int], inner: Bag, multiplicity: int, counter
-) -> None:
-    """Merge ``inner`` scaled by ``multiplicity`` into a loop accumulator.
+def _merge(sink: Dict[Any, int], pairs, mult: int) -> None:
+    """Add ``mult ×`` materialised ``(element, multiplicity)`` pairs into ``sink``.
 
-    The single definition of the ``for``-loop multiplicity semantics shared
-    by the plain loop, the hash-join bucket walk and its nested-loop twin.
+    The single definition of how a finished bag joins a pipeline's
+    accumulator: multiplicities add, and an entry that cancels to zero leaves.
     """
-    for inner_element, inner_multiplicity in inner.items():
-        combined = multiplicity * inner_multiplicity
-        if combined == 0:
-            continue
-        maybe_count(counter, "union_merges")
-        updated = accumulator.get(inner_element, 0) + combined
-        if updated == 0:
-            accumulator.pop(inner_element, None)
+    for element, multiplicity in pairs:
+        updated = sink.get(element, 0) + mult * multiplicity
+        if updated:
+            sink[element] = updated
         else:
-            accumulator[inner_element] = updated
+            sink.pop(element, None)
 
 
-# A compiled node: closure plus the set of *binder* slots it reads.  Slots
-# filled once per evaluation (free variables of the whole expression) are not
-# tracked — depending only on them still makes a node loop-invariant.
+# Op-counter amounts a node incurs on *every* invocation, as ``(name, amount)``
+# pairs.  Nodes never add these themselves: they flow up to the nearest loop
+# (or the root), which multiplies by its iteration count and adds once.
+_Units = Tuple[Tuple[str, int], ...]
+_EMITTED: _Units = (("elements_emitted", 1),)
+_CHECKED: _Units = (("predicate_checks", 1),)
+_ITERATED: _Units = (("for_iterations", 1),)
+_LOOKED_UP: _Units = (("dict_lookups", 1),)
+_PROBED: _Units = (("hash_probes", 1),)
+
+
+def _units(*parts: _Units) -> _Units:
+    """Sum per-invocation counter amounts by name."""
+    totals: Dict[str, int] = {}
+    for part in parts:
+        for name, amount in part:
+            totals[name] = totals.get(name, 0) + amount
+    return tuple(totals.items())
+
+
+def _charge(counter: Optional[OpCounter], units: _Units, times: int = 1) -> None:
+    """Add ``times ×`` per-invocation ``units`` to ``counter``, in bulk."""
+    if counter is not None and times:
+        for name, amount in units:
+            counter.increment(name, amount * times)
+
+
 _Fn = Callable[[_Ctx, List[Any]], Any]
-_Compiled = Tuple[_Fn, frozenset]
+_Emit = Callable[[_Ctx, List[Any], int, Dict[Any, int]], None]
+
+
+class _Node:
+    """A compiled node: one primary form, every other form derived from it.
+
+    A compile rule supplies exactly one of
+
+    ``emit(ctx, frame, mult, sink)``
+        the producer form of a bag-typed node: add ``mult × ⟦e⟧`` into the
+        caller's accumulator ``sink`` (element → multiplicity), removing
+        entries that cancel to zero.  ``mult`` is never zero.
+    ``element(ctx, frame)``
+        a scalar singleton (``sng(x)``, a tuple of them, a label): the one
+        element it denotes, with multiplicity 1.
+    ``bind(ctx, frame)``
+        a hash-join site: resolve its loop-invariant index and return
+        ``(emit, units)`` — the ``emit`` to use while that index stands and
+        what each of its invocations incurs — or ``None`` when the build
+        side is empty, so the site emits nothing whatever the frame holds.
+        An enclosing loop binds once per run instead of once per element.
+    ``value(ctx, frame)``
+        the value itself: dictionaries, and bags that already exist
+        (relations, update symbols, variables, lookups, memoised results).
+
+    :meth:`emitter` and :meth:`valuer` derive the form a consumer needs, so
+    a bag is materialised exactly where a consumer asks for one.  ``deps`` are
+    the *binder* slots the node reads (slots filled once per evaluation are
+    not tracked — depending only on them still makes a node loop-invariant);
+    ``units`` are the counter amounts one invocation always incurs, which
+    the consumer charges in bulk.
+    """
+
+    __slots__ = ("deps", "units", "emit", "element", "bind", "value")
+
+    def __init__(self, deps, units=(), *, emit=None, element=None, bind=None, value=None) -> None:
+        self.deps: frozenset = deps
+        self.units: _Units = units
+        self.emit: Optional[_Emit] = emit
+        self.element: Optional[_Fn] = element
+        self.bind: Optional[Callable[[_Ctx, List[Any]], Optional[Tuple[_Emit, _Units]]]] = bind
+        self.value: Optional[_Fn] = value
+
+    def emitter(self) -> _Emit:
+        if self.emit is not None:
+            return self.emit
+        if self.element is not None:
+            element = self.element
+
+            def emit_element(ctx: _Ctx, frame: List[Any], mult: int, sink: Dict[Any, int]) -> None:
+                out = element(ctx, frame)
+                updated = sink.get(out, 0) + mult
+                if updated:
+                    sink[out] = updated
+                else:
+                    sink.pop(out, None)
+
+            return emit_element
+        if self.bind is not None:
+            bind = self.bind
+
+            def emit_bound(ctx: _Ctx, frame: List[Any], mult: int, sink: Dict[Any, int]) -> None:
+                bound = bind(ctx, frame)
+                if bound is not None:
+                    run, run_units = bound
+                    run(ctx, frame, mult, sink)
+                    _charge(ctx.counter, run_units)
+
+            return emit_bound
+        value = self.value
+
+        def emit_value(ctx: _Ctx, frame: List[Any], mult: int, sink: Dict[Any, int]) -> None:
+            bag = _as_bag(value(ctx, frame))
+            if bag:
+                maybe_count(ctx.counter, "union_merges", len(bag))
+                _merge(sink, bag.items(), mult)
+
+        return emit_value
+
+    def valuer(self) -> _Fn:
+        if self.value is not None:
+            return self.value
+        emit = self.emitter()
+
+        def materialise(ctx: _Ctx, frame: List[Any]) -> Bag:
+            sink: Dict[Any, int] = {}
+            emit(ctx, frame, 1, sink)
+            return Bag._from_clean_dict(sink) if sink else EMPTY_BAG
+
+        return materialise
+
+
+def _reader(slot: int, name: str, path: Tuple[int, ...], context: str, unbound: type) -> _Fn:
+    """Closure reading variable ``name`` from its frame slot, then projecting."""
+
+    def read(ctx: _Ctx, frame: List[Any]) -> Any:
+        value = frame[slot]
+        if value is _MISSING:
+            raise unbound(f"unbound element variable {name!r}")
+        for index in path:
+            if not isinstance(value, tuple) or index >= len(value):
+                raise EvaluationError(f"{context}: projection .{index} fails on {value!r}")
+            value = value[index]
+        return value
+
+    return read
+
+
+def _all_of(fns: Sequence[_Fn]) -> _Fn:
+    """Conjunction of compiled predicates, short-circuiting in order."""
+    if len(fns) == 1:
+        return fns[0]
+
+    def test(ctx: _Ctx, frame: List[Any]) -> bool:
+        for fn in fns:
+            if not fn(ctx, frame):
+                return False
+        return True
+
+    return test
+
 
 #: Node types worth memoizing when loop-invariant (they do real work).
 _HOISTABLE = (
@@ -255,29 +404,13 @@ _NO_INDEX = object()
 
 #: Cache sentinel: this join site is served by a persistent storage index.
 #: The live index object is deliberately *not* cached — it mutates in place
-#: as the store applies deltas, so every call re-verifies through the
+#: as the store applies deltas, so every bind re-verifies through the
 #: provider's bag-identity check.  Evaluation contexts can outlive the store
 #: state they were first validated against (an intensional dictionary
 #: escaping its evaluation); a stale context then degrades to a
 #: per-evaluation build over its own environment snapshot, exactly matching
 #: the interpreter's closed-over-environment semantics.
 _PERSISTENT = object()
-
-
-class _EqAtom:
-    """One hashable equality conjunct of a join guard.
-
-    ``build_path`` projects the inner (build-side) variable; ``probe`` is a
-    closure computing the matching key part from the outer frame, and
-    ``deps`` are the binder slots that closure reads.
-    """
-
-    __slots__ = ("build_path", "probe", "deps")
-
-    def __init__(self, build_path: Tuple[int, ...], probe: _Fn, deps: frozenset) -> None:
-        self.build_path = build_path
-        self.probe = probe
-        self.deps = deps
 
 
 class IndexRequirement:
@@ -322,7 +455,7 @@ class IndexRequirement:
 
 
 class _Compiler:
-    """Single-pass compiler from AST nodes to ``(closure, deps)`` pairs."""
+    """Single-pass compiler from AST nodes to :class:`_Node` producers."""
 
     def __init__(self) -> None:
         self.index_requirements: List[IndexRequirement] = []
@@ -360,224 +493,162 @@ class _Compiler:
             return self._elem_scope[name], True
         return self._elem_param_slot(name), False
 
-    class _Bound:
-        """Scoped binding of a variable name to a fresh binder slot."""
+    @contextmanager
+    def _bound(self, scope: Dict[str, int], name: str, loop: bool = True) -> Iterator[int]:
+        """Bind ``name`` to a fresh binder slot for the block (yields the slot).
 
-        __slots__ = ("_scope", "_name", "_saved", "_had", "slot")
-
-        def __init__(self, compiler: "_Compiler", scope: Dict[str, int], name: str) -> None:
-            self._scope = scope
-            self._name = name
-            self._had = name in scope
-            self._saved = scope.get(name)
-            self.slot = compiler._new_slot()
-            scope[name] = self.slot
-
-        def release(self) -> None:
-            if self._had:
-                self._scope[self._name] = self._saved  # type: ignore[assignment]
+        ``loop`` binders — everything but ``let`` — run their body many
+        times, so loop-invariant nodes under them are worth hoisting.
+        """
+        saved = scope.get(name)
+        slot = scope[name] = self._new_slot()
+        self._binder_depth += loop
+        try:
+            yield slot
+        finally:
+            self._binder_depth -= loop
+            if saved is None:
+                del scope[name]
             else:
-                self._scope.pop(self._name, None)
+                scope[name] = saved
 
     # ------------------------------------------------------------------ #
     # Dispatch
     # ------------------------------------------------------------------ #
-    def compile(self, expr: Expr) -> _Compiled:
+    def compile(self, expr: Expr) -> _Node:
         method = getattr(self, f"_compile_{type(expr).__name__}", None)
         if method is None:
             raise CompileError(f"no compile rule for node {type(expr).__name__}")
-        fn, deps = method(expr)
+        node = method(expr)
         if (
             self._binder_depth > 0
-            and not deps
+            and not node.deps
             and isinstance(expr, _HOISTABLE)
         ):
-            fn = self._memoized(fn)
-        return fn, deps
+            node = self._memoized(node)
+        return node
 
-    def _memoized(self, fn: _Fn) -> _Fn:
+    def _memoized(self, node: _Node) -> _Node:
         """Hoist a loop-invariant computation: at most one evaluation per call."""
         key = self._cache_keys
         self._cache_keys += 1
+        compute, units = node.valuer(), node.units
 
         def cached(ctx: _Ctx, frame: List[Any]) -> Any:
             cache = ctx.cache
             if key in cache:
                 return cache[key]
-            value = fn(ctx, frame)
-            cache[key] = value
+            value = cache[key] = compute(ctx, frame)
+            _charge(ctx.counter, units)
             return value
 
-        return cached
+        return _Node(frozenset(), value=cached)
+
+    def _read(
+        self,
+        name: str,
+        path: Tuple[int, ...] = (),
+        context: str = "",
+        unbound: type = UnboundVariableError,
+    ) -> Tuple[_Fn, frozenset]:
+        """Reader of an element variable (projected along ``path``) and its deps."""
+        slot, is_binder = self._elem_slot(name)
+        deps = frozenset((slot,)) if is_binder else frozenset()
+        return _reader(slot, name, path, context, unbound), deps
 
     # ------------------------------------------------------------------ #
     # Sources and variables
     # ------------------------------------------------------------------ #
-    def _compile_Relation(self, expr: ast.Relation) -> _Compiled:
-        name = expr.name
+    @staticmethod
+    def _named(bindings: str, name: str, kind: str) -> _Node:
+        """A database source resolved by name from the context at runtime."""
 
-        def fn(ctx: _Ctx, frame: List[Any]) -> Bag:
+        def value(ctx: _Ctx, frame: List[Any]) -> Any:
             try:
-                return ctx.relations[name]
+                return getattr(ctx, bindings)[name]
             except KeyError:
-                raise UnboundVariableError(f"unknown relation {name!r}") from None
+                raise UnboundVariableError(f"unknown {kind} {name!r}") from None
 
-        return fn, frozenset()
+        return _Node(frozenset(), value=value)
 
-    def _compile_DeltaRelation(self, expr: ast.DeltaRelation) -> _Compiled:
+    @staticmethod
+    def _update_symbol(expr, expected: type, empty: Any, kind: str) -> _Node:
+        """``Δ^order name``: the bound update, the empty value when unbound."""
         key = (expr.name, expr.order)
-        name, order = expr.name, expr.order
 
-        def fn(ctx: _Ctx, frame: List[Any]) -> Bag:
-            value = ctx.deltas.get(key, EMPTY_BAG)
-            if not isinstance(value, Bag):
+        def value(ctx: _Ctx, frame: List[Any]) -> Any:
+            bound = ctx.deltas.get(key, empty)
+            if not isinstance(bound, expected):
                 raise EvaluationError(
-                    f"update symbol Δ^{order}{name} is bound to a non-bag value"
+                    f"update symbol Δ^{key[1]}{key[0]} is bound to a non-{kind} value"
                 )
-            return value
+            return bound
 
-        return fn, frozenset()
+        return _Node(frozenset(), value=value)
 
-    def _compile_DictVar(self, expr: ast.DictVar) -> _Compiled:
+    def _compile_Relation(self, expr: ast.Relation) -> _Node:
+        return self._named("relations", expr.name, "relation")
+
+    def _compile_DictVar(self, expr: ast.DictVar) -> _Node:
+        return self._named("dictionaries", expr.name, "dictionary")
+
+    def _compile_DeltaRelation(self, expr: ast.DeltaRelation) -> _Node:
+        return self._update_symbol(expr, Bag, EMPTY_BAG, "bag")
+
+    def _compile_DeltaDictVar(self, expr: ast.DeltaDictVar) -> _Node:
+        return self._update_symbol(expr, DictValue, EMPTY_DICT, "dictionary")
+
+    def _compile_BagVar(self, expr: ast.BagVar) -> _Node:
         name = expr.name
+        is_binder = name in self._bag_scope
+        slot = self._bag_scope[name] if is_binder else self._bag_param_slot(name)
 
-        def fn(ctx: _Ctx, frame: List[Any]) -> DictValue:
-            try:
-                return ctx.dictionaries[name]
-            except KeyError:
-                raise UnboundVariableError(f"unknown dictionary {name!r}") from None
-
-        return fn, frozenset()
-
-    def _compile_DeltaDictVar(self, expr: ast.DeltaDictVar) -> _Compiled:
-        key = (expr.name, expr.order)
-        name, order = expr.name, expr.order
-
-        def fn(ctx: _Ctx, frame: List[Any]) -> DictValue:
-            value = ctx.deltas.get(key, EMPTY_DICT)
-            if not isinstance(value, DictValue):
-                raise EvaluationError(
-                    f"update symbol Δ^{order}{name} is bound to a non-dictionary value"
-                )
-            return value
-
-        return fn, frozenset()
-
-    def _compile_BagVar(self, expr: ast.BagVar) -> _Compiled:
-        name = expr.name
-        if name in self._bag_scope:
-            slot = self._bag_scope[name]
-
-            def fn(ctx: _Ctx, frame: List[Any]) -> Any:
-                value = frame[slot]
-                if value is _MISSING:
-                    raise UnboundVariableError(f"unbound bag variable {name!r}")
-                return value
-
-            return fn, frozenset((slot,))
-
-        slot = self._bag_param_slot(name)
-
-        def fn_param(ctx: _Ctx, frame: List[Any]) -> Any:
-            value = frame[slot]
-            if value is _MISSING:
+        def value(ctx: _Ctx, frame: List[Any]) -> Any:
+            bound = frame[slot]
+            if bound is _MISSING:
                 raise UnboundVariableError(f"unbound bag variable {name!r}")
-            return value
+            return bound
 
-        return fn_param, frozenset()
-
-    def _elem_reader(self, name: str) -> _Compiled:
-        slot, is_binder = self._elem_slot(name)
-
-        def fn(ctx: _Ctx, frame: List[Any]) -> Any:
-            value = frame[slot]
-            if value is _MISSING:
-                raise UnboundVariableError(f"unbound element variable {name!r}")
-            return value
-
-        return fn, frozenset((slot,)) if is_binder else frozenset()
+        return _Node(frozenset((slot,)) if is_binder else frozenset(), value=value)
 
     # ------------------------------------------------------------------ #
     # Singletons and constants
     # ------------------------------------------------------------------ #
-    def _compile_SngVar(self, expr: ast.SngVar) -> _Compiled:
-        read, deps = self._elem_reader(expr.var)
+    def _compile_SngVar(self, expr: ast.SngVar) -> _Node:
+        read, deps = self._read(expr.var)
+        return _Node(deps, _EMITTED, element=read)
 
-        def fn(ctx: _Ctx, frame: List[Any]) -> Bag:
-            maybe_count(ctx.counter, "elements_emitted")
-            return Bag.singleton(read(ctx, frame))
+    def _compile_SngProj(self, expr: ast.SngProj) -> _Node:
+        read, deps = self._read(expr.var, expr.path, f"sng(π({expr.var}))")
+        return _Node(deps, _EMITTED, element=read)
 
-        return fn, deps
+    def _compile_SngUnit(self, expr: ast.SngUnit) -> _Node:
+        return _Node(frozenset(), _EMITTED, element=lambda ctx, frame: ())
 
-    def _compile_SngProj(self, expr: ast.SngProj) -> _Compiled:
-        read, deps = self._elem_reader(expr.var)
-        path = expr.path
-        context = f"sng(π({expr.var}))"
+    def _compile_Sng(self, expr: ast.Sng) -> _Node:
+        body = self.compile(expr.body)
+        body_value = body.valuer()
 
-        def fn(ctx: _Ctx, frame: List[Any]) -> Bag:
-            value = _project_value(read(ctx, frame), path, context)
-            maybe_count(ctx.counter, "elements_emitted")
-            return Bag.singleton(value)
+        def element(ctx: _Ctx, frame: List[Any]) -> Bag:
+            return _as_bag(body_value(ctx, frame))
 
-        return fn, deps
+        return _Node(body.deps, _units(body.units, _EMITTED), element=element)
 
-    def _compile_SngUnit(self, expr: ast.SngUnit) -> _Compiled:
-        def fn(ctx: _Ctx, frame: List[Any]) -> Bag:
-            maybe_count(ctx.counter, "elements_emitted")
-            return Bag.singleton(())
-
-        return fn, frozenset()
-
-    def _compile_Sng(self, expr: ast.Sng) -> _Compiled:
-        body_fn, deps = self.compile(expr.body)
-
-        def fn(ctx: _Ctx, frame: List[Any]) -> Bag:
-            inner = _as_bag(body_fn(ctx, frame))
-            maybe_count(ctx.counter, "elements_emitted")
-            return Bag.singleton(inner)
-
-        return fn, deps
-
-    def _compile_Empty(self, expr: ast.Empty) -> _Compiled:
-        def fn(ctx: _Ctx, frame: List[Any]) -> Bag:
-            return EMPTY_BAG
-
-        return fn, frozenset()
+    def _compile_Empty(self, expr: ast.Empty) -> _Node:
+        return _Node(frozenset(), value=lambda ctx, frame: EMPTY_BAG)
 
     # ------------------------------------------------------------------ #
     # Predicates
     # ------------------------------------------------------------------ #
-    def _compile_operand(self, operand: preds.Operand) -> _Compiled:
+    def _compile_operand(self, operand: preds.Operand) -> Tuple[_Fn, frozenset]:
         if isinstance(operand, preds.Const):
-            value = operand.value
-
-            def fn_const(ctx: _Ctx, frame: List[Any]) -> Any:
-                return value
-
-            return fn_const, frozenset()
+            constant = operand.value
+            return (lambda ctx, frame: constant), frozenset()
         if isinstance(operand, preds.VarPath):
-            slot, is_binder = self._elem_slot(operand.var)
-            path = operand.path
-            name = operand.var
-
-            def fn_var(ctx: _Ctx, frame: List[Any]) -> Any:
-                value = frame[slot]
-                if value is _MISSING:
-                    raise EvaluationError(
-                        f"unbound element variable {name!r} in predicate"
-                    )
-                for index in path:
-                    if not isinstance(value, tuple) or index >= len(value):
-                        raise EvaluationError(
-                            f"projection .{index} does not apply to value {value!r}"
-                        )
-                    value = value[index]
-                return value
-
-            return fn_var, frozenset((slot,)) if is_binder else frozenset()
+            return self._read(operand.var, operand.path, "predicate", EvaluationError)
         raise CompileError(f"no compile rule for operand {type(operand).__name__}")
 
-    def _compile_predicate(self, predicate: preds.Predicate) -> _Compiled:
+    def _compile_predicate(self, predicate: preds.Predicate) -> Tuple[_Fn, frozenset]:
         """Compile a predicate to a ``fn(ctx, frame) -> bool`` closure."""
         if isinstance(predicate, preds.Comparison):
             left_fn, left_deps = self._compile_operand(predicate.left)
@@ -588,7 +659,7 @@ class _Compiler:
             def fn_cmp(ctx: _Ctx, frame: List[Any]) -> bool:
                 left = left_fn(ctx, frame)
                 right = right_fn(ctx, frame)
-                if not is_base_value(left) or not is_base_value(right):
+                if not (isinstance(left, BASE_TYPES) and isinstance(right, BASE_TYPES)):
                     raise EvaluationError(
                         "predicates may only compare base values "
                         f"(got {left!r} {op} {right!r}); comparisons over bags "
@@ -597,52 +668,35 @@ class _Compiler:
                 return comparator(left, right)
 
             return fn_cmp, left_deps | right_deps
-        if isinstance(predicate, preds.And):
+        if isinstance(predicate, (preds.And, preds.Or)):
             parts = [self._compile_predicate(term) for term in predicate.terms]
             fns = [fn for fn, _ in parts]
-
-            def fn_and(ctx: _Ctx, frame: List[Any]) -> bool:
-                return all(fn(ctx, frame) for fn in fns)
-
-            deps: frozenset = frozenset()
-            for _, part_deps in parts:
-                deps |= part_deps
-            return fn_and, deps
-        if isinstance(predicate, preds.Or):
-            parts = [self._compile_predicate(term) for term in predicate.terms]
-            fns = [fn for fn, _ in parts]
+            deps = frozenset().union(*(part_deps for _, part_deps in parts))
+            if isinstance(predicate, preds.And):
+                return _all_of(fns), deps
 
             def fn_or(ctx: _Ctx, frame: List[Any]) -> bool:
-                return any(fn(ctx, frame) for fn in fns)
+                for fn in fns:
+                    if fn(ctx, frame):
+                        return True
+                return False
 
-            deps = frozenset()
-            for _, part_deps in parts:
-                deps |= part_deps
             return fn_or, deps
         if isinstance(predicate, preds.Not):
             inner_fn, deps = self._compile_predicate(predicate.term)
-
-            def fn_not(ctx: _Ctx, frame: List[Any]) -> bool:
-                return not inner_fn(ctx, frame)
-
-            return fn_not, deps
+            return (lambda ctx, frame: not inner_fn(ctx, frame)), deps
         if isinstance(predicate, preds.TruePredicate):
-            def fn_true(ctx: _Ctx, frame: List[Any]) -> bool:
-                return True
-
-            return fn_true, frozenset()
+            return (lambda ctx, frame: True), frozenset()
         raise CompileError(f"no compile rule for predicate {type(predicate).__name__}")
 
-    def _compile_Pred(self, expr: ast.Pred) -> _Compiled:
-        pred_fn, deps = self._compile_predicate(expr.predicate)
+    def _compile_Pred(self, expr: ast.Pred) -> _Node:
+        test, deps = self._compile_predicate(expr.predicate)
 
-        def fn(ctx: _Ctx, frame: List[Any]) -> Bag:
-            maybe_count(ctx.counter, "predicate_checks")
-            if pred_fn(ctx, frame):
-                return Bag.singleton(())
-            return EMPTY_BAG
+        def emit(ctx: _Ctx, frame: List[Any], mult: int, sink: Dict[Any, int]) -> None:
+            if test(ctx, frame):
+                _merge(sink, (((), 1),), mult)
 
-        return fn, deps
+        return _Node(deps, _CHECKED, emit=emit)
 
     # ------------------------------------------------------------------ #
     # For: nested loops, guard analysis and hash-joins
@@ -656,8 +710,10 @@ class _Compiler:
             return conjuncts
         return [predicate]
 
-    def _compile_For(self, expr: ast.For) -> _Compiled:
-        source_fn, source_deps = self.compile(expr.source)
+    def _compile_For(self, expr: ast.For) -> _Node:
+        if isinstance(expr.source, ast.Pred):
+            return self._compile_guard(expr)
+        source = self.compile(expr.source)
 
         # Peel the chain of `where` guards (`for _w in p(x̄) union …`) sitting
         # directly under this binder; the guard predicates are the join
@@ -668,14 +724,12 @@ class _Compiler:
             guard_specs.append((body.source.predicate, body.var))
             body = body.body
 
-        binding = self._Bound(self, self._elem_scope, expr.var)
-        guard_bindings: List[_Compiler._Bound] = []
-        self._binder_depth += 1
-        try:
-            atoms: List[_EqAtom] = []
-            residual: List[_Compiled] = []
-            conjuncts: List[_Compiled] = []
-            if guard_specs and not source_deps:
+        with self._bound(self._elem_scope, expr.var) as slot, ExitStack() as guards:
+            atoms: List[Tuple[Tuple[int, ...], _Fn]] = []  # (build path, probe)
+            residual: List[Tuple[_Fn, frozenset]] = []
+            conjuncts: List[Tuple[_Fn, frozenset]] = []
+            guard_slots: List[int] = []
+            if guard_specs and not source.deps:
                 # Hash-join candidate: the build side is loop-invariant, so
                 # an index over it can be built once per evaluation.  Guard
                 # i's predicate is the *source* of its binder, so it is
@@ -700,38 +754,31 @@ class _Compiler:
                             atoms.append(atom)
                         else:
                             residual.append(compiled_conjunct)
-                    guard_bindings.append(
-                        self._Bound(self, self._elem_scope, guard_name)
+                    guard_slots.append(
+                        guards.enter_context(self._bound(self._elem_scope, guard_name))
                     )
                     if guard_name == expr.var:
                         loop_var_shadowed = True
             if atoms:
-                compiled = self._compile_hash_join(
-                    expr, source_fn, binding, guard_bindings, atoms, residual, conjuncts, body
+                return self._compile_hash_join(
+                    expr, source, slot, tuple(guard_slots), atoms, residual, conjuncts, body
                 )
-            else:
-                # No hashable equality found: fall back to the nested loop,
-                # recompiling the original body so the guard binders are
-                # introduced by their own For nodes with correct scoping.
-                for guard_binding in reversed(guard_bindings):
-                    guard_binding.release()
-                guard_bindings = []
-                compiled = self._compile_plain_for(expr, source_fn, source_deps, binding)
-        finally:
-            self._binder_depth -= 1
-            for guard_binding in reversed(guard_bindings):
-                guard_binding.release()
-            binding.release()
-        return compiled
+            # No hashable equality found: fall back to the nested loop,
+            # recompiling the original body so the guard binders are
+            # introduced by their own For nodes with correct scoping.
+            guards.close()
+            return self._compile_loop(expr, source, slot)
 
     def _equality_atom(
         self, conjunct: preds.Predicate, loop_var: str, local_names: Set[str]
-    ) -> Optional[_EqAtom]:
+    ) -> Optional[Tuple[Tuple[int, ...], _Fn]]:
         """Classify one guard conjunct as a hashable equality, if possible.
 
         A conjunct qualifies when it is ``==`` between a projection of the
         loop variable and something computable *outside* the loop: a
-        projection of an enclosing variable, or a constant.
+        projection of an enclosing variable, or a constant.  The result
+        pairs the build-side path into the loop variable with a closure
+        computing the matching key part from the outer frame.
         """
         if not isinstance(conjunct, preds.Comparison) or conjunct.op != "==":
             return None
@@ -750,43 +797,64 @@ class _Compiler:
             loop_operand, outer_operand = conjunct.right, conjunct.left
         else:
             return None
-        probe_fn, probe_deps = self._compile_operand(outer_operand)
-        return _EqAtom(loop_operand.path, probe_fn, probe_deps)  # type: ignore[union-attr]
+        return loop_operand.path, self._compile_operand(outer_operand)[0]  # type: ignore[union-attr]
 
-    def _compile_plain_for(
-        self,
-        expr: ast.For,
-        source_fn: _Fn,
-        source_deps: frozenset,
-        binding: "_Compiler._Bound",
-    ) -> _Compiled:
-        body_fn, body_deps = self.compile(expr.body)
-        slot = binding.slot
+    def _compile_guard(self, expr: ast.For) -> _Node:
+        """``for _ in p(x̄) union body`` — a filter: test, then forward the body."""
+        # The predicate is the binder's *source*: compiled before the binder
+        # is in scope, so the guard variable never shadows names inside it.
+        test, test_deps = self._compile_predicate(expr.source.predicate)  # type: ignore[attr-defined]
+        with self._bound(self._elem_scope, expr.var) as slot:
+            body = self.compile(expr.body)
+        body_emit = body.emitter()
+        pass_units = _units(_ITERATED, body.units)
 
-        def fn(ctx: _Ctx, frame: List[Any]) -> Bag:
-            source = _as_bag(source_fn(ctx, frame))
-            counter = ctx.counter
-            accumulator: Dict[Any, int] = {}
-            for element, multiplicity in source.items():
-                maybe_count(counter, "for_iterations")
+        def emit(ctx: _Ctx, frame: List[Any], mult: int, sink: Dict[Any, int]) -> None:
+            if test(ctx, frame):
+                frame[slot] = ()
+                body_emit(ctx, frame, mult, sink)
+                _charge(ctx.counter, pass_units)
+
+        return _Node(test_deps | (body.deps - {slot}), _CHECKED, emit=emit)
+
+    def _compile_loop(self, expr: ast.For, source: _Node, slot: int) -> _Node:
+        body = self.compile(expr.body)
+        source_value = source.valuer()
+        body_emit, body_bind = body.emitter(), body.bind
+        iteration_units = _units(_ITERATED, body.units)
+
+        def emit(ctx: _Ctx, frame: List[Any], mult: int, sink: Dict[Any, int]) -> None:
+            bag = _as_bag(source_value(ctx, frame))
+            iterations = len(bag)
+            if not iterations:
+                return
+            # A hash-join body resolves its index once for the whole walk;
+            # over an empty build side there is nothing to walk for.
+            run, run_units = body_emit, ()
+            if body_bind is not None:
+                bound = body_bind(ctx, frame)
+                if bound is None:
+                    return
+                run, run_units = bound
+            for element, multiplicity in bag.items():
                 frame[slot] = element
-                _accumulate(accumulator, _as_bag(body_fn(ctx, frame)), multiplicity, counter)
-            return Bag.from_pairs(accumulator.items())
+                run(ctx, frame, mult * multiplicity, sink)
+            _charge(ctx.counter, iteration_units, iterations)
+            _charge(ctx.counter, run_units, iterations)
 
-        deps = source_deps | (body_deps - {slot})
-        return fn, frozenset(deps)
+        return _Node(source.deps | (body.deps - {slot}), source.units, emit=emit)
 
     def _compile_hash_join(
         self,
         expr: ast.For,
-        source_fn: _Fn,
-        binding: "_Compiler._Bound",
-        guard_bindings: Sequence["_Compiler._Bound"],
-        atoms: Sequence[_EqAtom],
-        residual: Sequence[_Compiled],
-        conjuncts: Sequence[_Compiled],
-        body: Expr,
-    ) -> _Compiled:
+        source: _Node,
+        slot: int,
+        guard_slots: Tuple[int, ...],
+        atoms: Sequence[Tuple[Tuple[int, ...], _Fn]],
+        residual: Sequence[Tuple[_Fn, frozenset]],
+        conjuncts: Sequence[Tuple[_Fn, frozenset]],
+        body_expr: Expr,
+    ) -> _Node:
         """``for x in S union (where k(x)=k' …)`` as build-once/probe-per-tuple.
 
         Hashing is sound only for keys on which ``==`` coincides with
@@ -794,17 +862,22 @@ class _Compiler:
         Non-base keys (the interpreter rejects comparing them, but possibly
         only after an earlier conjunct short-circuits), ``NaN`` (not
         self-equal, so dict identity lookup would wrongly match it) and key
-        computations that raise all degrade to ``loop_fn`` — a nested-loop
+        computations that raise all degrade to ``emit_loop`` — a nested-loop
         twin that evaluates every guard conjunct in original order, exactly
         as the interpreter does.
         """
-        slot = binding.slot
-        guard_slots = tuple(guard_binding.slot for guard_binding in guard_bindings)
-        build_paths = tuple(atom.build_path for atom in atoms)
-        probe_fns = tuple(atom.probe for atom in atoms)
-        body_fn, body_deps = self.compile(body)
-        residual_fns = tuple(fn for fn, _ in residual)
-        conjunct_fns = tuple(fn for fn, _ in conjuncts)
+        build_paths = tuple(path for path, _ in atoms)
+        probe_fns = tuple(probe for _, probe in atoms)
+        body = self.compile(body_expr)
+        body_emit, body_units = body.emitter(), body.units
+        if source.units:
+            # No loop above charges them: the memo does, on first evaluation.
+            source = self._memoized(source)
+        source_value = source.valuer()
+        all_conjuncts = _all_of([fn for fn, _ in conjuncts])
+        residual_test = _all_of([fn for fn, _ in residual]) if residual else None
+        checked_units = _units(_ITERATED, _CHECKED)
+        bucket_units = checked_units if residual else _ITERATED
         index_key = self._cache_keys
         self._cache_keys += 1
         build_context = f"hash-join build over {expr.var!r}"
@@ -815,249 +888,225 @@ class _Compiler:
             expr.source.name if isinstance(expr.source, ast.Relation) else None
         )
         if relation_name is not None:
-            self.index_requirements.append(
-                IndexRequirement(relation_name, build_paths)
-            )
-
-        def loop_fn(ctx: _Ctx, frame: List[Any]) -> Bag:
-            counter = ctx.counter
-            source = _as_bag(source_fn(ctx, frame))
-            accumulator: Dict[Any, int] = {}
-            for element, multiplicity in source.items():
-                maybe_count(counter, "for_iterations")
-                frame[slot] = element
-                for guard_slot in guard_slots:
-                    frame[guard_slot] = ()
-                maybe_count(counter, "predicate_checks")
-                if not all(conjunct(ctx, frame) for conjunct in conjunct_fns):
-                    continue
-                _accumulate(accumulator, _as_bag(body_fn(ctx, frame)), multiplicity, counter)
-            return Bag.from_pairs(accumulator.items())
-
+            requirement = IndexRequirement(relation_name, build_paths)
+            if requirement not in self.index_requirements:  # first-seen order
+                self.index_requirements.append(requirement)
         # The single hashing-soundness rule, shared with the storage layer's
         # persistent indexes so both always agree on which keys qualify.
         hashable = is_hashable_key
 
-        def build_index(ctx: _Ctx, frame: List[Any]):
-            """Per-evaluation build over the context's own relation snapshot."""
+        def walk(ctx: _Ctx, frame: List[Any], mult: int, sink: Dict[Any, int], pairs, test) -> None:
+            """Bind each pair, forward the body for those passing ``test``."""
+            for guard_slot in guard_slots:
+                frame[guard_slot] = ()
+            passes = 0
+            for element, multiplicity in pairs:
+                frame[slot] = element
+                if test is None or test(ctx, frame):
+                    passes += 1
+                    body_emit(ctx, frame, mult * multiplicity, sink)
+            _charge(ctx.counter, body_units, passes)
+
+        def emit_loop(ctx: _Ctx, frame: List[Any], mult: int, sink: Dict[Any, int]) -> None:
+            bag = _as_bag(source_value(ctx, frame))
+            walk(ctx, frame, mult, sink, bag.items(), all_conjuncts)
+            _charge(ctx.counter, checked_units, len(bag))
+
+        def emit_probe(get, ctx: _Ctx, frame: List[Any], mult: int, sink: Dict[Any, int]) -> None:
             try:
-                source = _as_bag(source_fn(ctx, frame))
-                built: Dict[Any, Any] = {}
-                for element, multiplicity in source.items():
-                    maybe_count(ctx.counter, "hash_build_entries")
-                    key_parts = []
+                key = []
+                for probe in probe_fns:
+                    part = probe(ctx, frame)
+                    if not hashable(part):
+                        raise _UnhashableKey()
+                    key.append(part)
+            except (_UnhashableKey, EvaluationError):
+                # Probe keys the index cannot answer faithfully (non-base,
+                # NaN, or erroring operands whose error the interpreter may
+                # short-circuit away) fall back to the loop for this probe.
+                return emit_loop(ctx, frame, mult, sink)
+            # Probe keys are deliberately *not* interned: equality-based
+            # bucket lookup works regardless, and a scan of mostly-absent
+            # probe keys must not evict the hot build-side keys from the
+            # bounded interner.
+            bucket = get(tuple(key))
+            if bucket:
+                walk(ctx, frame, mult, sink, bucket, residual_test)
+                _charge(ctx.counter, bucket_units, len(bucket))
+
+        def build(ctx: _Ctx, frame: List[Any]):
+            """Per-evaluation build over the context's own relation snapshot."""
+            bag = _as_bag(source_value(ctx, frame))
+            maybe_count(ctx.counter, "hash_build_entries", len(bag))
+            built: Any = {}
+            try:
+                for pair in bag.items():
+                    key = []
                     for path in build_paths:
-                        value = _project_value(element, path, build_context)
-                        if not hashable(value):
+                        part = _project_value(pair[0], path, build_context)
+                        if not hashable(part):
                             raise _UnhashableKey()
-                        key_parts.append(value)
+                        key.append(part)
                     # Interned: recurring keys canonicalize to one tuple, so
                     # bucket lookups take the identity fast path (shared with
                     # the storage layer's persistent indexes).
-                    built.setdefault(intern_key(tuple(key_parts)), []).append(
-                        (element, multiplicity)
-                    )
+                    built.setdefault(intern_key(tuple(key)), []).append(pair)
             except _UnhashableKey:
                 built = _NO_INDEX
             ctx.cache[index_key] = built
             return built
 
-        def fn(ctx: _Ctx, frame: List[Any]) -> Bag:
-            counter = ctx.counter
-            index = ctx.cache.get(index_key)
-            if index is _PERSISTENT:
-                # Re-verify on every call (see the sentinel's note): serve
-                # the persistent index only while it still describes the
-                # exact bag this context reads; once the store moves on,
-                # build from the snapshot like the interpreter would see it.
-                source = _as_bag(source_fn(ctx, frame))
-                index = ctx.indexes.probe(relation_name, build_paths, source)
-                if index is None:
-                    index = build_index(ctx, frame)
-            elif index is None:
+        def bind(ctx: _Ctx, frame: List[Any]) -> Optional[Tuple[_Emit, _Units]]:
+            index = cached = ctx.cache.get(index_key)
+            if cached is None or cached is _PERSISTENT:
+                index = None
                 provider = ctx.indexes
                 if provider is not None and relation_name is not None:
-                    # Persistent path: use the storage layer's index when it
+                    # Persistent path: use the storage layer's index while it
                     # provably describes the very bag this query reads (bag
                     # identity — exact, since bags are immutable) and is not
-                    # poisoned by unhashable keys.  Its buckets have the same
+                    # poisoned by unhashable keys; re-verified on every bind
+                    # (see the sentinel's note).  Its buckets have the same
                     # (element, multiplicity) shape as a fresh build.
-                    source = _as_bag(source_fn(ctx, frame))
-                    persistent = provider.probe(relation_name, build_paths, source)
-                    if persistent is not None:
-                        maybe_count(counter, "index_hits")
+                    index = provider.probe(
+                        relation_name, build_paths, _as_bag(source_value(ctx, frame))
+                    )
+                    if cached is None and index is not None:
+                        maybe_count(ctx.counter, "index_hits")
                         ctx.cache[index_key] = _PERSISTENT
-                        index = persistent
-                    else:
+                    elif cached is None:
                         provider.note_rebuild(relation_name, build_paths)
-                        maybe_count(counter, "index_rebuilds")
+                        maybe_count(ctx.counter, "index_rebuilds")
                 if index is None:
-                    index = build_index(ctx, frame)
+                    index = build(ctx, frame)
             if index is _NO_INDEX:
-                return loop_fn(ctx, frame)
+                return emit_loop, ()
             if not index:
                 # Empty build side: the interpreter never evaluates the
                 # guard, so no operand error may fire here either.
-                return EMPTY_BAG
-            maybe_count(counter, "hash_probes")
-            try:
-                probe_parts = []
-                for probe in probe_fns:
-                    value = probe(ctx, frame)
-                    if not hashable(value):
-                        raise _UnhashableKey()
-                    probe_parts.append(value)
-            except (_UnhashableKey, EvaluationError):
-                # Probe keys the index cannot answer faithfully (non-base,
-                # NaN, or erroring operands whose error the interpreter may
-                # short-circuit away) fall back to the loop for this probe.
-                return loop_fn(ctx, frame)
-            # Probe keys are deliberately *not* interned: equality-based
-            # bucket lookup works regardless, and a scan of mostly-absent
-            # probe keys must not evict the hot build-side keys from the
-            # bounded interner.
-            bucket = index.get(tuple(probe_parts))
-            if not bucket:
-                return EMPTY_BAG
-            accumulator: Dict[Any, int] = {}
-            for element, multiplicity in bucket:
-                maybe_count(counter, "for_iterations")
-                frame[slot] = element
-                for guard_slot in guard_slots:
-                    frame[guard_slot] = ()
-                if residual_fns:
-                    maybe_count(counter, "predicate_checks")
-                    if not all(res(ctx, frame) for res in residual_fns):
-                        continue
-                _accumulate(accumulator, _as_bag(body_fn(ctx, frame)), multiplicity, counter)
-            return Bag.from_pairs(accumulator.items())
+                return None
+            return partial(emit_probe, index.get), _PROBED
 
         # Every guard conjunct (atoms included) contributes deps; probe-side
         # slots are never local, so subtracting the local slots keeps them.
-        local_slots = {slot, *guard_slots}
-        deps: frozenset = body_deps
-        for _, part_deps in conjuncts:
-            deps |= part_deps
-        return fn, frozenset(deps - local_slots)
+        deps = body.deps.union(*(part_deps for _, part_deps in conjuncts))
+        return _Node(frozenset(deps - {slot, *guard_slots}), bind=bind)
 
     # ------------------------------------------------------------------ #
     # Structural constructs
     # ------------------------------------------------------------------ #
-    def _compile_Let(self, expr: ast.Let) -> _Compiled:
-        bound_fn, bound_deps = self.compile(expr.bound)
-        binding = self._Bound(self, self._bag_scope, expr.name)
-        try:
-            body_fn, body_deps = self.compile(expr.body)
-        finally:
-            binding.release()
-        slot = binding.slot
+    def _compile_Let(self, expr: ast.Let) -> _Node:
+        bound = self.compile(expr.bound)
+        with self._bound(self._bag_scope, expr.name, loop=False) as slot:
+            body = self.compile(expr.body)
+        bound_value, body_value = bound.valuer(), body.valuer()
 
-        def fn(ctx: _Ctx, frame: List[Any]) -> Any:
-            frame[slot] = bound_fn(ctx, frame)
-            return body_fn(ctx, frame)
+        def value(ctx: _Ctx, frame: List[Any]) -> Any:
+            frame[slot] = bound_value(ctx, frame)
+            return body_value(ctx, frame)
 
-        return fn, bound_deps | frozenset(body_deps - {slot})
+        deps = bound.deps | frozenset(body.deps - {slot})
+        return _Node(deps, _units(bound.units, body.units), value=value)
 
-    def _compile_Flatten(self, expr: ast.Flatten) -> _Compiled:
-        body_fn, deps = self.compile(expr.body)
+    def _compile_Flatten(self, expr: ast.Flatten) -> _Node:
+        body = self.compile(expr.body)
+        body_value = body.valuer()
 
-        def fn(ctx: _Ctx, frame: List[Any]) -> Bag:
-            outer = _as_bag(body_fn(ctx, frame))
-            result = EMPTY_BAG
-            for element, multiplicity in outer.items():
+        def emit(ctx: _Ctx, frame: List[Any], mult: int, sink: Dict[Any, int]) -> None:
+            merges = 0
+            for element, multiplicity in _as_bag(body_value(ctx, frame)).items():
                 if not isinstance(element, Bag):
                     raise EvaluationError(
                         "flatten applied to a bag whose elements are not bags"
                     )
-                maybe_count(ctx.counter, "union_merges", len(element))
-                result = result.union(element.scale(multiplicity))
-            return result
+                merges += len(element)
+                _merge(sink, element.items(), mult * multiplicity)
+            maybe_count(ctx.counter, "union_merges", merges)
 
-        return fn, deps
+        return _Node(body.deps, body.units, emit=emit)
 
-    def _compile_Product(self, expr: ast.Product) -> _Compiled:
-        compiled = [self.compile(factor) for factor in expr.factors]
-        factor_fns = tuple(fn for fn, _ in compiled)
+    def _compile_Product(self, expr: ast.Product) -> _Node:
+        factors = [self.compile(factor) for factor in expr.factors]
+        deps = frozenset().union(*(factor.deps for factor in factors))
+        units = _units(*(factor.units for factor in factors))
+        if all(factor.element is not None for factor in factors):
+            # A tuple constructor: every factor is a scalar singleton, so the
+            # product is the one tuple of their elements.
+            parts = tuple(factor.element for factor in factors)
 
-        def fn(ctx: _Ctx, frame: List[Any]) -> Bag:
-            counter = ctx.counter
-            factor_bags = [_as_bag(factor(ctx, frame)) for factor in factor_fns]
-            accumulator: Dict[Any, int] = {(): 1}
-            for factor in factor_bags:
-                next_accumulator: Dict[Any, int] = {}
-                for prefix, prefix_mult in accumulator.items():
-                    for element, multiplicity in factor.items():
-                        maybe_count(counter, "product_pairs")
-                        combined = prefix_mult * multiplicity
-                        if combined == 0:
-                            continue
-                        key = prefix + (element,)
-                        next_accumulator[key] = next_accumulator.get(key, 0) + combined
-                accumulator = next_accumulator
-            return Bag.from_pairs(accumulator.items())
+            def element(ctx: _Ctx, frame: List[Any]) -> Tuple[Any, ...]:
+                return tuple([part(ctx, frame) for part in parts])
 
-        deps: frozenset = frozenset()
-        for _, factor_deps in compiled:
-            deps |= factor_deps
-        return fn, deps
+            return _Node(deps, _units(units, (("product_pairs", len(parts)),)), element=element)
+        factor_values = tuple(factor.valuer() for factor in factors)
 
-    def _compile_Union(self, expr: ast.Union) -> _Compiled:
-        compiled = [self.compile(term) for term in expr.terms]
-        term_fns = tuple(fn for fn, _ in compiled)
+        def emit(ctx: _Ctx, frame: List[Any], mult: int, sink: Dict[Any, int]) -> None:
+            bags = [_as_bag(factor(ctx, frame)) for factor in factor_values]
+            pairs = 0
+            tuples: Dict[Any, int] = {(): mult}
+            for bag in bags:
+                pairs += len(tuples) * len(bag)
+                tuples = {
+                    prefix + (element,): prefix_mult * multiplicity
+                    for prefix, prefix_mult in tuples.items()
+                    for element, multiplicity in bag.items()
+                }
+            maybe_count(ctx.counter, "product_pairs", pairs)
+            _merge(sink, tuples.items(), 1)
 
-        def fn(ctx: _Ctx, frame: List[Any]) -> Bag:
-            result = EMPTY_BAG
-            for term in term_fns:
-                term_bag = _as_bag(term(ctx, frame))
-                maybe_count(ctx.counter, "union_merges", len(term_bag))
-                result = result.union(term_bag)
-            return result
+        return _Node(deps, units, emit=emit)
 
-        deps: frozenset = frozenset()
-        for _, term_deps in compiled:
-            deps |= term_deps
-        return fn, deps
+    def _compile_Union(self, expr: ast.Union) -> _Node:
+        terms = [self.compile(term) for term in expr.terms]
+        term_emits = tuple(term.emitter() for term in terms)
 
-    def _compile_Negate(self, expr: ast.Negate) -> _Compiled:
-        body_fn, deps = self.compile(expr.body)
+        def emit(ctx: _Ctx, frame: List[Any], mult: int, sink: Dict[Any, int]) -> None:
+            for term in term_emits:
+                term(ctx, frame, mult, sink)
 
-        def fn(ctx: _Ctx, frame: List[Any]) -> Bag:
-            return _as_bag(body_fn(ctx, frame)).negate()
+        deps = frozenset().union(*(term.deps for term in terms))
+        return _Node(deps, _units(*(term.units for term in terms)), emit=emit)
 
-        return fn, deps
+    def _compile_Negate(self, expr: ast.Negate) -> _Node:
+        body = self.compile(expr.body)
+        body_emit = body.emitter()
+
+        def emit(ctx: _Ctx, frame: List[Any], mult: int, sink: Dict[Any, int]) -> None:
+            body_emit(ctx, frame, -mult, sink)
+
+        return _Node(body.deps, body.units, emit=emit)
 
     # ------------------------------------------------------------------ #
     # Labels and dictionaries
     # ------------------------------------------------------------------ #
-    def _compile_InLabel(self, expr: ast.InLabel) -> _Compiled:
-        readers = [self._elem_reader(param) for param in expr.params]
+    def _compile_InLabel(self, expr: ast.InLabel) -> _Node:
+        readers = [self._read(param) for param in expr.params]
         reader_fns = tuple(fn for fn, _ in readers)
         iota = expr.iota
 
-        def fn(ctx: _Ctx, frame: List[Any]) -> Bag:
-            values = tuple(read(ctx, frame) for read in reader_fns)
-            maybe_count(ctx.counter, "elements_emitted")
-            return Bag.singleton(Label(iota, values))
+        def element(ctx: _Ctx, frame: List[Any]) -> Label:
+            return Label(iota, tuple([read(ctx, frame) for read in reader_fns]))
 
-        deps: frozenset = frozenset()
-        for _, reader_deps in readers:
-            deps |= reader_deps
-        return fn, deps
+        deps = frozenset().union(*(reader_deps for _, reader_deps in readers))
+        return _Node(deps, _EMITTED, element=element)
 
-    def _compile_DictSingleton(self, expr: ast.DictSingleton) -> _Compiled:
-        bindings = [self._Bound(self, self._elem_scope, param) for param in expr.params]
-        self._binder_depth += 1
+    def _compile_DictSingleton(self, expr: ast.DictSingleton) -> _Node:
+        self._binder_depth += 1  # the body runs once per lookup, even with no parameter
         try:
-            body_fn, body_deps = self.compile(expr.body)
+            with ExitStack() as scopes:
+                param_slots = tuple(
+                    scopes.enter_context(self._bound(self._elem_scope, param))
+                    for param in expr.params
+                )
+                body = self.compile(expr.body)
         finally:
             self._binder_depth -= 1
-            for binding in reversed(bindings):
-                binding.release()
-        param_slots = tuple(binding.slot for binding in bindings)
         iota = expr.iota
         arity = len(expr.params)
+        body_value = body.valuer()
+        lookup_units = _units(_LOOKED_UP, body.units)
 
-        def fn(ctx: _Ctx, frame: List[Any]) -> DictValue:
+        def value(ctx: _Ctx, frame: List[Any]) -> DictValue:
             # The dictionary is a closure over everything except its own
             # parameters (Section 5.2): snapshot the frame so later binder
             # writes in enclosing loops do not leak into lookups.
@@ -1070,65 +1119,53 @@ class _Compiler:
                         f"expected {arity} values, got {len(values)}"
                     )
                 local = list(snapshot)
-                for param_slot, value in zip(param_slots, values):
-                    local[param_slot] = value
-                maybe_count(ctx.counter, "dict_lookups")
-                return _as_bag(body_fn(ctx, local))
+                for param_slot, param_value in zip(param_slots, values):
+                    local[param_slot] = param_value
+                _charge(ctx.counter, lookup_units)
+                return _as_bag(body_value(ctx, local))
 
             return IntensionalDict(iota, _lookup)
 
-        return fn, frozenset(body_deps - set(param_slots))
+        return _Node(frozenset(body.deps - set(param_slots)), value=value)
 
-    def _compile_DictEmpty(self, expr: ast.DictEmpty) -> _Compiled:
-        def fn(ctx: _Ctx, frame: List[Any]) -> DictValue:
-            return EMPTY_DICT
+    def _compile_DictEmpty(self, expr: ast.DictEmpty) -> _Node:
+        return _Node(frozenset(), value=lambda ctx, frame: EMPTY_DICT)
 
-        return fn, frozenset()
+    def _compile_dict_terms(self, terms: Sequence[Expr], combine: str) -> _Node:
+        """``DictUnion``/``DictAdd``: fold the terms with the ``combine`` method."""
+        nodes = [self.compile(term) for term in terms]
+        term_values = tuple(node.valuer() for node in nodes)
 
-    def _compile_DictUnion(self, expr: ast.DictUnion) -> _Compiled:
-        compiled = [self.compile(term) for term in expr.terms]
-        term_fns = tuple(fn for fn, _ in compiled)
-
-        def fn(ctx: _Ctx, frame: List[Any]) -> DictValue:
+        def value(ctx: _Ctx, frame: List[Any]) -> DictValue:
             result: DictValue = EMPTY_DICT
-            for term in term_fns:
-                result = result.label_union(_as_dict(term(ctx, frame)))
+            for term in term_values:
+                result = getattr(result, combine)(_as_dict(term(ctx, frame)))
             return result
 
-        deps: frozenset = frozenset()
-        for _, term_deps in compiled:
-            deps |= term_deps
-        return fn, deps
+        deps = frozenset().union(*(node.deps for node in nodes))
+        return _Node(deps, _units(*(node.units for node in nodes)), value=value)
 
-    def _compile_DictAdd(self, expr: ast.DictAdd) -> _Compiled:
-        compiled = [self.compile(term) for term in expr.terms]
-        term_fns = tuple(fn for fn, _ in compiled)
+    def _compile_DictUnion(self, expr: ast.DictUnion) -> _Node:
+        return self._compile_dict_terms(expr.terms, "label_union")
 
-        def fn(ctx: _Ctx, frame: List[Any]) -> DictValue:
-            result: DictValue = EMPTY_DICT
-            for term in term_fns:
-                result = result.add(_as_dict(term(ctx, frame)))
-            return result
+    def _compile_DictAdd(self, expr: ast.DictAdd) -> _Node:
+        return self._compile_dict_terms(expr.terms, "add")
 
-        deps: frozenset = frozenset()
-        for _, term_deps in compiled:
-            deps |= term_deps
-        return fn, deps
+    def _compile_DictLookup(self, expr: ast.DictLookup) -> _Node:
+        dictionary = self.compile(expr.dictionary)
+        dictionary_value = dictionary.valuer()
+        read, read_deps = self._read(expr.var, expr.path, "dictionary lookup")
 
-    def _compile_DictLookup(self, expr: ast.DictLookup) -> _Compiled:
-        dict_fn, dict_deps = self.compile(expr.dictionary)
-        read, read_deps = self._elem_reader(expr.var)
-        path = expr.path
-
-        def fn(ctx: _Ctx, frame: List[Any]) -> Bag:
-            dictionary = _as_dict(dict_fn(ctx, frame))
-            label = _project_value(read(ctx, frame), path, "dictionary lookup")
+        def value(ctx: _Ctx, frame: List[Any]) -> Bag:
+            found = _as_dict(dictionary_value(ctx, frame))
+            label = read(ctx, frame)
             if not isinstance(label, Label):
                 raise EvaluationError(f"dictionary lookup key is not a label: {label!r}")
-            maybe_count(ctx.counter, "dict_lookups")
-            return dictionary.lookup(label)
+            return found.lookup(label)
 
-        return fn, dict_deps | read_deps
+        return _Node(
+            dictionary.deps | read_deps, _units(dictionary.units, _LOOKED_UP), value=value
+        )
 
 
 class CompiledQuery:
@@ -1144,19 +1181,18 @@ class CompiledQuery:
     def __init__(self, expr: Expr) -> None:
         self.expr = expr
         compiler = _Compiler()
-        self._fn, _ = compiler.compile(expr)
+        root = compiler.compile(expr)
+        # The root is a pipeline breaker: a bag-typed query materialises its
+        # accumulator here, once, without re-hashing it.
+        self._value, self._units = root.valuer(), root.units
         self._slot_count = compiler._slot_count
         self._elem_params = tuple(compiler._elem_params.items())
         self._bag_params = tuple(compiler._bag_params.items())
-        # Deduplicated, first-seen order: the join atoms this query probes
-        # over base relations, registrable as persistent storage indexes.
-        seen = set()
-        requirements = []
-        for requirement in compiler.index_requirements:
-            if requirement.key() not in seen:
-                seen.add(requirement.key())
-                requirements.append(requirement)
-        self.index_requirements: Tuple[IndexRequirement, ...] = tuple(requirements)
+        # The join atoms this query probes over base relations (deduplicated,
+        # first-seen order), registrable as persistent storage indexes.
+        self.index_requirements: Tuple[IndexRequirement, ...] = tuple(
+            compiler.index_requirements
+        )
 
     # ------------------------------------------------------------------ #
     def evaluate(
@@ -1178,7 +1214,9 @@ class CompiledQuery:
             counter,
             getattr(env, "indexes", None),
         )
-        return self._fn(ctx, frame)
+        value = self._value(ctx, frame)
+        _charge(counter, self._units)
+        return value
 
     def evaluate_bag(
         self, env: Optional[Environment] = None, counter: Optional[OpCounter] = None

@@ -73,9 +73,7 @@ class ResultStore:
             self._builders = [BagBuilder.from_bag(bag)]
         else:
             self._builders = [BagBuilder() for _ in range(self._shard_count)]
-            if not bag.is_empty():
-                for position, pairs in self._partition(bag.items()).items():
-                    self._builders[position].apply_pairs(pairs)
+            self._fold(bag.items())
 
     # ------------------------------------------------------------------ #
     # Shard routing
@@ -84,15 +82,17 @@ class ResultStore:
     def shards(self) -> int:
         return self._shard_count
 
-    def _partition(self, pairs) -> Dict[int, List[Tuple[Any, int]]]:
-        """One O(|pairs|) routing pass: shard id → that shard's pairs."""
+    def _fold(self, pairs) -> None:
+        """Route ``(element, multiplicity)`` pairs to their shards and fold
+        them in: one O(|pairs|) pass that passes each pair object on as it
+        came — a compiled pipeline's accumulator is never re-tupled."""
         count = self._shard_count
-        groups: Dict[int, List[Tuple[Any, int]]] = {}
-        for element, multiplicity in pairs:
-            groups.setdefault(hash(element) % count, []).append(
-                (element, multiplicity)
-            )
-        return groups
+        groups: List[List[Tuple[Any, int]]] = [[] for _ in range(count)]
+        for pair in pairs:
+            groups[hash(pair[0]) % count].append(pair)
+        for builder, group in zip(self._builders, groups):
+            if group:
+                builder.apply_pairs(group)
 
     # ------------------------------------------------------------------ #
     # Maintenance (the BagBuilder contract)
@@ -111,8 +111,7 @@ class ResultStore:
             self._builders[0].apply_bag(delta)
             return
         self._composite = None
-        for position, pairs in self._partition(delta.items()).items():
-            self._builders[position].apply_pairs(pairs)
+        self._fold(delta.items())
 
     # ------------------------------------------------------------------ #
     # Snapshots

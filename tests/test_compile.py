@@ -434,3 +434,250 @@ class TestExecutionReporting:
         compiled = compile_expr(genre_selfjoin_query())
         assert isinstance(compiled, CompiledQuery)
         assert "CompiledQuery" in repr(compiled)
+
+
+# --------------------------------------------------------------------------- #
+# Fused pipelines: generated expressions, differential against the interpreter
+# --------------------------------------------------------------------------- #
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import EvaluationError, NotInFragmentError
+
+PAIR_T = bag_of(MOVIE_SCHEMA.element)
+GEN_RELATIONS = {"A": "pair", "B": "pair", "R": "bag"}
+
+# One small domain for both positions, so cross-position equalities match.
+_keys = _vals = st.sampled_from("abc")
+_mults = st.sampled_from([-2, -1, 1, 1, 2])
+_pair_bags = st.dictionaries(
+    st.tuples(_keys, _vals), _mults, min_size=1, max_size=6
+).map(Bag.from_mapping)
+_inner = st.lists(st.sampled_from("pq"), max_size=2).map(Bag)
+_nested_bags = st.dictionaries(_inner, _mults, max_size=3).map(Bag.from_mapping)
+# Join keys hashing cannot match faithfully: NaN and a compound value.
+_odd_pair_bags = st.dictionaries(
+    st.tuples(st.sampled_from(["a", float("nan"), ("a", "b")]), _vals), _mults, max_size=3
+).map(Bag.from_mapping)
+
+
+@st.composite
+def _environments(draw, pairs=_pair_bags):
+    relations = {"A": draw(pairs), "B": draw(pairs), "R": draw(_nested_bags)}
+    deltas = {("A", 1): draw(pairs), ("B", 1): draw(pairs), ("R", 1): draw(_nested_bags)}
+    env = Environment(relations=relations, deltas=deltas)
+    env.elem_vars["free"] = draw(st.tuples(_keys, _vals))
+    return env
+
+
+@st.composite
+def _predicates(draw, scope):
+    """A predicate over the pair-shaped variables in scope (or ``free``)."""
+    pair_vars = [name for name, shape in scope.items() if shape == "pair"] + ["free"]
+
+    def operand(positions):
+        if draw(st.integers(0, 4)) == 0:
+            return preds.const(draw(st.sampled_from("abc")))
+        return preds.var_path(draw(st.sampled_from(pair_vars)), draw(st.sampled_from(positions)))
+
+    def comparison():
+        op = draw(st.sampled_from(["==", "==", "!=", "<"]))
+        return preds.Comparison(op, operand((0, 1)), operand((0, 1)))
+
+    terms = tuple(comparison() for _ in range(draw(st.integers(1, 2))))
+    if len(terms) == 1:
+        return terms[0]
+    return draw(st.sampled_from([preds.And, preds.Or]))(terms)
+
+
+@st.composite
+def _bag_exprs(draw, depth=3, scope=None, bag_vars=None):
+    """A bag-typed NRC+ expression and the shape of its elements.
+
+    Binder names come from a pool of two, so shadowing is the norm; ``let``
+    bounds, hoistable loop-invariant sub-expressions and negations land
+    inside loop bodies.  One draw in a few takes an ill-shaped turn (a
+    projection off the end, ``flatten`` of non-bags, an unbound name) so the
+    error paths are compared too.
+    """
+    scope = dict(scope or {})
+    bag_vars = dict(bag_vars or {})
+    recurse = lambda **kw: draw(  # noqa: E731
+        _bag_exprs(
+            depth=depth - 1,
+            scope=kw.get("scope", scope),
+            bag_vars=kw.get("bag_vars", bag_vars),
+        )
+    )
+    leaves = ["relation"] * 4 + ["delta"] * 3 + ["empty", "unit"]
+    if scope:
+        leaves += ["var"] * 3 + ["proj"] * 6
+    if bag_vars:
+        leaves += ["bagvar"] * 3
+    inner = ["join"] * 8 + ["for"] * 4 + ["where"] * 6 + ["union"] * 3
+    inner += ["negate", "product", "product", "flatten", "sng", "let", "let", "pred"]
+    if depth <= 0:
+        kind = draw(st.sampled_from(leaves))
+    elif draw(st.integers(0, 149)) == 0:
+        kind = "ghost"
+    else:
+        kind = draw(st.sampled_from(leaves + inner * 3))
+    if kind in ("relation", "delta"):
+        name = draw(st.sampled_from(sorted(GEN_RELATIONS)))
+        schema = PAIR_T if GEN_RELATIONS[name] == "pair" else bag_of(bag_of(BASE))
+        node = ast.Relation(name, schema) if kind == "relation" else ast.DeltaRelation(name, schema, 1)
+        return node, GEN_RELATIONS[name]
+    if kind == "empty":
+        return ast.Empty(), "pair"
+    if kind == "unit":
+        return ast.SngUnit(), "unit"
+    if kind == "var":
+        name = draw(st.sampled_from(sorted(scope)))
+        return ast.SngVar(name), scope[name]
+    if kind == "proj":
+        name = draw(st.sampled_from(sorted(scope)))
+        limit = 1 if scope[name] == "pair" else 0
+        index = draw(st.sampled_from([0] * 15 + [limit] * 15 + [2]))  # 2 runs off the end
+        return ast.SngProj(name, (index,)), "base"
+    if kind == "bagvar":
+        name = draw(st.sampled_from(sorted(bag_vars)))
+        return ast.BagVar(name), bag_vars[name]
+    if kind == "ghost":
+        return draw(st.sampled_from([ast.SngVar("ghost"), ast.BagVar("Ghost")])), "base"
+    if kind == "pred":
+        return ast.Pred(draw(_predicates(scope))), "unit"
+    if kind == "join":
+        # The canonical equi-join: a pair-shaped probe side, a pair-shaped
+        # build side (a relation, an update, or a let-bound bag) and an
+        # equality between them, in either operand order, maybe with more.
+        def side():
+            name = draw(st.sampled_from(["A", "A", "B"]))
+            return draw(
+                st.sampled_from(
+                    [ast.Relation(name, PAIR_T), ast.DeltaRelation(name, PAIR_T, 1)]
+                    + [ast.BagVar(var) for var, shape in bag_vars.items() if shape == "pair"]
+                )
+            )
+
+        outer, build_var = draw(st.sampled_from([("x", "y"), ("y", "x"), ("x", "x")]))
+        inner_scope = {**scope, outer: "pair", build_var: "pair"}
+        probe = preds.var_path(outer if outer != build_var else "free", draw(st.integers(0, 1)))
+        key = preds.var_path(build_var, draw(st.integers(0, 1)))
+        equality = preds.eq(*draw(st.permutations([probe, key])))
+        extra = draw(st.one_of(st.none(), _predicates(inner_scope)))
+        condition = equality if extra is None else preds.And(
+            tuple(draw(st.permutations([equality, extra])))
+        )
+        body, body_shape = recurse(scope=inner_scope)
+        joined = build.for_in(build_var, side(), body, condition=condition)
+        return build.for_in(outer, side(), joined), body_shape
+    if kind in ("for", "where"):
+        source, shape = recurse()
+        var = draw(st.sampled_from(["x", "y"]))
+        inner_scope = {**scope, var: shape}
+        body, body_shape = recurse(scope=inner_scope)
+        condition = draw(_predicates(inner_scope)) if kind == "where" else None
+        return build.for_in(var, source, body, condition=condition), body_shape
+    if kind == "union":
+        left, shape = recurse()
+        right, _ = recurse()
+        return ast.Union((left, right)), shape
+    if kind == "negate":
+        body, shape = recurse()
+        return ast.Negate(body), shape
+    if kind == "product":
+        left, _ = recurse()
+        right, _ = recurse()
+        return ast.Product((left, right)), "pair"
+    if kind == "flatten":
+        body, shape = recurse()
+        return ast.Flatten(body), "base"
+    if kind == "sng":
+        body, _ = recurse()
+        return ast.Sng(body), "bag"
+    assert kind == "let"
+    bound, shape = recurse()
+    name = draw(st.sampled_from(["X", "Y"]))
+    body, body_shape = recurse(bag_vars={**bag_vars, name: shape})
+    return ast.Let(name, bound, body), body_shape
+
+
+def _outcome(thunk):
+    try:
+        return thunk()
+    except EvaluationError as error:  # UnboundVariableError included
+        return type(error)
+
+
+class TestFusedPipelineDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(_bag_exprs(), _environments())
+    def test_generated_expressions_agree(self, generated, env):
+        expr, _ = generated
+        compiled = compile_expr(expr)
+        assert _outcome(lambda: compiled.evaluate_bag(env)) == _outcome(
+            lambda: evaluate_bag(expr, env)
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(_bag_exprs(), _environments())
+    def test_generated_deltas_agree(self, generated, env):
+        # Negative multiplicities in relations *and* updates: entries cancel
+        # inside the fused delta pipeline, not in a final normalisation pass.
+        expr, _ = generated
+        try:
+            delta_expr = delta(expr, ("A", "B", "R"))
+        except NotInFragmentError:
+            return  # sng over an updated relation: maintained by shredding
+        compiled = compile_expr(delta_expr)
+        assert _outcome(lambda: compiled.evaluate_bag(env)) == _outcome(
+            lambda: evaluate_bag(delta_expr, env)
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(["A", "B"]),
+        st.sampled_from(["A", "B"]),
+        st.booleans(),
+        st.integers(0, 1),
+        st.integers(0, 1),
+        _environments(st.one_of(_pair_bags, _odd_pair_bags)),
+    )
+    def test_joins_over_unhashable_keys_agree(self, probe, built, updated, left, right, env):
+        # NaN and compound key values: the hash-join must degrade to its
+        # nested-loop twin and raise (or not) exactly where the interpreter
+        # does.  The equality is the guard's only conjunct — an *additional*
+        # ill-typed conjunct falls under the module's documented caveat.
+        build_side = ast.DeltaRelation(built, PAIR_T, 1) if updated else ast.Relation(built, PAIR_T)
+        condition = preds.eq(preds.var_path("x", left), preds.var_path("y", right))
+        inner = build.for_in(
+            "y", build_side, build.tuple_bag(build.proj("x", 1), build.proj("y", 1)), condition
+        )
+        query = ast.For("x", ast.Relation(probe, PAIR_T), inner)
+        compiled = compile_expr(query)
+        assert _outcome(lambda: compiled.evaluate_bag(env)) == _outcome(
+            lambda: evaluate_bag(query, env)
+        )
+
+    def test_cancellation_inside_one_pipeline(self):
+        # +1 and -1 copies of the same output meet in the accumulator of a
+        # single fused loop nest; the result must hold no zero entry.
+        rows = Bag.from_pairs([(("a", "x"), 1), (("a", "y"), -1)])
+        env = Environment(relations={"A": rows})
+        a_node = ast.Relation("A", PAIR_T)
+        query = ast.For("x", a_node, ast.Union((build.proj("x", 0), ast.Negate(build.proj("x", 0)))))
+        result = compile_expr(query).evaluate_bag(env)
+        assert result == evaluate_bag(query, env) == EMPTY_BAG
+        projection = ast.For("x", a_node, build.proj("x", 0))
+        assert compile_expr(projection).evaluate_bag(env).as_dict() == {}
+
+    def test_empty_delta_selfjoin_walks_nothing(self):
+        # for m in M: for m2 in ΔM …: with ΔM empty the build side of every
+        # delta term is empty, so no loop may walk M against it.
+        movies = generate_movies(200, seed=4)
+        delta_query = delta(genre_selfjoin_query(), ("M",))
+        env = Environment(relations={"M": movies}, deltas={("M", 1): EMPTY_BAG})
+        counter = OpCounter()
+        assert compile_expr(delta_query).evaluate_bag(env, counter) == EMPTY_BAG
+        assert counter.get("for_iterations") == 0
+        assert counter.get("hash_probes") == 0

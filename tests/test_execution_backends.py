@@ -24,6 +24,7 @@ from repro.engine import Engine
 from repro.engine.scheduler import (
     EXECUTION_BACKENDS,
     PROCESS_DELTA_THRESHOLD,
+    THREAD_DELTA_THRESHOLD,
     ProcessExecutionBackend,
     availability_fallback,
     backend_availability,
@@ -207,7 +208,10 @@ class TestBackendSpecs:
         # Nothing to parallelize: serial.
         assert recommend_backend(10_000, 1, 4) == "serial"
         assert recommend_backend(10_000, 8, 1) == "serial"
-        # Small deltas on multi-shard stores: threads (no IPC worth paying).
+        # A handful of rows folds inline: the pool hand-off costs more.
+        assert recommend_backend(THREAD_DELTA_THRESHOLD - 1, 8, 4) == "serial"
+        assert recommend_backend(THREAD_DELTA_THRESHOLD, 8, 4) == "threads"
+        # Mid-sized deltas on multi-shard stores: threads (no IPC worth paying).
         assert recommend_backend(PROCESS_DELTA_THRESHOLD - 1, 8, 4) == "threads"
         # Offload-sized deltas: processes where fork exists, threads otherwise.
         recommended = recommend_backend(PROCESS_DELTA_THRESHOLD, 8, 4)
@@ -420,6 +424,30 @@ class TestExecutionReporting:
                 assert set(execution["availability"]) == set(EXECUTION_BACKENDS)
             finally:
                 engine.close()
+
+    def test_small_deltas_fold_inline_and_platform_probes_run_once(self, monkeypatch):
+        from repro.engine import scheduler
+
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        # Pretend to be a multi-core host so ``auto`` has a choice to make.
+        monkeypatch.setattr(scheduler, "_auto_workers", lambda: 4)
+        movies = generate_movies(600, seed=7)
+        with forced_shards(4):
+            engine = movies_engine(movies)
+        try:
+            engine.view("v", genre_selfjoin_query(), strategy="classic")
+            probes = scheduler._interpreters_module.cache_info().misses
+            engine.apply_stream(movie_update_stream(6, 4, existing=movies, seed=13))
+            # Nested store and flat mirror, each once per update.
+            assert engine.database.execution_report()["applies"] == {"serial": 12}
+            # REPRO_BACKEND stays dynamic between applies.
+            with forced_backend("threads:2"):
+                engine.apply_stream(movie_update_stream(1, 4, existing=movies, seed=14))
+            assert engine.database.execution_report()["applies"]["threads"] == 2
+            # The failing ``import concurrent.interpreters`` is not re-run per delta.
+            assert scheduler._interpreters_module.cache_info().misses <= max(probes, 1)
+        finally:
+            engine.close()
 
     def test_storage_report_includes_execution_section(self):
         engine = Engine()

@@ -8,6 +8,7 @@ from repro.ivm import (
     ClassicIVMView,
     Database,
     NaiveView,
+    NestedIVMView,
     RecursiveIVMView,
     Update,
     deletions,
@@ -156,3 +157,58 @@ class TestRecursiveIVMView:
             recursive.stats.mean_update_operations
             < classic.stats.mean_update_operations
         )
+
+
+class TestUntouchedViews:
+    """An update binding none of a view's Δ symbols is not evaluated."""
+
+    def _database(self):
+        database = Database()
+        database.register("M", MOVIE_SCHEMA, generate_movies(30, seed=3))
+        database.register("N", MOVIE_SCHEMA, generate_movies(30, seed=4))
+        database.register("R", NESTED_SCHEMA, Bag([Bag(["a", "b"]), Bag(["c"])]))
+        return database
+
+    @pytest.mark.parametrize("view_class", [ClassicIVMView, RecursiveIVMView])
+    def test_flat_views_skip_unrelated_updates(self, view_class, selfjoin_query):
+        database = self._database()
+        view = view_class(selfjoin_query, database)
+        before = view.result()
+        database.apply_update(insertions("N", [("Other", "Drama", "Someone")]))
+        assert view.stats.updates_applied == 1
+        assert view.stats.update_operations[-1] == 0
+        assert view.result() is before
+        database.apply_update(insertions("R", [Bag(["a", "zz"])]))
+        assert view.stats.updates_applied == 2
+        assert view.stats.update_operations[-1] > 0
+        assert view.result() == evaluate_bag(selfjoin_query, database.environment())
+
+    def test_nested_view_keeps_its_cached_result(self, related):
+        database = self._database()
+        view = NestedIVMView(related, database)
+        before = view.result()
+        database.apply_update(insertions("N", [("Other", "Drama", "Someone")]))
+        assert view.result() is before
+        assert view.stats.update_operations[-1] == 0
+        database.apply_update(insertions("M", [("Fresh", "Drama", "Someone")]))
+        assert view.result() == NaiveView(related, database, register=False).result()
+
+
+class TestMaintenanceStats:
+    def test_totals_run_while_the_window_stays_bounded(self):
+        from repro.instrument import OpCounter
+        from repro.ivm.views import RECENT_UPDATES, MaintenanceStats
+
+        stats = MaintenanceStats()
+        counter = OpCounter()
+        counter.increment("for_iterations", 3)
+        updates = RECENT_UPDATES + 40
+        for index in range(updates):
+            stats.record_update(0.5 if index == updates - 1 else 0.25, counter)
+        assert stats.updates_applied == updates
+        assert stats.total_update_operations == 3 * updates
+        assert stats.total_update_seconds == pytest.approx(0.25 * updates + 0.25)
+        assert stats.mean_update_operations == 3.0
+        assert len(stats.update_seconds) == len(stats.update_operations) == RECENT_UPDATES
+        assert stats.update_seconds[-1] == 0.5 and stats.update_operations[-1] == 3
+        assert stats.summary()["updates_applied"] == float(updates)

@@ -28,6 +28,7 @@ from repro.engine.scheduler import (
 )
 from repro.ivm import Update
 from repro.ivm.database import Database, RefreshContext
+from repro.ivm.views import View
 from repro.nrc import ast
 from repro.nrc import builders as build
 from repro.nrc.compile import compilation_enabled, forced_interpretation
@@ -354,6 +355,46 @@ def test_threaded_refresh_actually_uses_worker_threads():
             database.register_view(Probe())
         database.apply_update(Update(relations={"R": Bag(["b"])}))
     assert any(name.startswith("repro-view-refresh") for name in seen_threads)
+
+
+def test_untouched_views_refresh_inline_and_keep_the_pool_idle():
+    """Views an update cannot touch only record an empty refresh, on the
+    coordinating thread; with one affected view left, nothing goes to the
+    pool at all."""
+    threads = {}
+
+    class Probe(View):
+        accepts_refresh_context = True
+
+        def __init__(self, name, relation):
+            super().__init__()
+            self.name = name
+            self._delta_sources = frozenset({(relation, 1)})
+
+        def on_update(self, update, shredded_delta, context=None):
+            threads[self.name] = threading.current_thread().name
+
+    with forced_parallel_views(2):
+        database = Database()
+        database.register("R", bag_of(BASE), Bag(["a"]))
+        database.register("S", bag_of(BASE), Bag(["a"]))
+        for name, relation in (("r1", "R"), ("r2", "R"), ("s1", "S"), ("s2", "S")):
+            database.register_view(Probe(name, relation))
+        main = threading.current_thread().name
+        database.apply_update(Update(relations={"R": Bag(["b"])}))
+        assert threads["s1"] == threads["s2"] == main
+        assert all(threads[name].startswith("repro-view-refresh") for name in ("r1", "r2"))
+        database.close()
+
+        database = Database()
+        database.register("R", bag_of(BASE), Bag(["a"]))
+        database.register("S", bag_of(BASE), Bag(["a"]))
+        for name, relation in (("r1", "R"), ("s1", "S"), ("s2", "S")):
+            database.register_view(Probe(name, relation))
+        threads.clear()
+        database.apply_update(Update(relations={"R": Bag(["b"])}))
+        assert set(threads.values()) == {main}
+        database.close()
 
 
 def test_parallel_refresh_propagates_first_error_and_aborts_update():
