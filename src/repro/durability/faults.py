@@ -97,9 +97,10 @@ def fire(injector: Optional[FaultInjector], point: str) -> bool:
 
 #: Counters that legitimately depend on *history* rather than state: how
 #: many snapshots were frozen, how often an index was probed or rebuilt,
-#: how many deltas a store saw.  A recovered engine reaches the same state
-#: through a different history (checkpoint adoption + tail replay), so the
-#: differential contract strips these before comparing — everything else
+#: how many deltas a store saw, how much a nester re-nested.  A recovered
+#: engine reaches the same state through a different history (checkpoint
+#: adoption + tail replay), so the differential contract strips these
+#: before comparing — everything else
 #: (cardinalities, distinct counts, shard counts, index sizes, poison
 #: state, dictionary label counts, routing keys) must match exactly.
 _VOLATILE_KEYS = frozenset(
@@ -112,6 +113,7 @@ _VOLATILE_KEYS = frozenset(
         "rebuilds",
         "deltas_applied",
         "probes",
+        "nesting",
         "backend_id",
     }
 )

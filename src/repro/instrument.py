@@ -25,6 +25,9 @@ class OpCounter:
     * ``"union_merges"``  — element merges performed by bag unions,
     * ``"dict_lookups"``  — label-dictionary lookups,
     * ``"elements_emitted"`` — elements placed in result bags.
+
+    The nesting function (:mod:`repro.shredding.nesting`) reports
+    ``"nest_elements"`` — values passed through a compiled ``u`` closure.
     """
 
     def __init__(self) -> None:

@@ -24,15 +24,17 @@ The whole application pass is ``O(|Δ|)``: stores fold deltas into transient
 builders in place (copy-on-write — see :mod:`repro.bag.builder` and
 :mod:`repro.storage.store`), relations without bag positions skip the
 shredder entirely (their shredded form is the delta itself), and dictionary
-deltas merge pointwise into the touched labels only.  The one deliberate
-exception is the deep-update path, which re-nests affected relations from
-the shredded mirror wholesale.
+deltas merge pointwise into the touched labels only.  A deep update reaches
+the *nested* instance as a delta too: the relation's
+:class:`~repro.shredding.nesting.Nester` re-nests only the tuples that
+refer to the rewritten labels.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.bag.bag import Bag, EMPTY_BAG
 from repro.dictionaries import DictValue, MaterializedDict
@@ -49,6 +51,7 @@ from repro.shredding.shred_database import (
     shred_relation,
 )
 from repro.shredding.context import iter_context_dicts
+from repro.shredding.nesting import Nester
 from repro.shredding.shred_values import ValueShredder
 from repro.storage import DictionaryStore, ResultStore, StorageManager, resolve_shard_count
 from repro.storage.shards import SMALL_RELATION_SHARD_THRESHOLD, shards_pinned
@@ -270,11 +273,16 @@ class Database:
         self._backend_applies: Dict[str, int] = {}
         # Degradations recorded at resolution time (first occurrence each).
         self._backend_notes: List[str] = []
-        # Input-dictionary name → owning relation.  Resolving ownership by
-        # parsing the generated names would break for relations whose own
-        # name contains the ``__D`` separator (e.g. ``user__Data``), so the
-        # mapping is recorded from the schema at registration time.
-        self._dict_owner: Dict[str, str] = {}
+        # Input-dictionary name → (owning relation, context path).  Resolving
+        # ownership by parsing the generated names would break for relations
+        # whose own name contains the ``__D`` separator (e.g. ``user__Data``),
+        # so the mapping is recorded from the schema at registration time.
+        self._dict_owner: Dict[str, Tuple[str, Tuple[Any, ...]]] = {}
+        # Nested relation → its nester, compiled at registration and built
+        # (one full nesting) by the first deep update that reaches it; from
+        # then on it keeps the nested instance equal to u(shredded mirror).
+        # Relations never deep-updated take their deltas as given.
+        self._nesters: Dict[str, Nester] = {}
         # Relations whose element type contains no bag positions: their
         # shredded form is the relation itself (no labels, no dictionaries),
         # so the update path skips the shredder for them entirely.
@@ -331,14 +339,25 @@ class Database:
         # (replace() in _reshred_relation would otherwise create it with
         # the manager default).
         self._flat_storage.ensure(flat_relation_name(name), shards=adaptive)
-        context = input_context_for(name, schema.element)
-        dict_paths = tuple(path for path, _ in iter_context_dicts(context))
-        if not dict_paths and _is_passthrough_flat(schema.element):
-            self._flat_relations.add(name)
-        for path in dict_paths:
-            self._dict_owner[input_dict_name(name, path)] = name
+        self._index_dictionaries(name, schema)
         self._reshred_relation(name)
         self._state_version += 1
+
+    def _index_dictionaries(self, name: str, schema: BagType) -> None:
+        """Record which input dictionaries back ``name`` (none: it may skip
+        the shredder) and compile the nester that reads them live."""
+        context = input_context_for(name, schema.element)
+        dict_paths = tuple(path for path, _ in iter_context_dicts(context))
+        if not dict_paths:
+            if _is_passthrough_flat(schema.element):
+                self._flat_relations.add(name)
+            return
+        lookups = {}
+        for path in dict_paths:
+            dict_name = input_dict_name(name, path)
+            self._dict_owner[dict_name] = (name, path)
+            lookups[path] = partial(self._dict_store.lookup, dict_name)
+        self._nesters[name] = Nester(schema.element, lookups)
 
     def _reshred_relation(self, name: str) -> None:
         schema = self._schemas[name]
@@ -487,6 +506,9 @@ class Database:
                 # user-facing view name; here the backend is anonymous.
                 stats["backend_id"] = id(view)
                 read_path.append(stats)
+        for name, nester in self._nesters.items():
+            if nester.built:
+                read_path.append({"relation": name, "nesting": nester.stats()})
         return {
             "nested": self._storage.report(),
             "flat": self._flat_storage.report(),
@@ -606,12 +628,7 @@ class Database:
         self._adopt_store(
             self._flat_storage, flat_relation_name(name), flat_bag, flat_shards
         )
-        context = input_context_for(name, schema.element)
-        dict_paths = tuple(path for path, _ in iter_context_dicts(context))
-        if not dict_paths and _is_passthrough_flat(schema.element):
-            self._flat_relations.add(name)
-        for path in dict_paths:
-            self._dict_owner[input_dict_name(name, path)] = name
+        self._index_dictionaries(name, schema)
 
     @staticmethod
     def _adopt_store(manager: StorageManager, name: str, bag: Bag, shards: int) -> None:
@@ -632,8 +649,21 @@ class Database:
         """Install the checkpointed shredder (label counter + memo + emitted).
 
         What makes WAL replay assign the same labels the original run did.
+        Called after the relations and dictionaries are adopted: a shredder
+        from a checkpoint that predates the per-position memo is re-keyed
+        from them (in label order, so every recovery agrees).
         """
         self._check_open()
+        if shredder.needs_rekey:
+            empty = MaterializedDict({})
+            shredder.rekey(
+                (owner, label, contents)
+                for dict_name, owner in sorted(self._dict_owner.items())
+                for label, contents in sorted(
+                    self._dict_store.get(dict_name, empty).items(),
+                    key=lambda entry: entry[0].render(),
+                )
+            )
         self._shredder = shredder
 
     def restore_state_version(self, version: int) -> None:
@@ -711,8 +741,21 @@ class Database:
         # of its persistent indexes.  Each store's delta runs on the resolved
         # execution backend (serial/threads/processes/subinterpreters) —
         # interchangeable bit-for-bit, so the choice is pure scheduling.
+        # A relation whose nester is built gets its delta from the mirror,
+        # below.
+        built = {name for name, nester in self._nesters.items() if nester.built}
         for name, bag in update.relations.items():
-            self._apply_store_delta(self._storage, name, bag, spec)
+            if name not in built:
+                self._apply_store_delta(self._storage, name, bag, spec)
+
+        # A deep-updated label stands for a new bag from here on: the
+        # shredder must not hand it out for the old one again.
+        for dict_name, entries in update.deep.items():
+            owner = self._dict_owner.get(dict_name)
+            for label in entries if owner is not None else ():
+                definition = self._dict_store.lookup(dict_name, label)
+                if definition is not None:
+                    self._shredder.retire(owner, label, definition)
 
         # Shredded mirror: flat relations and dictionaries.
         for flat_name, bag in shredded_delta.bags.items():
@@ -720,13 +763,8 @@ class Database:
         for dict_name, dictionary in shredded_delta.dictionaries.items():
             self._dict_store.apply_delta(dict_name, dictionary)
 
-        # Deep updates also change the *nested* instances: rebuilding the
-        # nested relation from the shredded mirror is expensive, so nested
-        # instances are only guaranteed to reflect relation deltas.  Engines
-        # that need the nested view of deep updates reconstruct it through the
-        # shredded mirror (see repro.ivm.nested).
-        if update.deep:
-            self._refresh_nested_from_shredded(update)
+        if update.deep or built:
+            self._renest(update, shredded_delta, spec, built)
         self._state_version += 1
         return shredded_delta
 
@@ -1018,46 +1056,42 @@ class Database:
             for task in pool_tasks:
                 task()
 
-    def _refresh_nested_from_shredded(self, update: Update) -> None:
-        """Re-nest relations whose inner bags were deep-updated.
+    def _renest(
+        self,
+        update: Update,
+        shredded_delta: ShreddedDelta,
+        spec: Tuple[str, Optional[int]],
+        built: set,
+    ) -> None:
+        """Carry the update into the nested instances the nesters maintain.
 
-        Ownership of a deep-updated dictionary is resolved through the
-        registry built from the schemas at registration time, never by
-        parsing the dictionary name (a relation may itself be named with the
-        ``__D`` separator).  The store replaces the bag wholesale, so any
-        persistent indexes over it are rebuilt (counted as rebuilds).
+        The mirror already holds it.  The first deep update to reach a
+        relation nests it once, ``O(|R|)``; from then on the relation's
+        nested delta — for deep and plain updates alike — is what its nester
+        settles: the tuples of ``ΔR^F`` plus those referring to a rewritten
+        label, ``O(referrers(ℓ))`` for a deep update.  The store folds a
+        delta, so persistent indexes over the relation are maintained, not
+        rebuilt.  A dictionary's owner comes from the registry built at
+        registration time, never from parsing its name.
         """
-        from repro.shredding.shred_values import unshred_bag
-
-        touched = set()
-        for dict_name in update.deep:
+        rewritten: Dict[str, List[Tuple[Tuple[Any, ...], Iterable]]] = {}
+        for dict_name, entries in update.deep.items():
             owner = self._dict_owner.get(dict_name)
             if owner is not None:
-                touched.add(owner)
-        for name in touched:
-            element_type = self._schemas[name].element
-            context = self._value_context_for(name, element_type)
-            flat = self._flat_storage.bag(flat_relation_name(name))
-            self._storage.replace(name, unshred_bag(flat, element_type, context))
+                rewritten.setdefault(owner[0], []).append((owner[1], entries))
+        for name in set(rewritten).union(built.intersection(update.relations)):
+            flat_name = flat_relation_name(name)
+            flat = self._flat_storage.bag(flat_name)
+            nester = self._nesters[name]
+            if name not in built:
+                # Resolved at call time: the benchmark's tracer wraps this name.
+                from repro.shredding.shred_values import unshred_bag
 
-    def _value_context_for(self, name: str, element_type) -> object:
-        """Value context of a relation assembled from the stored dictionaries."""
-        from repro.shredding.context import BagContext, TupleContext, UNIT_CONTEXT
-        from repro.nrc.types import BagType as _BagType, ProductType
-
-        def _build(type_, path):
-            if isinstance(type_, ProductType):
-                return TupleContext(
-                    tuple(
-                        _build(component, path + (index,))
-                        for index, component in enumerate(type_.components)
-                    )
-                )
-            if isinstance(type_, _BagType):
-                dictionary = self._dict_store.get(
-                    input_dict_name(name, path), MaterializedDict({})
-                )
-                return BagContext(dictionary, _build(type_.element, path + ("e",)))
-            return UNIT_CONTEXT
-
-        return _build(element_type, ())
+                nested = unshred_bag(flat, self._schemas[name].element, nester)
+                delta = nested.difference(self._storage.bag(name))
+            else:
+                nester.note_flat_delta(shredded_delta.bags.get(flat_name, EMPTY_BAG))
+                for path, labels in rewritten.get(name, ()):
+                    nester.note_dirty(path, labels)
+                delta = nester.settle(flat.multiplicity)
+            self._apply_store_delta(self._storage, name, delta, spec)

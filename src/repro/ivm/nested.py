@@ -16,8 +16,11 @@ query in Section 2.2:
   - initializing definitions for labels newly introduced by ``δ(h^F)``
     against the post-update state;
 
-* the nested result is reconstructed on demand by the nesting function ``u``
-  (Theorem 8 guarantees it equals direct re-evaluation).
+* the nested result ``u(h^F, h^Γ)`` (Theorem 8 guarantees it equals direct
+  re-evaluation) is *maintained* as well: the first ``result()`` nests the
+  whole flat view once, every later one folds in only the delta the
+  :class:`~repro.shredding.nesting.Nester` owes for the flat tuples and
+  labels the updates in between touched.
 
 Deep updates to inner bags of the *input* arrive as dictionary deltas and
 flow through the same delta machinery — no recomputation of unrelated inner
@@ -30,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.bag.bag import Bag, EMPTY_BAG
-from repro.bag.builder import BagBuilder
 from repro.dictionaries import DictValue, MaterializedDict
 from repro.errors import ShreddingError
 from repro.instrument import OpCounter, maybe_count
@@ -44,17 +46,11 @@ from repro.nrc.ast import Expr
 from repro.nrc.compile import CompiledQuery, run_bag, try_compile
 from repro.nrc.evaluator import Environment, evaluate
 from repro.delta.rules import delta
-from repro.shredding.context import (
-    BagContext,
-    Context,
-    TupleContext,
-    UNIT_CONTEXT,
-    UnitContext,
-    EmptyContext,
-    iter_context_dicts,
-)
+from repro.shredding.context import iter_context_dicts
+from repro.shredding.nesting import Nester
 from repro.shredding.shred_query import ShreddedQuery, shred_query
 from repro.shredding.shred_values import unshred_bag
+from repro.storage import ResultStore
 
 __all__ = ["NestedIVMView"]
 
@@ -65,18 +61,17 @@ class _DictState:
 
     ``entries`` is the mutable label → bag map owned by this state: per
     update only the touched labels are rewritten in place (no full-map
-    rebuild on the update path).  Readers get snapshot
-    :class:`~repro.dictionaries.MaterializedDict` copies on demand through
-    :meth:`NestedIVMView.dictionary`.
+    rebuild on the update path).  The view's nester reads it live;
+    :meth:`NestedIVMView.dictionary` hands out copies for introspection.
 
     ``active`` is the incrementally maintained **active-label index**: for
     every label that must be defined at this position, the number of
-    distinct carrier elements referencing it.  Root positions count
-    references from the flat view, nested positions from their parent's
-    ``carrier`` (a transient mirroring the union of the parent's entries,
-    kept only while some child needs it).  Both are refreshed from the
-    update's presence transitions — O(|Δ|) per update — replacing the
-    per-update carrier scan that used to cost O(|flat view|);
+    places referencing it.  Root positions count the distinct flat-view
+    elements carrying the label, nested positions the distinct
+    ``(parent label, element)`` pairs of their parent's entries — per entry,
+    so a label one entry holds with multiplicity -1 and another with +1 is
+    referenced twice, not cancelled out.  Both are refreshed from the
+    update's presence transitions — O(|Δ|) per update;
     :meth:`NestedIVMView.vacuum` still reconciles by re-scanning.
     """
 
@@ -84,22 +79,19 @@ class _DictState:
     expression: Expr
     delta_expression: Expr
     entries: Dict[Label, Bag] = field(default_factory=dict)
-    #: Cached read snapshot of ``entries`` (an independent copy), rebuilt
-    #: lazily by :meth:`NestedIVMView.dictionary` and invalidated whenever
-    #: maintenance touches the entries map.
-    snapshot: Optional[MaterializedDict] = None
     compiled: Optional[CompiledQuery] = None
     compiled_delta: Optional[CompiledQuery] = None
-    #: label → number of distinct carrier elements referencing it (> 0).
+    #: label → number of places referencing it (> 0).
     active: Dict[Label, int] = field(default_factory=dict)
-    #: Projection from a carrier element to this position's label.
+    #: Labels whose count crossed 0 → 1 since this position's last refresh
+    #: (in order, possibly repeated): the only candidates for initialization.
+    activated: List[Label] = field(default_factory=list)
+    #: Projection from a referencing element to this position's label.
     tuple_path: Tuple[Any, ...] = ()
     #: The parent dictionary state for nested positions (``None`` at roots).
     parent: Optional["_DictState"] = None
     #: States whose labels are drawn from this state's entries.
     children: List["_DictState"] = field(default_factory=list)
-    #: Union of all entry bags, maintained only when ``children`` is non-empty.
-    carrier: Optional[BagBuilder] = None
     #: Static key-footprint plan of ``delta_expression`` (``None`` when the
     #: analysis could not bound the touched labels — full sweep for safety).
     footprint_plan: Optional[FootprintPlan] = None
@@ -198,8 +190,13 @@ class NestedIVMView(View):
             "nested-flat",
             run_bag(self._compiled_flat, self._shredded.flat, environment, counter),
         )
-        #: Cached unshredded result, invalidated per maintenance pass, so an
-        #: unchanged view answers repeated result() reads with one object.
+        #: The nested result lives in a second sharded store, built through
+        #: the nester by the first result() and fed bag deltas afterwards.
+        self._result: Optional[ResultStore] = None
+        #: Result entries rewritten since the store was last compacted.
+        self._churn = 0
+        #: The current frozen result, dropped by a maintenance pass that
+        #: touches the view, so an unchanged view answers with one object.
         self._result_cache: Optional[Bag] = None
         #: Read-path accounting: how refresh probes were bounded.
         self._probe_stats: Dict[str, int] = {
@@ -221,11 +218,12 @@ class NestedIVMView(View):
             state.entries = {label: dictionary.lookup(label) for label in state.active}
             for label in state.entries:
                 self._footprint_add(state, label)
-            if state.children:
-                carrier = BagBuilder()
-                for bag in state.entries.values():
-                    carrier.apply_bag(bag)
-                state.carrier = carrier
+        # Compiled here (cheap: one walk of the output type), run at the
+        # first result(); it reads the entries maps live, never a copy.
+        self._nester = Nester(
+            self._shredded.output_type.element,
+            {state.path: state.entries.get for state in self._dict_states},
+        )
         self.stats.record_init(self._now() - started, counter)
         if register:
             database.register_view(self)
@@ -246,17 +244,10 @@ class NestedIVMView(View):
         return self._flat_view.freeze()
 
     def dictionary(self, path: Tuple[Any, ...]) -> MaterializedDict:
-        """The materialized dictionary at a context path (a snapshot copy).
-
-        The copy is cached until the next maintenance pass touches the
-        entries, so repeated reads (``result()`` walks every dictionary
-        position) pay the copy once per update, not once per read.
-        """
+        """The materialized dictionary at a context path (a snapshot copy)."""
         for state in self._dict_states:
             if state.path == path:
-                if state.snapshot is None:
-                    state.snapshot = MaterializedDict(state.entries)
-                return state.snapshot
+                return MaterializedDict(state.entries)
         raise KeyError(f"no dictionary at context path {path!r}")
 
     def dictionary_paths(self) -> Tuple[Tuple[Any, ...], ...]:
@@ -266,20 +257,39 @@ class NestedIVMView(View):
     # Result reconstruction (the nesting function u)
     # ------------------------------------------------------------------ #
     def result(self) -> Bag:
-        """Reconstruct the nested result from the shredded materializations.
+        """The nested result, brought up to date with the shredded state.
 
-        The reconstruction is cached until the next maintenance pass: an
-        unchanged view returns the identical frozen object on repeated reads
-        (no re-unshredding, no COW refcount movement) — what makes snapshot
-        capture O(1) per quiescent view.
+        An unchanged view returns the identical frozen object on repeated
+        reads (no nesting, no COW refcount movement) — what makes snapshot
+        capture O(1) per quiescent view.  The first read nests the whole
+        flat view, ``O(|view|)``; a read after updates costs
+        ``O(|Δh^F| + referrers(rewritten labels))``.
         """
         cached = self._result_cache
         if cached is not None:
             return cached
-        value_context = self._value_context(self._shredded.context, ())
-        element_type = self._shredded.output_type.element  # type: ignore[union-attr]
-        result = unshred_bag(self._flat_view.freeze(), element_type, value_context)
-        self._result_cache = result
+        nester = self._nester
+        if self._result is None:
+            if nester.identity:
+                self._result = self._flat_view
+            else:
+                element_type = self._shredded.output_type.element  # type: ignore[union-attr]
+                self._result = ResultStore(
+                    "nested",
+                    unshred_bag(self._flat_view.freeze(), element_type, nester),
+                    shards=self._flat_view.shards,
+                )
+        else:
+            delta = nester.settle(self._flat_view.multiplicity)
+            self._result.apply_bag(delta)
+            # Rewritten entries leave holes that paged reads step over; once
+            # they add up to 1/32 of the result, one dict copy (a few ns per
+            # entry, against µs per rewritten one) removes them.
+            self._churn += len(delta)
+            if 32 * self._churn >= self._result.distinct_size():
+                self._result.compact()
+                self._churn = 0
+        result = self._result_cache = self._result.freeze()
         return result
 
     def result_store(self):
@@ -288,6 +298,7 @@ class NestedIVMView(View):
     def read_stats(self):
         stats = super().read_stats()
         stats["probes"] = dict(self._probe_stats)
+        stats["nesting"] = self._nester.stats()
         stats["footprint"] = {
             "enabled": footprint_enabled(),
             "dictionaries": len(self._dict_states),
@@ -296,21 +307,6 @@ class NestedIVMView(View):
             ),
         }
         return stats
-
-    def _value_context(self, context: Context, path: Tuple[Any, ...]) -> Context:
-        if isinstance(context, (UnitContext, EmptyContext)):
-            return context
-        if isinstance(context, TupleContext):
-            return TupleContext(
-                tuple(
-                    self._value_context(component, path + (index,))
-                    for index, component in enumerate(context.components)
-                )
-            )
-        if isinstance(context, BagContext):
-            materialized = self.dictionary(path)
-            return BagContext(materialized, self._value_context(context.element, path + ("e",)))
-        raise ShreddingError(f"unexpected context node {context!r}")
 
     # ------------------------------------------------------------------ #
     # Maintenance
@@ -335,6 +331,10 @@ class NestedIVMView(View):
             self.stats.record_update(self._now() - started, counter)
             return
         self._result_cache = None
+        # Once a result has been built the nester is told what moved — Δh^F
+        # and the labels whose definitions are rewritten or initialized —
+        # and the next result() settles exactly that.
+        nester = self._nester if self._result is not None else None
 
         if context is not None:
             delta_env = context.shredded_delta_environment()
@@ -351,6 +351,8 @@ class NestedIVMView(View):
         flat_change = run_bag(self._compiled_flat_delta, self._flat_delta, delta_env, counter)
         transitions = self._presence_transitions(self._flat_view, flat_change)
         self._flat_view.apply_bag(flat_change)
+        if nester is not None:
+            nester.note_flat_delta(flat_change)
         if transitions:
             for state in self._dict_states:
                 if state.parent is None:
@@ -359,17 +361,18 @@ class NestedIVMView(View):
         # 2. Maintain every dictionary: refresh existing definitions with
         #    δ(h^Γ)(ℓ) and initialize definitions for newly active labels.
         #    Only the touched labels are rewritten — the entries map is
-        #    mutated in place, never rebuilt wholesale.  Entry changes
-        #    propagate into the carrier transient and from there into the
-        #    children's active-label indexes (parents precede children in
-        #    self._dict_states), again O(|change|).
+        #    mutated in place, never rebuilt wholesale.  The elements that
+        #    enter or leave an entry move the children's active-label
+        #    counts (parents precede children in self._dict_states), again
+        #    O(|change|).
         for state in self._dict_states:
             delta_dictionary = self._dictionary_value(
                 state.compiled_delta, state.delta_expression, delta_env, counter
             )
             entries = state.entries
-            state.snapshot = None
-            entry_changes: Optional[List[Bag]] = [] if state.children else None
+            # (element, ±1) per element entering / leaving one of the entries.
+            moves: Optional[List[Tuple[Any, int]]] = [] if state.children else None
+            rewritten: List[Label] = []
             # When the delta dictionary has finite support (e.g. deep updates
             # arriving as explicit label deltas) only the touched labels need
             # refreshing.  Intensional deltas (dictionary bodies over ΔR)
@@ -398,11 +401,21 @@ class NestedIVMView(View):
                 change = delta_dictionary.lookup(label)
                 maybe_count(counter, "dict_refreshes")
                 if not change.is_empty():
-                    entries[label] = entries[label].union(change)
-                    if entry_changes is not None:
-                        entry_changes.append(change)
+                    entry = entries[label]
+                    if moves is not None:
+                        moves += self._presence_transitions(entry, change)
+                    entries[label] = entry.union(change)
+                    rewritten.append(label)
 
-            new_labels = [label for label in state.active if label not in entries]
+            # Only labels whose count crossed 0 → 1 can lack a definition;
+            # every transition feeding this position was folded in before
+            # its turn (the flat view's above, its parent's in the parent's).
+            activated, state.activated = state.activated, []
+            new_labels = [
+                label
+                for label in dict.fromkeys(activated)
+                if label in state.active and label not in entries
+            ]
             if new_labels:
                 if post_env is None:
                     if context is not None:
@@ -418,12 +431,16 @@ class NestedIVMView(View):
                     maybe_count(counter, "dict_initializations")
                     definition = full_dictionary.lookup(label)
                     entries[label] = definition
+                    rewritten.append(label)
                     self._footprint_add(state, label)
-                    if entry_changes is not None and not definition.is_empty():
-                        entry_changes.append(definition)
+                    if moves is not None:
+                        moves += self._presence_transitions(EMPTY_BAG, definition)
 
-            if entry_changes:
-                self._propagate_entry_changes(state, entry_changes)
+            if nester is not None and rewritten:
+                nester.note_dirty(state.path, rewritten)
+            if moves:
+                for child in state.children:
+                    self._apply_transitions(child, moves)
 
         self.stats.record_update(self._now() - started, counter)
 
@@ -431,28 +448,25 @@ class NestedIVMView(View):
         """Drop dictionary entries whose labels are no longer reachable.
 
         Returns the number of entries removed.  Stale entries are harmless
-        for correctness (unshredding never looks them up) but keeping the
-        dictionaries tight mirrors the space bounds of the paper.  Vacuum is
-        also the reconciliation pass of the active-label index: counts and
-        carriers are recomputed from scratch here (parents before children,
-        so a child's scan sees its parent already vacuumed).
+        for correctness (nesting never looks them up; the result stands) but
+        keeping the dictionaries — and the nester's memo over them — tight
+        mirrors the space bounds of the paper.  Vacuum is
+        also the reconciliation pass of the active-label index: counts are
+        recomputed from scratch here (parents before children, so a child's
+        scan sees its parent already vacuumed).
         """
         removed = 0
-        self._result_cache = None
         for state in self._dict_states:
             state.active = self._scan_active(state)
             stale = [label for label in state.entries if label not in state.active]
             for label in stale:
                 del state.entries[label]
                 self._footprint_discard(state, label)
-            if stale:
-                state.snapshot = None
+            self._nester.evict(state.path, stale)
+            # Reconciliation: a label the scan found active but undefined is
+            # initialized by the next refresh, like a freshly activated one.
+            state.activated = [label for label in state.active if label not in state.entries]
             removed += len(stale)
-            if state.children:
-                carrier = BagBuilder()
-                for bag in state.entries.values():
-                    carrier.apply_bag(bag)
-                state.carrier = carrier
         return removed
 
     # ------------------------------------------------------------------ #
@@ -485,29 +499,22 @@ class NestedIVMView(View):
             post.dictionaries[name] = existing.add(dictionary)
         return post
 
-    def _active_labels(self, state: _DictState) -> List[Label]:
-        """Labels that must be defined at this dictionary position.
-
-        Served from the incrementally maintained active-label index in
-        O(|active|); :meth:`_scan_active` is the O(|carrier|) scan that
-        seeds it (construction) and reconciles it (:meth:`vacuum`).
-        """
-        return list(state.active)
-
     def _scan_active(self, state: _DictState) -> Dict[Label, int]:
-        """Full carrier scan: label → distinct supporting carrier elements.
+        """Full scan: label → number of places referencing it.
 
         Root positions (no ``"e"`` in the path) draw their labels from the
-        flat view; nested positions draw them from their parent's carrier
-        (the union of the parent's entries, already up to date — states are
-        kept in parent-before-child order).
+        flat view; nested positions from each of their parent's entries
+        (already up to date — states are kept in parent-before-child order).
+        Seeds the index at construction and reconciles it in :meth:`vacuum`.
         """
         if state.parent is None:
             elements = self._flat_view.elements()  # iterates without freezing
-        elif state.parent.carrier is not None:
-            elements = state.parent.carrier.elements()
         else:
-            elements = iter(())
+            elements = (
+                element
+                for entry in state.parent.entries.values()
+                for element in entry.elements()
+            )
         counts: Dict[Label, int] = {}
         for element in elements:
             value = self._project(element, state.tuple_path)
@@ -520,7 +527,7 @@ class NestedIVMView(View):
         """Elements of ``change`` that appear in / disappear from ``carrier``.
 
         ``carrier`` is anything answering ``multiplicity`` without freezing
-        — a :class:`BagBuilder` (dictionary carriers) or the flat view's
+        — one dictionary entry (a bag) or the flat view's
         :class:`~repro.storage.ResultStore`.
 
         Computed *before* the change is folded in: ``(element, +1)`` when a
@@ -542,7 +549,8 @@ class NestedIVMView(View):
     def _apply_transitions(
         self, state: _DictState, transitions: List[Tuple[Any, int]]
     ) -> None:
-        """Fold carrier presence transitions into a state's active-label counts."""
+        """Fold carrier presence transitions into a state's active-label counts,
+        noting the labels that became active."""
         active = state.active
         for element, sign in transitions:
             value = self._project(element, state.tuple_path)
@@ -553,6 +561,8 @@ class NestedIVMView(View):
                 active.pop(value, None)
             else:
                 active[value] = count
+                if count == 1 and sign > 0:
+                    state.activated.append(value)
 
     # ------------------------------------------------------------------ #
     # Key-footprint index (see repro.ivm.footprint)
@@ -643,24 +653,6 @@ class NestedIVMView(View):
                 return None
             matched.update(label for label in support if label in state.entries)
         return list(matched)
-
-    def _propagate_entry_changes(self, state: _DictState, changes: List[Bag]) -> None:
-        """Fold entry changes into the carrier and the children's label counts.
-
-        Each change bag is a delta to the union-of-entries carrier; the
-        per-bag transition pass keeps cross-label cancellation exact (an
-        element leaving one label's entry while entering another's nets out
-        before any child count moves).
-        """
-        carrier = state.carrier
-        if carrier is None:
-            carrier = state.carrier = BagBuilder()
-        for change in changes:
-            transitions = self._presence_transitions(carrier, change)
-            carrier.apply_bag(change)
-            if transitions:
-                for child in state.children:
-                    self._apply_transitions(child, transitions)
 
     @staticmethod
     def _project(value: Any, path: Tuple[Any, ...]) -> Any:

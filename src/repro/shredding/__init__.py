@@ -22,6 +22,7 @@ from repro.dictionaries import (
     MaterializedDict,
 )
 from repro.labels import Label, LabelFactory
+from repro.shredding.nesting import Nester
 from repro.shredding.shred_database import (
     ShreddedInput,
     build_shredded_environment,
@@ -55,6 +56,7 @@ __all__ = [
     "MaterializedDict",
     "Label",
     "LabelFactory",
+    "Nester",
     "ShreddedInput",
     "build_shredded_environment",
     "flat_relation_name",

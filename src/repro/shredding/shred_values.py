@@ -9,18 +9,21 @@ Shredding a nested bag ``R : Bag(A)`` produces
 
 Unshredding (:func:`unshred_bag`) is the nesting function ``u``; Lemma 6
 states it is a left inverse of shredding, which the test-suite checks both on
-hand-written values and property-based random nested data.
+hand-written values and property-based random nested data.  ``u`` itself
+lives in :mod:`repro.shredding.nesting`; the functions here are its one-shot
+form.
 
-Labels are memoized per distinct inner-bag value, so equal inner bags share a
-label (the ``D_C`` mapping of the paper assigns one label per bag value).
+Labels are memoized per dictionary position and distinct inner-bag value, so
+equal inner bags at one position share a label (the ``D_C`` mapping of the
+paper assigns one label per bag value) and every dictionary defines all the
+labels its position uses.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple, Union
 
 from repro.bag.bag import Bag, EMPTY_BAG
-from repro.bag.values import is_base_value
 from repro.errors import ShreddingError
 from repro.nrc.types import BagType, BaseType, LabelType, ProductType, Type, UnitType
 from repro.shredding.context import (
@@ -33,8 +36,14 @@ from repro.shredding.context import (
 )
 from repro.dictionaries import DictValue, MaterializedDict
 from repro.labels import Label, LabelFactory
+from repro.shredding.nesting import Nester, context_lookups
 
 __all__ = ["ValueShredder", "shred_bag", "unshred_bag", "unshred_value"]
+
+Path = Tuple[Any, ...]
+#: A dictionary position: ``(hint, path)`` — the relation and where in its
+#: element type the bag sits.
+Position = Tuple[str, Path]
 
 
 class ValueShredder:
@@ -42,24 +51,58 @@ class ValueShredder:
 
     A single shredder instance should be used per database so that labels stay
     unique across relations and across successive updates (the consistency
-    requirements of Definition 2).  Inner bags are memoized by value: the same
-    bag value always receives the same label, and once a label's definition has
+    requirements of Definition 2).  Inner bags are memoized by value within a
+    dictionary position — ``(hint, path)``, the relation and the path of
+    :func:`~repro.shredding.context.iter_context_dicts`: the same bag value
+    there always receives the same label, and once a label's definition has
     been emitted it is not emitted again (so shredding an update never
-    re-defines existing labels).
+    re-defines existing labels).  Positions do not share labels: a dictionary
+    defines every label its position uses, and a deep update to one
+    dictionary reaches nothing outside it.  A label whose definition a deep
+    update changes is retired from the memo (:meth:`retire`).
     """
 
     def __init__(self, factory: Optional[LabelFactory] = None) -> None:
         self._factory = factory or LabelFactory()
-        self._labels_by_value: Dict[Bag, Label] = {}
+        # (position, flat contents) → label.
+        self._labels_by_contents: Optional[Dict[Tuple[Position, Bag], Label]] = {}
         self._emitted: set = set()
 
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        # A checkpoint written before the memo was keyed by position and flat
+        # contents carries ``_labels_by_value`` (nested value → label), which
+        # no lookup here would hit; it is dropped and the owner re-keys the
+        # memo from its dictionaries (:meth:`rekey`).
+        if state.pop("_labels_by_value", None) is not None:
+            state["_labels_by_contents"] = None
+        self.__dict__.update(state)
+
+    @property
+    def needs_rekey(self) -> bool:
+        """True for a shredder restored from a pre-position checkpoint."""
+        return self._labels_by_contents is None
+
+    def rekey(self, definitions: Iterable[Tuple[Position, Label, Bag]]) -> None:
+        """Rebuild the memo from stored ``(position, label, flat contents)``
+        definitions; of two labels defining equal contents the first wins."""
+        memo: Dict[Tuple[Position, Bag], Label] = {}
+        for position, label, contents in definitions:
+            memo.setdefault((position, contents), label)
+        self._labels_by_contents = memo
+
     # ------------------------------------------------------------------ #
-    def shred_bag(self, bag: Bag, element_type: Type, hint: str = "") -> Tuple[Bag, Context]:
-        """Shred a top-level bag: flat bag of shredded elements + merged context."""
+    def shred_bag(
+        self, bag: Bag, element_type: Type, hint: str = "", path: Path = ()
+    ) -> Tuple[Bag, Context]:
+        """Shred a top-level bag: flat bag of shredded elements + merged context.
+
+        ``path`` locates ``element_type`` inside the relation's element type
+        (``()`` for the relation itself).
+        """
         flat_pairs = []
         context: Context = EMPTY_CONTEXT
         for element, multiplicity in bag.items():
-            flat_element, element_context = self.shred_value(element, element_type, hint)
+            flat_element, element_context = self.shred_value(element, element_type, hint, path)
             flat_pairs.append((flat_element, multiplicity))
             context = merge_contexts(context, element_context, self._union_dicts)
         if isinstance(context, type(EMPTY_CONTEXT)):
@@ -68,7 +111,9 @@ class ValueShredder:
             context = empty_context_for_type(element_type, symbolic=False)
         return Bag.from_pairs(flat_pairs), context
 
-    def shred_value(self, value: Any, type_: Type, hint: str = "") -> Tuple[Any, Context]:
+    def shred_value(
+        self, value: Any, type_: Type, hint: str = "", path: Path = ()
+    ) -> Tuple[Any, Context]:
         """Shred a single value of the given type."""
         if isinstance(type_, (BaseType, LabelType)):
             return value, UNIT_CONTEXT
@@ -79,27 +124,31 @@ class ValueShredder:
                 raise ShreddingError(f"value {value!r} does not match type {type_.render()}")
             flats = []
             contexts = []
-            for component, component_type in zip(value, type_.components):
-                flat, context = self.shred_value(component, component_type, hint)
+            for index, (component, component_type) in enumerate(zip(value, type_.components)):
+                flat, context = self.shred_value(component, component_type, hint, path + (index,))
                 flats.append(flat)
                 contexts.append(context)
             return tuple(flats), TupleContext(tuple(contexts))
         if isinstance(type_, BagType):
             if not isinstance(value, Bag):
                 raise ShreddingError(f"value {value!r} is not a bag (type {type_.render()})")
-            return self._shred_inner_bag(value, type_, hint)
+            return self._shred_inner_bag(value, type_, hint, path)
         raise ShreddingError(f"cannot shred values of type {type_.render()}")
 
     # ------------------------------------------------------------------ #
-    def _shred_inner_bag(self, value: Bag, type_: BagType, hint: str) -> Tuple[Label, Context]:
-        label = self._labels_by_value.get(value)
-        fresh = label is None
-        if fresh:
+    def _shred_inner_bag(
+        self, value: Bag, type_: BagType, hint: str, path: Path
+    ) -> Tuple[Label, Context]:
+        contents, element_context = self.shred_bag(value, type_.element, hint, path + ("e",))
+        # Memoized by the *flat* contents: equal inner bags shred to equal
+        # contents (their own inner bags share labels by induction), and the
+        # key stays truthful under deep updates — see :meth:`retire`.
+        key = ((hint, path), contents)
+        label = self._labels_by_contents.get(key)
+        if label is None:
             label = self._factory.fresh(hint)
-            self._labels_by_value[value] = label
-
-        contents, element_context = self.shred_bag(value, type_.element, hint)
-        if fresh or label not in self._emitted:
+            self._labels_by_contents[key] = label
+        if label not in self._emitted:
             dictionary = MaterializedDict({label: contents})
             self._emitted.add(label)
         else:
@@ -108,6 +157,16 @@ class ValueShredder:
             # do not re-emit it — label union would otherwise see a duplicate.
             dictionary = MaterializedDict({})
         return label, BagContext(dictionary, element_context)
+
+    def retire(self, position: Position, label: Label, contents: Bag) -> None:
+        """Stop handing out ``label`` for ``contents``, its definition so far.
+
+        Called when a deep update is about to change the definition: a later
+        tuple carrying the *old* inner bag must not be given a label that now
+        stands for a different one.
+        """
+        if self._labels_by_contents.get((position, contents)) is label:
+            del self._labels_by_contents[(position, contents)]
 
     @staticmethod
     def _union_dicts(left: Any, right: Any) -> DictValue:
@@ -124,39 +183,22 @@ def shred_bag(
 
 
 # --------------------------------------------------------------------------- #
-# Nesting (the function ``u`` of Figure 9)
+# Nesting (the function ``u`` of Figure 9), one-shot
 # --------------------------------------------------------------------------- #
 def unshred_value(flat: Any, type_: Type, context: Context) -> Any:
     """Rebuild the nested value represented by ``flat`` under ``context``."""
-    if isinstance(type_, (BaseType, LabelType)):
-        return flat
-    if isinstance(type_, UnitType):
-        return ()
-    if isinstance(type_, ProductType):
-        if not isinstance(flat, tuple) or len(flat) != type_.arity:
-            raise ShreddingError(f"flat value {flat!r} does not match type {type_.render()}")
-        return tuple(
-            unshred_value(component, component_type, context.project(index))
-            for index, (component, component_type) in enumerate(zip(flat, type_.components))
-        )
-    if isinstance(type_, BagType):
-        if not isinstance(flat, Label):
-            raise ShreddingError(f"flat value {flat!r} should be a label for type {type_.render()}")
-        if not isinstance(context, BagContext):
-            raise ShreddingError(f"expected a bag context for type {type_.render()}")
-        dictionary = context.dictionary
-        if not isinstance(dictionary, DictValue):
-            raise ShreddingError("unshredding requires a value context (evaluated dictionaries)")
-        contents = dictionary.lookup(flat)
-        return unshred_bag(contents, type_.element, context.element)
-    raise ShreddingError(f"cannot unshred values of type {type_.render()}")
+    return Nester(type_, context_lookups(context), track=False).nest_value(flat)
 
 
-def unshred_bag(flat_bag: Bag, element_type: Type, context: Context) -> Bag:
-    """Rebuild a nested bag from its flat representation and value context."""
-    if flat_bag.is_empty():
-        return EMPTY_BAG
-    pairs = []
-    for element, multiplicity in flat_bag.items():
-        pairs.append((unshred_value(element, element_type, context), multiplicity))
-    return Bag.from_pairs(pairs)
+def unshred_bag(flat_bag: Bag, element_type: Type, context: Union[Context, Nester]) -> Bag:
+    """Rebuild a nested bag from its flat representation and value context.
+
+    A caller that goes on maintaining the result passes its own
+    :class:`~repro.shredding.nesting.Nester` in place of the context; the
+    build then leaves behind the memo its later deltas need.
+    """
+    if not isinstance(context, Nester):
+        if flat_bag.is_empty():
+            return EMPTY_BAG
+        context = Nester(element_type, context_lookups(context), track=False)
+    return context.nest_bag(flat_bag)

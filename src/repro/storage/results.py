@@ -113,6 +113,14 @@ class ResultStore:
         self._composite = None
         self._fold(delta.items())
 
+    def compact(self) -> None:
+        """Squeeze the holes of past deletions out of every shard
+        (:meth:`BagBuilder.compact`); for use right after a delta, by an
+        owner that counts its churn."""
+        self._composite = None
+        for builder in self._builders:
+            builder.compact()
+
     # ------------------------------------------------------------------ #
     # Snapshots
     # ------------------------------------------------------------------ #

@@ -750,6 +750,12 @@ class DictionaryStore:
             return default
         return self._freeze(name, entries)
 
+    def lookup(self, name: str, label: Label) -> Optional[Bag]:
+        """One label's current definition (``None`` if undefined), read live
+        — nothing is frozen, so the next delta still merges in place."""
+        entries = self._entries.get(name)
+        return None if entries is None else entries.get(label)
+
     def _freeze(self, name: str, entries: Dict[Label, Bag]) -> MaterializedDict:
         frozen = self._frozen.get(name)
         if frozen is None:
