@@ -571,7 +571,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "serve":
         return _cmd_serve(args)
-    api = APIClient(args.server)
+    try:
+        api = APIClient(args.server)
+    except ValueError as error:
+        return _fail(str(error))
     try:
         return _COMMANDS[args.command](api, args)
     except APIError as error:
@@ -580,6 +583,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _fail(str(error))
     except KeyboardInterrupt:
         return 130
+    finally:
+        api.close()
 
 
 if __name__ == "__main__":

@@ -37,15 +37,8 @@ def _etag_header(etag: Union[int, str]) -> str:
     return tag if tag.startswith('"') or tag.startswith("W/") else f'"{tag}"'
 
 
-def _read_suffix(
-    base: str,
-    since_version: Optional[int],
-    limit: Optional[int],
-    offset: Optional[int],
-) -> str:
+def _read_suffix(base: str, limit: Optional[int], offset: Optional[int]) -> str:
     params = []
-    if since_version is not None:
-        params.append(f"since_version={since_version}")
     if limit is not None:
         params.append(f"limit={limit}")
     if offset is not None:
@@ -91,7 +84,7 @@ class DatasetsClient(_TenantClient):
         back ``{"unchanged": True}``), ``limit``/``offset`` page the pairs."""
         headers = {"If-None-Match": _etag_header(etag)} if etag is not None else None
         return self.api.get(
-            self._path(_read_suffix(f"datasets/{name}", None, limit, offset)),
+            self._path(_read_suffix(f"datasets/{name}", limit, offset)),
             headers=headers,
         )
 
@@ -113,7 +106,6 @@ class ViewsClient(_TenantClient):
     def show(
         self,
         name: str,
-        since_version: Optional[int] = None,
         *,
         etag: Optional[Union[int, str]] = None,
         limit: Optional[int] = None,
@@ -123,13 +115,12 @@ class ViewsClient(_TenantClient):
 
         ``etag`` (an int version or the ETag string from a prior read)
         sends ``If-None-Match`` — an unchanged view answers a body-less 304
-        that decodes to ``{"unchanged": True, ...}``.  ``since_version`` is
-        the legacy in-body equivalent.  ``limit``/``offset`` page the pairs
-        without the server materializing the merged result.
+        that decodes to ``{"unchanged": True, ...}``.  ``limit``/``offset``
+        page the pairs without the server materializing the merged result.
         """
         headers = {"If-None-Match": _etag_header(etag)} if etag is not None else None
         return self.api.get(
-            self._path(_read_suffix(f"views/{name}", since_version, limit, offset)),
+            self._path(_read_suffix(f"views/{name}", limit, offset)),
             headers=headers,
         )
 
@@ -163,7 +154,6 @@ class UpdatesClient(_TenantClient):
 
     def snapshot(
         self,
-        since_version: Optional[int] = None,
         *,
         etag: Optional[Union[int, str]] = None,
         limit: Optional[int] = None,
@@ -174,7 +164,7 @@ class UpdatesClient(_TenantClient):
         bag in the snapshot independently)."""
         headers = {"If-None-Match": _etag_header(etag)} if etag is not None else None
         return self.api.get(
-            self._path(_read_suffix("snapshot", since_version, limit, offset)),
+            self._path(_read_suffix("snapshot", limit, offset)),
             headers=headers,
         )
 

@@ -1,9 +1,11 @@
 """The threaded HTTP server: IVM-as-a-service over the JSON wire protocol.
 
 Pure standard library (:mod:`http.server` + :mod:`socketserver` threading
-mix-in): every request runs on its own handler thread, writes funnel into
-the per-tenant single-writer ingest queues, reads serve from pinned
-snapshots.  Routes (all bodies JSON; ``{t}`` is the tenant name):
+mix-in): connections are persistent (HTTP/1.1 keep-alive) and each runs on
+its own handler thread until the client closes it or it sits idle past
+:attr:`_Handler.timeout`; writes funnel into the per-tenant single-writer
+ingest queues, reads serve from pinned snapshots.  Routes (all bodies JSON;
+``{t}`` is the tenant name):
 
 ========  =====================================  ==================================
 method    path                                   meaning
@@ -36,9 +38,7 @@ estimated from the tenant's observed batch latency.
 Read consistency: every ``GET`` under ``/v1/{t}/`` loads the tenant's
 published snapshot exactly once and answers entirely from it, so the
 ``version`` field in the response identifies one consistent engine state —
-even while writers are storming.  ``?since_version=N`` on view/snapshot
-reads short-circuits to ``{"unchanged": true}`` when nothing advanced
-(legacy polling).
+even while writers are storming.
 
 Versioned reads: dataset, view and snapshot responses carry the pinned
 engine version as an ``ETag`` header (``"<version>"``); a request whose
@@ -49,8 +49,18 @@ a :class:`~repro.storage.ShardedBag` snapshot is sliced shard-direct — and
 because pages are cut from one pinned frozen snapshot, walking offsets at
 a fixed ETag tiles the full result exactly.
 
-Shutdown: :meth:`ReproServer.close` stops accepting connections, drains
-every tenant's ingest queue, and closes every engine (joining scheduler
+Encode once per version: a full (un-paged) read of a dataset, a view or the
+snapshot is answered from the pinned snapshot's ``bodies`` map — the first
+reader of a version builds the JSON body, every later one sends the same
+bytes (``body_misses`` / ``body_hits`` in ``/stats``).  The map is born
+empty at publish and dies with its snapshot.  Every response leaves in a
+single socket write (:meth:`_Handler._send_body`): on a persistent
+connection a header-then-body pair of small writes would wait out the
+peer's delayed ACK.
+
+Shutdown: :meth:`ReproServer.close` stops accepting connections and stops
+reading further requests from the open ones, drains every tenant's ingest
+queue, and closes every engine (joining scheduler
 threads via ``Engine.close``).  :meth:`install_signal_handlers` wires
 SIGTERM/SIGINT to exactly that, so a supervised server exits cleanly.
 """
@@ -59,10 +69,12 @@ from __future__ import annotations
 
 import json
 import signal
+import socket
 import threading
 import time
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.errors import EngineError, NotInFragmentError, ReproError
@@ -74,6 +86,7 @@ from repro.serve.protocol import (
     fields_spec_of,
 )
 from repro.serve.sessions import (
+    PublishedSnapshot,
     SessionManager,
     TenantNotWritableError,
     TenantRecoveringError,
@@ -81,6 +94,16 @@ from repro.serve.sessions import (
 )
 
 __all__ = ["ReproServer", "ServerConfig"]
+
+#: Largest request body the server reads (a bigger ``Content-Length`` is 413).
+MAX_BODY_BYTES = 64 << 20
+
+#: HTTP status of the :class:`ProtocolError` codes that are not plain 400s.
+_STATUS_OF_CODE = {"not_found": 404, "epoch_conflict": 409, "too_large": 413}
+
+
+def _json_bytes(payload: Any) -> bytes:
+    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
 
 
 class ServerConfig:
@@ -141,6 +164,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1.0"
+    #: Socket timeout of a connection: one idle this long between requests
+    #: (or stalled this long mid-request) is closed, so a silent client
+    #: cannot hold its handler thread forever.
+    timeout = 60.0
 
     # ------------------------------------------------------------------ #
     # Plumbing
@@ -149,17 +176,33 @@ class _Handler(BaseHTTPRequestHandler):
         if not self.server.repro.config.quiet:  # type: ignore[attr-defined]
             super().log_message(format, *args)
 
+    def _send_body(
+        self, status: int, body: bytes = b"", headers: Optional[Dict[str, str]] = None
+    ) -> None:
+        """The one way a response leaves: status line, headers and body in a
+        single write.  A response sent while request bytes are still unread
+        closes the connection, so they are never parsed as the next request."""
+        self.log_request(status, len(body))
+        lines = [
+            f"{self.protocol_version} {status} {HTTPStatus(status).phrase}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            f"Content-Length: {len(body)}",
+        ]
+        if body:
+            lines.append("Content-Type: application/json")
+        if self._body_unread:
+            self.close_connection = True
+            lines.append("Connection: close")
+        for name, value in (headers or {}).items():
+            lines.append(f"{name}: {value}")
+        head = "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n"
+        self.wfile.write(head + body)
+
     def _send_json(
         self, payload: Any, status: int = 200, headers: Optional[Dict[str, str]] = None
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_body(status, _json_bytes(payload), headers)
 
     def _send_error_json(
         self,
@@ -173,12 +216,8 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     # ------------------------------------------------------------------ #
-    # Versioned reads: ETags and pages over pinned snapshots
+    # Versioned reads: ETags, pages and once-per-version bodies
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _etag_of(version: int) -> str:
-        return f'"{version}"'
-
     def _if_none_match(self, etag: str) -> bool:
         """Does the request's ``If-None-Match`` cover this snapshot's ETag?"""
         header = self.headers.get("If-None-Match")
@@ -189,13 +228,6 @@ class _Handler(BaseHTTPRequestHandler):
             tag == etag or (tag.startswith("W/") and tag[2:] == etag)
             for tag in candidates
         )
-
-    def _send_not_modified(self, etag: str) -> None:
-        """304: headers only — the reader's copy at this ETag is current."""
-        self.send_response(304)
-        self.send_header("ETag", etag)
-        self.send_header("Content-Length", "0")
-        self.end_headers()
 
     @staticmethod
     def _page_params(query: Dict[str, str]) -> Tuple[Optional[int], int]:
@@ -215,11 +247,54 @@ class _Handler(BaseHTTPRequestHandler):
 
         return _int_of("limit"), _int_of("offset") or 0
 
+    def _send_versioned(
+        self,
+        session: TenantSession,
+        snapshot: PublishedSnapshot,
+        resource: str,
+        query: Dict[str, str],
+        build: Callable[[Optional[int], int], Dict[str, Any]],
+    ) -> None:
+        """Answer a dataset / view / snapshot read at the pinned version.
+
+        304 when ``If-None-Match`` covers it; a page is encoded per request;
+        the full body is encoded by the first reader of this version and
+        taken from ``snapshot.bodies`` by everyone after (two first readers
+        racing both encode — the same bytes — and one entry survives).
+        """
+        etag = f'"{snapshot.version}"'
+        if self._if_none_match(etag):
+            self._send_body(304, headers={"ETag": etag})
+            return
+        limit, offset = self._page_params(query)
+        if limit is not None or offset:
+            body = _json_bytes(build(limit, offset))
+        else:
+            body = snapshot.bodies.get(resource)
+            session.count_full_read(hit=body is not None)
+            if body is None:
+                body = snapshot.bodies[resource] = _json_bytes(build(None, 0))
+        self._send_body(200, body, {"ETag": etag})
+
     def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+        raw_length = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise ProtocolError(
+                f"'Content-Length' must be a non-negative integer, got {raw_length!r}"
+            )
+        if length > MAX_BODY_BYTES:
+            raise ProtocolError(
+                f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit",
+                code="too_large",
+            )
         if length == 0:
             return {}
         raw = self.rfile.read(length)
+        self._body_unread = False
         try:
             return json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
@@ -236,7 +311,18 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _dispatch(self, method: str) -> None:
         server: "ReproServer" = self.server.repro  # type: ignore[attr-defined]
+        if server._closed:
+            # Read off a persistent connection after close() began (bytes
+            # that arrive after stop_reading() are still delivered): hang
+            # up unanswered, as a server that is gone would.
+            self.close_connection = True
+            return
         server.requests_served += 1
+        # Until _read_body consumes it, a declared body is still on the wire.
+        self._body_unread = (
+            self.headers.get("Content-Length") not in (None, "0")
+            or "Transfer-Encoding" in self.headers
+        )
         url = urlparse(self.path)
         parts = [part for part in url.path.split("/") if part]
         query = {key: values[-1] for key, values in parse_qs(url.query).items()}
@@ -264,13 +350,9 @@ class _Handler(BaseHTTPRequestHandler):
             # the FailoverClient goes looking for the current primary.
             self._send_error_json(503, "not_writable", str(error))
         except ProtocolError as error:
-            if error.code == "epoch_conflict":
-                status = 409
-            elif error.code == "not_found":
-                status = 404
-            else:
-                status = 400
-            self._send_error_json(status, error.code, str(error))
+            self._send_error_json(
+                _STATUS_OF_CODE.get(error.code, 400), error.code, str(error)
+            )
         except NotInFragmentError as error:
             self._send_error_json(400, "not_in_fragment", str(error))
         except (EngineError, ReproError) as error:
@@ -321,8 +403,6 @@ class _Handler(BaseHTTPRequestHandler):
         self, session: TenantSession, rest: list, query: Dict[str, str]
     ) -> None:
         snapshot = session.snapshot  # pinned once per request
-        since = query.get("since_version")
-        etag = self._etag_of(snapshot.version)
         if rest == ["datasets"]:
             self._send_json(
                 {
@@ -346,17 +426,16 @@ class _Handler(BaseHTTPRequestHandler):
             bag = snapshot.datasets.get(name)
             if bag is None:
                 raise ProtocolError(f"no dataset named {name!r}", code="not_found")
-            if self._if_none_match(etag):
-                self._send_not_modified(etag)
-                return
-            limit, offset = self._page_params(query)
-            self._send_json(
-                {
+            self._send_versioned(
+                session,
+                snapshot,
+                f"datasets/{name}",
+                query,
+                lambda limit, offset: {
                     "version": snapshot.version,
                     "dataset": name,
                     **encode_bag_page(bag, limit, offset),
                 },
-                headers={"ETag": etag},
             )
             return
         if rest == ["views"]:
@@ -384,25 +463,17 @@ class _Handler(BaseHTTPRequestHandler):
                 bag = snapshot.views.get(name)
                 if bag is None:
                     raise ProtocolError(f"no view named {name!r}", code="not_found")
-                if self._if_none_match(etag):
-                    self._send_not_modified(etag)
-                    return
-                if since is not None and since.isdigit() and int(since) == snapshot.version:
-                    self._send_json(
-                        {"version": snapshot.version, "unchanged": True},
-                        headers={"ETag": etag},
-                    )
-                    return
-                limit, offset = self._page_params(query)
-                handle = session.view_handle(name)
-                self._send_json(
-                    {
+                self._send_versioned(
+                    session,
+                    snapshot,
+                    f"views/{name}",
+                    query,
+                    lambda limit, offset: {
                         "version": snapshot.version,
                         "view": name,
-                        "strategy": handle.strategy,
+                        "strategy": session.view_handle(name).strategy,
                         **encode_bag_page(bag, limit, offset),
                     },
-                    headers={"ETag": etag},
                 )
                 return
             if rest[2:] == ["explain"]:
@@ -418,18 +489,12 @@ class _Handler(BaseHTTPRequestHandler):
                 )
                 return
         if rest == ["snapshot"]:
-            if self._if_none_match(etag):
-                self._send_not_modified(etag)
-                return
-            if since is not None and since.isdigit() and int(since) == snapshot.version:
-                self._send_json(
-                    {"version": snapshot.version, "unchanged": True},
-                    headers={"ETag": etag},
-                )
-                return
-            limit, offset = self._page_params(query)
-            self._send_json(
-                {
+            self._send_versioned(
+                session,
+                snapshot,
+                "snapshot",
+                query,
+                lambda limit, offset: {
                     "version": snapshot.version,
                     "datasets": {
                         name: encode_bag_page(bag, limit, offset)
@@ -440,7 +505,6 @@ class _Handler(BaseHTTPRequestHandler):
                         for name, bag in sorted(snapshot.views.items())
                     },
                 },
-                headers={"ETag": etag},
             )
             return
         if rest == ["storage"]:
@@ -565,6 +629,30 @@ class _HTTPServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
     repro: "ReproServer"
+
+    def __init__(self, *args: Any) -> None:
+        super().__init__(*args)
+        self._connections: set = set()  # open client sockets
+
+    def get_request(self) -> Tuple[socket.socket, Any]:
+        request = super().get_request()
+        self._connections.add(request[0])
+        return request
+
+    def shutdown_request(self, request: Any) -> None:
+        self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def stop_reading(self) -> None:
+        """End every open connection's request stream (call after
+        ``shutdown()``): an idle handler sees EOF and exits, a busy one
+        still writes its response first.  Without this a closed server
+        would keep answering on its persistent connections."""
+        for connection in list(self._connections):
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # the peer already closed it
 
 
 class ReproServer:
@@ -713,7 +801,8 @@ class ReproServer:
         signal.signal(signal.SIGINT, _handle)
 
     def close(self, drain: bool = True) -> None:
-        """Stop accepting, drain every tenant, close every engine.
+        """Stop accepting connections and requests, drain every tenant,
+        close every engine.
 
         ``drain=True`` (the SIGTERM path) applies everything already queued
         before exiting, so acknowledged synchronous writes are never lost;
@@ -731,6 +820,7 @@ class ReproServer:
         try:
             self._httpd.shutdown()
             self._httpd.server_close()
+            self._httpd.stop_reading()
             if self._thread is not None:
                 self._thread.join(10.0)
                 self._thread = None

@@ -21,6 +21,10 @@ thread-safety notes):
   never blocks behind an in-flight apply; the cost is the documented
   ``O(touched shards)`` copy-on-write the next write pays for the retained
   snapshot.
+* **wire bodies** belong to the published object too
+  (:class:`PublishedSnapshot`): the first full read of a resource at a
+  version encodes its response body, every later one sends the same bytes.
+  The writer publishes an empty map and never encodes.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from repro.surface.dsl import Dataset
 from repro.surface.schema import Record
 
 __all__ = [
+    "PublishedSnapshot",
     "SessionManager",
     "TenantNotWritableError",
     "TenantRecoveringError",
@@ -97,6 +102,28 @@ class TenantNotWritableError(RuntimeError):
         )
         self.tenant = name
         self.role = role
+
+
+class PublishedSnapshot(EngineSnapshot):
+    """What readers pin: an engine snapshot plus the response bodies built
+    from it so far.
+
+    ``bodies`` maps a fully-read resource (``"views/dramas"``,
+    ``"datasets/M"``, ``"snapshot"``) to the UTF-8 JSON body the server
+    sent for it at this version.  It starts empty and is filled by readers
+    (:mod:`repro.serve.server`); an entry is bytes, so it keeps no shard of
+    the snapshot alive, and the map is garbage with the snapshot — at most
+    one body per fully-read resource per live snapshot, nothing to
+    invalidate.
+    """
+
+    __slots__ = ("bodies",)
+
+    def __init__(self, snapshot: EngineSnapshot) -> None:
+        self.version = snapshot.version
+        self.datasets = snapshot.datasets
+        self.views = snapshot.views
+        self.bodies: Dict[str, bytes] = {}
 
 
 class TenantSession:
@@ -153,7 +180,11 @@ class TenantSession:
         # Registered surface records, readable from handler threads.  Only
         # the writer thread mutates it, and Python dict reads are atomic.
         self.records: Dict[str, Record] = {}
-        self.snapshot: EngineSnapshot = self.engine.snapshot()
+        self.snapshot = PublishedSnapshot(self.engine.snapshot())
+        # Full reads answered from a snapshot's ``bodies`` / that added to it.
+        self.body_hits = 0
+        self.body_misses = 0
+        self._body_count_lock = threading.Lock()
         self.worker = IngestWorker(
             name,
             capacity=queue_depth,
@@ -197,7 +228,7 @@ class TenantSession:
     # ------------------------------------------------------------------ #
     def publish_snapshot(self) -> None:
         """Capture and publish a fresh consistent snapshot (worker thread)."""
-        self.snapshot = self.engine.snapshot()
+        self.snapshot = PublishedSnapshot(self.engine.snapshot())
 
     def _apply_batch(self, updates: List[Update]) -> Dict[str, Any]:
         applied = self.engine.apply_stream(updates, batched=True)
@@ -640,6 +671,14 @@ class TenantSession:
         except EngineError:
             raise ProtocolError(f"no view named {name!r}", code="not_found") from None
 
+    def count_full_read(self, hit: bool) -> None:
+        """One full-body read (handler threads, hence the lock)."""
+        with self._body_count_lock:
+            if hit:
+                self.body_hits += 1
+            else:
+                self.body_misses += 1
+
     def dataset_record(self, name: str) -> Record:
         record = self.records.get(name)
         if record is None:
@@ -659,6 +698,8 @@ class TenantSession:
             "coalesce_bound": self.worker.coalesce,
             "retry_after_hint": self.worker.retry_after(),
             "ingest": self.worker.stats.to_dict(),
+            "body_hits": self.body_hits,
+            "body_misses": self.body_misses,
             # The execution backend the ingest worker's applies run on, plus
             # per-backend apply counts (see docs/serve.md, "Execution
             # backends under the ingest worker").

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from itertools import chain
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.bag.bag import Bag
@@ -214,7 +215,9 @@ class ShardedBag(Bag):
         return (ShardedBag.of, (self._shard_bags,))
 
     # -------------------------------------------------------------- #
-    # Point queries and iteration: shard-direct, never merge.
+    # Point queries and iteration: shard-direct, never merge.  The
+    # iterators chain the shard dicts' own (C-level) iterators — a full
+    # walk of a result pays no Python frame per pair.
     # -------------------------------------------------------------- #
     @property
     def shard_bags(self) -> Tuple[Bag, ...]:
@@ -234,15 +237,13 @@ class ShardedBag(Bag):
         return any(element in shard._data for shard in self._shard_bags)
 
     def elements(self) -> Iterator[Any]:
-        for shard in self._shard_bags:
-            yield from shard._data
+        return chain.from_iterable([shard._data for shard in self._shard_bags])
 
     def __iter__(self) -> Iterator[Any]:
         return self.elements()
 
     def items(self) -> Iterator[Tuple[Any, int]]:
-        for shard in self._shard_bags:
-            yield from shard._data.items()
+        return chain.from_iterable([shard._data.items() for shard in self._shard_bags])
 
     def expand(self) -> Iterator[Any]:
         for element, multiplicity in self.items():

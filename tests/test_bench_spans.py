@@ -78,3 +78,61 @@ def test_from_scratch_nesting_runs_under_the_patched_names(monkeypatch):
         assert view.result() == database.relation("R")
     assert len(view_calls) == 1
     assert len(database_calls) == 1
+
+
+def test_served_reads_stay_under_the_tracers_custom_patches(monkeypatch):
+    """``_install_custom`` times wire encodes by replacing
+    ``repro.serve.server.encode_bag_page`` and counts ``serve.http.bytes_out``
+    by swapping ``self.wfile`` around ``handle_one_request``.  A body kept per
+    version must still be *built* through that name, and every byte of every
+    response — kept or not — must still leave through ``self.wfile``."""
+    import socket
+
+    from repro.client import APIClient, DatasetsClient
+    from repro.serve import ReproServer, ServerConfig, protocol, server
+
+    encodes = []
+    written = []
+
+    def counted_encode(bag, limit=None, offset=0):
+        encodes.append((limit, offset))
+        return protocol.encode_bag_page(bag, limit, offset)
+
+    class CountingWriter:
+        def __init__(self, raw):
+            self.raw = raw
+
+        def write(self, data):
+            written.append(len(data))
+            return self.raw.write(data)
+
+        def __getattr__(self, name):
+            return getattr(self.raw, name)
+
+    handle_one_request = server._Handler.handle_one_request
+
+    def counted_handle_one_request(self):
+        self.wfile = CountingWriter(self.wfile)
+        try:
+            handle_one_request(self)
+        finally:
+            self.wfile = self.wfile.raw
+
+    monkeypatch.setattr(server, "encode_bag_page", counted_encode)
+    monkeypatch.setattr(server._Handler, "handle_one_request", counted_handle_one_request)
+
+    with ReproServer(ServerConfig(port=0)) as instance:
+        api = APIClient(instance.url)
+        DatasetsClient(api).create("M", ["a"], [["x"], ["y"]])
+        api.close()
+        del written[:]
+        request = b"GET /v1/default/datasets/M HTTP/1.1\r\nHost: t\r\n\r\n"
+        received = b""
+        with socket.create_connection(instance.address, timeout=5.0) as sock:
+            sock.sendall(request * 3 + request.replace(b"/M ", b"/M?limit=1 "))
+            sock.shutdown(socket.SHUT_WR)
+            while chunk := sock.recv(65536):
+                received += chunk
+    assert received.count(b"HTTP/1.1 200 OK") == 4
+    assert encodes == [(None, 0), (1, 0)]  # one miss for three full reads, one page
+    assert sum(written) == len(received)

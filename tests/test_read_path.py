@@ -123,6 +123,25 @@ class TestResultStore:
             Bag.from_pairs([((3,), -1), ((77,), 2)])
         )
 
+    def test_snapshot_iteration_is_shard_direct_and_outlives_a_delta(self):
+        """``items()`` / ``elements()`` chain the shard dicts' own iterators:
+        nothing is merged, and an iterator that outlives its snapshot still
+        yields that snapshot's pairs — in every shard, reached or not — after
+        the store mutates."""
+        base = Bag.from_pairs([((i,), 1 + i % 2) for i in range(40)])
+        store = ResultStore("r", base, shards=4)
+        snapshot = store.freeze()
+        expected = [pair for shard in snapshot.shard_bags for pair in shard.items()]
+        assert list(snapshot.items()) == expected
+        assert list(snapshot.elements()) == [element for element, _ in expected]
+        assert list(snapshot) == list(snapshot.elements())
+        assert snapshot._merged is None
+        pairs = snapshot.items()
+        first = next(pairs)
+        del snapshot
+        store.apply_bag(Bag.from_pairs([((i,), -1) for i in range(40)] + [((99,), 1)]))
+        assert [first, *pairs] == expected
+
     def test_small_delta_copies_only_dirty_shards(self):
         """The zero-copy contract: a one-element delta re-freezes exactly one
         shard; the other shard snapshots are the same frozen objects."""
@@ -441,12 +460,6 @@ class TestVersionedReads:
         assert not fresh.get("unchanged")
         assert fresh["version"] > full["version"]
         assert "new" in [pair[0] for pair in fresh["pairs"]]
-
-    def test_since_version_still_supported(self, api):
-        _seed(api)
-        views = ViewsClient(api)
-        full = views.show("dramas")
-        assert views.show("dramas", since_version=full["version"])["unchanged"]
 
     def test_paged_view_read_equals_full(self, api):
         _seed(api)

@@ -361,12 +361,6 @@ class TestEndpoints:
             "Skyfall",
         ]
 
-    def test_since_version_short_circuits(self, api):
-        self._seed(api)
-        first = api.get("v1/t/views/dramas")
-        again = api.get(f"v1/t/views/dramas?since_version={first['version']}")
-        assert again == {"version": first["version"], "unchanged": True}
-
     def test_explain_indexes_storage_snapshot(self, api):
         self._seed(api)
         explain = api.get("v1/t/views/dramas/explain")
