@@ -1,12 +1,7 @@
 """Generalized bags with integer multiplicities and nested-value utilities."""
 
 from repro.bag.bag import Bag, EMPTY_BAG
-from repro.bag.builder import (
-    REPRO_NO_BUILDER,
-    BagBuilder,
-    forced_full_copy,
-    transients_enabled,
-)
+from repro.bag.builder import BagBuilder
 from repro.bag.values import (
     intern_key,
     is_base_value,
@@ -23,8 +18,6 @@ __all__ = [
     "Bag",
     "BagBuilder",
     "EMPTY_BAG",
-    "REPRO_NO_BUILDER",
-    "forced_full_copy",
     "intern_key",
     "is_base_value",
     "is_nested_value",
@@ -32,7 +25,6 @@ __all__ = [
     "key_interner_stats",
     "nested_cardinalities",
     "render_value",
-    "transients_enabled",
     "value_depth",
     "value_size",
 ]

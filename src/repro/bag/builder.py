@@ -23,65 +23,20 @@ transient (in the Clojure sense) that closes that gap:
 On interpreters without ``sys.getrefcount`` the builder conservatively
 copies after every freeze — still correct, just without the in-place
 optimization.
-
-Setting the environment variable :data:`REPRO_NO_BUILDER` (to any non-empty
-value) disables the transient path: every application degrades to the
-immutable ``freeze().union(delta)`` full-copy chain the seed code used.
-This is the escape hatch the ``--benchmark apply`` micro-benchmark and the
-CI smoke check use to measure the builder's own contribution.
 """
 
 from __future__ import annotations
 
-import os
 import sys
-from contextlib import contextmanager
 from typing import Any, Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.bag.bag import Bag, EMPTY_BAG
 
-__all__ = [
-    "REPRO_NO_BUILDER",
-    "BagBuilder",
-    "forced_full_copy",
-    "transients_enabled",
-]
-
-#: Environment variable that forces the seed's full-copy update application.
-REPRO_NO_BUILDER = "REPRO_NO_BUILDER"
+__all__ = ["BagBuilder"]
 
 #: ``sys.getrefcount`` where available (CPython); ``None`` elsewhere, in
 #: which case copy-on-write always copies (correct, conservatively slower).
 _getrefcount = getattr(sys, "getrefcount", None)
-
-
-def transients_enabled() -> bool:
-    """True unless the ``REPRO_NO_BUILDER`` escape hatch is set."""
-    return not os.environ.get(REPRO_NO_BUILDER)
-
-
-@contextmanager
-def forced_full_copy(disabled: bool = True) -> Iterator[None]:
-    """Temporarily force (or undo) the seed's full-copy update application.
-
-    Mirrors :func:`repro.nrc.compile.forced_interpretation` and
-    :func:`repro.storage.forced_no_index`: inside the block every
-    :class:`BagBuilder` application routes through immutable
-    ``Bag.union`` chains — one full dict copy per applied delta — which is
-    how the benchmarks measure the transient layer's own contribution.
-    """
-    saved = os.environ.get(REPRO_NO_BUILDER)
-    try:
-        if disabled:
-            os.environ[REPRO_NO_BUILDER] = "1"
-        else:
-            os.environ.pop(REPRO_NO_BUILDER, None)
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop(REPRO_NO_BUILDER, None)
-        else:
-            os.environ[REPRO_NO_BUILDER] = saved
 
 
 class BagBuilder:
@@ -147,11 +102,6 @@ class BagBuilder:
                 self._data = dict(self._data)
         return self._data
 
-    def _adopt(self, bag: Bag) -> None:
-        """Full-copy fallback: become ``bag`` (the ``REPRO_NO_BUILDER`` leg)."""
-        self._data = bag._data
-        self._frozen = bag
-
     # ------------------------------------------------------------------ #
     # Mutation (all O(|Δ|))
     # ------------------------------------------------------------------ #
@@ -163,9 +113,6 @@ class BagBuilder:
             )
         if multiplicity == 0:
             return
-        if os.environ.get(REPRO_NO_BUILDER):
-            self._adopt(self.freeze().union(Bag.singleton(element, multiplicity)))
-            return
         data = self._writable()
         updated = data.get(element, 0) + multiplicity
         if updated == 0:
@@ -175,9 +122,6 @@ class BagBuilder:
 
     def apply_pairs(self, pairs: Iterable[Tuple[Any, int]]) -> None:
         """Fold ``(element, multiplicity)`` pairs in — one pass, no copies."""
-        if os.environ.get(REPRO_NO_BUILDER):
-            self._adopt(self.freeze().union(Bag.from_pairs(pairs)))
-            return
         data = self._writable()
         for element, multiplicity in pairs:
             if not isinstance(multiplicity, int):
@@ -197,9 +141,6 @@ class BagBuilder:
         if not isinstance(scale, int):
             raise TypeError("scale factor must be an int")
         if scale == 0 or not delta._data:
-            return
-        if os.environ.get(REPRO_NO_BUILDER):
-            self._adopt(self.freeze().union(delta.scale(scale)))
             return
         data = self._writable()
         if scale == 1:

@@ -81,13 +81,16 @@ def _pairs_table(title: str, payload: Dict[str, Any]) -> Table:
 # Commands
 # --------------------------------------------------------------------------- #
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.engine.scheduler import resolve_view_workers
     from repro.serve import ReproServer, ServerConfig
 
     engine_options: Dict[str, Any] = {}
     if args.shards is not None:
         engine_options["shards"] = args.shards
     if args.parallel_views is not None:
-        engine_options["parallel_views"] = args.parallel_views
+        # Validated here: tenants build their engines lazily, and a bad
+        # count should stop the server at start, not its first request.
+        engine_options["parallel_views"] = resolve_view_workers(args.parallel_views)
     server = ReproServer(
         ServerConfig(
             host=args.host,

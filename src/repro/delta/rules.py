@@ -13,10 +13,10 @@ a single updated relation and notes the extension to many relations is
 straightforward.  We implement the transformation with respect to a *set of
 updated sources* (relations and/or database dictionaries): ``δ(R)`` is the
 update symbol when ``R`` is in the target set and the empty bag otherwise,
-and all structural rules are unchanged.  Differentiating with respect to a
-``let``-bound variable — needed by the ``let`` rule — uses the same machinery
-with the variable name as the target and a fresh ``ΔX`` bag variable as its
-update symbol.
+and all structural rules are unchanged.  The ``let`` rule uses the same
+machinery: a ``let``-bound variable whose bound depends on the update joins
+the sources its body is differentiated by, with the bag variable ``ΔX`` the
+rule binds as its update symbol.
 
 Expressions whose singleton bodies depend on an updated source are *not*
 efficiently incrementalizable (they are outside IncNRC+ relative to the
@@ -30,9 +30,10 @@ from typing import FrozenSet, Iterable, Optional
 
 from repro.errors import NotInFragmentError
 from repro.nrc import ast
-from repro.nrc.analysis import referenced_sources
+from repro.nrc.analysis import free_bag_vars, referenced_sources
 from repro.nrc.ast import Expr
-from repro.nrc.rewrite import simplify
+from repro.nrc.rewrite import simplify, substitute_bag_var
+from repro.nrc.traverse import iter_subexpressions
 
 __all__ = ["delta", "delta_var_name", "depends_on"]
 
@@ -59,8 +60,7 @@ def depends_on(
     if isinstance(expr, ast.BagVar):
         # A bag variable depends on the update either because its definition
         # does (tracked through ``dependent_vars`` by the ``let`` rule) or
-        # because the variable itself is the differentiation target (used
-        # when deriving δ_X(e) for the ``let`` rule).
+        # because the variable itself is named among the targets.
         return expr.name in dependent_vars or expr.name in targets
     if isinstance(expr, ast.Let):
         bound_depends = depends_on(expr.bound, targets, dependent_vars)
@@ -99,6 +99,15 @@ def delta(
     transformer = _DeltaTransformer(target_set, order)
     result = transformer.transform(expr, frozenset())
     return simplify(result) if auto_simplify else result
+
+
+def _bag_var_names(expr: Expr) -> FrozenSet[str]:
+    """Every ``let``-variable name bound or referenced anywhere in ``expr``."""
+    return frozenset(
+        node.name
+        for node in iter_subexpressions(expr)
+        if isinstance(node, (ast.Let, ast.BagVar))
+    )
 
 
 class _DeltaTransformer:
@@ -143,31 +152,47 @@ class _DeltaTransformer:
         return ast.DeltaDictVar(expr.name, expr.value_type, self._order)
 
     def _delta_BagVar(self, expr: ast.BagVar, dependent_vars: FrozenSet[str]) -> Expr:
-        # Reached only when differentiating with respect to a let variable
-        # (the variable is then a member of the target set).
-        if expr.name in self._targets:
-            return ast.BagVar(delta_var_name(expr.name, self._order))
-        return ast.Empty()
+        # Reached only for a variable being differentiated by: a ``let``
+        # variable whose bound depends on the update (the ``let`` rule binds
+        # its ``ΔX``) or a free variable named among the targets.
+        return ast.BagVar(delta_var_name(expr.name, self._order))
 
     # Structural rules ------------------------------------------------------
     def _delta_Let(self, expr: ast.Let, dependent_vars: FrozenSet[str]) -> Expr:
-        bound_depends = depends_on(expr.bound, self._targets, dependent_vars)
-        body_vars = dependent_vars | {expr.name} if bound_depends else dependent_vars - {expr.name}
+        """``δ(let X := e1 in e2) = let X := e1, ΔX := δ(e1) in δ_{R,X}(e2)``.
 
-        delta_bound = self.transform(expr.bound, dependent_vars)
-        delta_body_wrt_sources = self.transform(expr.body, body_vars)
-
-        # δ_X(e2): differentiate the body with respect to the let variable.
-        var_transformer = _DeltaTransformer(frozenset({expr.name}), self._order)
-        delta_body_wrt_var = var_transformer.transform(expr.body, frozenset())
-        # δ_R(δ_X(e2)).
-        delta_both = self.transform(delta_body_wrt_var, body_vars)
-
-        combined = ast.Union((delta_body_wrt_sources, delta_body_wrt_var, delta_both))
+        The body is differentiated once, with respect to the updated sources
+        *and* ``X`` together (``X``'s update symbol being ``ΔX``) — the
+        several-sources generalization the module already implements — so no
+        delta is ever taken of a delta this rule built.  A binder whose bound
+        does not depend on the update just scopes its body; either way an
+        inner binder takes its name out of (or puts it into) the variables
+        the body is differentiated by, which is what shadowing means.
+        """
+        if expr.name in free_bag_vars(expr.bound):
+            # ``let X := f(X)``: δ(f(X)) mentions the outer X, which the
+            # ``let X := f(X) in let ΔX := δ(f(X))`` built below would
+            # capture.  Differentiate ``let X′ := f(X) in e2[X′/X]`` instead.
+            taken = dependent_vars | _bag_var_names(expr)
+            fresh = expr.name + "′"
+            while fresh in taken:
+                fresh += "′"
+            expr = ast.Let(
+                fresh,
+                expr.bound,
+                substitute_bag_var(expr.body, expr.name, ast.BagVar(fresh)),
+            )
+        if not depends_on(expr.bound, self._targets, dependent_vars):
+            body = self.transform(expr.body, dependent_vars - {expr.name})
+            return ast.Let(expr.name, expr.bound, body)
         return ast.Let(
             expr.name,
             expr.bound,
-            ast.Let(delta_var_name(expr.name, self._order), delta_bound, combined),
+            ast.Let(
+                delta_var_name(expr.name, self._order),
+                self.transform(expr.bound, dependent_vars),
+                self.transform(expr.body, dependent_vars | {expr.name}),
+            ),
         )
 
     def _delta_For(self, expr: ast.For, dependent_vars: FrozenSet[str]) -> Expr:

@@ -177,8 +177,8 @@ class Engine:
         """``shards`` partitions every relation store (``None`` defers to
         ``REPRO_SHARDS`` / the default; ``1`` is the unsharded escape hatch);
         ``parallel_views`` fixes the view-refresh worker count (``None``
-        defers to ``REPRO_PARALLEL_VIEWS`` / auto, ``0`` the legacy serial
-        per-view refresh, ``N > 1`` a thread pool); ``backend`` pins the
+        defers to ``REPRO_PARALLEL_VIEWS`` / auto, ``1`` shared-snapshot
+        inline, ``N > 1`` a thread pool); ``backend`` pins the
         execution backend shard-apply work units run on
         (``"serial"``/``"threads"``/``"processes"``/``"subinterpreters"``,
         optionally ``"processes:4"``; ``None`` defers to ``REPRO_BACKEND`` /

@@ -101,9 +101,9 @@ class MaintenancePlan:
     indexes: Tuple[str, ...] = ()
     #: Relation-store shard count at planning time (``1`` = unsharded hatch).
     shards: int = 1
-    #: How independent views are refreshed per update: ``"serial-legacy"``,
-    #: ``"shared-snapshot inline"``, or ``"threads(N)"``.
-    parallel_apply: str = "serial-legacy"
+    #: How independent views are refreshed per update:
+    #: ``"shared-snapshot inline"`` or ``"threads(N)"``.
+    parallel_apply: str = "shared-snapshot inline"
     #: Rendered per-update application cost unit (``"O(|Δ|/N) per shard"``).
     apply_unit: str = "O(|Δ|)"
     #: The execution backend shard-apply units run on: a pinned name

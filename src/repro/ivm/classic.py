@@ -83,25 +83,15 @@ class ClassicIVMView(View):
     def result_store(self):
         return self._result
 
-    def on_update(self, update: Update, shredded_delta: ShreddedDelta, context=None) -> None:
+    def on_update(self, update: Update, shredded_delta: ShreddedDelta, context) -> None:
         counter = OpCounter()
         started = self._now()
-        if context is not None:
-            deltas = context.relation_deltas
-        else:
-            deltas = {
-                (name, 1): bag for name, bag in update.relations.items() if not bag.is_empty()
-            }
         # An update that binds none of the delta query's symbols changes
         # nothing: every term would walk its relations against an empty Δ.
-        if self.reads_any(deltas):
+        if self.reads_any(context.relation_deltas):
             # The shared context's environment is read-only here: the delta
             # query binds nothing view-local.
-            environment = (
-                context.delta_environment()
-                if context is not None
-                else self._database.environment(deltas)
-            )
+            environment = context.delta_environment()
             change = run_bag(self._compiled_delta, self._delta_query, environment, counter)
             self._result.apply_bag(change)
         self.stats.record_update(self._now() - started, counter)

@@ -227,8 +227,8 @@ class Database:
     ``shards`` fixes the shard count of every relation store (``None``
     defers to ``REPRO_SHARDS`` / the default); ``parallel_views`` fixes the
     view-refresh worker count (``None`` defers to ``REPRO_PARALLEL_VIEWS`` /
-    auto — ``0`` is the legacy serial per-view path, ``1`` shared-snapshot
-    inline, ``N`` a thread pool; see :mod:`repro.engine.scheduler`).
+    auto — ``1`` shared-snapshot inline, ``N`` a thread pool; see
+    :mod:`repro.engine.scheduler`).
     ``backend`` pins the execution backend deltas are applied on
     (``"serial"``/``"threads"``/``"processes"``/``"subinterpreters"``,
     optionally with a worker count as in ``"processes:4"``; ``None`` defers
@@ -241,16 +241,12 @@ class Database:
         parallel_views: Optional[int] = None,
         backend: Optional[str] = None,
     ) -> None:
-        if parallel_views is not None and (
-            not isinstance(parallel_views, int) or parallel_views < 0
-        ):
-            raise ValueError(
-                f"parallel_views must be a non-negative int, got {parallel_views!r}"
-            )
-        if backend is not None:
-            from repro.engine.scheduler import parse_backend_spec
+        from repro.engine.scheduler import parse_backend_spec, resolve_view_workers
 
-            parse_backend_spec(backend)  # validate eagerly; resolved per apply
+        # Validate eagerly; both are resolved again per apply.
+        resolve_view_workers(parallel_views)
+        if backend is not None:
+            parse_backend_spec(backend)
         # Resolved once here (validating an explicit count): every store of
         # this database partitions the same way, and the reported shard
         # count can never drift from the stores actually created.
@@ -322,9 +318,9 @@ class Database:
             raise TypeError("relation schemas must be bag types")
         self._schemas[name] = schema
         instance_bag = instance or EMPTY_BAG
-        # Small relations default to one shard: the shard_scale.json size
-        # sweep shows partitioning overhead eating the win below ~500 rows
-        # (n=500 barely breaks even where n=2000 speeds up 3×).  A pinned
+        # Small relations default to one shard: partitioning overhead eats
+        # the win below ~500 rows (measured 1.26× at n=500 against 3.06× at
+        # n=2000, see SMALL_RELATION_SHARD_THRESHOLD).  A pinned
         # count (constructor argument / REPRO_SHARDS) always wins; the
         # choice is made once, at registration time.
         adaptive: Optional[int] = None
@@ -978,8 +974,6 @@ class Database:
     def refresh_mode(self) -> str:
         """Human-readable refresh mode (what ``explain`` reports)."""
         workers = self.view_refresh_workers()
-        if workers == 0:
-            return "serial-legacy"
         if workers == 1:
             return "shared-snapshot inline"
         return f"threads({workers})"
@@ -989,15 +983,13 @@ class Database:
     ) -> None:
         """Refresh every registered view against the pre-update state.
 
-        ``workers == 0`` reproduces the legacy flow exactly: serial, each
-        view building its own environments.  Otherwise one shared
-        :class:`RefreshContext` is built up front and the scheduler runs
-        the refreshes — inline for one worker, on a thread pool for more
-        (delta environments are snapshots, so concurrency is scheduling,
-        not semantics).  Only context-aware views go to the pool: a legacy
-        two-argument backend rebuilds its environments itself, which
-        freezes the shared store builders — unsynchronized check-then-act
-        state — so legacy refreshes always run serially on the
+        One shared :class:`RefreshContext` is built up front and the
+        scheduler runs the refreshes — inline for one worker, on a thread
+        pool for more (delta environments are snapshots, so concurrency is
+        scheduling, not semantics).  Only context-aware views go to the
+        pool: a third-party two-argument backend rebuilds its environments
+        itself, which freezes the shared store builders — unsynchronized
+        check-then-act state — so its refreshes always run serially on the
         coordinating thread, *before* the pool phase (never overlapping
         it).  So do views the update cannot touch (``affected_by`` is false:
         their refresh only records an empty update) — the pool is engaged
@@ -1014,14 +1006,9 @@ class Database:
             return
         workers = self.view_refresh_workers()
         # A pinned serial execution backend means "single-threaded": clamp
-        # multi-worker refresh down to the shared-snapshot inline mode (the
-        # 0 legacy per-view path is preserved untouched).
+        # multi-worker refresh down to the shared-snapshot inline mode.
         if workers > 1 and requested_backend == "serial":
             workers = 1
-        if workers == 0:
-            for _, on_update in notifiable:
-                on_update(update, shredded_delta)
-            return
         # The context freezes stores eagerly; engines of purely legacy
         # backends (no context-aware view at all) skip building it.
         context: Optional[RefreshContext] = None

@@ -52,22 +52,17 @@ class NaiveView(View):
         """Current materialized result (a nested bag)."""
         return self._result
 
-    def on_update(self, update: Update, shredded_delta: ShreddedDelta, context=None) -> None:
+    def on_update(self, update: Update, shredded_delta: ShreddedDelta, context) -> None:
         """Recompute the view against the post-update state.
 
         The database calls this before mutating its stored relations, so the
         post-update instances are assembled locally from the update.  The
-        shared refresh context provides the pre-update snapshots when given
-        (frozen once for all views; safe to read from worker threads).
+        shared refresh context provides the pre-update snapshots (frozen
+        once for all views; safe to read from worker threads).
         """
         counter = OpCounter()
         started = self._now()
-        if context is not None:
-            post_relations = dict(context.delta_environment().relations)
-        else:
-            post_relations = {
-                name: self._database.relation(name) for name in self._database.relation_names()
-            }
+        post_relations = dict(context.delta_environment().relations)
         for name, delta_bag in update.relations.items():
             post_relations[name] = post_relations[name].union(delta_bag)
         environment = Environment(relations=post_relations)

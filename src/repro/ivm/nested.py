@@ -316,15 +316,10 @@ class NestedIVMView(View):
         # the shredded Δ symbols (flat bags and dictionary deltas).
         return self.reads_any(context.delta_symbols)
 
-    def on_update(self, update: Update, shredded_delta: ShreddedDelta, context=None) -> None:
+    def on_update(self, update: Update, shredded_delta: ShreddedDelta, context) -> None:
         counter = OpCounter()
         started = self._now()
-        delta_symbols = (
-            context.delta_symbols
-            if context is not None
-            else shredded_delta.as_delta_symbols(order=1)
-        )
-        if not self.reads_any(delta_symbols):
+        if not self.reads_any(context.delta_symbols):
             # No shredded Δ symbol of this update occurs in the flat delta or
             # any dictionary delta: flat view, dictionaries and the cached
             # reconstruction all stand.
@@ -336,10 +331,7 @@ class NestedIVMView(View):
         # and the next result() settles exactly that.
         nester = self._nester if self._result is not None else None
 
-        if context is not None:
-            delta_env = context.shredded_delta_environment()
-        else:
-            delta_env = self._database.shredded_environment(delta_symbols)
+        delta_env = context.shredded_delta_environment()
         # The post-update environment costs O(|DB|) to assemble (it unions
         # the deltas into the flat mirror); it is built lazily below, only
         # when some dictionary actually discovers newly active labels.
@@ -418,12 +410,7 @@ class NestedIVMView(View):
             ]
             if new_labels:
                 if post_env is None:
-                    if context is not None:
-                        post_env = context.post_shredded_environment()
-                    else:
-                        post_env = self._post_update_environment(
-                            self._database.shredded_environment(), shredded_delta
-                        )
+                    post_env = context.post_shredded_environment()
                 full_dictionary = self._dictionary_value(
                     state.compiled, state.expression, post_env, counter
                 )
@@ -487,17 +474,6 @@ class NestedIVMView(View):
         if not isinstance(value, DictValue):
             raise ShreddingError("context expressions must evaluate to dictionaries")
         return value
-
-    def _post_update_environment(
-        self, pre_env: Environment, shredded_delta: ShreddedDelta
-    ) -> Environment:
-        post = pre_env.copy()
-        for name, bag in shredded_delta.bags.items():
-            post.relations[name] = post.relations.get(name, EMPTY_BAG).union(bag)
-        for name, dictionary in shredded_delta.dictionaries.items():
-            existing = post.dictionaries.get(name, MaterializedDict({}))
-            post.dictionaries[name] = existing.add(dictionary)
-        return post
 
     def _scan_active(self, state: _DictState) -> Dict[Label, int]:
         """Full scan: label → number of places referencing it.

@@ -196,18 +196,12 @@ class RecursiveIVMView(View):
     def result_store(self):
         return self._result
 
-    def on_update(self, update: Update, shredded_delta: ShreddedDelta, context=None) -> None:
+    def on_update(self, update: Update, shredded_delta: ShreddedDelta, context) -> None:
         counter = OpCounter()
         started = self._now()
-        if context is not None:
-            deltas = context.relation_deltas
-        else:
-            deltas = {
-                (name, 1): bag for name, bag in update.relations.items() if not bag.is_empty()
-            }
         # Neither the residual nor any materialization delta mentions a symbol
         # the update binds: nothing to evaluate, nothing to maintain.
-        if self.reads_any(deltas):
+        if self.reads_any(context.relation_deltas):
             # Refresh the view using the residual delta: it reads only the
             # update and the materialized sub-expressions, never the base
             # relations.
@@ -216,10 +210,7 @@ class RecursiveIVMView(View):
             # pre-update database, which is the state delta queries expect.
             # The shared context environment is copied before binding the
             # view-local materialization snapshots.
-            if context is not None:
-                environment = context.delta_environment().copy()
-            else:
-                environment = self._database.environment(deltas)
+            environment = context.delta_environment().copy()
             environment.bag_vars.update(
                 {m.name: m.value.freeze() for m in self._materializations.values()}
             )
@@ -233,11 +224,7 @@ class RecursiveIVMView(View):
             # Maintain the materialized sub-expressions with their own deltas
             # (the higher-order step); these deltas are evaluated against the
             # pre-update database state.
-            maintenance_env = (
-                context.delta_environment()
-                if context is not None
-                else self._database.environment(deltas)
-            )
+            maintenance_env = context.delta_environment()
             for materialization in self._materializations.values():
                 change = run_bag(
                     materialization.compiled_delta,

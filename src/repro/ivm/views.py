@@ -84,17 +84,17 @@ class MaintenanceStats:
 class View:
     """Base class for materialized views.
 
-    ``on_update`` may accept an optional shared
+    ``on_update`` may take a third argument, the shared
     :class:`~repro.ivm.database.RefreshContext` holding the pre-update
-    snapshot environments of this refresh round; views that can, evaluate
+    snapshot environments of this refresh round; views that do, evaluate
     against it instead of rebuilding their own environments (one snapshot
     family per update instead of one per view, and the anchor that makes
     concurrent refresh safe).  ``accepts_refresh_context`` tells the
     database's dispatcher whether to pass it; it defaults to **false** so
-    custom backends keeping the legacy two-argument ``on_update`` —
-    whether or not they subclass this base — are still called correctly.
-    Backends that take the context set it to true (as the four built-in
-    views do).
+    custom backends keeping the two-argument ``on_update`` — whether or
+    not they subclass this base — are still called correctly.  Backends
+    that take the context set it to true (as the four built-in views do,
+    which always receive one).
     """
 
     #: The database passes a RefreshContext to ``on_update`` when true.

@@ -11,12 +11,7 @@ full contract, including when the pipeline falls back to per-evaluation
 builds.
 """
 
-from repro.bag.builder import (
-    REPRO_NO_BUILDER,
-    BagBuilder,
-    forced_full_copy,
-    transients_enabled,
-)
+from repro.bag.builder import BagBuilder
 from repro.storage.index import HashIndex, IndexKeyError, index_key_of
 from repro.storage.results import ResultStore
 from repro.storage.shards import (
@@ -39,7 +34,6 @@ from repro.storage.store import (
 
 __all__ = [
     "DEFAULT_SHARD_COUNT",
-    "REPRO_NO_BUILDER",
     "REPRO_NO_INDEX",
     "REPRO_SHARDS",
     "BagBuilder",
@@ -52,11 +46,9 @@ __all__ = [
     "ShardIndexFamily",
     "ShardedBag",
     "StorageManager",
-    "forced_full_copy",
     "forced_no_index",
     "forced_shards",
     "index_key_of",
     "persistent_indexes_enabled",
     "resolve_shard_count",
-    "transients_enabled",
 ]

@@ -67,12 +67,11 @@ REPRO_SHARDS = "REPRO_SHARDS"
 DEFAULT_SHARD_COUNT = 8
 
 #: Relations registered with fewer distinct rows than this default to a
-#: single shard when nothing pins a count.  The committed
-#: ``benchmarks/results/shard_scale.json`` size sweep puts the crossover
-#: where sharding overhead (routing + composite assembly) beats its COW
-#: benefit at roughly n=500: the n=500 row shows only a 1.26× gain against
-#: a 3.06× gain at n=2000, and the view sweep shows single-view engines
-#: losing outright.  Small lookup relations are exactly the
+#: single shard when nothing pins a count.  Measured (4 views, one-row
+#: updates under a retained reader snapshot, 8 shards against 1): sharding
+#: overhead (routing + composite assembly) beats its COW benefit at roughly
+#: n=500 — a 1.26× gain there against 3.06× at n=2000 and 3.95× at n=8000 —
+#: and single-view engines lose outright.  Small lookup relations are exactly the
 #: read-rarely/write-rarely case the docs told users to hand-tune; the
 #: registration path now applies the rule itself.
 SMALL_RELATION_SHARD_THRESHOLD = 500

@@ -48,7 +48,7 @@ from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.bag.bag import Bag, EMPTY_BAG
-from repro.bag.builder import REPRO_NO_BUILDER, BagBuilder, _getrefcount
+from repro.bag.builder import BagBuilder, _getrefcount
 from repro.dictionaries import MaterializedDict
 from repro.labels import Label
 from repro.storage.index import HashIndex, IndexKeyError, Paths, index_key_of
@@ -767,11 +767,6 @@ class DictionaryStore:
         if entries is None:
             entries = self._entries[name] = {}
             self._frozen[name] = None
-            return entries
-        if os.environ.get(REPRO_NO_BUILDER):
-            # Full-copy escape hatch: reproduce the seed's rebuild-per-merge.
-            self._frozen[name] = None
-            entries = self._entries[name] = dict(entries)
             return entries
         frozen = self._frozen.get(name)
         if frozen is not None:

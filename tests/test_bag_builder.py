@@ -1,4 +1,4 @@
-"""Transient builders, copy-on-write stores and the full-copy escape hatch.
+"""Transient builders and copy-on-write stores against full-copy union chains.
 
 The contract under test: every :class:`~repro.bag.builder.BagBuilder`
 application must be observationally identical to the immutable
@@ -9,7 +9,6 @@ exactly as before, and whole maintained views across all four strategies.
 """
 
 import math
-import os
 
 import pytest
 from hypothesis import given, settings
@@ -19,14 +18,12 @@ from repro.bag import (
     Bag,
     BagBuilder,
     EMPTY_BAG,
-    REPRO_NO_BUILDER,
-    forced_full_copy,
     intern_key,
     key_interner_stats,
-    transients_enabled,
 )
 from repro.dictionaries import MaterializedDict
 from repro.labels import Label
+from repro.nrc.evaluator import Environment, evaluate_bag
 from repro.storage import DictionaryStore, RelationStore, StorageManager
 from repro.workloads import (
     generate_movies,
@@ -140,32 +137,17 @@ class TestBuilderEquivalence:
 
 
 # --------------------------------------------------------------------------- #
-# The REPRO_NO_BUILDER escape hatch
+# The full-copy reference: one immutable union per applied delta
 # --------------------------------------------------------------------------- #
 class TestFullCopyHatch:
-    def test_hatch_scopes_and_restores(self):
-        assert transients_enabled()
-        with forced_full_copy():
-            assert not transients_enabled()
-        assert transients_enabled()
-        os.environ[REPRO_NO_BUILDER] = "preexisting"
-        try:
-            with forced_full_copy(False):
-                assert transients_enabled()
-            assert os.environ[REPRO_NO_BUILDER] == "preexisting"
-        finally:
-            os.environ.pop(REPRO_NO_BUILDER, None)
-
     @given(bags, st.lists(bags, max_size=4))
     @settings(max_examples=30, deadline=None)
     def test_full_copy_leg_is_equivalent(self, initial, deltas):
         transient = BagBuilder.from_bag(initial)
+        full = BagBuilder.from_bag(initial)
         for delta in deltas:
             transient.apply_bag(delta)
-        with forced_full_copy():
-            full = BagBuilder.from_bag(initial)
-            for delta in deltas:
-                full.apply_bag(delta)
+            full = BagBuilder.from_bag(full.freeze().union(delta))
         assert transient.freeze() == full.freeze()
 
 
@@ -299,22 +281,20 @@ class TestKeyInterning:
 # --------------------------------------------------------------------------- #
 # Builder ≡ full-copy across whole maintained views (all four strategies)
 # --------------------------------------------------------------------------- #
-def _maintain(strategy: str, size: int, seed: int, full_copy: bool):
-    with forced_full_copy(full_copy):
-        movies = generate_movies(size, seed=seed)
-        engine = movies_engine(movies, expected_update_size=2)
-        view = engine.view("v", genre_selfjoin_query(), strategy=strategy)
-        engine.apply_stream(
-            movie_update_stream(4, 2, existing=movies, deletion_ratio=0.4, seed=seed + 1)
-        )
-        return view.result(), engine.relation("M")
-
-
 @pytest.mark.parametrize("strategy", ["naive", "classic", "recursive", "nested"])
 @given(seed=st.integers(min_value=0, max_value=50))
 @settings(max_examples=8, deadline=None)
 def test_builder_equals_full_copy_across_strategies(strategy, seed):
-    transient_result, transient_relation = _maintain(strategy, 30, seed, False)
-    full_result, full_relation = _maintain(strategy, 30, seed, True)
-    assert transient_result == full_result
-    assert transient_relation == full_relation
+    movies = generate_movies(30, seed=seed)
+    engine = movies_engine(movies, expected_update_size=2)
+    view = engine.view("v", genre_selfjoin_query(), strategy=strategy)
+    full_relation = movies
+    for update in movie_update_stream(
+        4, 2, existing=movies, deletion_ratio=0.4, seed=seed + 1
+    ):
+        engine.apply(update)
+        full_relation = full_relation.union(update.relations["M"])
+    assert engine.relation("M") == full_relation
+    assert view.result() == evaluate_bag(
+        genre_selfjoin_query(), Environment(relations={"M": full_relation})
+    )

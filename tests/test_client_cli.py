@@ -259,6 +259,10 @@ class TestCLI:
         assert _run(live, "vacuum") == 0
         assert "vacuum at version" in capsys.readouterr().out
 
+    def test_serve_rejects_zero_refresh_workers_before_listening(self):
+        with pytest.raises(ValueError, match=">= 1"):
+            main(["serve", "--port", "0", "--parallel-views", "0"])
+
 
 # --------------------------------------------------------------------------- #
 # The rich-optional rendering shim

@@ -163,6 +163,29 @@ class TestProposition41:
         query = ast.Let("X", M, ast.Product((ast.BagVar("X"), ast.BagVar("X"))))
         check_proposition_4_1(query, {"M": self.movies}, {"M": self.movie_update})
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            # The inner binder shadows X and refers to the outer X: the
+            # minimal shape on which delta() did not return.
+            ast.Let("X", ast.Product((ast.BagVar("X"), ast.BagVar("X"))), ast.BagVar("X")),
+            # Shadowing, linear: returned, with ΔX counted twice.
+            ast.Let("X", ast.Union((ast.BagVar("X"), ast.BagVar("X"))), ast.BagVar("X")),
+            # No shadowing at all: a dependent let under a dependent let
+            # with a non-linear body did not return either.
+            ast.Let("Y", ast.BagVar("X"), ast.Product((ast.BagVar("Y"), ast.BagVar("X")))),
+            # An inner binder whose bound ignores the update hides X.
+            ast.Let("X", ast.Relation("S", bag_of(MOVIE)), ast.BagVar("X")),
+        ],
+        ids=["shadow-selfproduct", "shadow-selfunion", "nested-product", "shadow-constant"],
+    )
+    def test_let_under_let(self, body):
+        check_proposition_4_1(
+            ast.Let("X", M, body),
+            {"M": self.movies, "S": self.movies},
+            {"M": self.movie_update.union(self.movie_deletion)},
+        )
+
     def test_multi_relation_update(self):
         other = ast.Relation("S", bag_of(MOVIE))
         query = ast.Product((M, other))

@@ -8,9 +8,8 @@ contents, storage reports (bag contents, index state, version stamps,
 negative deltas and deep (label-addressed) updates.  Backend specifics are
 covered directly: spec parsing and resolution, the cost model's
 recommendation rules, the sendability gate (NaN poisons a store back to
-threads, stickily), the ``REPRO_NO_BUILDER`` hatch forcing the in-process
-path, shard export/adopt round-trips, and the planner's small-relation
-single-shard default.
+threads, stickily), shard export/adopt round-trips, and the planner's
+small-relation single-shard default.
 """
 
 import json
@@ -18,7 +17,6 @@ import json
 import pytest
 
 from repro.bag.bag import Bag
-from repro.bag.builder import forced_full_copy
 from repro.bag.codec import UnsendableValueError, encode_pairs
 from repro.engine import Engine
 from repro.engine.scheduler import (
@@ -262,18 +260,6 @@ class TestProcessFallbacks:
             serial.apply_delta(clean)
             assert sharded.bag == serial.bag
             assert backend.describe()["store_fallbacks"]
-        finally:
-            backend.shutdown()
-
-    def test_no_builder_hatch_forces_in_process_apply(self):
-        sharded, serial = self._stores([("a", 1), ("b", 2)])
-        backend = ProcessExecutionBackend(2)
-        try:
-            with forced_full_copy(True):
-                delta = Bag([("c", 3)])
-                assert backend.apply_delta(sharded, delta) == "threads"
-            serial.apply_delta(Bag([("c", 3)]))
-            assert sharded.bag == serial.bag
         finally:
             backend.shutdown()
 

@@ -1,10 +1,10 @@
-"""Sharded relation stores, parallel view refresh, and their escape hatches.
+"""Sharded relation stores, parallel view refresh, and their escape hatch.
 
 The core property is differential: maintenance over **sharded stores** (any
 shard count, with or without concurrent view refresh) must produce
-bit-identical view contents to the **serial single-shard** escape hatch
-(``REPRO_SHARDS=1`` + ``REPRO_PARALLEL_VIEWS=0`` — the pre-sharding
-behavior) and to the strict **interpreter**, across every strategy,
+bit-identical view contents to the **single-shard** escape hatch
+(``REPRO_SHARDS=1``, refreshed inline) and to the strict **interpreter**,
+across every strategy,
 including negative multiplicities and NaN/unhashable join keys.  Sharding
 specifics are covered directly: primary-key routing co-locates equal keys
 (single-shard probes), poisoning is confined to the owning shard, vacuum
@@ -265,7 +265,7 @@ def test_streams_three_configs_agree(strategy):
     base = generate_movies(40, seed=5)
     updates = list(movie_update_stream(4, 3, existing=base, deletion_ratio=0.4, seed=9))
     sharded = _maintain(strategy, 4, 2, base, updates)
-    serial = _maintain(strategy, 1, 0, base, updates)
+    serial = _maintain(strategy, 1, 1, base, updates)
     interpreted = _maintain(strategy, 4, 2, base, updates, interpreted=True)
     assert sharded == serial == interpreted
     post = Bag(base)
@@ -301,7 +301,7 @@ def test_random_streams_sharded_equals_single_shard_property(shards, batches):
         for batch in batches
     ]
     sharded = _maintain("classic", shards, 2, base, updates)
-    serial = _maintain("classic", 1, 0, base, updates)
+    serial = _maintain("classic", 1, 1, base, updates)
     assert sharded == serial
     post = base
     for update in updates:
@@ -312,7 +312,7 @@ def test_random_streams_sharded_equals_single_shard_property(shards, batches):
 
 
 # --------------------------------------------------------------------------- #
-# Concurrent refresh: determinism, error propagation, escape hatch
+# Concurrent refresh: determinism, error propagation
 # --------------------------------------------------------------------------- #
 def _multi_view_run(workers):
     with forced_shards(4), forced_parallel_views(workers):
@@ -334,9 +334,8 @@ def _multi_view_run(workers):
 def test_concurrent_refresh_is_deterministic():
     first = _multi_view_run(2)
     second = _multi_view_run(2)
-    serial = _multi_view_run(0)
     inline = _multi_view_run(1)
-    assert first == second == serial == inline
+    assert first == second == inline
 
 
 def test_threaded_refresh_actually_uses_worker_threads():
@@ -478,33 +477,18 @@ def test_storage_shards_reporting_matches_created_stores():
     assert all(entry["shards"] == 4 for entry in report["nested"]["stores"])
 
 
-def test_legacy_hatch_skips_shared_context():
-    received = []
-
-    class Recorder:
-        accepts_refresh_context = True
-
-        def on_update(self, update, shredded_delta, context=None):
-            received.append(context)
-
-    database = Database()
-    database.register("R", bag_of(BASE), Bag(["a"]))
-    database.register_view(Recorder())
-    with forced_parallel_views(0):
-        database.apply_update(Update(relations={"R": Bag(["b"])}))
-    with forced_parallel_views(1):
-        database.apply_update(Update(relations={"R": Bag(["c"])}))
-    assert received[0] is None
-    assert isinstance(received[1], RefreshContext)
-
-
 def test_resolve_view_workers_precedence():
     with forced_parallel_views(3):
         assert resolve_view_workers(None) == 3
-        assert resolve_view_workers(0) == 0
+        assert resolve_view_workers(1) == 1
     with forced_parallel_views(None):
         assert resolve_view_workers(7) == 7
         assert resolve_view_workers(None) >= 1
+    # 0 used to select a per-view refresh without the shared context.
+    with pytest.raises(ValueError, match=">= 1"):
+        resolve_view_workers(0)
+    with forced_parallel_views(0), pytest.raises(ValueError, match=">= 1"):
+        resolve_view_workers(None)
 
 
 def test_scheduler_runs_all_tasks_and_resizes():
@@ -651,8 +635,11 @@ def test_storage_report_aggregates_and_breaks_down_per_shard():
 
 
 def test_engine_kwargs_override_environment():
-    engine = Engine(shards=2, parallel_views=0)
-    engine.dataset("R", bag_of(BASE), Bag(["a"]))
-    assert engine.database.storage_shards() == 2
-    assert engine.database.view_refresh_workers() == 0
-    assert engine.database.refresh_mode() == "serial-legacy"
+    with forced_parallel_views(3):
+        engine = Engine(shards=2, parallel_views=1)
+        engine.dataset("R", bag_of(BASE), Bag(["a"]))
+        assert engine.database.storage_shards() == 2
+        assert engine.database.view_refresh_workers() == 1
+        assert engine.database.refresh_mode() == "shared-snapshot inline"
+    with pytest.raises(ValueError, match=">= 1"):
+        Engine(parallel_views=0)
