@@ -24,7 +24,13 @@ view-registration time, into a tree of closures that
   variable (or a constant): the build side is indexed once per evaluation,
   an enclosing loop resolves that index once for its whole walk (and skips
   the walk when the build side is empty), and each outer tuple probes it, so
-  selective joins cost time proportional to the matching pairs, and
+  selective joins cost time proportional to the matching pairs; sites over
+  the same source and key paths share one build per evaluation,
+* walks **deltas first**: ``for x in S union for y in ΔT union …`` is
+  compiled as ``for y in ΔT union for x in S union …`` when both sources are
+  closed and ``x ≠ y`` (:func:`_delta_first`), so the join probes ``S``'s
+  index once per update element instead of walking ``S`` — a delta costs
+  ``O(|Δ| + matches)``, not ``O(|S| + matches)``, and
 * **hoists loop-invariant sub-expressions**: any computation that reads no
   binder slot is evaluated at most once per evaluation (memoized in a
   per-call cache), no matter how many loop iterations reference it.
@@ -35,12 +41,21 @@ interpreted evaluation must agree on every input (the differential tests in
 it on real workloads).  Setting the environment variable
 :data:`REPRO_NO_COMPILE` (to any non-empty value) disables compilation
 globally — :func:`try_compile` then returns ``None`` and every view falls
-back to the interpreter.
+back to the interpreter, which evaluates the delta as derived, in its
+literal binder order.
 
-One bounded caveat applies to *ill-typed* guards only: a hash-join does not
+One bounded caveat applies to *ill-typed* input only: a hash-join does not
 evaluate guard conjuncts for pairs its index already excludes, so an error
 the interpreter would raise on such a pair (e.g. an ordered comparison over
-non-base values, which the type system forbids) is not reproduced.
+non-base values, which the type system forbids) is not reproduced.  And
+the compiled pipeline walks sources and pairs in its own order (deltas
+first), so which of several errors fires first — hence which
+:class:`~repro.errors.EvaluationError` subclass is raised — is unspecified.
+Either side may raise where the other does not: an erroring source the
+interpreter never reaches (the other binder's source being empty) may still
+raise, and an erroring base source the interpreter walks first (an unbound
+relation, say) is never evaluated when the update source the compiled plan
+walks first is empty, so the plan returns ``∅`` where the interpreter raises.
 Equality conjuncts themselves never diverge — keys that hashing cannot
 match faithfully (non-base values, ``NaN``, erroring operands) degrade to a
 nested-loop twin that follows interpreter conjunct order exactly.
@@ -67,8 +82,10 @@ from repro.instrument import OpCounter, maybe_count
 from repro.labels import Label
 from repro.nrc import ast
 from repro.nrc import predicates as preds
+from repro.nrc.analysis import free_elem_vars, referenced_deltas
 from repro.nrc.ast import Expr
 from repro.nrc.evaluator import Environment, evaluate_bag as _interpret_bag
+from repro.nrc.traverse import map_expr
 
 __all__ = [
     "REPRO_NO_COMPILE",
@@ -454,6 +471,44 @@ class IndexRequirement:
         return f"IndexRequirement({self.render()})"
 
 
+# --------------------------------------------------------------------------- #
+# Delta-first binder order
+# --------------------------------------------------------------------------- #
+def _delta_first(expr: Expr) -> Expr:
+    """Reorder adjacent binders so update-symbol sources are walked first.
+
+    ``for x in S union for y in T union B`` becomes ``for y in T union for x
+    in S union B`` when ``T`` mentions an update symbol and ``S`` does not,
+    both sources are closed and ``x ≠ y``: then the two sums commute, and the
+    swapped inner ``for x in S where x.p = y.q`` is a hash-join over ``S``
+    probed once per ``Δ`` element instead of a walk over all of ``S`` —
+    ``O(|T| + matches)`` where the literal order pays ``O(|S| + matches)``.
+    Without an equality atom both orders walk ``|S|·|T|`` pairs, so the
+    swap is never asymptotically worse.  Applied bottom-up, so a ``Δ``
+    binder moves past a whole chain of base-relation binders.  Only the
+    compiled pipeline is reordered; the interpreter runs the literal order.
+    """
+    return map_expr(expr, _hoist_delta_binder)
+
+
+def _hoist_delta_binder(node: Expr) -> Expr:
+    if not (isinstance(node, ast.For) and isinstance(node.body, ast.For)):
+        return node
+    outer, inner = node, node.body
+    if (
+        outer.var == inner.var
+        or not referenced_deltas(inner.source)
+        or referenced_deltas(outer.source)
+        or free_elem_vars(outer.source)
+        or free_elem_vars(inner.source)
+    ):
+        return node
+    # The moved-in binder may now sit above another Δ binder: keep sinking it.
+    return ast.For(
+        inner.var, inner.source, _hoist_delta_binder(ast.For(outer.var, outer.source, inner.body))
+    )
+
+
 class _Compiler:
     """Single-pass compiler from AST nodes to :class:`_Node` producers."""
 
@@ -468,6 +523,7 @@ class _Compiler:
         self._bag_params: Dict[str, int] = {}
         self._binder_depth = 0
         self._cache_keys = 0
+        self._build_keys: Dict[Tuple[Expr, Tuple[Tuple[int, ...], ...]], int] = {}
 
     # ------------------------------------------------------------------ #
     # Slot management
@@ -735,8 +791,9 @@ class _Compiler:
                 # i's predicate is the *source* of its binder, so it is
                 # compiled with only the loop variable and guards 1..i-1 in
                 # scope: a guard binder never shadows names inside its own
-                # predicate, mirroring interpreter scoping.
-                local_names = {expr.var, *(name for _, name in guard_specs)}
+                # predicate, mirroring interpreter scoping — so an enclosing
+                # variable a later guard rebinds still probes as outer.
+                local_names = {expr.var}
                 loop_var_shadowed = False
                 for predicate, guard_name in guard_specs:
                     for conjunct in self._flatten_conjuncts(predicate):
@@ -757,6 +814,7 @@ class _Compiler:
                     guard_slots.append(
                         guards.enter_context(self._bound(self._elem_scope, guard_name))
                     )
+                    local_names.add(guard_name)
                     if guard_name == expr.var:
                         loop_var_shadowed = True
             if atoms:
@@ -878,8 +936,13 @@ class _Compiler:
         residual_test = _all_of([fn for fn, _ in residual]) if residual else None
         checked_units = _units(_ITERATED, _CHECKED)
         bucket_units = checked_units if residual else _ITERATED
-        index_key = self._cache_keys
-        self._cache_keys += 1
+        # Sites over the same source and key paths share one build per
+        # evaluation (both M-side terms of a swapped self-join delta): a
+        # hash-join's source reads no binder slot (`_compile_For` checks
+        # `not source.deps`), so equal sources denote one bag per evaluation.
+        index_key = self._build_keys.setdefault((expr.source, build_paths), self._cache_keys)
+        if index_key == self._cache_keys:
+            self._cache_keys += 1
         build_context = f"hash-join build over {expr.var!r}"
         # A build side that is a bare base-relation reference can be served
         # by a *persistent* index maintained incrementally by the storage
@@ -951,7 +1014,10 @@ class _Compiler:
                     # bucket lookups take the identity fast path (shared with
                     # the storage layer's persistent indexes).
                     built.setdefault(intern_key(tuple(key)), []).append(pair)
-            except _UnhashableKey:
+            except (_UnhashableKey, EvaluationError):
+                # A key that fails to project poisons the build like an
+                # unhashable one: the loop twin raises only where the
+                # interpreter's conjunct order reaches it.
                 built = _NO_INDEX
             ctx.cache[index_key] = built
             return built
@@ -1181,7 +1247,7 @@ class CompiledQuery:
     def __init__(self, expr: Expr) -> None:
         self.expr = expr
         compiler = _Compiler()
-        root = compiler.compile(expr)
+        root = compiler.compile(_delta_first(expr))
         # The root is a pipeline breaker: a bag-typed query materialises its
         # accumulator here, once, without re-hashing it.
         self._value, self._units = root.valuer(), root.units

@@ -270,7 +270,9 @@ class _Inferencer:
         if isinstance(operand, VarPath):
             var_type = self._pi.get(operand.var, _UNKNOWN)
             projected = project_type(var_type, operand.path, "predicate operand")
-            if isinstance(projected, (BagType, DictType)):
+            # Exactly the evaluator's rule: tuples, units and labels are
+            # rejected at run time, so they are rejected here too.
+            if not isinstance(projected, (BaseType, UnknownType)):
                 raise TypeCheckError(
                     "predicates may only inspect base values; "
                     f"{operand.render()} has type {projected.render()} (Appendix A.2)"

@@ -270,6 +270,28 @@ class TestCompiledExpressions:
         assert evaluate_bag(query, env) == EMPTY_BAG
         assert compile_expr(query).evaluate_bag(env) == EMPTY_BAG
 
+    def test_hash_join_build_degrades_when_a_key_fails_to_project(self):
+        # Regression: a build-side element the key path cannot project (a
+        # bag where a tuple belongs) poisons the build like an unhashable
+        # key, so the loop twin raises — or not — in interpreter order.
+        from repro.errors import UnboundVariableError
+        from repro.nrc.types import BagType
+
+        rows = Bag([("a", "b"), Bag(["q"])])
+        s_node = ast.Relation("S", BagType(BASE))
+        key = preds.eq(preds.const("a"), preds.var_path("x", 0))
+        env = Environment(relations={"S": rows})
+        short_circuited = build.for_in(
+            "x", s_node, ast.SngVar("x"), preds.And((preds.eq(preds.const("a"), preds.const("b")), key))
+        )
+        assert evaluate_bag(short_circuited, env) == EMPTY_BAG
+        assert compile_expr(short_circuited).evaluate_bag(env) == EMPTY_BAG
+        unbound_first = build.for_in("x", s_node, ast.SngVar("ghost"), key)
+        with pytest.raises(UnboundVariableError):
+            evaluate_bag(unbound_first, env)
+        with pytest.raises(UnboundVariableError):
+            compile_expr(unbound_first).evaluate_bag(env)
+
 
 # --------------------------------------------------------------------------- #
 # Hash-join work reduction
@@ -439,12 +461,17 @@ class TestExecutionReporting:
 # --------------------------------------------------------------------------- #
 # Fused pipelines: generated expressions, differential against the interpreter
 # --------------------------------------------------------------------------- #
-from hypothesis import given, settings
+from unittest import mock
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import EvaluationError, NotInFragmentError
+import repro.nrc.compile as compile_module
+from repro.errors import EvaluationError, NotInFragmentError, TypeCheckError
+from repro.nrc.typecheck import infer_type
+from repro.nrc.types import tuple_of
 
-PAIR_T = bag_of(MOVIE_SCHEMA.element)
+PAIR_T = bag_of(tuple_of(BASE, BASE))
 GEN_RELATIONS = {"A": "pair", "B": "pair", "R": "bag"}
 
 # One small domain for both positions, so cross-position equalities match.
@@ -609,6 +636,67 @@ def _outcome(thunk):
         return type(error)
 
 
+def _well_typed(expr):
+    try:
+        infer_type(expr, pi={"free": PAIR_T.element})
+    except TypeCheckError:
+        return False
+    return True
+
+
+def _literal_plan(expr):
+    """``expr`` compiled in its literal binder order (no Δ-first rewrite)."""
+    with mock.patch.object(compile_module, "_delta_first", lambda literal: literal):
+        return compile_expr(expr)
+
+
+def _coarse(outcome):
+    """An ``_outcome`` at the ill-typed caveat's level: the bag, or an error."""
+    return outcome if isinstance(outcome, Bag) else EvaluationError
+
+
+def _assert_delta_outcome(expr, env):
+    """Compiled ≡ interpreted, error class included, on well-typed input.
+
+    On input the type checker rejects, ``repro.nrc.compile``'s caveat
+    applies, and only at the Bag-or-``EvaluationError`` level.  Each
+    divergence it documents has a reference that reproduces it, and the
+    compiled outcome must match one of them, so a raise-vs-bag split no
+    caveat explains still fails:
+
+    * the interpreter itself (no divergence);
+    * the literal-order plan — a hash-join skips conjuncts on pairs its
+      index excludes, in either binder order;
+    * the interpreter over the Δ-first expression — walking the update
+      source first decides which source errors first, or whether a source
+      is evaluated at all.
+    """
+    compiled = _outcome(lambda: compile_expr(expr).evaluate_bag(env))
+    interpreted = _outcome(lambda: evaluate_bag(expr, env))
+    if _well_typed(expr):
+        assert compiled == interpreted
+        return
+    references = [
+        _coarse(interpreted),
+        _coarse(_outcome(lambda: _literal_plan(expr).evaluate_bag(env))),
+        _coarse(_outcome(lambda: evaluate_bag(compile_module._delta_first(expr), env))),
+    ]
+    assert _coarse(compiled) in references
+
+
+def _pinned_environment(relations, updates, free):
+    env = Environment(
+        relations={"A": EMPTY_BAG, "B": EMPTY_BAG, "R": EMPTY_BAG, **relations},
+        deltas={(name, 1): bag for name, bag in updates.items()},
+    )
+    env.elem_vars["free"] = free
+    return env
+
+
+_GEN_A, _GEN_R = ast.Relation("A", PAIR_T), ast.Relation("R", bag_of(bag_of(BASE)))
+_A_KEY = preds.eq(preds.const("a"), preds.var_path("x", 0))
+
+
 class TestFusedPipelineDifferential:
     @settings(max_examples=300, deadline=None)
     @given(_bag_exprs(), _environments())
@@ -621,6 +709,46 @@ class TestFusedPipelineDifferential:
 
     @settings(max_examples=200, deadline=None)
     @given(_bag_exprs(), _environments())
+    # Two ill-typed expressions shrunk from a seed sweep, on environments
+    # that make them fail deterministically under an exact comparison.
+    # δ = for x in ΔA ⊎ ΔR where 'a' == x.0: sng(ghost) — the interpreter
+    # raises UnboundVariableError at ΔA's row; the hash-join build must
+    # degrade on ΔR's bag, not raise EvaluationError projecting it.
+    @example(
+        (build.for_in("x", ast.Union((_GEN_A, _GEN_R)), ast.SngVar("ghost"), _A_KEY), "base"),
+        _pinned_environment({}, {"A": Bag([("a", "b")]), "R": Bag([Bag(["q"])])}, ("a", "b")),
+    )
+    # The interpreter raises comparing 'a' with y.0 of y = ΔA, a bag; the
+    # compiled join's index on free.0 == x.0 excludes every pair first.
+    @example(
+        (
+            ast.For(
+                "y",
+                ast.Union((_GEN_A, ast.Sng(ast.DeltaRelation("A", PAIR_T, 1)))),
+                ast.For(
+                    "x",
+                    _GEN_A,
+                    build.for_in(
+                        "x",
+                        _GEN_A,
+                        ast.SngVar("ghost"),
+                        preds.And(
+                            (
+                                preds.eq(preds.const("a"), preds.var_path("y", 0)),
+                                preds.eq(preds.var_path("free", 0), preds.var_path("x", 0)),
+                            )
+                        ),
+                    ),
+                ),
+            ),
+            "base",
+        ),
+        _pinned_environment(
+            {"A": Bag.from_pairs([(("b", "c"), -2)])},
+            {"A": Bag.from_pairs([(("b", "c"), -2)])},
+            ("a", "a"),
+        ),
+    )
     def test_generated_deltas_agree(self, generated, env):
         # Negative multiplicities in relations *and* updates: entries cancel
         # inside the fused delta pipeline, not in a final normalisation pass.
@@ -629,10 +757,7 @@ class TestFusedPipelineDifferential:
             delta_expr = delta(expr, ("A", "B", "R"))
         except NotInFragmentError:
             return  # sng over an updated relation: maintained by shredding
-        compiled = compile_expr(delta_expr)
-        assert _outcome(lambda: compiled.evaluate_bag(env)) == _outcome(
-            lambda: evaluate_bag(delta_expr, env)
-        )
+        _assert_delta_outcome(delta_expr, env)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -681,3 +806,151 @@ class TestFusedPipelineDifferential:
         assert compile_expr(delta_query).evaluate_bag(env, counter) == EMPTY_BAG
         assert counter.get("for_iterations") == 0
         assert counter.get("hash_probes") == 0
+
+
+# --------------------------------------------------------------------------- #
+# Delta-first binder order
+# --------------------------------------------------------------------------- #
+def _churn(movies):
+    """A 4-row update: two fresh rows in, two live rows out."""
+    live = sorted(element for element, _ in movies.items())[:2]
+    fresh = [(("Fresh0", "Drama", "DirectorX"), 1), (("Fresh1", "SciFi", "DirectorY"), 1)]
+    return Bag.from_pairs(fresh + [(row, -1) for row in live])
+
+
+class TestDeltaFirstOrder:
+    @pytest.mark.parametrize("size", [1000, 8000])
+    def test_selfjoin_delta_cost_follows_the_update(self, size):
+        # δ(self-join)'s middle term `for m in M: for m2 in ΔM …` walks ΔM
+        # and probes an index over M: 3 terms × 4 probes, whatever |M|.
+        movies = generate_movies(size, seed=13)
+        update = _churn(movies)
+        delta_query = delta(genre_selfjoin_query(), ("M",))
+        env = Environment(relations={"M": movies}, deltas={("M", 1): update})
+        swapped, literal = OpCounter(), OpCounter()
+        result = compile_expr(delta_query).evaluate_bag(env, swapped)
+        assert result == _literal_plan(delta_query).evaluate_bag(env, literal)
+        assert result == evaluate_bag(delta_query, env)
+        assert swapped.get("hash_probes") == 3 * len(update) == 12
+        assert literal.get("hash_probes") == size + 2 * len(update)
+        assert literal.get("for_iterations") - swapped.get("for_iterations") == size - len(update)
+        # Both M-side sites share one per-evaluation build (no persistent
+        # index behind a plain Environment); ΔM's is the third term's.
+        assert swapped.get("hash_build_entries") == size + len(update)
+
+    @pytest.mark.parametrize("strategy", ["classic", "recursive"])
+    def test_selfjoin_views_probe_the_existing_index(self, strategy):
+        engine = movies_engine(generate_movies(300, seed=9))
+        handle = engine.view("v", genre_selfjoin_query(), strategy=strategy)
+        assert handle.view.index_requirements() == (
+            compile_module.IndexRequirement("M", ((1,),)),
+        )
+        index = lambda: next(entry for entry in handle.indexes() if entry["registered"])  # noqa: E731
+        before = index()
+        movies = engine.database.environment().relations["M"]
+        engine.apply({"M": _churn(movies).as_dict()})
+        # Two terms probe M's persistent index once per update row each, and
+        # neither falls back to a per-evaluation build.
+        assert index()["hits"] - before["hits"] == 2 * 4
+        assert index()["rebuilds"] == before["rebuilds"]
+        assert handle.result() == evaluate_bag(
+            genre_selfjoin_query(), engine.database.environment()
+        )
+
+    def test_two_relation_join_delta_indexes_both_sides(self):
+        # The cost of the swap for a join of two different relations: the
+        # `A × ΔB` term now probes an index over A instead of building one
+        # over ΔB per evaluation, so δ needs a persistent index on each side.
+        a, b = ast.Relation("A", PAIR_T), ast.Relation("B", PAIR_T)
+        condition = preds.eq(preds.var_path("x", 1), preds.var_path("y", 0))
+        pair = build.tuple_bag(ast.SngVar("x"), ast.SngVar("y"))
+        query = build.for_in("x", a, build.for_in("y", b, pair, condition=condition))
+        delta_query = delta(query, ("A", "B"))
+        required = compile_module.IndexRequirement
+        assert compile_expr(query).index_requirements == (required("B", ((0,),)),)
+        assert _literal_plan(delta_query).index_requirements == (required("B", ((0,),)),)
+        assert compile_expr(delta_query).index_requirements == (
+            required("B", ((0,),)),
+            required("A", ((1,),)),
+        )
+
+
+_JOIN_SIDES = [ast.Relation(name, PAIR_T) for name in "AB"] + [
+    ast.DeltaRelation(name, PAIR_T, order) for name in "AB" for order in (1, 2)
+]
+
+
+@st.composite
+def _two_binder_joins(draw):
+    """``for a in S union for b in T union (for g in p(a, b) union ⟨a, b⟩)``.
+
+    ``p`` holds an equality between ``a`` and ``b`` (either orientation, key
+    positions 0 or 1 — NaN and compound keys live at position 0) plus up to
+    two more conjuncts over position 1, which is always a base value:
+    constants and residual comparisons.  ``a == b`` must not swap; the guard
+    binder may rebind either name.
+    """
+    source, target = draw(st.sampled_from(_JOIN_SIDES)), draw(st.sampled_from(_JOIN_SIDES))
+    outer, inner = draw(st.sampled_from([("x", "y"), ("y", "x"), ("x", "x")]))
+    positions = (1,) if outer == inner else (0, 1)
+    equality = preds.eq(
+        *draw(
+            st.permutations(
+                [
+                    preds.var_path(outer, draw(st.sampled_from(positions))),
+                    preds.var_path(inner, draw(st.sampled_from(positions))),
+                ]
+            )
+        )
+    )
+
+    def extra():
+        var = preds.var_path(draw(st.sampled_from([outer, inner])), 1)
+        if draw(st.booleans()):
+            return preds.eq(*draw(st.permutations([var, preds.const(draw(_vals))])))
+        other = preds.var_path(draw(st.sampled_from([outer, inner])), 1)
+        return preds.Comparison(draw(st.sampled_from(["!=", "<"])), var, other)
+
+    extras = [extra() for _ in range(draw(st.integers(0, 2)))]
+    conjuncts = draw(st.permutations([equality] + extras))
+    condition = conjuncts[0] if len(conjuncts) == 1 else preds.And(tuple(conjuncts))
+    guard = draw(st.sampled_from(["x", "y", "_w"]))
+    pair = build.tuple_bag(ast.SngVar(outer), ast.SngVar(inner))
+    return ast.For(outer, source, ast.For(inner, target, ast.For(guard, ast.Pred(condition), pair)))
+
+
+@st.composite
+def _join_environments(draw):
+    """``(clean, env)``: a clean environment's bags are non-empty, base-keyed."""
+    clean = draw(st.booleans())
+    pairs = _pair_bags if clean else st.one_of(_pair_bags, _odd_pair_bags)
+    return clean, Environment(
+        relations={"A": draw(pairs), "B": draw(pairs)},
+        deltas={(name, order): draw(pairs) for name in "AB" for order in (1, 2)},
+    )
+
+
+class TestDeltaFirstDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(_two_binder_joins(), _join_environments())
+    def test_swapped_joins_agree(self, query, drawn):
+        clean, env = drawn
+        swapped, literal = OpCounter(), OpCounter()
+        outcome = _outcome(lambda: compile_expr(query).evaluate_bag(env, swapped))
+        assert outcome == _outcome(lambda: evaluate_bag(query, env))
+        assert outcome == _outcome(lambda: _literal_plan(query).evaluate_bag(env, literal))
+        if not clean:
+            return
+        # Every bag is non-empty with base keys: each plan probes once per
+        # element of the loop it walks outermost.
+        source, target = query.source, query.body.source
+        legal = (
+            query.var != query.body.var
+            and isinstance(target, ast.DeltaRelation)
+            and not isinstance(source, ast.DeltaRelation)
+        )
+        if legal:
+            assert swapped.get("hash_probes") == len(evaluate_bag(target, env))
+            assert literal.get("hash_probes") == len(evaluate_bag(source, env))
+        else:
+            assert swapped.as_dict() == literal.as_dict()

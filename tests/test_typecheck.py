@@ -120,6 +120,13 @@ class TestCoreRules:
         with pytest.raises(TypeCheckError):
             infer_type(ast.Pred(predicate), pi={"m": nested})
 
+    @pytest.mark.parametrize("component", [tuple_of(BASE, BASE), UNIT, LABEL])
+    def test_predicate_over_non_base_component_rejected(self, component):
+        # The evaluator refuses to compare anything but base values.
+        predicate = preds.eq(preds.var_path("m", 1), preds.const("x"))
+        with pytest.raises(TypeCheckError):
+            infer_type(ast.Pred(predicate), pi={"m": tuple_of(BASE, component)})
+
     def test_predicate_with_unbound_var_rejected(self):
         predicate = preds.eq(preds.var_path("zz", 0), preds.const("a"))
         with pytest.raises(TypeCheckError):
