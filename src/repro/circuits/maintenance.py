@@ -16,8 +16,9 @@ Two circuit families are built over the FBag representation:
   input).  Its output cones grow linearly with the number of contributing
   slots.
 
-Experiment E9 sweeps the database size and reports both cone sizes, showing
-the constant-vs-growing separation the paper proves.
+The E9 cell of ``tests/test_paper_claims.py`` sweeps the database size and
+pins both cone sizes, showing the constant-vs-growing separation the paper
+proves.
 """
 
 from __future__ import annotations

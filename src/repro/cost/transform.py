@@ -43,8 +43,8 @@ class CostContext:
     * ``elem_vars`` — the ``ε°`` assignment for ``for``-bound variables.
 
     :meth:`from_instances` builds a context by measuring actual bag values
-    with :func:`repro.cost.size.size_of`, which is how the cost-model
-    experiments compare predictions with measured work.
+    with :func:`repro.cost.size.size_of`, which is how the E6 cell of
+    ``tests/test_paper_claims.py`` compares predictions with measured work.
     """
 
     def __init__(

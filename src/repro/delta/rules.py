@@ -58,10 +58,11 @@ def depends_on(
     if isinstance(expr, (ast.Relation, ast.DictVar)):
         return expr.name in targets
     if isinstance(expr, ast.BagVar):
-        # A bag variable depends on the update either because its definition
-        # does (tracked through ``dependent_vars`` by the ``let`` rule) or
-        # because the variable itself is named among the targets.
-        return expr.name in dependent_vars or expr.name in targets
+        # A bag variable depends on the update only through its definition,
+        # which the ``let`` rule tracks in ``dependent_vars``.  Targets name
+        # relations and dictionaries: a free bag variable that happens to
+        # share a target's name is an input the update does not touch.
+        return expr.name in dependent_vars
     if isinstance(expr, ast.Let):
         bound_depends = depends_on(expr.bound, targets, dependent_vars)
         if bound_depends:
@@ -152,9 +153,8 @@ class _DeltaTransformer:
         return ast.DeltaDictVar(expr.name, expr.value_type, self._order)
 
     def _delta_BagVar(self, expr: ast.BagVar, dependent_vars: FrozenSet[str]) -> Expr:
-        # Reached only for a variable being differentiated by: a ``let``
-        # variable whose bound depends on the update (the ``let`` rule binds
-        # its ``ΔX``) or a free variable named among the targets.
+        # Reached only for a ``let`` variable whose bound depends on the
+        # update: the ``let`` rule binds its ``ΔX``.
         return ast.BagVar(delta_var_name(expr.name, self._order))
 
     # Structural rules ------------------------------------------------------

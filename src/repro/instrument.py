@@ -1,11 +1,11 @@
 """Lightweight operation counters used across the library.
 
-The cost-model experiments (E6) compare the paper's analytical cost bound
-``tcost(C[[h]])`` against *measured* work.  Wall-clock time is too noisy and
-machine-dependent for that comparison, so the evaluator, the IVM engines and
-the circuit simulator all report abstract operation counts through an
-:class:`OpCounter`.  Counting is optional — passing ``None`` disables it with
-negligible overhead.
+The E6 cell of ``tests/test_paper_claims.py`` compares the paper's
+analytical cost bound ``tcost(C[[h]])`` against *measured* work.  Wall-clock
+time is too noisy and machine-dependent for that comparison, so the
+evaluator, the IVM engines and the circuit simulator all report abstract
+operation counts through an :class:`OpCounter`.  Counting is optional —
+passing ``None`` disables it with negligible overhead.
 """
 
 from __future__ import annotations

@@ -420,7 +420,7 @@ class Database:
         over unknown names — delta symbols, let-bound bags, computed
         subexpressions — are skipped: those build sides stay per-evaluation.
         Returns the requirements that were actually registered (also empty
-        while the ``REPRO_NO_INDEX`` escape hatch is set).
+        inside :func:`~repro.storage.store.forced_no_index`).
         """
         registered: List[IndexRequirement] = []
         for requirement in requirements:

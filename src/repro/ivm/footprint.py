@@ -32,14 +32,13 @@ view falls back to the all-labels sweep, which is always correct.  Dropping
 atoms (``Not`` terms, constant comparisons, second join variables) only
 *widens* the footprint, never narrows it, so every widening is sound too.
 
-Setting the environment variable :data:`REPRO_NO_FOOTPRINT` (to any
-non-empty value) disables footprint-bounded probing dynamically — the escape
-hatch the benchmarks use to measure the sweep the analysis eliminates.
+Inside :func:`forced_no_footprint` footprint-bounded probing is disabled
+and every refresh runs the all-labels sweep — a test switch: the sweep is
+the reference the bounded probes are checked against.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -56,7 +55,6 @@ from repro.nrc.predicates import (
 )
 
 __all__ = [
-    "REPRO_NO_FOOTPRINT",
     "FootprintPlan",
     "KeyConstraint",
     "SingletonPlan",
@@ -65,8 +63,8 @@ __all__ = [
     "forced_no_footprint",
 ]
 
-#: Environment variable that disables footprint-bounded dictionary probes.
-REPRO_NO_FOOTPRINT = "REPRO_NO_FOOTPRINT"
+#: Set only inside :func:`forced_no_footprint`.
+_footprint_disabled = False
 
 #: DNF expansion caps: an analysis that would exceed them bails to the full
 #: sweep instead of building a huge (still-sound but useless) plan.
@@ -75,8 +73,8 @@ _MAX_BRANCHES = 32
 
 
 def footprint_enabled() -> bool:
-    """True unless the ``REPRO_NO_FOOTPRINT`` escape hatch is set."""
-    return not os.environ.get(REPRO_NO_FOOTPRINT)
+    """True unless inside :func:`forced_no_footprint`."""
+    return not _footprint_disabled
 
 
 @contextmanager
@@ -85,20 +83,15 @@ def forced_no_footprint(disabled: bool = True) -> Iterator[None]:
 
     Dynamic, like :func:`repro.storage.store.forced_no_index`: the plans
     stay attached to the views, but refreshes inside the block run the
-    all-labels sweep — how the benchmarks measure the sweep's cost.
+    all-labels sweep.
     """
-    saved = os.environ.get(REPRO_NO_FOOTPRINT)
+    global _footprint_disabled
+    saved = _footprint_disabled
+    _footprint_disabled = disabled
     try:
-        if disabled:
-            os.environ[REPRO_NO_FOOTPRINT] = "1"
-        else:
-            os.environ.pop(REPRO_NO_FOOTPRINT, None)
         yield
     finally:
-        if saved is None:
-            os.environ.pop(REPRO_NO_FOOTPRINT, None)
-        else:
-            os.environ[REPRO_NO_FOOTPRINT] = saved
+        _footprint_disabled = saved
 
 
 @dataclass(frozen=True)

@@ -370,7 +370,7 @@ class NestedIVMView(View):
             # refreshing.  Intensional deltas (dictionary bodies over ΔR)
             # report no support; the static key-footprint plan bounds the
             # probes by the delta's label footprint instead — only when no
-            # plan exists (or the REPRO_NO_FOOTPRINT hatch is set) does the
+            # plan exists (or inside forced_no_footprint) does the
             # refresh fall back to probing every existing label, the O(n·d)
             # term of §2.2.
             probes = self._probe_stats

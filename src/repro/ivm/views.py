@@ -191,8 +191,8 @@ class View:
 
         Asks the database's storage layer to keep persistent hash indexes
         for the collected requirements.  Requirements the storage layer
-        cannot serve — computed build sides, the ``REPRO_NO_INDEX`` escape
-        hatch — stay per-evaluation.
+        cannot serve — computed build sides, anything registered inside
+        :func:`~repro.storage.store.forced_no_index` — stay per-evaluation.
         """
         requirements = self._collect_index_requirements(*compiled)
         self._registered_indexes = database.register_index_requirements(requirements)

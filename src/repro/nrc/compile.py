@@ -61,8 +61,8 @@ match faithfully (non-base values, ``NaN``, erroring operands) degrade to a
 nested-loop twin that follows interpreter conjunct order exactly.
 Well-typed queries (:mod:`repro.nrc.typecheck`) are unaffected.
 
-Operation counters are threaded through so the cost-model experiments keep
-working: compiled evaluation reports the operations it *actually* performs
+Operation counters are threaded through, and ``tests/test_paper_claims.py``
+pins them: compiled evaluation reports the operations it *actually* performs
 (hash probes instead of skipped pairs, no merges of bags it never built),
 added in bulk — once per loop, not once per element.
 """

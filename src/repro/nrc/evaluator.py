@@ -14,8 +14,8 @@ Environments (:class:`Environment`) bundle
 * ``for``-bound element variables (the ``ε`` assignment).
 
 An optional :class:`~repro.instrument.OpCounter` records abstract operation
-counts so the cost-model experiments can compare measured work with the
-paper's ``tcost`` bound without depending on wall-clock noise.
+counts so ``tests/test_paper_claims.py`` (E6) can compare measured work with
+the paper's ``tcost`` bound without depending on wall-clock noise.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ before generalizing it to nested data.  This package implements that flat
 baseline from scratch — selection, projection, Cartesian product, natural /
 theta joins and bag union over named-column relations — together with its
 delta rules (:mod:`repro.relational.delta`), so the flat-vs-nested
-experiments (E4) have a faithful comparator.
+claim (E4 in ``tests/test_paper_claims.py``) has a faithful comparator.
 
 Relations here are bags of *named tuples*: each element is a ``tuple`` whose
 positions are described by a :class:`RelSchema` of column names.  All

@@ -23,7 +23,6 @@ from repro.storage.shards import (
     resolve_shard_count,
 )
 from repro.storage.store import (
-    REPRO_NO_INDEX,
     DictionaryStore,
     IndexProvider,
     RelationStore,
@@ -34,7 +33,6 @@ from repro.storage.store import (
 
 __all__ = [
     "DEFAULT_SHARD_COUNT",
-    "REPRO_NO_INDEX",
     "REPRO_SHARDS",
     "BagBuilder",
     "DictionaryStore",

@@ -33,17 +33,15 @@ to the per-evaluation build, keeping the interpreter-faithful snapshot
 semantics.  ``REPRO_SHARDS=1`` reproduces the pre-sharding single-dict
 store exactly.
 
-Setting the environment variable :data:`REPRO_NO_INDEX` (to any non-empty
-value) disables persistent indexes outright: no registration happens while
-it is set, and :meth:`IndexProvider.probe` answers ``None`` — so even a view
-sharing an engine with index-registering views falls back to the compiled
-pipeline's per-evaluation builds.  This is how the benchmarks measure the
-indexes' own contribution.
+Inside :func:`forced_no_index` persistent indexes are disabled outright: no
+registration happens, and :meth:`IndexProvider.probe` answers ``None`` — so
+even a view sharing an engine with index-registering views falls back to the
+compiled pipeline's per-evaluation builds.  It is a test switch: the
+per-evaluation path is the reference the indexed one is checked against.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -55,7 +53,6 @@ from repro.storage.index import HashIndex, IndexKeyError, Paths, index_key_of
 from repro.storage.shards import ShardIndexFamily, ShardedBag, resolve_shard_count
 
 __all__ = [
-    "REPRO_NO_INDEX",
     "DictionaryStore",
     "IndexProvider",
     "RelationStore",
@@ -68,37 +65,32 @@ __all__ = [
 #: a raw index for single-shard stores, a family otherwise.
 IndexView = Union[HashIndex, ShardIndexFamily]
 
-#: Environment variable that disables persistent-index registration.
-REPRO_NO_INDEX = "REPRO_NO_INDEX"
+#: Set only inside :func:`forced_no_index`.
+_indexes_disabled = False
 
 
 def persistent_indexes_enabled() -> bool:
-    """True unless the ``REPRO_NO_INDEX`` escape hatch is set."""
-    return not os.environ.get(REPRO_NO_INDEX)
+    """True unless inside :func:`forced_no_index`."""
+    return not _indexes_disabled
 
 
 @contextmanager
 def forced_no_index(disabled: bool = True) -> Iterator[None]:
     """Temporarily disable (or re-enable) persistent indexes.
 
-    Mirrors :func:`repro.nrc.compile.forced_interpretation`, but the hatch
-    is dynamic: views constructed inside the block register nothing, and
-    *no* view is served a persistent index while the block is active (the
-    provider declines every probe), so pre-existing registrations on a
-    shared engine cannot leak in.
+    Dynamic, unlike :func:`repro.nrc.compile.forced_interpretation`: views
+    constructed inside the block register nothing, and *no* view is served
+    a persistent index while the block is active (the provider declines
+    every probe), so pre-existing registrations on a shared engine cannot
+    leak in.
     """
-    saved = os.environ.get(REPRO_NO_INDEX)
+    global _indexes_disabled
+    saved = _indexes_disabled
+    _indexes_disabled = disabled
     try:
-        if disabled:
-            os.environ[REPRO_NO_INDEX] = "1"
-        else:
-            os.environ.pop(REPRO_NO_INDEX, None)
         yield
     finally:
-        if saved is None:
-            os.environ.pop(REPRO_NO_INDEX, None)
-        else:
-            os.environ[REPRO_NO_INDEX] = saved
+        _indexes_disabled = saved
 
 
 #: Sentinel distinguishing "slice poisoned at dispatch, no summary expected"
@@ -610,7 +602,7 @@ class IndexProvider:
         buckets for secondary keys; the compiled pipeline probes it exactly
         like a raw :class:`~repro.storage.index.HashIndex`.
         """
-        if os.environ.get(REPRO_NO_INDEX):
+        if _indexes_disabled:
             return None
         store = self._manager.get(name)
         if store is None or store.current_snapshot() is not source_bag:
@@ -692,7 +684,7 @@ class StorageManager:
     # Indexes
     # ------------------------------------------------------------------ #
     def ensure_index(self, name: str, paths: Paths) -> Optional[HashIndex]:
-        """Register a persistent index, honoring the ``REPRO_NO_INDEX`` hatch."""
+        """Register a persistent index, unless inside :func:`forced_no_index`."""
         if not persistent_indexes_enabled():
             return None
         store = self._stores.get(name)

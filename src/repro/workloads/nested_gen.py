@@ -1,8 +1,9 @@
 """Random nested data generators.
 
-These feed the shredding experiments (E5), the self-join workload of
-Example 4 (E3) and the property tests: bags of bags with controllable
-top-level cardinality, inner-bag cardinality, value skew and nesting depth.
+These feed the shredding (E5) and Example 4 self-join (E3) cells of
+``tests/test_paper_claims.py`` and the property tests: bags of bags with
+controllable top-level cardinality, inner-bag cardinality, value skew and
+nesting depth.
 """
 
 from __future__ import annotations

@@ -18,8 +18,6 @@ ENVIRONMENT_VARIABLES = {
     "REPRO_PARALLEL_VIEWS",
     "REPRO_BACKEND",
     "REPRO_NO_COMPILE",
-    "REPRO_NO_INDEX",
-    "REPRO_NO_FOOTPRINT",
     "REPRO_FSYNC",
     "REPRO_WAL_SEGMENT_BYTES",
     "REPRO_TENANT",
@@ -30,6 +28,7 @@ DOCUMENTS = [
     ROOT / "README.md",
     *sorted((ROOT / "docs").glob("*.md")),
     ROOT / ".github" / "workflows" / "ci.yml",
+    ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
 ]
 
 

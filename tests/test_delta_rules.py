@@ -21,17 +21,21 @@ NESTED = bag_of(bag_of(BASE))
 R = ast.Relation("R", NESTED)
 
 
-def check_proposition_4_1(query, relations, update_bags, targets=None):
-    """h[R ⊎ ΔR] == h[R] ⊎ δ(h)[R, ΔR] on concrete instances."""
+def check_proposition_4_1(query, relations, update_bags, targets=None, bag_vars=None):
+    """h[R ⊎ ΔR] == h[R] ⊎ δ(h)[R, ΔR] on concrete instances.
+
+    ``bag_vars`` binds free bag variables; the update never touches them.
+    """
     delta_query = delta(query, targets)
-    old_env = Environment(relations=relations)
+    old_env = Environment(relations=relations, bag_vars=bag_vars)
     updated_relations = dict(relations)
     for name, update in update_bags.items():
         updated_relations[name] = updated_relations[name].union(update)
-    new_env = Environment(relations=updated_relations)
+    new_env = Environment(relations=updated_relations, bag_vars=bag_vars)
     delta_env = Environment(
         relations=relations,
         deltas={(name, 1): bag for name, bag in update_bags.items()},
+        bag_vars=bag_vars,
     )
     direct = evaluate_bag(query, new_env)
     incremental = evaluate_bag(query, old_env).union(evaluate_bag(delta_query, delta_env))
@@ -98,6 +102,13 @@ class TestDeltaRules:
         expr = ast.Let("X", M, ast.BagVar("X"))
         assert depends_on(expr, frozenset({"M"}))
         assert not depends_on(expr, frozenset({"S"}))
+
+    def test_free_bag_var_named_like_a_target_is_not_the_target(self):
+        assert not depends_on(ast.BagVar("M"), frozenset({"M"}))
+        query = ast.Product((M, ast.BagVar("M")))
+        assert delta(query, ["M"]) == ast.Product(
+            (ast.DeltaRelation("M", bag_of(MOVIE), 1), ast.BagVar("M"))
+        )
 
     def test_delta_of_dict_singleton_differentiates_body(self):
         body = ast.For("m2", M, ast.SngProj("m2", (0,)))
@@ -203,6 +214,17 @@ class TestProposition41:
             {"M": self.movies, "S": self.movies},
             {"M": self.movie_update},
             targets=["M"],
+        )
+
+    def test_free_bag_var_named_like_a_target(self):
+        # The free bag variable M shares the target's name but is an input
+        # the update leaves alone: δ must not turn it into an unbound ΔM.
+        check_proposition_4_1(
+            ast.Product((M, ast.BagVar("M"))),
+            {"M": self.movies},
+            {"M": self.movie_update},
+            targets=["M"],
+            bag_vars={"M": self.nested},
         )
 
     def test_sng_star_query(self):

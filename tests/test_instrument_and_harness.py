@@ -1,8 +1,5 @@
-"""Tests for the operation counters and the benchmark harness."""
+"""Tests for the operation counters and the per-view maintenance stats."""
 
-import pytest
-
-from repro.bench.harness import ResultTable, ratio, timed
 from repro.instrument import OpCounter, maybe_count
 from repro.ivm.views import MaintenanceStats
 
@@ -58,49 +55,3 @@ class TestMaintenanceStats:
         assert stats.mean_update_operations == 0.0
         assert stats.updates_applied == 0
 
-
-class TestResultTable:
-    def test_add_row_and_format(self):
-        table = ResultTable("demo", ("n", "speedup"))
-        table.add_row(n=10, speedup=1.2345)
-        table.add_row(n=100, speedup=None)
-        table.add_note("a note")
-        text = table.format()
-        assert "demo" in text
-        assert "1.23" in text
-        assert "note: a note" in text
-        assert table.column("n") == [10, 100]
-
-    def test_unknown_column_rejected(self):
-        table = ResultTable("demo", ("n",))
-        with pytest.raises(ValueError):
-            table.add_row(bogus=1)
-
-    def test_to_csv(self):
-        table = ResultTable("demo", ("a", "b"))
-        table.add_row(a=1, b=True)
-        assert table.to_csv().splitlines() == ["a,b", "1,yes"]
-
-    def test_to_csv_quotes_cells_with_commas(self):
-        # Regression: cells containing commas (notes, string columns) used
-        # to corrupt the output; the csv module must quote them so the text
-        # parses back into the original cells.
-        import csv
-        import io
-
-        table = ResultTable("demo", ("query", "n"))
-        table.add_row(query="join(M, Sh), selective", n=10)
-        table.add_row(query='say "hi"', n=20)
-        parsed = list(csv.reader(io.StringIO(table.to_csv())))
-        assert parsed == [
-            ["query", "n"],
-            ["join(M, Sh), selective", "10"],
-            ['say "hi"', "20"],
-        ]
-
-    def test_timed_and_ratio(self):
-        value, seconds = timed(lambda: 21 * 2)
-        assert value == 42
-        assert seconds >= 0
-        assert ratio(10, 4) == 2.5
-        assert ratio(1, 0) is None

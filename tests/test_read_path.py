@@ -10,7 +10,7 @@ never what the result holds:
   including negative deltas and retained-snapshot isolation.
 * the nested view's footprint-bounded dictionary probes — the probe
   counters prove untouched labels are never visited, and the
-  ``REPRO_NO_FOOTPRINT`` hatch reproduces the all-labels sweep bit for bit.
+  ``forced_no_footprint`` switch reproduces the all-labels sweep bit for bit.
 * the server's versioned reads — ``ETag`` / ``If-None-Match`` 304s with no
   body, and ``limit``/``offset`` pages that tile the full result exactly
   (differential paged ≡ full).

@@ -2,7 +2,7 @@
 
 The core property is differential: a view maintained through **persistent
 indexes** must produce bit-identical contents to the same view maintained
-with **per-evaluation rebuilds** (``REPRO_NO_INDEX``) and to the strict
+with **per-evaluation rebuilds** (``forced_no_index``) and to the strict
 **interpreter** (``REPRO_NO_COMPILE``), across every strategy, including
 negative multiplicities, NaN/unhashable join keys, and deep updates.
 """
