@@ -17,7 +17,6 @@ from repro.nrc.analysis import (
 )
 from repro.nrc.compile import CompiledQuery, compile_expr, compilation_enabled, try_compile
 from repro.nrc.evaluator import Environment, evaluate, evaluate_bag
-from repro.nrc.lazy import evaluate_lazy, evaluate_lazy_expanded
 from repro.nrc.pretty import render
 from repro.nrc.rewrite import simplify
 from repro.nrc.typecheck import infer_type
@@ -40,8 +39,6 @@ __all__ = [
     "Environment",
     "evaluate",
     "evaluate_bag",
-    "evaluate_lazy",
-    "evaluate_lazy_expanded",
     "render",
     "simplify",
     "infer_type",

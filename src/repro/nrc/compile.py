@@ -7,7 +7,7 @@ join is a nested loop with a predicate check per pair — time proportional to
 the *product* of the operands instead of the matching pairs assumed by the
 paper's ``tcost`` bound (Section 4) — and every operator hands its parent a
 freshly built bag.  This module lowers an expression once, at
-view-registration time, into a tree of closures that
+view-registration time, into a tree of closures and generated loops that
 
 * compiles every bag-typed node to a **producer** ``emit(ctx, frame, mult,
   sink)`` adding ``mult × ⟦e⟧`` into the caller's accumulator: loops call
@@ -16,6 +16,16 @@ view-registration time, into a tree of closures that
   — the query root, ``let`` bounds and bodies, hoisted loop-invariant
   nodes, loop and ``flatten`` sources, general ``×`` factors, ``sng(e)`` and
   dictionary bodies (see :class:`_Node`),
+* **generates the per-element work** (:mod:`repro.nrc.kernels`): variable
+  reads with their projections, predicates and output elements (tuples,
+  ``sng(x)``, ``sng(π(x))``, labels) are kernel expressions, and every walk
+  site — a ``for`` loop over its ``where`` chain, a hash-join's bucket walk
+  and its nested-loop twin — is one generated function that binds each
+  element, tests the inlined predicate and folds the inlined output element
+  into ``sink``.  Closures remain for the work done once per evaluation or
+  per probe: sources, pipeline breakers, ``⊎`` / ``⊖`` / ``let``,
+  dictionaries and index binding; a loop body that is not an element keeps
+  its ``emit`` call,
 * replaces per-binder environment copies with **slot-indexed frames** (one
   flat Python list per evaluation; every binder writes a pre-assigned slot),
 * turns the canonical join shape ``for x in e₁ union (for y in e₂ union
@@ -37,9 +47,9 @@ view-registration time, into a tree of closures that
 
 The strict interpreter remains the semantic reference; compiled and
 interpreted evaluation must agree on every input (the differential tests in
-``tests/test_compile.py`` enforce this, and the CI smoke benchmark re-checks
-it on real workloads).  Setting the environment variable
-:data:`REPRO_NO_COMPILE` (to any non-empty value) disables compilation
+``tests/test_compile.py`` enforce this, and the oracle that ends every
+benchmark run re-checks it on real workloads).  Setting the environment
+variable :data:`REPRO_NO_COMPILE` (to any non-empty value) disables compilation
 globally — :func:`try_compile` then returns ``None`` and every view falls
 back to the interpreter, which evaluates the delta as derived, in its
 literal binder order.
@@ -49,7 +59,9 @@ evaluate guard conjuncts for pairs its index already excludes, so an error
 the interpreter would raise on such a pair (e.g. an ordered comparison over
 non-base values, which the type system forbids) is not reproduced.  And
 the compiled pipeline walks sources and pairs in its own order (deltas
-first), so which of several errors fires first — hence which
+first, and a materialised ``⊎`` holds its terms' elements in term order
+where the interpreter's ``Bag.union`` may not), so which of several errors
+fires first — hence which
 :class:`~repro.errors.EvaluationError` subclass is raised — is unspecified.
 Either side may raise where the other does not: an erroring source the
 interpreter never reaches (the other binder's source being empty) may still
@@ -64,7 +76,13 @@ Well-typed queries (:mod:`repro.nrc.typecheck`) are unaffected.
 Operation counters are threaded through, and ``tests/test_paper_claims.py``
 pins them: compiled evaluation reports the operations it *actually* performs
 (hash probes instead of skipped pairs, no merges of bags it never built),
-added in bulk — once per loop, not once per element.
+added in bulk — once per loop, not once per element.  A generated walk
+counts its elements and the passes of each of its filters, and adds
+``units × count`` once, after the walk; a ``where`` chain outside any loop
+is a walk of its own, run once per call of its ``emit``.  Counts are
+specified for evaluations that complete: a walk that raises adds nothing,
+so a counter handed to an evaluation that raises holds a partial count
+(the engine discards the counter of a failed update).
 """
 
 from __future__ import annotations
@@ -75,16 +93,17 @@ from functools import partial
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.bag.bag import Bag, EMPTY_BAG
-from repro.bag.values import BASE_TYPES, intern_key, is_hashable_key
+from repro.bag.values import intern_key, is_hashable_key
 from repro.dictionaries import DictValue, EMPTY_DICT, IntensionalDict
 from repro.errors import CompileError, EvaluationError, UnboundVariableError
 from repro.instrument import OpCounter, maybe_count
 from repro.labels import Label
-from repro.nrc import ast
+from repro.nrc import ast, kernels
 from repro.nrc import predicates as preds
 from repro.nrc.analysis import free_elem_vars, referenced_deltas
 from repro.nrc.ast import Expr
 from repro.nrc.evaluator import Environment, evaluate_bag as _interpret_bag
+from repro.nrc.kernels import MISSING as _MISSING, KernelModule, project as _project_value
 from repro.nrc.traverse import map_expr
 
 __all__ = [
@@ -175,18 +194,6 @@ def run_bag(
 # --------------------------------------------------------------------------- #
 # Runtime pieces
 # --------------------------------------------------------------------------- #
-class _Missing:
-    """Sentinel for an unbound frame slot."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<missing>"
-
-
-_MISSING = _Missing()
-
-
 class _Ctx:
     """Per-evaluation context: database bindings, op counter, hoist cache.
 
@@ -212,14 +219,6 @@ class _Ctx:
         self.counter = counter
         self.cache: Dict[int, Any] = {}
         self.indexes = indexes
-
-
-def _project_value(value: Any, path: Tuple[int, ...], context: str) -> Any:
-    for index in path:
-        if not isinstance(value, tuple) or index >= len(value):
-            raise EvaluationError(f"{context}: projection .{index} fails on {value!r}")
-        value = value[index]
-    return value
 
 
 def _as_bag(value: Any) -> Bag:
@@ -277,6 +276,10 @@ def _charge(counter: Optional[OpCounter], units: _Units, times: int = 1) -> None
 
 _Fn = Callable[[_Ctx, List[Any]], Any]
 _Emit = Callable[[_Ctx, List[Any], int, Dict[Any, int]], None]
+# A guard conjunct: its kernel expression, deps, and hash-join atom (build
+# path, probe expression) if it is one; a guard: binder slot and conjuncts.
+_Conjunct = Tuple[Any, frozenset, Optional[Tuple[Tuple[int, ...], Any]]]
+_Guard = Tuple[int, List[_Conjunct]]
 
 
 class _Node:
@@ -288,9 +291,11 @@ class _Node:
         the producer form of a bag-typed node: add ``mult × ⟦e⟧`` into the
         caller's accumulator ``sink`` (element → multiplicity), removing
         entries that cancel to zero.  ``mult`` is never zero.
-    ``element(ctx, frame)``
-        a scalar singleton (``sng(x)``, a tuple of them, a label): the one
-        element it denotes, with multiplicity 1.
+    ``element``
+        a scalar singleton (``sng(x)``, a tuple of them, a label): the
+        :mod:`~repro.nrc.kernels` expression of the one element it denotes,
+        with multiplicity 1.  A walk site inlines it into its loop; anywhere
+        else :meth:`emitter` generates a one-element ``emit`` from it.
     ``bind(ctx, frame)``
         a hash-join site: resolve its loop-invariant index and return
         ``(emit, units)`` — the ``emit`` to use while that index stands and
@@ -315,7 +320,7 @@ class _Node:
         self.deps: frozenset = deps
         self.units: _Units = units
         self.emit: Optional[_Emit] = emit
-        self.element: Optional[_Fn] = element
+        self.element: Any = element
         self.bind: Optional[Callable[[_Ctx, List[Any]], Optional[Tuple[_Emit, _Units]]]] = bind
         self.value: Optional[_Fn] = value
 
@@ -323,17 +328,11 @@ class _Node:
         if self.emit is not None:
             return self.emit
         if self.element is not None:
-            element = self.element
-
-            def emit_element(ctx: _Ctx, frame: List[Any], mult: int, sink: Dict[Any, int]) -> None:
-                out = element(ctx, frame)
-                updated = sink.get(out, 0) + mult
-                if updated:
-                    sink[out] = updated
-                else:
-                    sink.pop(out, None)
-
-            return emit_element
+            # Generated once, then kept as the node's emit.
+            module = KernelModule("element")
+            module.walk("emit", slot=None, element=self.element)
+            self.emit = module.build()["emit"]
+            return self.emit
         if self.bind is not None:
             bind = self.bind
 
@@ -366,36 +365,6 @@ class _Node:
             return Bag._from_clean_dict(sink) if sink else EMPTY_BAG
 
         return materialise
-
-
-def _reader(slot: int, name: str, path: Tuple[int, ...], context: str, unbound: type) -> _Fn:
-    """Closure reading variable ``name`` from its frame slot, then projecting."""
-
-    def read(ctx: _Ctx, frame: List[Any]) -> Any:
-        value = frame[slot]
-        if value is _MISSING:
-            raise unbound(f"unbound element variable {name!r}")
-        for index in path:
-            if not isinstance(value, tuple) or index >= len(value):
-                raise EvaluationError(f"{context}: projection .{index} fails on {value!r}")
-            value = value[index]
-        return value
-
-    return read
-
-
-def _all_of(fns: Sequence[_Fn]) -> _Fn:
-    """Conjunction of compiled predicates, short-circuiting in order."""
-    if len(fns) == 1:
-        return fns[0]
-
-    def test(ctx: _Ctx, frame: List[Any]) -> bool:
-        for fn in fns:
-            if not fn(ctx, frame):
-                return False
-        return True
-
-    return test
 
 
 #: Node types worth memoizing when loop-invariant (they do real work).
@@ -606,11 +575,11 @@ class _Compiler:
         path: Tuple[int, ...] = (),
         context: str = "",
         unbound: type = UnboundVariableError,
-    ) -> Tuple[_Fn, frozenset]:
-        """Reader of an element variable (projected along ``path``) and its deps."""
+    ) -> Tuple[kernels.Read, frozenset]:
+        """Read of an element variable (projected along ``path``) and its deps."""
         slot, is_binder = self._elem_slot(name)
         deps = frozenset((slot,)) if is_binder else frozenset()
-        return _reader(slot, name, path, context, unbound), deps
+        return kernels.Read(slot, name, path, context, unbound), deps
 
     # ------------------------------------------------------------------ #
     # Sources and variables
@@ -679,7 +648,7 @@ class _Compiler:
         return _Node(deps, _EMITTED, element=read)
 
     def _compile_SngUnit(self, expr: ast.SngUnit) -> _Node:
-        return _Node(frozenset(), _EMITTED, element=lambda ctx, frame: ())
+        return _Node(frozenset(), _EMITTED, element=kernels.Const(()))
 
     def _compile_Sng(self, expr: ast.Sng) -> _Node:
         body = self.compile(expr.body)
@@ -688,7 +657,8 @@ class _Compiler:
         def element(ctx: _Ctx, frame: List[Any]) -> Bag:
             return _as_bag(body_value(ctx, frame))
 
-        return _Node(body.deps, _units(body.units, _EMITTED), element=element)
+        # The body is a pipeline breaker: kernels call it per element.
+        return _Node(body.deps, _units(body.units, _EMITTED), element=kernels.Call(element))
 
     def _compile_Empty(self, expr: ast.Empty) -> _Node:
         return _Node(frozenset(), value=lambda ctx, frame: EMPTY_BAG)
@@ -696,63 +666,36 @@ class _Compiler:
     # ------------------------------------------------------------------ #
     # Predicates
     # ------------------------------------------------------------------ #
-    def _compile_operand(self, operand: preds.Operand) -> Tuple[_Fn, frozenset]:
+    def _compile_operand(self, operand: preds.Operand) -> Tuple[Any, frozenset]:
         if isinstance(operand, preds.Const):
-            constant = operand.value
-            return (lambda ctx, frame: constant), frozenset()
+            return kernels.Const(operand.value), frozenset()
         if isinstance(operand, preds.VarPath):
             return self._read(operand.var, operand.path, "predicate", EvaluationError)
         raise CompileError(f"no compile rule for operand {type(operand).__name__}")
 
-    def _compile_predicate(self, predicate: preds.Predicate) -> Tuple[_Fn, frozenset]:
-        """Compile a predicate to a ``fn(ctx, frame) -> bool`` closure."""
+    def _compile_predicate(self, predicate: preds.Predicate) -> Tuple[Any, frozenset]:
+        """Lower a predicate to a :mod:`~repro.nrc.kernels` expression and its deps."""
         if isinstance(predicate, preds.Comparison):
-            left_fn, left_deps = self._compile_operand(predicate.left)
-            right_fn, right_deps = self._compile_operand(predicate.right)
-            comparator = preds._COMPARATORS[predicate.op]
-            op = predicate.op
-
-            def fn_cmp(ctx: _Ctx, frame: List[Any]) -> bool:
-                left = left_fn(ctx, frame)
-                right = right_fn(ctx, frame)
-                if not (isinstance(left, BASE_TYPES) and isinstance(right, BASE_TYPES)):
-                    raise EvaluationError(
-                        "predicates may only compare base values "
-                        f"(got {left!r} {op} {right!r}); comparisons over bags "
-                        "would allow simulating negation (Appendix A.2)"
-                    )
-                return comparator(left, right)
-
-            return fn_cmp, left_deps | right_deps
+            left, left_deps = self._compile_operand(predicate.left)
+            right, right_deps = self._compile_operand(predicate.right)
+            return kernels.Compare(predicate.op, left, right), left_deps | right_deps
         if isinstance(predicate, (preds.And, preds.Or)):
             parts = [self._compile_predicate(term) for term in predicate.terms]
-            fns = [fn for fn, _ in parts]
             deps = frozenset().union(*(part_deps for _, part_deps in parts))
-            if isinstance(predicate, preds.And):
-                return _all_of(fns), deps
-
-            def fn_or(ctx: _Ctx, frame: List[Any]) -> bool:
-                for fn in fns:
-                    if fn(ctx, frame):
-                        return True
-                return False
-
-            return fn_or, deps
+            junction = kernels.AllOf if isinstance(predicate, preds.And) else kernels.AnyOf
+            return junction(tuple(part for part, _ in parts)), deps
         if isinstance(predicate, preds.Not):
-            inner_fn, deps = self._compile_predicate(predicate.term)
-            return (lambda ctx, frame: not inner_fn(ctx, frame)), deps
+            term, deps = self._compile_predicate(predicate.term)
+            return kernels.Negation(term), deps
         if isinstance(predicate, preds.TruePredicate):
-            return (lambda ctx, frame: True), frozenset()
+            return kernels.Const(True), frozenset()
         raise CompileError(f"no compile rule for predicate {type(predicate).__name__}")
 
     def _compile_Pred(self, expr: ast.Pred) -> _Node:
         test, deps = self._compile_predicate(expr.predicate)
-
-        def emit(ctx: _Ctx, frame: List[Any], mult: int, sink: Dict[Any, int]) -> None:
-            if test(ctx, frame):
-                _merge(sink, (((), 1),), mult)
-
-        return _Node(deps, _CHECKED, emit=emit)
+        module = KernelModule("predicate")
+        module.walk("emit", slot=None, filters=[test], element=kernels.Const(()))
+        return _Node(deps, _CHECKED, emit=module.build()["emit"])
 
     # ------------------------------------------------------------------ #
     # For: nested loops, guard analysis and hash-joins
@@ -770,72 +713,58 @@ class _Compiler:
         if isinstance(expr.source, ast.Pred):
             return self._compile_guard(expr)
         source = self.compile(expr.source)
+        # A loop-invariant source can be indexed once per evaluation, so its
+        # guard conjuncts are hash-join candidates.
+        join_var = None if source.deps else expr.var
+        with self._bound(self._elem_scope, expr.var) as slot:
+            guards, body = self._compile_chain(expr.body, join_var)
+        if any(atom is not None for _, conjuncts in guards for _, _, atom in conjuncts):
+            return self._compile_hash_join(expr, source, slot, guards, body)
+        return self._compile_loop(expr, source, slot, guards, body)
 
-        # Peel the chain of `where` guards (`for _w in p(x̄) union …`) sitting
-        # directly under this binder; the guard predicates are the join
-        # condition candidates.
-        guard_specs: List[Tuple[preds.Predicate, str]] = []
-        body = expr.body
-        while isinstance(body, ast.For) and isinstance(body.source, ast.Pred):
-            guard_specs.append((body.source.predicate, body.var))
-            body = body.body
+    def _compile_chain(self, expr: Expr, join_var: Optional[str]) -> Tuple[List[_Guard], _Node]:
+        """The chain of ``where`` guards (``for _w in p(x̄) union …``) at ``expr``, and its body.
 
-        with self._bound(self._elem_scope, expr.var) as slot, ExitStack() as guards:
-            atoms: List[Tuple[Tuple[int, ...], _Fn]] = []  # (build path, probe)
-            residual: List[Tuple[_Fn, frozenset]] = []
-            conjuncts: List[Tuple[_Fn, frozenset]] = []
-            guard_slots: List[int] = []
-            if guard_specs and not source.deps:
-                # Hash-join candidate: the build side is loop-invariant, so
-                # an index over it can be built once per evaluation.  Guard
-                # i's predicate is the *source* of its binder, so it is
-                # compiled with only the loop variable and guards 1..i-1 in
-                # scope: a guard binder never shadows names inside its own
-                # predicate, mirroring interpreter scoping — so an enclosing
-                # variable a later guard rebinds still probes as outer.
-                local_names = {expr.var}
-                loop_var_shadowed = False
-                for predicate, guard_name in guard_specs:
-                    for conjunct in self._flatten_conjuncts(predicate):
-                        compiled_conjunct = self._compile_predicate(conjunct)
-                        conjuncts.append(compiled_conjunct)
-                        # Once a guard binder has rebound the loop variable's
-                        # name, later conjuncts mentioning it no longer see
-                        # the loop element — they can't be hash atoms.
-                        atom = (
-                            self._equality_atom(conjunct, expr.var, local_names)
-                            if not loop_var_shadowed
-                            else None
-                        )
-                        if atom is not None:
-                            atoms.append(atom)
-                        else:
-                            residual.append(compiled_conjunct)
-                    guard_slots.append(
-                        guards.enter_context(self._bound(self._elem_scope, guard_name))
-                    )
-                    local_names.add(guard_name)
-                    if guard_name == expr.var:
-                        loop_var_shadowed = True
-            if atoms:
-                return self._compile_hash_join(
-                    expr, source, slot, tuple(guard_slots), atoms, residual, conjuncts, body
-                )
-            # No hashable equality found: fall back to the nested loop,
-            # recompiling the original body so the guard binders are
-            # introduced by their own For nodes with correct scoping.
-            guards.close()
-            return self._compile_loop(expr, source, slot)
+        Each guard is ``(slot, conjuncts)``; a conjunct is ``(predicate,
+        deps, atom)``, where ``atom`` is its hash-join equality over loop
+        variable ``join_var`` (``None`` when it is not one, or when there is
+        no candidate loop).  Guard i's predicate is the *source* of its
+        binder, so it is compiled with only the loop variable and guards
+        1..i-1 in scope: a guard binder never shadows names inside its own
+        predicate, mirroring interpreter scoping — so an enclosing variable a
+        later guard rebinds still probes as outer.
+        """
+        guards: List[_Guard] = []
+        local_names = {join_var}
+        with ExitStack() as scopes:
+            while isinstance(expr, ast.For) and isinstance(expr.source, ast.Pred):
+                conjuncts = []
+                for conjunct in self._flatten_conjuncts(expr.source.predicate):
+                    test, deps = self._compile_predicate(conjunct)
+                    atom = None
+                    if join_var is not None:
+                        atom = self._equality_atom(conjunct, join_var, local_names)
+                    conjuncts.append((test, deps, atom))
+                slot = scopes.enter_context(self._bound(self._elem_scope, expr.var))
+                guards.append((slot, conjuncts))
+                local_names.add(expr.var)
+                if expr.var == join_var:
+                    # The guard rebinds the loop variable's name: later
+                    # conjuncts mentioning it no longer see the loop element.
+                    join_var = None
+                expr = expr.body
+            body = self.compile(expr)
+        return guards, body
 
     def _equality_atom(
         self, conjunct: preds.Predicate, loop_var: str, local_names: Set[str]
-    ) -> Optional[Tuple[Tuple[int, ...], _Fn]]:
+    ) -> Optional[Tuple[Tuple[int, ...], Any]]:
         """Classify one guard conjunct as a hashable equality, if possible.
 
         A conjunct qualifies when it is ``==`` between a projection of the
         loop variable and something computable *outside* the loop: a
         projection of an enclosing variable, or a constant.  The result
-        pairs the build-side path into the loop variable with a closure
+        pairs the build-side path into the loop variable with the expression
         computing the matching key part from the outer frame.
         """
         if not isinstance(conjunct, preds.Comparison) or conjunct.op != "==":
@@ -857,61 +786,104 @@ class _Compiler:
             return None
         return loop_operand.path, self._compile_operand(outer_operand)[0]  # type: ignore[union-attr]
 
+    @staticmethod
+    def _guard_test(conjuncts: Sequence[_Conjunct]) -> kernels.AllOf:
+        return kernels.AllOf(tuple(test for test, _, _ in conjuncts))
+
+    def _split_chain(
+        self, guards: Sequence[_Guard], body: _Node, lowest: int
+    ) -> Tuple[Sequence[_Guard], _Node, frozenset]:
+        """Split a guard chain into the guards a kernel inlines and the node below them.
+
+        Guard i, with everything under it, is a loop-invariant sub-expression
+        when it reads no binder slot: it is then memoised once per
+        evaluation like any other (``compile`` does this for guard 0 of a
+        chain that is not under a loop, so ``lowest`` is 1 there).  Returns
+        the guards above the outermost memoised one, the node they filter
+        (the body, or that memo) and the deps of the whole chain.
+        """
+        tail, end, deps = body, len(guards), body.deps
+        for index in range(len(guards) - 1, -1, -1):
+            slot, conjuncts = guards[index]
+            deps = (deps - {slot}).union(*(test_deps for _, test_deps, _ in conjuncts))
+            if index >= lowest and not deps:
+                tail = self._memoized(self._where_node(guards[index:end], tail, deps))
+                end = index
+        return guards[:end], tail, deps
+
+    @staticmethod
+    def _pass_units(guards: Sequence[_Guard], tail: _Node) -> List[_Units]:
+        """What a pass of each guard incurs: its binder's iteration, then the next test or tail."""
+        return [
+            _units(_ITERATED, _CHECKED if index + 1 < len(guards) else tail.units)
+            for index in range(len(guards))
+        ]
+
+    def _where_node(self, guards: Sequence[_Guard], tail: _Node, deps: frozenset) -> _Node:
+        """A chain of guards outside any loop kernel: one generated ``emit``."""
+        module = KernelModule("where")
+        module.walk(
+            "emit",
+            slot=None,
+            guard_slots=[slot for slot, _ in guards],
+            filters=[self._guard_test(conjuncts) for _, conjuncts in guards],
+            element=tail.element,
+            run=None if tail.element is not None else tail.emitter(),
+            pass_units=self._pass_units(guards, tail),
+        )
+        return _Node(deps, _CHECKED, emit=module.build()["emit"])
+
     def _compile_guard(self, expr: ast.For) -> _Node:
         """``for _ in p(x̄) union body`` — a filter: test, then forward the body."""
-        # The predicate is the binder's *source*: compiled before the binder
-        # is in scope, so the guard variable never shadows names inside it.
-        test, test_deps = self._compile_predicate(expr.source.predicate)  # type: ignore[attr-defined]
-        with self._bound(self._elem_scope, expr.var) as slot:
-            body = self.compile(expr.body)
-        body_emit = body.emitter()
-        pass_units = _units(_ITERATED, body.units)
+        guards, body = self._compile_chain(expr, None)
+        peeled, tail, deps = self._split_chain(guards, body, lowest=1)
+        return self._where_node(peeled, tail, deps)
 
-        def emit(ctx: _Ctx, frame: List[Any], mult: int, sink: Dict[Any, int]) -> None:
-            if test(ctx, frame):
-                frame[slot] = ()
-                body_emit(ctx, frame, mult, sink)
-                _charge(ctx.counter, pass_units)
-
-        return _Node(test_deps | (body.deps - {slot}), _CHECKED, emit=emit)
-
-    def _compile_loop(self, expr: ast.For, source: _Node, slot: int) -> _Node:
-        body = self.compile(expr.body)
+    def _compile_loop(
+        self, expr: ast.For, source: _Node, slot: int, guards: Sequence[_Guard], body: _Node
+    ) -> _Node:
+        """``for x in e where p₁ … where pₖ union body``: one generated walk over ``e``."""
+        peeled, tail, deps = self._split_chain(guards, body, lowest=0)
         source_value = source.valuer()
-        body_emit, body_bind = body.emitter(), body.bind
-        iteration_units = _units(_ITERATED, body.units)
+        # A hash-join body right under the loop resolves its index once for
+        # the whole walk; over an empty build side there is nothing to walk.
+        bind = tail.bind if not peeled else None
+        run = None if tail.element is not None or bind is not None else tail.emitter()
+        module = KernelModule(f"for {expr.var}")
+        module.walk(
+            "walk",
+            slot=slot,
+            guard_slots=[guard_slot for guard_slot, _ in peeled],
+            filters=[self._guard_test(conjuncts) for _, conjuncts in peeled],
+            element=tail.element,
+            item_units=_units(_ITERATED, _CHECKED if peeled else tail.units),
+            pass_units=self._pass_units(peeled, tail),
+        )
+        walk = module.build()["walk"]
 
         def emit(ctx: _Ctx, frame: List[Any], mult: int, sink: Dict[Any, int]) -> None:
             bag = _as_bag(source_value(ctx, frame))
             iterations = len(bag)
             if not iterations:
                 return
-            # A hash-join body resolves its index once for the whole walk;
-            # over an empty build side there is nothing to walk for.
-            run, run_units = body_emit, ()
-            if body_bind is not None:
-                bound = body_bind(ctx, frame)
-                if bound is None:
-                    return
-                run, run_units = bound
-            for element, multiplicity in bag.items():
-                frame[slot] = element
-                run(ctx, frame, mult * multiplicity, sink)
-            _charge(ctx.counter, iteration_units, iterations)
-            _charge(ctx.counter, run_units, iterations)
+            if bind is None:
+                walk(ctx, frame, mult, sink, bag.items(), iterations, run)
+                return
+            bound = bind(ctx, frame)
+            if bound is not None:
+                probe, probe_units = bound
+                walk(ctx, frame, mult, sink, bag.items(), iterations, probe)
+                _charge(ctx.counter, probe_units, iterations)
 
-        return _Node(source.deps | (body.deps - {slot}), source.units, emit=emit)
+        return _Node(source.deps | (deps - {slot}), source.units, emit=emit)
 
     def _compile_hash_join(
         self,
         expr: ast.For,
         source: _Node,
         slot: int,
-        guard_slots: Tuple[int, ...],
-        atoms: Sequence[Tuple[Tuple[int, ...], _Fn]],
-        residual: Sequence[Tuple[_Fn, frozenset]],
-        conjuncts: Sequence[Tuple[_Fn, frozenset]],
-        body_expr: Expr,
+        guards: Sequence[_Guard],
+        body: _Node,
     ) -> _Node:
         """``for x in S union (where k(x)=k' …)`` as build-once/probe-per-tuple.
 
@@ -924,18 +896,15 @@ class _Compiler:
         twin that evaluates every guard conjunct in original order, exactly
         as the interpreter does.
         """
+        conjuncts = [conjunct for _, guard_conjuncts in guards for conjunct in guard_conjuncts]
+        atoms = [atom for _, _, atom in conjuncts if atom is not None]
+        residual = [conjunct for conjunct in conjuncts if conjunct[2] is None]
         build_paths = tuple(path for path, _ in atoms)
-        probe_fns = tuple(probe for _, probe in atoms)
-        body = self.compile(body_expr)
-        body_emit, body_units = body.emitter(), body.units
+        guard_slots = [guard_slot for guard_slot, _ in guards]
         if source.units:
             # No loop above charges them: the memo does, on first evaluation.
             source = self._memoized(source)
         source_value = source.valuer()
-        all_conjuncts = _all_of([fn for fn, _ in conjuncts])
-        residual_test = _all_of([fn for fn, _ in residual]) if residual else None
-        checked_units = _units(_ITERATED, _CHECKED)
-        bucket_units = checked_units if residual else _ITERATED
         # Sites over the same source and key paths share one build per
         # evaluation (both M-side terms of a swapped self-join delta): a
         # hash-join's source reads no binder slot (`_compile_For` checks
@@ -958,44 +927,55 @@ class _Compiler:
         # persistent indexes so both always agree on which keys qualify.
         hashable = is_hashable_key
 
-        def walk(ctx: _Ctx, frame: List[Any], mult: int, sink: Dict[Any, int], pairs, test) -> None:
-            """Bind each pair, forward the body for those passing ``test``."""
-            for guard_slot in guard_slots:
-                frame[guard_slot] = ()
-            passes = 0
-            for element, multiplicity in pairs:
-                frame[slot] = element
-                if test is None or test(ctx, frame):
-                    passes += 1
-                    body_emit(ctx, frame, mult * multiplicity, sink)
-            _charge(ctx.counter, body_units, passes)
+        # Two walks over the same body: a bucket, testing the residual
+        # conjuncts, and the whole source, testing every conjunct.
+        module = KernelModule(f"for {expr.var} (hash join)")
+        run = None if body.element is not None else body.emitter()
+        module.walk(
+            "walk_bucket",
+            slot=slot,
+            guard_slots=guard_slots,
+            filters=[self._guard_test(residual)] if residual else [],
+            element=body.element,
+            item_units=_units(_ITERATED, _CHECKED) if residual else _units(_ITERATED, body.units),
+            pass_units=[body.units] if residual else [],
+        )
+        module.walk(
+            "walk_loop",
+            slot=slot,
+            guard_slots=guard_slots,
+            filters=[self._guard_test(conjuncts)],
+            element=body.element,
+            item_units=_units(_ITERATED, _CHECKED),
+            pass_units=[body.units],
+        )
+        module.function("probe_key", kernels.TupleOf(tuple(probe for _, probe in atoms)))
+        generated = module.build()
+        walk_bucket, walk_loop = generated["walk_bucket"], generated["walk_loop"]
+        probe_key = generated["probe_key"]
 
         def emit_loop(ctx: _Ctx, frame: List[Any], mult: int, sink: Dict[Any, int]) -> None:
             bag = _as_bag(source_value(ctx, frame))
-            walk(ctx, frame, mult, sink, bag.items(), all_conjuncts)
-            _charge(ctx.counter, checked_units, len(bag))
+            walk_loop(ctx, frame, mult, sink, bag.items(), len(bag), run)
 
         def emit_probe(get, ctx: _Ctx, frame: List[Any], mult: int, sink: Dict[Any, int]) -> None:
+            # Probe keys the index cannot answer faithfully (non-base, NaN,
+            # or erroring operands whose error the interpreter may
+            # short-circuit away) fall back to the loop for this probe.
             try:
-                key = []
-                for probe in probe_fns:
-                    part = probe(ctx, frame)
-                    if not hashable(part):
-                        raise _UnhashableKey()
-                    key.append(part)
-            except (_UnhashableKey, EvaluationError):
-                # Probe keys the index cannot answer faithfully (non-base,
-                # NaN, or erroring operands whose error the interpreter may
-                # short-circuit away) fall back to the loop for this probe.
+                key = probe_key(ctx, frame)
+            except EvaluationError:
                 return emit_loop(ctx, frame, mult, sink)
+            for part in key:
+                if not hashable(part):
+                    return emit_loop(ctx, frame, mult, sink)
             # Probe keys are deliberately *not* interned: equality-based
             # bucket lookup works regardless, and a scan of mostly-absent
             # probe keys must not evict the hot build-side keys from the
             # bounded interner.
-            bucket = get(tuple(key))
+            bucket = get(key)
             if bucket:
-                walk(ctx, frame, mult, sink, bucket, residual_test)
-                _charge(ctx.counter, bucket_units, len(bucket))
+                walk_bucket(ctx, frame, mult, sink, bucket, len(bucket), run)
 
         def build(ctx: _Ctx, frame: List[Any]):
             """Per-evaluation build over the context's own relation snapshot."""
@@ -1055,7 +1035,7 @@ class _Compiler:
 
         # Every guard conjunct (atoms included) contributes deps; probe-side
         # slots are never local, so subtracting the local slots keeps them.
-        deps = body.deps.union(*(part_deps for _, part_deps in conjuncts))
+        deps = body.deps.union(*(test_deps for _, test_deps, _ in conjuncts))
         return _Node(frozenset(deps - {slot, *guard_slots}), bind=bind)
 
     # ------------------------------------------------------------------ #
@@ -1098,12 +1078,8 @@ class _Compiler:
         if all(factor.element is not None for factor in factors):
             # A tuple constructor: every factor is a scalar singleton, so the
             # product is the one tuple of their elements.
-            parts = tuple(factor.element for factor in factors)
-
-            def element(ctx: _Ctx, frame: List[Any]) -> Tuple[Any, ...]:
-                return tuple([part(ctx, frame) for part in parts])
-
-            return _Node(deps, _units(units, (("product_pairs", len(parts)),)), element=element)
+            element = kernels.TupleOf(tuple(factor.element for factor in factors))
+            return _Node(deps, _units(units, (("product_pairs", len(factors)),)), element=element)
         factor_values = tuple(factor.valuer() for factor in factors)
 
         def emit(ctx: _Ctx, frame: List[Any], mult: int, sink: Dict[Any, int]) -> None:
@@ -1146,14 +1122,9 @@ class _Compiler:
     # Labels and dictionaries
     # ------------------------------------------------------------------ #
     def _compile_InLabel(self, expr: ast.InLabel) -> _Node:
-        readers = [self._read(param) for param in expr.params]
-        reader_fns = tuple(fn for fn, _ in readers)
-        iota = expr.iota
-
-        def element(ctx: _Ctx, frame: List[Any]) -> Label:
-            return Label(iota, tuple([read(ctx, frame) for read in reader_fns]))
-
-        deps = frozenset().union(*(reader_deps for _, reader_deps in readers))
+        reads = [self._read(param) for param in expr.params]
+        deps = frozenset().union(*(read_deps for _, read_deps in reads))
+        element = kernels.LabelOf(expr.iota, tuple(read for read, _ in reads))
         return _Node(deps, _EMITTED, element=element)
 
     def _compile_DictSingleton(self, expr: ast.DictSingleton) -> _Node:
@@ -1221,10 +1192,11 @@ class _Compiler:
         dictionary = self.compile(expr.dictionary)
         dictionary_value = dictionary.valuer()
         read, read_deps = self._read(expr.var, expr.path, "dictionary lookup")
+        read_label, label_slot = kernels.checked_read(read), read.slot
 
         def value(ctx: _Ctx, frame: List[Any]) -> Bag:
             found = _as_dict(dictionary_value(ctx, frame))
-            label = read(ctx, frame)
+            label = read_label(frame[label_slot])
             if not isinstance(label, Label):
                 raise EvaluationError(f"dictionary lookup key is not a label: {label!r}")
             return found.lookup(label)

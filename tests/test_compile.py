@@ -6,6 +6,8 @@ ways and requires identical bags — including negative multiplicities, deep
 updates and every maintenance strategy.
 """
 
+from collections import namedtuple
+
 import pytest
 
 from repro.bag.bag import Bag, EMPTY_BAG
@@ -49,6 +51,9 @@ MOVIE_REL = ast.Relation("M", MOVIE_SCHEMA)
 NESTED = Bag([Bag(["a", "b"]), Bag(["b", "c"]), Bag(["a"]), Bag([])])
 NESTED_REL = ast.Relation("R", bag_of(bag_of(BASE)))
 NESTED_ENV = Environment(relations={"R": NESTED})
+
+# A tuple subclass: kernels project it through the checked path.
+Row = namedtuple("Row", ["key", "value"])
 
 
 def _assert_agree(expr, env):
@@ -292,6 +297,120 @@ class TestCompiledExpressions:
         with pytest.raises(UnboundVariableError):
             compile_expr(unbound_first).evaluate_bag(env)
 
+    # Generated kernels: values and names reach the generated source only as
+    # bound names, so no text may change what it compiles to.
+    @pytest.mark.parametrize(
+        "text",
+        ["it's", 'say "hi"', "back\\slash", "new\nline", "{}", "{0}", "__import__('os')", "')\n#"],
+    )
+    def test_kernel_strings_are_never_source_text(self, text):
+        rows = Bag([("k", text), ("k", "other"), (text, text)])
+        env = Environment(relations={"A": rows})
+        a_node = ast.Relation("A", PAIR_T)
+        match = preds.eq(preds.var_path("x", 1), preds.const(text))
+        queries = [
+            build.filter_query(a_node, match, "x"),
+            # A join on the string: a hash-join whose residual names it too.
+            ast.For(
+                "x",
+                a_node,
+                build.for_in(
+                    "y",
+                    a_node,
+                    build.tuple_bag(ast.SngVar("x"), ast.InLabel(text, ("y",))),
+                    preds.And((preds.eq(preds.var_path("y", 0), preds.const(text)), match)),
+                ),
+            ),
+            # The string as a variable name, bound and unbound.
+            ast.For(text, a_node, build.proj(text, 1)),
+            ast.For("x", a_node, ast.SngVar(text)),
+            build.filter_query(a_node, preds.eq(preds.var_path(text, 0), preds.const("k"))),
+        ]
+        for query in queries:
+            assert _outcome(lambda: compile_expr(query).evaluate_bag(env)) == _outcome(
+                lambda: evaluate_bag(query, env)
+            )
+        assert compile_expr(queries[0]).evaluate_bag(env) == Bag([("k", text), (text, text)])
+
+    def test_kernel_predicate_nested_past_the_parser_limit(self):
+        # 300 alternating ∧ / ∨ / ¬ levels: one rendered expression would
+        # nest brackets past CPython's 200-level limit.
+        predicate = preds.eq(preds.var_path("x", 0), preds.const("a"))
+        for level in range(300):
+            other = preds.Comparison("<", preds.var_path("x", 1), preds.const("c"))
+            predicate = [
+                preds.And((predicate, other)),
+                preds.Or((other, predicate)),
+                preds.Not(predicate),
+            ][level % 3]
+        rows = Bag([("a", "b"), ("b", "d"), ("a", "c"), ("c", "a")])
+        env = Environment(relations={"A": rows, "B": rows})
+        a_node, b_node = ast.Relation("A", PAIR_T), ast.Relation("B", PAIR_T)
+        loop = build.filter_query(a_node, predicate)
+        # The same predicate as a hash-join's residual conjunct.
+        join = ast.For(
+            "y",
+            b_node,
+            build.for_in(
+                "x",
+                a_node,
+                build.proj("x", 1),
+                preds.And((preds.eq(preds.var_path("x", 0), preds.var_path("y", 0)), predicate)),
+            ),
+        )
+        for query in (loop, join):
+            assert compile_expr(query).evaluate_bag(env) == evaluate_bag(query, env)
+        assert evaluate_bag(loop, env) == Bag([("a", "c"), ("b", "d")])
+
+    @pytest.mark.parametrize(
+        "row",
+        ["scalar", ("short",), Row(("n", "m"), "b"), Bag(["not", "a tuple"])],
+        ids=["non-tuple", "too-short", "namedtuple", "bag"],
+    )
+    def test_kernel_projections_fall_back_to_checked_reads(self, row):
+        # The inline `type(v) is tuple` test rejects all four; the checked
+        # projection then raises — or, for a namedtuple, projects.
+        env = Environment(relations={"S": Bag([row]), "A": Bag([("b", "z"), ("x", "y")])})
+        s_node, a_node = ast.Relation("S", PAIR_T), ast.Relation("A", PAIR_T)
+        outer, outer_key, key = build.proj("y", 1), preds.var_path("y", 1), preds.var_path("x", 0)
+        queries = [
+            ast.For("x", s_node, build.proj("x", 1)),
+            ast.For("x", s_node, build.proj("x", 0, 1)),
+            build.filter_query(s_node, preds.eq(preds.var_path("x", 1), preds.const("b"))),
+            # Outer reads: a variable bound outside the walk.
+            ast.For("y", s_node, ast.For("x", a_node, build.tuple_bag(build.proj("x", 0), outer))),
+            ast.For("y", s_node, build.for_in("x", a_node, ast.SngVar("x"), preds.eq(key, outer_key))),
+            ast.For("y", s_node, build.for_in("x", a_node, ast.SngVar("x"), preds.ne(outer_key, key))),
+        ]
+        for query in queries:
+            assert _outcome(lambda: compile_expr(query).evaluate_bag(env)) == _outcome(
+                lambda: evaluate_bag(query, env)
+            )
+        if isinstance(row, Row):
+            assert compile_expr(queries[0]).evaluate_bag(env) == Bag(["b"])
+
+    @pytest.mark.parametrize("bucket", ["empty", "short-circuited", "non-empty"])
+    def test_kernel_unbound_read_only_in_a_residual(self, bucket):
+        # `ghost` is read only by the last residual conjunct: never over an
+        # empty bucket or past a conjunct that fails on every bucket element,
+        # and with the predicate's error class otherwise.
+        key = "q" if bucket == "empty" else "a"
+        second = "zzz" if bucket == "short-circuited" else "b"
+        env = Environment(relations={"A": Bag([("a", "b"), ("c", "d")])})
+        condition = preds.And(
+            (
+                preds.eq(preds.const(key), preds.var_path("x", 0)),
+                preds.ge(preds.var_path("x", 1), preds.const(second)),
+                preds.ne(preds.var_path("x", 1), preds.var_path("ghost", 0)),
+            )
+        )
+        query = build.for_in("x", ast.Relation("A", PAIR_T), ast.SngVar("x"), condition)
+        compiled = compile_expr(query)
+        assert compiled.index_requirements == (compile_module.IndexRequirement("A", ((0,),)),)
+        outcome = _outcome(lambda: compiled.evaluate_bag(env))
+        assert outcome == _outcome(lambda: evaluate_bag(query, env))
+        assert outcome == (EvaluationError if bucket == "non-empty" else EMPTY_BAG)
+
 
 # --------------------------------------------------------------------------- #
 # Hash-join work reduction
@@ -467,6 +586,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.nrc.compile as compile_module
+import repro.nrc.evaluator as evaluator_module
 from repro.errors import EvaluationError, NotInFragmentError, TypeCheckError
 from repro.nrc.typecheck import infer_type
 from repro.nrc.types import tuple_of
@@ -650,6 +770,25 @@ def _literal_plan(expr):
         return compile_expr(expr)
 
 
+def _interpret_in_compiled_order(expr, env):
+    """The interpreter, walking in the order the compiled pipeline walks.
+
+    The compiler walks Δ binders first (``_delta_first``) and materialises a
+    ``⊎`` with its elements in term order, where ``Bag.union`` puts the
+    larger operand's elements first.  On ill-typed input these orders decide
+    which error fires first, or whether an erroring source is reached.
+    """
+
+    def union_in_term_order(evaluator, node):
+        pairs = []
+        for term in node.terms:
+            pairs += evaluator._eval_bag(term).items()
+        return Bag.from_pairs(pairs)
+
+    with mock.patch.object(evaluator_module._Evaluator, "_eval_Union", union_in_term_order):
+        return evaluate_bag(compile_module._delta_first(expr), env)
+
+
 def _coarse(outcome):
     """An ``_outcome`` at the ill-typed caveat's level: the bag, or an error."""
     return outcome if isinstance(outcome, Bag) else EvaluationError
@@ -700,12 +839,49 @@ _A_KEY = preds.eq(preds.const("a"), preds.var_path("x", 0))
 class TestFusedPipelineDifferential:
     @settings(max_examples=300, deadline=None)
     @given(_bag_exprs(), _environments())
+    # Ill-typed: `ghost` is unbound and R's bags have no `.0`.  The two paths
+    # materialise A ⊎ R in different element orders, so the interpreter meets
+    # the failing projection first and the compiled walk the unbound read.
+    @example(
+        (
+            ast.For(
+                "x",
+                ast.Union((_GEN_A, _GEN_R)),
+                ast.For("_w", ast.Pred(_A_KEY), ast.SngVar("ghost")),
+            ),
+            "base",
+        ),
+        _pinned_environment(
+            {
+                "A": Bag.from_pairs([(("a", "b"), -2)]),
+                "R": Bag.from_pairs([(Bag(["p", "q"]), -1), (Bag([]), 1)]),
+            },
+            {},
+            ("a", "a"),
+        ),
+    )
+    # Ill-typed: `Ghost` is unbound.  The compiled plan walks the empty ΔA
+    # first and never evaluates `Ghost`; the interpreter raises on it.
+    @example(
+        (
+            ast.For(
+                "x",
+                ast.BagVar("Ghost"),
+                ast.For("y", ast.DeltaRelation("A", PAIR_T, 1), ast.SngVar("x")),
+            ),
+            "base",
+        ),
+        _pinned_environment({}, {"A": EMPTY_BAG}, ("a", "a")),
+    )
     def test_generated_expressions_agree(self, generated, env):
+        # Exact, error class included.  Where the two paths differ, the input
+        # is ill-typed and the compiled outcome is exactly the interpreter's
+        # when it walks in the compiled order (the documented caveat).
         expr, _ = generated
-        compiled = compile_expr(expr)
-        assert _outcome(lambda: compiled.evaluate_bag(env)) == _outcome(
-            lambda: evaluate_bag(expr, env)
-        )
+        compiled = _outcome(lambda: compile_expr(expr).evaluate_bag(env))
+        if compiled != _outcome(lambda: evaluate_bag(expr, env)):
+            assert not _well_typed(expr)
+            assert compiled == _outcome(lambda: _interpret_in_compiled_order(expr, env))
 
     @settings(max_examples=200, deadline=None)
     @given(_bag_exprs(), _environments())
@@ -806,6 +982,24 @@ class TestFusedPipelineDifferential:
         assert compile_expr(delta_query).evaluate_bag(env, counter) == EMPTY_BAG
         assert counter.get("for_iterations") == 0
         assert counter.get("hash_probes") == 0
+
+    def test_walk_counts_only_the_work_it_did(self):
+        # A walk adds its counters once, after the loop, and names only
+        # what happened: a filter no element passes emits nothing and says
+        # so by omission, exactly as the interpreter's counter does.
+        env = Environment(relations={"A": Bag([("a", "b"), ("c", "d"), ("e", "f")])})
+        a_node = ast.Relation("A", PAIR_T)
+        for value, emitted in (("zzz", 0), ("e", 1)):
+            query = build.filter_query(a_node, preds.ge(preds.var_path("x", 1), preds.const(value)))
+            compiled, interpreted = OpCounter(), OpCounter()
+            assert compile_expr(query).evaluate_bag(env, compiled) == evaluate_bag(
+                query, env, interpreted
+            )
+            expected = {"for_iterations": 3 + emitted, "predicate_checks": 3}
+            if emitted:
+                expected["elements_emitted"] = emitted
+            assert compiled.as_dict() == expected
+            assert {name: interpreted.get(name) for name in expected} == expected
 
 
 # --------------------------------------------------------------------------- #

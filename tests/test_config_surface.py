@@ -1,10 +1,12 @@
-"""The configuration surface, pinned: environment variables and cited entry points.
+"""The configuration surface, pinned: environment variables, code generation and cited entry points.
 
 Every ``REPRO_*`` variable is a path that must be tested, documented and
-kept bit-identical, so adding one is a reviewed diff to the list below — and
-a document that names a module or a benchmark file must name one that exists.
+kept bit-identical, so adding one is a reviewed diff to the list below; so
+is a new module that turns text into code.  A document that names a module
+or a benchmark file must name one that exists.
 """
 
+import ast
 import importlib.util
 import re
 from pathlib import Path
@@ -32,11 +34,28 @@ DOCUMENTS = [
 ]
 
 
+CODE_GENERATORS = {"src/repro/nrc/kernels.py"}
+
+
 def test_environment_variables_are_exactly_the_listed_ones():
     named = set()
     for source in (ROOT / "src").rglob("*.py"):
         named.update(re.findall(r"REPRO_[A-Z_]+", source.read_text(encoding="utf-8")))
     assert named == ENVIRONMENT_VARIABLES
+
+
+def test_one_module_generates_code():
+    """Only the kernel generator calls the ``exec`` / ``eval`` / ``compile`` builtins."""
+    callers = set()
+    for source in (ROOT / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in {"exec", "eval", "compile"}
+            ):
+                callers.add(source.relative_to(ROOT).as_posix())
+    assert callers == CODE_GENERATORS
 
 
 @pytest.mark.parametrize("document", DOCUMENTS, ids=lambda path: path.name)
