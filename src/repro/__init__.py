@@ -23,15 +23,11 @@ The lower layers (``repro.nrc``, ``repro.delta``, ``repro.shredding``,
 
 from repro.bag import Bag, EMPTY_BAG
 from repro.engine import (
-    BackendRegistry,
-    BackendSpec,
     Engine,
     MaintenancePlan,
     Session,
     StrategyEstimate,
     ViewHandle,
-    backend_names,
-    register_backend,
 )
 from repro.ivm.updates import Update, UpdateStream, deletions, insertions
 from repro.surface import (
@@ -55,10 +51,6 @@ __all__ = [
     "ViewHandle",
     "MaintenancePlan",
     "StrategyEstimate",
-    "BackendRegistry",
-    "BackendSpec",
-    "backend_names",
-    "register_backend",
     "Update",
     "UpdateStream",
     "insertions",

@@ -43,7 +43,7 @@ from repro.durability.faults import (
     state_differences,
 )
 from repro.durability.wal import resolve_fsync_policy
-from repro.engine import Engine
+from repro.engine import STRATEGIES, Engine
 from repro.workloads.movies import (
     MOVIE_SCHEMA,
     generate_movies,
@@ -53,8 +53,6 @@ from repro.workloads.movies import (
 )
 
 __all__ = ["main", "run_battery"]
-
-STRATEGIES = ("naive", "classic", "recursive", "nested")
 
 #: Offsets that exercise first-occurrence and mid-workload crashes.  The
 #: one-shot points (rotation and the checkpoint seams) only occur once per
@@ -114,7 +112,7 @@ def _check_rpo(crash_at: str, after: int, crashed: bool, survived: int) -> List[
 
 
 def run_battery(
-    strategies: Sequence[str] = STRATEGIES,
+    strategies: Sequence[str] = tuple(STRATEGIES),
     crash_points: Sequence[str] = CRASH_POINTS,
     afters: Sequence[int] = DEFAULT_AFTERS,
     *,

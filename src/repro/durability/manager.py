@@ -494,8 +494,7 @@ class DurabilityManager:
         state = engine.database.export_durable_state()
         views = []
         for handle in engine.views():
-            store_of = getattr(handle.view, "result_store", None)
-            store = store_of() if callable(store_of) else None
+            store = handle.view.result_store()
             views.append(
                 {
                     "name": handle.name,

@@ -3,23 +3,14 @@
 The paper's thesis is that a single calculus serves naive re-evaluation,
 classical delta processing, recursive (higher-order) IVM and shredded/nested
 IVM, with the cost model of Section 4 deciding which to use.  This package is
-that thesis as an API: :class:`Engine` registers datasets and views,
-``strategy="auto"`` routes through the cost-driven planner, and the backend
-registry keeps the strategy set open for new engines.
+that thesis as an API: :class:`Engine` registers datasets and views, and
+``strategy="auto"`` routes through the cost-driven planner, whose
+:data:`~repro.engine.planner.STRATEGIES` table holds the four strategies.
 """
 
-from repro.engine import backends as _backends  # noqa: F401 — installs built-ins
 from repro.engine.core import Engine, EngineSnapshot, Session, ViewHandle
 from repro.engine.plan import MaintenancePlan, StrategyEstimate
-from repro.engine.planner import PlanningInputs, plan_view
-from repro.engine.registry import (
-    DEFAULT_REGISTRY,
-    BackendRegistry,
-    BackendSpec,
-    backend_names,
-    get_backend,
-    register_backend,
-)
+from repro.engine.planner import STRATEGIES, PlanningInputs, plan_view
 from repro.engine.scheduler import (
     EXECUTION_BACKENDS,
     REPRO_BACKEND,
@@ -43,23 +34,18 @@ __all__ = [
     "MaintenancePlan",
     "StrategyEstimate",
     "PlanningInputs",
+    "STRATEGIES",
     "plan_view",
-    "BackendRegistry",
-    "BackendSpec",
-    "DEFAULT_REGISTRY",
     "EXECUTION_BACKENDS",
     "ExecutionBackend",
     "REPRO_BACKEND",
     "REPRO_PARALLEL_VIEWS",
     "ViewRefreshScheduler",
     "backend_availability",
-    "backend_names",
     "create_execution_backend",
     "forced_backend",
     "forced_parallel_views",
-    "get_backend",
     "recommend_backend",
-    "register_backend",
     "resolve_backend_spec",
     "resolve_view_workers",
 ]

@@ -16,7 +16,7 @@ raw :class:`~repro.nrc.types.BagType` (returning the matching
 :class:`~repro.nrc.ast.Relation` node for hand-written NRC+).  ``view``
 accepts either a surface :class:`~repro.surface.Query` or an NRC+
 :class:`~repro.nrc.ast.Expr`; ``strategy="auto"`` routes through
-:mod:`repro.engine.planner`, explicit names through the backend registry.
+:mod:`repro.engine.planner`, explicit names pick from its strategy table.
 
 The low-level :class:`~repro.ivm.Database` and view classes remain available
 as the implementation layer, but new code should not wire them by hand.
@@ -30,13 +30,13 @@ from repro.bag.bag import Bag
 from repro.durability.faults import FaultInjector
 from repro.durability.manager import DurabilityManager, RecoveryReport
 from repro.engine.plan import MaintenancePlan
-from repro.engine.planner import plan_view
-from repro.engine.registry import DEFAULT_REGISTRY, BackendRegistry
+from repro.engine.planner import STRATEGIES, plan_view
 from repro.errors import EngineError, NotInFragmentError
 from repro.ivm.database import Database, ShreddedDelta
 from repro.ivm.updates import Update, UpdateStream, deletions, insertions
-from repro.ivm.views import MaintenanceStats
+from repro.ivm.views import MaintenanceStats, View
 from repro.nrc import ast
+from repro.nrc.analysis import is_incremental_fragment
 from repro.nrc.ast import Expr
 from repro.nrc.types import BagType
 from repro.surface.dsl import Dataset, Query
@@ -67,7 +67,7 @@ class ViewHandle:
         self,
         name: str,
         strategy: str,
-        view,
+        view: View,
         plan: MaintenancePlan,
         *,
         expr=None,
@@ -95,8 +95,7 @@ class ViewHandle:
     def execution(self) -> str:
         """``"compiled"`` or ``"interpreted"`` — how the view's per-update
         queries run (see :mod:`repro.nrc.compile` and ``REPRO_NO_COMPILE``)."""
-        mode = getattr(self.view, "execution_mode", None)
-        return mode() if callable(mode) else "interpreted"
+        return self.view.execution_mode()
 
     def indexes(self) -> list:
         """Live state of the persistent storage indexes behind this view.
@@ -107,8 +106,7 @@ class ViewHandle:
         plain data (dicts/lists/scalars), so ``json.dumps`` accepts it
         unchanged — what the serving layer's wire protocol relies on.
         """
-        report = getattr(self.view, "index_report", None)
-        return list(report()) if callable(report) else []
+        return list(self.view.index_report())
 
     def explain(self) -> MaintenancePlan:
         return self.plan
@@ -165,7 +163,6 @@ class Engine:
         self,
         *,
         expected_update_size: int = 1,
-        registry: Optional[BackendRegistry] = None,
         shards: Optional[int] = None,
         parallel_views: Optional[int] = None,
         backend: Optional[str] = None,
@@ -204,7 +201,6 @@ class Engine:
         self._database = Database(
             shards=shards, parallel_views=parallel_views, backend=backend
         )
-        self._registry = registry if registry is not None else DEFAULT_REGISTRY
         self._expected_update_size = expected_update_size
         self._views: Dict[str, ViewHandle] = {}
         self._datasets: Dict[str, object] = {}
@@ -456,10 +452,6 @@ class Engine:
         """The underlying low-level database (implementation layer)."""
         return self._database
 
-    @property
-    def registry(self) -> BackendRegistry:
-        return self._registry
-
     def dataset_names(self) -> Tuple[str, ...]:
         return self._database.relation_names()
 
@@ -544,46 +536,45 @@ class Engine:
     ) -> ViewHandle:
         """Create and materialize a maintained view.
 
-        ``strategy="auto"`` lets the cost model pick the backend; any
-        registered backend name selects it explicitly (the estimates are
-        still computed so :meth:`explain` stays informative).
+        ``strategy="auto"`` lets the cost model pick the strategy; any of
+        ``"naive"``, ``"classic"``, ``"recursive"``, ``"nested"`` selects it
+        explicitly (the estimates are still computed so :meth:`explain`
+        stays informative).
         """
         if name in self._views:
             raise EngineError(f"view {name!r} already exists")
+        # Fail before the view materializes: a closed or read-only database
+        # would refuse the registration only after the full evaluation.
+        self._database.check_writable()
         expr = query.to_expr() if isinstance(query, Query) else query
         if not isinstance(expr, Expr):
             raise TypeError(
                 f"query must be a surface Query or an NRC+ Expr, got {type(query).__name__}"
-            )
-        plan = plan_view(
-            expr,
-            self._database,
-            name=name,
-            requested=strategy,
-            expected_update_size=(
-                expected_update_size
-                if expected_update_size is not None
-                else self._expected_update_size
-            ),
-            targets=targets,
-            registry=self._registry,
-        )
-        spec = self._registry.get(plan.strategy)
-        if targets is not None and not spec.honors_targets:
-            raise EngineError(
-                f"backend {spec.name!r} derives its own update sources and cannot "
-                f"honor an explicit targets list for view {name!r}"
-            )
-        if not spec.supports(expr):
-            raise NotInFragmentError(
-                f"backend {spec.name!r} cannot maintain view {name!r}: "
-                f"query is outside its supported fragment"
             )
         effective_expected = (
             expected_update_size
             if expected_update_size is not None
             else self._expected_update_size
         )
+        plan = plan_view(
+            expr,
+            self._database,
+            name=name,
+            requested=strategy,
+            expected_update_size=effective_expected,
+            targets=targets,
+        )
+        chosen = STRATEGIES[plan.strategy]
+        if targets is not None and not chosen.inc_nrc:
+            raise EngineError(
+                f"backend {plan.strategy!r} derives its own update sources and cannot "
+                f"honor an explicit targets list for view {name!r}"
+            )
+        if chosen.inc_nrc and not is_incremental_fragment(expr):
+            raise NotInFragmentError(
+                f"backend {plan.strategy!r} cannot maintain view {name!r}: "
+                f"query is outside its supported fragment"
+            )
         # Encode the WAL record before building: a query that does not
         # pickle must fail loudly here, not corrupt the log (the resolved
         # strategy is pinned so replay never re-plans).
@@ -592,7 +583,10 @@ class Engine:
             record = self._durability.prepare_view(
                 name, plan.strategy, expr, targets, effective_expected
             )
-        view = spec.build(expr, self._database, targets=targets)
+        if chosen.inc_nrc:
+            view = chosen.view(expr, self._database, targets=targets)
+        else:
+            view = chosen.view(expr, self._database)
         handle = ViewHandle(
             name,
             plan.strategy,
@@ -603,15 +597,13 @@ class Engine:
             expected_update_size=effective_expected,
         )
         plan.execution = handle.execution
-        requirements = getattr(view, "index_requirements", lambda: ())()
         registered = {
-            requirement.key()
-            for requirement in getattr(view, "registered_index_requirements", lambda: ())()
+            requirement.key() for requirement in view.registered_index_requirements()
         }
         plan.indexes = tuple(
             f"{requirement.render()} "
             f"({'persistent' if requirement.key() in registered else 'per-evaluation'})"
-            for requirement in requirements
+            for requirement in view.index_requirements()
         )
         # {register + append} under the lifecycle lock, matching the
         # dataset/apply discipline: a concurrent close cannot slip between
@@ -694,14 +686,15 @@ class Engine:
     # Storage maintenance
     # ------------------------------------------------------------------ #
     def vacuum(self) -> Dict[str, int]:
-        """Reclaim stale derived state from every backend that supports it.
+        """Reclaim stale derived state of the nested views.
 
-        Delegates to each view's ``vacuum()`` (e.g. the nested backend drops
-        dictionary entries for labels no longer reachable) and returns the
-        reclaimed-label count per view name; views whose backend has nothing
-        to vacuum are omitted.  As a side effect, persistent indexes
-        poisoned by since-deleted unhashable keys are re-validated against
-        their current bags (restoring ``O(|Δ|)`` index maintenance).
+        Delegates to each nested view's ``vacuum()`` (it drops dictionary
+        entries for labels no longer reachable) and returns the
+        reclaimed-label count per view name; views of the other strategies
+        have nothing to vacuum and are omitted.  As a side effect,
+        persistent indexes poisoned by since-deleted unhashable keys are
+        re-validated against their current bags (restoring ``O(|Δ|)`` index
+        maintenance).
         """
         # The whole {mutate + append} runs under the lifecycle lock (an
         # RLock — the per-view vacuums re-enter it harmlessly), matching
@@ -709,11 +702,11 @@ class Engine:
         # point in the operation order and never races a close.
         with self._database.lifecycle_lock:
             self._database.vacuum_storage()
-            reclaimed: Dict[str, int] = {}
-            for handle in self._views.values():
-                vacuum = getattr(handle.view, "vacuum", None)
-                if callable(vacuum):
-                    reclaimed[handle.name] = vacuum()
+            reclaimed: Dict[str, int] = {
+                handle.name: handle.view.vacuum()
+                for handle in self._views.values()
+                if handle.strategy == "nested"
+            }
             if self._durability is not None:
                 # Vacuum mutates derived state deterministically, so replay
                 # must re-run it at the same point in the operation order.

@@ -1,7 +1,7 @@
 """Maintenance plans: the output of the cost-driven strategy planner.
 
 ``engine.view(name, query, strategy="auto")`` routes every view through the
-planner, which scores each registered backend with the paper's cost model
+planner, which scores each of the four strategies with the paper's cost model
 (Section 4: ``C[[·]]`` and ``tcost``) and records the result here.  A
 :class:`MaintenancePlan` is what ``engine.explain(view)`` returns: the chosen
 strategy, the per-strategy estimates that justified the choice, and the
@@ -76,10 +76,10 @@ class MaintenancePlan:
 
     ``strategy`` names the backend that will run the view; ``requested``
     records what the caller asked for (``"auto"`` or an explicit name);
-    ``estimates`` holds one :class:`StrategyEstimate` per registered backend
-    in registry order; ``artifacts`` maps labels (``"delta query"``,
-    ``"residual delta"``, ``"shredded flat"``, …) to rendered expressions of
-    the chosen backend.
+    ``estimates`` holds one :class:`StrategyEstimate` per strategy, in
+    :data:`~repro.engine.planner.STRATEGIES` order; ``artifacts`` maps
+    labels (``"delta query"``, ``"residual delta"``, ``"shredded flat"``, …)
+    to rendered expressions of the chosen backend.
     """
 
     view_name: str

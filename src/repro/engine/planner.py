@@ -2,7 +2,8 @@
 
 The paper's cost interpretation ``C[[·]]`` (Figure 5) with ``tcost`` (Lemma 3)
 bounds the running time of evaluating any IncNRC+ expression.  The planner
-applies it to the *maintenance* work of every registered backend:
+applies it to the *maintenance* work of each of the paper's four strategies
+(:data:`STRATEGIES`):
 
 * **naive** — re-evaluates ``h`` per update: ``tcost(C[[h]])`` plus a full
   scan of every referenced relation;
@@ -19,13 +20,13 @@ Estimates are grounded in the *current* database instance (via
 :func:`repro.cost.size.size_of`) and an assumed update batch size ``d``
 (``expected_update_size``).  Following Theorem 4's reading — incrementalize
 only when the delta is strictly cheaper — ``auto`` picks the cheapest
-incremental backend when it beats naive re-evaluation, and naive otherwise;
-ties between incremental backends break by registry order.
+incremental strategy when it beats naive re-evaluation, and naive otherwise;
+ties between incremental strategies break by table order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, NamedTuple, Optional, Tuple
 
 from repro.cost.domains import ATOM_COST, BagCost, Cost, bottom_cost, sup
 from repro.cost.size import size_of
@@ -34,8 +35,11 @@ from repro.cost.transform import CostContext, cost_of, dictionary_cost_of
 from repro.delta.rules import delta
 from repro.errors import CostModelError, EngineError, NotInFragmentError, ShreddingError
 from repro.engine.plan import MaintenancePlan, StrategyEstimate
+from repro.ivm.classic import ClassicIVMView
 from repro.ivm.database import Database
-from repro.ivm.recursive import partially_evaluate
+from repro.ivm.naive import NaiveView
+from repro.ivm.nested import NestedIVMView
+from repro.ivm.recursive import RecursiveIVMView, partially_evaluate
 from repro.nrc.analysis import (
     is_incremental_fragment,
     referenced_relations,
@@ -49,7 +53,9 @@ from repro.shredding.context import iter_context_dicts
 from repro.shredding.shred_query import shred_query
 
 __all__ = [
+    "STRATEGIES",
     "PlanningInputs",
+    "Strategy",
     "plan_view",
     "estimate_naive",
     "estimate_classic",
@@ -175,7 +181,7 @@ class PlanningInputs:
 
 
 # --------------------------------------------------------------------------- #
-# Backend estimators (registered with the backend specs in repro.engine.backends)
+# Strategy estimators
 # --------------------------------------------------------------------------- #
 def estimate_naive(query: Expr, inputs: PlanningInputs) -> StrategyEstimate:
     """Full re-evaluation: ``tcost(C[[h]])`` plus a scan of every source."""
@@ -284,6 +290,33 @@ def estimate_nested(query: Expr, inputs: PlanningInputs) -> StrategyEstimate:
 
 
 # --------------------------------------------------------------------------- #
+# The strategy table
+# --------------------------------------------------------------------------- #
+class Strategy(NamedTuple):
+    """One of the paper's four ways to maintain a view."""
+
+    #: The :mod:`repro.ivm` class that maintains a view this way.
+    view: type
+    estimate: Callable[[Expr, PlanningInputs], StrategyEstimate]
+    #: Maintains first-order deltas of IncNRC+ (Proposition 4.1): honours an
+    #: explicit ``targets`` list and rejects queries outside IncNRC+.  The
+    #: other strategies derive their own update sources from the query.
+    inc_nrc: bool
+
+
+#: The closed strategy set, in planner priority order: naive first (the
+#: Theorem 4 baseline), then first-order deltas (Proposition 4.1), recursive
+#: IVM with materialized higher-order deltas (Section 4.1) and shredded IVM
+#: for full NRC+ (Section 5).
+STRATEGIES: Dict[str, Strategy] = {
+    "naive": Strategy(NaiveView, estimate_naive, inc_nrc=False),
+    "classic": Strategy(ClassicIVMView, estimate_classic, inc_nrc=True),
+    "recursive": Strategy(RecursiveIVMView, estimate_recursive, inc_nrc=True),
+    "nested": Strategy(NestedIVMView, estimate_nested, inc_nrc=False),
+}
+
+
+# --------------------------------------------------------------------------- #
 # Planning
 # --------------------------------------------------------------------------- #
 def plan_view(
@@ -294,51 +327,39 @@ def plan_view(
     requested: str = "auto",
     expected_update_size: int = 1,
     targets: Optional[Iterable[str]] = None,
-    registry=None,
 ) -> MaintenancePlan:
-    """Score every registered backend for ``query`` and pick a strategy.
+    """Score the four strategies for ``query`` and pick one.
 
     With ``requested="auto"`` the choice follows Theorem 4's reading: the
-    cheapest incremental backend wins when strictly cheaper than naive
+    cheapest incremental strategy wins when strictly cheaper than naive
     re-evaluation, otherwise naive does.  An explicit ``requested`` name is
     honored as-is; the estimates are still computed so ``explain`` can show
     what the planner would have thought.
     """
-    if registry is None:
-        from repro.engine.registry import DEFAULT_REGISTRY
-
-        registry = DEFAULT_REGISTRY
-
     inputs = PlanningInputs(query, database, targets, expected_update_size)
     estimates = []
-    for spec in registry.specs():
-        if inputs.explicit_targets and not spec.honors_targets:
-            # A backend that derives its own update sources would refresh on
+    for strategy_name, entry in STRATEGIES.items():
+        if inputs.explicit_targets and not entry.inc_nrc:
+            # A strategy that derives its own update sources would refresh on
             # relations the caller pinned out — semantically a different view.
             estimates.append(
                 StrategyEstimate(
-                    spec.name, False, reason="does not honor an explicit targets list"
+                    strategy_name, False, reason="does not honor an explicit targets list"
                 )
             )
-            continue
-        if spec.estimator is None:
-            estimates.append(
-                StrategyEstimate(spec.name, True, reason="no cost estimator registered")
-            )
-            continue
-        estimates.append(spec.estimator(query, inputs))
+        else:
+            estimates.append(entry.estimate(query, inputs))
 
     if requested != "auto":
-        if requested not in registry:
+        if requested not in STRATEGIES:
             raise EngineError(
-                f"unknown strategy {requested!r}; available: {', '.join(registry.names())}"
+                f"unknown strategy {requested!r}; available: {', '.join(STRATEGIES)}"
             )
         chosen, reason = requested, "explicitly requested"
     else:
         chosen, reason = _choose(estimates)
 
-    chosen_estimate = next((e for e in estimates if e.strategy == chosen), None)
-    artifacts = dict(chosen_estimate.artifacts) if chosen_estimate is not None else {}
+    artifacts = dict(next(e for e in estimates if e.strategy == chosen).artifacts)
     # Shard-aware storage line: delta application runs as O(|Δ|/N) per-shard
     # units, and the refresh mode says how independent views are scheduled.
     shards = database.storage_shards()
@@ -359,20 +380,14 @@ def plan_view(
 
 
 def _choose(estimates) -> Tuple[str, str]:
-    """Pick the auto strategy from the per-backend estimates."""
-    naive = next(
-        (e for e in estimates if e.strategy == "naive" and e.eligible), None
+    """Pick the auto strategy from the estimates, in :data:`STRATEGIES` order."""
+    naive, *incremental = estimates
+    naive_total = naive.total if naive.eligible else None
+    best = min(
+        (e for e in incremental if e.eligible and e.total is not None),
+        key=lambda estimate: estimate.total,
+        default=None,
     )
-    naive_total = naive.total if naive is not None and naive.total is not None else None
-
-    best = None
-    for estimate in estimates:
-        if estimate.strategy == "naive" or not estimate.eligible:
-            continue
-        if estimate.total is None:
-            continue
-        if best is None or estimate.total < best.total:
-            best = estimate
 
     if best is not None and (naive_total is None or best.total < naive_total):
         comparison = (
@@ -381,7 +396,7 @@ def _choose(estimates) -> Tuple[str, str]:
             else f"estimated per-update cost {best.total}"
         )
         return best.strategy, f"cheapest incremental backend ({comparison})"
-    if naive is not None:
+    if naive.eligible:
         if best is not None:
             return (
                 "naive",
@@ -389,9 +404,9 @@ def _choose(estimates) -> Tuple[str, str]:
                 f"(best incremental {best.total} ≥ naive {naive_total})",
             )
         return "naive", "no eligible incremental backend produced an estimate"
-    # Degenerate registry without a naive backend: fall back to the first
-    # eligible entry so explicit registries still plan deterministically.
-    for estimate in estimates:
+    # Explicit targets rule naive out; an IncNRC+ strategy the cost model
+    # could not estimate still maintains the view.
+    for estimate in incremental:
         if estimate.eligible:
             return estimate.strategy, "fallback: first eligible backend"
-    raise EngineError("no registered backend is eligible for this query")
+    raise EngineError("no strategy can maintain this query under an explicit targets list")

@@ -31,8 +31,6 @@ __all__ = ["ClassicIVMView"]
 class ClassicIVMView(View):
     """Materialized view maintained with a single, first-order delta query."""
 
-    accepts_refresh_context = True
-
     def __init__(
         self,
         query: Expr,

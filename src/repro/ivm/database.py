@@ -40,6 +40,7 @@ from repro.bag.bag import Bag, EMPTY_BAG
 from repro.dictionaries import DictValue, MaterializedDict
 from repro.errors import ShreddingError, WorkloadError
 from repro.ivm.updates import Update
+from repro.ivm.views import View
 from repro.labels import LabelFactory
 from repro.nrc.compile import IndexRequirement
 from repro.nrc.evaluator import Environment
@@ -283,7 +284,7 @@ class Database:
         # shredded form is the relation itself (no labels, no dictionaries),
         # so the update path skips the shredder for them entirely.
         self._flat_relations: set = set()
-        self._views: List[object] = []
+        self._views: List[View] = []
         # Monotone counter of state transitions (registrations and applied
         # non-empty updates).  The serving layer stamps reader snapshots
         # with it: two reads with equal versions saw identical state.
@@ -311,7 +312,7 @@ class Database:
             self._register(name, schema, instance)
 
     def _register(self, name: str, schema: BagType, instance: Optional[Bag]) -> None:
-        self._check_writable()
+        self.check_writable()
         if name in self._schemas:
             raise WorkloadError(f"relation {name!r} is already registered")
         if not isinstance(schema, BagType):
@@ -491,17 +492,14 @@ class Database:
         result_stores: List[Dict[str, object]] = []
         read_path: List[Dict[str, object]] = []
         for view in self._views:
-            store_of = getattr(view, "result_store", None)
-            store = store_of() if callable(store_of) else None
+            store = view.result_store()
             if store is not None:
                 result_stores.append(store.describe())
-            reader = getattr(view, "read_stats", None)
-            if callable(reader):
-                stats = reader()
-                # The facade (Engine.storage_report) swaps this for the
-                # user-facing view name; here the backend is anonymous.
-                stats["backend_id"] = id(view)
-                read_path.append(stats)
+            stats = view.read_stats()
+            # The facade (Engine.storage_report) swaps this for the
+            # user-facing view name; here the backend is anonymous.
+            stats["backend_id"] = id(view)
+            read_path.append(stats)
         for name, nester in self._nesters.items():
             if nester.built:
                 read_path.append({"relation": name, "nesting": nester.stats()})
@@ -552,10 +550,11 @@ class Database:
     # ------------------------------------------------------------------ #
     # Views
     # ------------------------------------------------------------------ #
-    def register_view(self, view: object) -> None:
+    def register_view(self, view: View) -> None:
         """Register a view to be notified on every update (pre-mutation)."""
-        if self._read_only is not None:
-            raise WorkloadError(f"database is read-only: {self._read_only}")
+        self.check_writable()
+        if not isinstance(view, View):
+            raise TypeError(f"views must subclass View, got {type(view).__name__}")
         self._views.append(view)
         self._state_version += 1
 
@@ -717,7 +716,7 @@ class Database:
             return self._apply_update(update)
 
     def _apply_update(self, update: Update) -> ShreddedDelta:
-        self._check_writable()
+        self.check_writable()
         for name in update.relations:
             if name not in self._schemas:
                 raise WorkloadError(f"update touches unknown relation {name!r}")
@@ -932,7 +931,8 @@ class Database:
         if self._closed:
             raise WorkloadError("database is closed")
 
-    def _check_writable(self) -> None:
+    def check_writable(self) -> None:
+        """Raise :class:`WorkloadError` unless the database accepts mutations."""
         self._check_open()
         if self._read_only is not None:
             raise WorkloadError(f"database is read-only: {self._read_only}")
@@ -986,50 +986,28 @@ class Database:
         One shared :class:`RefreshContext` is built up front and the
         scheduler runs the refreshes — inline for one worker, on a thread
         pool for more (delta environments are snapshots, so concurrency is
-        scheduling, not semantics).  Only context-aware views go to the
-        pool: a third-party two-argument backend rebuilds its environments
-        itself, which freezes the shared store builders — unsynchronized
-        check-then-act state — so its refreshes always run serially on the
-        coordinating thread, *before* the pool phase (never overlapping
-        it).  So do views the update cannot touch (``affected_by`` is false:
-        their refresh only records an empty update) — the pool is engaged
+        scheduling, not semantics).  Views the update cannot touch
+        (``affected_by`` is false: their refresh only records an empty
+        update) refresh on the coordinating thread — the pool is engaged
         only when at least two refreshes have work to do.  The context is
         released before the stores mutate so unretained snapshots die and
         the builders keep mutating in place.
         """
-        notifiable = [
-            (view, on_update)
-            for view in list(self._views)
-            if (on_update := getattr(view, "on_update", None)) is not None
-        ]
-        if not notifiable:
+        views = list(self._views)
+        if not views:
             return
         workers = self.view_refresh_workers()
         # A pinned serial execution backend means "single-threaded": clamp
         # multi-worker refresh down to the shared-snapshot inline mode.
         if workers > 1 and requested_backend == "serial":
             workers = 1
-        # The context freezes stores eagerly; engines of purely legacy
-        # backends (no context-aware view at all) skip building it.
-        context: Optional[RefreshContext] = None
-        if any(
-            getattr(view, "accepts_refresh_context", False) for view, _ in notifiable
-        ):
-            context = RefreshContext(self, update, shredded_delta)
+        context = RefreshContext(self, update, shredded_delta)
         pool_tasks: List[Callable[[], None]] = []
-        for view, on_update in notifiable:
-            if not getattr(view, "accepts_refresh_context", False):
-                # Legacy third-party backends keep the two-argument protocol
-                # and must not run concurrently with anything (see docstring).
-                on_update(update, shredded_delta)
-                continue
-            affected_by = getattr(view, "affected_by", None)
-            if affected_by is not None and not affected_by(context):
-                on_update(update, shredded_delta, context)
+        for view in views:
+            if view.affected_by(context):
+                pool_tasks.append(partial(view.on_update, update, shredded_delta, context))
             else:
-                pool_tasks.append(
-                    lambda on_update=on_update: on_update(update, shredded_delta, context)
-                )
+                view.on_update(update, shredded_delta, context)
         if workers > 1 and len(pool_tasks) > 1:
             scheduler = self._scheduler
             if scheduler is None:

@@ -23,8 +23,6 @@ __all__ = ["NaiveView"]
 class NaiveView(View):
     """Materialized view refreshed by full re-evaluation."""
 
-    accepts_refresh_context = True
-
     def __init__(self, query: Expr, database: Database, register: bool = True) -> None:
         super().__init__()
         self._query = query

@@ -104,8 +104,6 @@ class _DictState:
 class NestedIVMView(View):
     """Materialized view over a full NRC+ query, maintained in shredded form."""
 
-    accepts_refresh_context = True
-
     def __init__(
         self,
         query: Expr,

@@ -116,8 +116,6 @@ def partially_evaluate(
 class RecursiveIVMView(View):
     """Materialized view maintained through a tower of higher-order deltas."""
 
-    accepts_refresh_context = True
-
     def __init__(
         self,
         query: Expr,

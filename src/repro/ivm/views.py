@@ -82,25 +82,16 @@ class MaintenanceStats:
 
 
 class View:
-    """Base class for materialized views.
+    """Base class for materialized views: every view the database notifies
+    is one.
 
-    ``on_update`` may take a third argument, the shared
+    ``on_update`` receives the shared
     :class:`~repro.ivm.database.RefreshContext` holding the pre-update
-    snapshot environments of this refresh round; views that do, evaluate
-    against it instead of rebuilding their own environments (one snapshot
-    family per update instead of one per view, and the anchor that makes
-    concurrent refresh safe).  ``accepts_refresh_context`` tells the
-    database's dispatcher whether to pass it; it defaults to **false** so
-    custom backends keeping the two-argument ``on_update`` — whether or
-    not they subclass this base — are still called correctly.  Backends
-    that take the context set it to true (as the four built-in views do,
-    which always receive one).
+    snapshot environments of this refresh round and evaluates against it
+    instead of rebuilding its own environments: one snapshot family per
+    update instead of one per view, and the anchor that makes concurrent
+    refresh safe.
     """
-
-    #: The database passes a RefreshContext to ``on_update`` when true.
-    #: Deliberately false here: opting in is the subclass's declaration
-    #: that its ``on_update`` signature takes the third argument.
-    accepts_refresh_context = False
 
     #: The update symbols ``(source, order)`` this view's maintenance queries
     #: mention; ``None`` (the default) means "unknown: refresh on every
@@ -126,7 +117,7 @@ class View:
     def result(self):
         raise NotImplementedError
 
-    def on_update(self, update, shredded_delta, context=None) -> None:  # pragma: no cover - interface
+    def on_update(self, update, shredded_delta, context) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
     # ------------------------------------------------------------------ #

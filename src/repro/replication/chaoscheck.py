@@ -45,11 +45,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.client.api import APIClient, APIError
 from repro.durability.faults import engine_state, state_differences
 from repro.durability.wal import list_segments, resolve_fsync_policy
+from repro.engine import STRATEGIES
 from repro.workloads.movies import generate_movies, movie_update_stream
 
 __all__ = ["CHAOS_SCENARIOS", "main", "run_battery"]
-
-STRATEGIES = ("naive", "classic", "recursive", "nested")
 
 CHAOS_SCENARIOS = (
     "primary_kill",
@@ -463,7 +462,7 @@ _SCENARIO_RUNNERS = {
 # Battery
 # --------------------------------------------------------------------------- #
 def run_battery(
-    strategies: Sequence[str] = STRATEGIES,
+    strategies: Sequence[str] = tuple(STRATEGIES),
     scenarios: Sequence[str] = CHAOS_SCENARIOS,
     *,
     movies: int = 12,

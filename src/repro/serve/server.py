@@ -299,6 +299,8 @@ class _Handler(BaseHTTPRequestHandler):
             return json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise ProtocolError(f"request body is not valid JSON: {error}") from None
+        except RecursionError:
+            raise ProtocolError("request body nests too deeply to parse") from None
 
     # ------------------------------------------------------------------ #
     # Dispatch

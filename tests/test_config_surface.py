@@ -1,17 +1,22 @@
-"""The configuration surface, pinned: environment variables, code generation and cited entry points.
+"""The configuration surface, pinned: environment variables, constructor
+knobs, code generation and cited entry points.
 
-Every ``REPRO_*`` variable is a path that must be tested, documented and
-kept bit-identical, so adding one is a reviewed diff to the list below; so
-is a new module that turns text into code.  A document that names a module
-or a benchmark file must name one that exists.
+Every ``REPRO_*`` variable and every constructor knob is a path that must be
+tested, documented and kept bit-identical, so adding one is a reviewed diff
+to the lists below; so is a new module that turns text into code.  A
+document that names a module or a benchmark file must name one that exists.
 """
 
 import ast
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
 import pytest
+
+from repro.engine import Engine
+from repro.serve import ServerConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -25,6 +30,34 @@ ENVIRONMENT_VARIABLES = {
     "REPRO_TENANT",
     "REPRO_SERVER",
 }
+
+#: ``Engine(...)``'s keyword parameters, in signature order.
+ENGINE_OPTIONS = (
+    "expected_update_size",
+    "shards",
+    "parallel_views",
+    "backend",
+    "data_dir",
+    "fsync",
+    "fault_injector",
+    "standby",
+)
+
+SERVER_CONFIG_FIELDS = (
+    "host",
+    "port",
+    "queue_depth",
+    "coalesce",
+    "auto_create_tenants",
+    "sync_timeout",
+    "engine_options",
+    "quiet",
+    "data_dir",
+    "fsync",
+    "replica_of",
+    "poll_wait",
+    "poll_interval",
+)
 
 DOCUMENTS = [
     ROOT / "README.md",
@@ -42,6 +75,16 @@ def test_environment_variables_are_exactly_the_listed_ones():
     for source in (ROOT / "src").rglob("*.py"):
         named.update(re.findall(r"REPRO_[A-Z_]+", source.read_text(encoding="utf-8")))
     assert named == ENVIRONMENT_VARIABLES
+
+
+def test_engine_options_are_exactly_the_listed_ones():
+    _, *options = inspect.signature(Engine.__init__).parameters.values()
+    assert tuple(option.name for option in options) == ENGINE_OPTIONS
+    assert all(option.kind is option.KEYWORD_ONLY for option in options)
+
+
+def test_server_config_fields_are_exactly_the_listed_ones():
+    assert ServerConfig.__slots__ == SERVER_CONFIG_FIELDS
 
 
 def test_one_module_generates_code():

@@ -6,10 +6,13 @@ import pytest
 
 from repro.bag import Bag
 from repro.engine import Engine
-from repro.errors import EngineError, NotInFragmentError
+from repro.errors import EngineError, NotInFragmentError, WorkloadError
+from repro.ivm.classic import ClassicIVMView
 from repro.ivm.updates import Update, UpdateStream, insertions
+from repro.ivm.views import View
 from repro.nrc import ast, builders as build, predicates as preds
 from repro.nrc.evaluator import Environment, evaluate_bag
+from repro.nrc.types import BASE, bag_of
 from repro.surface import Dataset
 from repro.workloads import (
     MOVIE_RECORD,
@@ -87,7 +90,7 @@ def test_duplicate_view_name_rejected():
 def test_unknown_strategy_rejected():
     engine = Engine()
     engine.dataset("M", MOVIE_SCHEMA, PAPER_MOVIES)
-    with pytest.raises(EngineError):
+    with pytest.raises(EngineError, match="available: naive, classic, recursive, nested$"):
         engine.view("dramas", drama_filter(), strategy="quantum")
 
 
@@ -122,6 +125,21 @@ def test_view_rejects_zero_expected_update_size():
     engine.dataset("M", MOVIE_SCHEMA, PAPER_MOVIES)
     with pytest.raises(EngineError):
         engine.view("dramas", drama_filter(), expected_update_size=0)
+
+
+def test_view_on_a_closed_engine_fails_before_materializing(monkeypatch):
+    engine = Engine()
+    relation = engine.dataset("R", bag_of(BASE), Bag(["a"]))
+    engine.close()
+    built = []
+    monkeypatch.setattr(ClassicIVMView, "__init__", lambda *args, **kwargs: built.append(args))
+    query = build.for_in("x", relation, ast.SngVar("x"))
+    with pytest.raises(WorkloadError, match="database is closed"):
+        engine.view("v", query, strategy="classic")
+    assert built == [] and "v" not in engine
+    # The database itself refuses a late registration the same way.
+    with pytest.raises(WorkloadError, match="database is closed"):
+        engine.database.register_view(View())
 
 
 def test_explicit_targets_restrict_auto_to_honoring_backends():

@@ -1,20 +1,12 @@
-"""Cost-driven strategy planning and the pluggable backend registry."""
+"""Cost-driven strategy planning over the paper's four strategies."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.engine import (
-    BackendRegistry,
-    BackendSpec,
-    DEFAULT_REGISTRY,
-    Engine,
-    backend_names,
-    plan_view,
-)
+from repro.engine import STRATEGIES, plan_view
 from repro.engine.planner import PlanningInputs
 from repro.errors import EngineError
-from repro.ivm.naive import NaiveView
 from repro.nrc import ast, builders as build, predicates as preds
 from repro.nrc.types import BASE, bag_of
 from repro.workloads import (
@@ -138,50 +130,13 @@ def test_planning_inputs_targets_default_to_referenced_relations():
 
 
 # --------------------------------------------------------------------------- #
-# Registry pluggability
+# The strategy table
 # --------------------------------------------------------------------------- #
 def test_builtin_backends_registered():
-    assert backend_names() == ("naive", "classic", "recursive", "nested")
-
-
-def test_custom_backend_pluggable_without_touching_the_facade():
-    registry = DEFAULT_REGISTRY.copy()
-    calls = []
-
-    def build_logged(query, database, targets=None):
-        calls.append(query)
-        return NaiveView(query, database)
-
-    registry.register(
-        BackendSpec(
-            name="logged-naive",
-            description="naive with call logging (test backend)",
-            build=build_logged,
-        )
-    )
-    engine = Engine(registry=registry)
-    engine.dataset("M", MOVIE_SCHEMA, generate_movies(5))
-    view = engine.view("dramas", drama_filter(), strategy="logged-naive")
-    assert view.strategy == "logged-naive"
-    assert len(calls) == 1
-    engine.insert("M", [("Heat", "Crime", "Mann")])
-    assert view.stats.updates_applied == 1
-    # Backends without an estimator are skipped by auto but still listed.
-    estimate = view.plan.estimate_for("logged-naive")
-    assert estimate is not None and estimate.total is None
-    assert "no cost estimator" in estimate.reason
-    # The default registry is untouched.
-    assert "logged-naive" not in DEFAULT_REGISTRY
-
-
-def test_registry_duplicate_and_lookup_errors():
-    registry = BackendRegistry()
-    spec = BackendSpec(name="x", description="", build=lambda *a, **k: None)
-    registry.register(spec)
-    with pytest.raises(EngineError):
-        registry.register(spec)
-    registry.register(spec, replace=True)
-    with pytest.raises(EngineError):
-        registry.get("missing")
-    registry.unregister("x")
-    assert "x" not in registry
+    """The four strategies, in planner priority order; the two IncNRC+ ones
+    are exactly those that honour ``targets``."""
+    assert tuple(STRATEGIES) == ("naive", "classic", "recursive", "nested")
+    assert [name for name, entry in STRATEGIES.items() if entry.inc_nrc] == [
+        "classic",
+        "recursive",
+    ]

@@ -5,6 +5,7 @@ import pytest
 from repro.bag import Bag, EMPTY_BAG
 from repro.errors import WorkloadError
 from repro.ivm import Database, Update, UpdateStream, deletions, insertions
+from repro.ivm.views import View
 from repro.labels import Label
 from repro.nrc.types import BASE, bag_of, tuple_of
 from repro.shredding.shred_database import flat_relation_name, input_dict_name
@@ -150,13 +151,15 @@ class TestDatabase:
     def test_views_are_notified_before_mutation(self, movie_db, paper_movies, paper_update):
         observed = {}
 
-        class Probe:
-            def on_update(self, update, shredded_delta):
+        class Probe(View):
+            def on_update(self, update, shredded_delta, context):
                 observed["relation_at_notification"] = movie_db.relation("M")
+                observed["context_relation"] = context.delta_environment().relations["M"]
 
         movie_db.register_view(Probe())
         movie_db.apply_update(Update(relations={"M": paper_update}))
         assert observed["relation_at_notification"] == paper_movies
+        assert observed["context_relation"] == paper_movies
 
     def test_deep_update_refreshes_nested_relation(self):
         database = Database()
@@ -173,8 +176,8 @@ class TestDatabase:
     def test_noop_update_short_circuits_view_notification(self, movie_db):
         calls = []
 
-        class Probe:
-            def on_update(self, update, shredded_delta):
+        class Probe(View):
+            def on_update(self, update, shredded_delta, context):
                 calls.append(update)
 
         movie_db.register_view(Probe())
@@ -184,6 +187,14 @@ class TestDatabase:
         assert calls == []
         movie_db.apply_update(insertions("M", [("a", "g", "d")]))
         assert len(calls) == 1
+
+    def test_register_view_requires_a_view(self, movie_db):
+        class Duck:
+            def on_update(self, update, shredded_delta, context):
+                pass
+
+        with pytest.raises(TypeError, match="subclass View"):
+            movie_db.register_view(Duck())
 
     def test_deep_update_of_relation_named_with_dunder_d(self):
         # Regression: the relation name itself contains the "__D" separator;

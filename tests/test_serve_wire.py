@@ -300,6 +300,17 @@ class TestRequestBodies:
         received, _ = _talk(server, _post(f"/v1/{TENANT}/apply", body) + GET_HEALTH, 0.5)
         assert _statuses(received) == [400, 200]
 
+    def test_deeply_nested_body_is_400(self, server):
+        """Nesting past the recursion limit makes ``json.loads`` raise
+        ``RecursionError``, not ``JSONDecodeError``: still the client's fault."""
+        body = b"[" * 200_000 + b"]" * 200_000
+        received, closed = _talk(
+            server, _post(f"/v1/{TENANT}/apply", body) + GET_HEALTH, 0.5
+        )
+        assert _statuses(received) == [400, 200]
+        assert b'"bad_request"' in received and b"nests too deeply" in received
+        assert not closed
+
     def test_post_with_body_to_missing_route_then_get(self, server):
         """The unread body must never be parsed as the next request — here it
         *is* a well-formed request, so parsing it would answer 200 twice."""

@@ -341,10 +341,8 @@ def test_concurrent_refresh_is_deterministic():
 def test_threaded_refresh_actually_uses_worker_threads():
     seen_threads = set()
 
-    class Probe:
-        accepts_refresh_context = True
-
-        def on_update(self, update, shredded_delta, context=None):
+    class Probe(View):
+        def on_update(self, update, shredded_delta, context):
             seen_threads.add(threading.current_thread().name)
 
     with forced_parallel_views(2):
@@ -363,14 +361,12 @@ def test_untouched_views_refresh_inline_and_keep_the_pool_idle():
     threads = {}
 
     class Probe(View):
-        accepts_refresh_context = True
-
         def __init__(self, name, relation):
             super().__init__()
             self.name = name
             self._delta_sources = frozenset({(relation, 1)})
 
-        def on_update(self, update, shredded_delta, context=None):
+        def on_update(self, update, shredded_delta, context):
             threads[self.name] = threading.current_thread().name
 
     with forced_parallel_views(2):
@@ -397,10 +393,8 @@ def test_untouched_views_refresh_inline_and_keep_the_pool_idle():
 
 
 def test_parallel_refresh_propagates_first_error_and_aborts_update():
-    class Exploding:
-        accepts_refresh_context = True
-
-        def on_update(self, update, shredded_delta, context=None):
+    class Exploding(View):
+        def on_update(self, update, shredded_delta, context):
             raise RuntimeError("boom")
 
     with forced_parallel_views(2):
@@ -412,57 +406,6 @@ def test_parallel_refresh_propagates_first_error_and_aborts_update():
             database.apply_update(Update(relations={"R": Bag(["b"])}))
         # Views run pre-mutation, so the failed update left the store alone.
         assert database.relation("R") == Bag(["a"])
-
-
-def test_legacy_views_refresh_on_coordinating_thread_before_pool():
-    """Legacy backends rebuild their own environments (freezing shared store
-    builders), so they must never run on pool threads or overlap the pool
-    phase (finding from review)."""
-    from repro.ivm.views import View
-
-    events = []
-
-    class Legacy(View):
-        def on_update(self, update, shredded_delta):
-            events.append(("legacy", threading.current_thread() is threading.main_thread()))
-
-    class ContextAware(View):
-        accepts_refresh_context = True
-
-        def on_update(self, update, shredded_delta, context=None):
-            events.append(("pool", None))
-
-    with forced_parallel_views(2):
-        database = Database()
-        database.register("R", bag_of(BASE), Bag(["a"]))
-        database.register_view(ContextAware())
-        database.register_view(Legacy())
-        database.register_view(ContextAware())
-        database.apply_update(Update(relations={"R": Bag(["b"])}))
-    legacy_events = [event for event in events if event[0] == "legacy"]
-    assert legacy_events == [("legacy", True)]
-    # The legacy refresh completed before any pool task started.
-    assert events[0] == ("legacy", True)
-
-
-def test_legacy_two_argument_view_subclass_still_dispatches():
-    """A third-party backend subclassing View with the pre-PR-5 two-argument
-    ``on_update`` must keep working under the scheduler (context is opt-in)."""
-    from repro.ivm.views import View
-
-    calls = []
-
-    class LegacyBackend(View):
-        def on_update(self, update, shredded_delta):
-            calls.append(update)
-
-    with forced_parallel_views(1):
-        database = Database()
-        database.register("R", bag_of(BASE), Bag(["a"]))
-        database.register_view(LegacyBackend())
-        database.apply_update(Update(relations={"R": Bag(["b"])}))
-    assert len(calls) == 1
-    assert database.relation("R") == Bag(["a", "b"])
 
 
 def test_storage_shards_reporting_matches_created_stores():
