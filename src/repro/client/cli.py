@@ -347,15 +347,6 @@ def _cmd_apply(api: APIClient, args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_vacuum(api: APIClient, args: argparse.Namespace) -> int:
-    payload = UpdatesClient(api, tenant=args.tenant).vacuum()
-    console.print(
-        f"vacuum at version {payload['version']}: "
-        f"{json.dumps(payload['reclaimed'])}"
-    )
-    return 0
-
-
 def _cmd_checkpoint(api: APIClient, args: argparse.Namespace) -> int:
     payload = UpdatesClient(api, tenant=args.tenant).checkpoint()
     console.print(
@@ -527,8 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     apply_parser.add_argument("--file", default=None, help="update(s) from a JSON file")
     apply_parser.add_argument("--mode", choices=("sync", "async"), default="sync")
 
-    commands.add_parser("vacuum", help="reclaim derived state")
-
     commands.add_parser(
         "checkpoint", help="cut a durable snapshot checkpoint for the tenant"
     )
@@ -562,7 +551,6 @@ _COMMANDS = {
     "datasets": _cmd_datasets,
     "views": _cmd_views,
     "apply": _cmd_apply,
-    "vacuum": _cmd_vacuum,
     "checkpoint": _cmd_checkpoint,
     "promote": _cmd_promote,
     "replication": _cmd_replication,

@@ -132,7 +132,7 @@ class ViewsClient(_TenantClient):
 
 
 class UpdatesClient(_TenantClient):
-    """``/v1/{tenant}/apply`` and storage maintenance."""
+    """``/v1/{tenant}/apply``, checkpoints and the snapshot read."""
 
     def apply(
         self, *updates: Dict[str, Any], mode: str = "sync"
@@ -144,9 +144,6 @@ class UpdatesClient(_TenantClient):
 
     def insert(self, relation: str, rows: List[Any], mode: str = "sync") -> Dict[str, Any]:
         return self.apply({relation: {"rows": rows}}, mode=mode)
-
-    def vacuum(self) -> Dict[str, Any]:
-        return self.api.post(self._path("vacuum"))
 
     def checkpoint(self) -> Dict[str, Any]:
         """Cut a durable snapshot checkpoint (requires a server data dir)."""

@@ -4,8 +4,8 @@ For every maintenance strategy (naive / classic / recursive / nested) and
 every :data:`~repro.durability.faults.CRASH_POINTS` entry, this module
 
 1. runs the movie workload (dataset, one pinned-strategy view, a batched
-   update stream with deletions, a final vacuum) on a plain in-memory
-   engine — the **uninterrupted baseline**;
+   update stream with deletions) on a plain in-memory engine — the
+   **uninterrupted baseline**;
 2. runs it again against a durable engine with a
    :class:`~repro.durability.faults.FaultInjector` armed at the point,
    simulates the power loss, reopens the engine from the same data
@@ -73,7 +73,6 @@ def build_ops(strategy: str, movies: int, updates: int) -> List[Tuple]:
         updates, batch_size=3, existing=rows, deletion_ratio=0.25
     )
     ops.extend(("update", update) for update in stream)
-    ops.append(("vacuum",))
     return ops
 
 

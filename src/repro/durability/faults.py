@@ -181,8 +181,7 @@ def state_differences(expected: Dict[str, Any], actual: Dict[str, Any]) -> List[
 
 def apply_op(engine, op: Tuple) -> None:
     """Apply one workload op: ``("dataset", name, schema, rows)``,
-    ``("view", name, query, strategy)``, ``("update", update)``, or
-    ``("vacuum",)``."""
+    ``("view", name, query, strategy)`` or ``("update", update)``."""
     kind = op[0]
     if kind == "dataset":
         engine.dataset(op[1], op[2], rows=op[3])
@@ -190,15 +189,8 @@ def apply_op(engine, op: Tuple) -> None:
         engine.view(op[1], op[2], strategy=op[3])
     elif kind == "update":
         engine.apply(op[1])
-    elif kind == "vacuum":
-        engine.vacuum()
     else:  # pragma: no cover - workload construction bug
         raise ValueError(f"unknown workload op {kind!r}")
-
-
-def _version_cost(op: Tuple) -> int:
-    """How much one op advances ``state_version`` (vacuum advances nothing)."""
-    return 0 if op[0] == "vacuum" else 1
 
 
 def crash_and_recover(
@@ -245,13 +237,8 @@ def crash_and_recover(
         engine.simulate_crash()
     recovered = Engine(data_dir=data_dir, fsync=fsync)
     survived = recovered.state_version
-    cumulative = 0
-    for op in ops:
-        cost = _version_cost(op)
-        # Re-apply every op the recovery did not restore.  Vacuum ops are
-        # always re-run: they advance no version (so survival is not
-        # observable) and are idempotent on state.
-        if cost == 0 or cumulative + cost > survived:
-            apply_op(recovered, op)
-        cumulative += cost
+    # Every op advances the version by one: re-apply the suffix the
+    # recovery did not restore.
+    for op in ops[survived:]:
+        apply_op(recovered, op)
     return recovered, crashed, survived

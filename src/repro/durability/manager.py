@@ -52,7 +52,6 @@ from repro.durability.records import (
     decode_record,
     encode_dataset_record,
     encode_update_record,
-    encode_vacuum_record,
     encode_view_record,
 )
 from repro.durability.wal import (
@@ -340,7 +339,7 @@ class DurabilityManager:
                 expected_update_size=expected_update_size,
             )
         elif kind == "vacuum":
-            engine.vacuum()
+            pass  # legacy X record: writes retire dead state themselves now
         else:  # pragma: no cover - decode_record owns the type dispatch
             raise ValueError(f"unreplayable record kind {kind!r}")
 
@@ -460,10 +459,6 @@ class DurabilityManager:
         """Append a prepared record once the operation actually applied."""
         if record is not None and self.logging:
             self._wal.append(record)
-
-    def log_vacuum(self) -> None:
-        if self.logging:
-            self._wal.append(encode_vacuum_record())
 
     def sync(self) -> None:
         """Make every logged record durable (the ack barrier under ``batch``)."""

@@ -1,12 +1,13 @@
 """WAL record payloads: every logged operation as self-describing bytes.
 
 The log records *operations*, not state: ``U`` an applied
-:class:`~repro.ivm.updates.Update`, ``D`` a dataset registration, ``V`` a
-view creation (with its strategy pinned, so replay never re-plans), and
-``X`` a vacuum pass.  Replaying the records through the normal engine API
-reproduces the state machine exactly — label assignment included, because
-the shredder's label counter is part of every checkpoint and the records
-preserve insertion order.
+:class:`~repro.ivm.updates.Update`, ``D`` a dataset registration and ``V`` a
+view creation (with its strategy pinned, so replay never re-plans).
+Replaying the records through the normal engine API reproduces the state
+machine exactly — label assignment included, because the shredder's label
+counter is part of every checkpoint and the records preserve insertion
+order.  ``X`` (an operator's vacuum pass) is no longer written; logs that
+hold one still decode, and replay treats it as a no-op.
 
 Bags travel in the PR 7 pair codec (:mod:`repro.bag.codec`) whenever the
 codec accepts them — compact, allocation-light, and it *rejects* the values
@@ -41,7 +42,6 @@ __all__ = [
     "decode_record",
     "encode_dataset_record",
     "encode_update_record",
-    "encode_vacuum_record",
     "encode_view_record",
 ]
 
@@ -49,6 +49,7 @@ __all__ = [
 _RT_UPDATE = ord("U")
 _RT_DATASET = ord("D")
 _RT_VIEW = ord("V")
+#: Decoded only: written by logs that predate write-time retirement.
 _RT_VACUUM = ord("X")
 
 #: Blob encodings: the pair codec when it accepts the value, pickle otherwise.
@@ -195,11 +196,6 @@ def encode_view_record(
     return bytes(out)
 
 
-def encode_vacuum_record() -> bytes:
-    """``X`` record: a vacuum pass (mutates derived state deterministically)."""
-    return bytes([_RT_VACUUM])
-
-
 # ---------------------------------------------------------------------- #
 # Decoder
 # ---------------------------------------------------------------------- #
@@ -209,8 +205,8 @@ def decode_record(payload: bytes) -> Tuple[str, Any]:
 
     ``("update", Update)``, ``("dataset", (name, schema, rows))``,
     ``("view", (name, strategy, expr, targets, expected_update_size))``, or
-    ``("vacuum", None)``.  Raises ``ValueError`` on an unknown type byte —
-    the manager treats that as segment corruption.
+    ``("vacuum", None)`` for a legacy ``X`` record.  Raises ``ValueError``
+    on an unknown type byte — the manager treats that as segment corruption.
     """
     if not payload:
         raise ValueError("empty WAL record payload")

@@ -683,36 +683,8 @@ class Engine:
         return self.apply(deletions(relation, rows))
 
     # ------------------------------------------------------------------ #
-    # Storage maintenance
+    # Storage introspection
     # ------------------------------------------------------------------ #
-    def vacuum(self) -> Dict[str, int]:
-        """Reclaim stale derived state of the nested views.
-
-        Delegates to each nested view's ``vacuum()`` (it drops dictionary
-        entries for labels no longer reachable) and returns the
-        reclaimed-label count per view name; views of the other strategies
-        have nothing to vacuum and are omitted.  As a side effect,
-        persistent indexes poisoned by since-deleted unhashable keys are
-        re-validated against their current bags (restoring ``O(|Δ|)`` index
-        maintenance).
-        """
-        # The whole {mutate + append} runs under the lifecycle lock (an
-        # RLock — the per-view vacuums re-enter it harmlessly), matching
-        # the apply discipline: the logged vacuum lands at exactly its
-        # point in the operation order and never races a close.
-        with self._database.lifecycle_lock:
-            self._database.vacuum_storage()
-            reclaimed: Dict[str, int] = {
-                handle.name: handle.view.vacuum()
-                for handle in self._views.values()
-                if handle.strategy == "nested"
-            }
-            if self._durability is not None:
-                # Vacuum mutates derived state deterministically, so replay
-                # must re-run it at the same point in the operation order.
-                self._durability.log_vacuum()
-        return reclaimed
-
     def storage_report(self) -> Mapping[str, object]:
         """Sizes and index statistics of the underlying stores.
 

@@ -472,8 +472,8 @@ class ProcessExecutionBackend(ExecutionBackend):
 
     A worker's cached shard copy is valid only while the store's
     ``routing_token()`` matches the token recorded at the last adopt; any
-    out-of-band mutation (a replace, a vacuum, a delta applied by another
-    backend) changes the token and forces a re-export.
+    out-of-band mutation (a replace, a delta applied by another backend)
+    changes the token and forces a re-export.
 
     Degradation ("what poisons a process backend back to threads"): a
     delta or stored value the codec refuses (``NaN``, unknown types) marks

@@ -462,16 +462,6 @@ class Database:
             report.append(entry)
         return tuple(report)
 
-    def vacuum_storage(self) -> int:
-        """Re-validate poisoned persistent indexes against their current bags.
-
-        The recovery half of the index lifecycle: a transient unhashable key
-        poisons an index, and once the offending elements have been deleted
-        one vacuum pass rebuilds it and restores ``O(|Δ|)`` maintenance.
-        Returns the number of indexes that came back healthy.
-        """
-        return self._storage.vacuum() + self._flat_storage.vacuum()
-
     def storage_shards(self) -> int:
         """The shard count this database's stores are partitioned into.
 
@@ -781,6 +771,11 @@ class Database:
         (``subinterpreters``/``processes`` → ``threads``); the effective
         backend name — which a backend may further narrow mid-flight — is
         what the per-backend apply counters record.
+
+        A deleting delta that reaches a store with a poisoned index slice may
+        have removed the unhashable key behind it, so the poisoned slices are
+        rebuilt here, on the write — never on the probe path, where
+        refreshes read concurrently.
         """
         if delta.is_empty():
             manager.apply_delta(name, delta)
@@ -789,6 +784,8 @@ class Database:
         backend = self._resolve_execution_backend(store, delta, spec)
         effective = backend.apply_delta(store, delta)
         self._backend_applies[effective] = self._backend_applies.get(effective, 0) + 1
+        if store.poisoned and delta.has_negative():
+            store.heal()
 
     def _resolve_execution_backend(self, store, delta: Bag, spec: Tuple[str, Optional[int]]):
         from repro.engine.scheduler import (

@@ -71,8 +71,9 @@ class _DictState:
     ``(parent label, element)`` pairs of their parent's entries — per entry,
     so a label one entry holds with multiplicity -1 and another with +1 is
     referenced twice, not cancelled out.  Both are refreshed from the
-    update's presence transitions — O(|Δ|) per update;
-    :meth:`NestedIVMView.vacuum` still reconciles by re-scanning.
+    update's presence transitions — O(|Δ|) per update — and a label whose
+    count drops to 0 leaves ``entries`` at this position's next turn, so
+    ``entries`` holds exactly the live labels after every update.
     """
 
     path: Tuple[Any, ...]
@@ -86,6 +87,9 @@ class _DictState:
     #: Labels whose count crossed 0 → 1 since this position's last refresh
     #: (in order, possibly repeated): the only candidates for initialization.
     activated: List[Label] = field(default_factory=list)
+    #: Labels whose count dropped to 0 since this position's last refresh:
+    #: the only candidates for retirement.
+    deactivated: List[Label] = field(default_factory=list)
     #: Projection from a referencing element to this position's label.
     tuple_path: Tuple[Any, ...] = ()
     #: The parent dictionary state for nested positions (``None`` at roots).
@@ -348,20 +352,41 @@ class NestedIVMView(View):
                 if state.parent is None:
                     self._apply_transitions(state, transitions)
 
-        # 2. Maintain every dictionary: refresh existing definitions with
-        #    δ(h^Γ)(ℓ) and initialize definitions for newly active labels.
-        #    Only the touched labels are rewritten — the entries map is
-        #    mutated in place, never rebuilt wholesale.  The elements that
-        #    enter or leave an entry move the children's active-label
-        #    counts (parents precede children in self._dict_states), again
-        #    O(|change|).
+        # 2. Maintain every dictionary: retire the labels no place references
+        #    any more, refresh existing definitions with δ(h^Γ)(ℓ) and
+        #    initialize definitions for newly active labels.  Only the
+        #    touched labels are rewritten — the entries map is mutated in
+        #    place, never rebuilt wholesale.  The elements that enter or
+        #    leave an entry move the children's active-label counts (parents
+        #    precede children in self._dict_states), again O(|change|).
         for state in self._dict_states:
-            delta_dictionary = self._dictionary_value(
-                state.compiled_delta, state.delta_expression, delta_env, counter
-            )
             entries = state.entries
             # (element, ±1) per element entering / leaving one of the entries.
             moves: Optional[List[Tuple[Any, int]]] = [] if state.children else None
+            # Every transition feeding this position was folded in before its
+            # turn (the flat view's above, its parent's in the parent's), so a
+            # label still inactive here is dead for this update (one revived
+            # by another carrier keeps its entry).  Retiring it costs
+            # O(|entry|): the entry, its footprint, the nester's state for it,
+            # and its elements' places in the children's counts.
+            deactivated, state.deactivated = state.deactivated, []
+            retired: List[Label] = []
+            for label in deactivated:
+                if label in state.active:
+                    continue
+                entry = entries.pop(label, None)
+                if entry is None:
+                    continue
+                retired.append(label)
+                self._footprint_discard(state, label)
+                if moves is not None:
+                    moves += [(element, -1) for element in entry.elements()]
+            if nester is not None and retired:
+                nester.evict(state.path, retired)
+
+            delta_dictionary = self._dictionary_value(
+                state.compiled_delta, state.delta_expression, delta_env, counter
+            )
             rewritten: List[Label] = []
             # When the delta dictionary has finite support (e.g. deep updates
             # arriving as explicit label deltas) only the touched labels need
@@ -397,9 +422,7 @@ class NestedIVMView(View):
                     entries[label] = entry.union(change)
                     rewritten.append(label)
 
-            # Only labels whose count crossed 0 → 1 can lack a definition;
-            # every transition feeding this position was folded in before
-            # its turn (the flat view's above, its parent's in the parent's).
+            # Only labels whose count crossed 0 → 1 can lack a definition.
             activated, state.activated = state.activated, []
             new_labels = [
                 label
@@ -429,31 +452,6 @@ class NestedIVMView(View):
 
         self.stats.record_update(self._now() - started, counter)
 
-    def vacuum(self) -> int:
-        """Drop dictionary entries whose labels are no longer reachable.
-
-        Returns the number of entries removed.  Stale entries are harmless
-        for correctness (nesting never looks them up; the result stands) but
-        keeping the dictionaries — and the nester's memo over them — tight
-        mirrors the space bounds of the paper.  Vacuum is
-        also the reconciliation pass of the active-label index: counts are
-        recomputed from scratch here (parents before children, so a child's
-        scan sees its parent already vacuumed).
-        """
-        removed = 0
-        for state in self._dict_states:
-            state.active = self._scan_active(state)
-            stale = [label for label in state.entries if label not in state.active]
-            for label in stale:
-                del state.entries[label]
-                self._footprint_discard(state, label)
-            self._nester.evict(state.path, stale)
-            # Reconciliation: a label the scan found active but undefined is
-            # initialized by the next refresh, like a freshly activated one.
-            state.activated = [label for label in state.active if label not in state.entries]
-            removed += len(stale)
-        return removed
-
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
@@ -479,7 +477,7 @@ class NestedIVMView(View):
         Root positions (no ``"e"`` in the path) draw their labels from the
         flat view; nested positions from each of their parent's entries
         (already up to date — states are kept in parent-before-child order).
-        Seeds the index at construction and reconciles it in :meth:`vacuum`.
+        Seeds the index at construction; updates maintain it from there.
         """
         if state.parent is None:
             elements = self._flat_view.elements()  # iterates without freezing
@@ -524,7 +522,7 @@ class NestedIVMView(View):
         self, state: _DictState, transitions: List[Tuple[Any, int]]
     ) -> None:
         """Fold carrier presence transitions into a state's active-label counts,
-        noting the labels that became active."""
+        noting the labels that became active and those that became inactive."""
         active = state.active
         for element, sign in transitions:
             value = self._project(element, state.tuple_path)
@@ -533,6 +531,7 @@ class NestedIVMView(View):
             count = active.get(value, 0) + sign
             if count <= 0:
                 active.pop(value, None)
+                state.deactivated.append(value)
             else:
                 active[value] = count
                 if count == 1 and sign > 0:

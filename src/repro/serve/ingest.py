@@ -2,7 +2,7 @@
 
 The serving layer's whole concurrency contract reduces to a single-writer
 discipline: **every** state transition of a tenant's engine — dataset and
-view registration, updates, vacuum — executes on that tenant's one
+view registration, updates, checkpoint capture — executes on that tenant's one
 :class:`IngestWorker` thread.  HTTP handler threads only enqueue
 :class:`Command`s and (for synchronous calls) wait on the command's event;
 readers never enqueue anything, they read the immutable snapshot the worker
@@ -53,7 +53,7 @@ class Command:
     """One unit of writer-thread work.
 
     ``kind`` is ``"apply"`` for coalescable update commands and a control
-    name (``"dataset"``, ``"view"``, ``"vacuum"``, …) otherwise; ``run`` is
+    name (``"dataset"``, ``"view"``, ``"checkpoint"``, …) otherwise; ``run`` is
     executed on the worker thread.  Callers that need the outcome wait on
     :meth:`result`, which re-raises the worker-side exception verbatim.
     """

@@ -21,7 +21,8 @@ four translation layers:
 
   Select items are ``["field", var, name]``, ``["row", var]`` or
   ``["nest", <spec>]`` (whose sub-spec sees the outer row variables, so the
-  paper's nested ``related`` query is expressible); predicates are
+  paper's nested ``related`` query is expressible; at most
+  :data:`MAX_NEST_DEPTH` levels deep); predicates are
   ``["and"|"or"|"not", ...]`` over ``["eq"|"ne"|"lt"|"le"|"gt"|"ge", a, b]``
   comparisons of ``["field", var, name]`` / ``["const", value]`` operands.
 * **updates** — an apply request carries
@@ -240,6 +241,12 @@ def fields_spec_of(record: Record) -> List[Any]:
 # --------------------------------------------------------------------------- #
 _COMPARISONS = ("eq", "ne", "lt", "le", "gt", "ge")
 
+#: The deepest chain of ``["nest", ...]`` select items a view spec may
+#: declare.  Every level becomes one walk nested inside its parent's, so a
+#: much deeper chain would exhaust the interpreter's stack at the view's first
+#: materialisation; the spec is refused up front instead.
+MAX_NEST_DEPTH = 64
+
 
 def query_from_spec(
     spec: Any,
@@ -250,8 +257,11 @@ def query_from_spec(
 
     ``datasets`` maps registered dataset names to their handles;
     ``outer_vars`` carries the row variables of enclosing comprehensions so
-    nested sub-queries can correlate with them.
+    nested sub-queries can correlate with them — one per enclosing level,
+    which is how the :data:`MAX_NEST_DEPTH` bound is counted.
     """
+    if len(outer_vars or ()) > MAX_NEST_DEPTH:
+        raise ProtocolError(f"query spec nests deeper than {MAX_NEST_DEPTH} levels")
     if not isinstance(spec, dict):
         raise ProtocolError(f"a query spec must be an object, got {spec!r}")
     source_name = spec.get("from")

@@ -23,7 +23,6 @@ GET       ``/v1/{t}/views/{name}/indexes``       live index report
 GET       ``/v1/{t}/snapshot``                   all datasets+views at one version
 GET       ``/v1/{t}/storage``                    the engine's storage report
 POST      ``/v1/{t}/apply``                      enqueue updates (``mode`` sync/async)
-POST      ``/v1/{t}/vacuum``                     reclaim + re-validate indexes
 POST      ``/v1/{t}/checkpoint``                 cut a durable snapshot checkpoint
 GET       ``/v1/{t}/replication``                role, epoch, positions, lag
 GET       ``/v1/{t}/wal``                        long-poll WAL frame feed (replicas)
@@ -601,9 +600,6 @@ class _Handler(BaseHTTPRequestHandler):
                 return
             results = [session.apply_sync(update) for update in updates]
             self._send_json({"applied": len(results), "results": results})
-            return
-        if rest == ["vacuum"]:
-            self._send_json(session.vacuum())
             return
         if rest == ["checkpoint"]:
             self._send_json(session.checkpoint(), status=201)

@@ -275,11 +275,6 @@ class TenantSession:
             "version": self.engine.state_version,
         }
 
-    def _vacuum(self) -> Dict[str, Any]:
-        reclaimed = self.engine.vacuum()
-        self.engine.sync_wal()
-        return {"reclaimed": reclaimed, "version": self.engine.state_version}
-
     # ------------------------------------------------------------------ #
     # Replica-side writer internals (the link's ship/reseed callables)
     # ------------------------------------------------------------------ #
@@ -366,12 +361,6 @@ class TenantSession:
             "view", run=lambda: self._create_view(name, query_spec, strategy)
         )
         return self.worker.submit(command).result(self.sync_timeout)
-
-    def vacuum(self) -> Dict[str, Any]:
-        self._check_writable()
-        return self.worker.submit(Command("vacuum", run=self._vacuum)).result(
-            self.sync_timeout
-        )
 
     def checkpoint(self) -> Dict[str, Any]:
         """Cut a snapshot checkpoint without stalling ingest.

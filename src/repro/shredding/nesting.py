@@ -112,6 +112,9 @@ class Nester:
         self.built = False
         #: Accumulated ``Δh^F`` since the last settle (net, zeros dropped).
         self._pending: Dict[Any, int] = {}
+        #: Flat elements owed a re-nesting by labels evicted since the last
+        #: settle.
+        self._affected: Set[Any] = set()
 
     @property
     def identity(self) -> bool:
@@ -267,13 +270,33 @@ class Nester:
             position.dirty.update(labels)
 
     def evict(self, path: Path, labels: Iterable[Label]) -> None:
-        """Forget labels that no element can reach any more (vacuum)."""
+        """Forget labels whose definitions were retired: no element reaches
+        them any more.  Their users are re-nested at the next settle, exactly
+        as for a rewritten label — a flat tuple deleted and re-inserted
+        before that settle cancels out of the pending delta, and must not
+        keep the nesting of the label's old definition."""
         position = self._by_path.get(path)
         if position is not None:
             for label in labels:
-                position.referrers.pop(label, None)
-                if position.memo is not None:
-                    position.memo.pop(label, None)
+                self._release(position, label, self._affected)
+
+    def _release(self, position: _Position, label: Label, affected: Set[Any]) -> None:
+        """Drop one label's memo and referrers, handing the dirt to its users:
+        flat elements into ``affected``, memoised parent labels into the
+        parent's dirty set."""
+        if position.memo is not None:
+            position.memo.pop(label, None)
+        # Popped, not read: the re-nesting at settle records the users that
+        # still exist, so stale ones do not accumulate.
+        users = position.referrers.pop(label, None)
+        if not users:
+            return
+        parent = position.parent
+        if parent is None:
+            affected.update(users)
+        else:
+            # Only a memoised parent bag embeds this label's nesting.
+            parent.dirty.update(user for user in users if user in parent.memo)
 
     def settle(self, multiplicity: Callable[[Any], int]) -> Bag:
         """The nested delta owed since the last settle (or the build).
@@ -283,23 +306,11 @@ class Nester:
         positions first; the elements reached that way, plus the support of
         the recorded flat deltas, are the only ones re-nested.
         """
-        affected: Set[Any] = set()
+        affected, self._affected = self._affected, set()
         for position in reversed(self._positions):
             dirty, position.dirty = position.dirty, set()
-            memo, parent = position.memo, position.parent
             for label in dirty:
-                if memo is not None:
-                    memo.pop(label, None)
-                # Popped, not read: the re-nesting below records the users
-                # that still exist, so stale ones do not accumulate.
-                users = position.referrers.pop(label, None)
-                if not users:
-                    continue
-                if parent is None:
-                    affected.update(users)
-                else:
-                    # Only a memoised parent bag embeds this label's nesting.
-                    parent.dirty.update(user for user in users if user in parent.memo)
+                self._release(position, label, affected)
         pending, self._pending = self._pending, {}
         if not affected and not pending:
             return EMPTY_BAG

@@ -1,14 +1,14 @@
 """Persistent storage layer: relation stores and incrementally-maintained
 join indexes.
 
-The lifecycle is *register → maintain → vacuum*: the compiled delta pipelines
+The lifecycle is *register → maintain → heal*: the compiled delta pipelines
 register the join atoms they probe at view-registration time
 (:meth:`repro.ivm.database.Database.register_index_requirements`), every
 update folds its delta into the affected indexes in ``O(|Δ|)``
-(:meth:`RelationStore.apply_delta`), and :meth:`repro.engine.Engine.vacuum`
-keeps the derived state tight.  See ``docs/api.md`` ("Storage layer") for the
-full contract, including when the pipeline falls back to per-evaluation
-builds.
+(:meth:`RelationStore.apply_delta`), and a deleting write rebuilds the index
+slices an unhashable key had poisoned (:meth:`RelationStore.heal`).  See
+``docs/api.md`` ("Storage layer") for the full contract, including when the
+pipeline falls back to per-evaluation builds.
 """
 
 from repro.bag.builder import BagBuilder

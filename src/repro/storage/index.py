@@ -18,9 +18,8 @@ compiled pipeline falls back to its per-evaluation build, whose own
 unhashable-key handling degrades to the interpreter-faithful nested loop.
 Poisoning is therefore never a correctness concern, only a performance one;
 :meth:`rebuild` re-validates from a full bag once the offending elements are
-deleted — :meth:`repro.engine.Engine.vacuum` (via
-``RelationStore.vacuum``/``Database.vacuum_storage``) is the caller that
-performs this recovery, and ``RelationStore.replace`` rebuilds wholesale.
+deleted — the database heals a poisoned store on every deleting write
+(``RelationStore.heal``), and ``RelationStore.replace`` rebuilds wholesale.
 """
 
 from __future__ import annotations

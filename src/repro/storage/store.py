@@ -297,7 +297,7 @@ class RelationStore:
         A worker's cached copy of a shard is valid only while the layout
         (shard count + routing paths — re-registration re-partitions) and
         the version (any local mutation: a delta applied in-process, a
-        wholesale replace, a vacuum rebuild) both still match.  Execution
+        wholesale replace, a healing rebuild) both still match.  Execution
         backends compare tokens before reusing remote state and re-export
         on any mismatch, so out-of-band mutation can never corrupt an
         offloaded fold.
@@ -458,34 +458,33 @@ class RelationStore:
             family.version = version
             family.refresh_poison()
 
-    def vacuum(self) -> int:
+    @property
+    def poisoned(self) -> bool:
+        """True while some registered index has a poisoned slice."""
+        return any(view.poisoned for view in self._indexes.values())
+
+    def heal(self) -> None:
         """Re-validate poisoned indexes against the current bags, per shard.
 
         A transient unhashable key poisons only the owning shard's index
         slice; once the offending elements are gone, rebuilding *that shard*
         restores ``O(|Δ|)`` maintenance — healthy shards keep their
-        incrementally-maintained state untouched.  Returns the number of
-        index views that came back healthy (a shard whose bag still contains
-        bad keys re-poisons and the view stays on the per-evaluation
-        fallback).
+        incrementally-maintained state untouched.  The database calls this
+        after a deleting delta reaches a poisoned store; a shard whose bag
+        still contains bad keys re-poisons and the view stays on the
+        per-evaluation fallback.
         """
-        revalidated = 0
         for view in self._indexes.values():
             if not view.poisoned:
                 continue
             if isinstance(view, HashIndex):
                 view.rebuild(self.bag)
                 view.version = self._version
-                if not view.poisoned:
-                    revalidated += 1
-                continue
-            view.revalidate(
-                tuple(shard.builder.freeze() for shard in self._shards),
-                self._version,
-            )
-            if not view.poisoned:
-                revalidated += 1
-        return revalidated
+            else:
+                view.revalidate(
+                    tuple(shard.builder.freeze() for shard in self._shards),
+                    self._version,
+                )
 
     # ------------------------------------------------------------------ #
     # Indexes
@@ -691,10 +690,6 @@ class StorageManager:
         if store is None:
             return None
         return store.ensure_index(paths)
-
-    def vacuum(self) -> int:
-        """Re-validate poisoned indexes in every store; returns the count healed."""
-        return sum(store.vacuum() for store in self._stores.values())
 
     def provider(self) -> IndexProvider:
         return self._provider

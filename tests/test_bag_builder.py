@@ -22,8 +22,11 @@ from repro.bag import (
     key_interner_stats,
 )
 from repro.dictionaries import MaterializedDict
+from repro.ivm import Database, deletions, insertions
 from repro.labels import Label
+from repro.nrc.compile import IndexRequirement
 from repro.nrc.evaluator import Environment, evaluate_bag
+from repro.nrc.types import BASE, bag_of, tuple_of
 from repro.storage import DictionaryStore, RelationStore, StorageManager
 from repro.workloads import (
     generate_movies,
@@ -208,18 +211,25 @@ class TestRelationStoreCOW:
         assert provider.probe("R", ((1,),), snapshot) is None
 
     def test_nan_delta_poisons_index_exactly_as_before(self):
-        store = RelationStore("R", Bag([("a", 1.0)]))
-        index = store.ensure_index(((1,),))
-        assert not index.poisoned
-        store.apply_delta(Bag([("bad", math.nan)]))
-        assert index.poisoned
+        database = Database()
+        database.register("R", bag_of(tuple_of(BASE, BASE)), Bag([("a", 1.0)]))
+        (requirement,) = database.register_index_requirements(
+            [IndexRequirement("R", ((1,),))]
+        )
+
+        def index():
+            (entry,) = database.describe_indexes([requirement])
+            return entry
+
+        assert not index()["poisoned"]
+        database.apply_update(insertions("R", [("bad", math.nan)]))
+        assert index()["poisoned"]
         # The bag itself is maintained regardless.
-        assert store.bag.multiplicity(("bad", math.nan)) == 1
-        # Deleting the offender and vacuuming restores the index.
-        store.apply_delta(Bag.from_pairs([(("bad", math.nan), -1)]))
-        assert store.vacuum() == 1
-        assert not index.poisoned
-        assert index.version == store.version
+        assert database.relation("R").multiplicity(("bad", math.nan)) == 1
+        # The write that deletes the offender restores the index.
+        database.apply_update(deletions("R", [("bad", math.nan)]))
+        assert not index()["poisoned"]
+        assert index()["version"] == index()["store_version"]
 
 
 # --------------------------------------------------------------------------- #

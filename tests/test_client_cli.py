@@ -253,12 +253,6 @@ class TestCLI:
             _run(live, "datasets", "create", "M2") == 1
         )  # missing --fields
 
-    def test_vacuum(self, live, capsys):
-        _seed_cli(live)
-        capsys.readouterr()
-        assert _run(live, "vacuum") == 0
-        assert "vacuum at version" in capsys.readouterr().out
-
     def test_serve_rejects_zero_refresh_workers_before_listening(self):
         with pytest.raises(ValueError, match=">= 1"):
             main(["serve", "--port", "0", "--parallel-views", "0"])

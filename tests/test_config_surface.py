@@ -1,12 +1,14 @@
 """The configuration surface, pinned: environment variables, constructor
-knobs, code generation and cited entry points.
+knobs, CLI commands, code generation and cited entry points.
 
-Every ``REPRO_*`` variable and every constructor knob is a path that must be
-tested, documented and kept bit-identical, so adding one is a reviewed diff
-to the lists below; so is a new module that turns text into code.  A
+Every ``REPRO_*`` variable, constructor knob and CLI command is a path that
+must be tested, documented and kept bit-identical, so adding one is a
+reviewed diff to the lists below; so is a new module that turns text into
+code.  A
 document that names a module or a benchmark file must name one that exists.
 """
 
+import argparse
 import ast
 import importlib.util
 import inspect
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.client.cli import build_parser
 from repro.engine import Engine
 from repro.serve import ServerConfig
 
@@ -59,6 +62,20 @@ SERVER_CONFIG_FIELDS = (
     "poll_interval",
 )
 
+#: ``repro-cli``'s subcommands, in ``build_parser()`` order.
+CLI_COMMANDS = (
+    "serve",
+    "health",
+    "stats",
+    "datasets",
+    "views",
+    "apply",
+    "checkpoint",
+    "promote",
+    "replication",
+    "watch",
+)
+
 DOCUMENTS = [
     ROOT / "README.md",
     *sorted((ROOT / "docs").glob("*.md")),
@@ -85,6 +102,15 @@ def test_engine_options_are_exactly_the_listed_ones():
 
 def test_server_config_fields_are_exactly_the_listed_ones():
     assert ServerConfig.__slots__ == SERVER_CONFIG_FIELDS
+
+
+def test_cli_commands_are_exactly_the_listed_ones():
+    (subparsers,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert tuple(subparsers.choices) == CLI_COMMANDS
 
 
 def test_one_module_generates_code():

@@ -50,12 +50,11 @@ from repro.durability.records import (
     decode_record,
     encode_dataset_record,
     encode_update_record,
-    encode_vacuum_record,
 )
 from repro.durability.wal import list_segments, scan_segment
 from repro.engine import Engine
 from repro.errors import EngineError, WorkloadError
-from repro.ivm.updates import Update, insertions
+from repro.ivm.updates import Update, deletions, insertions
 from repro.serve import ReproServer, ServerConfig
 from repro.serve.protocol import ProtocolError
 from repro.serve.sessions import SessionManager, TenantSession
@@ -295,7 +294,39 @@ class TestRecordCodec:
         kind, (name, schema, rows) = decode_record(self._round_trip(tmp_path, payload))
         assert kind == "dataset" and name == "M"
         assert schema == MOVIE_SCHEMA and list(rows) == list(PAPER_MOVIES)
-        assert decode_record(encode_vacuum_record()) == ("vacuum", None)
+        # ``X`` is no longer written, but logs that hold one still decode.
+        legacy = self._round_trip(tmp_path / "x", b"X")
+        assert decode_record(legacy) == ("vacuum", None)
+
+    def test_legacy_x_record_replays_as_a_no_op(self, tmp_path):
+        """A WAL holding an ``X`` frame (written by an operator's vacuum pass
+        before writes retired their own dead state) recovers to the state of
+        the same WAL without it."""
+
+        def write(data_dir, legacy_frame):
+            engine = Engine(data_dir=data_dir, fsync="always")
+            _drive(engine)
+            engine.close()
+            if legacy_frame:
+                wal = WriteAheadLog(os.path.join(data_dir, "wal"), fsync="always")
+                wal.append(b"X")
+                wal.close()
+            engine = Engine(data_dir=data_dir, fsync="always")
+            engine.apply(deletions("M", [("Drive", "Drama", "Refn")]))
+            engine.close()
+
+        plain, legacy = str(tmp_path / "plain"), str(tmp_path / "legacy")
+        write(plain, False)
+        write(legacy, True)
+        with_x, without_x = Engine(data_dir=legacy), Engine(data_dir=plain)
+        try:
+            replayed = without_x.recovery_report.records_replayed
+            assert with_x.recovery_report.records_replayed == replayed + 1
+            assert not with_x.recovery_report.read_only
+            assert state_differences(engine_state(without_x), engine_state(with_x)) == []
+        finally:
+            with_x.close()
+            without_x.close()
 
     def test_unknown_record_type_raises(self):
         with pytest.raises(ValueError):

@@ -293,7 +293,7 @@ class TestIngestWorker:
             assert info.value.retry_after > 0
             assert worker.stats.rejected == 1
             # Control commands are still admitted past the bound.
-            worker.submit(Command("vacuum", run=lambda: "ok"))
+            worker.submit(Command("control", run=lambda: "ok"))
         finally:
             release.set()
             worker.drain_and_stop()

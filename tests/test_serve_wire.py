@@ -311,6 +311,37 @@ class TestRequestBodies:
         assert b'"bad_request"' in received and b"nests too deeply" in received
         assert not closed
 
+    @pytest.mark.parametrize("levels, status", [(120, 400), (64, 201)])
+    def test_view_spec_nest_depth_is_bounded(self, server, api, levels, status):
+        """A nest chain past the bound is refused before the engine sees it
+        (120 levels used to exhaust the stack: 500); one at the bound is
+        created, and the tenant keeps serving either way."""
+        DatasetsClient(api).create("M", fields=["name", "gen", "dir"], rows=[["a", "b", "c"]])
+        spec = {"from": "M", "var": f"v{levels}", "select": [["field", f"v{levels}", "name"]]}
+        for level in reversed(range(levels)):
+            spec = {"from": "M", "var": f"v{level}", "select": [["nest", spec]]}
+        body = json.dumps({"name": "deep", "query": spec, "strategy": "nested"})
+        connection = http.client.HTTPConnection(*server.address, timeout=60)
+        try:
+            connection.request("POST", f"/v1/{TENANT}/views", body=body)
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == status
+        if status == 400:
+            assert payload["error"]["code"] == "bad_request"
+            assert "deeper than 64" in payload["error"]["message"]
+        names = [view["name"] for view in ViewsClient(api).list()["views"]]
+        assert names == (["deep"] if status == 201 else [])
+        UpdatesClient(api).insert("M", [["d", "e", "f"]])
+
+    def test_vacuum_route_is_gone(self, server, api):
+        """Writes retire dead state themselves: there is no operator pass."""
+        with pytest.raises(APIError) as info:
+            api.post(f"/v1/{TENANT}/vacuum")
+        assert (info.value.status, info.value.code) == (404, "not_found")
+
     def test_post_with_body_to_missing_route_then_get(self, server):
         """The unread body must never be parsed as the next request — here it
         *is* a well-formed request, so parsing it would answer 200 twice."""

@@ -7,9 +7,9 @@ bit-identical view contents to the **single-shard** escape hatch
 across every strategy,
 including negative multiplicities and NaN/unhashable join keys.  Sharding
 specifics are covered directly: primary-key routing co-locates equal keys
-(single-shard probes), poisoning is confined to the owning shard, vacuum
-re-validates per shard, and the nested strategy's active-label index stays
-consistent with a full scan.
+(single-shard probes), poisoning is confined to the owning shard, the
+deleting write heals per shard, and the nested strategy's active-label index
+and dictionaries stay consistent with a full scan.
 """
 
 import math
@@ -31,9 +31,9 @@ from repro.ivm.database import Database, RefreshContext
 from repro.ivm.views import View
 from repro.nrc import ast
 from repro.nrc import builders as build
-from repro.nrc.compile import compilation_enabled, forced_interpretation
+from repro.nrc.compile import IndexRequirement, compilation_enabled, forced_interpretation
 from repro.nrc.evaluator import Environment, evaluate_bag
-from repro.nrc.types import BASE, bag_of
+from repro.nrc.types import BASE, bag_of, tuple_of
 from repro.storage import (
     HashIndex,
     RelationStore,
@@ -191,7 +191,7 @@ class TestShardedStore:
 
 
 # --------------------------------------------------------------------------- #
-# Poisoning is per shard; vacuum re-validates per shard
+# Poisoning is per shard; the deleting write heals per shard
 # --------------------------------------------------------------------------- #
 class TestPerShardPoisoning:
     def test_nan_poisons_only_owning_shard(self):
@@ -208,23 +208,40 @@ class TestPerShardPoisoning:
         assert len(healthy) == 3
 
     def test_vacuum_rebuilds_only_poisoned_shards(self):
+        """Deleting writes heal: while the bad row is present a deletion's
+        heal re-poisons the owning shard, the one that deletes the bad row
+        sticks, and only that shard was ever rebuilt."""
         nan = float("nan")
-        store = RelationStore("R", Bag([("a", 1.0), ("b", 2.0)]), shards=4)
-        family = store.ensure_index(((1,),))
-        store.apply_delta(Bag([("n", nan)]))
-        before = [entry["rebuilds"] for entry in family.describe()["per_shard"]]
-        # Bad key still present: vacuum re-poisons the owning shard.
-        assert store.vacuum() == 0
-        assert family.poisoned
-        store.apply_delta(Bag.from_pairs([(("n", nan), -1)]))
-        assert store.vacuum() == 1
-        assert not family.poisoned
-        after = [entry["rebuilds"] for entry in family.describe()["per_shard"]]
+        database = Database(shards=4)
+        database.register("R", bag_of(tuple_of(BASE, BASE)), Bag([("a", 1.0), ("b", 2.0)]))
+        (requirement,) = database.register_index_requirements(
+            [IndexRequirement("R", ((1,),))]
+        )
+
+        def described():
+            (entry,) = database.describe_indexes([requirement])
+            return entry
+
+        def apply(pairs):
+            database.apply_update(Update(relations={"R": Bag.from_pairs(pairs)}))
+
+        apply([(("n", nan), 1)])
+        before = [entry["rebuilds"] for entry in described()["per_shard"]]
+        # Bad key still present: the deleting write's heal re-poisons.
+        apply([(("a", 1.0), -1)])
+        assert described()["poisoned"]
+        apply([(("n", nan), -1)])
+        assert not described()["poisoned"]
+        after = [entry["rebuilds"] for entry in described()["per_shard"]]
         extra_rebuilds = [now - then for then, now in zip(before, after)]
-        # Only the formerly poisoned shard was rebuilt (twice: the failed
-        # vacuum attempt and the successful one); healthy shards kept their
+        # Only the poisoned shard was rebuilt (twice: the heal that failed
+        # and the one that stuck); healthy shards kept their
         # incrementally-maintained slices untouched.
         assert sorted(extra_rebuilds) == [0, 0, 0, 2]
+        # ... and the healed family serves probes again.
+        environment = database.environment()
+        family = environment.indexes.probe("R", ((1,),), environment.relations["R"])
+        assert family is not None and dict(family.get((2.0,))) == {("b", 2.0): 1}
 
     def test_engine_vacuum_heals_and_matches_interpreter(self):
         nan = float("nan")
@@ -235,15 +252,18 @@ class TestPerShardPoisoning:
                 view = engine.view("v", genre_selfjoin_query(), strategy="classic")
                 engine.apply({"M": [("bad", nan, "d")]})
                 engine.apply({"M": {("bad", nan, "d"): -1}})
-                engine.vacuum()
+                healed = [entry for entry in view.indexes() if entry["registered"]]
                 engine.apply({"M": [("fine", "Drama", "d")]})
-                return engine, view
+                return view, healed
 
-        engine, view = run(False)
-        _, interpreted_view = run(True)
+        view, healed = run(False)
+        interpreted_view, _ = run(True)
         assert view.result() == interpreted_view.result()
-        report = view.indexes()
-        assert all(not entry["poisoned"] for entry in report if entry["registered"])
+        if compilation_enabled():
+            # The deleting apply healed the index, no later pass needed.
+            assert healed and all(not entry["poisoned"] for entry in healed)
+            hits = sum(entry["hits"] for entry in view.indexes() if entry["registered"])
+            assert hits > sum(entry["hits"] for entry in healed)
 
 
 # --------------------------------------------------------------------------- #
@@ -487,6 +507,9 @@ def _assert_active_index_consistent(view):
         assert dict(state.active) == backend._scan_active(state), (
             f"active-label index diverged from scan at path {state.path!r}"
         )
+        assert state.entries.keys() == state.active.keys(), (
+            f"dictionary at path {state.path!r} holds labels that are not live"
+        )
 
 
 def test_nested_active_label_index_tracks_deep_nesting():
@@ -516,14 +539,15 @@ def test_nested_active_label_index_tracks_deep_nesting():
 
 
 def test_nested_vacuum_reconciles_active_index_and_drops_stale_entries():
+    """The deleting apply retires the victim's labels at both positions —
+    its outer bag's and, transitively, its two inner bags' — with no scan."""
     engine, view = _nested_identity_engine([[["a"], ["b"]], [["c"]]])
+    backend = view.view
+    before = [len(state.entries) for state in backend._dict_states]
+    assert before == [2, 3]
     victim = next(iter(_triple([[["a"], ["b"]]]).elements()))
     engine.apply({"R": {victim: -1}})
-    backend = view.view
-    stale_before = sum(len(state.entries) for state in backend._dict_states)
-    removed = view.view.vacuum()
-    assert removed >= 1
-    assert sum(len(state.entries) for state in backend._dict_states) == stale_before - removed
+    assert [len(state.entries) for state in backend._dict_states] == [1, 1]
     _assert_active_index_consistent(view)
     assert view.result() == _triple([[["c"]]])
 

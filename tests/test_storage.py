@@ -320,11 +320,12 @@ def test_vacuum_revalidates_poisoned_indexes():
     view = engine.view("v", genre_selfjoin_query(), strategy="classic")
     engine.apply({"M": [("bad", nan, "d")]})
     assert any(entry["registered"] and entry["poisoned"] for entry in view.indexes())
-    # While the bad key is still present, vacuum cannot heal the index.
-    engine.vacuum()
+    # While the bad key is still present, a deleting write cannot heal it.
+    victim = min(generate_movies(10, seed=3).elements())
+    engine.apply({"M": {victim: -1}})
     assert any(entry["poisoned"] for entry in view.indexes())
+    # The write that deletes the bad key heals the index on its own.
     engine.apply({"M": {("bad", nan, "d"): -1}})
-    engine.vacuum()
     report = view.indexes()
     assert all(not entry["poisoned"] for entry in report if entry["registered"])
     # ... and it serves probes again.
@@ -339,6 +340,7 @@ def test_vacuum_revalidates_poisoned_indexes():
         view2 = engine2.view("v", genre_selfjoin_query(), strategy="classic")
         for update in (
             {"M": [("bad", nan, "d")]},
+            {"M": {victim: -1}},
             {"M": {("bad", nan, "d"): -1}},
             {"M": [("fine", "Drama", "d")]},
         ):
@@ -398,7 +400,7 @@ class TestShreddedDeltaNoOps:
 
 
 # --------------------------------------------------------------------------- #
-# Engine facade: pairs form, batched streams, vacuum, reporting
+# Engine facade: pairs form, batched streams, label retirement, reporting
 # --------------------------------------------------------------------------- #
 class TestEngineFacade:
     def test_apply_iterable_form_inserts(self):
@@ -449,14 +451,14 @@ class TestEngineFacade:
         from repro.workloads import PAPER_MOVIES, related_query
 
         engine = movies_engine(Bag(PAPER_MOVIES))
-        engine.view("nested", related_query(), strategy="nested")
+        nested = engine.view("nested", related_query(), strategy="nested")
         engine.view("flat", genre_selfjoin_query(), strategy="classic")
-        # Deleting a movie (pairs form) orphans its related-movies label.
+        assert not hasattr(engine, "vacuum")
+        # Deleting a movie (pairs form) retires its related-movies label in
+        # the same apply: the dictionary keeps only the live labels.
         engine.apply({"M": {("Drive", "Drama", "Refn"): -1}})
-        reclaimed = engine.vacuum()
-        # Only backends that support vacuuming appear; counts are >= 0.
-        assert "flat" not in reclaimed
-        assert reclaimed.get("nested", 0) >= 1
+        (state,) = nested.view._dict_states
+        assert sorted(label.values[0][0] for label in state.entries) == ["Rush", "Skyfall"]
 
     @requires_compilation
     def test_explain_and_storage_report_surface_indexes(self):
