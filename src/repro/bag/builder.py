@@ -166,12 +166,11 @@ class BagBuilder:
     def adopt_dict(self, data: Dict[Any, int]) -> None:
         """Become ``data`` (an already-normalized multiplicity dict), in O(1).
 
-        This is the fold-back half of shard ownership transfer
-        (:meth:`repro.storage.store.RelationStore.adopt_shard`): a worker
-        returns the folded shard dict and the store installs it wholesale.
-        Replacing the dict reference — instead of mutating in place — leaves
-        any retained frozen snapshot untouched, so no copy-on-write pass is
-        needed; the cumulative ``freezes`` counter survives.
+        Recovery installs checkpointed shard contents this way
+        (:meth:`repro.storage.store.RelationStore.adopt`).  Replacing the
+        dict reference — instead of mutating in place — leaves any retained
+        frozen snapshot untouched, so no copy-on-write pass is needed; the
+        cumulative ``freezes`` counter survives.
         """
         self._data = data
         self._frozen = None
@@ -188,7 +187,7 @@ class BagBuilder:
         self.adopt_dict(dict(self._data))
 
     # ------------------------------------------------------------------ #
-    # Pickling (sendable execution state)
+    # Pickling (checkpoints)
     # ------------------------------------------------------------------ #
     def __getstate__(self) -> Dict[str, Any]:
         return {"data": self._data, "freezes": self.freezes}

@@ -1,13 +1,14 @@
-"""Compact binary codec for bag pairs — the wire format of sendable shards.
+"""Compact binary codec for bag pairs — the WAL and checkpoint encoding.
 
-The execution backends (:mod:`repro.engine.scheduler`) move shard contents
-and partitioned deltas between processes.  Pickling arbitrary objects would
-work mechanically, but it would also *lie*: values whose equality or hash is
+Write-ahead-log records (:mod:`repro.durability.records`) and checkpoint
+shard files (:mod:`repro.durability.checkpoint`) persist bags as
+``(element, multiplicity)`` pairs through this codec, and fall back to
+pickle only for the values it refuses.  Pickling everything would work
+mechanically, but it would also *lie*: values whose equality or hash is
 identity-dependent (``NaN`` floats, arbitrary user objects) do not survive a
-process boundary faithfully — ``pickle.loads(pickle.dumps(nan))`` is a new
-object with a new id-based hash, so a worker's fold could keep two dict
-entries where the serial engine keeps one.  This codec therefore plays two
-roles at once:
+round-trip faithfully — ``pickle.loads(pickle.dumps(nan))`` is a new object
+with a new id-based hash, so a replayed fold could keep two dict entries
+where the original run kept one.  This codec therefore plays two roles:
 
 * a **compact binary encoding** for ``(element, multiplicity)`` pairs over
   the value vocabulary of the data model — ``None``, booleans, ints
@@ -15,10 +16,10 @@ roles at once:
   :class:`~repro.bag.bag.Bag` values and :class:`~repro.labels.Label`
   occurrences — with LEB128 varints and zigzag-encoded multiplicities;
 * the **sendability contract**: :exc:`UnsendableValueError` is raised for
-  exactly the values whose cross-process round-trip would not preserve
-  dict-key semantics (non-self-equal floats, unknown types).  The process
-  backend treats that error as a poison signal and falls back to the
-  in-process apply path, so offloading can never change results.
+  exactly the values whose round-trip would not preserve dict-key
+  semantics (non-self-equal floats, unknown types).  The durability layer
+  treats that error as the signal to take the pickle fallback for the
+  whole bag.
 
 Round-trip guarantee (the property tests pin it): for every encodable value
 ``decode_value(encode_value(v)) == v``, the decoded value hashes equal to
@@ -46,12 +47,12 @@ __all__ = [
 
 
 class UnsendableValueError(ValueError):
-    """A value whose cross-process round-trip would not be faithful.
+    """A value whose encode/decode round-trip would not be faithful.
 
     Raised for ``NaN`` (equality is identity-based across pickling, so a
-    shipped shard could diverge from the serial fold) and for values outside
-    the codec's vocabulary (arbitrary objects hash by id).  The process
-    backend catches this and keeps the delta on the in-process path.
+    decoded bag could diverge from the original) and for values outside
+    the codec's vocabulary (arbitrary objects hash by id).  The WAL and
+    checkpoint writers catch this and pickle the bag instead.
     """
 
 

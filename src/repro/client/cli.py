@@ -81,30 +81,32 @@ def _pairs_table(title: str, payload: Dict[str, Any]) -> Table:
 # Commands
 # --------------------------------------------------------------------------- #
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.engine.scheduler import resolve_view_workers
     from repro.serve import ReproServer, ServerConfig
 
     engine_options: Dict[str, Any] = {}
     if args.shards is not None:
         engine_options["shards"] = args.shards
     if args.parallel_views is not None:
-        # Validated here: tenants build their engines lazily, and a bad
-        # count should stop the server at start, not its first request.
-        engine_options["parallel_views"] = resolve_view_workers(args.parallel_views)
-    server = ReproServer(
-        ServerConfig(
-            host=args.host,
-            port=args.port,
-            queue_depth=args.queue_depth,
-            coalesce=args.coalesce,
-            engine_options=engine_options,
-            quiet=not args.verbose,
-            data_dir=args.data_dir,
-            fsync=args.fsync,
-            replica_of=args.replica_of,
-            poll_wait=args.poll_wait,
+        engine_options["parallel_views"] = args.parallel_views
+    try:
+        # The server validates the engine options before it listens, so a
+        # bad count stops it here rather than failing each tenant later.
+        server = ReproServer(
+            ServerConfig(
+                host=args.host,
+                port=args.port,
+                queue_depth=args.queue_depth,
+                coalesce=args.coalesce,
+                engine_options=engine_options,
+                quiet=not args.verbose,
+                data_dir=args.data_dir,
+                fsync=args.fsync,
+                replica_of=args.replica_of,
+                poll_wait=args.poll_wait,
+            )
         )
-    )
+    except ValueError as error:
+        return _fail(str(error))
     server.install_signal_handlers()
     durable = f", durable in {args.data_dir}" if args.data_dir else ""
     following = f", replicating {args.replica_of}" if args.replica_of else ""
@@ -145,8 +147,7 @@ def _cmd_stats(api: APIClient, args: argparse.Namespace) -> int:
     table = Table(title="Tenants", show_lines=False)
     for header in (
         "tenant", "version", "datasets", "views", "queue",
-        "accepted", "429s", "batches", "coalesced", "batch ms", "backend",
-        "durability",
+        "accepted", "429s", "batches", "coalesced", "batch ms", "durability",
     ):
         table.add_column(header)
     for name, tenant in sorted(payload["tenants"].items()):
@@ -162,27 +163,10 @@ def _cmd_stats(api: APIClient, args: argparse.Namespace) -> int:
             str(ingest["applied_batches"]),
             str(ingest["coalesced_updates"]),
             f"{1000 * ingest['ewma_batch_seconds']:.2f}",
-            _render_backend(tenant),
             _render_durability(tenant),
         )
     console.print(table)
     return 0
-
-
-def _render_backend(tenant: Dict[str, Any]) -> str:
-    """``requested: name×count,...`` — active backend plus per-backend applies.
-
-    Older servers omit the fields; render a dash so the CLI stays usable
-    against them.
-    """
-    backend = tenant.get("backend")
-    if backend is None:
-        return "-"
-    applies = tenant.get("backend_applies") or {}
-    if not applies:
-        return str(backend)
-    counts = ",".join(f"{name}×{count}" for name, count in sorted(applies.items()))
-    return f"{backend}: {counts}"
 
 
 def _render_durability(tenant: Dict[str, Any]) -> str:

@@ -14,7 +14,7 @@ cooperating pieces:
   schema/view specs, and the WAL segment the checkpoint covers up to;
 * :mod:`repro.durability.manager` — the recovery orchestrator: on open it
   loads the newest valid checkpoint (adopting shard contents through
-  ``RelationStore.adopt_shard``), replays the WAL tail, truncates torn
+  ``RelationStore.adopt``), replays the WAL tail, truncates torn
   tails, quarantines corrupt segments, and degrades to read-only with a
   :class:`~repro.durability.manager.RecoveryReport` when unrecoverable.
 

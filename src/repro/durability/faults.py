@@ -134,13 +134,10 @@ def _strip_volatile(value: Any) -> Any:
 def normalized_storage_report(report: Any) -> str:
     """A storage report as a canonical string, volatile counters stripped.
 
-    The ``execution`` section is dropped wholesale (which backend applied
-    which delta is pure scheduling), and :data:`_VOLATILE_KEYS` are removed
-    recursively.  Two engines in the same state — whatever their histories —
-    normalize identically.
+    :data:`_VOLATILE_KEYS` are removed recursively.  Two engines in the same
+    state — whatever their histories — normalize identically.
     """
-    data = {key: value for key, value in dict(report).items() if key != "execution"}
-    return json.dumps(_strip_volatile(data), sort_keys=True, default=repr)
+    return json.dumps(_strip_volatile(dict(report)), sort_keys=True, default=repr)
 
 
 def engine_state(engine) -> Dict[str, Any]:

@@ -12,17 +12,9 @@ from repro.engine.core import Engine, EngineSnapshot, Session, ViewHandle
 from repro.engine.plan import MaintenancePlan, StrategyEstimate
 from repro.engine.planner import STRATEGIES, PlanningInputs, plan_view
 from repro.engine.scheduler import (
-    EXECUTION_BACKENDS,
-    REPRO_BACKEND,
     REPRO_PARALLEL_VIEWS,
-    ExecutionBackend,
     ViewRefreshScheduler,
-    backend_availability,
-    create_execution_backend,
-    forced_backend,
     forced_parallel_views,
-    recommend_backend,
-    resolve_backend_spec,
     resolve_view_workers,
 )
 
@@ -36,16 +28,8 @@ __all__ = [
     "PlanningInputs",
     "STRATEGIES",
     "plan_view",
-    "EXECUTION_BACKENDS",
-    "ExecutionBackend",
-    "REPRO_BACKEND",
     "REPRO_PARALLEL_VIEWS",
     "ViewRefreshScheduler",
-    "backend_availability",
-    "create_execution_backend",
-    "forced_backend",
     "forced_parallel_views",
-    "recommend_backend",
-    "resolve_backend_spec",
     "resolve_view_workers",
 ]

@@ -165,7 +165,6 @@ class Engine:
         expected_update_size: int = 1,
         shards: Optional[int] = None,
         parallel_views: Optional[int] = None,
-        backend: Optional[str] = None,
         data_dir: Optional[str] = None,
         fsync: Optional[str] = None,
         fault_injector: Optional[FaultInjector] = None,
@@ -175,12 +174,8 @@ class Engine:
         ``REPRO_SHARDS`` / the default; ``1`` is the unsharded escape hatch);
         ``parallel_views`` fixes the view-refresh worker count (``None``
         defers to ``REPRO_PARALLEL_VIEWS`` / auto, ``1`` shared-snapshot
-        inline, ``N > 1`` a thread pool); ``backend`` pins the
-        execution backend shard-apply work units run on
-        (``"serial"``/``"threads"``/``"processes"``/``"subinterpreters"``,
-        optionally ``"processes:4"``; ``None`` defers to ``REPRO_BACKEND`` /
-        the per-delta cost model).  See ``docs/api.md``, "Sharding &
-        parallel apply" and "Execution backends".
+        inline, ``N > 1`` a thread pool).  See ``docs/api.md``, "Sharding &
+        parallel apply".
 
         ``data_dir`` makes the engine durable: operations are write-ahead
         logged, :meth:`checkpoint` cuts snapshot checkpoints, and opening an
@@ -198,9 +193,7 @@ class Engine:
         the primary's segments itself, until :meth:`promote_writable` ends
         the standby (see ``docs/replication.md``).
         """
-        self._database = Database(
-            shards=shards, parallel_views=parallel_views, backend=backend
-        )
+        self._database = Database(shards=shards, parallel_views=parallel_views)
         self._expected_update_size = expected_update_size
         self._views: Dict[str, ViewHandle] = {}
         self._datasets: Dict[str, object] = {}

@@ -106,11 +106,6 @@ class MaintenancePlan:
     parallel_apply: str = "shared-snapshot inline"
     #: Rendered per-update application cost unit (``"O(|Δ|/N) per shard"``).
     apply_unit: str = "O(|Δ|)"
-    #: The execution backend shard-apply units run on: a pinned name
-    #: (``"processes(4)"``, with a degradation arrow when this runtime
-    #: lacks it) or the cost model's pick for the assumed delta size
-    #: (``"auto(serial)"``).
-    backend: str = "auto(serial)"
 
     def estimate_for(self, strategy: str) -> Optional[StrategyEstimate]:
         """The estimate recorded for a given backend name (``None`` if absent)."""
@@ -142,7 +137,6 @@ class MaintenancePlan:
             "shards": self.shards,
             "parallel_apply": self.parallel_apply,
             "apply_unit": self.apply_unit,
-            "backend": self.backend,
             "expected_update_size": self.expected_update_size,
             "estimates": [estimate.to_dict() for estimate in self.estimates],
             "artifacts": dict(self.artifacts),
@@ -157,7 +151,6 @@ class MaintenancePlan:
             f"  indexes  : {', '.join(self.indexes) if self.indexes else 'none'}",
             f"  storage  : {self.shards} shard(s), apply {self.apply_unit}, "
             f"view refresh {self.parallel_apply}",
-            f"  backend  : {self.backend}",
             f"  reason   : {self.reason}",
             f"  assumed update size d = {self.expected_update_size}",
             "  candidates:",

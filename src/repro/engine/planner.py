@@ -375,7 +375,6 @@ def plan_view(
         shards=shards,
         parallel_apply=database.refresh_mode(),
         apply_unit=f"O(|Δ|/{shards}) per shard" if shards > 1 else "O(|Δ|)",
-        backend=database.execution_plan(expected_update_size),
     )
 
 

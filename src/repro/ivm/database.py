@@ -229,25 +229,19 @@ class Database:
     defers to ``REPRO_SHARDS`` / the default); ``parallel_views`` fixes the
     view-refresh worker count (``None`` defers to ``REPRO_PARALLEL_VIEWS`` /
     auto — ``1`` shared-snapshot inline, ``N`` a thread pool; see
-    :mod:`repro.engine.scheduler`).
-    ``backend`` pins the execution backend deltas are applied on
-    (``"serial"``/``"threads"``/``"processes"``/``"subinterpreters"``,
-    optionally with a worker count as in ``"processes:4"``; ``None`` defers
-    to ``REPRO_BACKEND`` / the per-delta cost model).
+    :mod:`repro.engine.scheduler`).  Every store delta folds inline, on the
+    applying thread.
     """
 
     def __init__(
         self,
         shards: Optional[int] = None,
         parallel_views: Optional[int] = None,
-        backend: Optional[str] = None,
     ) -> None:
-        from repro.engine.scheduler import parse_backend_spec, resolve_view_workers
+        from repro.engine.scheduler import SerialExecutionBackend, resolve_view_workers
 
-        # Validate eagerly; both are resolved again per apply.
+        # Validate eagerly; resolved again per apply.
         resolve_view_workers(parallel_views)
-        if backend is not None:
-            parse_backend_spec(backend)
         # Resolved once here (validating an explicit count): every store of
         # this database partitions the same way, and the reported shard
         # count can never drift from the stores actually created.
@@ -262,14 +256,9 @@ class Database:
         # Whether the shard count was pinned (constructor argument or the
         # REPRO_SHARDS hatch): pinned databases never adapt per relation.
         self._shards_pinned = shards_pinned(shards)
-        self._backend_spec = backend
-        # One ExecutionBackend instance per (name, workers) actually used,
-        # created lazily — most sessions only ever touch one.
-        self._exec_backends: Dict[Tuple[str, Optional[int]], object] = {}
-        # Effective backend name → deltas applied through it (stats).
-        self._backend_applies: Dict[str, int] = {}
-        # Degradations recorded at resolution time (first occurrence each).
-        self._backend_notes: List[str] = []
+        # The call every non-empty store delta folds through (the name the
+        # benchmark's ``storage.relation_apply_delta`` span patches).
+        self._fold = SerialExecutionBackend()
         # Input-dictionary name → (owning relation, context path).  Resolving
         # ownership by parsing the generated names would break for relations
         # whose own name contains the ``__D`` separator (e.g. ``user__Data``),
@@ -501,7 +490,6 @@ class Database:
             "read_path": read_path,
             "shards": self.storage_shards(),
             "parallel_views": self.refresh_mode(),
-            "execution": self.execution_report(),
         }
 
     def create_result_store(self, name: str, bag: Bag = EMPTY_BAG) -> ResultStore:
@@ -609,21 +597,10 @@ class Database:
         if name in self._schemas:
             raise WorkloadError(f"relation {name!r} is already registered")
         self._schemas[name] = schema
-        self._adopt_store(self._storage, name, nested_bag, nested_shards)
-        self._adopt_store(
-            self._flat_storage, flat_relation_name(name), flat_bag, flat_shards
-        )
+        self._storage.ensure(name, shards=nested_shards).adopt(nested_bag)
+        flat_name = flat_relation_name(name)
+        self._flat_storage.ensure(flat_name, shards=flat_shards).adopt(flat_bag)
         self._index_dictionaries(name, schema)
-
-    @staticmethod
-    def _adopt_store(manager: StorageManager, name: str, bag: Bag, shards: int) -> None:
-        store = manager.ensure(name, shards=shards)
-        if bag.is_empty():
-            return
-        version = store.begin_delta()
-        for position, pairs in store.partition_delta(bag).items():
-            store.adopt_shard(position, dict(pairs), version=version)
-        store.finish_delta()
 
     def adopt_dictionary(self, name: str, entries: Mapping) -> None:
         """Install one checkpointed input dictionary (label → bag entries)."""
@@ -713,25 +690,15 @@ class Database:
         if update.is_empty():
             return ShreddedDelta()
         shredded_delta = self.shred_update(update)
-        # The requested backend is resolved once per apply — ``REPRO_BACKEND``
-        # / ``forced_backend`` stay dynamic between applies — and shared by
-        # the view dispatcher and every store delta below.
-        from repro.engine.scheduler import resolve_backend_spec
-
-        spec = resolve_backend_spec(self._backend_spec)
-
-        self._notify_views(update, shredded_delta, spec[0])
+        self._notify_views(update, shredded_delta)
 
         # Nested instances: one delta pass per store updates the bag and all
-        # of its persistent indexes.  Each store's delta runs on the resolved
-        # execution backend (serial/threads/processes/subinterpreters) —
-        # interchangeable bit-for-bit, so the choice is pure scheduling.
-        # A relation whose nester is built gets its delta from the mirror,
-        # below.
+        # of its persistent indexes.  A relation whose nester is built gets
+        # its delta from the mirror, below.
         built = {name for name, nester in self._nesters.items() if nester.built}
         for name, bag in update.relations.items():
             if name not in built:
-                self._apply_store_delta(self._storage, name, bag, spec)
+                self._apply_store_delta(self._storage, name, bag)
 
         # A deep-updated label stands for a new bag from here on: the
         # shredder must not hand it out for the old one again.
@@ -744,129 +711,35 @@ class Database:
 
         # Shredded mirror: flat relations and dictionaries.
         for flat_name, bag in shredded_delta.bags.items():
-            self._apply_store_delta(self._flat_storage, flat_name, bag, spec)
+            self._apply_store_delta(self._flat_storage, flat_name, bag)
         for dict_name, dictionary in shredded_delta.dictionaries.items():
             self._dict_store.apply_delta(dict_name, dictionary)
 
         if update.deep or built:
-            self._renest(update, shredded_delta, spec, built)
+            self._renest(update, shredded_delta, built)
         self._state_version += 1
         return shredded_delta
 
-    # ------------------------------------------------------------------ #
-    # Execution backends
-    # ------------------------------------------------------------------ #
-    def _apply_store_delta(
-        self,
-        manager: StorageManager,
-        name: str,
-        delta: Bag,
-        spec: Tuple[str, Optional[int]],
-    ) -> None:
-        """Apply one store's delta on the backend ``spec`` resolves to.
+    def _apply_store_delta(self, manager: StorageManager, name: str, delta: Bag) -> None:
+        """Fold one store's delta inline.
 
         Empty deltas stay a strict no-op (matching ``RelationStore.
-        apply_delta``'s early return) and are not counted.  The requested
-        backend degrades along the documented chain when unavailable
-        (``subinterpreters``/``processes`` → ``threads``); the effective
-        backend name — which a backend may further narrow mid-flight — is
-        what the per-backend apply counters record.
-
-        A deleting delta that reaches a store with a poisoned index slice may
-        have removed the unhashable key behind it, so the poisoned slices are
-        rebuilt here, on the write — never on the probe path, where
-        refreshes read concurrently.
+        apply_delta``'s early return).  A deleting delta that reaches a
+        store with a poisoned index slice may have removed the unhashable
+        key behind it, so the poisoned slices are rebuilt here, on the
+        write — never on the probe path, where refreshes read concurrently.
         """
         if delta.is_empty():
             manager.apply_delta(name, delta)
             return
         store = manager.ensure(name)
-        backend = self._resolve_execution_backend(store, delta, spec)
-        effective = backend.apply_delta(store, delta)
-        self._backend_applies[effective] = self._backend_applies.get(effective, 0) + 1
+        self._fold.apply_delta(store, delta)
         if store.poisoned and delta.has_negative():
             store.heal()
 
-    def _resolve_execution_backend(self, store, delta: Bag, spec: Tuple[str, Optional[int]]):
-        from repro.engine.scheduler import (
-            _auto_workers,
-            availability_fallback,
-            create_execution_backend,
-            recommend_backend,
-        )
-
-        name, workers = spec
-        if name == "auto":
-            name = recommend_backend(
-                delta.distinct_size(),
-                store.shards,
-                workers if workers is not None else _auto_workers(),
-            )
-        effective, note = availability_fallback(name)
-        if note and note not in self._backend_notes:
-            self._backend_notes.append(note)
-        key = (effective, workers)
-        backend = self._exec_backends.get(key)
-        if backend is None:
-            backend = self._exec_backends[key] = create_execution_backend(
-                effective, workers
-            )
-        return backend
-
     def execution_report(self) -> Dict[str, object]:
-        """The active execution backend and per-backend apply counts.
-
-        ``requested`` is the resolution input (``"auto"`` unless pinned by
-        the constructor or ``REPRO_BACKEND``); ``applies`` counts non-empty
-        store deltas per *effective* backend; ``backends`` carries each
-        instantiated backend's own state (workers, recorded fallbacks);
-        ``notes`` lists availability degradations seen this session.
-        Everything is plain data — the serving layer json-encodes it as-is.
-        """
-        from repro.engine.scheduler import backend_availability, resolve_backend_spec
-
-        requested, workers = resolve_backend_spec(self._backend_spec)
-        report: Dict[str, object] = {
-            "requested": requested,
-            "workers": workers,
-            "applies": dict(self._backend_applies),
-            "availability": backend_availability(),
-            "backends": [
-                backend.describe() for backend in self._exec_backends.values()
-            ],
-        }
-        if self._backend_notes:
-            report["notes"] = list(self._backend_notes)
-        return report
-
-    def execution_plan(self, delta_size: int = 1) -> str:
-        """The backend a delta of ``delta_size`` would run on (for explain).
-
-        Renders the resolution: a pinned name stays as-is (with the
-        degradation arrow when this runtime lacks it), ``auto`` shows the
-        cost model's pick for the assumed delta size.
-        """
-        from repro.engine.scheduler import (
-            _auto_workers,
-            availability_fallback,
-            recommend_backend,
-            resolve_backend_spec,
-        )
-
-        name, workers = resolve_backend_spec(self._backend_spec)
-        resolved_workers = workers if workers is not None else _auto_workers()
-        if name == "auto":
-            recommended = recommend_backend(
-                delta_size, self.storage_shards(), resolved_workers
-            )
-            effective, _ = availability_fallback(recommended)
-            return f"auto({effective})"
-        effective, _ = availability_fallback(name)
-        if effective != name:
-            return f"{name}->{effective}"
-        if workers is not None:
-            return f"{name}({workers})"
-        return name
+        """``{"requested": "serial"}``: the one key the benchmark still reads."""
+        return {"requested": "serial"}
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -951,9 +824,6 @@ class Database:
             if scheduler is not None:
                 scheduler.shutdown()
                 self._scheduler = None
-            for backend in self._exec_backends.values():
-                backend.shutdown()
-            self._exec_backends.clear()
 
     # ------------------------------------------------------------------ #
     # View refresh dispatch
@@ -975,9 +845,7 @@ class Database:
             return "shared-snapshot inline"
         return f"threads({workers})"
 
-    def _notify_views(
-        self, update: Update, shredded_delta: ShreddedDelta, requested_backend: str
-    ) -> None:
+    def _notify_views(self, update: Update, shredded_delta: ShreddedDelta) -> None:
         """Refresh every registered view against the pre-update state.
 
         One shared :class:`RefreshContext` is built up front and the
@@ -994,10 +862,6 @@ class Database:
         if not views:
             return
         workers = self.view_refresh_workers()
-        # A pinned serial execution backend means "single-threaded": clamp
-        # multi-worker refresh down to the shared-snapshot inline mode.
-        if workers > 1 and requested_backend == "serial":
-            workers = 1
         context = RefreshContext(self, update, shredded_delta)
         pool_tasks: List[Callable[[], None]] = []
         for view in views:
@@ -1022,7 +886,6 @@ class Database:
         self,
         update: Update,
         shredded_delta: ShreddedDelta,
-        spec: Tuple[str, Optional[int]],
         built: set,
     ) -> None:
         """Carry the update into the nested instances the nesters maintain.
@@ -1056,4 +919,4 @@ class Database:
                 for path, labels in rewritten.get(name, ()):
                     nester.note_dirty(path, labels)
                 delta = nester.settle(flat.multiplicity)
-            self._apply_store_delta(self._storage, name, delta, spec)
+            self._apply_store_delta(self._storage, name, delta)

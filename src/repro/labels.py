@@ -56,8 +56,8 @@ class Label:
         """Pickle without the cached hash: string hashing is seeded per
         process, so a captured hash would be stale in the receiving one.
         Equality is structural (``iota`` + ``values``), so labels survive a
-        pickle round-trip — the property the sendable execution state relies
-        on when shredded flat deltas move to worker processes."""
+        pickle round-trip — the property the WAL's and checkpoints' pickle
+        fallback relies on when a recovering process reloads them."""
         state = dict(self.__dict__)
         state.pop("_hash", None)
         return state

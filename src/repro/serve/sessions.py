@@ -29,6 +29,7 @@ thread-safety notes):
 
 from __future__ import annotations
 
+import inspect
 import os
 import shutil
 import threading
@@ -36,7 +37,8 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.durability.manager import load_replication_state, store_replication_state
-from repro.engine import Engine, EngineSnapshot
+from repro.durability.wal import resolve_fsync_policy
+from repro.engine import Engine, EngineSnapshot, resolve_view_workers
 from repro.errors import EngineError
 from repro.ivm.updates import Update
 from repro.replication.feed import (
@@ -57,6 +59,7 @@ from repro.serve.protocol import (
     query_from_spec,
     record_from_spec,
 )
+from repro.storage import resolve_shard_count
 from repro.surface.dsl import Dataset
 from repro.surface.schema import Record
 
@@ -676,7 +679,6 @@ class TenantSession:
 
     def stats(self) -> Dict[str, Any]:
         snapshot = self.snapshot
-        execution = self.engine.database.execution_report()
         return {
             "tenant": self.name,
             "state_version": snapshot.version,
@@ -689,11 +691,6 @@ class TenantSession:
             "ingest": self.worker.stats.to_dict(),
             "body_hits": self.body_hits,
             "body_misses": self.body_misses,
-            # The execution backend the ingest worker's applies run on, plus
-            # per-backend apply counts (see docs/serve.md, "Execution
-            # backends under the ingest worker").
-            "backend": execution["requested"],
-            "backend_applies": execution["applies"],
             "durability": self.engine.durability_report(),
             "replication": self.replication_status(),
         }
@@ -738,6 +735,25 @@ class TenantSession:
         assert self.engine.closed, "Engine.close() must leave the engine closed"
 
 
+def check_engine_options(options: Dict[str, Any]) -> None:
+    """Raise ``ValueError`` unless every tenant engine could be built from
+    ``options``.
+
+    Tenants build their engines lazily, on first use; a bad option found
+    there would answer every tenant creation with a 500.  So the options
+    are bound against ``Engine``'s signature (an unknown key fails) and the
+    counts and policies go through the resolvers the engine itself runs.
+    """
+    try:
+        arguments = inspect.signature(Engine).bind(**options).arguments
+    except TypeError as error:
+        raise ValueError(f"engine_options: {error}") from None
+    resolve_shard_count(arguments.get("shards"))
+    resolve_view_workers(arguments.get("parallel_views"))
+    if arguments.get("fsync") is not None:
+        resolve_fsync_policy(arguments["fsync"])
+
+
 class SessionManager:
     """The named tenants of one server."""
 
@@ -756,6 +772,7 @@ class SessionManager:
         poll_interval: float = 0.05,
     ) -> None:
         self._engine_options = dict(engine_options or {})
+        check_engine_options(self._engine_options)
         self._queue_depth = queue_depth
         self._coalesce = coalesce
         self._auto_create = auto_create

@@ -13,8 +13,8 @@ read endpoint, and finally asserts a clean drain-and-shutdown:
 
 Exits non-zero on any failure, so CI can run it as a step.  The check is
 storage-configuration agnostic (it inherits ``REPRO_SHARDS`` /
-``REPRO_BACKEND`` from the environment), so it runs identically on every
-CI matrix leg.
+``REPRO_PARALLEL_VIEWS`` from the environment), so it runs identically on
+every CI matrix leg.
 """
 
 from __future__ import annotations

@@ -150,52 +150,15 @@ class HashIndex:
         except IndexKeyError:
             self.poison()
 
-    def apply_keyed_pairs(
-        self, triples: Iterable[Tuple[Tuple[Any, ...], Any, int]]
-    ) -> None:
-        """Fold ``(key, element, multiplicity)`` triples whose keys are
-        already computed (one delta application).
-
-        This is the fold-back half of shard ownership transfer: a worker
-        that owns the shard computes ``index_key_of`` per delta element —
-        the projection/validation work that dominates index maintenance —
-        and ships the keyed triples home, so the parent only performs the
-        dict folds.  Counter semantics match :meth:`apply_pairs` exactly
-        (a poisoned slice ignores deltas without counting them).
-        """
-        if self._poisoned:
-            return
-        self.deltas_applied += 1
-        buckets = self._buckets
-        for key, element, multiplicity in triples:
-            key = intern_key(key)
-            bucket = buckets.get(key)
-            if bucket is None:
-                bucket = buckets[key] = {}
-            updated = bucket.get(element, 0) + multiplicity
-            if updated == 0:
-                bucket.pop(element, None)
-                if not bucket:
-                    buckets.pop(key, None)
-            else:
-                bucket[element] = updated
-
     def poison(self) -> None:
         """Stop answering probes until the next :meth:`rebuild`."""
         self._poisoned = True
         self._buckets = {}
 
     # ------------------------------------------------------------------ #
-    # Shard ownership transfer (sendable execution state)
+    # Pickling (slots classes need explicit state methods)
     # ------------------------------------------------------------------ #
-    def export_shard(self) -> Dict[str, Any]:
-        """A picklable snapshot of this index slice's full state.
-
-        ``adopt_shard`` on the receiving side installs it without
-        recomputing a single projection key — ownership of the slice moves
-        wholesale.  Buckets are shallow-copied so later maintenance on
-        either side never aliases the other's dicts.
-        """
+    def __getstate__(self) -> Dict[str, Any]:
         return {
             "paths": self.paths,
             "buckets": {key: dict(bucket) for key, bucket in self._buckets.items()},
@@ -205,26 +168,6 @@ class HashIndex:
             "deltas_applied": self.deltas_applied,
             "version": self.version,
         }
-
-    def adopt_shard(self, state: Dict[str, Any]) -> None:
-        """Install a state previously produced by :meth:`export_shard`."""
-        if tuple(tuple(path) for path in state["paths"]) != self.paths:
-            raise ValueError(
-                f"cannot adopt shard state keyed by {state['paths']!r} "
-                f"into an index keyed by {self.paths!r}"
-            )
-        self._buckets = state["buckets"]
-        self._poisoned = state["poisoned"]
-        self.hits = state["hits"]
-        self.rebuilds = state["rebuilds"]
-        self.deltas_applied = state["deltas_applied"]
-        self.version = state["version"]
-
-    # ------------------------------------------------------------------ #
-    # Pickling (slots classes need explicit state methods)
-    # ------------------------------------------------------------------ #
-    def __getstate__(self) -> Dict[str, Any]:
-        return self.export_shard()
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.paths = tuple(tuple(path) for path in state["paths"])

@@ -205,9 +205,8 @@ class ShardedBag(Bag):
         return self.merged().scale(factor)
 
     # -------------------------------------------------------------- #
-    # Pickling: preserve the shard structure (the whole point of a
-    # sendable shard snapshot); per-shard bags re-merge lazily on the
-    # receiving side.  The default slot pickling would trip over the
+    # Pickling: preserve the shard structure (the WAL/checkpoint pickle
+    # fallback); per-shard bags re-merge lazily on the loading side.  The default slot pickling would trip over the
     # ``_data`` property (no setter), so the reduction is explicit.
     # -------------------------------------------------------------- #
     def __reduce__(self):

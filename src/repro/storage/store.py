@@ -93,11 +93,6 @@ def forced_no_index(disabled: bool = True) -> Iterator[None]:
         _indexes_disabled = saved
 
 
-#: Sentinel distinguishing "slice poisoned at dispatch, no summary expected"
-#: from "worker reported poisoning" (``None``) in ``adopt_shard``.
-_UNTOUCHED = object()
-
-
 class _Shard:
     """One partition of a sharded store: a builder plus its index slices."""
 
@@ -274,159 +269,46 @@ class RelationStore:
             return
         self._composite = None
         # Per-shard O(|Δ|/N) units: builder fold plus index-slice folds.
-        # They are mutually independent — the scheduler may run them
-        # concurrently; serial application is just one ordering.
         for position, shard_pairs in self._partition(delta.items()).items():
             shard = self._shards[position]
             shard.builder.apply_pairs(shard_pairs)
             for index in shard.indexes.values():
                 index.apply_pairs(shard_pairs)
                 index.version = version
+        self._count_family_delta(version)
+
+    def _count_family_delta(self, version: int) -> None:
+        """Family-level accounting of one multi-shard delta: counted once per
+        index family, version stamped, poison state refreshed."""
         for family in self._indexes.values():
             family.deltas_applied += 1
             family.version = version
             if not family.poisoned:
                 family.refresh_poison()
 
-    # ------------------------------------------------------------------ #
-    # Shard ownership transfer (sendable execution state)
-    # ------------------------------------------------------------------ #
-    def routing_token(self) -> Tuple[int, Optional[Paths], int]:
-        """Identity of the current shard layout *and* contents.
+    def adopt(self, bag: Bag) -> None:
+        """Install checkpointed contents without folding them pair by pair.
 
-        A worker's cached copy of a shard is valid only while the layout
-        (shard count + routing paths — re-registration re-partitions) and
-        the version (any local mutation: a delta applied in-process, a
-        wholesale replace, a healing rebuild) both still match.  Execution
-        backends compare tokens before reusing remote state and re-export
-        on any mismatch, so out-of-band mutation can never corrupt an
-        offloaded fold.
+        Recovery's path into a freshly created store: ``bag`` is routed
+        under this process's hash seed (checkpoints outlive the seed that
+        partitioned them) and each touched shard's builder adopts its dict
+        wholesale.  Accounted as one delta — one version bump, index stamps
+        and family counters advanced as :meth:`apply_delta` would — so a
+        recovered store reports the counters the original run did.  Empty
+        bags are a no-op.
         """
-        return (self._shard_count, self._routing_paths, self._version)
-
-    def partition_delta(self, delta: Bag) -> Dict[int, List[Tuple[Any, int]]]:
-        """Route a delta once, in-parent: shard position → that shard's pairs.
-
-        Partitioning stays authoritative in the owning process (it depends
-        on the process's hash seed via ``_shard_of``); workers receive
-        already-partitioned pairs and never route anything themselves.
-        """
-        return self._partition(delta.items())
-
-    def shard_unit_paths(self, position: int) -> List[Paths]:
-        """The index keys a worker must summarize for one shard's fold:
-        every registered slice that is currently healthy.  Poisoned slices
-        ignore deltas on the serial path too, so omitting them keeps the
-        offloaded fold's counter accounting bit-identical."""
-        return [
-            paths
-            for paths, index in self._shards[position].indexes.items()
-            if not index.poisoned
-        ]
-
-    def export_shard(self, position: int) -> Dict[str, Any]:
-        """A picklable snapshot of one shard, for moving ownership out.
-
-        Contains the builder's multiplicity dict (copied, so worker-side
-        folds never alias this store's state) plus the full state of every
-        index slice.  ``version`` stamps which store state the export
-        reflects — the receiving side pairs it with :meth:`routing_token`
-        to detect staleness.
-        """
-        shard = self._shards[position]
-        return {
-            "relation": self.name,
-            "shard": position,
-            "version": self._version,
-            "data": dict(shard.builder._data),
-            "indexes": {
-                paths: index.export_shard() for paths, index in shard.indexes.items()
-            },
-        }
-
-    def begin_delta(self) -> int:
-        """Open one delta application whose folds happen elsewhere.
-
-        Mirrors the head of :meth:`apply_delta` — bump the version, drop
-        the composite snapshot reference — and returns the new version for
-        the eventual :meth:`adopt_shard` calls.  Callers must pair it with
-        :meth:`finish_delta` after every touched shard was adopted (or
-        folded locally as a fallback).
-        """
-        self._version += 1
-        if self._shard_count > 1:
-            self._composite = None
-        return self._version
-
-    def adopt_shard(
-        self,
-        position: int,
-        data: Dict[Any, int],
-        index_deltas: Optional[Dict[Paths, Optional[List[Tuple[Any, Any, int]]]]] = None,
-        *,
-        version: Optional[int] = None,
-    ) -> None:
-        """Fold one shard's remotely computed result back in, without re-hashing.
-
-        ``data`` is the shard's post-fold multiplicity dict (the frozen
-        result bag's contents); the builder adopts it wholesale — a retained
-        reader snapshot keeps its old dict, so no copy-on-write pass runs.
-        ``index_deltas`` maps each healthy slice's paths to the
-        ``(key, element, multiplicity)`` triples the worker computed (the
-        ``index_key_of`` projections that dominate maintenance cost), or to
-        ``None`` when the worker hit an unhashable key — which poisons the
-        slice exactly as an in-process fold would.  Slices absent from the
-        mapping were poisoned at dispatch time and only advance their
-        version stamp, matching the serial path's no-op fold.
-        """
-        shard = self._shards[position]
-        shard.builder.adopt_dict(data)
-        stamp = self._version if version is None else version
-        deltas = index_deltas or {}
-        for paths, index in shard.indexes.items():
-            triples = deltas.get(paths, _UNTOUCHED)
-            if triples is None:
-                if not index.poisoned:
-                    index.deltas_applied += 1
-                    index.poison()
-            elif triples is not _UNTOUCHED:
-                index.apply_keyed_pairs(triples)
-            index.version = stamp
-
-    def apply_shard_pairs(self, position: int, pairs: List[Tuple[Any, int]]) -> None:
-        """Fold one shard's already-partitioned pairs in-process.
-
-        Exactly the per-shard unit of :meth:`apply_delta`'s multi-shard
-        loop, exposed for execution backends: the threads backend runs one
-        call per touched shard on its pool (units touch disjoint shards, so
-        concurrency is scheduling, not semantics), and the process backend
-        uses it to recover locally when a work unit cannot be offloaded.
-        Callers must wrap the calls in :meth:`begin_delta` /
-        :meth:`finish_delta`.
-        """
-        shard = self._shards[position]
-        version = self._version
-        shard.builder.apply_pairs(pairs)
-        for index in shard.indexes.values():
-            index.apply_pairs(pairs)
-            index.version = version
-
-    def finish_delta(self) -> None:
-        """Close a :meth:`begin_delta` application: family-level accounting.
-
-        Mirrors the tail of :meth:`apply_delta` — one delta counted per
-        index family, version stamps advanced, poison state refreshed.
-        Single-shard stores keep raw :class:`HashIndex` views whose
-        counters the adopt path already advanced, so there is nothing to do.
-        """
-        if self._shard_count == 1:
+        if bag.is_empty():
             return
+        self._version += 1
         version = self._version
-        for family in self._indexes.values():
-            family.deltas_applied += 1
-            family.version = version
-            if not family.poisoned:
-                family.refresh_poison()
+        self._composite = None
+        for position, pairs in self._partition(bag.items()).items():
+            shard = self._shards[position]
+            shard.builder.adopt_dict(dict(pairs))
+            for index in shard.indexes.values():
+                index.version = version
+        if self._shard_count > 1:
+            self._count_family_delta(version)
 
     def replace(self, bag: Bag) -> None:
         """Swap in a freshly computed bag; every index is rebuilt."""

@@ -136,3 +136,94 @@ def test_served_reads_stay_under_the_tracers_custom_patches(monkeypatch):
     assert received.count(b"HTTP/1.1 200 OK") == 4
     assert encodes == [(None, 0), (1, 0)]  # one miss for three full reads, one page
     assert sum(written) == len(received)
+
+
+def test_every_store_delta_folds_through_the_patched_name_once(monkeypatch):
+    """``storage.relation_apply_delta_s`` times
+    ``SerialExecutionBackend.apply_delta``: every non-empty relation-store
+    delta — a flat apply's nested store and mirror, a deep update's
+    re-nested relation — must pass through it, and exactly once."""
+    from repro.bag import Bag
+    from repro.engine import scheduler
+    from repro.ivm import Database, NestedIVMView, Update
+    from repro.nrc import ast, builders as build
+    from repro.nrc.types import BASE, bag_of, tuple_of
+    from repro.shredding.shred_database import input_dict_name
+    from repro.storage import RelationStore
+
+    folds = []
+    inside = []
+    store_deltas = []
+    fold = scheduler.SerialExecutionBackend.apply_delta
+    store_apply = RelationStore.apply_delta
+
+    def counted_fold(self, store, delta):
+        folds.append(store.name)
+        inside.append(store.name)
+        try:
+            return fold(self, store, delta)
+        finally:
+            inside.pop()
+
+    def counted_store_apply(self, delta):
+        if not delta.is_empty():
+            store_deltas.append((self.name, list(inside)))
+        return store_apply(self, delta)
+
+    monkeypatch.setattr(scheduler.SerialExecutionBackend, "apply_delta", counted_fold)
+    monkeypatch.setattr(RelationStore, "apply_delta", counted_store_apply)
+
+    database = Database()
+    database.register("M", bag_of(tuple_of(BASE, BASE)), Bag([("a", "x")]))
+    schema = bag_of(bag_of(BASE))
+    database.register("R", schema, Bag([Bag(["a"]), Bag(["b"])]))
+    view = NestedIVMView(
+        build.for_in("x", ast.Relation("R", schema), ast.SngVar("x")), database
+    )
+    database.apply_update(Update(relations={"M": Bag([("b", "y"), ("c", "z")])}))
+    dict_name = input_dict_name("R", ())
+    (label, *_) = database.shredded_environment().dictionaries[dict_name].support()
+    database.apply_update(Update(deep={dict_name: {label: Bag(["deep"])}}))
+
+    assert view.result() == database.relation("R")
+    assert len(folds) == 3
+    assert store_deltas == [(name, [name]) for name in folds]
+
+
+def test_the_alias_names_are_the_serial_fold():
+    from repro.engine import scheduler
+
+    fold = scheduler.SerialExecutionBackend.apply_delta
+    for alias in ("ThreadExecutionBackend", "ProcessExecutionBackend",
+                  "SubinterpreterExecutionBackend"):
+        assert getattr(scheduler, alias).apply_delta is fold
+    assert scheduler.resolve_backend_spec(None) == ("serial", None)
+
+
+def test_two_affected_views_refresh_through_the_pool(monkeypatch):
+    """The view-refresh pool is untouched by the inline store fold: with two
+    workers and two views the update affects, the refreshes still dispatch
+    through ``ViewRefreshScheduler.run``."""
+    from repro.engine import Engine
+    from repro.engine.scheduler import ViewRefreshScheduler
+    from repro.workloads import MOVIE_SCHEMA, generate_movies, genre_selfjoin_query
+
+    dispatched = []
+    run = ViewRefreshScheduler.run
+
+    def counted_run(self, tasks):
+        dispatched.append((self.workers, len(tasks)))
+        return run(self, tasks)
+
+    monkeypatch.setattr(ViewRefreshScheduler, "run", counted_run)
+    movies = generate_movies(20, seed=3)
+    engine = Engine(parallel_views=2)
+    try:
+        engine.dataset("M", MOVIE_SCHEMA, movies)
+        first = engine.view("a", genre_selfjoin_query(), strategy="classic")
+        second = engine.view("b", genre_selfjoin_query(), strategy="recursive")
+        engine.insert("M", generate_movies(2, seed=4))
+        assert dispatched == [(2, 2)]
+        assert first.result() == second.result()
+    finally:
+        engine.close()

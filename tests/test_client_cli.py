@@ -253,9 +253,15 @@ class TestCLI:
             _run(live, "datasets", "create", "M2") == 1
         )  # missing --fields
 
-    def test_serve_rejects_zero_refresh_workers_before_listening(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            main(["serve", "--port", "0", "--parallel-views", "0"])
+    def test_serve_rejects_zero_refresh_workers_before_listening(self, capsys):
+        assert main(["serve", "--port", "0", "--parallel-views", "0"]) == 1
+        captured = capsys.readouterr()
+        assert ">= 1" in captured.err and "listening" not in captured.out
+
+    def test_serve_rejects_zero_shards_before_listening(self, capsys):
+        assert main(["serve", "--port", "0", "--shards", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "shard count" in captured.err and "listening" not in captured.out
 
 
 # --------------------------------------------------------------------------- #

@@ -26,7 +26,6 @@ ROOT = Path(__file__).resolve().parent.parent
 ENVIRONMENT_VARIABLES = {
     "REPRO_SHARDS",
     "REPRO_PARALLEL_VIEWS",
-    "REPRO_BACKEND",
     "REPRO_NO_COMPILE",
     "REPRO_FSYNC",
     "REPRO_WAL_SEGMENT_BYTES",
@@ -39,7 +38,6 @@ ENGINE_OPTIONS = (
     "expected_update_size",
     "shards",
     "parallel_views",
-    "backend",
     "data_dir",
     "fsync",
     "fault_injector",

@@ -1,14 +1,14 @@
-"""Sendable execution state: everything a work unit carries survives pickle.
+"""Durable state survives its encodings: the WAL and checkpoint round-trips.
 
-The process and subinterpreter backends ship execution state across an
-interpreter boundary: bag snapshots, sharded-store snapshots, updates,
-compiled-pipeline descriptions, and codec-encoded pair payloads.  The
-contract is that a pickle round-trip preserves **equality and hash
-stability** (the receiving side re-hashes with its own seed, so cached
-hashes must never travel), including deeply nested values — and that the
-one class of value for which pickling genuinely breaks equality (``NaN``,
-whose hash is id-based) is *rejected* by the codec rather than silently
-diverging.
+Write-ahead-log records and checkpoint files persist bags through the pair
+codec (:mod:`repro.bag.codec`) and fall back to ``pickle`` for the values
+the codec refuses; compiled pipelines pickle by description.  The contract
+is that either round-trip preserves **equality and hash stability** (the
+recovering process re-hashes with its own seed, so cached hashes must never
+be persisted), including deeply nested values and sharded snapshots — and
+that the one class of value for which pickling genuinely breaks equality
+(``NaN``, whose hash is id-based) is *rejected* by the codec rather than
+silently diverging.
 """
 
 import pickle
@@ -100,13 +100,13 @@ def test_update_pickle_preserves_equality(relations_bag, deep_bag):
 
 
 def test_nan_is_exactly_why_the_codec_exists():
-    """Pickle silently breaks NaN-keyed bags (id-based hash), so the wire
-    codec must reject NaN loudly instead of letting backends diverge."""
+    """Pickle silently breaks NaN-keyed bags (id-based hash), so the pair
+    codec must reject NaN loudly: the WAL and checkpoint writers then know
+    the bag takes the pickle fallback."""
     nan_bag = Bag([float("nan")])
     copy = _round_trip(nan_bag)
     # The round-tripped NaN is a new object with a new id-based hash: the
-    # copy is *not* equal to the original.  This is the divergence the
-    # sendability gate protects the process backend from.
+    # copy is *not* equal to the original.
     assert copy != nan_bag
     with pytest.raises(UnsendableValueError):
         encode_bag(nan_bag)
@@ -134,6 +134,11 @@ def test_codec_round_trips_labels():
     label = Label("x.1", ("k", 1))
     copy = decode_value(encode_value(label))
     assert copy == label and hash(copy) == hash(label)
+
+
+def test_codec_rejects_nan_pairs():
+    with pytest.raises(UnsendableValueError):
+        encode_pairs([(float("nan"), 1)])
 
 
 def test_codec_rejects_unknown_types():

@@ -519,3 +519,28 @@ class TestShutdown:
         assert worker.drain_and_stop()
         with pytest.raises(RuntimeError):
             worker.submit(Command("apply", run=lambda: None))
+
+
+class TestEngineOptions:
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"shards": 0}, "shard count"),
+            ({"parallel_views": 0}, ">= 1"),
+            ({"fsync": "sometimes"}, "fsync policy"),
+            ({"backend": "serial"}, "unexpected keyword argument 'backend'"),
+        ],
+    )
+    def test_bad_engine_options_fail_at_construction(self, options, message):
+        """Tenants build engines lazily; a bad option must stop the server
+        before it listens, not answer every tenant creation with a 500."""
+        with pytest.raises(ValueError, match=message):
+            ReproServer(ServerConfig(port=0, engine_options=options))
+
+    def test_good_engine_options_reach_the_tenant_engine(self):
+        options = {"shards": 2, "parallel_views": 2, "expected_update_size": 4}
+        with ReproServer(ServerConfig(port=0, engine_options=options)) as server:
+            api = APIClient(server.url)
+            api.post("v1/t/datasets", {"name": "M", "fields": ["a"], "rows": [["x"]]})
+            api.close()
+            assert server.sessions.get("t").engine.database.storage_shards() == 2

@@ -43,6 +43,7 @@ from repro.storage import (
     forced_shards,
     resolve_shard_count,
 )
+from repro.storage.shards import SMALL_RELATION_SHARD_THRESHOLD
 from repro.workloads import (
     MOVIE_SCHEMA,
     generate_movies,
@@ -610,3 +611,63 @@ def test_engine_kwargs_override_environment():
         assert engine.database.refresh_mode() == "shared-snapshot inline"
     with pytest.raises(ValueError, match=">= 1"):
         Engine(parallel_views=0)
+
+
+# --------------------------------------------------------------------------- #
+# Planner default: small relations get one shard
+# --------------------------------------------------------------------------- #
+class TestSmallRelationDefault:
+    def _shard_counts(self, engine):
+        return {
+            entry["relation"]: entry["shards"]
+            for entry in engine.storage_report()["nested"]["stores"]
+        }
+
+    def test_small_relations_default_to_one_shard(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SHARDS", raising=False)
+        small_rows = generate_movies(SMALL_RELATION_SHARD_THRESHOLD - 1, seed=7)
+        large_rows = generate_movies(SMALL_RELATION_SHARD_THRESHOLD + 40, seed=7)
+        engine = Engine()
+        try:
+            engine.dataset("S", MOVIE_SCHEMA, small_rows)
+            engine.dataset("L", MOVIE_SCHEMA, large_rows)
+            counts = self._shard_counts(engine)
+            assert counts["S"] == 1
+            assert counts["L"] > 1
+        finally:
+            engine.close()
+
+    def test_pinned_shards_override_the_small_relation_default(self):
+        with forced_shards(4):
+            engine = Engine()
+            try:
+                engine.dataset("S", MOVIE_SCHEMA, generate_movies(50, seed=7))
+                assert self._shard_counts(engine)["S"] == 4
+            finally:
+                engine.close()
+
+    def test_small_default_preserves_maintenance(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SHARDS", raising=False)
+        movies = generate_movies(80, seed=11)
+        engine = movies_engine(movies, expected_update_size=4)
+        try:
+            view = engine.view("v", genre_selfjoin_query(), strategy="classic")
+            engine.apply_stream(
+                movie_update_stream(3, 4, existing=movies, deletion_ratio=0.3, seed=13)
+            )
+            with forced_shards(1):
+                reference = movies_engine(movies, expected_update_size=4)
+                try:
+                    ref_view = reference.view(
+                        "v", genre_selfjoin_query(), strategy="classic"
+                    )
+                    reference.apply_stream(
+                        movie_update_stream(
+                            3, 4, existing=movies, deletion_ratio=0.3, seed=13
+                        )
+                    )
+                    assert view.result() == ref_view.result()
+                finally:
+                    reference.close()
+        finally:
+            engine.close()
