@@ -70,12 +70,8 @@ class BagBuilder:
         copies the dict iff ``bag`` is still referenced by the caller (it
         usually is at first, and usually is not by the next update).
         """
-        if not isinstance(bag, Bag):
-            raise TypeError(f"expected a Bag, got {type(bag).__name__}")
-        builder = cls.__new__(cls)
-        builder._data = bag._data
-        builder._frozen = bag
-        builder.freezes = 0
+        builder = cls()
+        builder.adopt_bag(bag)
         return builder
 
     # ------------------------------------------------------------------ #
@@ -163,17 +159,17 @@ class BagBuilder:
         self._data = {}
         self._frozen = None
 
-    def adopt_dict(self, data: Dict[Any, int]) -> None:
-        """Become ``data`` (an already-normalized multiplicity dict), in O(1).
+    def adopt_bag(self, bag: Bag) -> None:
+        """Become ``bag``'s contents in O(1), frozen-shared with it.
 
-        Recovery installs checkpointed shard contents this way
-        (:meth:`repro.storage.store.RelationStore.adopt`).  Replacing the
-        dict reference — instead of mutating in place — leaves any retained
-        frozen snapshot untouched, so no copy-on-write pass is needed; the
-        cumulative ``freezes`` counter survives.
+        The builder takes ``bag``'s dict and ``bag`` as its live snapshot,
+        so the first mutation copies iff ``bag`` is still referenced.
+        The cumulative ``freezes`` counter survives.
         """
-        self._data = data
-        self._frozen = None
+        if not isinstance(bag, Bag):
+            raise TypeError(f"expected a Bag, got {type(bag).__name__}")
+        self._data = bag._data
+        self._frozen = bag
 
     def compact(self) -> None:
         """Rewrite the dict without the holes that deletions left in it.
@@ -184,7 +180,8 @@ class BagBuilder:
         caller to amortise against the churn; a retained snapshot keeps the
         old dict.
         """
-        self.adopt_dict(dict(self._data))
+        self._data = dict(self._data)
+        self._frozen = None
 
     # ------------------------------------------------------------------ #
     # Pickling (checkpoints)

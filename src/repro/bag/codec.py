@@ -1,7 +1,7 @@
 """Compact binary codec for bag pairs — the WAL and checkpoint encoding.
 
 Write-ahead-log records (:mod:`repro.durability.records`) and checkpoint
-shard files (:mod:`repro.durability.checkpoint`) persist bags as
+blobs (:mod:`repro.durability.checkpoint`) persist bags as
 ``(element, multiplicity)`` pairs through this codec, and fall back to
 pickle only for the values it refuses.  Pickling everything would work
 mechanically, but it would also *lie*: values whose equality or hash is
@@ -119,8 +119,6 @@ def _write_value(out: bytearray, value: Any) -> None:
         for item in value:
             _write_value(out, item)
     elif isinstance(value, Bag):
-        # ShardedBag included: the encoding is the merged contents — shard
-        # structure is a storage-layer concern, not a value-level one.
         data = value._data
         out.append(_TAG_BAG)
         _write_uvarint(out, len(data))
@@ -222,7 +220,7 @@ def decode_value(payload: bytes) -> Any:
 
 
 def encode_pairs(pairs: Iterable[Tuple[Any, int]]) -> bytes:
-    """Encode ``(element, multiplicity)`` pairs (a delta, a shard's contents)."""
+    """Encode ``(element, multiplicity)`` pairs (a delta, a store's contents)."""
     out = bytearray()
     body = bytearray()
     count = 0
@@ -249,7 +247,7 @@ def decode_pairs(payload: bytes) -> List[Tuple[Any, int]]:
 
 
 def encode_bag(bag: Bag) -> bytes:
-    """Encode a bag's contents (shard-structure agnostic)."""
+    """Encode a bag's contents."""
     return encode_pairs(bag._data.items())
 
 

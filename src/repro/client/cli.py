@@ -84,13 +84,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ReproServer, ServerConfig
 
     engine_options: Dict[str, Any] = {}
-    if args.shards is not None:
-        engine_options["shards"] = args.shards
     if args.parallel_views is not None:
         engine_options["parallel_views"] = args.parallel_views
     try:
         # The server validates the engine options before it listens, so a
-        # bad count stops it here rather than failing each tenant later.
+        # bad option stops it here rather than failing each tenant later.
         server = ReproServer(
             ServerConfig(
                 host=args.host,
@@ -275,7 +273,7 @@ def _cmd_views(api: APIClient, args: argparse.Namespace) -> int:
         console.print(
             f"view {plan['view']!r}: strategy={plan['strategy']} "
             f"(requested {plan['requested']}), execution={plan['execution']}, "
-            f"{plan['shards']} shard(s), refresh {plan['parallel_apply']}"
+            f"refresh {plan['parallel_apply']}"
         )
         console.print(f"reason: {plan['reason']}")
         table = Table(title="Candidates")
@@ -436,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8765)
     serve.add_argument("--queue-depth", type=int, default=256)
     serve.add_argument("--coalesce", type=int, default=64)
-    serve.add_argument("--shards", type=int, default=None)
     serve.add_argument("--parallel-views", type=int, default=None)
     serve.add_argument(
         "--data-dir",

@@ -8,14 +8,14 @@ cooperating pieces:
   pickle fallback), with an ``always``/``batch``/``off`` fsync policy
   (``REPRO_FSYNC``) and size-triggered segment rotation
   (``REPRO_WAL_SEGMENT_BYTES``);
-* :mod:`repro.durability.checkpoint` — per-shard snapshot checkpoints cut
+* :mod:`repro.durability.checkpoint` — per-store snapshot checkpoints cut
   from the storage layer's frozen copy-on-write snapshots (capture never
   blocks writers), with a manifest recording the engine ``state_version``,
   schema/view specs, and the WAL segment the checkpoint covers up to;
 * :mod:`repro.durability.manager` — the recovery orchestrator: on open it
-  loads the newest valid checkpoint (adopting shard contents through
-  ``RelationStore.adopt``), replays the WAL tail, truncates torn
-  tails, quarantines corrupt segments, and degrades to read-only with a
+  loads the newest valid checkpoint (adopting store contents wholesale),
+  replays the WAL tail, truncates torn tails, quarantines corrupt segments,
+  and degrades to read-only with a
   :class:`~repro.durability.manager.RecoveryReport` when unrecoverable.
 
 :mod:`repro.durability.faults` injects crashes at write/fsync/rotate/

@@ -1,23 +1,25 @@
-"""Snapshot checkpoints: per-shard blobs plus a manifest, written atomically.
+"""Snapshot checkpoints: per-store blobs plus a manifest, written atomically.
 
 A checkpoint is a directory ``<checkpoints>/ckpt-00000042/`` holding
 
-* one **blob file per store shard** (``blob-0000.bin``, …) — the shard's
-  ``(element, multiplicity)`` pairs in the PR 7 pair codec, pickle fallback
+* one **blob file per store** (``blob-0000.bin``, …) — the store's
+  ``(element, multiplicity)`` pairs in the pair codec, pickle fallback
   for codec-unsendable elements; each file is framed
-  ``u32 length | u32 crc32 | kind byte + payload`` so load detects rot;
+  ``u32 length | u32 crc32 | kind byte + payload`` so load detects rot.
+  The manifest lists a *list* of blobs per store: checkpoints written by
+  sharded stores hold one blob per shard, and load still merges them;
 * a **dictionaries blob** (the shredded input dictionaries) and a
   **shredder blob** (the label factory counter and value→label memo —
   what makes replayed label assignment deterministic);
 * ``manifest.bin``, written **last**: engine ``state_version``, every
-  dataset's schema and shard counts, every view's spec (name, pinned
-  strategy, pickled expression, result-store shard count), and
+  dataset's schema, every view's spec (name, pinned strategy, pickled
+  expression), and
   ``wal_start_segment`` — the WAL segment the log was rotated to at
   capture time, so replay starts exactly where the checkpoint's coverage
   ends.
 
 **Capture never blocks writers**: the state it grabs is the storage
-layer's frozen copy-on-write snapshots (``O(shards)`` per store) plus an
+layer's frozen copy-on-write snapshots (``O(1)`` per store) plus an
 ``O(labels)`` copy of the dictionary entries and shredder state; the
 ``O(|DB|)`` encoding happens later, in :func:`write_checkpoint`, against
 those immutable snapshots — the serving layer runs it on a handler thread
@@ -44,7 +46,6 @@ from repro.bag.bag import Bag
 from repro.bag.codec import UnsendableValueError, decode_pairs, encode_pairs
 from repro.durability.faults import FaultInjector, InjectedCrash, fire
 from repro.durability.wal import _fsync_directory
-from repro.storage.shards import ShardedBag
 
 __all__ = [
     "CheckpointCapture",
@@ -69,7 +70,7 @@ class CheckpointCapture:
     """Everything a checkpoint needs, pinned at one state version.
 
     Holds *frozen* bag snapshots (copy-on-write: retaining them is free
-    until the next write touches a shard) plus already-copied dictionary
+    until the next write touches the store) plus already-copied dictionary
     entries and pickled shredder state.  Safe to encode on another thread
     while the engine keeps applying updates.
     """
@@ -186,26 +187,20 @@ def _read_framed(path: str) -> bytes:
     return payload
 
 
-def _encode_shard(bag: Bag) -> bytes:
+def _encode_blob(bag: Bag) -> bytes:
     try:
         return bytes([_KIND_CODEC]) + encode_pairs(bag.items())
     except UnsendableValueError:
         return bytes([_KIND_PICKLE]) + pickle.dumps(bag, protocol=_PROTO)
 
 
-def _decode_shard(payload: bytes) -> Bag:
+def _decode_blob(payload: bytes) -> Bag:
     kind, data = payload[0], payload[1:]
     if kind == _KIND_CODEC:
         return Bag.from_pairs(decode_pairs(data))
     if kind == _KIND_PICKLE:
         return pickle.loads(data)
-    raise ValueError(f"unknown shard blob kind 0x{kind:02x}")
-
-
-def _shard_bags(bag: Bag) -> Tuple[Bag, ...]:
-    if isinstance(bag, ShardedBag):
-        return tuple(bag.shard_bags)
-    return (bag,)
+    raise ValueError(f"unknown blob kind 0x{kind:02x}")
 
 
 # ---------------------------------------------------------------------- #
@@ -238,20 +233,12 @@ def write_checkpoint(
 
     datasets_meta: List[Dict[str, Any]] = []
     for entry in capture.datasets:
-        nested_blobs = [
-            _next_blob(_encode_shard(shard)) for shard in _shard_bags(entry["nested_bag"])
-        ]
-        flat_blobs = [
-            _next_blob(_encode_shard(shard)) for shard in _shard_bags(entry["flat_bag"])
-        ]
         datasets_meta.append(
             {
                 "name": entry["name"],
                 "schema": entry["schema"],
-                "nested_shards": entry["nested_shards"],
-                "flat_shards": entry["flat_shards"],
-                "nested_blobs": nested_blobs,
-                "flat_blobs": flat_blobs,
+                "nested_blobs": [_next_blob(_encode_blob(entry["nested_bag"]))],
+                "flat_blobs": [_next_blob(_encode_blob(entry["flat_bag"]))],
             }
         )
     dictionaries_blob = _next_blob(
@@ -302,9 +289,10 @@ def _read_checkpoint(seq: int, path: str) -> LoadedCheckpoint:
         for side in ("nested", "flat"):
             merged: List[Tuple[Any, int]] = []
             for blob_name in entry[f"{side}_blobs"]:
-                shard = _decode_shard(_read_framed(os.path.join(path, blob_name)))
-                merged.extend(shard.items())
-            # Shards hold disjoint elements, so folding is a plain union.
+                part = _decode_blob(_read_framed(os.path.join(path, blob_name)))
+                merged.extend(part.items())
+            # Checkpoints of sharded stores split a store over several
+            # blobs holding disjoint elements, so folding is a plain union.
             bags[f"{side}:{entry['name']}"] = Bag.from_pairs(merged)
     dict_payload = _read_framed(os.path.join(path, manifest["dictionaries_blob"]))
     if dict_payload[0] != _KIND_PICKLE:

@@ -42,7 +42,7 @@ CRASH_POINTS = (
     "wal.pre_fsync",  # crash before the buffered records reach the file
     "wal.post_fsync",  # crash immediately after a successful fsync
     "wal.mid_rotation",  # new segment created with half its magic header
-    "checkpoint.mid_write",  # crash after the first shard blob of a checkpoint
+    "checkpoint.mid_write",  # crash after the first blob of a checkpoint
     "checkpoint.pre_rename",  # complete .tmp checkpoint, crash before the rename
     "checkpoint.post_rename",  # checkpoint renamed live, crash before pruning
 )
@@ -101,8 +101,8 @@ def fire(injector: Optional[FaultInjector], point: str) -> bool:
 #: engine reaches the same state through a different history (checkpoint
 #: adoption + tail replay), so the differential contract strips these
 #: before comparing — everything else
-#: (cardinalities, distinct counts, shard counts, index sizes, poison
-#: state, dictionary label counts, routing keys) must match exactly.
+#: (cardinalities, distinct counts, index sizes, poison state, dictionary
+#: label counts) must match exactly.
 _VOLATILE_KEYS = frozenset(
     {
         "version",

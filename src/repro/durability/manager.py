@@ -16,11 +16,11 @@ mutation.  Durability of *acknowledged* writes is the caller's sync point:
 never syncs (best-effort, bounded loss).
 
 **Recovery** (:meth:`open_and_recover`) restores the newest valid
-checkpoint — adopting shard contents wholesale through
+checkpoint — adopting store contents wholesale through
 ``Database.adopt_relation`` and recreating views through the normal
-``Engine.view`` path with their checkpointed strategies and result-store
-shard counts pinned — then replays the WAL tail from the checkpoint's
-``wal_start_segment`` through the normal engine API.  A **torn tail**
+``Engine.view`` path with their checkpointed strategies pinned — then
+replays the WAL tail from the checkpoint's ``wal_start_segment`` through
+the normal engine API.  A **torn tail**
 (damage extending to the end of the last segment — what a mid-write crash
 leaves) is truncated away and recovery stays writable; **corruption**
 anywhere else quarantines the damaged file and degrades the engine to
@@ -305,14 +305,11 @@ class DurabilityManager:
                 bag_type,
                 loaded.bags[f"nested:{name}"],
                 loaded.bags[f"flat:{name}"],
-                nested_shards=entry["nested_shards"],
-                flat_shards=entry["flat_shards"],
             )
         for dict_name, entries in loaded.dictionaries.items():
             database.adopt_dictionary(dict_name, entries)
         database.adopt_shredder(pickle.loads(loaded.shredder_blob))
         for spec in loaded.manifest["views"]:
-            database.pin_next_result_shards(spec["result_shards"])
             engine.view(
                 spec["name"],
                 spec["expr"],
@@ -489,7 +486,6 @@ class DurabilityManager:
         state = engine.database.export_durable_state()
         views = []
         for handle in engine.views():
-            store = handle.view.result_store()
             views.append(
                 {
                     "name": handle.name,
@@ -497,7 +493,6 @@ class DurabilityManager:
                     "expr": handle.expr,
                     "targets": handle.targets,
                     "expected_update_size": handle.expected_update_size,
-                    "result_shards": None if store is None else store.shards,
                 }
             )
         datasets = []
@@ -508,8 +503,6 @@ class DurabilityManager:
                     "schema": engine._dataset_schemas[name],
                     "nested_bag": relation["nested_bag"],
                     "flat_bag": relation["flat_bag"],
-                    "nested_shards": relation["nested_shards"],
-                    "flat_shards": relation["flat_shards"],
                 }
             )
         shredder_blob = pickle.dumps(state["shredder"], protocol=_PROTO)

@@ -89,7 +89,14 @@ def resolve_segment_bytes(segment_bytes: Optional[int] = None) -> int:
     """Explicit argument, else ``REPRO_WAL_SEGMENT_BYTES``, else 4 MiB."""
     if segment_bytes is None:
         raw = os.environ.get(REPRO_WAL_SEGMENT_BYTES)
-        segment_bytes = int(raw) if raw else DEFAULT_SEGMENT_BYTES
+        if not raw:
+            return DEFAULT_SEGMENT_BYTES
+        try:
+            segment_bytes = int(raw)
+        except ValueError:
+            raise ValueError(
+                f"{REPRO_WAL_SEGMENT_BYTES} must be an integer, got {raw!r}"
+            ) from None
     if segment_bytes < 1:
         raise ValueError(f"segment size must be positive, got {segment_bytes}")
     return segment_bytes

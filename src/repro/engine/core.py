@@ -126,7 +126,7 @@ class EngineSnapshot:
     materialization of every view, stamped with the database's
     ``state_version`` at capture time.  The bags are the storage layer's
     copy-on-write snapshots: retaining one costs nothing until the next
-    write, which then un-shares only the touched shards (see ``docs/api.md``,
+    write to that store, which then copies its dict once (see ``docs/api.md``,
     "Storage internals & complexity").  The serving layer publishes one of
     these per applied batch; readers pin it and never block behind an
     in-flight apply.
@@ -163,19 +163,16 @@ class Engine:
         self,
         *,
         expected_update_size: int = 1,
-        shards: Optional[int] = None,
         parallel_views: Optional[int] = None,
         data_dir: Optional[str] = None,
         fsync: Optional[str] = None,
         fault_injector: Optional[FaultInjector] = None,
         standby: bool = False,
     ) -> None:
-        """``shards`` partitions every relation store (``None`` defers to
-        ``REPRO_SHARDS`` / the default; ``1`` is the unsharded escape hatch);
-        ``parallel_views`` fixes the view-refresh worker count (``None``
+        """``parallel_views`` fixes the view-refresh worker count (``None``
         defers to ``REPRO_PARALLEL_VIEWS`` / auto, ``1`` shared-snapshot
-        inline, ``N > 1`` a thread pool).  See ``docs/api.md``, "Sharding &
-        parallel apply".
+        inline, ``N > 1`` a thread pool).  See ``docs/api.md``, "View-refresh
+        pool".
 
         ``data_dir`` makes the engine durable: operations are write-ahead
         logged, :meth:`checkpoint` cuts snapshot checkpoints, and opening an
@@ -193,7 +190,7 @@ class Engine:
         the primary's segments itself, until :meth:`promote_writable` ends
         the standby (see ``docs/replication.md``).
         """
-        self._database = Database(shards=shards, parallel_views=parallel_views)
+        self._database = Database(parallel_views=parallel_views)
         self._expected_update_size = expected_update_size
         self._views: Dict[str, ViewHandle] = {}
         self._datasets: Dict[str, object] = {}
@@ -428,8 +425,8 @@ class Engine:
         Must be called while no update is in flight (from the applying
         thread, or synchronized with it) — the serving layer's single-writer
         ingest loop satisfies this by construction.  The returned bags are
-        lazily-frozen copy-on-write snapshots, so capture is O(shards) per
-        dataset plus O(1) per already-materialized view result.
+        lazily-frozen copy-on-write snapshots, so capture is O(1) per
+        dataset and per already-materialized view result.
         """
         return EngineSnapshot(
             version=self._database.state_version,

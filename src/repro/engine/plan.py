@@ -99,13 +99,9 @@ class MaintenancePlan:
     #: (``"M[.1] (persistent)"``) or the pipeline rebuilds per evaluation.
     #: Filled in by the facade once the backend view exists.
     indexes: Tuple[str, ...] = ()
-    #: Relation-store shard count at planning time (``1`` = unsharded hatch).
-    shards: int = 1
     #: How independent views are refreshed per update:
     #: ``"shared-snapshot inline"`` or ``"threads(N)"``.
     parallel_apply: str = "shared-snapshot inline"
-    #: Rendered per-update application cost unit (``"O(|Δ|/N) per shard"``).
-    apply_unit: str = "O(|Δ|)"
 
     def estimate_for(self, strategy: str) -> Optional[StrategyEstimate]:
         """The estimate recorded for a given backend name (``None`` if absent)."""
@@ -134,9 +130,7 @@ class MaintenancePlan:
             "reason": self.reason,
             "execution": self.execution,
             "indexes": list(self.indexes),
-            "shards": self.shards,
             "parallel_apply": self.parallel_apply,
-            "apply_unit": self.apply_unit,
             "expected_update_size": self.expected_update_size,
             "estimates": [estimate.to_dict() for estimate in self.estimates],
             "artifacts": dict(self.artifacts),
@@ -149,8 +143,7 @@ class MaintenancePlan:
             f"  strategy : {self.strategy} (requested: {self.requested})",
             f"  execution: {self.execution}",
             f"  indexes  : {', '.join(self.indexes) if self.indexes else 'none'}",
-            f"  storage  : {self.shards} shard(s), apply {self.apply_unit}, "
-            f"view refresh {self.parallel_apply}",
+            f"  refresh  : {self.parallel_apply}",
             f"  reason   : {self.reason}",
             f"  assumed update size d = {self.expected_update_size}",
             "  candidates:",

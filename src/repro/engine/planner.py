@@ -360,9 +360,6 @@ def plan_view(
         chosen, reason = _choose(estimates)
 
     artifacts = dict(next(e for e in estimates if e.strategy == chosen).artifacts)
-    # Shard-aware storage line: delta application runs as O(|Δ|/N) per-shard
-    # units, and the refresh mode says how independent views are scheduled.
-    shards = database.storage_shards()
     return MaintenancePlan(
         view_name=name,
         query=query,
@@ -372,9 +369,7 @@ def plan_view(
         estimates=tuple(estimates),
         expected_update_size=expected_update_size,
         artifacts=artifacts,
-        shards=shards,
         parallel_apply=database.refresh_mode(),
-        apply_unit=f"O(|Δ|/{shards}) per shard" if shards > 1 else "O(|Δ|)",
     )
 
 

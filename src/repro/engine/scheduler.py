@@ -16,8 +16,8 @@ decision, not a semantics change.  This module supplies that schedule:
 
 On a single-CPU host the ``auto`` default resolves to ``1``: the CPython
 GIL serializes pure-Python refresh work, so a pool would add dispatch
-latency without buying overlap — the shared-snapshot refresh and the
-sharded stores' per-shard copy-on-write still apply.  Multi-core hosts get
+latency without buying overlap — the shared-snapshot refresh still
+applies.  Multi-core hosts get
 ``min(cpu_count, 4)`` workers.
 
 Thread-safety contract for view backends (see ``docs/api.md``): a view's
@@ -89,7 +89,7 @@ def resolve_view_workers(override: Optional[int] = None) -> int:
 def forced_parallel_views(workers: Optional[int]) -> Iterator[None]:
     """Pin (or, with ``None``, un-pin) the refresh worker count.
 
-    Mirrors the other escape hatches (``forced_no_index``, ``forced_shards``):
+    Mirrors the other escape hatch (``forced_no_index``):
     dynamic — databases re-resolve the mode on every update, so the hatch
     affects applies performed inside the block regardless of when the
     engine was built.

@@ -24,6 +24,7 @@ from repro.ivm.views import View
 from repro.nrc.analysis import referenced_deltas, referenced_relations
 from repro.nrc.ast import Expr
 from repro.nrc.compile import run_bag, try_compile
+from repro.storage import ResultStore
 
 __all__ = ["ClassicIVMView"]
 
@@ -58,11 +59,10 @@ class ClassicIVMView(View):
 
         counter = OpCounter()
         started = self._now()
-        # The materialization lives in a sharded result store: per-update
-        # changes fold into the touched shards (O(|Δresult|)), result()
-        # freezes the snapshot lazily, and a retained snapshot copy-on-writes
-        # only dirty shards on the next update.
-        self._result = database.create_result_store(
+        # The materialization lives in a result store: per-update changes
+        # fold in place (O(|Δresult|)) and result() freezes the snapshot
+        # lazily.
+        self._result = ResultStore(
             "classic", run_bag(compiled_query, query, database.environment(), counter)
         )
         self.stats.record_init(self._now() - started, counter)

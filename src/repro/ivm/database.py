@@ -54,8 +54,7 @@ from repro.shredding.shred_database import (
 from repro.shredding.context import iter_context_dicts
 from repro.shredding.nesting import Nester
 from repro.shredding.shred_values import ValueShredder
-from repro.storage import DictionaryStore, ResultStore, StorageManager, resolve_shard_count
-from repro.storage.shards import SMALL_RELATION_SHARD_THRESHOLD, shards_pinned
+from repro.storage import DictionaryStore, StorageManager
 
 __all__ = ["Database", "RefreshContext", "ShreddedDelta"]
 
@@ -225,37 +224,25 @@ class RefreshContext:
 class Database:
     """Named nested relations with an incrementally-maintained shredded mirror.
 
-    ``shards`` fixes the shard count of every relation store (``None``
-    defers to ``REPRO_SHARDS`` / the default); ``parallel_views`` fixes the
-    view-refresh worker count (``None`` defers to ``REPRO_PARALLEL_VIEWS`` /
-    auto — ``1`` shared-snapshot inline, ``N`` a thread pool; see
-    :mod:`repro.engine.scheduler`).  Every store delta folds inline, on the
-    applying thread.
+    Each relation lives in one :class:`~repro.storage.RelationStore`;
+    ``parallel_views`` fixes the view-refresh worker count (``None`` defers
+    to ``REPRO_PARALLEL_VIEWS`` / auto — ``1`` shared-snapshot inline, ``N``
+    a thread pool; see :mod:`repro.engine.scheduler`).  Every store delta
+    folds inline, on the applying thread.
     """
 
-    def __init__(
-        self,
-        shards: Optional[int] = None,
-        parallel_views: Optional[int] = None,
-    ) -> None:
+    def __init__(self, parallel_views: Optional[int] = None) -> None:
         from repro.engine.scheduler import SerialExecutionBackend, resolve_view_workers
 
         # Validate eagerly; resolved again per apply.
         resolve_view_workers(parallel_views)
-        # Resolved once here (validating an explicit count): every store of
-        # this database partitions the same way, and the reported shard
-        # count can never drift from the stores actually created.
-        resolved_shards = resolve_shard_count(shards)
         self._schemas: Dict[str, BagType] = {}
-        self._storage = StorageManager(kind="nested", shards=resolved_shards)
+        self._storage = StorageManager(kind="nested")
         self._shredder = ValueShredder(LabelFactory(prefix="db"))
-        self._flat_storage = StorageManager(kind="flat", shards=resolved_shards)
+        self._flat_storage = StorageManager(kind="flat")
         self._dict_store = DictionaryStore()
         self._parallel_views = parallel_views
         self._scheduler = None  # lazily built ViewRefreshScheduler
-        # Whether the shard count was pinned (constructor argument or the
-        # REPRO_SHARDS hatch): pinned databases never adapt per relation.
-        self._shards_pinned = shards_pinned(shards)
         # The call every non-empty store delta folds through (the name the
         # benchmark's ``storage.relation_apply_delta`` span patches).
         self._fold = SerialExecutionBackend()
@@ -284,13 +271,6 @@ class Database:
         self._lifecycle_lock = threading.RLock()
         # Non-None once recovery degraded the database: the reason string.
         self._read_only: Optional[str] = None
-        # Transient pin consumed by the next create_result_store call (the
-        # durability restore sets it right before recreating each view, so
-        # restored result stores keep their checkpointed shard counts
-        # instead of re-running the adaptive rule against the larger
-        # restored contents).  Result-store names are shared backend
-        # constants, so the pin cannot be keyed by name.
-        self._next_result_shards: Optional[int] = None
 
     # ------------------------------------------------------------------ #
     # Schema and data registration
@@ -308,23 +288,7 @@ class Database:
             raise TypeError("relation schemas must be bag types")
         self._schemas[name] = schema
         instance_bag = instance or EMPTY_BAG
-        # Small relations default to one shard: partitioning overhead eats
-        # the win below ~500 rows (measured 1.26× at n=500 against 3.06× at
-        # n=2000, see SMALL_RELATION_SHARD_THRESHOLD).  A pinned
-        # count (constructor argument / REPRO_SHARDS) always wins; the
-        # choice is made once, at registration time.
-        adaptive: Optional[int] = None
-        if (
-            not self._shards_pinned
-            and instance_bag.cardinality() < SMALL_RELATION_SHARD_THRESHOLD
-        ):
-            adaptive = 1
-        self._storage.ensure(name, instance_bag, shards=adaptive)
-        # The flat mirror follows the nested relation's decision so both
-        # sides of a small relation stay on the single-shard fast path
-        # (replace() in _reshred_relation would otherwise create it with
-        # the manager default).
-        self._flat_storage.ensure(flat_relation_name(name), shards=adaptive)
+        self._storage.ensure(name, instance_bag)
         self._index_dictionaries(name, schema)
         self._reshred_relation(name)
         self._state_version += 1
@@ -452,22 +416,11 @@ class Database:
         return tuple(report)
 
     def storage_shards(self) -> int:
-        """The shard count this database's stores are partitioned into.
-
-        Fixed at construction (explicit argument, or the ``REPRO_SHARDS`` /
-        default resolution at that moment), so it always matches the
-        per-store ``shards`` entries in :meth:`storage_report`.
-        """
-        return self._storage.shards
+        """Benchmark residue (``benchmarks/suite/inproc.py`` records it): always 1."""
+        return 1
 
     def storage_report(self) -> Dict[str, object]:
-        """Sizes and index statistics of every store (what ``explain`` surfaces).
-
-        Store entries aggregate across shards (``cardinality``/``distinct``
-        sum the shard builders; index ``hits``/``entries`` merge the shard
-        slices) and carry per-shard breakdowns under ``shard_stats`` /
-        ``per_shard`` for multi-shard stores.
-        """
+        """Sizes and index statistics of every store (what ``explain`` surfaces)."""
         result_stores: List[Dict[str, object]] = []
         read_path: List[Dict[str, object]] = []
         for view in self._views:
@@ -488,42 +441,8 @@ class Database:
             "dictionaries": self._dict_store.report(),
             "results": {"kind": "results", "stores": result_stores},
             "read_path": read_path,
-            "shards": self.storage_shards(),
             "parallel_views": self.refresh_mode(),
         }
-
-    def create_result_store(self, name: str, bag: Bag = EMPTY_BAG) -> ResultStore:
-        """A result store partitioned like this database's relation stores.
-
-        View backends route their materializations through here so result
-        sharding follows the same policy as relation sharding: the
-        database-wide shard count, with the small-relation rule (results
-        below :data:`SMALL_RELATION_SHARD_THRESHOLD` rows stay on a single
-        shard) applied when nothing pins a count.  The choice is made once,
-        at view materialization time.
-        """
-        pinned = self._next_result_shards
-        if pinned is not None:
-            self._next_result_shards = None
-            return ResultStore(name, bag, shards=pinned)
-        shards = self.storage_shards()
-        if (
-            not self._shards_pinned
-            and bag.cardinality() < SMALL_RELATION_SHARD_THRESHOLD
-        ):
-            shards = 1
-        return ResultStore(name, bag, shards=shards)
-
-    def pin_next_result_shards(self, shards: Optional[int]) -> None:
-        """Pin the shard count of the *next* result store created.
-
-        Consumed (and cleared) by that one :meth:`create_result_store` call.
-        The durability restore sets it immediately before recreating each
-        view, so restored result stores keep their checkpointed shard count
-        — the adaptive small-relation rule would otherwise re-decide against
-        the full restored cardinality and diverge from the original run.
-        """
-        self._next_result_shards = shards
 
     # ------------------------------------------------------------------ #
     # Views
@@ -542,7 +461,7 @@ class Database:
     def export_durable_state(self) -> Dict[str, object]:
         """Everything a checkpoint must persist, as frozen snapshots.
 
-        Cheap by construction — O(shards) per store (copy-on-write freezes),
+        Cheap by construction — O(1) per store (copy-on-write freezes),
         O(labels) per dictionary, O(1) for the shredder reference — so the
         caller can encode the result on another thread while updates keep
         applying.  Must be called while no update is in flight (the same
@@ -554,9 +473,7 @@ class Database:
             flat = self._flat_storage.get(flat_relation_name(name))
             relations[name] = {
                 "nested_bag": nested.bag,
-                "nested_shards": nested.shards,
                 "flat_bag": flat.bag,
-                "flat_shards": flat.shards,
             }
         return {
             "state_version": self._state_version,
@@ -575,9 +492,6 @@ class Database:
         schema: BagType,
         nested_bag: Bag,
         flat_bag: Bag,
-        *,
-        nested_shards: int,
-        flat_shards: int,
     ) -> None:
         """Install a checkpointed relation wholesale, bypassing the shredder.
 
@@ -586,20 +500,15 @@ class Database:
         in the adopted dictionaries and shredder, so re-shredding here would
         be both wasted work and wrong — the restored shredder's emitted-set
         would suppress the label definitions ``_reshred_relation`` expects
-        to produce.  Shard counts come from the checkpoint manifest (never
-        re-decided: the adaptive rule would see the full restored
-        cardinality, not the at-registration one), but contents are
-        re-partitioned here because shard routing hashes with the current
-        process's seed.  No version bump — recovery restores the recorded
+        to produce.  No version bump — recovery restores the recorded
         ``state_version`` explicitly once the whole checkpoint is adopted.
         """
         self._check_open()
         if name in self._schemas:
             raise WorkloadError(f"relation {name!r} is already registered")
         self._schemas[name] = schema
-        self._storage.ensure(name, shards=nested_shards).adopt(nested_bag)
-        flat_name = flat_relation_name(name)
-        self._flat_storage.ensure(flat_name, shards=flat_shards).adopt(flat_bag)
+        self._storage.ensure(name, nested_bag)
+        self._flat_storage.ensure(flat_relation_name(name), flat_bag)
         self._index_dictionaries(name, schema)
 
     def adopt_dictionary(self, name: str, entries: Mapping) -> None:

@@ -185,14 +185,13 @@ class NestedIVMView(View):
         counter = OpCounter()
         started = self._now()
         environment = database.shredded_environment()
-        # The flat view lives in a sharded result store: per-update deltas
-        # fold into the touched shards and flat_result() freezes the
-        # snapshot lazily (a retained reader COWs only dirty shards).
-        self._flat_view = database.create_result_store(
+        # The flat view lives in a result store: per-update deltas fold in
+        # place and flat_result() freezes the snapshot lazily.
+        self._flat_view = ResultStore(
             "nested-flat",
             run_bag(self._compiled_flat, self._shredded.flat, environment, counter),
         )
-        #: The nested result lives in a second sharded store, built through
+        #: The nested result lives in a second result store, built through
         #: the nester by the first result() and fed bag deltas afterwards.
         self._result: Optional[ResultStore] = None
         #: Result entries rewritten since the store was last compacted.
@@ -279,7 +278,6 @@ class NestedIVMView(View):
                 self._result = ResultStore(
                     "nested",
                     unshred_bag(self._flat_view.freeze(), element_type, nester),
-                    shards=self._flat_view.shards,
                 )
         else:
             delta = nester.settle(self._flat_view.multiplicity)

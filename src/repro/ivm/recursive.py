@@ -37,6 +37,7 @@ from repro.nrc.ast import Expr
 from repro.nrc.compile import CompiledQuery, run_bag, try_compile
 from repro.nrc.evaluator import Environment, evaluate_bag
 from repro.nrc.rewrite import simplify
+from repro.storage import ResultStore
 
 __all__ = ["RecursiveIVMView", "partially_evaluate"]
 
@@ -140,11 +141,11 @@ class RecursiveIVMView(View):
         counter = OpCounter()
         started = self._now()
         environment = database.environment()
-        # The view materialization goes to a sharded result store (retained
-        # snapshots COW per shard); the partial-evaluation materializations
-        # below stay in plain builders — they are view-internal state no
-        # reader ever retains across an update.
-        self._result = database.create_result_store(
+        # The view materialization goes to a result store; the
+        # partial-evaluation materializations below stay in plain builders —
+        # they are view-internal state no reader ever retains across an
+        # update.
+        self._result = ResultStore(
             "recursive", run_bag(compiled_query, query, environment, counter)
         )
         self._materializations: Dict[str, _Materialization] = {}

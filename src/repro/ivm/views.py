@@ -134,7 +134,7 @@ class View:
     # Read-path reporting (the result-store layer)
     # ------------------------------------------------------------------ #
     def result_store(self):
-        """The sharded :class:`~repro.storage.ResultStore` backing this
+        """The :class:`~repro.storage.ResultStore` backing this
         view's materialization, or ``None`` for backends that keep their
         own representation (e.g. the naive recompute baseline)."""
         return None
@@ -142,7 +142,7 @@ class View:
     def read_stats(self):
         """Read-path accounting surfaced through ``storage_report()``.
 
-        Base views report their result store's shape (shards, versions,
+        Base views report their result store's shape (sizes, versions,
         snapshot freezes); backends with extra read-side machinery — the
         nested view's footprint-bounded dictionary probes — extend this.
         """

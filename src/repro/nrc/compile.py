@@ -113,7 +113,6 @@ __all__ = [
     "compile_expr",
     "compilation_enabled",
     "forced_interpretation",
-    "rebuild_compiled",
     "run_bag",
     "try_compile",
 ]
@@ -431,9 +430,7 @@ class IndexRequirement:
         return f"{self.relation}[{paths}]"
 
     def __reduce__(self):
-        # Slots + no dict: reconstruct from the two defining fields, which
-        # also keeps requirements inside pickled pipeline descriptions
-        # value-equal across processes.
+        # Slots + no dict: reconstruct from the two defining fields.
         return (IndexRequirement, (self.relation, self.paths))
 
     def __repr__(self) -> str:
@@ -1265,49 +1262,13 @@ class CompiledQuery:
             raise EvaluationError(f"expected a bag result, got {value!r}")
         return value
 
-    # ------------------------------------------------------------------ #
-    # Rebuildable-by-description (sendable execution state)
-    # ------------------------------------------------------------------ #
-    def describe_pipeline(self) -> Dict[str, Any]:
-        """The pipeline as data: expression, slot layout, index requirements.
-
-        This is what actually travels between processes — the compiled
-        closures close over each other and cannot be pickled, but every AST
-        node is a frozen dataclass with structural equality, so the
-        expression itself is the complete, canonical build recipe.  The slot
-        layout and index-requirement keys ride along as a cross-version
-        consistency check: :func:`rebuild_compiled` recompiles on the
-        receiving side and verifies the layout matches before serving.
-        """
-        return {
-            "expr": self.expr,
-            "slot_count": self._slot_count,
-            "elem_params": self._elem_params,
-            "bag_params": self._bag_params,
-            "index_requirements": tuple(
-                requirement.key() for requirement in self.index_requirements
-            ),
-        }
-
-    def _layout(self) -> Tuple[Any, ...]:
-        return (
-            self._slot_count,
-            self._elem_params,
-            self._bag_params,
-            tuple(requirement.key() for requirement in self.index_requirements),
-        )
-
-    def __reduce__(self):
-        description = self.describe_pipeline()
-        return (rebuild_compiled, (description,))
-
     def __eq__(self, other: Any) -> bool:
         if other is self:
             return True
         if not isinstance(other, CompiledQuery):
             return NotImplemented
         # The expression determines the whole compilation deterministically,
-        # so expr equality is pipeline equality (and survives pickling).
+        # so expr equality is pipeline equality.
         return self.expr == other.expr
 
     def __hash__(self) -> int:
@@ -1315,39 +1276,3 @@ class CompiledQuery:
 
     def __repr__(self) -> str:
         return f"CompiledQuery({type(self.expr).__name__}, slots={self._slot_count})"
-
-
-#: Per-process rebuild cache: a worker that receives the same pipeline
-#: description many times (one per shard-apply unit) compiles it once.
-#: Keyed by the expression, which is frozen, hashable and value-equal.
-_REBUILD_CACHE: Dict[Expr, CompiledQuery] = {}
-_REBUILD_CACHE_LIMIT = 256
-
-
-def rebuild_compiled(description: Dict[str, Any]) -> CompiledQuery:
-    """Recompile a pipeline from its :meth:`CompiledQuery.describe_pipeline`.
-
-    The unpickle target for compiled pipelines: rebuilds from the expression
-    (cached per process) and cross-checks the described slot layout and index
-    requirements against the fresh build, so a description produced by a
-    different library version can never silently bind slots differently.
-    """
-    expr = description["expr"]
-    compiled = _REBUILD_CACHE.get(expr)
-    if compiled is None:
-        if len(_REBUILD_CACHE) >= _REBUILD_CACHE_LIMIT:
-            _REBUILD_CACHE.pop(next(iter(_REBUILD_CACHE)))
-        compiled = CompiledQuery(expr)
-        _REBUILD_CACHE[expr] = compiled
-    described = (
-        description["slot_count"],
-        tuple(description["elem_params"]),
-        tuple(description["bag_params"]),
-        tuple(description["index_requirements"]),
-    )
-    if compiled._layout() != described:
-        raise CompileError(
-            "compiled-pipeline description does not match this build: "
-            f"described layout {described!r} != rebuilt {compiled._layout()!r}"
-        )
-    return compiled

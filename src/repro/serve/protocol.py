@@ -131,9 +131,8 @@ def encode_bag_page(
 ) -> Dict[str, Any]:
     """Encode one page of a top-level bag without materializing the rest.
 
-    Slices ``bag.items()`` lazily — on a :class:`~repro.storage.ShardedBag`
-    that iterator walks the frozen shards directly, so a page never forces
-    the merged dictionary into existence.  ``limit=None`` with ``offset=0``
+    Slices ``bag.items()`` lazily, so a page never copies the rest of the
+    bag.  ``limit=None`` with ``offset=0``
     reduces to :func:`encode_bag` exactly.  Paging is only meaningful
     against one pinned snapshot: a frozen bag's iteration order is stable,
     so pages taken at the same ``version`` (the ETag) tile the full result

@@ -43,9 +43,8 @@ Versioned reads: dataset, view and snapshot responses carry the pinned
 engine version as an ``ETag`` header (``"<version>"``); a request whose
 ``If-None-Match`` matches answers **304 Not Modified** with no body (what
 the CLI's ``watch`` and the SDK's ``etag=`` polling use).  ``?limit=N`` /
-``?offset=K`` page the result pairs without materializing the merged bag —
-a :class:`~repro.storage.ShardedBag` snapshot is sliced shard-direct — and
-because pages are cut from one pinned frozen snapshot, walking offsets at
+``?offset=K`` page the result pairs without copying the bag, and because
+pages are cut from one pinned frozen snapshot, walking offsets at
 a fixed ETag tiles the full result exactly.
 
 Encode once per version: a full (un-paged) read of a dataset, a view or the

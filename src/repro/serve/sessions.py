@@ -19,8 +19,7 @@ thread-safety notes):
   attribute read, atomic in CPython — and serve the whole request from that
   pinned object.  A reader therefore observes one consistent version and
   never blocks behind an in-flight apply; the cost is the documented
-  ``O(touched shards)`` copy-on-write the next write pays for the retained
-  snapshot.
+  copy-on-write the next write pays for the retained snapshot.
 * **wire bodies** belong to the published object too
   (:class:`PublishedSnapshot`): the first full read of a resource at a
   version encodes its response body, every later one sends the same bytes.
@@ -37,7 +36,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.durability.manager import load_replication_state, store_replication_state
-from repro.durability.wal import resolve_fsync_policy
+from repro.durability.wal import resolve_fsync_policy, resolve_segment_bytes
 from repro.engine import Engine, EngineSnapshot, resolve_view_workers
 from repro.errors import EngineError
 from repro.ivm.updates import Update
@@ -59,7 +58,6 @@ from repro.serve.protocol import (
     query_from_spec,
     record_from_spec,
 )
-from repro.storage import resolve_shard_count
 from repro.surface.dsl import Dataset
 from repro.surface.schema import Record
 
@@ -114,7 +112,7 @@ class PublishedSnapshot(EngineSnapshot):
     ``bodies`` maps a fully-read resource (``"views/dramas"``,
     ``"datasets/M"``, ``"snapshot"``) to the UTF-8 JSON body the server
     sent for it at this version.  It starts empty and is filled by readers
-    (:mod:`repro.serve.server`); an entry is bytes, so it keeps no shard of
+    (:mod:`repro.serve.server`); an entry is bytes, so it keeps no part of
     the snapshot alive, and the map is garbage with the snapshot — at most
     one body per fully-read resource per live snapshot, nothing to
     invalidate.
@@ -742,16 +740,21 @@ def check_engine_options(options: Dict[str, Any]) -> None:
     Tenants build their engines lazily, on first use; a bad option found
     there would answer every tenant creation with a 500.  So the options
     are bound against ``Engine``'s signature (an unknown key fails) and the
-    counts and policies go through the resolvers the engine itself runs.
+    counts and policies go through the resolvers the engine itself runs —
+    for a durable engine, the WAL's fsync policy and segment size too,
+    which fall back to ``REPRO_FSYNC`` / ``REPRO_WAL_SEGMENT_BYTES``.
     """
     try:
         arguments = inspect.signature(Engine).bind(**options).arguments
     except TypeError as error:
         raise ValueError(f"engine_options: {error}") from None
-    resolve_shard_count(arguments.get("shards"))
     resolve_view_workers(arguments.get("parallel_views"))
-    if arguments.get("fsync") is not None:
-        resolve_fsync_policy(arguments["fsync"])
+    fsync = arguments.get("fsync")
+    if arguments.get("data_dir") is not None:
+        resolve_fsync_policy(fsync)
+        resolve_segment_bytes()
+    elif fsync is not None:
+        resolve_fsync_policy(fsync)
 
 
 class SessionManager:
@@ -772,7 +775,6 @@ class SessionManager:
         poll_interval: float = 0.05,
     ) -> None:
         self._engine_options = dict(engine_options or {})
-        check_engine_options(self._engine_options)
         self._queue_depth = queue_depth
         self._coalesce = coalesce
         self._auto_create = auto_create
@@ -784,6 +786,9 @@ class SessionManager:
         self._poll_interval = poll_interval
         if self._replica_of is not None and data_dir is None:
             raise ProtocolError("--replica-of requires a durable server (--data-dir)")
+        # Every tenant's engine is built from these options; the name only
+        # picks its data subdirectory.
+        check_engine_options(self._tenant_options(""))
         self._sessions: Dict[str, TenantSession] = {}
         self._recovering: set = set()
         # Tenants whose startup recovery raised: name → error summary.

@@ -11,9 +11,8 @@ read endpoint, and finally asserts a clean drain-and-shutdown:
 * the engine scheduler's thread pool is gone (``Engine.close`` ran),
 * a post-shutdown request fails with a connection error.
 
-Exits non-zero on any failure, so CI can run it as a step.  The check is
-storage-configuration agnostic (it inherits ``REPRO_SHARDS`` /
-``REPRO_PARALLEL_VIEWS`` from the environment), so it runs identically on
+Exits non-zero on any failure, so CI can run it as a step.  It inherits
+``REPRO_PARALLEL_VIEWS`` from the environment, so it runs identically on
 every CI matrix leg.
 """
 

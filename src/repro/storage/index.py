@@ -120,18 +120,6 @@ class HashIndex:
         self.deltas_applied += 1
         self._fold(delta.items())
 
-    def apply_pairs(self, pairs: Iterable[Tuple[Any, int]]) -> None:
-        """Fold raw ``(element, multiplicity)`` pairs in (one delta application).
-
-        The sharded store partitions a delta once and hands each shard only
-        its own pairs; wrapping them back into a :class:`Bag` per shard would
-        tax the O(|Δ|/N) units with needless allocation.
-        """
-        if self._poisoned:
-            return
-        self.deltas_applied += 1
-        self._fold(pairs)
-
     def _fold(self, pairs: Iterable[Tuple[Any, int]]) -> None:
         buckets = self._buckets
         try:
@@ -193,18 +181,6 @@ class HashIndex:
         as a hit, ``None`` answers included (see :attr:`hits`).
         """
         self.hits += 1
-        bucket = self._buckets.get(key)
-        if not bucket:
-            return None
-        return bucket.items()
-
-    def bucket_of(self, key: Tuple[Any, ...]):
-        """Like :meth:`get` but without hit accounting.
-
-        Used by :class:`~repro.storage.shards.ShardIndexFamily`, which
-        counts one family-level hit per probe regardless of how many shard
-        buckets answering it touches.
-        """
         bucket = self._buckets.get(key)
         if not bucket:
             return None

@@ -9,29 +9,21 @@ nested relations and one for the shredded flat mirror) and hands out the
 :class:`DictionaryStore` owns the shredded input dictionaries.
 
 Every mutation flows through :meth:`RelationStore.apply_delta`, which folds
-the delta into the store's transient :class:`~repro.bag.builder.BagBuilder`s
+the delta into the store's transient :class:`~repro.bag.builder.BagBuilder`
 *and* into every index — one ``O(|Δ|)`` pass that never copies the base
 dict, so a one-tuple update to a million-tuple relation costs one-tuple
-work.  Stores are **sharded** (:mod:`repro.storage.shards`): contents are
-partitioned by a stable hash of the primary index key, the delta pass runs
-as independent ``O(|Δ|/N)`` per-shard units, and snapshots assemble the
-per-shard frozen bags into a :class:`~repro.storage.shards.ShardedBag` in
-O(N).  The store is copy-on-write: the immutable :class:`~repro.bag.bag.Bag`
+work.  The store is copy-on-write: the immutable :class:`~repro.bag.bag.Bag`
 the rest of the system sees is frozen **lazily**, only when someone asks for
-:attr:`RelationStore.bag`, and freezing shares the builders' dicts (O(1)
-each); the next delta copies only the *touched shards'* dicts, and only if
-that snapshot is still referenced somewhere (per-update evaluation
-environments normally die before the store mutates, so the common case
-stays in place — and a long-lived reader costs ``O(touched · n/N)`` per
-write, not ``O(n)``).  Every mutation bumps a **version counter**; index
-views record the version they reflect, and the provider serves one only
-when (a) its version matches the store's and (b) the caller's bag is the
-store's current frozen snapshot — the version replaces the old reliance on
-one immutable bag object per store state, and any mismatch (a hand-built
-post-update environment, an escaped evaluation context) silently falls back
-to the per-evaluation build, keeping the interpreter-faithful snapshot
-semantics.  ``REPRO_SHARDS=1`` reproduces the pre-sharding single-dict
-store exactly.
+:attr:`RelationStore.bag`, and freezing shares the builder's dict (O(1)); the
+next delta copies the dict only if that snapshot is still referenced
+somewhere (per-update evaluation environments normally die before the store
+mutates, so the common case stays in place).  Every mutation bumps a
+**version counter**; indexes record the version they reflect, and the
+provider serves one only when (a) its version matches the store's and (b)
+the caller's bag is the store's current frozen snapshot — any mismatch (a
+hand-built post-update environment, an escaped evaluation context) silently
+falls back to the per-evaluation build, keeping the interpreter-faithful
+snapshot semantics.
 
 Inside :func:`forced_no_index` persistent indexes are disabled outright: no
 registration happens, and :meth:`IndexProvider.probe` answers ``None`` — so
@@ -43,14 +35,13 @@ per-evaluation path is the reference the indexed one is checked against.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.bag.bag import Bag, EMPTY_BAG
 from repro.bag.builder import BagBuilder, _getrefcount
 from repro.dictionaries import MaterializedDict
 from repro.labels import Label
-from repro.storage.index import HashIndex, IndexKeyError, Paths, index_key_of
-from repro.storage.shards import ShardIndexFamily, ShardedBag, resolve_shard_count
+from repro.storage.index import HashIndex, Paths
 
 __all__ = [
     "DictionaryStore",
@@ -60,10 +51,6 @@ __all__ = [
     "forced_no_index",
     "persistent_indexes_enabled",
 ]
-
-#: What a store hands the provider / introspection per registered key:
-#: a raw index for single-shard stores, a family otherwise.
-IndexView = Union[HashIndex, ShardIndexFamily]
 
 #: Set only inside :func:`forced_no_index`.
 _indexes_disabled = False
@@ -93,138 +80,41 @@ def forced_no_index(disabled: bool = True) -> Iterator[None]:
         _indexes_disabled = saved
 
 
-class _Shard:
-    """One partition of a sharded store: a builder plus its index slices."""
-
-    __slots__ = ("builder", "indexes")
-
-    def __init__(self, builder: BagBuilder) -> None:
-        self.builder = builder
-        self.indexes: Dict[Paths, HashIndex] = {}
-
-
 class RelationStore:
     """One relation's transient contents and its persistent indexes.
 
-    The store is partitioned into N shards (``shards`` argument,
-    ``REPRO_SHARDS`` environment variable, or
-    :data:`~repro.storage.shards.DEFAULT_SHARD_COUNT`), each owning a
-    :class:`~repro.bag.builder.BagBuilder` and one
-    :class:`~repro.storage.index.HashIndex` slice per registered key.
-    Elements are routed by a stable hash of the **primary index key** — the
-    first key registered through :meth:`ensure_index` (whole-element hash
-    until one exists; registering the first key re-partitions once).  A
-    delta is partitioned in one O(|Δ|) pass and each touched shard folds its
-    own pairs into its builder and index slices: O(|Δ|/N) units that are
-    independent of each other.  :attr:`bag` assembles the per-shard frozen
-    snapshots into a :class:`~repro.storage.shards.ShardedBag` in O(N); a
-    retained snapshot therefore copy-on-writes only the shards the next
-    delta touches.  :attr:`version` counts mutations; index views record the
-    version they reflect, which is what the provider's freshness check keys
-    off.
-
-    With ``shards=1`` (the ``REPRO_SHARDS=1`` escape hatch) all of this
-    collapses to the pre-sharding behavior: one builder, plain ``Bag``
-    snapshots, raw ``HashIndex`` objects.
+    The contents live in one :class:`~repro.bag.builder.BagBuilder`; every
+    registered key owns one :class:`~repro.storage.index.HashIndex` over
+    them.  :meth:`apply_delta` folds a delta into both in one ``O(|Δ|)``
+    pass.  :attr:`bag` caches the builder's frozen snapshot, so an
+    unchanged store answers it with one attribute read; the cache is
+    dropped *before* every mutation, so a snapshot nobody retained dies
+    there and the builder keeps mutating in place.  :attr:`version` counts
+    mutations; indexes record the version they reflect, which is what the
+    provider's freshness check keys off.
     """
 
-    __slots__ = (
-        "name",
-        "_shards",
-        "_shard_count",
-        "_routing_paths",
-        "_version",
-        "_indexes",
-        "_composite",
-        "_composite_freezes",
-    )
+    __slots__ = ("name", "_builder", "_snapshot", "_version", "_indexes")
 
-    def __init__(self, name: str, bag: Bag = EMPTY_BAG, shards: Optional[int] = None) -> None:
+    def __init__(self, name: str, bag: Bag = EMPTY_BAG) -> None:
         self.name = name
-        self._shard_count = resolve_shard_count(shards)
+        self._builder = BagBuilder.from_bag(bag)
+        self._snapshot: Optional[Bag] = None
         self._version = 0
-        self._routing_paths: Optional[Paths] = None
-        self._indexes: Dict[Paths, IndexView] = {}
-        self._composite: Optional[ShardedBag] = None
-        self._composite_freezes = 0
-        if self._shard_count == 1:
-            self._shards = [_Shard(BagBuilder.from_bag(bag))]
-        else:
-            self._shards = [_Shard(BagBuilder()) for _ in range(self._shard_count)]
-            if not bag.is_empty():
-                self._scatter(bag.items())
+        self._indexes: Dict[Paths, HashIndex] = {}
 
-    # ------------------------------------------------------------------ #
-    # Shard routing
-    # ------------------------------------------------------------------ #
-    @property
-    def shards(self) -> int:
-        return self._shard_count
-
-    @property
-    def routing_paths(self) -> Optional[Paths]:
-        """The primary index key elements are partitioned by (``None`` until
-        the first index registers; whole-element hash routing until then)."""
-        return self._routing_paths
-
-    def _shard_of(self, element: Any) -> int:
-        paths = self._routing_paths
-        if paths is not None:
-            try:
-                return hash(index_key_of(element, paths)) % self._shard_count
-            except IndexKeyError:
-                # No faithful key: route by the element itself.  Such an
-                # element poisons its shard's index slice for these paths,
-                # so probes decline store-wide and routing never lies.
-                pass
-        return hash(element) % self._shard_count
-
-    def _partition(self, pairs) -> Dict[int, List[Tuple[Any, int]]]:
-        """One O(|pairs|) routing pass: shard id → that shard's pairs.
-
-        The single partitioning primitive — initial scatter, re-sharding and
-        delta application all route through it, so contents and deltas can
-        never disagree about an element's owning shard.
-        """
-        groups: Dict[int, List[Tuple[Any, int]]] = {}
-        for element, multiplicity in pairs:
-            groups.setdefault(self._shard_of(element), []).append((element, multiplicity))
-        return groups
-
-    def _scatter(self, pairs) -> None:
-        """Partition ``pairs`` into the shard builders (no index maintenance)."""
-        for position, shard_pairs in self._partition(pairs).items():
-            self._shards[position].builder.apply_pairs(shard_pairs)
-
-    def _reshard(self) -> None:
-        """Re-partition all contents under the current routing paths."""
-        pairs = [
-            pair for shard in self._shards for pair in shard.builder.items()
-        ]
-        self._version += 1
-        self._composite = None
-        self._shards = [_Shard(BagBuilder()) for _ in range(self._shard_count)]
-        if pairs:
-            self._scatter(pairs)
-
-    # ------------------------------------------------------------------ #
     @property
     def bag(self) -> Bag:
         """The current contents as an immutable bag (lazily frozen snapshot).
 
         Repeated reads without intervening mutation return the same object;
-        the first mutation after a read copies only the *touched shards'*
-        dicts, and only if the snapshot is still referenced elsewhere.
+        the first mutation after a read copies the dict only if the snapshot
+        is still referenced elsewhere.
         """
-        if self._shard_count == 1:
-            return self._shards[0].builder.freeze()
-        composite = self._composite
-        if composite is None:
-            composite = self._composite = ShardedBag.of(
-                tuple(shard.builder.freeze() for shard in self._shards)
-            )
-            self._composite_freezes += 1
-        return composite
+        snapshot = self._snapshot
+        if snapshot is None:
+            snapshot = self._snapshot = self._builder.freeze()
+        return snapshot
 
     @property
     def version(self) -> int:
@@ -234,9 +124,7 @@ class RelationStore:
     @property
     def snapshot_freezes(self) -> int:
         """How many distinct immutable snapshots this store materialized."""
-        if self._shard_count == 1:
-            return self._shards[0].builder.freezes
-        return self._composite_freezes
+        return self._builder.freezes
 
     def current_snapshot(self) -> Optional[Bag]:
         """The live frozen snapshot, or ``None`` if the store mutated since.
@@ -244,171 +132,61 @@ class RelationStore:
         Used by the provider's correspondence check; deliberately does *not*
         force a freeze.
         """
-        if self._shard_count == 1:
-            return self._shards[0].builder.frozen
-        return self._composite
+        return self._snapshot
 
     def apply_delta(self, delta: Bag) -> None:
-        """Fold ``delta`` into the touched shards and their indexes — ``O(|Δ|)``.
-
-        The composite snapshot reference is dropped *before* mutating, so a
-        snapshot nobody else retained dies here and the builders keep
-        mutating in place; a retained one forces per-shard copy-on-write of
-        the touched shards only.
-        """
+        """Fold ``delta`` into the contents and every index — ``O(|Δ|)``."""
         if delta.is_empty():
             return
         self._version += 1
         version = self._version
-        if self._shard_count == 1:
-            shard = self._shards[0]
-            shard.builder.apply_bag(delta)
-            for index in shard.indexes.values():
-                index.apply(delta)
-                index.version = version
-            return
-        self._composite = None
-        # Per-shard O(|Δ|/N) units: builder fold plus index-slice folds.
-        for position, shard_pairs in self._partition(delta.items()).items():
-            shard = self._shards[position]
-            shard.builder.apply_pairs(shard_pairs)
-            for index in shard.indexes.values():
-                index.apply_pairs(shard_pairs)
-                index.version = version
-        self._count_family_delta(version)
-
-    def _count_family_delta(self, version: int) -> None:
-        """Family-level accounting of one multi-shard delta: counted once per
-        index family, version stamped, poison state refreshed."""
-        for family in self._indexes.values():
-            family.deltas_applied += 1
-            family.version = version
-            if not family.poisoned:
-                family.refresh_poison()
-
-    def adopt(self, bag: Bag) -> None:
-        """Install checkpointed contents without folding them pair by pair.
-
-        Recovery's path into a freshly created store: ``bag`` is routed
-        under this process's hash seed (checkpoints outlive the seed that
-        partitioned them) and each touched shard's builder adopts its dict
-        wholesale.  Accounted as one delta — one version bump, index stamps
-        and family counters advanced as :meth:`apply_delta` would — so a
-        recovered store reports the counters the original run did.  Empty
-        bags are a no-op.
-        """
-        if bag.is_empty():
-            return
-        self._version += 1
-        version = self._version
-        self._composite = None
-        for position, pairs in self._partition(bag.items()).items():
-            shard = self._shards[position]
-            shard.builder.adopt_dict(dict(pairs))
-            for index in shard.indexes.values():
-                index.version = version
-        if self._shard_count > 1:
-            self._count_family_delta(version)
+        self._snapshot = None
+        self._builder.apply_bag(delta)
+        for index in self._indexes.values():
+            index.apply(delta)
+            index.version = version
 
     def replace(self, bag: Bag) -> None:
         """Swap in a freshly computed bag; every index is rebuilt."""
         self._version += 1
-        version = self._version
-        if self._shard_count == 1:
-            shard = self._shards[0]
-            freezes = shard.builder.freezes
-            shard.builder = BagBuilder.from_bag(bag)
-            # The freeze counter is cumulative per store, not per builder.
-            shard.builder.freezes = freezes
-            for index in shard.indexes.values():
-                index.rebuild(bag)
-                index.version = version
-            return
-        self._composite = None
-        self._shards = [_Shard(BagBuilder()) for _ in range(self._shard_count)]
-        if not bag.is_empty():
-            self._scatter(bag.items())
-        for paths, family in self._indexes.items():
-            shard_indexes = []
-            for shard in self._shards:
-                index = HashIndex(paths, shard.builder.freeze())
-                index.version = version
-                shard.indexes[paths] = index
-                shard_indexes.append(index)
-            family.shard_indexes = tuple(shard_indexes)
-            family.rebuilds += 1
-            family.version = version
-            family.refresh_poison()
+        self._snapshot = None
+        self._builder.adopt_bag(bag)
+        for index in self._indexes.values():
+            index.rebuild(bag)
+            index.version = self._version
 
     @property
     def poisoned(self) -> bool:
-        """True while some registered index has a poisoned slice."""
-        return any(view.poisoned for view in self._indexes.values())
+        """True while some registered index is poisoned."""
+        return any(index.poisoned for index in self._indexes.values())
 
     def heal(self) -> None:
-        """Re-validate poisoned indexes against the current bags, per shard.
+        """Rebuild poisoned indexes from the current bag.
 
-        A transient unhashable key poisons only the owning shard's index
-        slice; once the offending elements are gone, rebuilding *that shard*
-        restores ``O(|Δ|)`` maintenance — healthy shards keep their
-        incrementally-maintained state untouched.  The database calls this
-        after a deleting delta reaches a poisoned store; a shard whose bag
-        still contains bad keys re-poisons and the view stays on the
-        per-evaluation fallback.
+        Once the offending elements are gone, the rebuild restores
+        ``O(|Δ|)`` maintenance.  The database calls this after a deleting
+        delta reaches a poisoned store; an index whose bag still contains
+        bad keys re-poisons and the view stays on the per-evaluation
+        fallback.
         """
-        for view in self._indexes.values():
-            if not view.poisoned:
-                continue
-            if isinstance(view, HashIndex):
-                view.rebuild(self.bag)
-                view.version = self._version
-            else:
-                view.revalidate(
-                    tuple(shard.builder.freeze() for shard in self._shards),
-                    self._version,
-                )
+        for index in self._indexes.values():
+            if index.poisoned:
+                index.rebuild(self.bag)
+                index.version = self._version
 
     # ------------------------------------------------------------------ #
     # Indexes
     # ------------------------------------------------------------------ #
-    def ensure_index(self, paths: Paths) -> IndexView:
-        """The index view keyed by ``paths``, built from the current bags if new.
-
-        The first registered key becomes the store's primary **routing**
-        key: contents are re-partitioned once so that equal keys co-locate,
-        which is what lets the provider answer primary-key probes from a
-        single shard.
-        """
+    def ensure_index(self, paths: Paths) -> HashIndex:
+        """The index keyed by ``paths``, built from the current bag if new."""
         key = tuple(tuple(path) for path in paths)
-        view = self._indexes.get(key)
-        if view is not None:
-            return view
-        if self._shard_count == 1:
-            shard = self._shards[0]
-            index = HashIndex(key, self.bag)
+        index = self._indexes.get(key)
+        if index is None:
+            index = self._indexes[key] = HashIndex(key, self.bag)
             index.version = self._version
-            shard.indexes[key] = index
-            self._indexes[key] = index
-            return index
-        if self._routing_paths is None:
-            self._routing_paths = key
-            self._reshard()
-        shard_indexes = []
-        for shard in self._shards:
-            index = HashIndex(key, shard.builder.freeze())
-            index.version = self._version
-            shard.indexes[key] = index
-            shard_indexes.append(index)
-        family = ShardIndexFamily(
-            key,
-            tuple(shard_indexes),
-            routed=(key == self._routing_paths),
-            version=self._version,
-        )
-        self._indexes[key] = family
-        return family
+        return index
 
-    def index_for(self, paths: Paths) -> Optional[IndexView]:
+    def index_for(self, paths: Paths) -> Optional[HashIndex]:
         """Lookup by an already-normalized tuple-of-tuples key.
 
         This sits on the compiled pipeline's per-probe path (the provider
@@ -417,41 +195,23 @@ class RelationStore:
         """
         return self._indexes.get(paths)
 
-    def indexes(self) -> Tuple[IndexView, ...]:
+    def indexes(self) -> Tuple[HashIndex, ...]:
         return tuple(self._indexes.values())
 
     def describe(self) -> Dict[str, Any]:
-        description = {
+        return {
             "relation": self.name,
-            "cardinality": sum(shard.builder.cardinality() for shard in self._shards),
-            "distinct": sum(shard.builder.distinct_size() for shard in self._shards),
+            "cardinality": self._builder.cardinality(),
+            "distinct": self._builder.distinct_size(),
             "version": self._version,
             "snapshot_freezes": self.snapshot_freezes,
-            "shards": self._shard_count,
-            "indexes": [view.describe() for view in self._indexes.values()],
+            "indexes": [index.describe() for index in self._indexes.values()],
         }
-        if self._shard_count > 1:
-            paths = self._routing_paths
-            description["routing_paths"] = (
-                None if paths is None else [list(path) for path in paths]
-            )
-            description["shard_stats"] = [
-                {
-                    "shard": position,
-                    "distinct": shard.builder.distinct_size(),
-                    "cardinality": shard.builder.cardinality(),
-                    "snapshot_freezes": shard.builder.freezes,
-                }
-                for position, shard in enumerate(self._shards)
-            ]
-        return description
 
     def __repr__(self) -> str:
-        distinct = sum(shard.builder.distinct_size() for shard in self._shards)
         return (
-            f"RelationStore({self.name!r}, {distinct} distinct, "
-            f"{self._shard_count} shards, v{self._version}, "
-            f"{len(self._indexes)} indexes)"
+            f"RelationStore({self.name!r}, {self._builder.distinct_size()} distinct, "
+            f"v{self._version}, {len(self._indexes)} indexes)"
         )
 
 
@@ -474,15 +234,8 @@ class IndexProvider:
     def __init__(self, manager: "StorageManager") -> None:
         self._manager = manager
 
-    def probe(self, name: str, paths: Paths, source_bag: Bag) -> Optional[IndexView]:
-        """Serve the index view for ``(name, paths)`` if it describes ``source_bag``.
-
-        For multi-shard stores the returned
-        :class:`~repro.storage.shards.ShardIndexFamily` routes primary-key
-        probes to the single owning shard and merges the (disjoint) shard
-        buckets for secondary keys; the compiled pipeline probes it exactly
-        like a raw :class:`~repro.storage.index.HashIndex`.
-        """
+    def probe(self, name: str, paths: Paths, source_bag: Bag) -> Optional[HashIndex]:
+        """Serve the index for ``(name, paths)`` if it describes ``source_bag``."""
         if _indexes_disabled:
             return None
         store = self._manager.get(name)
@@ -504,36 +257,21 @@ class IndexProvider:
 
 
 class StorageManager:
-    """A named family of relation stores sharing one index provider.
+    """A named family of relation stores sharing one index provider."""
 
-    ``shards`` fixes the shard count of every store this manager creates
-    (``None`` defers to ``REPRO_SHARDS`` / the default at creation time).
-    """
+    __slots__ = ("kind", "_stores", "_provider")
 
-    __slots__ = ("kind", "_stores", "_provider", "_shards")
-
-    def __init__(self, kind: str = "relations", shards: Optional[int] = None) -> None:
+    def __init__(self, kind: str = "relations") -> None:
         self.kind = kind
         self._stores: Dict[str, RelationStore] = {}
         self._provider = IndexProvider(self)
-        self._shards = shards
-
-    @property
-    def shards(self) -> Optional[int]:
-        """The pinned shard count, or ``None`` when stores resolve it themselves."""
-        return self._shards
 
     # ------------------------------------------------------------------ #
-    def ensure(
-        self, name: str, bag: Bag = EMPTY_BAG, shards: Optional[int] = None
-    ) -> RelationStore:
-        """Get-or-create a store.  ``shards`` overrides the manager pin for
-        this one store (the registration path uses it to keep small
-        relations on a single shard); it only applies at creation time."""
+    def ensure(self, name: str, bag: Bag = EMPTY_BAG) -> RelationStore:
+        """Get-or-create a store (``bag`` only applies at creation time)."""
         store = self._stores.get(name)
         if store is None:
-            count = self._shards if shards is None else shards
-            store = self._stores[name] = RelationStore(name, bag, shards=count)
+            store = self._stores[name] = RelationStore(name, bag)
         return store
 
     def get(self, name: str) -> Optional[RelationStore]:

@@ -258,10 +258,13 @@ class TestCLI:
         captured = capsys.readouterr()
         assert ">= 1" in captured.err and "listening" not in captured.out
 
-    def test_serve_rejects_zero_shards_before_listening(self, capsys):
-        assert main(["serve", "--port", "0", "--shards", "0"]) == 1
+    def test_serve_rejects_bad_fsync_environment_before_listening(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv("REPRO_FSYNC", "bogus")
+        assert main(["serve", "--port", "0", "--data-dir", str(tmp_path)]) == 1
         captured = capsys.readouterr()
-        assert "shard count" in captured.err and "listening" not in captured.out
+        assert "fsync policy" in captured.err and "listening" not in captured.out
 
 
 # --------------------------------------------------------------------------- #

@@ -24,7 +24,6 @@ from repro.serve import ServerConfig
 ROOT = Path(__file__).resolve().parent.parent
 
 ENVIRONMENT_VARIABLES = {
-    "REPRO_SHARDS",
     "REPRO_PARALLEL_VIEWS",
     "REPRO_NO_COMPILE",
     "REPRO_FSYNC",
@@ -36,7 +35,6 @@ ENVIRONMENT_VARIABLES = {
 #: ``Engine(...)``'s keyword parameters, in signature order.
 ENGINE_OPTIONS = (
     "expected_update_size",
-    "shards",
     "parallel_views",
     "data_dir",
     "fsync",

@@ -14,6 +14,8 @@ durable-tenant features (sync-before-ack, checkpoint route, recovery 503 +
 from __future__ import annotations
 
 import os
+import pickle
+import shutil
 import threading
 import time
 
@@ -36,8 +38,14 @@ from repro.durability import (
     resolve_fsync_policy,
 )
 from repro.durability.checkpoint import (
+    _MANIFEST,
+    _decode_blob,
+    _encode_blob,
+    _read_framed,
+    _write_framed,
     list_checkpoints,
     load_newest_checkpoint,
+    read_manifest,
 )
 from repro.durability.faultcheck import build_ops, run_battery
 from repro.durability.faults import (
@@ -374,6 +382,64 @@ class TestEngineDurability:
         assert report.records_replayed == 1  # just the post-checkpoint apply
         assert state_differences(expected, engine_state(recovered)) == []
         recovered.close()
+
+    def test_checkpoint_of_sharded_stores_still_loads(self, tmp_path):
+        """Checkpoints written by sharded stores split every store over
+        several blobs and record shard counts in the manifest; recovery
+        merges the blobs and ignores the counts."""
+        data_dir = str(tmp_path / "db")
+        engine = Engine(data_dir=data_dir, fsync="batch")
+        _drive(engine, updates=6)
+        engine.view("pairs", genre_selfjoin_query(), strategy="classic")
+        engine.checkpoint()
+        engine.apply(insertions("M", [("Tail", "Drama", "After")]))
+        engine.close()
+
+        legacy_dir = str(tmp_path / "legacy")
+        shutil.copytree(data_dir, legacy_dir)
+        ((_, checkpoint),) = list_checkpoints(os.path.join(legacy_dir, "checkpoints"))
+        manifest = read_manifest(checkpoint)
+        for entry in manifest["datasets"]:
+            for side in ("nested", "flat"):
+                (blob,) = entry[f"{side}_blobs"]
+                bag = _decode_blob(_read_framed(os.path.join(checkpoint, blob)))
+                os.remove(os.path.join(checkpoint, blob))
+                parts = [[] for _ in range(8)]
+                for element, multiplicity in bag.items():
+                    parts[hash(element) % 8].append((element, multiplicity))
+                names = []
+                for position, pairs in enumerate(parts):
+                    name = f"shard-{side}-{entry['name']}-{position}.bin"
+                    _write_framed(
+                        os.path.join(checkpoint, name), _encode_blob(Bag.from_pairs(pairs))
+                    )
+                    names.append(name)
+                entry[f"{side}_blobs"] = names
+                entry[f"{side}_shards"] = 8
+        for spec in manifest["views"]:
+            spec["result_shards"] = 8
+        _write_framed(os.path.join(checkpoint, _MANIFEST), pickle.dumps(manifest))
+
+        untouched = Engine(data_dir=data_dir, fsync="batch")
+        legacy = Engine(data_dir=legacy_dir, fsync="batch")
+        for recovered in (untouched, legacy):
+            report = recovered.recovery_report
+            assert report.checkpoint is not None and report.records_replayed == 1
+        assert state_differences(engine_state(untouched), engine_state(legacy)) == []
+
+        def cardinalities(recovered):
+            report = recovered.storage_report()
+            return {
+                (kind, store.get("relation", store.get("result"))): store["cardinality"]
+                for kind in ("nested", "flat", "results")
+                for store in report[kind]["stores"]
+            }
+
+        assert cardinalities(legacy) == cardinalities(untouched)
+        for name in ("related", "pairs"):
+            assert legacy[name].result() == untouched[name].result()
+        untouched.close()
+        legacy.close()
 
     def test_checkpoint_prunes_wal_and_older_checkpoints(self, tmp_path):
         data_dir = str(tmp_path / "db")

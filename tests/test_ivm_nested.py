@@ -5,15 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bag import Bag, EMPTY_BAG
+from repro.engine import Engine
 from repro.ivm import Database, NaiveView, NestedIVMView, Update, deletions, insertions
 from repro.nrc import ast, builders as build, predicates as preds
-from repro.nrc.compile import IndexRequirement
+from repro.nrc.compile import IndexRequirement, forced_interpretation
 from repro.nrc.evaluator import evaluate_bag
 from repro.nrc.types import BASE, BagType, ProductType, bag_of, tuple_of
 from repro.shredding import BagContext, TupleContext, UNIT_CONTEXT, unshred_bag
 from repro.shredding.shred_database import flat_relation_name, input_dict_name
 from repro.shredding.shred_values import ValueShredder
-from repro.storage import forced_shards
 from repro.workloads import (
     MOVIE_SCHEMA,
     PAPER_UPDATE,
@@ -346,15 +346,13 @@ class _History:
 
 
 class TestMaintainedNesting:
-    @pytest.mark.parametrize("shards", [1, None])
-    def test_random_histories_match_scratch_nesting_and_interpreter(self, shards):
+    def test_random_histories_match_scratch_nesting_and_interpreter(self):
         @settings(max_examples=100, deadline=None)
         @given(history_steps)
         def run(steps):
-            with forced_shards(shards):
-                history = _History()
-                for step in steps:
-                    history.step(*step)
+            history = _History()
+            for step in steps:
+                history.step(*step)
 
         run()
 
@@ -524,15 +522,13 @@ class _TwinHistory:
 
 
 class TestPositionsDoNotShareLabels:
-    @pytest.mark.parametrize("shards", [1, None])
-    def test_random_histories_with_colliding_inner_bags(self, shards):
+    def test_random_histories_with_colliding_inner_bags(self):
         @settings(max_examples=100, deadline=None)
         @given(twin_steps)
         def run(steps):
-            with forced_shards(shards):
-                history = _TwinHistory()
-                for step in steps:
-                    history.step(*step)
+            history = _TwinHistory()
+            for step in steps:
+                history.step(*step)
 
         run()
 
@@ -595,8 +591,6 @@ class TestPositionsDoNotShareLabels:
             DEPTH2_SCHEMA,
             relation["nested_bag"],
             relation["flat_bag"],
-            nested_shards=relation["nested_shards"],
-            flat_shards=relation["flat_shards"],
         )
         for name, entries in state["dictionaries"].items():
             restored.adopt_dictionary(name, entries)
@@ -758,3 +752,84 @@ class TestNestingCost:
         movie_db.apply_update(deletions("M", [drive]))
         movie_db.apply_update(insertions("M", [drive, ("Heat", "Drama", "Mann")]))
         assert view.result() == evaluate_bag(related, movie_db.environment())
+
+
+# --------------------------------------------------------------------------- #
+# The active-label index stays consistent with a full scan
+# --------------------------------------------------------------------------- #
+TRIPLE_SCHEMA = bag_of(bag_of(bag_of(BASE)))
+
+
+def _triple(rows):
+    """Helper: a bag of bags of bags from plain lists."""
+    return Bag([Bag([Bag(inner) for inner in outer]) for outer in rows])
+
+
+def _nested_identity_engine(rows):
+    engine = Engine()
+    engine.dataset("R", TRIPLE_SCHEMA, _triple(rows))
+    relation = ast.Relation("R", TRIPLE_SCHEMA)
+    view = engine.view("v", build.for_in("x", relation, ast.SngVar("x")), strategy="nested")
+    return engine, view
+
+
+def _assert_active_index_consistent(view):
+    backend = view.view
+    for state in backend._dict_states:
+        assert dict(state.active) == backend._scan_active(state), (
+            f"active-label index diverged from scan at path {state.path!r}"
+        )
+        assert state.entries.keys() == state.active.keys(), (
+            f"dictionary at path {state.path!r} holds labels that are not live"
+        )
+
+
+def test_nested_active_label_index_tracks_deep_nesting():
+    engine, view = _nested_identity_engine([[["a", "b"], ["c"]], [["d"]]])
+    backend = view.view
+    assert any(state.parent is not None for state in backend._dict_states), (
+        "triple nesting should produce a child dictionary position"
+    )
+    _assert_active_index_consistent(view)
+    engine.apply({"R": [_triple([[["x", "y"]]]).elements().__next__()]})
+    _assert_active_index_consistent(view)
+    # Deleting an outer element deactivates its labels (and, transitively,
+    # the labels of its inner bags) without any flat-view scan.
+    victim = next(iter(_triple([[["a", "b"], ["c"]]]).elements()))
+    engine.apply({"R": {victim: -1}})
+    _assert_active_index_consistent(view)
+    with forced_interpretation(True):
+        reference = Engine()
+        reference.dataset("R", TRIPLE_SCHEMA, _triple([[["a", "b"], ["c"]], [["d"]]]))
+        relation = ast.Relation("R", TRIPLE_SCHEMA)
+        ref_view = reference.view(
+            "v", build.for_in("x", relation, ast.SngVar("x")), strategy="nested"
+        )
+        reference.apply({"R": [next(iter(_triple([[["x", "y"]]]).elements()))]})
+        reference.apply({"R": {victim: -1}})
+    assert view.result() == ref_view.result()
+
+
+def test_nested_deleting_write_retires_labels_at_every_position():
+    """The deleting apply retires the victim's labels at both positions —
+    its outer bag's and, transitively, its two inner bags' — with no scan."""
+    engine, view = _nested_identity_engine([[["a"], ["b"]], [["c"]]])
+    backend = view.view
+    before = [len(state.entries) for state in backend._dict_states]
+    assert before == [2, 3]
+    victim = next(iter(_triple([[["a"], ["b"]]]).elements()))
+    engine.apply({"R": {victim: -1}})
+    assert [len(state.entries) for state in backend._dict_states] == [1, 1]
+    _assert_active_index_consistent(view)
+    assert view.result() == _triple([[["c"]]])
+
+
+def test_nested_negative_multiplicity_carriers():
+    """Labels referenced only by negative-multiplicity elements stay active."""
+    engine, view = _nested_identity_engine([[["a"]]])
+    phantom = next(iter(_triple([[["p"]]]).elements()))
+    engine.apply({"R": {phantom: -1}})  # net-negative outer element
+    _assert_active_index_consistent(view)
+    engine.apply({"R": {phantom: 1}})  # cancels back out
+    _assert_active_index_consistent(view)
+    assert view.result() == _triple([[["a"]]])

@@ -6,8 +6,8 @@ bound, Theorem 9's constant cones), not timings.  Every cell below runs the
 engine on a small deterministic instance, pins the counts it measures
 exactly — so any change in the work a strategy does fails the cell — and
 asserts the shape the claim predicts (what stays constant, what grows, who
-wins).  The counts are independent of hash seed, shard count and execution
-backend; no cell reads a clock.  They are the compiled pipeline's counts:
+wins).  The counts are independent of hash seed and execution backend; no cell
+reads a clock.  They are the compiled pipeline's counts:
 the interpreter (``REPRO_NO_COMPILE``) counts its work differently, so every
 cell pins the compiled mode.
 """

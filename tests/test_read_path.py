@@ -1,12 +1,12 @@
-"""The delta-bounded read path (sharded result stores, footprint probes,
-versioned serve reads).
+"""The delta-bounded read path (result stores, footprint probes, versioned
+serve reads).
 
 Three layers of the same invariant — reads cost what the delta touched,
 never what the result holds:
 
-* :class:`~repro.storage.ResultStore` — sharded view materializations whose
-  retained snapshots copy-on-write only dirty shards; property tests pin
-  sharded ≡ single-shard ≡ recomputation across every maintenance strategy,
+* :class:`~repro.storage.ResultStore` — view materializations folded in
+  place, whose unchanged snapshot is handed out again for free; property
+  tests pin maintained ≡ recomputation across every maintenance strategy,
   including negative deltas and retained-snapshot isolation.
 * the nested view's footprint-bounded dictionary probes — the probe
   counters prove untouched labels are never visited, and the
@@ -71,50 +71,59 @@ def _guard(engine_or_db, update: Bag) -> Bag:
 
 
 # --------------------------------------------------------------------------- #
-# ResultStore: the sharded materialization container
+# ResultStore: the materialization container
 # --------------------------------------------------------------------------- #
 class TestResultStore:
-    def test_single_shard_collapses_to_plain_bag(self):
-        store = ResultStore("r", Bag(["a", "a", "b"]), shards=1)
+    def test_freeze_is_a_plain_bag(self):
+        store = ResultStore("r", Bag(["a", "a", "b"]))
         frozen = store.freeze()
         assert type(frozen) is Bag
         assert frozen == Bag(["a", "a", "b"])
-        assert store.shards == 1
 
-    def test_partition_round_trips_and_reads_shard_direct(self):
+    def test_contents_round_trip_and_read_without_freezing(self):
         bag = Bag.from_pairs([((i, "x"), 1 + i % 3) for i in range(50)])
-        store = ResultStore("r", bag, shards=4)
-        assert store.shards == 4
-        assert store.freeze() == bag
-        assert store.cardinality() == bag.cardinality()
-        assert store.distinct_size() == bag.distinct_size()
-        assert sorted(store.items()) == sorted(bag.items())
-        assert store.multiplicity((3, "x")) == bag.multiplicity((3, "x"))
+        store = ResultStore("r", bag)
+        store.apply_bag(Bag([(50, "x")]))
+        assert store.frozen is None
+        expected = bag.union(Bag([(50, "x")]))
+        assert store.cardinality() == expected.cardinality()
+        assert store.distinct_size() == expected.distinct_size()
+        assert sorted(store.items()) == sorted(expected.items())
+        assert store.multiplicity((3, "x")) == expected.multiplicity((3, "x"))
         assert store.multiplicity(("absent",)) == 0
         assert not store.is_empty()
+        assert store.frozen is None
+        assert store.freeze() == expected
 
     def test_repeated_freeze_returns_the_cached_snapshot(self):
-        store = ResultStore("r", Bag(range(40)), shards=4)
+        store = ResultStore("r", Bag(range(40)))
         first = store.freeze()
         assert store.freeze() is first
-        assert store.snapshot_freezes == 1
+        assert store.frozen is first
         store.apply_bag(Bag([1]))
         second = store.freeze()
         assert second is not first
         assert store.freeze() is second
+        assert store.snapshot_freezes == 1
 
-    @pytest.mark.parametrize("shards", (1, 3, 8))
-    def test_apply_bag_matches_bag_union(self, shards):
+    @pytest.mark.parametrize("rounds", (1, 3, 8))
+    def test_apply_bag_matches_bag_union(self, rounds):
+        """``rounds`` successive deltas fold to the same bag as their unions;
+        an empty delta leaves the version alone."""
         base = Bag.from_pairs([((i,), 2) for i in range(30)])
-        store = ResultStore("r", base, shards=shards)
-        delta = Bag.from_pairs([((5,), -2), ((99,), 3), ((7,), 1)])
-        store.apply_bag(delta)
-        assert store.freeze() == base.union(delta)
-        assert store.version == 1
+        store = ResultStore("r", base)
+        expected = base
+        for r in range(rounds):
+            delta = Bag.from_pairs([((r,), -2), ((99 + r,), 3), ((7,), 1)])
+            store.apply_bag(delta)
+            store.apply_bag(Bag())
+            expected = expected.union(delta)
+        assert store.freeze() == expected
+        assert store.version == rounds
 
     def test_retained_snapshot_isolated_from_later_deltas(self):
         base = Bag.from_pairs([((i,), 1) for i in range(20)])
-        store = ResultStore("r", base, shards=4)
+        store = ResultStore("r", base)
         snapshot = store.freeze()
         before = Bag.from_pairs(snapshot.items())
         store.apply_bag(Bag.from_pairs([((3,), -1), ((77,), 2)]))
@@ -123,49 +132,28 @@ class TestResultStore:
             Bag.from_pairs([((3,), -1), ((77,), 2)])
         )
 
-    def test_snapshot_iteration_is_shard_direct_and_outlives_a_delta(self):
-        """``items()`` / ``elements()`` chain the shard dicts' own iterators:
-        nothing is merged, and an iterator that outlives its snapshot still
-        yields that snapshot's pairs — in every shard, reached or not — after
-        the store mutates."""
+    def test_snapshot_iteration_outlives_a_delta(self):
+        """An iterator that outlives its snapshot still yields that
+        snapshot's pairs after the store mutates."""
         base = Bag.from_pairs([((i,), 1 + i % 2) for i in range(40)])
-        store = ResultStore("r", base, shards=4)
+        store = ResultStore("r", base)
         snapshot = store.freeze()
-        expected = [pair for shard in snapshot.shard_bags for pair in shard.items()]
-        assert list(snapshot.items()) == expected
-        assert list(snapshot.elements()) == [element for element, _ in expected]
-        assert list(snapshot) == list(snapshot.elements())
-        assert snapshot._merged is None
+        expected = list(snapshot.items())
         pairs = snapshot.items()
         first = next(pairs)
         del snapshot
         store.apply_bag(Bag.from_pairs([((i,), -1) for i in range(40)] + [((99,), 1)]))
         assert [first, *pairs] == expected
 
-    def test_small_delta_copies_only_dirty_shards(self):
-        """The zero-copy contract: a one-element delta re-freezes exactly one
-        shard; the other shard snapshots are the same frozen objects."""
-        base = Bag.from_pairs([((i,), 1) for i in range(64)])
-        store = ResultStore("r", base, shards=8)
-        old = store.freeze()
-        store.apply_bag(Bag([(999,)]))
-        new = store.freeze()
-        old_shards = old._shard_bags
-        new_shards = new._shard_bags
-        shared = sum(
-            1 for a, b in zip(old_shards, new_shards) if a is b
-        )
-        assert shared == len(old_shards) - 1
-
     def test_describe_is_json_serializable(self):
-        store = ResultStore("r", Bag(range(30)), shards=4)
+        store = ResultStore("r", Bag(range(30)))
         description = json.loads(json.dumps(store.describe()))
         assert description["result"] == "r"
-        assert description["shards"] == 4
+        assert description["distinct"] == 30
 
 
 # --------------------------------------------------------------------------- #
-# Property: sharded ≡ single-shard ≡ recomputation, all four strategies
+# Property: maintained ≡ recomputation, all four strategies
 # --------------------------------------------------------------------------- #
 QUERY_OF = {
     "naive": related_query,
@@ -178,25 +166,17 @@ QUERY_OF = {
 @pytest.mark.parametrize("strategy", sorted(QUERY_OF))
 @settings(max_examples=15, deadline=None)
 @given(movie_bags, st.lists(update_bags, min_size=1, max_size=3))
-def test_sharded_result_store_equals_single_shard_and_recompute(
-    strategy, instance, updates
-):
+def test_result_store_equals_recompute(strategy, instance, updates):
     query = QUERY_OF[strategy]()
-    sharded = Engine(shards=4)
-    single = Engine(shards=1)
-    for engine in (sharded, single):
-        engine.dataset("M", MOVIE_SCHEMA, rows=instance)
-    sharded_view = sharded.view("v", query, strategy=strategy)
-    single_view = single.view("v", query, strategy=strategy)
+    engine = Engine()
+    engine.dataset("M", MOVIE_SCHEMA, rows=instance)
+    view = engine.view("v", query, strategy=strategy)
     for update in updates:
-        safe = _guard(sharded, update)
-        sharded.apply({"M": safe})
-        single.apply({"M": safe})
+        engine.apply({"M": _guard(engine, update)})
         expected = evaluate_bag(
-            query, Environment(relations={"M": sharded.relation("M")})
+            query, Environment(relations={"M": engine.relation("M")})
         )
-        assert sharded_view.result() == expected
-        assert single_view.result() == expected
+        assert view.result() == expected
 
 
 @settings(max_examples=15, deadline=None)
@@ -205,7 +185,7 @@ def test_retained_snapshots_survive_negative_and_deep_updates(instance, update):
     """A reader holding a nested result keeps seeing the pre-update value
     while the store copy-on-writes underneath it — including deletions that
     rewrite inner bags of surviving outer rows (deep updates)."""
-    engine = Engine(shards=4)
+    engine = Engine()
     engine.dataset("M", MOVIE_SCHEMA, rows=instance)
     handle = engine.view("related", related_query(), strategy="nested")
     retained = handle.result()
@@ -224,7 +204,7 @@ def test_retained_snapshots_survive_negative_and_deep_updates(instance, update):
 def test_unchanged_view_read_returns_cached_snapshot_without_freezing():
     """Satellite: repeated reads of an unchanged view are free — the same
     frozen snapshot object comes back and the store freezes nothing new."""
-    engine = Engine(shards=4)
+    engine = Engine()
     engine.dataset(
         "M",
         MOVIE_SCHEMA,
@@ -338,7 +318,7 @@ class TestFootprintProbes:
         )
 
     def test_storage_report_carries_named_read_path(self):
-        engine = Engine(shards=4)
+        engine = Engine()
         engine.dataset("M", MOVIE_SCHEMA, rows=Bag(ROWS))
         engine.view("related", related_query(), strategy="nested")
         report = engine.storage_report()

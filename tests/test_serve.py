@@ -525,7 +525,7 @@ class TestEngineOptions:
     @pytest.mark.parametrize(
         "options, message",
         [
-            ({"shards": 0}, "shard count"),
+            ({"shards": 4}, "unexpected keyword argument 'shards'"),
             ({"parallel_views": 0}, ">= 1"),
             ({"fsync": "sometimes"}, "fsync policy"),
             ({"backend": "serial"}, "unexpected keyword argument 'backend'"),
@@ -537,10 +537,27 @@ class TestEngineOptions:
         with pytest.raises(ValueError, match=message):
             ReproServer(ServerConfig(port=0, engine_options=options))
 
+    @pytest.mark.parametrize(
+        "variable, value, message",
+        [
+            ("REPRO_FSYNC", "bogus", "fsync policy"),
+            ("REPRO_WAL_SEGMENT_BYTES", "abc", "REPRO_WAL_SEGMENT_BYTES must be an integer"),
+            ("REPRO_WAL_SEGMENT_BYTES", "0", "segment size must be positive"),
+        ],
+    )
+    def test_bad_durability_environment_fails_at_construction(
+        self, monkeypatch, tmp_path, variable, value, message
+    ):
+        """A durable server resolves the WAL settings every tenant engine
+        will read from the environment before it listens."""
+        monkeypatch.setenv(variable, value)
+        with pytest.raises(ValueError, match=message):
+            ReproServer(ServerConfig(port=0, data_dir=str(tmp_path)))
+
     def test_good_engine_options_reach_the_tenant_engine(self):
-        options = {"shards": 2, "parallel_views": 2, "expected_update_size": 4}
+        options = {"parallel_views": 2, "expected_update_size": 4}
         with ReproServer(ServerConfig(port=0, engine_options=options)) as server:
             api = APIClient(server.url)
             api.post("v1/t/datasets", {"name": "M", "fields": ["a"], "rows": [["x"]]})
             api.close()
-            assert server.sessions.get("t").engine.database.storage_shards() == 2
+            assert server.sessions.get("t").engine.database.view_refresh_workers() == 2

@@ -17,9 +17,14 @@ from repro.bag.bag import Bag, EMPTY_BAG
 from repro.ivm import Update
 from repro.ivm.database import Database, ShreddedDelta
 from repro.nrc import ast
-from repro.nrc.compile import compilation_enabled, compile_expr, forced_interpretation
+from repro.nrc.compile import (
+    IndexRequirement,
+    compilation_enabled,
+    compile_expr,
+    forced_interpretation,
+)
 from repro.nrc.evaluator import Environment, evaluate_bag
-from repro.nrc.types import BASE, bag_of
+from repro.nrc.types import BASE, bag_of, tuple_of
 from repro.shredding.shred_database import input_dict_name
 from repro.storage import (
     HashIndex,
@@ -147,6 +152,75 @@ class TestRelationStore:
         store.replace(Bag([("z", 9)]))
         assert index.rebuilds == before + 1
         assert dict(index.get((9,))) == {("z", 9): 1}
+
+    def test_apply_delta_and_replace_keep_index_versions_fresh(self):
+        store = RelationStore("R", Bag([("a", 1)]))
+        index = store.ensure_index(((1,),))
+        store.apply_delta(Bag([("b", 1)]))
+        assert index.version == store.version
+        store.replace(Bag([("z", 9)]))
+        assert index.version == store.version
+        assert dict(index.get((9,))) == {("z", 9): 1}
+
+    def test_negative_multiplicities(self):
+        store = RelationStore("R", EMPTY_BAG)
+        store.apply_delta(Bag.from_pairs([(("a", 1), -2), (("b", 2), 1)]))
+        assert store.bag.multiplicity(("a", 1)) == -2
+        assert store.bag.has_negative()
+        assert store.bag.cardinality() == 3
+
+    def test_unchanged_store_hands_out_one_snapshot(self):
+        store = RelationStore("R", Bag([("a", 1)]))
+        snapshot = store.bag
+        assert store.bag is snapshot
+        assert store.current_snapshot() is snapshot
+        store.apply_delta(Bag([("b", 1)]))
+        assert store.current_snapshot() is None
+        assert snapshot == Bag([("a", 1)])
+        assert store.bag == Bag([("a", 1), ("b", 1)])
+
+    def test_provider_declines_stale_snapshots(self):
+        manager = StorageManager()
+        manager.ensure("R", Bag([("a", 1)]))
+        index = manager.ensure_index("R", ((1,),))
+        provider = manager.provider()
+        assert provider.probe("R", ((1,),), manager.bag("R")) is index
+        stale = manager.bag("R")
+        manager.apply_delta("R", Bag([("b", 2)]))
+        assert provider.probe("R", ((1,),), stale) is None
+        assert provider.probe("R", ((1,),), manager.bag("R")) is index
+
+    def test_deleting_write_heals_a_poisoned_index(self):
+        """While the bad row is present a deletion's heal re-poisons the
+        index; the write that deletes the bad row heals it, and the healed
+        index serves probes again."""
+        nan = float("nan")
+        database = Database()
+        database.register("R", bag_of(tuple_of(BASE, BASE)), Bag([("a", 1.0), ("b", 2.0)]))
+        (requirement,) = database.register_index_requirements(
+            [IndexRequirement("R", ((1,),))]
+        )
+
+        def described():
+            (entry,) = database.describe_indexes([requirement])
+            return entry
+
+        def apply(pairs):
+            database.apply_update(Update(relations={"R": Bag.from_pairs(pairs)}))
+
+        apply([(("n", nan), 1)])
+        assert described()["poisoned"]
+        before = described()["rebuilds"]
+        # Bad key still present: the deleting write's heal re-poisons.
+        apply([(("a", 1.0), -1)])
+        assert described()["poisoned"]
+        apply([(("n", nan), -1)])
+        assert not described()["poisoned"]
+        # Two rebuilds: the heal that failed and the one that stuck.
+        assert described()["rebuilds"] == before + 2
+        environment = database.environment()
+        index = environment.indexes.probe("R", ((1,),), environment.relations["R"])
+        assert index is not None and dict(index.get((2.0,))) == {("b", 2.0): 1}
 
     def test_manager_provider_identity_check(self):
         manager = StorageManager()
