@@ -83,19 +83,15 @@ def _pairs_table(title: str, payload: Dict[str, Any]) -> Table:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ReproServer, ServerConfig
 
-    engine_options: Dict[str, Any] = {}
-    if args.parallel_views is not None:
-        engine_options["parallel_views"] = args.parallel_views
     try:
-        # The server validates the engine options before it listens, so a
-        # bad option stops it here rather than failing each tenant later.
+        # The server validates the durability settings before it listens, so
+        # a bad one stops it here rather than failing each tenant later.
         server = ReproServer(
             ServerConfig(
                 host=args.host,
                 port=args.port,
                 queue_depth=args.queue_depth,
                 coalesce=args.coalesce,
-                engine_options=engine_options,
                 quiet=not args.verbose,
                 data_dir=args.data_dir,
                 fsync=args.fsync,
@@ -272,8 +268,7 @@ def _cmd_views(api: APIClient, args: argparse.Namespace) -> int:
         plan = payload["plan"]
         console.print(
             f"view {plan['view']!r}: strategy={plan['strategy']} "
-            f"(requested {plan['requested']}), execution={plan['execution']}, "
-            f"refresh {plan['parallel_apply']}"
+            f"(requested {plan['requested']}), execution={plan['execution']}"
         )
         console.print(f"reason: {plan['reason']}")
         table = Table(title="Candidates")
@@ -434,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8765)
     serve.add_argument("--queue-depth", type=int, default=256)
     serve.add_argument("--coalesce", type=int, default=64)
-    serve.add_argument("--parallel-views", type=int, default=None)
     serve.add_argument(
         "--data-dir",
         default=None,

@@ -11,12 +11,6 @@ that thesis as an API: :class:`Engine` registers datasets and views, and
 from repro.engine.core import Engine, EngineSnapshot, Session, ViewHandle
 from repro.engine.plan import MaintenancePlan, StrategyEstimate
 from repro.engine.planner import STRATEGIES, PlanningInputs, plan_view
-from repro.engine.scheduler import (
-    REPRO_PARALLEL_VIEWS,
-    ViewRefreshScheduler,
-    forced_parallel_views,
-    resolve_view_workers,
-)
 
 __all__ = [
     "Engine",
@@ -28,8 +22,4 @@ __all__ = [
     "PlanningInputs",
     "STRATEGIES",
     "plan_view",
-    "REPRO_PARALLEL_VIEWS",
-    "ViewRefreshScheduler",
-    "forced_parallel_views",
-    "resolve_view_workers",
 ]

@@ -163,18 +163,12 @@ class Engine:
         self,
         *,
         expected_update_size: int = 1,
-        parallel_views: Optional[int] = None,
         data_dir: Optional[str] = None,
         fsync: Optional[str] = None,
         fault_injector: Optional[FaultInjector] = None,
         standby: bool = False,
     ) -> None:
-        """``parallel_views`` fixes the view-refresh worker count (``None``
-        defers to ``REPRO_PARALLEL_VIEWS`` / auto, ``1`` shared-snapshot
-        inline, ``N > 1`` a thread pool).  See ``docs/api.md``, "View-refresh
-        pool".
-
-        ``data_dir`` makes the engine durable: operations are write-ahead
+        """``data_dir`` makes the engine durable: operations are write-ahead
         logged, :meth:`checkpoint` cuts snapshot checkpoints, and opening an
         engine on an existing directory restores its state (newest valid
         checkpoint + WAL tail replay — see ``docs/durability.md``).
@@ -190,7 +184,7 @@ class Engine:
         the primary's segments itself, until :meth:`promote_writable` ends
         the standby (see ``docs/replication.md``).
         """
-        self._database = Database(parallel_views=parallel_views)
+        self._database = Database()
         self._expected_update_size = expected_update_size
         self._views: Dict[str, ViewHandle] = {}
         self._datasets: Dict[str, object] = {}
@@ -223,14 +217,12 @@ class Engine:
     def close(self) -> None:
         """Shut the engine down deterministically.
 
-        Joins the view-refresh scheduler's worker threads (which otherwise
-        live until garbage collection) and closes the database: further
+        Closes the database, then the WAL of a durable engine: further
         ``dataset``/``apply`` calls raise, already-frozen snapshots and view
         results stay readable.  Idempotent, and safe to call concurrently
         with an in-flight ``apply``: the database's lifecycle lock makes
         close wait for the apply (and its WAL append) to commit; also runs
-        on context-manager exit, so ``with Engine() as engine: ...`` never
-        leaks threads.
+        on context-manager exit.
         """
         with self._database.lifecycle_lock:
             self._database.close()

@@ -99,9 +99,6 @@ class MaintenancePlan:
     #: (``"M[.1] (persistent)"``) or the pipeline rebuilds per evaluation.
     #: Filled in by the facade once the backend view exists.
     indexes: Tuple[str, ...] = ()
-    #: How independent views are refreshed per update:
-    #: ``"shared-snapshot inline"`` or ``"threads(N)"``.
-    parallel_apply: str = "shared-snapshot inline"
 
     def estimate_for(self, strategy: str) -> Optional[StrategyEstimate]:
         """The estimate recorded for a given backend name (``None`` if absent)."""
@@ -130,7 +127,6 @@ class MaintenancePlan:
             "reason": self.reason,
             "execution": self.execution,
             "indexes": list(self.indexes),
-            "parallel_apply": self.parallel_apply,
             "expected_update_size": self.expected_update_size,
             "estimates": [estimate.to_dict() for estimate in self.estimates],
             "artifacts": dict(self.artifacts),
@@ -143,7 +139,6 @@ class MaintenancePlan:
             f"  strategy : {self.strategy} (requested: {self.requested})",
             f"  execution: {self.execution}",
             f"  indexes  : {', '.join(self.indexes) if self.indexes else 'none'}",
-            f"  refresh  : {self.parallel_apply}",
             f"  reason   : {self.reason}",
             f"  assumed update size d = {self.expected_update_size}",
             "  candidates:",

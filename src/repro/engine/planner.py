@@ -369,7 +369,6 @@ def plan_view(
         estimates=tuple(estimates),
         expected_update_size=expected_update_size,
         artifacts=artifacts,
-        parallel_apply=database.refresh_mode(),
     )
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import threading
 from functools import partial
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.bag.bag import Bag, EMPTY_BAG
 from repro.dictionaries import DictValue, MaterializedDict
@@ -128,22 +128,19 @@ class ShreddedDelta:
 class RefreshContext:
     """Shared, read-only evaluation state for one update's view refreshes.
 
-    Before PR 5 every view's ``on_update`` rebuilt its own environments per
-    update; the scheduler instead builds one family of pre-update snapshot
-    environments and shares it across all views — one snapshot family per
-    update instead of one per view, and the anchor that makes concurrent
-    refresh safe.  All environments expose *pre-update* state; views must
-    treat them as read-only (copy before binding view-local variables).
+    ``Database._notify_views`` builds one family of pre-update snapshot
+    environments per update and hands it to every view in turn, instead of
+    each view rebuilding its own.  All environments expose *pre-update*
+    state; views must treat them as read-only (copy before binding
+    view-local variables).  The context is local to one ``_notify_views``
+    call and every refresh runs on the applying thread, so it needs no lock.
 
-    The nested-relation delta environment is built eagerly on the
-    coordinating thread (every built-in strategy reads it, and building it
-    freezes the relation stores before any worker runs).  The shredded
-    environments are built lazily under a lock — only nested views read
-    them, so an engine of classic/recursive views never freezes the flat
-    mirror at all; the lock makes the one-time construction (and the store
-    freezes inside it) single-threaded.  :meth:`post_shredded_environment`
-    is the laziest of all: it costs ``O(|DB|)`` (it unions the deltas into
-    the flat mirror) and is only needed when a nested view discovers newly
+    The nested-relation delta environment is built eagerly (every built-in
+    strategy reads it).  The shredded environments are built lazily — only
+    nested views read them, so an engine of classic/recursive views never
+    freezes the flat mirror at all.  :meth:`post_shredded_environment` is
+    the laziest of all: it costs ``O(|DB|)`` (it unions the deltas into the
+    flat mirror) and is only needed when a nested view discovers newly
     active labels.
     """
 
@@ -153,7 +150,6 @@ class RefreshContext:
         "relation_deltas",
         "delta_symbols",
         "_database",
-        "_lock",
         "_delta_environment",
         "_shredded_environment",
         "_shredded_delta_environment",
@@ -170,9 +166,6 @@ class RefreshContext:
             if not bag.is_empty()
         }
         self.delta_symbols = shredded_delta.as_delta_symbols(order=1)
-        self._lock = threading.Lock()
-        # Built eagerly on the coordinating thread: freezing the relation
-        # stores here means worker threads only ever *read* frozen snapshots.
         self._delta_environment = database.environment(self.relation_deltas)
         self._shredded_environment: Optional[Environment] = None
         self._shredded_delta_environment: Optional[Environment] = None
@@ -184,65 +177,54 @@ class RefreshContext:
 
     def shredded_environment(self) -> Environment:
         """Pre-update shredded (flat) environment, no delta symbols (lazy)."""
-        with self._lock:
-            env = self._shredded_environment
-            if env is None:
-                env = self._shredded_environment = self._database.shredded_environment()
-            return env
+        env = self._shredded_environment
+        if env is None:
+            env = self._shredded_environment = self._database.shredded_environment()
+        return env
 
     def shredded_delta_environment(self) -> Environment:
         """Pre-update shredded environment with the shredded Δ symbols bound (lazy)."""
-        with self._lock:
-            env = self._shredded_delta_environment
-            if env is None:
-                env = self._shredded_delta_environment = self._database.shredded_environment(
-                    self.delta_symbols
-                )
-            return env
+        env = self._shredded_delta_environment
+        if env is None:
+            env = self._shredded_delta_environment = self._database.shredded_environment(
+                self.delta_symbols
+            )
+        return env
 
     def post_shredded_environment(self) -> Environment:
         """Post-update shredded environment (lazy: costs ``O(|DB|)``).
 
         Only nested views that discover newly active labels need it; updates
-        that touch no new labels skip the union entirely — one of the
-        ``O(|DB|)`` terms the pre-PR-5 per-view flow paid unconditionally.
+        that touch no new labels skip the union entirely.
         """
-        pre = self.shredded_environment()
-        with self._lock:
-            post = self._post_shredded_environment
-            if post is None:
-                post = pre.copy()
-                for name, bag in self.shredded_delta.bags.items():
-                    post.relations[name] = post.relations.get(name, EMPTY_BAG).union(bag)
-                for name, dictionary in self.shredded_delta.dictionaries.items():
-                    existing = post.dictionaries.get(name, MaterializedDict({}))
-                    post.dictionaries[name] = existing.add(dictionary)
-                self._post_shredded_environment = post
-            return post
+        post = self._post_shredded_environment
+        if post is None:
+            post = self.shredded_environment().copy()
+            for name, bag in self.shredded_delta.bags.items():
+                post.relations[name] = post.relations.get(name, EMPTY_BAG).union(bag)
+            for name, dictionary in self.shredded_delta.dictionaries.items():
+                existing = post.dictionaries.get(name, MaterializedDict({}))
+                post.dictionaries[name] = existing.add(dictionary)
+            self._post_shredded_environment = post
+        return post
 
 
 class Database:
     """Named nested relations with an incrementally-maintained shredded mirror.
 
-    Each relation lives in one :class:`~repro.storage.RelationStore`;
-    ``parallel_views`` fixes the view-refresh worker count (``None`` defers
-    to ``REPRO_PARALLEL_VIEWS`` / auto — ``1`` shared-snapshot inline, ``N``
-    a thread pool; see :mod:`repro.engine.scheduler`).  Every store delta
-    folds inline, on the applying thread.
+    Each relation lives in one :class:`~repro.storage.RelationStore`.  An
+    update runs on the applying thread end to end: every view refresh, then
+    every store delta fold.
     """
 
-    def __init__(self, parallel_views: Optional[int] = None) -> None:
-        from repro.engine.scheduler import SerialExecutionBackend, resolve_view_workers
+    def __init__(self) -> None:
+        from repro.engine.scheduler import SerialExecutionBackend
 
-        # Validate eagerly; resolved again per apply.
-        resolve_view_workers(parallel_views)
         self._schemas: Dict[str, BagType] = {}
         self._storage = StorageManager(kind="nested")
         self._shredder = ValueShredder(LabelFactory(prefix="db"))
         self._flat_storage = StorageManager(kind="flat")
         self._dict_store = DictionaryStore()
-        self._parallel_views = parallel_views
-        self._scheduler = None  # lazily built ViewRefreshScheduler
         # The call every non-empty store delta folds through (the name the
         # benchmark's ``storage.relation_apply_delta`` span patches).
         self._fold = SerialExecutionBackend()
@@ -441,7 +423,6 @@ class Database:
             "dictionaries": self._dict_store.report(),
             "results": {"kind": "results", "stores": result_stores},
             "read_path": read_path,
-            "parallel_views": self.refresh_mode(),
         }
 
     # ------------------------------------------------------------------ #
@@ -636,7 +617,7 @@ class Database:
         apply_delta``'s early return).  A deleting delta that reaches a
         store with a poisoned index slice may have removed the unhashable
         key behind it, so the poisoned slices are rebuilt here, on the
-        write — never on the probe path, where refreshes read concurrently.
+        write — never on the probe path, which only reads.
         """
         if delta.is_empty():
             manager.apply_delta(name, delta)
@@ -673,10 +654,9 @@ class Database:
         """The lock serializing mutations against close (reentrant).
 
         ``register``/``apply_update``/``close`` all take it, so a ``close``
-        racing an in-flight apply waits for the apply to commit instead of
-        tearing down the scheduler under it.  The durability layer holds it
-        across ``{mutate + WAL append}`` so the log can never record an
-        update the store rejected (or vice versa).
+        racing an in-flight apply waits for the apply to commit.  The
+        durability layer holds it across ``{mutate + WAL append}`` so the
+        log can never record an update the store rejected (or vice versa).
         """
         return self._lifecycle_lock
 
@@ -717,79 +697,36 @@ class Database:
             raise WorkloadError(f"database is read-only: {self._read_only}")
 
     def close(self) -> None:
-        """Deterministically release scheduler resources.
+        """Mark the database closed.
 
-        Shuts down the view-refresh thread pool (worker threads otherwise
-        live until garbage collection) and marks the database closed:
-        further registrations and updates raise, while reads of the frozen
+        Further registrations and updates raise, while reads of the frozen
         stores remain valid.  Idempotent, and safe to race with an in-flight
         apply: the lifecycle lock makes close wait for it to commit.
         """
         with self._lifecycle_lock:
-            if self._closed:
-                return
             self._closed = True
-            scheduler = self._scheduler
-            if scheduler is not None:
-                scheduler.shutdown()
-                self._scheduler = None
 
     # ------------------------------------------------------------------ #
-    # View refresh dispatch
+    # View refresh
     # ------------------------------------------------------------------ #
-    def view_refresh_workers(self) -> int:
-        """The effective refresh worker count for the next update.
-
-        Re-resolved on every call so the ``REPRO_PARALLEL_VIEWS`` hatch is
-        dynamic, like the other escape hatches.
-        """
-        from repro.engine.scheduler import resolve_view_workers
-
-        return resolve_view_workers(self._parallel_views)
-
     def refresh_mode(self) -> str:
-        """Human-readable refresh mode (what ``explain`` reports)."""
-        workers = self.view_refresh_workers()
-        if workers == 1:
-            return "shared-snapshot inline"
-        return f"threads({workers})"
+        """Benchmark residue: a constant, what ``benchmarks/suite/inproc.py`` records."""
+        return "inline"
 
     def _notify_views(self, update: Update, shredded_delta: ShreddedDelta) -> None:
         """Refresh every registered view against the pre-update state.
 
-        One shared :class:`RefreshContext` is built up front and the
-        scheduler runs the refreshes — inline for one worker, on a thread
-        pool for more (delta environments are snapshots, so concurrency is
-        scheduling, not semantics).  Views the update cannot touch
-        (``affected_by`` is false: their refresh only records an empty
-        update) refresh on the coordinating thread — the pool is engaged
-        only when at least two refreshes have work to do.  The context is
-        released before the stores mutate so unretained snapshots die and
-        the builders keep mutating in place.
+        One shared :class:`RefreshContext` is built up front and every view
+        refreshes against it, in registration order, on the applying thread.
+        A view the update cannot touch only records an empty refresh.  The
+        context is released before the stores mutate so unretained
+        snapshots die and the builders keep mutating in place.
         """
-        views = list(self._views)
-        if not views:
+        if not self._views:
             return
-        workers = self.view_refresh_workers()
         context = RefreshContext(self, update, shredded_delta)
-        pool_tasks: List[Callable[[], None]] = []
-        for view in views:
-            if view.affected_by(context):
-                pool_tasks.append(partial(view.on_update, update, shredded_delta, context))
-            else:
-                view.on_update(update, shredded_delta, context)
-        if workers > 1 and len(pool_tasks) > 1:
-            scheduler = self._scheduler
-            if scheduler is None:
-                from repro.engine.scheduler import ViewRefreshScheduler
-
-                scheduler = self._scheduler = ViewRefreshScheduler(workers)
-            else:
-                scheduler.resize(workers)
-            scheduler.run(pool_tasks)
-        else:
-            for task in pool_tasks:
-                task()
+        for view in self._views:
+            view.on_update(update, shredded_delta, context)
 
     def _renest(
         self,

@@ -56,7 +56,7 @@ class NaiveView(View):
         The database calls this before mutating its stored relations, so the
         post-update instances are assembled locally from the update.  The
         shared refresh context provides the pre-update snapshots (frozen
-        once for all views; safe to read from worker threads).
+        once for all views).
         """
         counter = OpCounter()
         started = self._now()

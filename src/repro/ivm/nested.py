@@ -311,11 +311,6 @@ class NestedIVMView(View):
     # ------------------------------------------------------------------ #
     # Maintenance
     # ------------------------------------------------------------------ #
-    def affected_by(self, context) -> bool:
-        # The maintenance queries run in the shredded world: match against
-        # the shredded Δ symbols (flat bags and dictionary deltas).
-        return self.reads_any(context.delta_symbols)
-
     def on_update(self, update: Update, shredded_delta: ShreddedDelta, context) -> None:
         counter = OpCounter()
         started = self._now()

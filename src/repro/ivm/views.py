@@ -89,8 +89,7 @@ class View:
     :class:`~repro.ivm.database.RefreshContext` holding the pre-update
     snapshot environments of this refresh round and evaluates against it
     instead of rebuilding its own environments: one snapshot family per
-    update instead of one per view, and the anchor that makes concurrent
-    refresh safe.
+    update instead of one per view.
     """
 
     #: The update symbols ``(source, order)`` this view's maintenance queries
@@ -107,11 +106,6 @@ class View:
         would evaluate to the empty bag."""
         sources = self._delta_sources
         return sources is None or not sources.isdisjoint(symbols)
-
-    def affected_by(self, context) -> bool:
-        """Whether the update behind a refresh ``context`` can change this
-        view; the dispatcher schedules only affected views."""
-        return self.reads_any(context.relation_deltas)
 
     # Subclasses implement result() and on_update().
     def result(self):

@@ -104,6 +104,13 @@ def _json_bytes(payload: Any) -> bytes:
     return json.dumps(payload, separators=(",", ":")).encode("utf-8")
 
 
+def _epoch(value: Any) -> int:
+    """A promote or demote body's ``epoch``: a JSON integer, never a bool."""
+    if type(value) is not int:
+        raise ProtocolError(f"'epoch' must be an integer, got {value!r}")
+    return value
+
+
 class ServerConfig:
     """Knobs of one server instance (see ``docs/serve.md``)."""
 
@@ -606,7 +613,7 @@ class _Handler(BaseHTTPRequestHandler):
         if rest == ["promote"]:
             epoch = body.get("epoch") if isinstance(body, dict) else None
             self._send_json(
-                session.promote(epoch=int(epoch) if epoch is not None else None)
+                session.promote(epoch=None if epoch is None else _epoch(epoch))
             )
             return
         if rest == ["demote"]:
@@ -614,7 +621,7 @@ class _Handler(BaseHTTPRequestHandler):
                 raise ProtocolError("demote needs {'epoch', 'reason'?}")
             self._send_json(
                 session.demote(
-                    int(body["epoch"]),
+                    _epoch(body["epoch"]),
                     str(body.get("reason", "demoted by operator")),
                 )
             )

@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.durability.manager import load_replication_state, store_replication_state
 from repro.durability.wal import resolve_fsync_policy, resolve_segment_bytes
-from repro.engine import Engine, EngineSnapshot, resolve_view_workers
+from repro.engine import Engine, EngineSnapshot
 from repro.errors import EngineError
 from repro.ivm.updates import Update
 from repro.replication.feed import (
@@ -68,6 +68,10 @@ __all__ = [
     "TenantRecoveringError",
     "TenantSession",
 ]
+
+#: Longest tenant name, in UTF-8 bytes: a durable tenant is a directory
+#: named after it, and every filesystem takes a name this long.
+MAX_TENANT_NAME_BYTES = 128
 
 
 class TenantRecoveringError(RuntimeError):
@@ -740,15 +744,14 @@ def check_engine_options(options: Dict[str, Any]) -> None:
     Tenants build their engines lazily, on first use; a bad option found
     there would answer every tenant creation with a 500.  So the options
     are bound against ``Engine``'s signature (an unknown key fails) and the
-    counts and policies go through the resolvers the engine itself runs —
-    for a durable engine, the WAL's fsync policy and segment size too,
-    which fall back to ``REPRO_FSYNC`` / ``REPRO_WAL_SEGMENT_BYTES``.
+    WAL settings go through the resolvers the engine itself runs: the fsync
+    policy, and for a durable engine the segment size too, which fall back
+    to ``REPRO_FSYNC`` / ``REPRO_WAL_SEGMENT_BYTES``.
     """
     try:
         arguments = inspect.signature(Engine).bind(**options).arguments
     except TypeError as error:
         raise ValueError(f"engine_options: {error}") from None
-    resolve_view_workers(arguments.get("parallel_views"))
     fsync = arguments.get("fsync")
     if arguments.get("data_dir") is not None:
         resolve_fsync_policy(fsync)
@@ -836,7 +839,12 @@ class SessionManager:
         )
 
     def get(self, name: str) -> TenantSession:
-        if not name or name in (".", "..") or any(c in name for c in "/\\"):
+        if (
+            not name
+            or name in (".", "..")
+            or any(c in name for c in "/\\")
+            or len(name.encode("utf-8")) > MAX_TENANT_NAME_BYTES
+        ):
             raise ProtocolError(f"bad tenant name {name!r}")
         session = self._sessions.get(name)
         if session is not None:

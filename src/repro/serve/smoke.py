@@ -8,12 +8,10 @@ dataset creation, a flat and a nested view, a synchronous apply, every
 read endpoint, and finally asserts a clean drain-and-shutdown:
 
 * the ingest queue is empty and every accepted update was applied,
-* the engine scheduler's thread pool is gone (``Engine.close`` ran),
+* the engine is closed (``Engine.close`` ran),
 * a post-shutdown request fails with a connection error.
 
-Exits non-zero on any failure, so CI can run it as a step.  It inherits
-``REPRO_PARALLEL_VIEWS`` from the environment, so it runs identically on
-every CI matrix leg.
+Exits non-zero on any failure, so CI can run it as a step.
 """
 
 from __future__ import annotations

@@ -200,30 +200,15 @@ def test_the_alias_names_are_the_serial_fold():
     assert scheduler.resolve_backend_spec(None) == ("serial", None)
 
 
-def test_two_affected_views_refresh_through_the_pool(monkeypatch):
-    """The view-refresh pool is untouched by the inline store fold: with two
-    workers and two views the update affects, the refreshes still dispatch
-    through ``ViewRefreshScheduler.run``."""
-    from repro.engine import Engine
-    from repro.engine.scheduler import ViewRefreshScheduler
-    from repro.workloads import MOVIE_SCHEMA, generate_movies, genre_selfjoin_query
+def test_the_view_refresh_names_are_inert_residue():
+    """``report.py`` records ``resolve_view_workers(None)``, ``inproc.py``
+    records ``Database.refresh_mode()`` and ``layers.py`` patches
+    ``ViewRefreshScheduler.run``; every refresh runs inline regardless."""
+    from repro.engine.scheduler import ViewRefreshScheduler, resolve_view_workers
+    from repro.ivm import Database
 
-    dispatched = []
-    run = ViewRefreshScheduler.run
-
-    def counted_run(self, tasks):
-        dispatched.append((self.workers, len(tasks)))
-        return run(self, tasks)
-
-    monkeypatch.setattr(ViewRefreshScheduler, "run", counted_run)
-    movies = generate_movies(20, seed=3)
-    engine = Engine(parallel_views=2)
-    try:
-        engine.dataset("M", MOVIE_SCHEMA, movies)
-        first = engine.view("a", genre_selfjoin_query(), strategy="classic")
-        second = engine.view("b", genre_selfjoin_query(), strategy="recursive")
-        engine.insert("M", generate_movies(2, seed=4))
-        assert dispatched == [(2, 2)]
-        assert first.result() == second.result()
-    finally:
-        engine.close()
+    assert resolve_view_workers(None) == 1
+    order = []
+    ViewRefreshScheduler().run([lambda index=index: order.append(index) for index in range(3)])
+    assert order == [0, 1, 2]
+    assert isinstance(Database().refresh_mode(), str)

@@ -253,11 +253,6 @@ class TestCLI:
             _run(live, "datasets", "create", "M2") == 1
         )  # missing --fields
 
-    def test_serve_rejects_zero_refresh_workers_before_listening(self, capsys):
-        assert main(["serve", "--port", "0", "--parallel-views", "0"]) == 1
-        captured = capsys.readouterr()
-        assert ">= 1" in captured.err and "listening" not in captured.out
-
     def test_serve_rejects_bad_fsync_environment_before_listening(
         self, capsys, monkeypatch, tmp_path
     ):

@@ -24,7 +24,6 @@ from repro.serve import ServerConfig
 ROOT = Path(__file__).resolve().parent.parent
 
 ENVIRONMENT_VARIABLES = {
-    "REPRO_PARALLEL_VIEWS",
     "REPRO_NO_COMPILE",
     "REPRO_FSYNC",
     "REPRO_WAL_SEGMENT_BYTES",
@@ -35,7 +34,6 @@ ENVIRONMENT_VARIABLES = {
 #: ``Engine(...)``'s keyword parameters, in signature order.
 ENGINE_OPTIONS = (
     "expected_update_size",
-    "parallel_views",
     "data_dir",
     "fsync",
     "fault_injector",

@@ -526,7 +526,7 @@ class TestEngineOptions:
         "options, message",
         [
             ({"shards": 4}, "unexpected keyword argument 'shards'"),
-            ({"parallel_views": 0}, ">= 1"),
+            ({"parallel_views": 0}, "unexpected keyword argument 'parallel_views'"),
             ({"fsync": "sometimes"}, "fsync policy"),
             ({"backend": "serial"}, "unexpected keyword argument 'backend'"),
         ],
@@ -555,9 +555,12 @@ class TestEngineOptions:
             ReproServer(ServerConfig(port=0, data_dir=str(tmp_path)))
 
     def test_good_engine_options_reach_the_tenant_engine(self):
-        options = {"parallel_views": 2, "expected_update_size": 4}
+        options = {"expected_update_size": 4}
         with ReproServer(ServerConfig(port=0, engine_options=options)) as server:
             api = APIClient(server.url)
             api.post("v1/t/datasets", {"name": "M", "fields": ["a"], "rows": [["x"]]})
+            spec = {"from": "M", "var": "m", "select": [["field", "m", "a"]]}
+            api.post("v1/t/views", {"name": "v", "query": spec})
             api.close()
-            assert server.sessions.get("t").engine.database.view_refresh_workers() == 2
+            plan = server.sessions.get("t").engine.explain("v")
+            assert plan.expected_update_size == 4

@@ -61,6 +61,15 @@ def server():
         yield instance
 
 
+@pytest.fixture(scope="module", params=["memory", "durable"])
+def either_server(request, tmp_path_factory):
+    """One in-memory and one durable server, each shared by a module's rows."""
+    durable = request.param == "durable"
+    data_dir = str(tmp_path_factory.mktemp("wire")) if durable else None
+    with ReproServer(ServerConfig(port=0, data_dir=data_dir)) as instance:
+        yield instance
+
+
 @pytest.fixture
 def api(server):
     client = APIClient(server.url, max_retries=0)
@@ -366,6 +375,45 @@ class TestRequestBodies:
         )
         assert _statuses(received) == [400, 200]
         assert not closed
+
+    @pytest.mark.parametrize(
+        "method, path, body",
+        [
+            ("POST", f"/v1/{TENANT}/demote", b'{"epoch": "x"}'),
+            ("POST", f"/v1/{TENANT}/promote", b'{"epoch": "x"}'),
+            ("POST", f"/v1/{TENANT}/demote", b'{"epoch": 1e309}'),
+            ("POST", f"/v1/{TENANT}/demote", b'{"epoch": null}'),
+            ("POST", f"/v1/{TENANT}/demote", b'{"epoch": [1]}'),
+            ("POST", f"/v1/{TENANT}/promote", b'{"epoch": [1]}'),
+            ("POST", f"/v1/{TENANT}/demote", b'{"epoch": true}'),
+            ("POST", f"/v1/{TENANT}/promote", b'{"epoch": true}'),
+            ("POST", f"/v1/{TENANT}/demote", b'{"epoch": 1.9}'),
+            ("POST", f"/v1/{TENANT}/promote", b'{"epoch": 1.9}'),
+            pytest.param("GET", f"/v1/{'a' * 300}/views", None, id="long-tenant-name"),
+        ],
+    )
+    def test_malformed_request_is_400_not_500(self, either_server, method, path, body):
+        """Each row used to answer 500 (or, for ``true`` and ``1.9``, take
+        the epoch as 1): ``int()`` on a non-integer epoch, and a durable
+        server making an over-long tenant name a directory name."""
+        connection = http.client.HTTPConnection(*either_server.address, timeout=10)
+        try:
+            connection.request(method, path, body=body)
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 400
+        assert payload["error"]["code"] == "bad_request"
+        session = either_server.sessions.get(TENANT)
+        assert (session.role, session.engine.replication_epoch) == ("primary", 0)
+
+    def test_tenant_name_length_bound_is_the_same_on_every_server(self, either_server):
+        statuses = []
+        for length in (128, 129):
+            status, _, _ = _get(either_server, f"/v1/{'t' * length}/views")
+            statuses.append(status)
+        assert statuses == [200, 400]
 
     def test_each_response_is_one_write(self, server, api, monkeypatch):
         _seed(api)
