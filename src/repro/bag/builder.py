@@ -9,7 +9,10 @@ transient (in the Clojure sense) that closes that gap:
 
 * it owns one mutable ``element → multiplicity`` dict and folds deltas into
   it **in place** (:meth:`apply_pairs` / :meth:`apply_bag` / :meth:`add`),
-  dropping cancelled entries as it goes — ``O(|Δ|)`` per application;
+  dropping cancelled entries as it goes — ``O(|Δ|)`` per application; a
+  compiled query folds its output pairs into the same dict directly
+  (:meth:`writable`, used by ``CompiledQuery.evaluate(into=...)``), so a
+  view's delta is hashed and stored once, with no intermediate bag;
 * :meth:`freeze` hands out an immutable :class:`Bag` **without copying**
   (the bag adopts the builder's dict via ``Bag._from_clean_dict``), so
   taking a snapshot is ``O(1)``;
@@ -77,8 +80,15 @@ class BagBuilder:
     # ------------------------------------------------------------------ #
     # Copy-on-write plumbing
     # ------------------------------------------------------------------ #
-    def _writable(self) -> Dict[Any, int]:
-        """The mutable dict, un-sharing from a live frozen snapshot first."""
+    def writable(self) -> Dict[Any, int]:
+        """The mutable dict, un-sharing from a live frozen snapshot first.
+
+        Every mutation goes through here, and so may a producer that folds
+        ``(element, multiplicity)`` pairs straight into the builder (a
+        compiled query's ``evaluate(into=...)``): it adds each multiplicity
+        to the entry in place and pops an entry that reaches zero, so the
+        dict never holds a zero.  The dict is the builder's live state —
+        use it for one fold, do not keep it."""
         frozen = self._frozen
         if frozen is not None:
             self._frozen = None
@@ -109,7 +119,7 @@ class BagBuilder:
             )
         if multiplicity == 0:
             return
-        data = self._writable()
+        data = self.writable()
         updated = data.get(element, 0) + multiplicity
         if updated == 0:
             data.pop(element, None)
@@ -118,7 +128,7 @@ class BagBuilder:
 
     def apply_pairs(self, pairs: Iterable[Tuple[Any, int]]) -> None:
         """Fold ``(element, multiplicity)`` pairs in — one pass, no copies."""
-        data = self._writable()
+        data = self.writable()
         for element, multiplicity in pairs:
             if not isinstance(multiplicity, int):
                 raise TypeError(
@@ -138,7 +148,7 @@ class BagBuilder:
             raise TypeError("scale factor must be an int")
         if scale == 0 or not delta._data:
             return
-        data = self._writable()
+        data = self.writable()
         if scale == 1:
             for element, multiplicity in delta._data.items():
                 updated = data.get(element, 0) + multiplicity

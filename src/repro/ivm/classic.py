@@ -52,22 +52,26 @@ class ClassicIVMView(View):
         # interpreter remains in charge.
         self._compiled_delta = try_compile(self._delta_query)
         self._execution_mode = "compiled" if self._compiled_delta is not None else "interpreted"
-        compiled_query = try_compile(query)
+        self._compiled_query = try_compile(query)
         # Registering the join atoms before the initial evaluation lets even
         # the first materialization probe the persistent indexes.
-        self._register_indexes(database, compiled_query, self._compiled_delta)
+        self._register_indexes(database, self._compiled_query, self._compiled_delta)
 
         counter = OpCounter()
         started = self._now()
+        self._materialise(counter)
+        self.stats.record_init(self._now() - started, counter)
+        if register:
+            database.register_view(self)
+
+    def _materialise(self, counter: OpCounter) -> None:
         # The materialization lives in a result store: per-update changes
         # fold in place (O(|Δresult|)) and result() freezes the snapshot
         # lazily.
         self._result = ResultStore(
-            "classic", run_bag(compiled_query, query, database.environment(), counter)
+            "classic",
+            run_bag(self._compiled_query, self._query, self._database.environment(), counter),
         )
-        self.stats.record_init(self._now() - started, counter)
-        if register:
-            database.register_view(self)
 
     # ------------------------------------------------------------------ #
     @property
@@ -88,8 +92,10 @@ class ClassicIVMView(View):
         # nothing: every term would walk its relations against an empty Δ.
         if self.reads_any(context.relation_deltas):
             # The shared context's environment is read-only here: the delta
-            # query binds nothing view-local.
+            # query binds nothing view-local.  The compiled delta folds its
+            # pairs straight into the result store.
             environment = context.delta_environment()
-            change = run_bag(self._compiled_delta, self._delta_query, environment, counter)
-            self._result.apply_bag(change)
+            run_bag(
+                self._compiled_delta, self._delta_query, environment, counter, into=self._result
+            )
         self.stats.record_update(self._now() - started, counter)

@@ -721,12 +721,28 @@ class Database:
         A view the update cannot touch only records an empty refresh.  The
         context is released before the stores mutate so unretained
         snapshots die and the builders keep mutating in place.
+
+        The first error aborts the update before any store mutates.  By then
+        the views before the failing one hold the update, and the failing
+        one may hold part of it (a compiled delta folds into its store as it
+        walks), so each view that refreshed is restored from the relations,
+        still the pre-update ones, before the error propagates —
+        ``O(|DB|)`` per such view, on the error path only.
         """
         if not self._views:
             return
         context = RefreshContext(self, update, shredded_delta)
-        for view in self._views:
-            view.on_update(update, shredded_delta, context)
+        refreshed = 0
+        try:
+            for view in self._views:
+                refreshed += 1
+                view.on_update(update, shredded_delta, context)
+        except BaseException:
+            # Keep the pre-update snapshots out of the propagating traceback.
+            del context
+            for view in self._views[:refreshed]:
+                view.restore()
+            raise
 
     def _renest(
         self,

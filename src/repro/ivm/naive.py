@@ -41,10 +41,15 @@ class NaiveView(View):
         self._collect_index_requirements(self._compiled_query)
         counter = OpCounter()
         started = self._now()
-        self._result = run_bag(self._compiled_query, query, database.environment(), counter)
+        self._materialise(counter)
         self.stats.record_init(self._now() - started, counter)
         if register:
             database.register_view(self)
+
+    def _materialise(self, counter: OpCounter) -> None:
+        self._result = run_bag(
+            self._compiled_query, self._query, self._database.environment(), counter
+        )
 
     def result(self) -> Bag:
         """Current materialized result (a nested bag)."""

@@ -182,9 +182,25 @@ class NestedIVMView(View):
             else:
                 state.tuple_path = path
 
+        #: Read-path accounting: how refresh probes were bounded.
+        self._probe_stats: Dict[str, int] = {
+            "dict_probes": 0,
+            "footprint_probes": 0,
+            "footprint_keys": 0,
+            "skipped_labels": 0,
+            "footprint_sweeps": 0,
+            "support_sweeps": 0,
+            "full_sweeps": 0,
+        }
         counter = OpCounter()
         started = self._now()
-        environment = database.shredded_environment()
+        self._materialise(counter)
+        self.stats.record_init(self._now() - started, counter)
+        if register:
+            database.register_view(self)
+
+    def _materialise(self, counter: OpCounter) -> None:
+        environment = self._database.shredded_environment()
         # The flat view lives in a result store: per-update deltas fold in
         # place and flat_result() freezes the snapshot lazily.
         self._flat_view = ResultStore(
@@ -199,24 +215,16 @@ class NestedIVMView(View):
         #: The current frozen result, dropped by a maintenance pass that
         #: touches the view, so an unchanged view answers with one object.
         self._result_cache: Optional[Bag] = None
-        #: Read-path accounting: how refresh probes were bounded.
-        self._probe_stats: Dict[str, int] = {
-            "dict_probes": 0,
-            "footprint_probes": 0,
-            "footprint_keys": 0,
-            "skipped_labels": 0,
-            "footprint_sweeps": 0,
-            "support_sweeps": 0,
-            "full_sweeps": 0,
-        }
         for state in self._dict_states:
-            # One full scan at construction seeds the active-label index;
-            # updates maintain it from presence transitions thereafter.
+            # One full scan seeds the active-label index; updates maintain
+            # it from presence transitions thereafter.
             state.active = self._scan_active(state)
+            state.activated, state.deactivated = [], []
             dictionary = self._dictionary_value(
                 state.compiled, state.expression, environment, counter
             )
             state.entries = {label: dictionary.lookup(label) for label in state.active}
+            state.footprint_index = {}
             for label in state.entries:
                 self._footprint_add(state, label)
         # Compiled here (cheap: one walk of the output type), run at the
@@ -225,9 +233,6 @@ class NestedIVMView(View):
             self._shredded.output_type.element,
             {state.path: state.entries.get for state in self._dict_states},
         )
-        self.stats.record_init(self._now() - started, counter)
-        if register:
-            database.register_view(self)
 
     # ------------------------------------------------------------------ #
     # Introspection

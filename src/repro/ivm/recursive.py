@@ -135,30 +135,22 @@ class RecursiveIVMView(View):
         residual, to_materialize = partially_evaluate(first_order, self._targets)
         self._residual_delta = simplify(residual)
         self._compiled_residual = try_compile(self._residual_delta)
-        compiled_query = try_compile(query)
-        self._register_indexes(database, compiled_query, self._compiled_residual)
+        self._compiled_query = try_compile(query)
+        self._register_indexes(database, self._compiled_query, self._compiled_residual)
 
-        counter = OpCounter()
-        started = self._now()
-        environment = database.environment()
-        # The view materialization goes to a result store; the
-        # partial-evaluation materializations below stay in plain builders —
-        # they are view-internal state no reader ever retains across an
-        # update.
-        self._result = ResultStore(
-            "recursive", run_bag(compiled_query, query, environment, counter)
-        )
         self._materializations: Dict[str, _Materialization] = {}
         for name, expression in to_materialize:
-            value = evaluate_bag(expression, environment, counter)
             delta_expression = delta(expression, self._targets)
             self._materializations[name] = _Materialization(
                 name=name,
                 expression=expression,
                 delta_expression=delta_expression,
-                value=BagBuilder.from_bag(value),
+                value=BagBuilder(),
                 compiled_delta=try_compile(delta_expression),
             )
+        counter = OpCounter()
+        started = self._now()
+        self._materialise(counter)
         self.stats.record_init(self._now() - started, counter)
         self._delta_sources = referenced_deltas(self._residual_delta).union(
             *(referenced_deltas(m.delta_expression) for m in self._materializations.values())
@@ -167,7 +159,7 @@ class RecursiveIVMView(View):
         # fold their join atoms into the registered set.
         self._register_indexes(
             database,
-            compiled_query,
+            self._compiled_query,
             self._compiled_residual,
             *(m.compiled_delta for m in self._materializations.values()),
         )
@@ -179,6 +171,20 @@ class RecursiveIVMView(View):
         )
         if register:
             database.register_view(self)
+
+    def _materialise(self, counter: OpCounter) -> None:
+        environment = self._database.environment()
+        # The view materialization goes to a result store; the
+        # partial-evaluation materializations stay in plain builders —
+        # they are view-internal state no reader ever retains across an
+        # update.
+        self._result = ResultStore(
+            "recursive", run_bag(self._compiled_query, self._query, environment, counter)
+        )
+        for materialization in self._materializations.values():
+            materialization.value.adopt_bag(
+                evaluate_bag(materialization.expression, environment, counter)
+            )
 
     # ------------------------------------------------------------------ #
     @property
@@ -213,8 +219,13 @@ class RecursiveIVMView(View):
             environment.bag_vars.update(
                 {m.name: m.value.freeze() for m in self._materializations.values()}
             )
-            change = run_bag(self._compiled_residual, self._residual_delta, environment, counter)
-            self._result.apply_bag(change)
+            run_bag(
+                self._compiled_residual,
+                self._residual_delta,
+                environment,
+                counter,
+                into=self._result,
+            )
             # Drop the residual environment before maintenance: it holds the
             # frozen materialization snapshots, and releasing it lets the
             # builders below mutate in place instead of copy-on-write.
@@ -222,14 +233,14 @@ class RecursiveIVMView(View):
 
             # Maintain the materialized sub-expressions with their own deltas
             # (the higher-order step); these deltas are evaluated against the
-            # pre-update database state.
+            # pre-update database state and fold straight into the builders.
             maintenance_env = context.delta_environment()
             for materialization in self._materializations.values():
-                change = run_bag(
+                run_bag(
                     materialization.compiled_delta,
                     materialization.delta_expression,
                     maintenance_env,
                     counter,
+                    into=materialization.value,
                 )
-                materialization.value.apply_bag(change)
         self.stats.record_update(self._now() - started, counter)

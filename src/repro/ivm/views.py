@@ -5,7 +5,9 @@ same two-phase life cycle:
 
 * construction materializes the view against the current database state;
 * :meth:`on_update` (called by the database *before* it mutates its stored
-  relations) refreshes the materialization for one update.
+  relations) refreshes the materialization for one update;
+* :meth:`restore` rebuilds it from the database when an update fails
+  after this view refreshed.
 
 ``MaintenanceStats`` accumulates the abstract operation counts and wall-clock
 times used by the benchmark harness to compare strategies.
@@ -113,6 +115,20 @@ class View:
 
     def on_update(self, update, shredded_delta, context) -> None:  # pragma: no cover - interface
         raise NotImplementedError
+
+    def restore(self) -> None:
+        """Rebuild the materialization from the database's current state.
+
+        The database calls this on every view that refreshed during an
+        update that then failed, before the error leaves ``apply``: the
+        relations are still the pre-update ones, so the view is back to
+        ``Q(db)``.  ``O(|DB|)``, on the error path only.
+        """
+        self._materialise(OpCounter())
+
+    def _materialise(self, counter: OpCounter) -> None:
+        """Evaluate the view's state over the database (construction and
+        :meth:`restore`); a view with no such state has nothing to do."""
 
     # ------------------------------------------------------------------ #
     # Execution reporting

@@ -13,9 +13,10 @@ view-registration time, into a tree of closures and generated loops that
   sink)`` adding ``mult × ⟦e⟧`` into the caller's accumulator: loops call
   their body's ``emit`` with the scaled multiplicity, so an evaluation
   builds no intermediate bag.  Bags materialise only at *pipeline breakers*
-  — the query root, ``let`` bounds and bodies, hoisted loop-invariant
-  nodes, loop and ``flatten`` sources, general ``×`` factors, ``sng(e)`` and
-  dictionary bodies (see :class:`_Node`),
+  — the query root (unless :meth:`CompiledQuery.evaluate` is given a target
+  store, whose dict the root then emits into), ``let`` bounds and bodies,
+  hoisted loop-invariant nodes, loop and ``flatten`` sources, general ``×``
+  factors, ``sng(e)`` and dictionary bodies (see :class:`_Node`),
 * **generates the per-element work** (:mod:`repro.nrc.kernels`): variable
   reads with their projections, predicates and output elements (tuples,
   ``sng(x)``, ``sng(π(x))``, labels) are kernel expressions, and every walk
@@ -93,6 +94,7 @@ from functools import partial
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.bag.bag import Bag, EMPTY_BAG
+from repro.bag.builder import BagBuilder
 from repro.bag.values import intern_key, is_hashable_key
 from repro.dictionaries import DictValue, EMPTY_DICT, IntensionalDict
 from repro.errors import CompileError, EvaluationError, UnboundVariableError
@@ -177,13 +179,23 @@ def run_bag(
     expr: Expr,
     env: Environment,
     counter: Optional[OpCounter] = None,
-) -> Bag:
+    into: Optional[BagBuilder] = None,
+) -> Optional[Bag]:
     """Evaluate ``expr`` through ``compiled`` when available, else interpret.
 
     The shared dispatch the view classes use on every (re-)evaluation:
     ``compiled`` is the result of :func:`try_compile` for ``expr``, possibly
-    ``None``.
+    ``None``.  With ``into`` the result is folded into that builder and
+    ``None`` returned — inside the compiled walk
+    (:meth:`CompiledQuery.evaluate`), or by ``apply_bag`` of the
+    interpreter's bag.
     """
+    if into is not None:
+        if compiled is not None:
+            compiled.evaluate(env, counter, into=into)
+        else:
+            into.apply_bag(_interpret_bag(expr, env, counter))
+        return None
     if compiled is not None:
         return compiled.evaluate_bag(env, counter)
     return _interpret_bag(expr, env, counter)
@@ -1218,8 +1230,11 @@ class CompiledQuery:
         compiler = _Compiler()
         root = compiler.compile(_delta_first(expr))
         # The root is a pipeline breaker: a bag-typed query materialises its
-        # accumulator here, once, without re-hashing it.
+        # accumulator here, once, without re-hashing it — or, given a target
+        # store, emits into that store's dict instead.  A value-typed root
+        # (a relation, an update symbol, a variable) already is its bag.
         self._value, self._units = root.valuer(), root.units
+        self._emit = root.emitter() if root.value is None else None
         self._slot_count = compiler._slot_count
         self._elem_params = tuple(compiler._elem_params.items())
         self._bag_params = tuple(compiler._bag_params.items())
@@ -1231,9 +1246,25 @@ class CompiledQuery:
 
     # ------------------------------------------------------------------ #
     def evaluate(
-        self, env: Optional[Environment] = None, counter: Optional[OpCounter] = None
+        self,
+        env: Optional[Environment] = None,
+        counter: Optional[OpCounter] = None,
+        into: Optional[BagBuilder] = None,
     ):
-        """Evaluate against ``env`` (mirrors :func:`repro.nrc.evaluator.evaluate`)."""
+        """Evaluate against ``env`` (mirrors :func:`repro.nrc.evaluator.evaluate`).
+
+        With ``into`` (a :class:`~repro.bag.builder.BagBuilder`, e.g. a
+        view's :class:`~repro.storage.ResultStore`) the bag result is folded
+        into it, ``into ⊎ ⟦e⟧``, and ``None`` is returned: the root emits
+        its pairs straight into ``into.writable()`` — copy-on-write first,
+        then one hash-and-store per output pair, no intermediate bag.  A
+        value-typed root folds its existing bag with ``apply_bag``.  A walk
+        that raises leaves ``into`` partly folded; the caller restores it.
+
+        A ``TypeError`` raised by the generated code (an ordered comparison
+        between incomparable base values, say) leaves as an
+        :class:`~repro.errors.EvaluationError`.
+        """
         env = env or Environment()
         frame: List[Any] = [_MISSING] * self._slot_count
         for name, slot in self._elem_params:
@@ -1249,7 +1280,18 @@ class CompiledQuery:
             counter,
             getattr(env, "indexes", None),
         )
-        value = self._value(ctx, frame)
+        value = None
+        try:
+            if into is None:
+                value = self._value(ctx, frame)
+            elif self._emit is not None:
+                self._emit(ctx, frame, 1, into.writable())
+            else:
+                into.apply_bag(_as_bag(self._value(ctx, frame)))
+        except TypeError as error:
+            if not kernels.raised_in_kernel(error):
+                raise
+            raise EvaluationError(str(error)) from error
         _charge(counter, self._units)
         return value
 

@@ -176,12 +176,34 @@ def _checked_comparison(op: str) -> Callable[[Any, Any], bool]:
                 f"(got {left!r} {op} {right!r}); comparisons over bags "
                 "would allow simulating negation (Appendix A.2)"
             )
-        return comparator(left, right)
+        try:
+            return comparator(left, right)
+        except TypeError as error:
+            raise EvaluationError(f"cannot compare {left!r} {op} {right!r}") from error
 
     return compare
 
 
 _CHECKED_COMPARISONS = {op: _checked_comparison(op) for op in _COMPARATORS}
+
+
+#: The file name every generated module compiles under, up to its site.
+_FILENAME = "<nrc kernel: "
+
+
+def raised_in_kernel(error: BaseException) -> bool:
+    """True when the innermost frame ``error`` passed through is generated code.
+
+    Lets the evaluation boundary turn a ``TypeError`` from an inlined
+    comparison or output element into an evaluation error without a check
+    per element, and leave every other ``TypeError`` alone.
+    """
+    trace = error.__traceback__
+    if trace is None:
+        return False
+    while trace.tb_next is not None:
+        trace = trace.tb_next
+    return trace.tb_frame.f_code.co_filename.startswith(_FILENAME)
 
 
 def checked_read(read: Read) -> Callable[[Any], Any]:
@@ -273,7 +295,7 @@ class KernelModule:
     def build(self) -> Dict[str, Any]:
         """Compile the module once; returns its namespace."""
         source = "\n".join(self._lines) + "\n"
-        exec(compile(source, f"<nrc kernel: {self.site}>", "exec"), self._namespace)
+        exec(compile(source, f"{_FILENAME}{self.site}>", "exec"), self._namespace)
         return self._namespace
 
     # ------------------------------------------------------------------ #

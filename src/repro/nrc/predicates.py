@@ -175,7 +175,11 @@ class Comparison(Predicate):
                 f"(got {left!r} {self.op} {right!r}); comparisons over bags "
                 "would allow simulating negation (Appendix A.2)"
             )
-        return _COMPARATORS[self.op](left, right)
+        try:
+            return _COMPARATORS[self.op](left, right)
+        except TypeError as error:
+            # Base values of different kinds (``"1999" < 2000``) have no order.
+            raise EvaluationError(f"cannot compare {left!r} {self.op} {right!r}") from error
 
     def render(self) -> str:
         return f"{self.left.render()} {self.op} {self.right.render()}"

@@ -3,10 +3,22 @@
 A :class:`ResultStore` is a :class:`~repro.bag.builder.BagBuilder` with a
 name and a version: per-update deltas fold into its one dict in place
 (``O(|Δ|)``) and :meth:`~repro.bag.builder.BagBuilder.freeze` hands out the
-snapshot lazily.  A retained snapshot (a serving session pinning
+snapshot lazily.  A classic or recursive view's compiled delta folds its
+output pairs straight into that dict inside the walk
+(``CompiledQuery.evaluate(into=store)``), one hash-and-store per pair; the
+interpreter, value-typed roots and the nested view fold a finished delta
+bag with :meth:`~repro.bag.builder.BagBuilder.apply_bag`.  Either way a
+retained snapshot (a serving session pinning
 :class:`~repro.engine.EngineSnapshot`, a reader holding ``result()`` across
-updates) makes the next delta copy the dict once; otherwise the store
-mutates in place.
+updates) makes the next fold copy the dict once, before the first pair
+lands; otherwise the store mutates in place.
+
+The version counts the folds that reached the dict: it bumps once per
+:meth:`ResultStore.writable` call — every non-empty ``apply_bag`` and every
+compiled fold.  A compiled fold bumps it even when the delta nets to
+nothing (the walk cannot know that in advance) and drops the live
+snapshot, so the next ``freeze()`` hands out a new, equal bag; an empty
+``apply_bag`` leaves both alone.
 
 Repeated ``freeze()`` calls without an intervening mutation return the
 *same* object with one attribute read, so an unchanged view's ``result()``
@@ -30,10 +42,10 @@ class ResultStore(BagBuilder):
     """One view's materialized result.
 
     The maintenance contract is :class:`~repro.bag.builder.BagBuilder`'s
-    (``apply_bag`` folds a delta in place, ``freeze`` hands out the immutable
-    snapshot), so view backends update it exactly as they would a builder;
-    the store adds the version and freeze accounting the storage reports
-    surface.
+    (``apply_bag`` or a compiled fold into :meth:`writable` changes it in
+    place, ``freeze`` hands out the immutable snapshot), so view backends
+    update it exactly as they would a builder; the store adds the version
+    and freeze accounting the storage reports surface.
     """
 
     __slots__ = ("name", "_version")
@@ -44,16 +56,14 @@ class ResultStore(BagBuilder):
         self._version = 0
         self.adopt_bag(bag)
 
-    def apply_bag(self, delta: Bag, scale: int = 1) -> None:
-        """Fold a result delta in — O(|Δ|); empty deltas leave the version."""
-        if delta.is_empty():
-            return
+    def writable(self) -> Dict[Any, int]:
+        """The live dict (copy-on-write first); counts as one mutation."""
         self._version += 1
-        super().apply_bag(delta, scale)
+        return super().writable()
 
     @property
     def version(self) -> int:
-        """Mutation counter: bumps on every applied (non-empty) delta."""
+        """Mutation counter: one bump per fold that reached the dict."""
         return self._version
 
     @property

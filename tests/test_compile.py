@@ -56,6 +56,10 @@ NESTED_ENV = Environment(relations={"R": NESTED})
 Row = namedtuple("Row", ["key", "value"])
 
 
+class IntSubclass(int):
+    """A base-value subclass: kernels compare it through the checked path."""
+
+
 def _assert_agree(expr, env):
     compiled = compile_expr(expr)
     assert compiled.evaluate_bag(env) == evaluate_bag(expr, env)
@@ -207,6 +211,32 @@ class TestCompiledExpressions:
             evaluate_bag(query, env)
         with pytest.raises(EvaluationError):
             compile_expr(query).evaluate_bag(env)
+
+    @pytest.mark.parametrize(
+        "elements",
+        (["1999", 2001], [2001, "1999"], [IntSubclass(1999), "x"]),
+        ids=("str-first", "int-first", "checked-path"),
+    )
+    def test_ordered_comparison_of_incomparable_base_values(self, elements):
+        """``"1999" < 2000`` has no order: the interpreter's comparison, the
+        kernel's inline fast path and its checked twin (a base subclass)
+        all raise an evaluation error, never a raw ``TypeError`` — also
+        when the walk folds into a store."""
+        from repro.errors import EvaluationError
+        from repro.storage import ResultStore
+
+        env = Environment(relations={"Y": Bag(elements)})
+        query = build.filter_query(
+            ast.Relation("Y", bag_of(BASE)),
+            preds.lt(preds.var_path("y"), preds.const(2000)),
+            "y",
+        )
+        with pytest.raises(EvaluationError):
+            evaluate_bag(query, env)
+        with pytest.raises(EvaluationError):
+            compile_expr(query).evaluate_bag(env)
+        with pytest.raises(EvaluationError):
+            compile_expr(query).evaluate(env, into=ResultStore("r"))
 
     def test_hash_join_matches_interpreter_on_nan_keys(self):
         # Regression: NaN is not self-equal, so a dict-backed index must not

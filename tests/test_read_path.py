@@ -27,17 +27,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bag import Bag
+from repro.bag.builder import BagBuilder
 from repro.client.api import APIClient, APIError
 from repro.client.resources import DatasetsClient, UpdatesClient, ViewsClient
 from repro.engine import Engine
 from repro.ivm import Database, NestedIVMView, Update
 from repro.ivm.footprint import footprint_enabled, forced_no_footprint
 from repro.nrc import ast, builders as build, predicates as preds
+from repro.nrc.compile import CompiledQuery, compile_expr, forced_interpretation
 from repro.nrc.evaluator import Environment, evaluate_bag
+from repro.nrc.types import BASE, bag_of
 from repro.serve import ProtocolError, ReproServer, ServerConfig
 from repro.serve.protocol import encode_bag, encode_bag_page
 from repro.storage import ResultStore
-from repro.workloads import MOVIE_SCHEMA, related_query
+from repro.workloads import MOVIE_SCHEMA, genre_selfjoin_query, related_query
 
 GENRES = ("Drama", "Action", "Comedy")
 DIRECTORS = ("Refn", "Mendes", "Howard")
@@ -220,6 +223,182 @@ def test_unchanged_view_read_returns_cached_snapshot_without_freezing():
         for _ in range(5):
             handle.result()
         assert store.snapshot_freezes == frozen_count
+
+
+# --------------------------------------------------------------------------- #
+# Compiled deltas fold straight into the result store
+# --------------------------------------------------------------------------- #
+R_NESTED = bag_of(bag_of(BASE))
+
+
+def _flatten_selfjoin() -> ast.Expr:
+    """Example 4's ``flatten(R) × flatten(R)``: recursive IVM materializes
+    ``flatten(R)`` and maintains it with its own delta."""
+    relation = ast.Relation("R", R_NESTED)
+    return ast.Product((ast.Flatten(relation), ast.Flatten(relation)))
+
+
+def _fold_case(strategy):
+    """An engine with one view whose compiled delta has a bag-producing
+    root, plus two updates that change its result."""
+    engine = Engine()
+    if strategy == "classic":
+        query = drama_filter()
+        engine.dataset("M", MOVIE_SCHEMA, rows=Bag(ROWS))
+        updates = (
+            {"M": Bag([("F", "Drama", "Howard")])},
+            {"M": Bag.from_pairs([(("A", "Drama", "Refn"), -1)])},
+        )
+    else:
+        query = _flatten_selfjoin()
+        engine.dataset("R", R_NESTED, rows=Bag([Bag(["a", "b"]), Bag(["c"])]))
+        updates = (
+            {"R": Bag([Bag(["d"])])},
+            {"R": Bag.from_pairs([(Bag(["c"]), -1)])},
+        )
+    return engine, engine.view("v", query, strategy=strategy), query, updates
+
+
+def _interpreted(engine, query):
+    relations = {name: engine.relation(name) for name in engine.dataset_names()}
+    return evaluate_bag(query, Environment(relations=relations))
+
+
+@pytest.mark.parametrize("strategy", ("classic", "recursive"))
+def test_refresh_folds_inside_the_walk_without_apply_bag(strategy, monkeypatch):
+    """Neither the result store nor a materialization builder is handed a
+    finished delta bag: the compiled walk writes into them directly."""
+    engine, handle, query, updates = _fold_case(strategy)
+    view = handle.view
+    targets = [view.result_store()]
+    targets += [m.value for m in getattr(view, "_materializations", {}).values()]
+    assert len(targets) == (1 if strategy == "classic" else 2)
+    applied, folds = [], []
+    apply_bag, evaluate = BagBuilder.apply_bag, CompiledQuery.evaluate
+
+    def apply_bag_spy(builder, delta, scale=1):
+        applied.append(builder)
+        return apply_bag(builder, delta, scale)
+
+    def evaluate_spy(compiled, env=None, counter=None, into=None):
+        folds.append(into)
+        return evaluate(compiled, env, counter, into=into)
+
+    monkeypatch.setattr(BagBuilder, "apply_bag", apply_bag_spy)
+    monkeypatch.setattr(CompiledQuery, "evaluate", evaluate_spy)
+    for update in updates:
+        engine.apply(update)
+        assert handle.result() == _interpreted(engine, query)
+    assert not any(isinstance(builder, ResultStore) for builder in applied)
+    assert not any(builder is target for builder in applied for target in targets)
+    assert {id(target) for target in folds} == {id(target) for target in targets}
+
+
+@pytest.mark.parametrize("strategy", ("classic", "recursive"))
+def test_snapshot_and_live_iterator_survive_a_fold(strategy):
+    """Copy-on-write runs before the walk's first pair lands: a held
+    ``result()`` keeps its contents, and so does an iterator over it — with
+    the snapshot itself alive, and with only the iterator left."""
+    engine, handle, query, (first_update, second_update) = _fold_case(strategy)
+    snapshot = handle.result()
+    expected = list(snapshot.items())
+    pairs = snapshot.items()
+    head = next(pairs)
+    engine.apply(first_update)
+    assert list(snapshot.items()) == expected
+    assert [head, *pairs] == expected
+    assert handle.result() == _interpreted(engine, query) != snapshot
+
+    snapshot = handle.result()
+    expected = list(snapshot.items())
+    pairs = snapshot.items()
+    head = next(pairs)
+    del snapshot
+    engine.apply(second_update)
+    assert [head, *pairs] == expected
+    assert handle.result() == _interpreted(engine, query)
+
+
+FOLD_QUERIES = {"filter": drama_filter, "selfjoin": genre_selfjoin_query}
+
+
+@pytest.mark.parametrize("query_name", sorted(FOLD_QUERIES))
+@pytest.mark.parametrize("strategy", ("classic", "recursive"))
+@settings(max_examples=20, deadline=None)
+@given(movie_bags, st.lists(update_bags, min_size=1, max_size=4))
+def test_compiled_fold_equals_interpreter_and_recompute(strategy, query_name, instance, updates):
+    """Unguarded streams: deletions of absent rows drive multiplicities
+    negative in the relation, the delta and the result alike."""
+    query = FOLD_QUERIES[query_name]()
+    handles = []
+    for interpreted in (False, True):
+        with forced_interpretation(interpreted):
+            engine = Engine()
+            engine.dataset("M", MOVIE_SCHEMA, rows=instance)
+            handles.append((engine, engine.view("v", query, strategy=strategy)))
+    relation = instance
+    for update in updates:
+        relation = relation.union(update)
+        expected = evaluate_bag(query, Environment(relations={"M": relation}))
+        for engine, handle in handles:
+            engine.apply({"M": update})
+            assert handle.result() == expected
+
+
+class TestFoldVersionContract:
+    """A compiled fold is one mutation: the version bumps once and the live
+    snapshot is dropped, whether or not the delta nets to nothing.  An empty
+    ``apply_bag`` (the value-root and interpreter path) changes neither."""
+
+    R = ast.Relation("R", bag_of(BASE))
+
+    def _below_three(self):
+        return compile_expr(
+            build.filter_query(self.R, preds.lt(preds.var_path("x"), preds.const(3)), "x")
+        )
+
+    @staticmethod
+    def _env(*elements):
+        return Environment(relations={"R": Bag(elements)})
+
+    def test_a_fold_bumps_the_version_once(self):
+        store = ResultStore("r", Bag([0]))
+        assert self._below_three().evaluate(self._env(1, 2, 7), into=store) is None
+        assert store.version == 1
+        assert store.freeze() == Bag([0, 1, 2])
+
+    def test_a_net_empty_fold_still_counts_and_drops_the_snapshot(self):
+        store = ResultStore("r", Bag([0]))
+        before = store.freeze()
+        self._below_three().evaluate(self._env(7, 9), into=store)
+        assert store.version == 1
+        assert store.frozen is None
+        after = store.freeze()
+        assert after == before and after is not before
+
+    def test_value_root_folds_through_apply_bag(self):
+        store = ResultStore("r", Bag([0]))
+        before = store.freeze()
+        compiled = compile_expr(self.R)
+        compiled.evaluate(self._env(), into=store)
+        assert (store.version, store.freeze()) == (0, before)
+        assert store.freeze() is before
+        compiled.evaluate(self._env(4), into=store)
+        assert (store.version, store.freeze()) == (1, Bag([0, 4]))
+
+    def test_an_update_the_view_does_not_read_leaves_it_alone(self):
+        engine = Engine()
+        engine.dataset("M", MOVIE_SCHEMA, rows=Bag(ROWS))
+        engine.dataset("N", MOVIE_SCHEMA)
+        handle = engine.view("v", drama_filter(), strategy="classic")
+        store = handle.view.result_store()
+        first, version = handle.result(), store.version
+        engine.apply({"N": Bag([("Z", "Drama", "Refn")])})
+        assert store.version == version
+        assert handle.result() is first
+        engine.apply({"M": Bag([("Z", "Action", "Refn")])})
+        assert store.version == version + 1
+        assert handle.result() == first
 
 
 # --------------------------------------------------------------------------- #

@@ -408,6 +408,34 @@ class TestRequestBodies:
         session = either_server.sessions.get(TENANT)
         assert (session.role, session.engine.replication_epoch) == ("primary", 0)
 
+    def test_incomparable_row_is_a_4xx_and_the_view_stands(self, either_server):
+        """A well-formed write whose row makes an ordered comparison raise
+        (``"1999" < 2000``) used to answer 500 ``internal``; the engine now
+        rejects it as an evaluation error, and the earlier-registered view
+        the update already reached is restored before the answer goes out."""
+        api = APIClient(either_server.url, max_retries=0)
+        tenant = "mixed"
+        all_spec = {"from": "Y", "var": "m", "select": [["field", "m", "name"]]}
+        old_spec = {**all_spec, "where": ["lt", ["field", "m", "year"], ["const", 2000]]}
+        try:
+            DatasetsClient(api, tenant=tenant).create(
+                "Y", fields=["name", "year"], rows=[["a", 1990], ["b", 2005]]
+            )
+            views = ViewsClient(api, tenant=tenant)
+            views.create("all", all_spec, strategy="classic")
+            views.create("old", old_spec, strategy="classic")
+            before = {name: views.show(name) for name in ("all", "old")}
+            with pytest.raises(APIError) as caught:
+                UpdatesClient(api, tenant=tenant).insert("Y", [["c", "1999"]])
+            assert caught.value.status == 400
+            assert caught.value.code == "engine_error"
+            assert {name: views.show(name) for name in ("all", "old")} == before
+            UpdatesClient(api, tenant=tenant).insert("Y", [["d", 1995]])
+            assert sorted(pair[0] for pair in views.show("all")["pairs"]) == ["a", "b", "d"]
+            assert sorted(pair[0] for pair in views.show("old")["pairs"]) == ["a", "d"]
+        finally:
+            api.close()
+
     def test_tenant_name_length_bound_is_the_same_on_every_server(self, either_server):
         statuses = []
         for length in (128, 129):

@@ -7,7 +7,8 @@ differential: the compiled pipelines, the strict interpreter and a
 from-scratch recompute produce bit-identical view contents across every
 strategy, including deletions.  The refresh contract is covered directly:
 every refresh, touched or not, runs on the thread that called ``apply``,
-and the first error aborts the update before any store mutates.
+and the first error aborts the update before any store mutates, with every
+view that refreshed restored from the pre-update relations.
 """
 
 import threading
@@ -15,11 +16,14 @@ import threading
 import pytest
 
 from repro.bag.bag import Bag
+from repro.engine import Engine
+from repro.errors import EvaluationError
 from repro.ivm import Update
 from repro.ivm.database import Database, RefreshContext
 from repro.ivm.views import View
 from repro.nrc import ast
 from repro.nrc import builders as build
+from repro.nrc import predicates as preds
 from repro.nrc.compile import forced_interpretation
 from repro.nrc.evaluator import Environment, evaluate_bag
 from repro.nrc.types import BASE, bag_of
@@ -157,3 +161,76 @@ def test_refresh_context_environments_are_pre_update_snapshots():
     assert post is context.post_shredded_environment()  # memoized
     flat_name = database.shredded_source_names("R")[0]
     assert post.relations[flat_name] == Bag(["a", "b"])
+
+
+# --------------------------------------------------------------------------- #
+# A rejected update leaves every view equal to Q(db)
+# --------------------------------------------------------------------------- #
+R_SCHEMA = bag_of(BASE)
+
+
+def _below(bound):
+    """``for x in R where x < bound union sng(x)``: an ordered comparison,
+    which raises on a string element among integers."""
+    relation = ast.Relation("R", R_SCHEMA)
+    return build.filter_query(relation, preds.lt(preds.var_path("x"), preds.const(bound)), "x")
+
+
+def _assert_views_equal_the_interpreter(engine, queries):
+    environment = Environment(relations={"R": engine.relation("R")})
+    for name, query in queries.items():
+        assert engine[name].result() == evaluate_bag(query, environment), name
+
+
+@pytest.mark.parametrize("interpreted", (False, True), ids=("compiled", "interpreted"))
+@pytest.mark.parametrize("failing", STRATEGIES)
+@pytest.mark.parametrize("earlier", STRATEGIES)
+def test_rejected_update_leaves_every_view_at_the_relations(earlier, failing, interpreted):
+    """``ident`` refreshes first and holds the update by the time the
+    second view's delta raises; the failing view itself may have folded
+    ``0`` before reaching ``"x"``.  The update is rejected, and both views
+    must still equal the interpreter over the untouched relations — and
+    after the next good write too."""
+    queries = {
+        "ident": build.for_in("x", ast.Relation("R", R_SCHEMA), ast.SngVar("x")),
+        "low": _below(4),
+    }
+    with forced_interpretation(interpreted):
+        engine = Engine()
+        engine.dataset("R", R_SCHEMA, rows=Bag([1, 2, 3]))
+        engine.view("ident", queries["ident"], strategy=earlier)
+        engine.view("low", queries["low"], strategy=failing)
+    version = engine.state_version
+    with pytest.raises(EvaluationError):
+        engine.apply({"R": Bag([0, 5, "x"])})
+    assert engine.relation("R") == Bag([1, 2, 3])
+    assert engine.state_version == version
+    _assert_views_equal_the_interpreter(engine, queries)
+    engine.apply({"R": Bag.from_pairs([(0, 1), (5, 1), (2, -1)])})
+    assert engine.relation("R") == Bag([0, 1, 3, 5])
+    _assert_views_equal_the_interpreter(engine, queries)
+
+
+@pytest.mark.parametrize("strategy", ("classic", "recursive"))
+def test_a_fold_that_raises_mid_walk_is_restored(strategy, monkeypatch):
+    """The compiled delta folds ``0`` into the store, then raises on
+    ``"x"``: the half-folded store is what the restore starts from, and
+    what it leaves is the pre-update result."""
+    query = _below(4)
+    engine = Engine()
+    engine.dataset("R", R_SCHEMA, rows=Bag([1, 2, 3]))
+    handle = engine.view("low", query, strategy=strategy)
+    before_restore = []
+    restore = View.restore
+
+    def spy(view):
+        before_restore.append(view.result())
+        restore(view)
+
+    monkeypatch.setattr(View, "restore", spy)
+    with pytest.raises(EvaluationError):
+        engine.apply({"R": Bag([0, 5, "x"])})
+    assert before_restore == [Bag([0, 1, 2, 3])]
+    assert handle.result() == Bag([1, 2, 3])
+    engine.apply({"R": Bag([0])})
+    assert handle.result() == Bag([0, 1, 2, 3])
