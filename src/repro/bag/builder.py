@@ -17,11 +17,17 @@ transient (in the Clojure sense) that closes that gap:
   (the bag adopts the builder's dict via ``Bag._from_clean_dict``), so
   taking a snapshot is ``O(1)``;
 * the first mutation *after* a freeze is copy-on-write: if the frozen
-  snapshot is still referenced anywhere else, the builder copies the dict
-  once so the snapshot stays immutable; if the snapshot has already been
-  dropped (the overwhelmingly common case — per-update evaluation
-  environments die before the store mutates), the builder detects it via
-  the reference count and keeps mutating in place, preserving ``O(|Δ|)``.
+  snapshot is still referenced anywhere else (a published serve snapshot
+  always is), the builder clones the dict once so the snapshot stays
+  immutable: ``dict.copy()`` copies the hash table as one block, a few ns
+  per entry (it compacts instead once a third of the table is holes),
+  where ``dict(d)`` re-inserts entry by entry as soon as the table has a
+  single hole, about ten times slower; if the snapshot has already been
+  dropped (per-update evaluation environments die before the store
+  mutates), the builder detects it via the reference count and keeps
+  mutating in place, preserving ``O(|Δ|)``;
+* :meth:`compact` is the one deliberate re-insert: it rebuilds the dict to
+  drop the holes that churn leaves behind.
 
 On interpreters without ``sys.getrefcount`` the builder conservatively
 copies after every freeze — still correct, just without the in-place
@@ -94,7 +100,7 @@ class BagBuilder:
             self._frozen = None
             # After clearing the attribute the only references left *here*
             # are the local and getrefcount's argument (2).  Anything above
-            # that means the snapshot escaped — give it its own copy.  The
+            # that means the snapshot escaped — clone the dict for it.  The
             # dict itself is checked too: an iterator or view obtained from
             # the snapshot (``bag.elements()``, ``bag.items()``) keeps the
             # *dict* alive without keeping the Bag alive, and mutating under
@@ -105,7 +111,7 @@ class BagBuilder:
                 or _getrefcount(frozen) > 2
                 or _getrefcount(self._data) > 3
             ):
-                self._data = dict(self._data)
+                self._data = self._data.copy()
         return self._data
 
     # ------------------------------------------------------------------ #
@@ -186,10 +192,12 @@ class BagBuilder:
 
         A dict keeps a deleted entry's slot until its next resize and
         iteration steps over every one, so a bag that churns in place pages
-        slower than a freshly built one.  ``O(n)`` (one dict copy), for the
-        caller to amortise against the churn; a retained snapshot keeps the
-        old dict.
+        slower than a freshly built one.  ``O(n)`` (one re-insert of every
+        entry), for the caller to amortise against the churn; a retained
+        snapshot keeps the old dict.
         """
+        # dict(d), not d.copy(): copy() clones the table holes and all while
+        # fewer than a third of its slots are holes, which would undo this.
         self._data = dict(self._data)
         self._frozen = None
 

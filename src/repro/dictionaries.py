@@ -246,13 +246,11 @@ def _materialized_label_union(
 
 def _materialized_add(left: MaterializedDict, right: MaterializedDict) -> MaterializedDict:
     """Eager pointwise bag addition of two finite dictionaries."""
-    entries: Dict[Label, Bag] = dict(left.items())
+    entries: Dict[Label, Bag] = left._entries.copy()
     for label, bag in right.items():
-        if label in entries:
-            entries[label] = entries[label].union(bag)
-        else:
-            entries[label] = bag
-    return MaterializedDict(entries)
+        existing = entries.get(label)
+        entries[label] = bag if existing is None else existing.union(bag)
+    return MaterializedDict._adopt(entries)
 
 
 #: The empty dictionary ``[]`` (empty support).

@@ -43,7 +43,8 @@ Versioned reads: dataset, view and snapshot responses carry the pinned
 engine version as an ``ETag`` header (``"<version>"``); a request whose
 ``If-None-Match`` matches answers **304 Not Modified** with no body (what
 the CLI's ``watch`` and the SDK's ``etag=`` polling use).  ``?limit=N`` /
-``?offset=K`` page the result pairs without copying the bag, and because
+``?offset=K`` page the result pairs without copying the bag (a ``limit``
+above :data:`MAX_PAGE_ROWS` is 413), and because
 pages are cut from one pinned frozen snapshot, walking offsets at
 a fixed ETag tiles the full result exactly.
 
@@ -95,6 +96,10 @@ __all__ = ["ReproServer", "ServerConfig"]
 
 #: Largest request body the server reads (a bigger ``Content-Length`` is 413).
 MAX_BODY_BYTES = 64 << 20
+
+#: Largest page a read may ask for (a bigger ``?limit=`` is 413): pages are
+#: encoded per request, so an unbounded one would be an uncached full read.
+MAX_PAGE_ROWS = 10_000
 
 #: HTTP status of the :class:`ProtocolError` codes that are not plain 400s.
 _STATUS_OF_CODE = {"not_found": 404, "epoch_conflict": 409, "too_large": 413}
@@ -236,7 +241,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     @staticmethod
     def _page_params(query: Dict[str, str]) -> Tuple[Optional[int], int]:
-        """``?limit=N&offset=K`` as validated ints (limit None = everything)."""
+        """``?limit=N&offset=K`` as validated ints (limit None = everything).
+
+        A limit above :data:`MAX_PAGE_ROWS` is refused: a full read is the
+        un-paged one, whose body each version encodes once.
+        """
 
         def _int_of(name: str) -> Optional[int]:
             raw = query.get(name)
@@ -250,7 +259,14 @@ class _Handler(BaseHTTPRequestHandler):
                 raise ProtocolError(f"{name!r} must be non-negative, got {value}")
             return value
 
-        return _int_of("limit"), _int_of("offset") or 0
+        limit = _int_of("limit")
+        if limit is not None and limit > MAX_PAGE_ROWS:
+            raise ProtocolError(
+                f"'limit' of {limit} rows exceeds the {MAX_PAGE_ROWS}-row page bound; "
+                f"read without 'limit' for the whole result",
+                code="too_large",
+            )
+        return limit, _int_of("offset") or 0
 
     def _send_versioned(
         self,

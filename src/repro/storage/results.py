@@ -10,8 +10,8 @@ interpreter, value-typed roots and the nested view fold a finished delta
 bag with :meth:`~repro.bag.builder.BagBuilder.apply_bag`.  Either way a
 retained snapshot (a serving session pinning
 :class:`~repro.engine.EngineSnapshot`, a reader holding ``result()`` across
-updates) makes the next fold copy the dict once, before the first pair
-lands; otherwise the store mutates in place.
+updates) makes the next fold clone the dict once (``dict.copy()``, a block
+copy), before the first pair lands; otherwise the store mutates in place.
 
 The version counts the folds that reached the dict: it bumps once per
 :meth:`ResultStore.writable` call — every non-empty ``apply_bag`` and every

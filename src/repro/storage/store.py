@@ -388,7 +388,7 @@ class DictionaryStore:
                 or _getrefcount(frozen) > 2
                 or _getrefcount(entries) > 4
             ):
-                entries = self._entries[name] = dict(entries)
+                entries = self._entries[name] = entries.copy()
         return entries
 
     def apply_delta(self, name: str, delta) -> None:

@@ -9,6 +9,7 @@ exactly as before, and whole maintained views across all four strategies.
 """
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -137,6 +138,27 @@ class TestBuilderEquivalence:
         remaining = list(iterator)  # must not raise or see 'd'
         assert sorted([first] + remaining) == ["a", "b", "c"]
         assert builder.freeze() == Bag(["a", "b", "c", "d"])
+
+
+@pytest.mark.parametrize(
+    "inserted, deleted",
+    [
+        (1000, 900),  # mostly holes: any copy compacts
+        (1400, 400),  # under a third holes: dict.copy() would clone them
+    ],
+)
+def test_compact_drops_the_holes(inserted, deleted):
+    """``compact()`` rebuilds the dict rather than cloning it, so a table
+    left mostly holes by churn shrinks to the size a fresh dict needs."""
+    builder = BagBuilder()
+    builder.apply_pairs((index, 1) for index in range(inserted))
+    builder.apply_pairs((index, -1) for index in range(deleted))
+    builder.compact()
+    assert len(builder) == inserted - deleted
+    assert sys.getsizeof(builder._data) == sys.getsizeof(dict(builder._data))
+    assert sys.getsizeof(builder._data) < sys.getsizeof(
+        dict.fromkeys(range(inserted))
+    )
 
 
 # --------------------------------------------------------------------------- #

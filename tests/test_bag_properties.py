@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bag import Bag, EMPTY_BAG
+from repro.bag import bag as bag_module
 
 elements = st.one_of(st.integers(-5, 5), st.text(alphabet="abc", max_size=2))
 multiplicities = st.integers(min_value=-4, max_value=4)
@@ -78,3 +79,85 @@ def test_hash_equal_bags_have_equal_hash(bag):
     rebuilt = Bag.from_mapping(bag.as_dict())
     assert bag == rebuilt
     assert hash(bag) == hash(rebuilt)
+
+
+# --------------------------------------------------------------------------- #
+# Incremental hashes: ⊎ and ⊖ carry the base operand's cached hash
+# --------------------------------------------------------------------------- #
+# Elements include inner bags (the nested data model) and tuples of them.
+nested_elements = st.one_of(
+    elements,
+    bags.map(lambda inner: ("inner", inner)),
+    bags,
+)
+nested_bags = st.dictionaries(nested_elements, multiplicities, max_size=8).map(
+    Bag.from_mapping
+)
+
+
+def _hashed(bag, cached):
+    """``bag`` with its hash cached (``cached``) or not (a fresh equal bag)."""
+    if cached:
+        hash(bag)
+        return bag
+    return Bag.from_mapping(bag.as_dict())
+
+
+def _rebuilt(*pairs):
+    """The same bag built from scratch: its hash is computed in full."""
+    return Bag.from_pairs(pair for items in pairs for pair in items)
+
+
+@given(nested_bags, nested_bags, st.booleans(), st.booleans())
+def test_union_hash_matches_a_bag_built_from_pairs(a, b, a_cached, b_cached):
+    a, b = _hashed(a, a_cached), _hashed(b, b_cached)
+    want = _rebuilt(a.items(), b.items())
+    for result in (a.union(b), b.union(a)):
+        assert result == want
+        assert hash(result) == hash(want)
+
+
+@given(nested_bags, nested_bags, st.booleans(), st.booleans())
+def test_difference_hash_matches_a_bag_built_from_pairs(a, b, a_cached, b_cached):
+    a, b = _hashed(a, a_cached), _hashed(b, b_cached)
+    for left, right in ((a, b), (b, a)):
+        result = left.difference(right)
+        want = _rebuilt(left.items(), right.negate().items())
+        assert result == want
+        assert hash(result) == hash(want)
+
+
+@given(nested_bags, st.booleans())
+def test_results_that_cancel_to_empty_hash_as_empty(bag, cached):
+    bag = _hashed(bag, cached)
+    for result in (bag.union(bag.negate()), bag.difference(bag)):
+        assert result == EMPTY_BAG
+        assert hash(result) == hash(Bag.from_pairs([]))
+
+
+@given(nested_bags, st.lists(nested_bags, max_size=6), st.booleans())
+def test_a_chain_of_unions_keeps_the_hash_exact(base, deltas, cached):
+    current = _hashed(base, cached)
+    for delta in deltas:
+        current = current.union(delta)
+    want = _rebuilt(base.items(), *(delta.items() for delta in deltas))
+    assert current == want
+    assert hash(current) == hash(want)
+
+
+def test_a_derived_hash_needs_no_full_hash(monkeypatch):
+    """``⊎`` / ``⊖`` with a hashed larger operand hash only the smaller one's
+    pairs: the result's hash is ready, and none is computed from scratch."""
+    big = Bag.from_pairs(((f"row{index}", ("inner", Bag([index]))), 1) for index in range(500))
+    hash(big)
+    small = Bag.from_pairs([(("row1", ("inner", Bag([1]))), -1), (("new", 1), 2)])
+    calls = []
+    full_hash = bag_module._full_hash
+    monkeypatch.setattr(
+        bag_module, "_full_hash", lambda data: calls.append(len(data)) or full_hash(data)
+    )
+    results = [big.union(small), small.union(big), big.difference(small)]
+    assert [hash(result) for result in results] == [
+        full_hash(result._data) for result in results
+    ]
+    assert calls == []

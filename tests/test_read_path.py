@@ -27,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bag import Bag
+from repro.bag import bag as bag_module
 from repro.bag.builder import BagBuilder
 from repro.client.api import APIClient, APIError
 from repro.client.resources import DatasetsClient, UpdatesClient, ViewsClient
@@ -39,6 +40,7 @@ from repro.nrc.evaluator import Environment, evaluate_bag
 from repro.nrc.types import BASE, bag_of
 from repro.serve import ProtocolError, ReproServer, ServerConfig
 from repro.serve.protocol import encode_bag, encode_bag_page
+from repro.serve.sessions import TenantSession
 from repro.storage import ResultStore
 from repro.workloads import MOVIE_SCHEMA, genre_selfjoin_query, related_query
 
@@ -657,3 +659,114 @@ class TestVersionedReads:
             with pytest.raises(APIError) as info:
                 views.show("dramas", **kwargs)
             assert info.value.status == 400
+
+
+# --------------------------------------------------------------------------- #
+# Served writes pay for the change: no whole bag is hashed again
+# --------------------------------------------------------------------------- #
+MOVIE_GENRES = ("Drama", "Action", "Comedy", "Crime", "SciFi", "Romance", "Horror", "Animation")
+
+
+def _movie(index):
+    """Movie ``index`` of 5 000: 8 genres, 400 directors, 8 or 16 movies each."""
+    return (f"Movie{index:05d}", MOVIE_GENRES[index % 8], f"Director{index // 8 % 400}")
+
+
+def _related_spec(director):
+    """``related`` restricted to one director's movies (Example 1)."""
+    name = ["field", "m", "name"]
+    return {
+        "from": "M",
+        "var": "m",
+        "where": ["eq", ["field", "m", "dir"], ["const", director]],
+        "select": [
+            name,
+            [
+                "nest",
+                {
+                    "from": "M",
+                    "var": "m2",
+                    "where": [
+                        "and",
+                        ["ne", name, ["field", "m2", "name"]],
+                        [
+                            "or",
+                            ["eq", ["field", "m", "gen"], ["field", "m2", "gen"]],
+                            ["eq", ["field", "m", "dir"], ["field", "m2", "dir"]],
+                        ],
+                    ],
+                    "select": [["field", "m2", "name"]],
+                },
+            ],
+        ],
+    }
+
+
+class TestServedWriteHashes:
+    """A tenant shaped like the ``serve_read_mixed`` benchmark: 5 000 movies,
+    ``all_names`` (classic) and ``related`` on one director (nested, ~650
+    names per inner bag).  Every 4-row write rewrites some of ``related``'s
+    inner bags; those arrive at the nested result already hashed (``⊎``
+    carries the hash), so the write — apply plus snapshot publish, as the
+    ingest worker runs them — computes no bag hash from scratch.  Counted
+    at the one full-hash helper."""
+
+    @pytest.fixture(scope="class")
+    def session(self):
+        session = TenantSession("t")
+        rows = [list(_movie(index)) for index in range(5000)]
+        session.create_dataset("M", ["name", "gen", "dir"], rows)
+        all_names = {"from": "M", "var": "m", "select": [["field", "m", "name"]]}
+        session.create_view("all_names", all_names, "classic")
+        session.create_view("related", _related_spec("Director7"), "nested")
+        session.publish_snapshot()
+        yield session
+        session.close(drain=True)
+
+    @staticmethod
+    def _write(session, pairs):
+        session._apply_batch([Update(relations={"M": Bag.from_pairs(pairs)})])
+        session.publish_snapshot()
+
+    def _churn(self, session, start, count):
+        """``count`` writes of two deletions and two insertions, none of
+        them Director7's: they rewrite inner bags, never define labels."""
+        for step in range(start, start + count):
+            doomed = [_movie(1000 + 2 * step), _movie(1001 + 2 * step)]
+            fresh = [
+                (f"New{step}-{slot}", MOVIE_GENRES[(step + slot) % 8], f"Director{100 + slot}")
+                for slot in range(2)
+            ]
+            self._write(session, [(row, -1) for row in doomed] + [(row, 1) for row in fresh])
+
+    @staticmethod
+    def _counting(monkeypatch):
+        """The sizes of the bags hashed from scratch from here on."""
+        hashed = []
+        full_hash = bag_module._full_hash
+        monkeypatch.setattr(
+            bag_module, "_full_hash", lambda data: hashed.append(len(data)) or full_hash(data)
+        )
+        return hashed
+
+    def test_rewriting_writes_hash_no_whole_bag(self, session, monkeypatch):
+        self._churn(session, 0, 10)  # warm-up
+        before = session.snapshot.views["related"]
+        hashed = self._counting(monkeypatch)
+        self._churn(session, 10, 20)
+        assert hashed == []
+        # The writes did rewrite every one of the director's inner bags.
+        after = session.snapshot.views["related"]
+        assert len(after) == len(before) == 16
+        assert not set(after.elements()) & set(before.elements())
+
+    def test_a_new_label_is_hashed_once_a_deleted_one_not_at_all(self, session, monkeypatch):
+        hashed = self._counting(monkeypatch)
+        row = ("NewDirector7", "Drama", "Director7")
+        self._write(session, [(row, 1)])
+        # Its inner bag is new: it is hashed once, when nested.
+        assert len(hashed) == 1
+        del hashed[:]
+        self._write(session, [(row, -1)])
+        assert hashed == []
+        assert session.snapshot.views["related"] == session.engine["related"].result()

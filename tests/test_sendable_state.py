@@ -61,6 +61,18 @@ def test_bag_pickle_preserves_equality_and_hash(bag):
     assert copy.cardinality() == bag.cardinality()
 
 
+@settings(max_examples=40)
+@given(bags, bags)
+def test_incrementally_hashed_bag_pickles_to_an_equal_hash(base, delta):
+    """A ``⊎`` result whose hash was carried from its base's — not computed
+    from its pairs — unpickles (hash dropped, recomputed) to the same hash."""
+    hash(base), hash(delta)
+    derived = base.union(delta)
+    copy = _round_trip(derived)
+    assert copy == derived
+    assert hash(copy) == hash(derived)
+
+
 def test_frozen_builder_snapshot_pickles_with_deep_nesting():
     deep = Bag([((("a", (1, (2, (3,)))), "b"), 2), ("leaf", 1)])
     store = RelationStore("R", deep)

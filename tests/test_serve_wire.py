@@ -309,6 +309,26 @@ class TestRequestBodies:
         received, _ = _talk(server, _post(f"/v1/{TENANT}/apply", body) + GET_HEALTH, 0.5)
         assert _statuses(received) == [400, 200]
 
+    @pytest.mark.parametrize("resource", RESOURCES)
+    def test_page_above_the_bound_is_413(self, server, api, resource, monkeypatch):
+        """A page is encoded per request, so ``?limit=`` is bounded: above
+        ``MAX_PAGE_ROWS`` it is refused, at the bound it is served."""
+        _seed(api)
+        bound = server_module.MAX_PAGE_ROWS
+        assert _get(server, f"/v1/{TENANT}/{resource}?limit={bound + 1}")[0] == 413
+        monkeypatch.setattr(server_module, "MAX_PAGE_ROWS", 5)
+        status, _, body = _get(server, f"/v1/{TENANT}/{resource}?limit=6")
+        assert status == 413
+        error = json.loads(body)["error"]
+        assert error["code"] == "too_large" and "5-row page bound" in error["message"]
+        status, _, body = _get(server, f"/v1/{TENANT}/{resource}?limit=5&offset=1")
+        assert status == 200
+        assert json.loads(body) == _expected(server, resource, 5, 1)
+        # The un-paged read stays the way to read everything.
+        status, _, body = _get(server, f"/v1/{TENANT}/{resource}")
+        assert status == 200
+        assert json.loads(body) == _expected(server, resource)
+
     def test_deeply_nested_body_is_400(self, server):
         """Nesting past the recursion limit makes ``json.loads`` raise
         ``RecursionError``, not ``JSONDecodeError``: still the client's fault."""
