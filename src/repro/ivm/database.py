@@ -138,10 +138,7 @@ class RefreshContext:
     The nested-relation delta environment is built eagerly (every built-in
     strategy reads it).  The shredded environments are built lazily — only
     nested views read them, so an engine of classic/recursive views never
-    freezes the flat mirror at all.  :meth:`post_shredded_environment` is
-    the laziest of all: it costs ``O(|DB|)`` (it unions the deltas into the
-    flat mirror) and is only needed when a nested view discovers newly
-    active labels.
+    freezes the flat mirror at all.
     """
 
     __slots__ = (
@@ -153,7 +150,6 @@ class RefreshContext:
         "_delta_environment",
         "_shredded_environment",
         "_shredded_delta_environment",
-        "_post_shredded_environment",
     )
 
     def __init__(self, database: "Database", update: Update, shredded_delta: ShreddedDelta) -> None:
@@ -169,7 +165,6 @@ class RefreshContext:
         self._delta_environment = database.environment(self.relation_deltas)
         self._shredded_environment: Optional[Environment] = None
         self._shredded_delta_environment: Optional[Environment] = None
-        self._post_shredded_environment: Optional[Environment] = None
 
     def delta_environment(self) -> Environment:
         """Pre-update nested environment with the relation Δ symbols bound."""
@@ -190,23 +185,6 @@ class RefreshContext:
                 self.delta_symbols
             )
         return env
-
-    def post_shredded_environment(self) -> Environment:
-        """Post-update shredded environment (lazy: costs ``O(|DB|)``).
-
-        Only nested views that discover newly active labels need it; updates
-        that touch no new labels skip the union entirely.
-        """
-        post = self._post_shredded_environment
-        if post is None:
-            post = self.shredded_environment().copy()
-            for name, bag in self.shredded_delta.bags.items():
-                post.relations[name] = post.relations.get(name, EMPTY_BAG).union(bag)
-            for name, dictionary in self.shredded_delta.dictionaries.items():
-                existing = post.dictionaries.get(name, MaterializedDict({}))
-                post.dictionaries[name] = existing.add(dictionary)
-            self._post_shredded_environment = post
-        return post
 
 
 class Database:

@@ -12,9 +12,21 @@ query in Section 2.2:
 * every dictionary of ``h^Γ`` is materialized *for the labels that actually
   occur* (domain maintenance) and refreshed per update by
 
-  - adding ``δ(h^Γ)(ℓ)`` to every existing definition, and
-  - initializing definitions for labels newly introduced by ``δ(h^F)``
-    against the post-update state;
+  - adding ``δ(h^Γ)(ℓ)`` to every live definition, and
+  - initializing definitions for labels newly introduced by ``δ(h^F)`` as
+    ``h^Γ(ℓ) ⊎ δ(h^Γ)(ℓ)``, both over the pre-update state;
+
+* each intensional dictionary ``[(ι, Π) ↦ e]`` is refreshed as **one flat
+  query**, not one lookup per label (Cheney, Lindley and Wadler build
+  shredded dictionaries the same way): the view keeps the value tuples
+  ``ε`` of the position's live labels as an *active-label relation* with
+  persistent indexes, and ``⊎_{ε ∈ Active} {(ε, x) | x ∈ δ(e)(ε)}`` is
+  compiled once.  Its delta-first plan walks ``ΔR`` and probes the
+  relation's index on the guard's equality atoms — a disjunctive guard such
+  as ``related``'s genre-or-director one probes once per disjunct — so the
+  labels the probes find *are* the delta's footprint.  The output is
+  grouped by ``ε`` and folded in with one ``⊎`` per touched label; new
+  labels run the same query over ``e`` with the relation bound to them;
 
 * the nested result ``u(h^F, h^Γ)`` (Theorem 8 guarantees it equals direct
   re-evaluation) is *maintained* as well: the first ``result()`` nests the
@@ -29,30 +41,79 @@ bags ever happens.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.bag.bag import Bag, EMPTY_BAG
-from repro.dictionaries import DictValue, MaterializedDict
+from repro.delta.rules import delta
+from repro.dictionaries import MaterializedDict
 from repro.errors import ShreddingError
 from repro.instrument import OpCounter, maybe_count
 from repro.ivm.database import Database, ShreddedDelta
-from repro.ivm.footprint import FootprintPlan, analyze, footprint_enabled
 from repro.ivm.updates import Update
 from repro.ivm.views import View
 from repro.labels import Label
+from repro.nrc import ast
+from repro.nrc import predicates as preds
 from repro.nrc.analysis import referenced_deltas, referenced_sources
 from repro.nrc.ast import Expr
 from repro.nrc.compile import CompiledQuery, run_bag, try_compile
-from repro.nrc.evaluator import Environment, evaluate
-from repro.delta.rules import delta
+from repro.nrc.evaluator import Environment
+from repro.nrc.traverse import _rebuild_with_children, iter_subexpressions
+from repro.nrc.types import UNIT, BagType, ProductType
 from repro.shredding.context import iter_context_dicts
 from repro.shredding.nesting import Nester
 from repro.shredding.shred_query import ShreddedQuery, shred_query
 from repro.shredding.shred_values import unshred_bag
-from repro.storage import ResultStore
+from repro.storage import RelationStore, ResultStore, StorageManager
 
 __all__ = ["NestedIVMView"]
+
+
+@dataclass
+class _Part:
+    """One intensional term ``[(ι, Π) ↦ body]`` of a position's dictionary.
+
+    Both of its queries are flat ``(ε, element)`` pair queries over the
+    active-label relation ``relation``, whose elements are the value tuples
+    ``ε`` of the position's live labels with this ``iota``: ``delta_query``
+    pairs every live label with ``δ(body)(ε)``, ``init_query`` every label of
+    the bag bound to ``relation`` with ``body(ε)``.  ``store`` holds the
+    relation and the persistent indexes ``delta_query``'s joins probe.
+    """
+
+    iota: str
+    arity: int
+    relation: str
+    #: The pair queries' loop variable over ``relation`` (their pairs' key).
+    tag: str
+    store: RelationStore
+    init_query: Expr
+    delta_query: Optional[Expr]
+    init_compiled: Optional[CompiledQuery] = None
+    delta_compiled: Optional[CompiledQuery] = None
+    #: ε → the live label ⟨ι, ε⟩: the pair queries' output names its labels
+    #: by value tuple, and the entries are keyed by these very objects.
+    labels: Dict[Tuple[Any, ...], Label] = field(default_factory=dict)
+
+    def defines(self, label: Label) -> bool:
+        return label.iota == self.iota and len(label.values) == self.arity
+
+    def grouped(self, pairs: Bag) -> List[Tuple[Label, Bag]]:
+        """``(ε, x)`` pairs as one bag per live label ``⟨ι, ε⟩``.
+
+        Grouped by the value tuple, so no label is built or hashed per pair.
+        """
+        groups: Dict[Tuple[Any, ...], Dict[Any, int]] = {}
+        for (values, element), multiplicity in pairs.items():
+            group = groups.get(values)
+            if group is None:
+                groups[values] = {element: multiplicity}
+            else:
+                group[element] = multiplicity
+        labels = self.labels
+        return [(labels[values], Bag._from_clean_dict(group)) for values, group in groups.items()]
 
 
 @dataclass
@@ -74,14 +135,18 @@ class _DictState:
     update's presence transitions — O(|Δ|) per update — and a label whose
     count drops to 0 leaves ``entries`` at this position's next turn, so
     ``entries`` holds exactly the live labels after every update.
+
+    The dictionary expression is a label union of intensional terms
+    (``parts``, by ``ι``) and stored input dictionaries (``inputs``, by
+    name); a label is defined by the part of its ``ι`` or by the input
+    dictionaries that hold it.
     """
 
     path: Tuple[Any, ...]
     expression: Expr
-    delta_expression: Expr
+    parts: Dict[str, _Part] = field(default_factory=dict)
+    inputs: Tuple[str, ...] = ()
     entries: Dict[Label, Bag] = field(default_factory=dict)
-    compiled: Optional[CompiledQuery] = None
-    compiled_delta: Optional[CompiledQuery] = None
     #: label → number of places referencing it (> 0).
     active: Dict[Label, int] = field(default_factory=dict)
     #: Labels whose count crossed 0 → 1 since this position's last refresh
@@ -96,13 +161,27 @@ class _DictState:
     parent: Optional["_DictState"] = None
     #: States whose labels are drawn from this state's entries.
     children: List["_DictState"] = field(default_factory=list)
-    #: Static key-footprint plan of ``delta_expression`` (``None`` when the
-    #: analysis could not bound the touched labels — full sweep for safety).
-    footprint_plan: Optional[FootprintPlan] = None
-    #: (iota, param_paths) → projected key → labels of ``entries`` with that
-    #: key.  Maintained wherever entries are inserted/removed, so refresh
-    #: probes are bounded by the delta's key footprint instead of |entries|.
-    footprint_index: Dict[Any, Dict[Any, Set[Label]]] = field(default_factory=dict)
+
+
+class _Indexes:
+    """The index provider of the pair queries: the view's active-label
+    stores by name, the database's flat stores otherwise."""
+
+    __slots__ = ("_active", "_names", "_flat")
+
+    def __init__(self, active: StorageManager, flat) -> None:
+        self._active = active.provider()
+        self._names = frozenset(active.names())
+        self._flat = flat
+
+    def _provider(self, name: str):
+        return self._active if name in self._names else self._flat
+
+    def probe(self, name, paths, source_bag):
+        return self._provider(name).probe(name, paths, source_bag)
+
+    def note_rebuild(self, name, paths) -> None:
+        self._provider(name).note_rebuild(name, paths)
 
 
 class NestedIVMView(View):
@@ -130,41 +209,43 @@ class NestedIVMView(View):
         self._flat_delta = delta(self._shredded.flat, self._targets)
         self._compiled_flat = try_compile(self._shredded.flat)
         self._compiled_flat_delta = try_compile(self._flat_delta)
+        #: The active-label relations of every intensional part, and their
+        #: persistent indexes.
+        self._active_storage = StorageManager(kind="active")
+        self._delta_sources = set(referenced_deltas(self._flat_delta))
         for path, expression in iter_context_dicts(self._shredded.context):
-            delta_expression = delta(expression, self._targets)
-            self._dict_states.append(
-                _DictState(
-                    path=path,
-                    expression=expression,
-                    delta_expression=delta_expression,
-                    compiled=try_compile(expression),
-                    compiled_delta=try_compile(delta_expression),
-                    # Derived once, statically: which labels an intensional
-                    # delta can touch, keyed by the delta's projections.
-                    footprint_plan=analyze(delta_expression),
-                )
-            )
-        self._delta_sources = referenced_deltas(self._flat_delta).union(
-            *(referenced_deltas(state.delta_expression) for state in self._dict_states)
-        )
+            state = _DictState(path=path, expression=expression)
+            self._delta_sources |= referenced_deltas(delta(expression, self._targets))
+            self._add_terms(state, expression, sources)
+            self._dict_states.append(state)
+        parts = [part for state in self._dict_states for part in state.parts.values()]
         self._execution_mode = (
             "compiled"
             if self._compiled_flat_delta is not None
             and all(
-                state.compiled is not None and state.compiled_delta is not None
-                for state in self._dict_states
+                part.init_compiled is not None
+                and (part.delta_query is None or part.delta_compiled is not None)
+                for part in parts
             )
             else "interpreted"
         )
-        # The shredded pipelines join over the *flat* relations; their join
-        # atoms register against the flat storage manager.
-        self._register_indexes(
-            database,
+        # The shredded pipelines join over the *flat* relations, whose join
+        # atoms register against the flat storage manager; the pair queries'
+        # joins over active-label relations against the view's own stores.
+        requirements = self._collect_index_requirements(
             self._compiled_flat,
             self._compiled_flat_delta,
-            *(state.compiled for state in self._dict_states),
-            *(state.compiled_delta for state in self._dict_states),
+            *(part.init_compiled for part in parts),
+            *(part.delta_compiled for part in parts),
         )
+        active_names = set(self._active_storage.names())
+        for requirement in requirements:
+            if requirement.relation in active_names:
+                self._active_storage.ensure_index(requirement.relation, requirement.paths)
+        self._index_requirements = tuple(
+            requirement for requirement in requirements if requirement.relation not in active_names
+        )
+        self._registered_indexes = database.register_index_requirements(self._index_requirements)
 
         # Wire up the dictionary-position tree (parent-before-child order is
         # guaranteed by iter_context_dicts) for the active-label index.
@@ -182,22 +263,55 @@ class NestedIVMView(View):
             else:
                 state.tuple_path = path
 
-        #: Read-path accounting: how refresh probes were bounded.
-        self._probe_stats: Dict[str, int] = {
-            "dict_probes": 0,
-            "footprint_probes": 0,
-            "footprint_keys": 0,
-            "skipped_labels": 0,
-            "footprint_sweeps": 0,
-            "support_sweeps": 0,
-            "full_sweeps": 0,
-        }
+        #: Read-path accounting: the labels refreshes changed or initialised.
+        self._dict_probes = 0
         counter = OpCounter()
         started = self._now()
         self._materialise(counter)
         self.stats.record_init(self._now() - started, counter)
         if register:
             database.register_view(self)
+
+    def _add_terms(self, state: _DictState, expression: Expr, sources: Set[str]) -> None:
+        """Split a context dictionary into its intensional parts and inputs."""
+        if isinstance(expression, ast.DictUnion):
+            for term in expression.terms:
+                self._add_terms(state, term, sources)
+        elif isinstance(expression, ast.DictVar):
+            if expression.name not in state.inputs:
+                state.inputs += (expression.name,)
+        elif isinstance(expression, ast.DictSingleton):
+            known = state.parts.get(expression.iota)
+            if known is not None:
+                if _pairs_source(expression, known.relation, known.tag) != known.init_query:
+                    raise ShreddingError(
+                        f"two definitions of dictionary {expression.iota!r} at {state.path!r}"
+                    )
+                return
+            relation = f"active {expression.iota} at {state.path!r}"
+            while relation in sources:
+                relation += "'"
+            difference = delta(expression, self._targets)
+            if not isinstance(difference, ast.DictSingleton):
+                difference = None  # the body reads nothing an update changes
+            tag = _tag(expression, difference)
+            init_query = _pairs_source(expression, relation, tag)
+            delta_query = None if difference is None else _pairs_source(difference, relation, tag)
+            state.parts[expression.iota] = _Part(
+                iota=expression.iota,
+                arity=len(expression.params),
+                relation=relation,
+                tag=tag,
+                store=self._active_storage.ensure(relation),
+                init_query=init_query,
+                delta_query=delta_query,
+                init_compiled=try_compile(init_query, tag),
+                delta_compiled=None if delta_query is None else try_compile(delta_query, tag),
+            )
+        elif not isinstance(expression, ast.DictEmpty):
+            raise ShreddingError(
+                f"cannot maintain a {type(expression).__name__} context dictionary"
+            )
 
     def _materialise(self, counter: OpCounter) -> None:
         environment = self._database.shredded_environment()
@@ -215,18 +329,18 @@ class NestedIVMView(View):
         #: The current frozen result, dropped by a maintenance pass that
         #: touches the view, so an unchanged view answers with one object.
         self._result_cache: Optional[Bag] = None
+        self._indexes = _Indexes(self._active_storage, environment.indexes)
         for state in self._dict_states:
-            # One full scan seeds the active-label index; updates maintain
-            # it from presence transitions thereafter.
+            # One full scan seeds the active-label index and the active-label
+            # relations; updates maintain them from presence transitions.
             state.active = self._scan_active(state)
             state.activated, state.deactivated = [], []
-            dictionary = self._dictionary_value(
-                state.compiled, state.expression, environment, counter
-            )
-            state.entries = {label: dictionary.lookup(label) for label in state.active}
-            state.footprint_index = {}
-            for label in state.entries:
-                self._footprint_add(state, label)
+            for part in state.parts.values():
+                part.labels = {
+                    label.values: label for label in state.active if part.defines(label)
+                }
+                part.store.replace(Bag(part.labels))
+            state.entries = self._initial_entries(state, list(state.active), environment, counter)
         # Compiled here (cheap: one walk of the output type), run at the
         # first result(); it reads the entries maps live, never a copy.
         self._nester = Nester(
@@ -302,15 +416,8 @@ class NestedIVMView(View):
 
     def read_stats(self):
         stats = super().read_stats()
-        stats["probes"] = dict(self._probe_stats)
+        stats["probes"] = {"dict_probes": self._dict_probes}
         stats["nesting"] = self._nester.stats()
-        stats["footprint"] = {
-            "enabled": footprint_enabled(),
-            "dictionaries": len(self._dict_states),
-            "planned": sum(
-                1 for state in self._dict_states if state.footprint_plan is not None
-            ),
-        }
         return stats
 
     # ------------------------------------------------------------------ #
@@ -332,10 +439,11 @@ class NestedIVMView(View):
         nester = self._nester if self._result is not None else None
 
         delta_env = context.shredded_delta_environment()
-        # The post-update environment costs O(|DB|) to assemble (it unions
-        # the deltas into the flat mirror); it is built lazily below, only
-        # when some dictionary actually discovers newly active labels.
-        post_env: Optional[Environment] = None
+        # The pair queries read the active-label relations beside the
+        # shredded ones; each position binds its own at its turn.
+        pairs_env = Environment(
+            delta_env.relations, delta_env.dictionaries, delta_env.deltas, indexes=self._indexes
+        )
 
         # 1. Maintain the flat view with δ(h^F) — folded into the transient
         #    in place, O(|Δh^F|) — and fold the presence transitions into
@@ -351,7 +459,7 @@ class NestedIVMView(View):
                     self._apply_transitions(state, transitions)
 
         # 2. Maintain every dictionary: retire the labels no place references
-        #    any more, refresh existing definitions with δ(h^Γ)(ℓ) and
+        #    any more, add δ(h^Γ)(ℓ) to every live label's definition and
         #    initialize definitions for newly active labels.  Only the
         #    touched labels are rewritten — the entries map is mutated in
         #    place, never rebuilt wholesale.  The elements that enter or
@@ -365,8 +473,8 @@ class NestedIVMView(View):
             # turn (the flat view's above, its parent's in the parent's), so a
             # label still inactive here is dead for this update (one revived
             # by another carrier keeps its entry).  Retiring it costs
-            # O(|entry|): the entry, its footprint, the nester's state for it,
-            # and its elements' places in the children's counts.
+            # O(|entry|): the entry, its active-label element, the nester's
+            # state for it, and its elements' places in the children's counts.
             deactivated, state.deactivated = state.deactivated, []
             retired: List[Label] = []
             for label in deactivated:
@@ -376,50 +484,10 @@ class NestedIVMView(View):
                 if entry is None:
                     continue
                 retired.append(label)
-                self._footprint_discard(state, label)
                 if moves is not None:
                     moves += [(element, -1) for element in entry.elements()]
             if nester is not None and retired:
                 nester.evict(state.path, retired)
-
-            delta_dictionary = self._dictionary_value(
-                state.compiled_delta, state.delta_expression, delta_env, counter
-            )
-            rewritten: List[Label] = []
-            # When the delta dictionary has finite support (e.g. deep updates
-            # arriving as explicit label deltas) only the touched labels need
-            # refreshing.  Intensional deltas (dictionary bodies over ΔR)
-            # report no support; the static key-footprint plan bounds the
-            # probes by the delta's label footprint instead — only when no
-            # plan exists (or inside forced_no_footprint) does the
-            # refresh fall back to probing every existing label, the O(n·d)
-            # term of §2.2.
-            probes = self._probe_stats
-            delta_support = delta_dictionary.support()
-            if delta_support is None:
-                footprint = self._footprint_labels(state, shredded_delta)
-                if footprint is None:
-                    refresh_labels = list(entries)
-                    probes["full_sweeps"] += 1
-                else:
-                    refresh_labels = footprint
-                    probes["footprint_sweeps"] += 1
-                    probes["footprint_probes"] += len(footprint)
-                    probes["skipped_labels"] += len(entries) - len(footprint)
-            else:
-                refresh_labels = [label for label in delta_support if label in entries]
-                probes["support_sweeps"] += 1
-            probes["dict_probes"] += len(refresh_labels)
-            for label in refresh_labels:
-                change = delta_dictionary.lookup(label)
-                maybe_count(counter, "dict_refreshes")
-                if not change.is_empty():
-                    entry = entries[label]
-                    if moves is not None:
-                        moves += self._presence_transitions(entry, change)
-                    entries[label] = entry.union(change)
-                    rewritten.append(label)
-
             # Only labels whose count crossed 0 → 1 can lack a definition.
             activated, state.activated = state.activated, []
             new_labels = [
@@ -427,21 +495,55 @@ class NestedIVMView(View):
                 for label in dict.fromkeys(activated)
                 if label in state.active and label not in entries
             ]
+            for part in state.parts.values():
+                moved = []
+                for label in retired:
+                    if part.defines(label):
+                        del part.labels[label.values]
+                        moved.append((label.values, -1))
+                for label in new_labels:
+                    if part.defines(label):
+                        part.labels[label.values] = label
+                        moved.append((label.values, 1))
+                part.store.apply_delta(Bag.from_pairs(moved))
+
+            # δ(h^Γ) of every live label — new ones included — from one pair
+            # query per part: it walks Δ and probes the active-label
+            # relation's indexes, so the labels it finds are the footprint.
+            rewritten: List[Label] = []
+            pending: Dict[Label, Bag] = {}
+            for label, change in self._changes(state, shredded_delta, pairs_env, counter):
+                entry = entries.get(label)
+                if entry is None:
+                    # A new label: initialized below.
+                    known = pending.get(label)
+                    pending[label] = change if known is None else known.union(change)
+                    continue
+                if moves is not None:
+                    moves += self._presence_transitions(entry, change)
+                entries[label] = entry.union(change)
+                rewritten.append(label)
+
+            # New labels: h^Γ(ℓ) over the pre-update state, where the
+            # persistent indexes answer, plus the δ(h^Γ)(ℓ) found above.
             if new_labels:
-                if post_env is None:
-                    post_env = context.post_shredded_environment()
-                full_dictionary = self._dictionary_value(
-                    state.compiled, state.expression, post_env, counter
+                initial = self._initial_entries(
+                    state, new_labels, context.shredded_environment(), counter
                 )
                 for label in new_labels:
-                    maybe_count(counter, "dict_initializations")
-                    definition = full_dictionary.lookup(label)
+                    definition = initial[label]
+                    change = pending.get(label)
+                    if change is not None:
+                        definition = definition.union(change)
                     entries[label] = definition
                     rewritten.append(label)
-                    self._footprint_add(state, label)
                     if moves is not None:
                         moves += self._presence_transitions(EMPTY_BAG, definition)
 
+            # One ⊎ per rewritten label, counted in bulk.
+            maybe_count(counter, "dict_refreshes", len(rewritten) - len(new_labels))
+            maybe_count(counter, "dict_initializations", len(new_labels))
+            self._dict_probes += len(rewritten)
             if nester is not None and rewritten:
                 nester.note_dirty(state.path, rewritten)
             if moves:
@@ -453,21 +555,60 @@ class NestedIVMView(View):
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _dictionary_value(
-        compiled: Optional[CompiledQuery],
-        expression: Expr,
+    def _changes(
+        self,
+        state: _DictState,
+        shredded_delta: ShreddedDelta,
+        env: Environment,
+        counter: OpCounter,
+    ) -> List[Tuple[Label, Bag]]:
+        """``(ℓ, δ(h^Γ)(ℓ))`` for the live labels the update changes.
+
+        A label may appear once per input dictionary defining it; the caller
+        adds the changes up.
+        """
+        changes: List[Tuple[Label, Bag]] = []
+        for part in state.parts.values():
+            if part.delta_query is None:
+                continue
+            env.relations[part.relation] = part.store.bag
+            changes += part.grouped(run_bag(part.delta_compiled, part.delta_query, env, counter))
+        for name in state.inputs:
+            dictionary = shredded_delta.dictionaries.get(name)
+            if dictionary is not None:
+                changes += [
+                    (label, change)
+                    for label, change in dictionary.items()
+                    if change and label in state.active
+                ]
+        return changes
+
+    def _initial_entries(
+        self,
+        state: _DictState,
+        labels: Sequence[Label],
         environment: Environment,
         counter: OpCounter,
-    ) -> DictValue:
-        """Evaluate a context expression through its compiled pipeline if any."""
-        if compiled is not None:
-            value = compiled.evaluate(environment, counter)
-        else:
-            value = evaluate(expression, environment, counter)
-        if not isinstance(value, DictValue):
-            raise ShreddingError("context expressions must evaluate to dictionaries")
-        return value
+    ) -> Dict[Label, Bag]:
+        """``h^Γ(ℓ)`` over ``environment`` for each of ``labels``."""
+        entries = dict.fromkeys(labels, EMPTY_BAG)
+        env = Environment(
+            environment.relations, environment.dictionaries, indexes=environment.indexes
+        )
+        for part in state.parts.values():
+            values = Bag(label.values for label in labels if part.defines(label))
+            if not values:
+                continue
+            env.relations[part.relation] = values
+            entries.update(part.grouped(run_bag(part.init_compiled, part.init_query, env, counter)))
+        for name in state.inputs:
+            dictionary = environment.dictionaries.get(name)
+            if dictionary is None:
+                continue
+            for label in labels:
+                if dictionary.defines(label):
+                    entries[label] = entries[label].union(dictionary.lookup(label))
+        return entries
 
     def _scan_active(self, state: _DictState) -> Dict[Label, int]:
         """Full scan: label → number of places referencing it.
@@ -535,96 +676,6 @@ class NestedIVMView(View):
                 if count == 1 and sign > 0:
                     state.activated.append(value)
 
-    # ------------------------------------------------------------------ #
-    # Key-footprint index (see repro.ivm.footprint)
-    # ------------------------------------------------------------------ #
-    def _footprint_add(self, state: _DictState, label: Label) -> None:
-        """Index one entries-label under every key combination of the plan."""
-        plan = state.footprint_plan
-        if plan is None:
-            return
-        for singleton in plan.singletons:
-            if label.iota != singleton.iota or len(label.values) != singleton.arity:
-                continue
-            for constraint in singleton.constraints:
-                key = tuple(
-                    self._project(label.values[position], path)
-                    for position, path in constraint.param_paths
-                )
-                combo = (singleton.iota, constraint.param_paths)
-                bucket = state.footprint_index.setdefault(combo, {})
-                bucket.setdefault(key, set()).add(label)
-
-    def _footprint_discard(self, state: _DictState, label: Label) -> None:
-        plan = state.footprint_plan
-        if plan is None:
-            return
-        for singleton in plan.singletons:
-            if label.iota != singleton.iota or len(label.values) != singleton.arity:
-                continue
-            for constraint in singleton.constraints:
-                combo = (singleton.iota, constraint.param_paths)
-                bucket = state.footprint_index.get(combo)
-                if bucket is None:
-                    continue
-                key = tuple(
-                    self._project(label.values[position], path)
-                    for position, path in constraint.param_paths
-                )
-                labels = bucket.get(key)
-                if labels is not None:
-                    labels.discard(label)
-                    if not labels:
-                        del bucket[key]
-
-    def _footprint_labels(
-        self, state: _DictState, shredded_delta: ShreddedDelta
-    ) -> Optional[List[Label]]:
-        """The labels this update's delta can possibly touch, or ``None``.
-
-        O(|Δ| + |footprint|): project every delta element at the plan's
-        delta paths and collect the matching labels from the footprint
-        index.  ``None`` (no plan, the escape hatch, or a dictionary delta
-        whose support cannot be enumerated) means the caller must probe
-        every entry.
-        """
-        plan = state.footprint_plan
-        if plan is None or not footprint_enabled():
-            return None
-        matched: Set[Label] = set()
-        probes = self._probe_stats
-        for singleton in plan.singletons:
-            for constraint in singleton.constraints:
-                delta_bag = shredded_delta.bags.get(constraint.delta_name)
-                if delta_bag is None or delta_bag.is_empty():
-                    continue
-                bucket = state.footprint_index.get(
-                    (singleton.iota, constraint.param_paths)
-                )
-                if not bucket:
-                    continue
-                seen_keys: Set[Any] = set()
-                for element in delta_bag.elements():
-                    key = tuple(
-                        self._project(element, path) for path in constraint.delta_paths
-                    )
-                    if key in seen_keys:
-                        continue
-                    seen_keys.add(key)
-                    probes["footprint_keys"] += 1
-                    labels = bucket.get(key)
-                    if labels:
-                        matched.update(labels)
-        for name in plan.dict_deltas:
-            dictionary = shredded_delta.dictionaries.get(name)
-            if dictionary is None:
-                continue
-            support = dictionary.support()
-            if support is None:
-                return None
-            matched.update(label for label in support if label in state.entries)
-        return list(matched)
-
     @staticmethod
     def _project(value: Any, path: Tuple[Any, ...]) -> Any:
         current = value
@@ -635,3 +686,136 @@ class NestedIVMView(View):
                 return None
             current = current[token]
         return current
+
+
+# --------------------------------------------------------------------------- #
+# Pair queries: a dictionary term as one flat label-keyed query
+# --------------------------------------------------------------------------- #
+def _pairs_source(singleton: ast.DictSingleton, relation: str, var: str) -> Expr:
+    """``⊎_{ε ∈ relation} {(ε, x) | x ∈ body(ε)}`` for ``[(ι, Π) ↦ body]``.
+
+    The parameters ``Π`` become projections of one loop variable over the
+    active-label relation, whose elements are value tuples ``ε``; the loop
+    is pushed through top-level unions, so each term of a delta body is
+    its own loop — one the compiler's delta-first order can turn into a
+    walk of ``Δ`` probing the relation's index.
+    """
+    positions = {param: index for index, param in enumerate(singleton.params)}
+    types = singleton.param_types
+    schema = BagType(ProductType(types) if types else UNIT)
+    source = ast.Relation(relation, schema)
+
+    def over(expr: Expr) -> Expr:
+        if isinstance(expr, ast.Union):
+            return ast.Union(tuple(over(term) for term in expr.terms))
+        if isinstance(expr, ast.Negate):
+            return ast.Negate(over(expr.body))
+        if isinstance(expr, ast.Empty):
+            return expr
+        return ast.For(var, source, _paired(expr, var))
+
+    return over(_substitute(singleton.body, positions, var))
+
+
+def _tag(*singletons: Optional[ast.DictSingleton]) -> str:
+    """The pair queries' loop variable over the active-label relation — the
+    key their pairs are filed under — named apart from the bodies."""
+    var = "ε"
+    taken = set().union(*(_names(s.body) for s in singletons if s is not None))
+    while var in taken:
+        var += "'"
+    return var
+
+
+def _paired(expr: Expr, var: str) -> Expr:
+    """``expr`` with every element ``x`` it yields replaced by ``(var, x)``."""
+    if isinstance(expr, ast.For):
+        return ast.For(expr.var, expr.source, _paired(expr.body, var))
+    if isinstance(expr, ast.Union):
+        return ast.Union(tuple(_paired(term, var) for term in expr.terms))
+    if isinstance(expr, ast.Negate):
+        return ast.Negate(_paired(expr.body, var))
+    if isinstance(expr, ast.Let):
+        return ast.Let(expr.name, expr.bound, _paired(expr.body, var))
+    if isinstance(expr, ast.Empty):
+        return expr
+    return ast.Product((ast.SngVar(var), expr))
+
+
+def _substitute(expr: Expr, positions: Dict[str, int], var: str) -> Expr:
+    """Replace each free element variable ``p`` of ``positions`` by ``var.i``.
+
+    ``var`` must not occur in ``expr``.  A label constructor packs variables,
+    not projections, so it rebinds the ones it packs locally instead.
+    """
+    if not positions:
+        return expr
+
+    def path(name: str, rest: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
+        return (positions[name],) + tuple(rest) if name in positions else None
+
+    if isinstance(expr, (ast.SngVar, ast.SngProj)):
+        rest = path(expr.var, getattr(expr, "path", ()))
+        return expr if rest is None else ast.SngProj(var, rest)
+    if isinstance(expr, ast.Pred):
+        return ast.Pred(_substitute_predicate(expr.predicate, positions, var))
+    if isinstance(expr, ast.DictLookup):
+        dictionary = _substitute(expr.dictionary, positions, var)
+        rest = path(expr.var, expr.path)
+        if rest is None:
+            return ast.DictLookup(dictionary, expr.var, expr.path)
+        return ast.DictLookup(dictionary, var, rest)
+    if isinstance(expr, ast.InLabel):
+        wrapped: Expr = expr
+        for param in reversed(expr.params):
+            if param in positions:
+                wrapped = ast.For(param, ast.SngProj(var, (positions[param],)), wrapped)
+        return wrapped
+    if isinstance(expr, ast.For):
+        inner = {name: index for name, index in positions.items() if name != expr.var}
+        return ast.For(
+            expr.var, _substitute(expr.source, positions, var), _substitute(expr.body, inner, var)
+        )
+    if isinstance(expr, ast.DictSingleton):
+        inner = {name: index for name, index in positions.items() if name not in expr.params}
+        return dataclasses.replace(expr, body=_substitute(expr.body, inner, var))
+    return _rebuild_with_children(
+        expr, tuple(_substitute(child, positions, var) for child in expr.children())
+    )
+
+
+def _substitute_predicate(predicate, positions: Dict[str, int], var: str):
+    if isinstance(predicate, preds.Comparison):
+        return preds.Comparison(
+            predicate.op,
+            _substitute_operand(predicate.left, positions, var),
+            _substitute_operand(predicate.right, positions, var),
+        )
+    if isinstance(predicate, (preds.And, preds.Or)):
+        return type(predicate)(
+            tuple(_substitute_predicate(term, positions, var) for term in predicate.terms)
+        )
+    if isinstance(predicate, preds.Not):
+        return preds.Not(_substitute_predicate(predicate.term, positions, var))
+    return predicate
+
+
+def _substitute_operand(operand, positions: Dict[str, int], var: str):
+    if isinstance(operand, preds.VarPath) and operand.var in positions:
+        return preds.VarPath(var, (positions[operand.var],) + tuple(operand.path))
+    return operand
+
+
+def _names(expr: Expr) -> Set[str]:
+    """Every element-variable name ``expr`` binds or reads."""
+    names: Set[str] = set()
+    for node in iter_subexpressions(expr):
+        if isinstance(node, ast.Pred):
+            names |= node.predicate.free_vars()
+        for attribute in ("var", "params"):
+            value = getattr(node, attribute, None)
+            if isinstance(value, str):
+                names.add(value)
+            elif isinstance(value, tuple):
+                names.update(value)
+    return names

@@ -154,7 +154,7 @@ class View:
 
         Base views report their result store's shape (sizes, versions,
         snapshot freezes); backends with extra read-side machinery — the
-        nested view's footprint-bounded dictionary probes — extend this.
+        nested view's dictionary refreshes and nesting — extend this.
         """
         stats = {"view": type(self).__name__}
         store = self.result_store()

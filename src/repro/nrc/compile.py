@@ -36,7 +36,13 @@ view-registration time, into a tree of closures and generated loops that
   an enclosing loop resolves that index once for its whole walk (and skips
   the walk when the build side is empty), and each outer tuple probes it, so
   selective joins cost time proportional to the matching pairs; sites over
-  the same source and key paths share one build per evaluation,
+  the same source and key paths share one build per evaluation.  A guard
+  with no such equality but a disjunction ``D₁ ∨ … ∨ Dₖ`` (k ≤ 3) each of
+  whose terms holds one — ``related``'s genre-or-director guard — becomes k
+  hash-join sites, one probe per term: site i tests ``¬D₁ … ¬Dᵢ₋₁ ∧ Dᵢ``
+  with the rest of the guard, so a pair several terms hold for is emitted
+  once, by the first, with its exact multiplicity, and each site falls back
+  to its loop twin on its own,
 * walks **deltas first**: ``for x in S union for y in ΔT union …`` is
   compiled as ``for y in ΔT union for x in S union …`` when both sources are
   closed and ``x ≠ y`` (:func:`_delta_first`), so the join probes ``S``'s
@@ -151,16 +157,17 @@ def forced_interpretation(interpreted: bool = True) -> Iterator[None]:
             os.environ[REPRO_NO_COMPILE] = saved
 
 
-def compile_expr(expr: Expr) -> "CompiledQuery":
+def compile_expr(expr: Expr, tag: Optional[str] = None) -> "CompiledQuery":
     """Compile ``expr`` into a reusable :class:`CompiledQuery`.
 
     Raises :class:`~repro.errors.CompileError` when the expression contains a
-    node the compiler has no rule for.
+    node the compiler has no rule for.  ``tag`` names the element variable
+    of a *pair query* (see :class:`CompiledQuery`).
     """
-    return CompiledQuery(expr)
+    return CompiledQuery(expr, tag)
 
 
-def try_compile(expr: Expr) -> Optional["CompiledQuery"]:
+def try_compile(expr: Expr, tag: Optional[str] = None) -> Optional["CompiledQuery"]:
     """Compile ``expr``, or return ``None`` when disabled or unsupported.
 
     This is the entry point the view classes use at registration time: a
@@ -169,7 +176,7 @@ def try_compile(expr: Expr) -> Optional["CompiledQuery"]:
     if not compilation_enabled():
         return None
     try:
-        return compile_expr(expr)
+        return compile_expr(expr, tag)
     except CompileError:
         return None
 
@@ -287,10 +294,21 @@ def _charge(counter: Optional[OpCounter], units: _Units, times: int = 1) -> None
 
 _Fn = Callable[[_Ctx, List[Any]], Any]
 _Emit = Callable[[_Ctx, List[Any], int, Dict[Any, int]], None]
-# A guard conjunct: its kernel expression, deps, and hash-join atom (build
-# path, probe expression) if it is one; a guard: binder slot and conjuncts.
-_Conjunct = Tuple[Any, frozenset, Optional[Tuple[Tuple[int, ...], Any]]]
+# A hash-join atom: the build path into the loop variable and the kernel
+# expression of the matching probe-key part.
+_Atom = Tuple[Tuple[int, ...], Any]
+# One disjunct of a hash-joinable disjunction: its kernel expression and its
+# conjuncts' (kernel expression, atom or None).
+_Disjunct = Tuple[Any, List[Tuple[Any, Optional[_Atom]]]]
+# A guard conjunct: its kernel expression, deps, its hash-join atom if it is
+# one, and its disjuncts if it is a disjunction every term of which holds an
+# atom; a guard: binder slot and conjuncts.
+_Conjunct = Tuple[Any, frozenset, Optional[_Atom], Optional[List[_Disjunct]]]
 _Guard = Tuple[int, List[_Conjunct]]
+
+#: Disjunctions with more terms keep the nested loop: each term is one probe
+#: (and one index) per outer element.
+_MAX_DISJUNCTS = 3
 
 
 class _Node:
@@ -490,7 +508,8 @@ def _hoist_delta_binder(node: Expr) -> Expr:
 class _Compiler:
     """Single-pass compiler from AST nodes to :class:`_Node` producers."""
 
-    def __init__(self) -> None:
+    def __init__(self, tag: Optional[str] = None) -> None:
+        self._tag = tag
         self.index_requirements: List[IndexRequirement] = []
         self._slot_count = 0
         self._elem_scope: Dict[str, int] = {}
@@ -727,7 +746,11 @@ class _Compiler:
         join_var = None if source.deps else expr.var
         with self._bound(self._elem_scope, expr.var) as slot:
             guards, body = self._compile_chain(expr.body, join_var)
-        if any(atom is not None for _, conjuncts in guards for _, _, atom in conjuncts):
+        if any(
+            atom is not None or disjuncts is not None
+            for _, conjuncts in guards
+            for _, _, atom, disjuncts in conjuncts
+        ):
             return self._compile_hash_join(expr, source, slot, guards, body)
         return self._compile_loop(expr, source, slot, guards, body)
 
@@ -735,9 +758,11 @@ class _Compiler:
         """The chain of ``where`` guards (``for _w in p(x̄) union …``) at ``expr``, and its body.
 
         Each guard is ``(slot, conjuncts)``; a conjunct is ``(predicate,
-        deps, atom)``, where ``atom`` is its hash-join equality over loop
-        variable ``join_var`` (``None`` when it is not one, or when there is
-        no candidate loop).  Guard i's predicate is the *source* of its
+        deps, atom, disjuncts)``, where ``atom`` is its hash-join equality
+        over loop variable ``join_var`` and ``disjuncts`` its terms when it
+        is a disjunction each of whose (at most :data:`_MAX_DISJUNCTS`)
+        terms holds one (``None`` when it is not, or when there is no
+        candidate loop).  Guard i's predicate is the *source* of its
         binder, so it is compiled with only the loop variable and guards
         1..i-1 in scope: a guard binder never shadows names inside its own
         predicate, mirroring interpreter scoping — so an enclosing variable a
@@ -750,10 +775,12 @@ class _Compiler:
                 conjuncts = []
                 for conjunct in self._flatten_conjuncts(expr.source.predicate):
                     test, deps = self._compile_predicate(conjunct)
-                    atom = None
+                    atom = disjuncts = None
                     if join_var is not None:
                         atom = self._equality_atom(conjunct, join_var, local_names)
-                    conjuncts.append((test, deps, atom))
+                        if atom is None:
+                            disjuncts = self._disjuncts(conjunct, join_var, local_names)
+                    conjuncts.append((test, deps, atom, disjuncts))
                 slot = scopes.enter_context(self._bound(self._elem_scope, expr.var))
                 guards.append((slot, conjuncts))
                 local_names.add(expr.var)
@@ -795,9 +822,35 @@ class _Compiler:
             return None
         return loop_operand.path, self._compile_operand(outer_operand)[0]  # type: ignore[union-attr]
 
+    def _disjuncts(
+        self, conjunct: preds.Predicate, loop_var: str, local_names: Set[str]
+    ) -> Optional[List[_Disjunct]]:
+        """The terms of a disjunction every one of which holds an equality atom.
+
+        ``None`` unless ``conjunct`` is an ``∨`` of at most
+        :data:`_MAX_DISJUNCTS` terms, each with at least one conjunct that
+        :meth:`_equality_atom` accepts: the disjunction then joins as one
+        hash probe per term (see :meth:`_join_branches`).
+        """
+        if not isinstance(conjunct, preds.Or) or len(conjunct.terms) > _MAX_DISJUNCTS:
+            return None
+        disjuncts: List[_Disjunct] = []
+        for term in conjunct.terms:
+            parts = [
+                (
+                    self._compile_predicate(part)[0],
+                    self._equality_atom(part, loop_var, local_names),
+                )
+                for part in self._flatten_conjuncts(term)
+            ]
+            if all(atom is None for _, atom in parts):
+                return None
+            disjuncts.append((self._compile_predicate(term)[0], parts))
+        return disjuncts
+
     @staticmethod
     def _guard_test(conjuncts: Sequence[_Conjunct]) -> kernels.AllOf:
-        return kernels.AllOf(tuple(test for test, _, _ in conjuncts))
+        return kernels.AllOf(tuple(conjunct[0] for conjunct in conjuncts))
 
     def _split_chain(
         self, guards: Sequence[_Guard], body: _Node, lowest: int
@@ -814,7 +867,7 @@ class _Compiler:
         tail, end, deps = body, len(guards), body.deps
         for index in range(len(guards) - 1, -1, -1):
             slot, conjuncts = guards[index]
-            deps = (deps - {slot}).union(*(test_deps for _, test_deps, _ in conjuncts))
+            deps = (deps - {slot}).union(*(conjunct[1] for conjunct in conjuncts))
             if index >= lowest and not deps:
                 tail = self._memoized(self._where_node(guards[index:end], tail, deps))
                 end = index
@@ -903,17 +956,93 @@ class _Compiler:
         self-equal, so dict identity lookup would wrongly match it) and key
         computations that raise all degrade to ``emit_loop`` — a nested-loop
         twin that evaluates every guard conjunct in original order, exactly
-        as the interpreter does.
+        as the interpreter does.  A guard joined through a disjunction runs
+        one such site per disjunct (:meth:`_join_branches`), each falling
+        back on its own.
         """
         conjuncts = [conjunct for _, guard_conjuncts in guards for conjunct in guard_conjuncts]
-        atoms = [atom for _, _, atom in conjuncts if atom is not None]
-        residual = [conjunct for conjunct in conjuncts if conjunct[2] is None]
-        build_paths = tuple(path for path, _ in atoms)
         guard_slots = [guard_slot for guard_slot, _ in guards]
         if source.units:
             # No loop above charges them: the memo does, on first evaluation.
             source = self._memoized(source)
         source_value = source.valuer()
+        run = None if body.element is not None else body.emitter()
+        binds = [
+            self._hash_join_site(
+                expr, source_value, slot, guard_slots, atoms, bucket_tests, loop_tests, body, run
+            )
+            for atoms, bucket_tests, loop_tests in self._join_branches(conjuncts)
+        ]
+        # Every guard conjunct (atoms included) contributes deps; probe-side
+        # slots are never local, so subtracting the local slots keeps them.
+        deps = body.deps.union(*(conjunct[1] for conjunct in conjuncts))
+        deps = frozenset(deps - {slot, *guard_slots})
+        if len(binds) == 1:
+            return _Node(deps, bind=binds[0])
+
+        def bind(ctx: _Ctx, frame: List[Any]) -> Optional[Tuple[_Emit, _Units]]:
+            # The sites share their source: all of them are empty or none.
+            bound = [site for site in (site_bind(ctx, frame) for site_bind in binds) if site]
+            if not bound:
+                return None
+            emits = tuple(emit for emit, _ in bound)
+
+            def emit(ctx: _Ctx, frame: List[Any], mult: int, sink: Dict[Any, int]) -> None:
+                for site in emits:
+                    site(ctx, frame, mult, sink)
+
+            return emit, _units(*(units for _, units in bound))
+
+        return _Node(deps, bind=bind)
+
+    @staticmethod
+    def _join_branches(
+        conjuncts: Sequence[_Conjunct],
+    ) -> List[Tuple[List[_Atom], List[Any], List[Any]]]:
+        """The hash-join sites of a guard: ``(atoms, bucket tests, loop tests)`` each.
+
+        With equality atoms, one site: its buckets test the other conjuncts,
+        its loop twin all of them.  Without, the first joinable disjunction
+        ``D₁ ∨ … ∨ Dₖ`` splits the join into k sites, one per term: site i
+        probes ``Dᵢ``'s atoms and tests the guard with the disjunction
+        replaced by ``¬D₁ ∧ … ∧ ¬Dᵢ₋₁ ∧ Dᵢ``, so a pair several terms hold
+        for is emitted by the first one only — once, with its exact
+        multiplicity — and every conjunct is tested in interpreter order.
+        """
+        atoms = [conjunct[2] for conjunct in conjuncts if conjunct[2] is not None]
+        if atoms:
+            residual = [conjunct[0] for conjunct in conjuncts if conjunct[2] is None]
+            return [(atoms, residual, [conjunct[0] for conjunct in conjuncts])]
+        position = next(index for index, conjunct in enumerate(conjuncts) if conjunct[3])
+        before = [conjunct[0] for conjunct in conjuncts[:position]]
+        after = [conjunct[0] for conjunct in conjuncts[position + 1 :]]
+        branches = []
+        earlier: List[Any] = []
+        for test, parts in conjuncts[position][3]:
+            branches.append(
+                (
+                    [atom for _, atom in parts if atom is not None],
+                    before + earlier + [part for part, atom in parts if atom is None] + after,
+                    before + earlier + [part for part, _ in parts] + after,
+                )
+            )
+            earlier.append(kernels.Negation(test))
+        return branches
+
+    def _hash_join_site(
+        self,
+        expr: ast.For,
+        source_value: _Fn,
+        slot: int,
+        guard_slots: List[int],
+        atoms: List[_Atom],
+        bucket_tests: List[Any],
+        loop_tests: List[Any],
+        body: _Node,
+        run: Optional[_Emit],
+    ) -> Callable[[_Ctx, List[Any]], Optional[Tuple[_Emit, _Units]]]:
+        """One build-once/probe-per-tuple site over ``expr``'s source: its ``bind``."""
+        build_paths = tuple(path for path, _ in atoms)
         # Sites over the same source and key paths share one build per
         # evaluation (both M-side terms of a swapped self-join delta): a
         # hash-join's source reads no binder slot (`_compile_For` checks
@@ -939,21 +1068,22 @@ class _Compiler:
         # Two walks over the same body: a bucket, testing the residual
         # conjuncts, and the whole source, testing every conjunct.
         module = KernelModule(f"for {expr.var} (hash join)")
-        run = None if body.element is not None else body.emitter()
         module.walk(
             "walk_bucket",
             slot=slot,
             guard_slots=guard_slots,
-            filters=[self._guard_test(residual)] if residual else [],
+            filters=[kernels.AllOf(tuple(bucket_tests))] if bucket_tests else [],
             element=body.element,
-            item_units=_units(_ITERATED, _CHECKED) if residual else _units(_ITERATED, body.units),
-            pass_units=[body.units] if residual else [],
+            item_units=(
+                _units(_ITERATED, _CHECKED) if bucket_tests else _units(_ITERATED, body.units)
+            ),
+            pass_units=[body.units] if bucket_tests else [],
         )
         module.walk(
             "walk_loop",
             slot=slot,
             guard_slots=guard_slots,
-            filters=[self._guard_test(conjuncts)],
+            filters=[kernels.AllOf(tuple(loop_tests))],
             element=body.element,
             item_units=_units(_ITERATED, _CHECKED),
             pass_units=[body.units],
@@ -1042,10 +1172,7 @@ class _Compiler:
                 return None
             return partial(emit_probe, index.get), _PROBED
 
-        # Every guard conjunct (atoms included) contributes deps; probe-side
-        # slots are never local, so subtracting the local slots keeps them.
-        deps = body.deps.union(*(test_deps for _, test_deps, _ in conjuncts))
-        return _Node(frozenset(deps - {slot, *guard_slots}), bind=bind)
+        return bind
 
     # ------------------------------------------------------------------ #
     # Structural constructs
@@ -1088,6 +1215,9 @@ class _Compiler:
             # A tuple constructor: every factor is a scalar singleton, so the
             # product is the one tuple of their elements.
             element = kernels.TupleOf(tuple(factor.element for factor in factors))
+            if self._tag is not None and expr.factors[0] == ast.SngVar(self._tag):
+                # ⟨tag, x⟩ files x under its key: it costs what x costs.
+                return _Node(deps, factors[1].units, element=element)
             return _Node(deps, _units(units, (("product_pairs", len(factors)),)), element=element)
         factor_values = tuple(factor.valuer() for factor in factors)
 
@@ -1223,11 +1353,18 @@ class CompiledQuery:
     from the :class:`~repro.nrc.evaluator.Environment` passed to each
     :meth:`evaluate` call, so one compiled object serves every update of a
     maintained view.
+
+    A *pair query* files each element ``x`` it yields under a key: it emits
+    ``sng(tag) × sng(x)``, the pair ``⟨key, x⟩``, where ``tag`` is the element
+    variable holding the key (a nested view materialises a dictionary this
+    way, one pair per label and entry element).  The pairing is bookkeeping,
+    not a product of the query, so it is counted as the element ``x`` alone.
     """
 
-    def __init__(self, expr: Expr) -> None:
+    def __init__(self, expr: Expr, tag: Optional[str] = None) -> None:
         self.expr = expr
-        compiler = _Compiler()
+        self.tag = tag
+        compiler = _Compiler(tag)
         root = compiler.compile(_delta_first(expr))
         # The root is a pipeline breaker: a bag-typed query materialises its
         # accumulator here, once, without re-hashing it — or, given a target
@@ -1309,12 +1446,12 @@ class CompiledQuery:
             return True
         if not isinstance(other, CompiledQuery):
             return NotImplemented
-        # The expression determines the whole compilation deterministically,
-        # so expr equality is pipeline equality.
-        return self.expr == other.expr
+        # The expression and tag determine the whole compilation
+        # deterministically, so their equality is pipeline equality.
+        return self.expr == other.expr and self.tag == other.tag
 
     def __hash__(self) -> int:
-        return hash(self.expr)
+        return hash((self.expr, self.tag))
 
     def __repr__(self) -> str:
         return f"CompiledQuery({type(self.expr).__name__}, slots={self._slot_count})"

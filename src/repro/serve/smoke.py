@@ -4,8 +4,10 @@ Run as ``python -m repro.serve.smoke``.  It starts a real
 :class:`~repro.serve.server.ReproServer` on an ephemeral port, drives it
 through the actual ``repro-cli`` entry point (``repro.client.cli.main`` with
 explicit ``argv`` — the same code path the console script takes), covering
-dataset creation, a flat and a nested view, a synchronous apply, every
-read endpoint, one rejected write (a row whose ``year`` is a string meets a
+dataset creation, a flat and a nested view (``related``, whose served pairs
+are checked after an insert that initialises labels through its
+genre-or-director join and after a deleting write that retires one), a
+synchronous apply, every read endpoint, one rejected write (a row whose ``year`` is a string meets a
 ``lt`` view: the CLI must exit with the server's 4xx and both views over
 that dataset must read as before — the earlier one is restored after the
 update already reached it), and finally asserts a clean drain-and-shutdown:
@@ -85,6 +87,18 @@ def _cli_rejected(url: str, *args: str) -> None:
     print(f"smoke: rejected as expected: {message}")
 
 
+def _expect_related(api: APIClient, expected) -> None:
+    """``related`` as served: movie → sorted related names (each once)."""
+    served = {}
+    for (name, inner), multiplicity in api.get("v1/smoke/views/related")["pairs"]:
+        names = sorted(related for related, _ in inner["bag"])
+        if multiplicity != 1 or any(count != 1 for _, count in inner["bag"]):
+            raise AssertionError(f"unexpected multiplicities in related: {name} -> {inner}")
+        served[name] = names
+    if served != expected:
+        raise AssertionError(f"unexpected related result: {served}, want {expected}")
+
+
 def run_smoke() -> None:
     server = ReproServer(ServerConfig(port=0)).start()
     url = server.url
@@ -113,10 +127,19 @@ def run_smoke() -> None:
     _cli(url, "views", "show", "dramas")
     _cli(url, "views", "show", "related")
     _cli(url, "views", "explain", "dramas")
+    # Jarhead's insert initialises its label and rewrites Drive's (same
+    # genre) and Skyfall's (same director) through the genre-or-director join.
+    api = APIClient(url, max_retries=1)
+    _expect_related(
+        api, {"Drive": ["Jarhead"], "Skyfall": ["Jarhead"], "Jarhead": ["Drive", "Skyfall"]}
+    )
+    # A deleting write retires Skyfall's label and takes it out of Jarhead's.
+    skyfall = [["Skyfall", "Action", "Mendes"], -1]
+    _cli(url, "apply", "--data", json.dumps({"M": {"pairs": [skyfall]}}))
+    _expect_related(api, {"Drive": ["Jarhead"], "Jarhead": ["Drive"]})
 
     # One rejected write: "years" refreshes first and holds the row by the
     # time "classics" compares "1998" < 2000; the engine must restore it.
-    api = APIClient(url, max_retries=1)
     _cli(
         url,
         "datasets",

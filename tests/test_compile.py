@@ -79,6 +79,23 @@ class TestCompiledExpressions:
         _assert_agree(genre_selfjoin_query(), MOVIE_ENV)
 
     def test_join_with_disjunctive_guard_falls_back_to_loop(self):
+        # Four terms is one more than the disjunctive hash-join takes.
+        condition = preds.Or(
+            tuple(
+                preds.eq(preds.var_path("m", left), preds.var_path("m2", right))
+                for left, right in ((1, 1), (2, 2), (0, 0), (1, 2))
+            )
+        )
+        inner = build.for_in("m2", MOVIE_REL, build.proj("m2", 0), condition=condition)
+        query = ast.For("m", MOVIE_REL, inner)
+        _assert_agree(query, MOVIE_ENV)
+        counter = OpCounter()
+        compile_expr(query).evaluate_bag(MOVIE_ENV, counter)
+        assert counter.get("hash_probes") == 0
+
+    def test_join_with_two_term_disjunction_probes_each_term(self):
+        # related's guard: genre or director.  One probe per term per movie,
+        # and a pair both terms hold for (every m2 = m) comes out once.
         condition = preds.Or(
             (
                 preds.eq(preds.var_path("m", 1), preds.var_path("m2", 1)),
@@ -86,7 +103,15 @@ class TestCompiledExpressions:
             )
         )
         inner = build.for_in("m2", MOVIE_REL, build.proj("m2", 0), condition=condition)
-        _assert_agree(ast.For("m", MOVIE_REL, inner), MOVIE_ENV)
+        query = ast.For("m", MOVIE_REL, inner)
+        _assert_agree(query, MOVIE_ENV)
+        counter = OpCounter()
+        compile_expr(query).evaluate_bag(MOVIE_ENV, counter)
+        assert counter.get("hash_probes") == 2 * len(MOVIES)
+        assert compile_expr(query).index_requirements == (
+            compile_module.IndexRequirement("M", ((1,),)),
+            compile_module.IndexRequirement("M", ((2,),)),
+        )
 
     def test_constant_equality_guard(self):
         query = ast.For(
@@ -1178,3 +1203,92 @@ class TestDeltaFirstDifferential:
             assert literal.get("hash_probes") == len(evaluate_bag(source, env))
         else:
             assert swapped.as_dict() == literal.as_dict()
+
+
+# --------------------------------------------------------------------------- #
+# Disjunctive guards: one hash probe per disjunct
+# --------------------------------------------------------------------------- #
+@st.composite
+def _disjunctive_joins(draw):
+    """``for a in S union for b in T union (for g in p(a, b) union ⟨a, b⟩)``
+    where ``p`` holds a disjunction of 2-5 terms.
+
+    A disjunct is an equality between ``a`` and ``b`` (either orientation,
+    key positions 0 or 1 — NaN and compound keys live at position 0), maybe
+    conjoined with a comparison over position 1, or a comparison with no
+    equality atom at all.  Up to two more conjuncts over position 1 sit
+    before or after the disjunction.  Returns the query, the number of
+    disjuncts and whether every disjunct holds an equality atom.
+    """
+    source, target = draw(st.sampled_from(_JOIN_SIDES)), draw(st.sampled_from(_JOIN_SIDES))
+    outer, inner = draw(st.sampled_from([("x", "y"), ("y", "x"), ("x", "x")]))
+    positions = (1,) if outer == inner else (0, 1)
+
+    def base_comparison():
+        left = preds.var_path(draw(st.sampled_from([outer, inner])), 1)
+        if draw(st.booleans()):
+            right = preds.const(draw(_vals))
+        else:
+            right = preds.var_path(draw(st.sampled_from([outer, inner])), 1)
+        return preds.Comparison(draw(st.sampled_from(["!=", "<"])), left, right)
+
+    def equality():
+        return preds.eq(
+            *draw(
+                st.permutations(
+                    [
+                        preds.var_path(outer, draw(st.sampled_from(positions))),
+                        preds.var_path(inner, draw(st.sampled_from(positions))),
+                    ]
+                )
+            )
+        )
+
+    count = draw(st.integers(2, 5))
+    kinds = [draw(st.sampled_from(["eq", "eq", "eq_and", "none"])) for _ in range(count)]
+    disjuncts = []
+    for kind in kinds:
+        if kind == "eq":
+            disjuncts.append(equality())
+        elif kind == "eq_and":
+            terms = draw(st.permutations([equality(), base_comparison()]))
+            disjuncts.append(preds.And(tuple(terms)))
+        else:
+            disjuncts.append(base_comparison())
+    extras = [base_comparison() for _ in range(draw(st.integers(0, 2)))]
+    conjuncts = draw(st.permutations([preds.Or(tuple(disjuncts))] + extras))
+    condition = conjuncts[0] if len(conjuncts) == 1 else preds.And(tuple(conjuncts))
+    guard = draw(st.sampled_from(["x", "y", "_w"]))
+    pair = build.tuple_bag(ast.SngVar(outer), ast.SngVar(inner))
+    guarded = ast.For(guard, ast.Pred(condition), pair)
+    query = ast.For(outer, source, ast.For(inner, target, guarded))
+    return query, count, "none" not in kinds
+
+
+class TestDisjunctiveJoinDifferential:
+    @settings(max_examples=400, deadline=None)
+    @given(_disjunctive_joins(), _join_environments())
+    def test_disjunctive_joins_agree(self, generated, drawn):
+        # Pairs for which several disjuncts hold must come out once, with
+        # the product of their multiplicities (negative and duplicate ones
+        # included); NaN and compound keys fall back to the loop branch by
+        # branch and raise (or not) exactly where the interpreter does.
+        query, count, joinable = generated
+        clean, env = drawn
+        counter = OpCounter()
+        outcome = _outcome(lambda: compile_expr(query).evaluate_bag(env, counter))
+        assert outcome == _outcome(lambda: evaluate_bag(query, env))
+        assert _outcome(lambda: _literal_plan(query).evaluate_bag(env)) == outcome
+        if not joinable or count > 3:
+            # A term with no equality atom, or more than three terms: the
+            # nested loop, as before the rule.
+            assert counter.get("hash_probes") == 0
+        elif clean and query.var != query.body.var:
+            # Every bag is non-empty with base keys: one probe per term for
+            # each element of the loop walked outermost.
+            source, target = query.source, query.body.source
+            swapped = isinstance(target, ast.DeltaRelation) and not isinstance(
+                source, ast.DeltaRelation
+            )
+            outer = target if swapped else source
+            assert counter.get("hash_probes") == count * len(evaluate_bag(outer, env))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.bag import Bag, EMPTY_BAG
 from repro.engine import Engine
+from repro.errors import EvaluationError
 from repro.ivm import Database, NaiveView, NestedIVMView, Update, deletions, insertions
 from repro.nrc import ast, builders as build, predicates as preds
 from repro.nrc.compile import IndexRequirement, forced_interpretation
@@ -214,7 +215,17 @@ MOVIE_ROWS = [
 history_steps = st.lists(
     st.tuples(
         st.sampled_from(
-            ("insert", "delete", "deep_inner", "deep_outer", "readd", "movies")
+            (
+                "insert",
+                "delete",
+                "deep_inner",
+                "deep_outer",
+                "readd",
+                "movies",
+                "posts",
+                "users",
+                "rejected",
+            )
         ),
         st.integers(0, 10**6),
         st.integers(0, 10**6),
@@ -245,9 +256,75 @@ def _sorted_labels(database, name, path):
     return sorted(dictionary.support(), key=lambda label: label.render())
 
 
+USERS = ast.Relation("Users", USER_SCHEMA)
+POSTS = ast.Relation("Posts", POST_SCHEMA)
+USER_ROWS = [(f"u{i}", f"c{i % 2}") for i in range(4)]
+POST_ROWS = [(f"u{i % 4}", f"c{i % 2}", f"t{i}") for i in range(6)]
+
+
+def _same_city_authors():
+    """Per user: (text, city of its author) of the posts in the user's city —
+    a dictionary body joining two relations, ``ΔPosts × Users ⊎ Posts ×
+    ΔUsers ⊎ ΔPosts × ΔUsers`` under δ."""
+    condition = preds.And(
+        (
+            preds.eq(preds.var_path("p", 1), preds.var_path("u", 1)),
+            preds.eq(preds.var_path("v", 0), preds.var_path("p", 0)),
+        )
+    )
+    inner = build.for_in(
+        "p",
+        POSTS,
+        build.for_in(
+            "v", USERS, build.tuple_bag(build.proj("p", 2), build.proj("v", 1)), condition
+        ),
+    )
+    return build.for_in("u", USERS, build.tuple_bag(build.proj("u", 0), build.sng(inner)))
+
+
+def _neighbours_posts():
+    """Per user, per user of the same city, the posts the second wrote in
+    the first's city: a depth-2 child position whose labels pack ``⟨u, v⟩``."""
+    posts = build.for_in(
+        "p",
+        POSTS,
+        build.proj("p", 2),
+        preds.And(
+            (
+                preds.eq(preds.var_path("p", 0), preds.var_path("v", 0)),
+                preds.eq(preds.var_path("p", 1), preds.var_path("u", 1)),
+            )
+        ),
+    )
+    neighbours = build.for_in(
+        "v",
+        USERS,
+        build.tuple_bag(build.proj("v", 0), build.sng(posts)),
+        preds.eq(preds.var_path("v", 1), preds.var_path("u", 1)),
+    )
+    return build.for_in("u", USERS, build.tuple_bag(build.proj("u", 0), build.sng(neighbours)))
+
+
+def _city_texts():
+    """Per user, the texts of the posts in their city, through a ``let``
+    inside the dictionary body."""
+    local = build.for_in(
+        "p", POSTS, ast.SngVar("p"), preds.eq(preds.var_path("p", 1), preds.var_path("u", 1))
+    )
+    body = ast.Let("X", local, build.for_in("q", ast.BagVar("X"), build.proj("q", 2)))
+    return build.for_in("u", USERS, build.tuple_bag(build.proj("u", 0), build.sng(body)))
+
+
+Y_SCHEMA = bag_of(BASE)
+
+
 class _History:
-    """A database with a depth-2 nested relation and a flat one, the two
-    nested views over them, and the checks every step must pass."""
+    """A database with a depth-2 nested relation and flat ones, nested views
+    over them, and the checks every step must pass.
+
+    A naive view registered last orders ``Y``'s elements below 5: a
+    ``rejected`` step inserts a string there, so the update fails after
+    every nested view refreshed, and each is restored from the relations."""
 
     def __init__(self):
         self.database = Database()
@@ -257,13 +334,24 @@ class _History:
             Bag([Bag([Bag(["a"]), Bag(["b"])]), Bag([Bag(["a", "b"])])]),
         )
         self.database.register("M", MOVIE_SCHEMA, Bag(MOVIE_ROWS[:3]))
+        self.database.register("Users", USER_SCHEMA, Bag(USER_ROWS[:3]))
+        self.database.register("Posts", POST_SCHEMA, Bag(POST_ROWS[:4]))
+        self.database.register("Y", Y_SCHEMA, Bag([1, 2]))
         self.queries = {
             "identity": build.for_in("x", ast.Relation("R", DEPTH2_SCHEMA), ast.SngVar("x")),
             "related": related_query(),
+            "feed": feed_query(),
+            "join": _same_city_authors(),
+            "depth2": _neighbours_posts(),
+            "let": _city_texts(),
         }
         self.views = {
             name: NestedIVMView(query, self.database) for name, query in self.queries.items()
         }
+        below = build.filter_query(
+            ast.Relation("Y", Y_SCHEMA), preds.lt(preds.var_path("y"), preds.const(5)), "y"
+        )
+        NaiveView(below, self.database)
         self.check()
 
     def check(self):
@@ -282,6 +370,13 @@ class _History:
             for state in view._dict_states:
                 assert state.active == view._scan_active(state), name
                 assert state.entries.keys() == state.active.keys(), name
+                # Each active-label relation holds the live labels' value
+                # tuples, and its indexes describe it.
+                for part in state.parts.values():
+                    live = [label for label in state.entries if part.defines(label)]
+                    assert part.store.bag == Bag(label.values for label in live), name
+                    for index in part.store.indexes():
+                        assert index.version == part.store.version, name
                 labels += len(state.entries)
             assert view.read_stats()["nesting"]["memo_labels"] <= labels, name
         # The nested instance of R is u(its shredded mirror).
@@ -342,19 +437,38 @@ class _History:
             database.apply_update(
                 Update(relations={"M": Bag.from_pairs([(rows[0], count), (rows[1], 1)])})
             )
+        elif kind in ("posts", "users"):
+            name, rows = ("Posts", POST_ROWS) if kind == "posts" else ("Users", USER_ROWS)
+            pairs = [(rows[first % len(rows)], count), (rows[second % len(rows)], 1)]
+            database.apply_update(Update(relations={name: Bag.from_pairs(pairs)}))
+        elif kind == "rejected":
+            row = USER_ROWS[first % len(USER_ROWS)]
+            update = Update(relations={"Users": Bag.from_pairs([(row, count)]), "Y": Bag(["x"])})
+            with pytest.raises(EvaluationError):
+                database.apply_update(update)
         self.check()
+
+
+def _run_histories(examples, interpreted):
+    @settings(max_examples=examples, deadline=None)
+    @given(history_steps)
+    def run(steps):
+        with forced_interpretation(interpreted):
+            history = _History()
+        for step in steps:
+            history.step(*step)
+
+    run()
 
 
 class TestMaintainedNesting:
     def test_random_histories_match_scratch_nesting_and_interpreter(self):
-        @settings(max_examples=100, deadline=None)
-        @given(history_steps)
-        def run(steps):
-            history = _History()
-            for step in steps:
-                history.step(*step)
+        _run_histories(100, interpreted=False)
 
-        run()
+    def test_random_histories_under_the_interpreter(self):
+        """The same histories with every view interpreted: the pair queries
+        the compiled views join run as the interpreter's nested loops."""
+        _run_histories(40, interpreted=True)
 
     def test_two_flat_tuples_nesting_to_the_same_value(self):
         database = Database()

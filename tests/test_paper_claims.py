@@ -72,7 +72,7 @@ def _movies_ops(query, strategy, size, batch):
 # --------------------------------------------------------------------------- #
 # E1 — §2.2: the nested `related` view, shredded IVM vs re-evaluation
 # --------------------------------------------------------------------------- #
-E1 = {30: (2_548, 274), 60: (9_086, 434)}
+E1 = {30: (954, 138), 60: (2_486, 166)}
 
 
 def test_e1_related_nested_ivm_vs_naive():
@@ -252,7 +252,7 @@ def test_e9_update_cone_constant_recompute_cone_grows():
 # --------------------------------------------------------------------------- #
 # E10 — §2.2 / Appendix A.2: the IVM advantage shrinks as d approaches n
 # --------------------------------------------------------------------------- #
-E10 = {3: (9_401, 679), 15: (13_281, 4_791), 60: (33_572, 25_300)}
+E10 = {3: (2_593, 278), 15: (3_523, 1_282), 60: (7_946, 5_844)}
 
 
 def test_e10_speedup_falls_as_batch_approaches_n():

@@ -8,9 +8,11 @@ never what the result holds:
   place, whose unchanged snapshot is handed out again for free; property
   tests pin maintained ≡ recomputation across every maintenance strategy,
   including negative deltas and retained-snapshot isolation.
-* the nested view's footprint-bounded dictionary probes — the probe
-  counters prove untouched labels are never visited, and the
-  ``forced_no_footprint`` switch reproduces the all-labels sweep bit for bit.
+* the nested view's dictionary refreshes — one pair query per position,
+  whose probes find exactly the delta's label footprint: the probe counter
+  proves untouched labels are never visited, and a test-side reference
+  (every entry looked up through the intensional delta dictionary) checks
+  the join's changes bit for bit.
 * the server's versioned reads — ``ETag`` / ``If-None-Match`` 304s with no
   body, and ``limit``/``offset`` pages that tile the full result exactly
   (differential paged ≡ full).
@@ -21,6 +23,7 @@ from __future__ import annotations
 import json
 import urllib.error
 import urllib.request
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -31,12 +34,19 @@ from repro.bag import bag as bag_module
 from repro.bag.builder import BagBuilder
 from repro.client.api import APIClient, APIError
 from repro.client.resources import DatasetsClient, UpdatesClient, ViewsClient
+from repro.delta.rules import delta
+from repro.dictionaries import IntensionalDict
 from repro.engine import Engine
+from repro.instrument import OpCounter
 from repro.ivm import Database, NestedIVMView, Update
-from repro.ivm.footprint import footprint_enabled, forced_no_footprint
 from repro.nrc import ast, builders as build, predicates as preds
-from repro.nrc.compile import CompiledQuery, compile_expr, forced_interpretation
-from repro.nrc.evaluator import Environment, evaluate_bag
+from repro.nrc.compile import (
+    CompiledQuery,
+    compilation_enabled,
+    compile_expr,
+    forced_interpretation,
+)
+from repro.nrc.evaluator import Environment, evaluate, evaluate_bag
 from repro.nrc.types import BASE, bag_of
 from repro.serve import ProtocolError, ReproServer, ServerConfig
 from repro.serve.protocol import encode_bag, encode_bag_page
@@ -404,7 +414,7 @@ class TestFoldVersionContract:
 
 
 # --------------------------------------------------------------------------- #
-# Footprint-bounded dictionary probes
+# Dictionary refreshes: one pair query per position, bounded by the footprint
 # --------------------------------------------------------------------------- #
 ROWS = [
     ("A", "Drama", "Refn"),
@@ -422,12 +432,48 @@ def _nested_view(rows=ROWS):
     return database, view
 
 
+def _apply_counting(database, update):
+    """Apply ``update``, counting evaluations — of whole compiled queries and
+    of intensional dictionary lookups, each one walk of its body — and
+    counter increments."""
+    counts = {"evaluations": 0, "increments": 0}
+
+    def counting(original, name):
+        def counted(self, *args, **kwargs):
+            counts[name] += 1
+            return original(self, *args, **kwargs)
+
+        return counted
+
+    with mock.patch.object(
+        CompiledQuery, "evaluate", counting(CompiledQuery.evaluate, "evaluations")
+    ), mock.patch.object(
+        IntensionalDict, "lookup", counting(IntensionalDict.lookup, "evaluations")
+    ), mock.patch.object(
+        OpCounter, "increment", counting(OpCounter.increment, "increments")
+    ):
+        database.apply_update(update)
+    return counts
+
+
 class TestFootprintProbes:
-    def test_related_query_delta_is_analyzable(self):
-        _, view = _nested_view()
-        footprint = view.read_stats()["footprint"]
-        assert footprint["enabled"] is footprint_enabled()
-        assert footprint["planned"] >= 1
+    """The labels a refresh touches are the ones its join finds: the delta's
+    label footprint, never a sweep of the dictionary."""
+
+    def test_related_refresh_probes_the_active_label_indexes(self):
+        if not compilation_enabled():
+            pytest.skip("the interpreter walks the active labels")
+        database, view = _nested_view()
+        (state,) = view._dict_states
+        (part,) = state.parts.values()
+        store = part.store
+        assert sorted(index.paths for index in store.indexes()) == [((0, 1),), ((0, 2),)]
+        hits = sum(index.hits for index in store.indexes())
+        database.apply_update(Update(relations={"M": Bag([("F", "Drama", "Mendes")])}))
+        # One probe per disjunct (genre, director) per delta row, answered by
+        # the persistent indexes — no per-evaluation build of the relation.
+        assert sum(index.hits for index in store.indexes()) - hits == 2
+        assert sum(index.rebuilds for index in store.indexes()) == 2 * 2  # construction only
 
     def test_untouched_labels_are_never_probed(self):
         database, view = _nested_view()
@@ -435,13 +481,9 @@ class TestFootprintProbes:
             Update(relations={"M": Bag([("F", "Drama", "Refn")])})
         )
         probes = view.read_stats()["probes"]
-        assert probes["full_sweeps"] == 0
-        assert probes["footprint_sweeps"] >= 1
-        # Every probed label was justified by the delta's key footprint, and
-        # the labels outside it (Action/Mendes, Comedy/Howard, ...) were
-        # skipped without being visited.
-        assert probes["dict_probes"] == probes["footprint_probes"]
-        assert probes["skipped_labels"] > 0
+        # The Drama/Refn labels (A, D) changed and F's was initialised; the
+        # labels outside the footprint (B, C, E) were never visited.
+        assert probes == {"dict_probes": 3}
         expected = evaluate_bag(
             related_query(), Environment(relations={"M": database.relation("M")})
         )
@@ -461,22 +503,65 @@ class TestFootprintProbes:
             for name, gen, director in distinct_movies
             if gen == delta_row[1] or director == delta_row[2]
         )
-        assert 0 < probes["footprint_probes"] <= bound < len(distinct_movies)
+        assert 0 < probes["dict_probes"] <= bound < len(distinct_movies)
 
-    def test_disabled_footprint_sweeps_all_labels_same_result(self):
-        database, view = _nested_view()
-        update = Update(relations={"M": Bag([("F", "Drama", "Refn")])})
-        database.apply_update(update)
-        fast = view.read_stats()["probes"]
+    def test_refresh_work_does_not_grow_with_the_footprint(self):
+        """A movie batch costs the same number of evaluations and counter
+        increments whether 100 or 400 labels share its keys: the refresh is
+        one join, not one walk (and a few increments) per footprint label."""
+        batch = Bag.from_pairs(
+            [(("New0", "Drama", "Director1"), 1), (("New1", "Action", "Director2"), 1)]
+        )
+        counts, footprints = [], []
+        for size in (100, 400):
+            database, view = _nested_view(
+                [(f"m{i}", ("Drama", "Action")[i % 2], f"Director{i % 10}") for i in range(size)]
+            )
+            before = view.read_stats()["probes"]["dict_probes"]
+            counts.append(_apply_counting(database, Update(relations={"M": batch})))
+            footprints.append(view.read_stats()["probes"]["dict_probes"] - before)
+            assert view.result() == evaluate_bag(related_query(), database.environment())
+        assert footprints == [102, 402]
+        if compilation_enabled():
+            # The flat delta, the pair query over δ and the one over the new
+            # labels; a few bulk counter additions per walk and probe.
+            assert counts[0] == counts[1]
+            assert counts[1]["evaluations"] == 3
+            assert counts[1]["increments"] <= 40
 
-        with forced_no_footprint():
-            database_slow, view_slow = _nested_view()
-            database_slow.apply_update(update)
-            slow = view_slow.read_stats()["probes"]
-        assert slow["footprint_sweeps"] == 0
-        assert slow["full_sweeps"] >= 1
-        assert slow["dict_probes"] > fast["dict_probes"]
-        assert view_slow.result() == view.result()
+    @settings(max_examples=25, deadline=None)
+    @given(movie_bags, st.lists(update_bags, min_size=1, max_size=3))
+    def test_join_changes_match_intensional_delta_lookups(self, instance, updates):
+        """The reference the join is checked against: every entry is its
+        old definition (or, for a new label, ``h^Γ(ℓ)`` before the update)
+        ⊎ the intensional delta dictionary ``δ(h^Γ)`` looked up at ``ℓ``,
+        and the labels the refresh counts are exactly those it changed."""
+        database = Database()
+        database.register("M", MOVIE_SCHEMA, instance)
+        view = NestedIVMView(related_query(), database)
+        (state,) = view._dict_states
+        for update in updates:
+            update = Update(relations={"M": _guard(database, update)})
+            before = dict(state.entries)
+            pre = database.shredded_environment()
+            dictionary = evaluate(state.expression, pre)
+            delta_dictionary = evaluate(
+                delta(state.expression, view._targets),
+                pre.with_deltas(database.shred_update(update).as_delta_symbols()),
+            )
+            probes = view.read_stats()["probes"]["dict_probes"]
+            database.apply_update(update)
+            changed = 0
+            for label, entry in state.entries.items():
+                change = delta_dictionary.lookup(label)
+                if label in before:
+                    assert entry == before[label].union(change)
+                    changed += not change.is_empty()
+                else:
+                    assert entry == dictionary.lookup(label).union(change)
+                    changed += 1
+            assert view.read_stats()["probes"]["dict_probes"] - probes == changed
+            assert view.result() == evaluate_bag(related_query(), database.environment())
 
     @settings(max_examples=15, deadline=None)
     @given(movie_bags, update_bags)
@@ -490,13 +575,9 @@ class TestFootprintProbes:
             related_query(), Environment(relations={"M": database.relation("M")})
         )
         assert view.result() == expected
-        probes = view.read_stats()["probes"]
-        # Whatever path was taken, every probe is accounted for by exactly
-        # one of the three selection modes.
-        assert (
-            probes["footprint_sweeps"] + probes["support_sweeps"] + probes["full_sweeps"]
-            >= 0
-        )
+        # No refresh touches more labels than the dictionary holds after it.
+        (state,) = view._dict_states
+        assert view.read_stats()["probes"]["dict_probes"] <= len(state.entries)
 
     def test_storage_report_carries_named_read_path(self):
         engine = Engine()

@@ -157,10 +157,9 @@ def test_refresh_context_environments_are_pre_update_snapshots():
     context = RefreshContext(database, update, database.shred_update(update))
     assert context.delta_environment().relations["R"] == Bag(["a"])
     assert context.relation_deltas[("R", 1)] == Bag(["b"])
-    post = context.post_shredded_environment()
-    assert post is context.post_shredded_environment()  # memoized
     flat_name = database.shredded_source_names("R")[0]
-    assert post.relations[flat_name] == Bag(["a", "b"])
+    assert context.shredded_environment().relations[flat_name] == Bag(["a"])
+    assert context.shredded_delta_environment().deltas[(flat_name, 1)] == Bag(["b"])
 
 
 # --------------------------------------------------------------------------- #
