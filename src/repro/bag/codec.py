@@ -43,6 +43,8 @@ __all__ = [
     "encode_pairs",
     "encode_value",
     "is_sendable",
+    "read_uvarint",
+    "write_uvarint",
 ]
 
 
@@ -70,7 +72,7 @@ _TAG_LABEL = 0x09
 _FLOAT_PACK = struct.Struct(">d")
 
 
-def _write_uvarint(out: bytearray, value: int) -> None:
+def write_uvarint(out: bytearray, value: int) -> None:
     """LEB128 unsigned varint (arbitrary precision)."""
     while True:
         byte = value & 0x7F
@@ -95,11 +97,11 @@ def _write_value(out: bytearray, value: Any) -> None:
     elif type(value) is int:
         out.append(_TAG_INT)
         encoded = (value << 1) if value >= 0 else (((-value) << 1) - 1)
-        _write_uvarint(out, encoded)
+        write_uvarint(out, encoded)
     elif type(value) is str:
         raw = value.encode("utf-8")
         out.append(_TAG_STR)
-        _write_uvarint(out, len(raw))
+        write_uvarint(out, len(raw))
         out += raw
     elif type(value) is float:
         if value != value:
@@ -111,21 +113,21 @@ def _write_value(out: bytearray, value: Any) -> None:
         out += _FLOAT_PACK.pack(value)
     elif type(value) is bytes:
         out.append(_TAG_BYTES)
-        _write_uvarint(out, len(value))
+        write_uvarint(out, len(value))
         out += value
     elif type(value) is tuple:
         out.append(_TAG_TUPLE)
-        _write_uvarint(out, len(value))
+        write_uvarint(out, len(value))
         for item in value:
             _write_value(out, item)
     elif isinstance(value, Bag):
         data = value._data
         out.append(_TAG_BAG)
-        _write_uvarint(out, len(data))
+        write_uvarint(out, len(data))
         for element, multiplicity in data.items():
             _write_value(out, element)
             encoded = (multiplicity << 1) if multiplicity >= 0 else (((-multiplicity) << 1) - 1)
-            _write_uvarint(out, encoded)
+            write_uvarint(out, encoded)
     elif _is_label(value):
         out.append(_TAG_LABEL)
         _write_value(out, value.iota)
@@ -142,7 +144,8 @@ def _is_label(value: Any) -> bool:
     return isinstance(value, Label)
 
 
-def _read_uvarint(data: bytes, pos: int) -> Tuple[int, int]:
+def read_uvarint(data: bytes, pos: int) -> Tuple[int, int]:
+    """Decode the LEB128 varint at ``pos``; returns ``(value, next pos)``."""
     result = 0
     shift = 0
     while True:
@@ -168,29 +171,29 @@ def _read_value(data: bytes, pos: int) -> Tuple[Any, int]:
     if tag == _TAG_FALSE:
         return False, pos
     if tag == _TAG_INT:
-        raw, pos = _read_uvarint(data, pos)
+        raw, pos = read_uvarint(data, pos)
         return _unzigzag(raw), pos
     if tag == _TAG_STR:
-        length, pos = _read_uvarint(data, pos)
+        length, pos = read_uvarint(data, pos)
         return data[pos : pos + length].decode("utf-8"), pos + length
     if tag == _TAG_FLOAT:
         return _FLOAT_PACK.unpack_from(data, pos)[0], pos + 8
     if tag == _TAG_BYTES:
-        length, pos = _read_uvarint(data, pos)
+        length, pos = read_uvarint(data, pos)
         return data[pos : pos + length], pos + length
     if tag == _TAG_TUPLE:
-        length, pos = _read_uvarint(data, pos)
+        length, pos = read_uvarint(data, pos)
         items = []
         for _ in range(length):
             item, pos = _read_value(data, pos)
             items.append(item)
         return tuple(items), pos
     if tag == _TAG_BAG:
-        length, pos = _read_uvarint(data, pos)
+        length, pos = read_uvarint(data, pos)
         bag_data: Dict[Any, int] = {}
         for _ in range(length):
             element, pos = _read_value(data, pos)
-            raw, pos = _read_uvarint(data, pos)
+            raw, pos = read_uvarint(data, pos)
             bag_data[element] = _unzigzag(raw)
         return (EMPTY_BAG if not bag_data else Bag._from_clean_dict(bag_data)), pos
     if tag == _TAG_LABEL:
@@ -227,19 +230,19 @@ def encode_pairs(pairs: Iterable[Tuple[Any, int]]) -> bytes:
     for element, multiplicity in pairs:
         _write_value(body, element)
         encoded = (multiplicity << 1) if multiplicity >= 0 else (((-multiplicity) << 1) - 1)
-        _write_uvarint(body, encoded)
+        write_uvarint(body, encoded)
         count += 1
-    _write_uvarint(out, count)
+    write_uvarint(out, count)
     out += body
     return bytes(out)
 
 
 def decode_pairs(payload: bytes) -> List[Tuple[Any, int]]:
-    count, pos = _read_uvarint(payload, 0)
+    count, pos = read_uvarint(payload, 0)
     pairs: List[Tuple[Any, int]] = []
     for _ in range(count):
         element, pos = _read_value(payload, pos)
-        raw, pos = _read_uvarint(payload, pos)
+        raw, pos = read_uvarint(payload, pos)
         pairs.append((element, _unzigzag(raw)))
     if pos != len(payload):
         raise ValueError("corrupt bag-pair payload: trailing bytes")

@@ -438,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fsync",
         choices=("always", "batch", "off"),
         default=None,
-        help="WAL fsync policy (default: $REPRO_FSYNC or 'batch')",
+        help="WAL fsync policy (default: batch)",
     )
     serve.add_argument(
         "--replica-of",

@@ -6,8 +6,7 @@ cooperating pieces:
 * :mod:`repro.durability.wal` — an append-only, segmented write-ahead log of
   length-prefixed, CRC32-checksummed records (the PR 7 pair codec with a
   pickle fallback), with an ``always``/``batch``/``off`` fsync policy
-  (``REPRO_FSYNC``) and size-triggered segment rotation
-  (``REPRO_WAL_SEGMENT_BYTES``);
+  and size-triggered segment rotation;
 * :mod:`repro.durability.checkpoint` — per-store snapshot checkpoints cut
   from the storage layer's frozen copy-on-write snapshots (capture never
   blocks writers), with a manifest recording the engine ``state_version``,
@@ -28,8 +27,6 @@ from repro.durability.faults import CRASH_POINTS, FaultInjector, InjectedCrash
 from repro.durability.manager import DurabilityManager, RecoveryReport
 from repro.durability.wal import (
     FSYNC_POLICIES,
-    REPRO_FSYNC,
-    REPRO_WAL_SEGMENT_BYTES,
     WriteAheadLog,
     resolve_fsync_policy,
 )
@@ -37,8 +34,6 @@ from repro.durability.wal import (
 __all__ = [
     "CRASH_POINTS",
     "FSYNC_POLICIES",
-    "REPRO_FSYNC",
-    "REPRO_WAL_SEGMENT_BYTES",
     "DurabilityManager",
     "FaultInjector",
     "InjectedCrash",

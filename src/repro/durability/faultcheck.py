@@ -22,9 +22,8 @@ recovers ``k``), and that offset 0 actually fires every point — a battery
 that never crashes proves nothing.
 
 Exit status 0 when every cell converges, 1 with a per-cell report
-otherwise.  CI runs this as its crash-recovery leg with
-``REPRO_FSYNC=batch``; the fsync policy is also selectable with
-``--fsync``.
+otherwise.  CI runs this as its crash-recovery leg with ``--fsync
+batch``; ``--fsync`` selects the WAL fsync policy.
 """
 
 from __future__ import annotations
@@ -186,7 +185,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--fsync",
         choices=("always", "batch", "off"),
         default=None,
-        help="WAL fsync policy (default: $REPRO_FSYNC or 'batch')",
+        help="WAL fsync policy (default: batch)",
     )
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)

@@ -34,6 +34,8 @@ from repro.bag.codec import (
     decode_value,
     encode_bag,
     encode_value,
+    read_uvarint,
+    write_uvarint,
 )
 from repro.errors import EngineError
 from repro.ivm.updates import Update
@@ -59,47 +61,26 @@ _KIND_PICKLE = 0x02
 _PROTO = pickle.HIGHEST_PROTOCOL
 
 
-def _write_uvarint(out: bytearray, value: int) -> None:
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        out.append(byte | (0x80 if value else 0x00))
-        if not value:
-            return
-
-
-def _read_uvarint(data: bytes, pos: int) -> Tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        byte = data[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
-
-
 def _write_blob(out: bytearray, kind: int, blob: bytes) -> None:
     out.append(kind)
-    _write_uvarint(out, len(blob))
+    write_uvarint(out, len(blob))
     out += blob
 
 
 def _read_blob(data: bytes, pos: int) -> Tuple[int, bytes, int]:
     kind = data[pos]
-    length, pos = _read_uvarint(data, pos + 1)
+    length, pos = read_uvarint(data, pos + 1)
     return kind, data[pos : pos + length], pos + length
 
 
 def _write_str(out: bytearray, text: str) -> None:
     blob = text.encode("utf-8")
-    _write_uvarint(out, len(blob))
+    write_uvarint(out, len(blob))
     out += blob
 
 
 def _read_str(data: bytes, pos: int) -> Tuple[str, int]:
-    length, pos = _read_uvarint(data, pos)
+    length, pos = read_uvarint(data, pos)
     return data[pos : pos + length].decode("utf-8"), pos + length
 
 
@@ -138,14 +119,14 @@ def _read_scalar(data: bytes, pos: int) -> Tuple[Any, int]:
 def encode_update_record(update: Update) -> bytes:
     """``U`` record: relation deltas plus deep (per-label) dictionary deltas."""
     out = bytearray([_RT_UPDATE])
-    _write_uvarint(out, len(update.relations))
+    write_uvarint(out, len(update.relations))
     for name, bag in update.relations.items():
         _write_str(out, name)
         _write_bag(out, bag)
-    _write_uvarint(out, len(update.deep))
+    write_uvarint(out, len(update.deep))
     for dict_name, entries in update.deep.items():
         _write_str(out, dict_name)
-        _write_uvarint(out, len(entries))
+        write_uvarint(out, len(entries))
         for label, bag in entries.items():
             _write_scalar(out, label)
             _write_bag(out, bag)
@@ -214,15 +195,15 @@ def decode_record(payload: bytes) -> Tuple[str, Any]:
     pos = 1
     if record_type == _RT_UPDATE:
         relations: Dict[str, Bag] = {}
-        count, pos = _read_uvarint(payload, pos)
+        count, pos = read_uvarint(payload, pos)
         for _ in range(count):
             name, pos = _read_str(payload, pos)
             relations[name], pos = _read_bag(payload, pos)
         deep: Dict[str, Dict[Any, Bag]] = {}
-        count, pos = _read_uvarint(payload, pos)
+        count, pos = read_uvarint(payload, pos)
         for _ in range(count):
             dict_name, pos = _read_str(payload, pos)
-            entry_count, pos = _read_uvarint(payload, pos)
+            entry_count, pos = read_uvarint(payload, pos)
             entries: Dict[Any, Bag] = {}
             for _ in range(entry_count):
                 label, pos = _read_scalar(payload, pos)

@@ -3,11 +3,11 @@
 Layout: ``<wal_dir>/wal-00000001.log``, ``wal-00000002.log``, … — each
 segment an 8-byte magic header (:data:`SEGMENT_MAGIC`) followed by record
 frames ``u32 length (LE) | u32 crc32 (LE) | payload``.  Segments rotate at
-:data:`DEFAULT_SEGMENT_BYTES` (``REPRO_WAL_SEGMENT_BYTES``) and at every
+:data:`DEFAULT_SEGMENT_BYTES` (or ``segment_bytes=``) and at every
 checkpoint capture, so a checkpoint covers exactly the segments before its
 ``wal_start_segment``.
 
-**Fsync policy** (``REPRO_FSYNC`` / ``Engine(fsync=...)``):
+**Fsync policy** (``Engine(fsync=...)``, default ``batch``):
 
 * ``always`` — every append is written *and* fsynced before returning;
 * ``batch`` — appends accumulate in an application-level buffer until
@@ -45,8 +45,6 @@ from repro.durability.faults import FaultInjector, InjectedCrash, fire
 __all__ = [
     "DEFAULT_SEGMENT_BYTES",
     "FSYNC_POLICIES",
-    "REPRO_FSYNC",
-    "REPRO_WAL_SEGMENT_BYTES",
     "SEGMENT_MAGIC",
     "SegmentScan",
     "WriteAheadLog",
@@ -63,9 +61,6 @@ SEGMENT_MAGIC = b"RWAL0001"
 #: ``u32 length | u32 crc32``, little-endian.
 _FRAME = struct.Struct("<II")
 
-REPRO_FSYNC = "REPRO_FSYNC"
-REPRO_WAL_SEGMENT_BYTES = "REPRO_WAL_SEGMENT_BYTES"
-
 FSYNC_POLICIES = ("always", "batch", "off")
 
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
@@ -75,9 +70,9 @@ _OFF_FLUSH_BYTES = 64 * 1024
 
 
 def resolve_fsync_policy(policy: Optional[str] = None) -> str:
-    """Explicit argument, else ``REPRO_FSYNC``, else ``batch``."""
+    """Explicit argument, else ``batch``."""
     if policy is None:
-        policy = os.environ.get(REPRO_FSYNC) or "batch"
+        return "batch"
     if policy not in FSYNC_POLICIES:
         raise ValueError(
             f"fsync policy must be one of {FSYNC_POLICIES}, got {policy!r}"
@@ -86,17 +81,9 @@ def resolve_fsync_policy(policy: Optional[str] = None) -> str:
 
 
 def resolve_segment_bytes(segment_bytes: Optional[int] = None) -> int:
-    """Explicit argument, else ``REPRO_WAL_SEGMENT_BYTES``, else 4 MiB."""
+    """Explicit argument, else 4 MiB."""
     if segment_bytes is None:
-        raw = os.environ.get(REPRO_WAL_SEGMENT_BYTES)
-        if not raw:
-            return DEFAULT_SEGMENT_BYTES
-        try:
-            segment_bytes = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{REPRO_WAL_SEGMENT_BYTES} must be an integer, got {raw!r}"
-            ) from None
+        return DEFAULT_SEGMENT_BYTES
     if segment_bytes < 1:
         raise ValueError(f"segment size must be positive, got {segment_bytes}")
     return segment_bytes

@@ -94,7 +94,7 @@ class ViewHandle:
     @property
     def execution(self) -> str:
         """``"compiled"`` or ``"interpreted"`` — how the view's per-update
-        queries run (see :mod:`repro.nrc.compile` and ``REPRO_NO_COMPILE``)."""
+        queries run (see :mod:`repro.nrc.compile`)."""
         return self.view.execution_mode()
 
     def indexes(self) -> list:
@@ -173,7 +173,7 @@ class Engine:
         engine on an existing directory restores its state (newest valid
         checkpoint + WAL tail replay — see ``docs/durability.md``).
         ``fsync`` picks the WAL sync policy (``"always"``/``"batch"``/
-        ``"off"``; ``None`` defers to ``REPRO_FSYNC`` / ``batch``) and
+        ``"off"``; ``None`` means ``"batch"``) and
         ``fault_injector`` arms the crash-injection harness
         (:mod:`repro.durability.faults`).  Without ``data_dir`` the engine
         is purely in-memory, exactly as before.

@@ -35,7 +35,6 @@ from repro.nrc import ast
 from repro.nrc.analysis import free_elem_vars, referenced_deltas, referenced_relations
 from repro.nrc.ast import Expr
 from repro.nrc.compile import CompiledQuery, run_bag, try_compile
-from repro.nrc.evaluator import Environment, evaluate_bag
 from repro.nrc.rewrite import simplify
 from repro.storage import ResultStore
 
@@ -55,6 +54,7 @@ class _Materialization:
     expression: Expr
     delta_expression: Expr
     value: BagBuilder
+    compiled: Optional[CompiledQuery] = None
     compiled_delta: Optional[CompiledQuery] = None
 
 
@@ -146,6 +146,7 @@ class RecursiveIVMView(View):
                 expression=expression,
                 delta_expression=delta_expression,
                 value=BagBuilder(),
+                compiled=try_compile(expression),
                 compiled_delta=try_compile(delta_expression),
             )
         counter = OpCounter()
@@ -183,7 +184,12 @@ class RecursiveIVMView(View):
         )
         for materialization in self._materializations.values():
             materialization.value.adopt_bag(
-                evaluate_bag(materialization.expression, environment, counter)
+                run_bag(
+                    materialization.compiled,
+                    materialization.expression,
+                    environment,
+                    counter,
+                )
             )
 
     # ------------------------------------------------------------------ #

@@ -136,8 +136,9 @@ class View:
     def execution_mode(self) -> str:
         """``"compiled"`` when every per-update query of this view runs
         through the closure compiler (:mod:`repro.nrc.compile`),
-        ``"interpreted"`` otherwise (``REPRO_NO_COMPILE`` set, or some
-        query fell outside the compiler's coverage)."""
+        ``"interpreted"`` otherwise (built inside
+        :func:`~repro.nrc.compile.forced_interpretation`, or some query fell
+        outside the compiler's coverage)."""
         return getattr(self, "_execution_mode", "interpreted")
 
     # ------------------------------------------------------------------ #

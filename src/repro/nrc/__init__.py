@@ -15,7 +15,7 @@ from repro.nrc.analysis import (
     referenced_relations,
     referenced_sources,
 )
-from repro.nrc.compile import CompiledQuery, compile_expr, compilation_enabled, try_compile
+from repro.nrc.compile import CompiledQuery, compile_expr, try_compile
 from repro.nrc.evaluator import Environment, evaluate, evaluate_bag
 from repro.nrc.pretty import render
 from repro.nrc.rewrite import simplify
@@ -34,7 +34,6 @@ __all__ = [
     "referenced_sources",
     "CompiledQuery",
     "compile_expr",
-    "compilation_enabled",
     "try_compile",
     "Environment",
     "evaluate",

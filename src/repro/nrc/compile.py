@@ -55,11 +55,10 @@ view-registration time, into a tree of closures and generated loops that
 The strict interpreter remains the semantic reference; compiled and
 interpreted evaluation must agree on every input (the differential tests in
 ``tests/test_compile.py`` enforce this, and the oracle that ends every
-benchmark run re-checks it on real workloads).  Setting the environment
-variable :data:`REPRO_NO_COMPILE` (to any non-empty value) disables compilation
-globally — :func:`try_compile` then returns ``None`` and every view falls
-back to the interpreter, which evaluates the delta as derived, in its
-literal binder order.
+benchmark run re-checks it on real workloads).  Inside
+:func:`forced_interpretation` (a test hook) :func:`try_compile` returns
+``None``, so views built there fall back to the interpreter, which
+evaluates the delta as derived, in its literal binder order.
 
 One bounded caveat applies to *ill-typed* input only: a hash-join does not
 evaluate guard conjuncts for pairs its index already excludes, so an error
@@ -94,7 +93,6 @@ so a counter handed to an evaluation that raises holds a partial count
 
 from __future__ import annotations
 
-import os
 from contextlib import ExitStack, contextmanager
 from functools import partial
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
@@ -115,46 +113,33 @@ from repro.nrc.kernels import MISSING as _MISSING, KernelModule, project as _pro
 from repro.nrc.traverse import map_expr
 
 __all__ = [
-    "REPRO_NO_COMPILE",
     "CompiledQuery",
     "IndexRequirement",
     "compile_expr",
-    "compilation_enabled",
     "forced_interpretation",
     "run_bag",
     "try_compile",
 ]
 
-#: Environment variable that disables compilation when set to a non-empty value.
-REPRO_NO_COMPILE = "REPRO_NO_COMPILE"
-
-
-def compilation_enabled() -> bool:
-    """True unless the ``REPRO_NO_COMPILE`` escape hatch is set."""
-    return not os.environ.get(REPRO_NO_COMPILE)
+#: Set only inside :func:`forced_interpretation`.
+_interpretation_forced = False
 
 
 @contextmanager
 def forced_interpretation(interpreted: bool = True) -> Iterator[None]:
-    """Temporarily force the execution mode (benchmark/smoke/test helper).
+    """Force (or lift) interpretation for views built inside the block.
 
-    ``interpreted=True`` sets ``REPRO_NO_COMPILE`` for the duration of the
-    block, ``interpreted=False`` clears it; the previous value is restored
-    on exit either way.  Only affects views *constructed* inside the block —
+    A test hook: the interpreter is the oracle compiled views are checked
+    against.  Only views *constructed* inside the block are affected —
     views compile (or don't) at registration time.
     """
-    saved = os.environ.get(REPRO_NO_COMPILE)
+    global _interpretation_forced
+    saved = _interpretation_forced
+    _interpretation_forced = interpreted
     try:
-        if interpreted:
-            os.environ[REPRO_NO_COMPILE] = "1"
-        else:
-            os.environ.pop(REPRO_NO_COMPILE, None)
         yield
     finally:
-        if saved is None:
-            os.environ.pop(REPRO_NO_COMPILE, None)
-        else:
-            os.environ[REPRO_NO_COMPILE] = saved
+        _interpretation_forced = saved
 
 
 def compile_expr(expr: Expr, tag: Optional[str] = None) -> "CompiledQuery":
@@ -168,12 +153,13 @@ def compile_expr(expr: Expr, tag: Optional[str] = None) -> "CompiledQuery":
 
 
 def try_compile(expr: Expr, tag: Optional[str] = None) -> Optional["CompiledQuery"]:
-    """Compile ``expr``, or return ``None`` when disabled or unsupported.
+    """Compile ``expr``, or return ``None`` when interpretation is forced or
+    the expression is unsupported.
 
     This is the entry point the view classes use at registration time: a
     ``None`` result means "run interpreted", never an error.
     """
-    if not compilation_enabled():
+    if _interpretation_forced:
         return None
     try:
         return compile_expr(expr, tag)

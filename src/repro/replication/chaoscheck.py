@@ -519,7 +519,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--fsync",
         choices=("always", "batch", "off"),
         default=None,
-        help="WAL fsync policy (default: $REPRO_FSYNC or 'batch')",
+        help="WAL fsync policy (default: batch)",
     )
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)

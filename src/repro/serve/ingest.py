@@ -16,7 +16,8 @@ Two properties fall out:
   refresh, one snapshot publication for the whole run.  Under a write storm
   the per-update cost collapses into the batch the same way the engine's
   own batched streams do (cancelling insert/delete pairs vanish before any
-  view runs).
+  view runs).  A merged apply that raises changed nothing, so its updates
+  are retried one at a time: a rejected update fails only its own command.
 * **backpressure** — the queue is bounded (:attr:`IngestWorker.capacity`).
   When it is full, :meth:`submit` raises :class:`BackpressureError` carrying
   a ``retry_after`` estimate derived from the observed batch latency; the
@@ -261,10 +262,17 @@ class IngestWorker:
         started = time.perf_counter()
         try:
             result = self._apply_batch(updates)
-        except BaseException as error:  # noqa: BLE001 - reported to every waiter
+        except Exception as error:  # noqa: BLE001 - reported to its waiter
+            if len(batch) > 1:
+                # One bad update must not fail the writes coalesced with it:
+                # apply them one at a time, each command gets its own
+                # verdict.  Safe because a failed apply_batch changed nothing
+                # (or, having applied, made the writer refuse applies).
+                for command in batch:
+                    self._run_applies([command])
+                return
             self.stats.errors += 1
-            for command in batch:
-                command.finish(error=error)
+            batch[0].finish(error=error)
             return
         seconds = time.perf_counter() - started
         self.stats.record_batch(len(batch), seconds)

@@ -124,8 +124,6 @@ class ServerConfig:
         "port",
         "queue_depth",
         "coalesce",
-        "auto_create_tenants",
-        "sync_timeout",
         "engine_options",
         "quiet",
         "data_dir",
@@ -142,8 +140,6 @@ class ServerConfig:
         *,
         queue_depth: int = 256,
         coalesce: int = 64,
-        auto_create_tenants: bool = True,
-        sync_timeout: float = 30.0,
         engine_options: Optional[Dict[str, Any]] = None,
         quiet: bool = True,
         data_dir: Optional[str] = None,
@@ -156,8 +152,6 @@ class ServerConfig:
         self.port = port
         self.queue_depth = queue_depth
         self.coalesce = coalesce
-        self.auto_create_tenants = auto_create_tenants
-        self.sync_timeout = sync_timeout
         self.engine_options = dict(engine_options or {})
         self.quiet = quiet
         self.data_dir = data_dir
@@ -684,8 +678,6 @@ class ReproServer:
             engine_options=self.config.engine_options,
             queue_depth=self.config.queue_depth,
             coalesce=self.config.coalesce,
-            auto_create=self.config.auto_create_tenants,
-            sync_timeout=self.config.sync_timeout,
             data_dir=self.config.data_dir,
             fsync=self.config.fsync,
             replica_of=self.config.replica_of,

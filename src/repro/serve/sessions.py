@@ -36,7 +36,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.durability.manager import load_replication_state, store_replication_state
-from repro.durability.wal import resolve_fsync_policy, resolve_segment_bytes
+from repro.durability.wal import resolve_fsync_policy
 from repro.engine import Engine, EngineSnapshot
 from repro.errors import EngineError
 from repro.ivm.updates import Update
@@ -72,6 +72,9 @@ __all__ = [
 #: Longest tenant name, in UTF-8 bytes: a durable tenant is a directory
 #: named after it, and every filesystem takes a name this long.
 MAX_TENANT_NAME_BYTES = 128
+
+#: Seconds a handler thread waits for the writer to finish its command.
+SYNC_TIMEOUT = 30.0
 
 
 class TenantRecoveringError(RuntimeError):
@@ -141,7 +144,6 @@ class TenantSession:
         engine_options: Optional[Dict[str, Any]] = None,
         queue_depth: int = 256,
         coalesce: int = 64,
-        sync_timeout: float = 30.0,
         replica_of: Optional[str] = None,
         poll_wait: float = 5.0,
         poll_interval: float = 0.05,
@@ -150,7 +152,6 @@ class TenantSession:
         options = dict(engine_options or {})
         self._engine_options = options
         self._data_dir: Optional[str] = options.get("data_dir")
-        self.sync_timeout = sync_timeout
         # Role resolution happens BEFORE the engine opens: the persisted
         # replication state decides whether recovery runs in standby mode.
         # A tenant promoted to primary stays primary across restarts even
@@ -236,11 +237,24 @@ class TenantSession:
         self.snapshot = PublishedSnapshot(self.engine.snapshot())
 
     def _apply_batch(self, updates: List[Update]) -> Dict[str, Any]:
-        applied = self.engine.apply_stream(updates, batched=True)
-        # Sync-before-ack: a durable tenant fsyncs the WAL (per the engine's
-        # fsync policy) before any waiter in this batch is released, so a
-        # synchronous apply the client saw acknowledged survives a crash.
-        self.engine.sync_wal()
+        version = self.engine.state_version
+        try:
+            applied = self.engine.apply_stream(updates, batched=True)
+            # Sync-before-ack: a durable tenant fsyncs the WAL (per the
+            # engine's fsync policy) before any waiter in this batch is
+            # released, so a synchronous apply the client saw acknowledged
+            # survives a crash.
+            self.engine.sync_wal()
+        except Exception as error:
+            if self.engine.state_version != version:
+                # The batch applied but its log write failed: the engine is
+                # ahead of its WAL.  Refuse further writes (``promote``
+                # re-arms), which also keeps the worker's one-at-a-time
+                # retry from applying these updates a second time.
+                self.engine.database.set_read_only(
+                    f"write-ahead log failed after an apply: {error}"
+                )
+            raise
         return {"applied": applied, "version": self.engine.state_version}
 
     def _create_dataset(self, name: str, fields: Any, rows: Any) -> Dict[str, Any]:
@@ -287,7 +301,7 @@ class TenantSession:
         """Link thread: run one shipped batch through the single writer."""
         self.worker.submit(
             Command("ship", run=lambda: self._ship(frames, chaos))
-        ).result(self.sync_timeout)
+        ).result(SYNC_TIMEOUT)
 
     def _ship(self, frames: List[Tuple[int, int, bytes]], chaos: Any) -> Dict[str, Any]:
         """Worker thread: mirror + fsync the frames, then apply each payload.
@@ -313,7 +327,7 @@ class TenantSession:
         """Link thread: rebuild the tenant from a shipped checkpoint."""
         self.worker.submit(
             Command("reseed", run=lambda: self._reseed(bootstrap))
-        ).result(self.sync_timeout)
+        ).result(SYNC_TIMEOUT)
 
     def _reseed(self, bootstrap: Dict[str, Any]) -> Dict[str, Any]:
         """Worker thread: wipe-and-reinstall, then reopen the standby engine.
@@ -349,14 +363,14 @@ class TenantSession:
         return self.worker.submit(Command("apply", run=lambda: None, payload=update))
 
     def apply_sync(self, update: Update) -> Dict[str, Any]:
-        return self.submit_apply(update).result(self.sync_timeout)
+        return self.submit_apply(update).result(SYNC_TIMEOUT)
 
     def create_dataset(self, name: str, fields: Any, rows: Any = None) -> Dict[str, Any]:
         self._check_writable()
         command = Command(
             "dataset", run=lambda: self._create_dataset(name, fields, rows)
         )
-        return self.worker.submit(command).result(self.sync_timeout)
+        return self.worker.submit(command).result(SYNC_TIMEOUT)
 
     def create_view(
         self, name: str, query_spec: Any, strategy: str = "auto"
@@ -365,7 +379,7 @@ class TenantSession:
         command = Command(
             "view", run=lambda: self._create_view(name, query_spec, strategy)
         )
-        return self.worker.submit(command).result(self.sync_timeout)
+        return self.worker.submit(command).result(SYNC_TIMEOUT)
 
     def checkpoint(self) -> Dict[str, Any]:
         """Cut a snapshot checkpoint without stalling ingest.
@@ -391,7 +405,7 @@ class TenantSession:
             )
         capture = self.worker.submit(
             Command("checkpoint", run=self.engine.checkpoint_capture)
-        ).result(self.sync_timeout)
+        ).result(SYNC_TIMEOUT)
         written = dict(self.engine.write_checkpoint(capture))
         written["tenant"] = self.name
         return written
@@ -512,7 +526,7 @@ class TenantSession:
                 # an operator re-arming a primary that downgraded itself.
                 version = self.worker.submit(
                     Command("promote", run=self.engine.promote_writable)
-                ).result(self.sync_timeout)
+                ).result(SYNC_TIMEOUT)
                 return {
                     "tenant": self.name,
                     "role": "primary",
@@ -544,7 +558,7 @@ class TenantSession:
                     "promote",
                     run=lambda: self.engine.promote_writable(epoch=new_epoch),
                 )
-            ).result(self.sync_timeout)
+            ).result(SYNC_TIMEOUT)
         except BaseException:
             if link is not None:
                 link.resume()
@@ -590,7 +604,7 @@ class TenantSession:
             )
         self.worker.submit(
             Command("demote", run=lambda: self.engine.fence(epoch, reason))
-        ).result(self.sync_timeout)
+        ).result(SYNC_TIMEOUT)
         self.role = "fenced"
         return {
             "tenant": self.name,
@@ -730,11 +744,7 @@ class TenantSession:
                 self.engine.checkpoint()
             except Exception:  # noqa: BLE001 - shutdown must proceed
                 pass
-        # Engine.close is idempotent and safe concurrently with an in-flight
-        # apply; exercise and assert exactly that on every shutdown.
         self.engine.close()
-        self.engine.close()
-        assert self.engine.closed, "Engine.close() must leave the engine closed"
 
 
 def check_engine_options(options: Dict[str, Any]) -> None:
@@ -743,20 +753,15 @@ def check_engine_options(options: Dict[str, Any]) -> None:
 
     Tenants build their engines lazily, on first use; a bad option found
     there would answer every tenant creation with a 500.  So the options
-    are bound against ``Engine``'s signature (an unknown key fails) and the
-    WAL settings go through the resolvers the engine itself runs: the fsync
-    policy, and for a durable engine the segment size too, which fall back
-    to ``REPRO_FSYNC`` / ``REPRO_WAL_SEGMENT_BYTES``.
+    are bound against ``Engine``'s signature (an unknown key fails) and an
+    explicit fsync policy goes through the resolver the engine itself runs.
     """
     try:
         arguments = inspect.signature(Engine).bind(**options).arguments
     except TypeError as error:
         raise ValueError(f"engine_options: {error}") from None
     fsync = arguments.get("fsync")
-    if arguments.get("data_dir") is not None:
-        resolve_fsync_policy(fsync)
-        resolve_segment_bytes()
-    elif fsync is not None:
+    if fsync is not None:
         resolve_fsync_policy(fsync)
 
 
@@ -769,8 +774,6 @@ class SessionManager:
         engine_options: Optional[Dict[str, Any]] = None,
         queue_depth: int = 256,
         coalesce: int = 64,
-        auto_create: bool = True,
-        sync_timeout: float = 30.0,
         data_dir: Optional[str] = None,
         fsync: Optional[str] = None,
         replica_of: Optional[str] = None,
@@ -780,8 +783,6 @@ class SessionManager:
         self._engine_options = dict(engine_options or {})
         self._queue_depth = queue_depth
         self._coalesce = coalesce
-        self._auto_create = auto_create
-        self._sync_timeout = sync_timeout
         self._data_dir = data_dir
         self._fsync = fsync
         self._replica_of = replica_of.rstrip("/") if replica_of else None
@@ -822,7 +823,6 @@ class SessionManager:
                     engine_options=self._tenant_options(name),
                     queue_depth=self._queue_depth,
                     coalesce=self._coalesce,
-                    sync_timeout=self._sync_timeout,
                     replica_of=self._replica_of,
                     poll_wait=self._poll_wait,
                     poll_interval=self._poll_interval,
@@ -832,11 +832,6 @@ class SessionManager:
     @property
     def replica_of(self) -> Optional[str]:
         return self._replica_of
-
-    def _has_durable_state(self, name: str) -> bool:
-        return self._data_dir is not None and os.path.isdir(
-            os.path.join(self._data_dir, name)
-        )
 
     def get(self, name: str) -> TenantSession:
         if (
@@ -851,10 +846,6 @@ class SessionManager:
             return session
         if name in self._recovering:
             raise TenantRecoveringError(name)
-        # A tenant with durable state on disk is "known" even when
-        # auto-creation is off: opening it is a recovery, not a creation.
-        if not self._auto_create and not self._has_durable_state(name):
-            raise ProtocolError(f"unknown tenant {name!r}", code="not_found")
         return self._create(name)
 
     def recover_existing(self) -> Tuple[str, ...]:

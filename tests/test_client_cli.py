@@ -253,13 +253,11 @@ class TestCLI:
             _run(live, "datasets", "create", "M2") == 1
         )  # missing --fields
 
-    def test_serve_rejects_bad_fsync_environment_before_listening(
-        self, capsys, monkeypatch, tmp_path
-    ):
-        monkeypatch.setenv("REPRO_FSYNC", "bogus")
-        assert main(["serve", "--port", "0", "--data-dir", str(tmp_path)]) == 1
+    def test_serve_rejects_replica_without_data_dir_before_listening(self, capsys):
+        upstream = "http://127.0.0.1:9"
+        assert main(["serve", "--port", "0", "--replica-of", upstream]) == 1
         captured = capsys.readouterr()
-        assert "fsync policy" in captured.err and "listening" not in captured.out
+        assert "--data-dir" in captured.err and "listening" not in captured.out
 
 
 # --------------------------------------------------------------------------- #

@@ -6,6 +6,7 @@ ways and requires identical bags — including negative multiplicities, deep
 updates and every maintenance strategy.
 """
 
+import os
 from collections import namedtuple
 
 import pytest
@@ -20,10 +21,9 @@ from repro.nrc import ast
 from repro.nrc import builders as build
 from repro.nrc import predicates as preds
 from repro.nrc.compile import (
-    REPRO_NO_COMPILE,
     CompiledQuery,
-    compilation_enabled,
     compile_expr,
+    forced_interpretation,
     try_compile,
 )
 from repro.nrc.evaluator import Environment, evaluate, evaluate_bag
@@ -511,13 +511,19 @@ class TestHashJoinWork:
 
 
 # --------------------------------------------------------------------------- #
-# Escape hatch and fallback
+# Test hook and fallback
 # --------------------------------------------------------------------------- #
 class TestEscapeHatch:
-    def test_no_compile_env_disables_compilation(self, monkeypatch):
-        monkeypatch.setenv(REPRO_NO_COMPILE, "1")
-        assert not compilation_enabled()
-        assert try_compile(ast.SngUnit()) is None
+    def test_forced_interpretation_disables_compilation(self):
+        environment = dict(os.environ)
+        with forced_interpretation():
+            assert try_compile(ast.SngUnit()) is None
+            with forced_interpretation(False):
+                assert try_compile(ast.SngUnit()) is not None
+            assert try_compile(ast.SngUnit()) is None
+            assert dict(os.environ) == environment
+        assert try_compile(ast.SngUnit()) is not None
+        assert dict(os.environ) == environment
 
     def test_try_compile_returns_none_for_unknown_nodes(self):
         class Alien(ast.Expr):
@@ -527,10 +533,10 @@ class TestEscapeHatch:
         with pytest.raises(CompileError):
             compile_expr(Alien())
 
-    def test_views_fall_back_to_interpreter(self, monkeypatch):
-        monkeypatch.setenv(REPRO_NO_COMPILE, "1")
-        engine = movies_engine(generate_movies(30))
-        view = engine.view("join", genre_selfjoin_query(), strategy="classic")
+    def test_views_fall_back_to_interpreter(self):
+        with forced_interpretation():
+            engine = movies_engine(generate_movies(30))
+            view = engine.view("join", genre_selfjoin_query(), strategy="classic")
         assert view.execution == "interpreted"
         assert engine.explain("join").execution == "interpreted"
 
@@ -538,13 +544,10 @@ class TestEscapeHatch:
 # --------------------------------------------------------------------------- #
 # Strategy-level differential maintenance
 # --------------------------------------------------------------------------- #
-def _maintained_results(strategy, query, stream, monkeypatch, interpreted):
-    if interpreted:
-        monkeypatch.setenv(REPRO_NO_COMPILE, "1")
-    else:
-        monkeypatch.delenv(REPRO_NO_COMPILE, raising=False)
-    engine = movies_engine(generate_movies(40, seed=9))
-    view = engine.view("v", query, strategy=strategy)
+def _maintained_results(strategy, query, stream, interpreted):
+    with forced_interpretation(interpreted):
+        engine = movies_engine(generate_movies(40, seed=9))
+        view = engine.view("v", query, strategy=strategy)
     results = []
     for update in stream:
         engine.apply(update)
@@ -553,29 +556,26 @@ def _maintained_results(strategy, query, stream, monkeypatch, interpreted):
 
 
 @pytest.mark.parametrize("strategy", ["naive", "classic", "recursive", "nested"])
-def test_strategies_agree_compiled_vs_interpreted(strategy, monkeypatch):
+def test_strategies_agree_compiled_vs_interpreted(strategy):
     query = related_query() if strategy == "nested" else genre_selfjoin_query()
     stream = list(
         movie_update_stream(
             4, 3, existing=generate_movies(40, seed=9), deletion_ratio=0.4, seed=17
         )
     )
-    compiled_view, compiled = _maintained_results(strategy, query, stream, monkeypatch, False)
-    interpreted_view, interpreted = _maintained_results(strategy, query, stream, monkeypatch, True)
+    compiled_view, compiled = _maintained_results(strategy, query, stream, False)
+    interpreted_view, interpreted = _maintained_results(strategy, query, stream, True)
     assert compiled_view.execution == "compiled"
     assert interpreted_view.execution == "interpreted"
     assert compiled == interpreted
 
 
 @pytest.mark.parametrize("interpreted", [False, True])
-def test_nested_strategy_handles_deep_updates(interpreted, monkeypatch):
-    if interpreted:
-        monkeypatch.setenv(REPRO_NO_COMPILE, "1")
-    else:
-        monkeypatch.delenv(REPRO_NO_COMPILE, raising=False)
+def test_nested_strategy_handles_deep_updates(interpreted):
     engine = bag_of_bags_engine(12, 3, seed=21)
     query = build.for_in("x", ast.Relation("R", bag_of(bag_of(BASE))), ast.SngVar("x"))
-    view = engine.view("groups", query, strategy="nested")
+    with forced_interpretation(interpreted):
+        view = engine.view("groups", query, strategy="nested")
 
     dict_name = input_dict_name("R", ())
     dictionary = engine.database.shredded_environment().dictionaries[dict_name]
@@ -589,17 +589,14 @@ def test_nested_strategy_handles_deep_updates(interpreted, monkeypatch):
     assert view.result() == expected
 
 
-def test_compiled_and_interpreted_selfjoin_ops_diverge_superlinearly(monkeypatch):
+def test_compiled_and_interpreted_selfjoin_ops_diverge_superlinearly():
     """The compiled pipeline's per-update work stays near the match count."""
     stream = list(movie_update_stream(3, 4, seed=29))
-    _, _ = _maintained_results("classic", genre_selfjoin_query(), stream, monkeypatch, False)
-    monkeypatch.delenv(REPRO_NO_COMPILE, raising=False)
     engine_c = movies_engine(generate_movies(200, seed=9))
     compiled_view = engine_c.view("v", genre_selfjoin_query(), strategy="classic")
-    monkeypatch.setenv(REPRO_NO_COMPILE, "1")
-    engine_i = movies_engine(generate_movies(200, seed=9))
-    interpreted_view = engine_i.view("v", genre_selfjoin_query(), strategy="classic")
-    monkeypatch.delenv(REPRO_NO_COMPILE, raising=False)
+    with forced_interpretation():
+        engine_i = movies_engine(generate_movies(200, seed=9))
+        interpreted_view = engine_i.view("v", genre_selfjoin_query(), strategy="classic")
     for update in stream:
         engine_c.apply(update)
         engine_i.apply(update)

@@ -23,13 +23,14 @@ from repro.serve import ServerConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
+#: The client's deployment addresses; the engine and server read none.
 ENVIRONMENT_VARIABLES = {
-    "REPRO_NO_COMPILE",
-    "REPRO_FSYNC",
-    "REPRO_WAL_SEGMENT_BYTES",
-    "REPRO_TENANT",
     "REPRO_SERVER",
+    "REPRO_TENANT",
 }
+
+#: The only modules that read the process environment.
+ENVIRONMENT_READERS = {"src/repro/client/api.py", "src/repro/client/cli.py"}
 
 #: ``Engine(...)``'s keyword parameters, in signature order.
 ENGINE_OPTIONS = (
@@ -45,8 +46,6 @@ SERVER_CONFIG_FIELDS = (
     "port",
     "queue_depth",
     "coalesce",
-    "auto_create_tenants",
-    "sync_timeout",
     "engine_options",
     "quiet",
     "data_dir",
@@ -86,6 +85,15 @@ def test_environment_variables_are_exactly_the_listed_ones():
     for source in (ROOT / "src").rglob("*.py"):
         named.update(re.findall(r"REPRO_[A-Z_]+", source.read_text(encoding="utf-8")))
     assert named == ENVIRONMENT_VARIABLES
+
+
+def test_only_the_client_reads_the_environment():
+    readers = {
+        source.relative_to(ROOT).as_posix()
+        for source in (ROOT / "src").rglob("*.py")
+        if re.search(r"os\.environ|getenv", source.read_text(encoding="utf-8"))
+    }
+    assert readers == ENVIRONMENT_READERS
 
 
 def test_engine_options_are_exactly_the_listed_ones():

@@ -37,6 +37,7 @@ from repro.durability import (
     WriteAheadLog,
     resolve_fsync_policy,
 )
+from repro.durability.wal import DEFAULT_SEGMENT_BYTES, resolve_segment_bytes
 from repro.durability.checkpoint import (
     _MANIFEST,
     _decode_blob,
@@ -135,14 +136,17 @@ class TestWAL:
             recovered.extend(scan.payloads)
         assert recovered == [b"x" * 48] * 8
 
-    def test_fsync_policy_resolution(self, monkeypatch):
+    def test_fsync_policy_resolution(self):
         assert resolve_fsync_policy("always") == "always"
-        monkeypatch.setenv("REPRO_FSYNC", "off")
-        assert resolve_fsync_policy() == "off"
-        monkeypatch.delenv("REPRO_FSYNC")
         assert resolve_fsync_policy() == "batch"
         with pytest.raises(ValueError):
             resolve_fsync_policy("sometimes")
+
+    def test_segment_size_resolution(self):
+        assert resolve_segment_bytes() == DEFAULT_SEGMENT_BYTES
+        assert resolve_segment_bytes(64) == 64
+        with pytest.raises(ValueError, match="segment size must be positive"):
+            resolve_segment_bytes(0)
 
     def _write_segment(self, tmp_path, payloads):
         wal = WriteAheadLog(str(tmp_path), fsync="always")
@@ -667,8 +671,7 @@ class TestLifecycle:
         assert not recovered.recovery_report.read_only
         recovered.close()
 
-    def test_in_memory_engine_is_unchanged_without_data_dir(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FSYNC", "off")
+    def test_in_memory_engine_is_unchanged_without_data_dir(self):
         engine = Engine()
         assert not engine.durable
         assert engine.recovery_report is None

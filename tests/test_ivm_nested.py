@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bag import Bag, EMPTY_BAG
+from repro.dictionaries import MaterializedDict
 from repro.engine import Engine
 from repro.errors import EvaluationError
 from repro.ivm import Database, NaiveView, NestedIVMView, Update, deletions, insertions
 from repro.nrc import ast, builders as build, predicates as preds
-from repro.nrc.compile import IndexRequirement, forced_interpretation
+from repro.nrc.compile import IndexRequirement, compile_expr, forced_interpretation
 from repro.nrc.evaluator import evaluate_bag
 from repro.nrc.types import BASE, BagType, ProductType, bag_of, tuple_of
 from repro.shredding import BagContext, TupleContext, UNIT_CONTEXT, unshred_bag
@@ -947,3 +948,85 @@ def test_nested_negative_multiplicity_carriers():
     engine.apply({"R": {phantom: 1}})  # cancels back out
     _assert_active_index_consistent(view)
     assert view.result() == _triple([[["a"]]])
+
+
+class TestCompiledDictionaryRules:
+    """``flatten`` over ``Bag(Bag(Base))`` relations refreshes through the
+    compiler's dictionary rules — lookups, dictionary variables and their
+    deltas, dictionary union, addition and the empty dictionary.  After every
+    step the compiled view, the interpreted one and a recompute agree."""
+
+    R = ast.Relation("R", NESTED_SCHEMA)
+    S = ast.Relation("S", NESTED_SCHEMA)
+
+    @staticmethod
+    def _labels(engine, relation):
+        dictionary = engine.database.shredded_environment().dictionaries[
+            input_dict_name(relation, ())
+        ]
+        return sorted(dictionary.support(), key=lambda label: label.render())
+
+    @pytest.mark.parametrize(
+        "query", [ast.Flatten(R), ast.Flatten(ast.Union((R, S)))], ids=["R", "R-union-S"]
+    )
+    def test_compiled_equals_interpreted_equals_recompute(self, query):
+        engine = Engine()
+        engine.dataset("R", NESTED_SCHEMA, Bag([Bag(["a", "b"]), Bag(["b"]), Bag(["c", "c"])]))
+        engine.dataset("S", NESTED_SCHEMA, Bag([Bag(["b"]), Bag(["d"])]))
+        compiled = engine.view("compiled", query, strategy="nested")
+        with forced_interpretation():
+            interpreted = engine.view("interpreted", query, strategy="nested")
+        assert compiled.execution == "compiled"
+        assert interpreted.execution == "interpreted"
+
+        def check():
+            expected = evaluate_bag(query, engine.database.environment())
+            assert compiled.result() == expected
+            assert interpreted.result() == expected
+
+        check()
+        steps = [
+            lambda: {"R": Bag([Bag(["e"]), Bag(["a", "f"])])},
+            lambda: {"S": Bag([Bag(["g", "g"]), Bag(["b"])])},
+            lambda: {"R": Bag.from_pairs([(Bag(["b"]), -1), (Bag(["h"]), 2)])},
+            lambda: Update(
+                deep={input_dict_name("R", ()): {self._labels(engine, "R")[0]: Bag(["deep"])}}
+            ),
+            lambda: Update(
+                deep={input_dict_name("S", ()): {self._labels(engine, "S")[-1]: Bag(["z"])}}
+            ),
+            lambda: {"S": Bag.from_pairs([(Bag(["d"]), -1)])},
+            lambda: {"R": Bag.from_pairs([(Bag(["c", "c"]), -1)])},
+        ]
+        for step in steps:
+            engine.apply(step())
+            check()
+
+    def test_dictionary_addition_and_empty_compile_like_the_interpreter(self):
+        """Dictionary addition and the empty dictionary, which the engine's
+        own plans simplify away, against the interpreter over the engine's
+        shredded state and a deep delta."""
+        engine = Engine()
+        engine.dataset("R", NESTED_SCHEMA, Bag([Bag(["a", "b"]), Bag(["b"]), Bag(["c", "c"])]))
+        name = input_dict_name("R", ())
+        first, *_, last = self._labels(engine, "R")
+        environment = engine.database.shredded_environment().copy()
+        environment.deltas[(name, 1)] = MaterializedDict(
+            {first: Bag.from_pairs([("a", -1), ("x", 2)]), last: Bag(["y"])}
+        )
+        stored = ast.DictVar(name, bag_of(BASE))
+        changed = ast.DeltaDictVar(name, bag_of(BASE))
+        for dictionary in (
+            ast.DictAdd((stored, changed)),
+            ast.DictAdd((stored, ast.DictEmpty())),
+            ast.DictUnion((stored, ast.DictEmpty())),
+            ast.DictEmpty(bag_of(BASE)),
+        ):
+            query = build.for_in(
+                "l",
+                ast.Relation(flat_relation_name("R"), bag_of(BASE)),
+                ast.DictLookup(dictionary, "l"),
+            )
+            assert compile_expr(query).evaluate_bag(environment) == evaluate_bag(
+                query, environment
+            )

@@ -7,9 +7,9 @@ engine on a small deterministic instance, pins the counts it measures
 exactly — so any change in the work a strategy does fails the cell — and
 asserts the shape the claim predicts (what stays constant, what grows, who
 wins).  The counts are independent of hash seed and execution backend; no cell
-reads a clock.  They are the compiled pipeline's counts:
-the interpreter (``REPRO_NO_COMPILE``) counts its work differently, so every
-cell pins the compiled mode.
+reads a clock.  They are the compiled pipeline's counts: the interpreter
+(views built inside ``forced_interpretation()``) counts its work
+differently.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.instrument import OpCounter
 from repro.ivm import Update
 from repro.labels import Label
 from repro.nrc import ast, builders as build, predicates as preds
-from repro.nrc.compile import forced_interpretation
 from repro.nrc.evaluator import Environment, evaluate_bag
 from repro.nrc.types import BASE, bag_of
 from repro.relational import RelSchema, RelationalDatabase, RelationalIVMView, RelationalNaiveView
@@ -52,12 +51,6 @@ STREAM_SEED = 1
 M = ast.Relation("M", MOVIE_SCHEMA)
 R = ast.Relation("R", bag_of(bag_of(BASE)))
 DRAMAS = build.filter_query(M, preds.eq(preds.var_path("x", 1), preds.const("Drama")), "x")
-
-
-@pytest.fixture(autouse=True)
-def _compiled():
-    with forced_interpretation(False):
-        yield
 
 
 def _movies_ops(query, strategy, size, batch):

@@ -42,7 +42,6 @@ from repro.ivm import Database, NestedIVMView, Update
 from repro.nrc import ast, builders as build, predicates as preds
 from repro.nrc.compile import (
     CompiledQuery,
-    compilation_enabled,
     compile_expr,
     forced_interpretation,
 )
@@ -461,8 +460,6 @@ class TestFootprintProbes:
     label footprint, never a sweep of the dictionary."""
 
     def test_related_refresh_probes_the_active_label_indexes(self):
-        if not compilation_enabled():
-            pytest.skip("the interpreter walks the active labels")
         database, view = _nested_view()
         (state,) = view._dict_states
         (part,) = state.parts.values()
@@ -522,12 +519,11 @@ class TestFootprintProbes:
             footprints.append(view.read_stats()["probes"]["dict_probes"] - before)
             assert view.result() == evaluate_bag(related_query(), database.environment())
         assert footprints == [102, 402]
-        if compilation_enabled():
-            # The flat delta, the pair query over δ and the one over the new
-            # labels; a few bulk counter additions per walk and probe.
-            assert counts[0] == counts[1]
-            assert counts[1]["evaluations"] == 3
-            assert counts[1]["increments"] <= 40
+        # The flat delta, the pair query over δ and the one over the new
+        # labels; a few bulk counter additions per walk and probe.
+        assert counts[0] == counts[1]
+        assert counts[1]["evaluations"] == 3
+        assert counts[1]["increments"] <= 40
 
     @settings(max_examples=25, deadline=None)
     @given(movie_bags, st.lists(update_bags, min_size=1, max_size=3))

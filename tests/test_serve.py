@@ -20,6 +20,8 @@ import pytest
 from repro.bag import Bag
 from repro.client.api import APIClient, APIError
 from repro.engine import Engine
+from repro.errors import EvaluationError, WorkloadError
+from repro.ivm import Update
 from repro.serve import (
     BackpressureError,
     Command,
@@ -28,6 +30,7 @@ from repro.serve import (
     ReproServer,
     ServerConfig,
 )
+from repro.serve.sessions import TenantSession
 from repro.serve.protocol import (
     decode_update,
     decode_value,
@@ -313,6 +316,79 @@ class TestIngestWorker:
 
 
 # --------------------------------------------------------------------------- #
+# A rejected write among coalesced ones
+# --------------------------------------------------------------------------- #
+OLD_FILMS = {
+    "from": "Y",
+    "var": "y",
+    "where": ["lt", ["field", "y", "year"], ["const", 2000]],
+    "select": [["field", "y", "name"]],
+}
+
+
+def _films_session(**options):
+    session = TenantSession("t", engine_options=options)
+    session.create_dataset("Y", ["name", "year"], [["a", 1990]])
+    session.create_view("old", OLD_FILMS, strategy="classic")
+    return session
+
+
+def _coalesced(session, rows):
+    """Submit one write per row behind a stalled worker, so they coalesce."""
+    release = threading.Event()
+    session.worker.submit(Command("block", run=release.wait))
+    commands = [
+        session.submit_apply(Update(relations={"Y": Bag([row])})) for row in rows
+    ]
+    release.set()
+    return commands
+
+
+class TestCoalescedRejection:
+    def test_rejected_write_fails_only_its_own_command(self):
+        session = _films_session()
+        try:
+            good, bad, later = _coalesced(
+                session, [("b", 1995), ("c", "1998"), ("d", 2010)]
+            )
+            assert good.result(5.0)["applied"] == 1
+            with pytest.raises(EvaluationError):
+                bad.result(5.0)
+            assert later.result(5.0)["applied"] == 1
+            engine = session.engine
+            assert engine.snapshot().datasets["Y"] == Bag(
+                [("a", 1990), ("b", 1995), ("d", 2010)]
+            )
+            assert engine["old"].result() == Bag(["a", "b"])
+            assert session.worker.stats.errors == 1
+        finally:
+            session.close()
+
+    def test_batch_applied_but_not_synced_is_applied_once(self, tmp_path):
+        """A batch whose WAL sync failed is already in the engine, so the
+        tenant turns read-only before the one-at-a-time retry, which then
+        applies nothing a second time."""
+        session = _films_session(data_dir=str(tmp_path))
+        engine = session.engine
+
+        def failing_sync():
+            raise OSError("disk gone")
+
+        engine.sync_wal = failing_sync
+        try:
+            commands = _coalesced(session, [("b", 1995), ("d", 2010)])
+            for command in commands:
+                with pytest.raises(WorkloadError, match="log failed after an apply: disk gone"):
+                    command.result(5.0)
+            assert engine.snapshot().datasets["Y"] == Bag(
+                [("a", 1990), ("b", 1995), ("d", 2010)]
+            )
+            assert "write-ahead log failed" in engine.read_only
+        finally:
+            session.close()
+
+
+# --------------------------------------------------------------------------- #
 # HTTP endpoints
 # --------------------------------------------------------------------------- #
 class TestEndpoints:
@@ -536,23 +612,6 @@ class TestEngineOptions:
         before it listens, not answer every tenant creation with a 500."""
         with pytest.raises(ValueError, match=message):
             ReproServer(ServerConfig(port=0, engine_options=options))
-
-    @pytest.mark.parametrize(
-        "variable, value, message",
-        [
-            ("REPRO_FSYNC", "bogus", "fsync policy"),
-            ("REPRO_WAL_SEGMENT_BYTES", "abc", "REPRO_WAL_SEGMENT_BYTES must be an integer"),
-            ("REPRO_WAL_SEGMENT_BYTES", "0", "segment size must be positive"),
-        ],
-    )
-    def test_bad_durability_environment_fails_at_construction(
-        self, monkeypatch, tmp_path, variable, value, message
-    ):
-        """A durable server resolves the WAL settings every tenant engine
-        will read from the environment before it listens."""
-        monkeypatch.setenv(variable, value)
-        with pytest.raises(ValueError, match=message):
-            ReproServer(ServerConfig(port=0, data_dir=str(tmp_path)))
 
     def test_good_engine_options_reach_the_tenant_engine(self):
         options = {"expected_update_size": 4}

@@ -3,7 +3,7 @@
 The core property is differential: a view maintained through **persistent
 indexes** must produce bit-identical contents to the same view maintained
 with **per-evaluation rebuilds** (``forced_no_index``) and to the strict
-**interpreter** (``REPRO_NO_COMPILE``), across every strategy, including
+**interpreter** (``forced_interpretation``), across every strategy, including
 negative multiplicities, NaN/unhashable join keys, and deep updates.
 """
 
@@ -19,7 +19,6 @@ from repro.ivm.database import Database, ShreddedDelta
 from repro.nrc import ast
 from repro.nrc.compile import (
     IndexRequirement,
-    compilation_enabled,
     compile_expr,
     forced_interpretation,
 )
@@ -47,16 +46,6 @@ from repro.workloads import (
 )
 
 STRATEGIES = ("naive", "classic", "recursive", "nested")
-
-#: Tests that introspect index registration rely on the *ambient* execution
-#: mode: with REPRO_NO_COMPILE set there are no compiled queries and hence,
-#: correctly, no index requirements to observe.  (Differential tests scope
-#: their modes with forced_interpretation/forced_no_index and always run.)
-requires_compilation = pytest.mark.skipif(
-    not compilation_enabled(),
-    reason="persistent-index registration requires the compiled pipeline",
-)
-
 
 # --------------------------------------------------------------------------- #
 # HashIndex unit behavior
@@ -283,7 +272,6 @@ def test_selfjoin_three_modes_agree(strategy):
 
 
 @pytest.mark.parametrize("strategy", ("classic", "recursive", "nested"))
-@requires_compilation
 def test_indexed_run_actually_probes_persistent_index(strategy):
     base = generate_movies(40, seed=5)
     stream = movie_update_stream(3, 2, seed=9)
@@ -350,7 +338,6 @@ def test_stale_environment_is_never_served_by_the_index():
     )
 
 
-@requires_compilation
 def test_escaped_dictionary_lookups_see_their_environment_snapshot():
     """An intensional dictionary that outlives its evaluation must keep
     answering from the environment it closed over, even though the
@@ -387,7 +374,6 @@ def test_escaped_dictionary_lookups_see_their_environment_snapshot():
     assert evaluate(expr, env).lookup(label) == before
 
 
-@requires_compilation
 def test_vacuum_revalidates_poisoned_indexes():
     nan = float("nan")
     engine = movies_engine(generate_movies(10, seed=3))
@@ -534,7 +520,6 @@ class TestEngineFacade:
         (state,) = nested.view._dict_states
         assert sorted(label.values[0][0] for label in state.entries) == ["Rush", "Skyfall"]
 
-    @requires_compilation
     def test_explain_and_storage_report_surface_indexes(self):
         engine = movies_engine(generate_movies(20, seed=3))
         engine.view("v", genre_selfjoin_query(), strategy="classic")
@@ -546,7 +531,6 @@ class TestEngineFacade:
         assert nested_stores["M"]["indexes"], "M should carry a persistent index"
         assert {"nested", "flat", "dictionaries"} <= set(report)
 
-    @requires_compilation
     def test_no_index_views_report_per_evaluation(self):
         with forced_no_index():
             engine = movies_engine(generate_movies(20, seed=3))
@@ -555,7 +539,6 @@ class TestEngineFacade:
         plan = engine.explain("v")
         assert any("per-evaluation" in entry for entry in plan.indexes)
 
-    @requires_compilation
     def test_featured_join_with_targets_hits_index(self):
         engine = movies_engine(generate_movies(40, seed=7))
         engine.dataset("F", FEATURED_SCHEMA, Bag([("Movie000001", "s0")]))
