@@ -78,13 +78,6 @@ class FBagEncoding:
     def num_slots(self) -> int:
         return self.domain.size**self.arity
 
-    def slot_of(self, row: Tuple) -> int:
-        """Lexicographic index of a tuple in the slot ordering."""
-        slot = 0
-        for component in row:
-            slot = slot * self.domain.size + self.domain.index(component)
-        return slot
-
     def bit_names(self) -> List[str]:
         """Stable bit names (used to wire the encoding into circuits)."""
         return [f"slot{slot}_bit{bit}" for slot in range(self.num_slots) for bit in range(self.k)]

@@ -128,9 +128,6 @@ class Circuit:
     def num_inputs(self) -> int:
         return len(self._input_names)
 
-    def output_names(self) -> Tuple[str, ...]:
-        return tuple(name for name, _ in self._outputs)
-
     def depth(self) -> int:
         """Longest path from any input/constant to any output gate."""
         depths = [0] * len(self._kinds)

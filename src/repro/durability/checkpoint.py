@@ -4,8 +4,9 @@ A checkpoint is a directory ``<checkpoints>/ckpt-00000042/`` holding
 
 * one **blob file per store** (``blob-0000.bin``, …) — the store's
   ``(element, multiplicity)`` pairs in the pair codec, pickle fallback
-  for codec-unsendable elements; each file is framed
-  ``u32 length | u32 crc32 | kind byte + payload`` so load detects rot.
+  for codec-unsendable elements; each file is one WAL frame
+  (:func:`~repro.durability.wal.encode_frame`) around ``kind byte +
+  payload``, so load detects rot.
   The manifest lists a *list* of blobs per store: checkpoints written by
   sharded stores hold one blob per shard, and load still merges them;
 * a **dictionaries blob** (the shredded input dictionaries) and a
@@ -38,14 +39,18 @@ from __future__ import annotations
 import os
 import pickle
 import shutil
-import struct
-import zlib
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.bag.bag import Bag
-from repro.bag.codec import UnsendableValueError, decode_pairs, encode_pairs
+from repro.bag.codec import decode_bag, encode_bag
 from repro.durability.faults import FaultInjector, InjectedCrash, fire
-from repro.durability.wal import _fsync_directory
+from repro.durability.records import (
+    KIND_PICKLE,
+    PICKLE_PROTOCOL,
+    decode_blob,
+    encode_blob,
+)
+from repro.durability.wal import _fsync_directory, encode_frame, unframe
 
 __all__ = [
     "CheckpointCapture",
@@ -55,13 +60,6 @@ __all__ = [
     "read_manifest",
     "write_checkpoint",
 ]
-
-_FRAME = struct.Struct("<II")
-
-_KIND_CODEC = 0x01
-_KIND_PICKLE = 0x02
-
-_PROTO = pickle.HIGHEST_PROTOCOL
 
 _MANIFEST = "manifest.bin"
 
@@ -166,9 +164,8 @@ def next_checkpoint_seq(root: str) -> int:
 # ---------------------------------------------------------------------- #
 
 def _write_framed(path: str, payload: bytes) -> None:
-    frame = _FRAME.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF) + payload
     with open(path, "wb") as handle:
-        handle.write(frame)
+        handle.write(encode_frame(payload))
         handle.flush()
         os.fsync(handle.fileno())
 
@@ -176,31 +173,19 @@ def _write_framed(path: str, payload: bytes) -> None:
 def _read_framed(path: str) -> bytes:
     with open(path, "rb") as handle:
         data = handle.read()
-    if len(data) < _FRAME.size:
-        raise ValueError(f"{path}: truncated frame")
-    length, crc = _FRAME.unpack_from(data, 0)
-    payload = data[_FRAME.size : _FRAME.size + length]
-    if len(payload) != length:
-        raise ValueError(f"{path}: truncated payload")
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        raise ValueError(f"{path}: crc mismatch")
-    return payload
+    try:
+        return unframe(data)
+    except ValueError as error:
+        raise ValueError(f"{path}: {error}") from None
 
 
 def _encode_blob(bag: Bag) -> bytes:
-    try:
-        return bytes([_KIND_CODEC]) + encode_pairs(bag.items())
-    except UnsendableValueError:
-        return bytes([_KIND_PICKLE]) + pickle.dumps(bag, protocol=_PROTO)
+    kind, blob = encode_blob(bag, encode_bag)
+    return bytes([kind]) + blob
 
 
 def _decode_blob(payload: bytes) -> Bag:
-    kind, data = payload[0], payload[1:]
-    if kind == _KIND_CODEC:
-        return Bag.from_pairs(decode_pairs(data))
-    if kind == _KIND_PICKLE:
-        return pickle.loads(data)
-    raise ValueError(f"unknown blob kind 0x{kind:02x}")
+    return decode_blob(payload[0], payload[1:], decode_bag)
 
 
 # ---------------------------------------------------------------------- #
@@ -242,9 +227,10 @@ def write_checkpoint(
             }
         )
     dictionaries_blob = _next_blob(
-        bytes([_KIND_PICKLE]) + pickle.dumps(capture.dictionaries, protocol=_PROTO)
+        bytes([KIND_PICKLE])
+        + pickle.dumps(capture.dictionaries, protocol=PICKLE_PROTOCOL)
     )
-    shredder_blob = _next_blob(bytes([_KIND_PICKLE]) + capture.shredder_blob)
+    shredder_blob = _next_blob(bytes([KIND_PICKLE]) + capture.shredder_blob)
     manifest = {
         "format": 1,
         "seq": seq,
@@ -260,7 +246,9 @@ def write_checkpoint(
         "shredder_blob": shredder_blob,
         "views": capture.views,
     }
-    _write_framed(os.path.join(tmp, _MANIFEST), pickle.dumps(manifest, protocol=_PROTO))
+    _write_framed(
+        os.path.join(tmp, _MANIFEST), pickle.dumps(manifest, protocol=PICKLE_PROTOCOL)
+    )
     if fire(faults, "checkpoint.pre_rename"):
         raise InjectedCrash("checkpoint.pre_rename")
     os.rename(tmp, final)
@@ -295,11 +283,11 @@ def _read_checkpoint(seq: int, path: str) -> LoadedCheckpoint:
             # blobs holding disjoint elements, so folding is a plain union.
             bags[f"{side}:{entry['name']}"] = Bag.from_pairs(merged)
     dict_payload = _read_framed(os.path.join(path, manifest["dictionaries_blob"]))
-    if dict_payload[0] != _KIND_PICKLE:
+    if dict_payload[0] != KIND_PICKLE:
         raise ValueError(f"{path}: bad dictionaries blob")
     dictionaries = pickle.loads(dict_payload[1:])
     shredder_payload = _read_framed(os.path.join(path, manifest["shredder_blob"]))
-    if shredder_payload[0] != _KIND_PICKLE:
+    if shredder_payload[0] != KIND_PICKLE:
         raise ValueError(f"{path}: bad shredder blob")
     return LoadedCheckpoint(seq, path, manifest, bags, dictionaries, shredder_payload[1:])
 

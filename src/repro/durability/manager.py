@@ -49,6 +49,7 @@ from repro.durability.checkpoint import (
 )
 from repro.durability.faults import FaultInjector
 from repro.durability.records import (
+    PICKLE_PROTOCOL,
     decode_record,
     encode_dataset_record,
     encode_update_record,
@@ -70,8 +71,6 @@ __all__ = [
     "load_replication_state",
     "store_replication_state",
 ]
-
-_PROTO = pickle.HIGHEST_PROTOCOL
 
 #: Per-data-dir replication state: the fencing epoch, the last known role,
 #: and (when fenced) the demotion reason.  Tiny, human-readable, written
@@ -505,7 +504,7 @@ class DurabilityManager:
                     "flat_bag": relation["flat_bag"],
                 }
             )
-        shredder_blob = pickle.dumps(state["shredder"], protocol=_PROTO)
+        shredder_blob = pickle.dumps(state["shredder"], protocol=PICKLE_PROTOCOL)
         wal_start = self._wal.rotate()
         return CheckpointCapture(
             state_version=state["state_version"],

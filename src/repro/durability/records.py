@@ -25,7 +25,7 @@ Framing (length prefix + CRC32) is the WAL's job, not the payload's — see
 from __future__ import annotations
 
 import pickle
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.bag.bag import Bag
 from repro.bag.codec import (
@@ -41,7 +41,12 @@ from repro.errors import EngineError
 from repro.ivm.updates import Update
 
 __all__ = [
+    "KIND_CODEC",
+    "KIND_PICKLE",
+    "PICKLE_PROTOCOL",
+    "decode_blob",
     "decode_record",
+    "encode_blob",
     "encode_dataset_record",
     "encode_update_record",
     "encode_view_record",
@@ -54,11 +59,29 @@ _RT_VIEW = ord("V")
 #: Decoded only: written by logs that predate write-time retirement.
 _RT_VACUUM = ord("X")
 
-#: Blob encodings: the pair codec when it accepts the value, pickle otherwise.
-_KIND_CODEC = 0x01
-_KIND_PICKLE = 0x02
+#: Blob encodings (the kind byte before every blob here and in checkpoint
+#: files): the pair codec when it accepts the value, pickle otherwise.
+KIND_CODEC = 0x01
+KIND_PICKLE = 0x02
 
-_PROTO = pickle.HIGHEST_PROTOCOL
+PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
+
+
+def encode_blob(value: Any, encode: Callable[[Any], bytes]) -> Tuple[int, bytes]:
+    """``(kind, blob)``: ``encode(value)`` when the codec accepts it, else pickle."""
+    try:
+        return KIND_CODEC, encode(value)
+    except UnsendableValueError:
+        return KIND_PICKLE, pickle.dumps(value, protocol=PICKLE_PROTOCOL)
+
+
+def decode_blob(kind: int, blob: bytes, decode: Callable[[bytes], Any]) -> Any:
+    """Inverse of :func:`encode_blob`."""
+    if kind == KIND_CODEC:
+        return decode(blob)
+    if kind == KIND_PICKLE:
+        return pickle.loads(blob)
+    raise ValueError(f"unknown blob kind 0x{kind:02x}")
 
 
 def _write_blob(out: bytearray, kind: int, blob: bytes) -> None:
@@ -84,32 +107,13 @@ def _read_str(data: bytes, pos: int) -> Tuple[str, int]:
     return data[pos : pos + length].decode("utf-8"), pos + length
 
 
-def _write_bag(out: bytearray, bag: Bag) -> None:
-    try:
-        _write_blob(out, _KIND_CODEC, encode_bag(bag))
-    except UnsendableValueError:
-        _write_blob(out, _KIND_PICKLE, pickle.dumps(bag, protocol=_PROTO))
+def _write_coded(out: bytearray, value: Any, encode: Callable[[Any], bytes]) -> None:
+    _write_blob(out, *encode_blob(value, encode))
 
 
-def _read_bag(data: bytes, pos: int) -> Tuple[Bag, int]:
+def _read_coded(data: bytes, pos: int, decode: Callable[[bytes], Any]) -> Tuple[Any, int]:
     kind, blob, pos = _read_blob(data, pos)
-    if kind == _KIND_CODEC:
-        return decode_bag(blob), pos
-    return pickle.loads(blob), pos
-
-
-def _write_scalar(out: bytearray, value: Any) -> None:
-    try:
-        _write_blob(out, _KIND_CODEC, encode_value(value))
-    except UnsendableValueError:
-        _write_blob(out, _KIND_PICKLE, pickle.dumps(value, protocol=_PROTO))
-
-
-def _read_scalar(data: bytes, pos: int) -> Tuple[Any, int]:
-    kind, blob, pos = _read_blob(data, pos)
-    if kind == _KIND_CODEC:
-        return decode_value(blob), pos
-    return pickle.loads(blob), pos
+    return decode_blob(kind, blob, decode), pos
 
 
 # ---------------------------------------------------------------------- #
@@ -122,26 +126,26 @@ def encode_update_record(update: Update) -> bytes:
     write_uvarint(out, len(update.relations))
     for name, bag in update.relations.items():
         _write_str(out, name)
-        _write_bag(out, bag)
+        _write_coded(out, bag, encode_bag)
     write_uvarint(out, len(update.deep))
     for dict_name, entries in update.deep.items():
         _write_str(out, dict_name)
         write_uvarint(out, len(entries))
         for label, bag in entries.items():
-            _write_scalar(out, label)
-            _write_bag(out, bag)
+            _write_coded(out, label, encode_value)
+            _write_coded(out, bag, encode_bag)
     return bytes(out)
 
 
 def encode_dataset_record(name: str, schema: Any, rows: Optional[Bag]) -> bytes:
     """``D`` record: the registration call, initial rows in the bag codec."""
     out = bytearray([_RT_DATASET])
-    _write_blob(out, _KIND_PICKLE, pickle.dumps((name, schema), protocol=_PROTO))
+    _write_blob(out, KIND_PICKLE, pickle.dumps((name, schema), protocol=PICKLE_PROTOCOL))
     if rows is None:
         out.append(0)
     else:
         out.append(1)
-        _write_bag(out, rows)
+        _write_coded(out, rows, encode_bag)
     return bytes(out)
 
 
@@ -166,14 +170,14 @@ def encode_view_record(
         expected_update_size,
     )
     try:
-        blob = pickle.dumps(spec, protocol=_PROTO)
+        blob = pickle.dumps(spec, protocol=PICKLE_PROTOCOL)
     except Exception as error:
         raise EngineError(
             f"view {name!r} cannot be persisted: its query does not pickle "
             f"({error}); durable engines require picklable view expressions"
         ) from error
     out = bytearray([_RT_VIEW])
-    _write_blob(out, _KIND_PICKLE, blob)
+    _write_blob(out, KIND_PICKLE, blob)
     return bytes(out)
 
 
@@ -198,7 +202,7 @@ def decode_record(payload: bytes) -> Tuple[str, Any]:
         count, pos = read_uvarint(payload, pos)
         for _ in range(count):
             name, pos = _read_str(payload, pos)
-            relations[name], pos = _read_bag(payload, pos)
+            relations[name], pos = _read_coded(payload, pos, decode_bag)
         deep: Dict[str, Dict[Any, Bag]] = {}
         count, pos = read_uvarint(payload, pos)
         for _ in range(count):
@@ -206,8 +210,8 @@ def decode_record(payload: bytes) -> Tuple[str, Any]:
             entry_count, pos = read_uvarint(payload, pos)
             entries: Dict[Any, Bag] = {}
             for _ in range(entry_count):
-                label, pos = _read_scalar(payload, pos)
-                entries[label], pos = _read_bag(payload, pos)
+                label, pos = _read_coded(payload, pos, decode_value)
+                entries[label], pos = _read_coded(payload, pos, decode_bag)
             deep[dict_name] = entries
         return "update", Update(relations=relations, deep=deep)
     if record_type == _RT_DATASET:
@@ -215,7 +219,7 @@ def decode_record(payload: bytes) -> Tuple[str, Any]:
         name, schema = pickle.loads(blob)
         rows: Optional[Bag] = None
         if payload[pos]:
-            rows, _ = _read_bag(payload, pos + 1)
+            rows, _ = _read_coded(payload, pos + 1, decode_bag)
         return "dataset", (name, schema, rows)
     if record_type == _RT_VIEW:
         kind, blob, _ = _read_blob(payload, pos)

@@ -2,7 +2,10 @@
 
 Layout: ``<wal_dir>/wal-00000001.log``, ``wal-00000002.log``, … — each
 segment an 8-byte magic header (:data:`SEGMENT_MAGIC`) followed by record
-frames ``u32 length (LE) | u32 crc32 (LE) | payload``.  Segments rotate at
+frames ``u32 length (LE) | u32 crc32 (LE) | payload``.  This module is the
+only one that knows the frame layout: checkpoint files and the replication
+feed frame and check their bytes through :func:`encode_frame`,
+:func:`walk_frames` and :func:`unframe`.  Segments rotate at
 :data:`DEFAULT_SEGMENT_BYTES` (or ``segment_bytes=``) and at every
 checkpoint capture, so a checkpoint covers exactly the segments before its
 ``wal_start_segment``.
@@ -24,12 +27,13 @@ discarding the buffer (:meth:`WriteAheadLog.simulate_crash`) — no OS page
 cache to lie about what was durable.
 
 **Recovery scan** (:func:`scan_segment`): records are read until the first
-frame that fails its length or CRC check.  A failure that extends to the
-end of the *last* segment is a **torn tail** — the bytes a mid-write crash
-left behind — and is truncated away; a failure anywhere else (mid-segment
-garbage, a non-final segment that ends early, a bad magic header) is
-**corruption**, and the manager quarantines the segment.  After recovery,
-appends always start a fresh segment.
+frame that fails its length or CRC check (:func:`walk_frames` says which).
+A failure that extends to the end of the *last* segment is a **torn
+tail** — the bytes a mid-write crash left behind — and is truncated away;
+a failure anywhere else (mid-segment garbage, a non-final segment that
+ends early, a bad magic header) is **corruption**, and the manager
+quarantines the segment.  After recovery, appends always start a fresh
+segment.
 """
 
 from __future__ import annotations
@@ -47,16 +51,24 @@ __all__ = [
     "FSYNC_POLICIES",
     "SEGMENT_MAGIC",
     "SegmentScan",
+    "WAL_HEADER_BYTES",
     "WriteAheadLog",
+    "encode_frame",
     "list_segments",
     "resolve_fsync_policy",
     "resolve_segment_bytes",
     "scan_segment",
     "segment_filename",
+    "unframe",
+    "walk_frames",
 ]
 
 #: First 8 bytes of every segment file.
 SEGMENT_MAGIC = b"RWAL0001"
+
+#: Offset of a segment's first record frame, and the canonical "start of
+#: segment" position of the replication feed.
+WAL_HEADER_BYTES = len(SEGMENT_MAGIC)
 
 #: ``u32 length | u32 crc32``, little-endian.
 _FRAME = struct.Struct("<II")
@@ -112,6 +124,49 @@ def list_segments(directory: str) -> List[Tuple[int, str]]:
         if number is not None:
             found.append((number, os.path.join(directory, name)))
     return sorted(found)
+
+
+def encode_frame(payload: bytes) -> bytes:
+    """``payload`` framed as ``u32 length | u32 crc32 | payload``."""
+    return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def walk_frames(
+    data: bytes, pos: int, budget: Optional[int] = None
+) -> Tuple[List[Tuple[int, int]], int, str]:
+    """``(spans, end, reason)``: the complete, CRC-valid frames from ``pos``.
+
+    ``spans`` are their ``(start, end)`` offsets, ``end`` where the walk
+    stopped, ``reason`` why: ``""`` at the end of ``data`` or once the spans
+    cover ``budget`` bytes, else ``"truncated frame header"``,
+    ``"truncated payload"``, ``"crc mismatch"`` or ``"crc mismatch at
+    tail"`` (the bad frame ends where ``data`` ends, like a torn final
+    append).  A truncated payload may also be a corrupt length prefix.
+    """
+    size = len(data)
+    spans: List[Tuple[int, int]] = []
+    start = pos
+    with memoryview(data) as view:
+        while pos < size and (budget is None or pos - start < budget):
+            if size - pos < _FRAME.size:
+                return spans, pos, "truncated frame header"
+            length, crc = _FRAME.unpack_from(data, pos)
+            end = pos + _FRAME.size + length
+            if end > size:
+                return spans, pos, "truncated payload"
+            if zlib.crc32(view[pos + _FRAME.size : end]) != crc:
+                return spans, pos, "crc mismatch at tail" if end == size else "crc mismatch"
+            spans.append((pos, end))
+            pos = end
+    return spans, pos, ""
+
+
+def unframe(data: bytes) -> bytes:
+    """The payload of ``data`` holding exactly one valid frame, else ``ValueError``."""
+    spans, _, reason = walk_frames(data, 0)
+    if reason or len(spans) != 1:
+        raise ValueError(reason or f"{len(spans)} frames where one was expected")
+    return data[_FRAME.size :]
 
 
 def _fsync_directory(directory: str) -> None:
@@ -171,39 +226,16 @@ def scan_segment(number: int, path: str, is_last: bool) -> SegmentScan:
             # A crash mid-header (rotation) leaves a magic prefix.
             return SegmentScan(number, path, [], tail_kind, 0, "partial segment header")
         return SegmentScan(number, path, [], "corrupt", 0, "bad segment header")
-    if data[: len(SEGMENT_MAGIC)] != SEGMENT_MAGIC:
+    if data[:WAL_HEADER_BYTES] != SEGMENT_MAGIC:
         return SegmentScan(number, path, [], "corrupt", 0, "bad segment magic")
-    payloads: List[bytes] = []
-    pos = len(SEGMENT_MAGIC)
-    size = len(data)
-    while pos < size:
-        frame_start = pos
-        if size - pos < _FRAME.size:
-            return SegmentScan(
-                number, path, payloads, tail_kind, frame_start, "truncated frame header"
-            )
-        length, crc = _FRAME.unpack_from(data, pos)
-        pos += _FRAME.size
-        end = pos + length
-        if end > size:
-            # Either a mid-write crash (payload missing) or a corrupted
-            # length prefix pointing past EOF — indistinguishable, and both
-            # only self-explain at the tail of the final segment.
-            return SegmentScan(
-                number, path, payloads, tail_kind, frame_start, "truncated payload"
-            )
-        payload = data[pos:end]
-        if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-            if is_last and end == size:
-                return SegmentScan(
-                    number, path, payloads, "torn", frame_start, "crc mismatch at tail"
-                )
-            return SegmentScan(
-                number, path, payloads, "corrupt", frame_start, "crc mismatch"
-            )
-        payloads.append(payload)
-        pos = end
-    return SegmentScan(number, path, payloads, "ok", size)
+    spans, end, reason = walk_frames(data, WAL_HEADER_BYTES)
+    payloads = [data[start + _FRAME.size : stop] for start, stop in spans]
+    if not reason:
+        return SegmentScan(number, path, payloads, "ok", len(data))
+    # Truncation reaches EOF by definition; a CRC failure only explains
+    # itself as a torn append when the bad frame ends there too.
+    status = tail_kind if reason != "crc mismatch" else "corrupt"
+    return SegmentScan(number, path, payloads, status, end, reason)
 
 
 class WriteAheadLog:
@@ -269,7 +301,7 @@ class WriteAheadLog:
     def append(self, payload: bytes) -> None:
         """Buffer one framed record; the policy decides when it hits disk."""
         self._check_open()
-        frame = _FRAME.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF) + payload
+        frame = encode_frame(payload)
         if fire(self._faults, "wal.mid_record"):
             # The torn half of the physical write: earlier buffered-but-
             # unsynced records are lost (they were in the same doomed

@@ -24,7 +24,7 @@ as the implementation layer, but new code should not wire them by hand.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.bag.bag import Bag
 from repro.durability.faults import FaultInjector
@@ -243,7 +243,8 @@ class Engine:
 
     @property
     def read_only(self) -> Optional[str]:
-        """The recovery degradation reason, or ``None`` when writable."""
+        """Why the engine refuses writes (damaged WAL at recovery, a failed
+        log write, fencing), or ``None`` when writable."""
         return self._database.read_only
 
     @property
@@ -259,7 +260,22 @@ class Engine:
         """Make every logged operation durable — the acknowledgement barrier
         under the ``batch`` policy.  A no-op for in-memory engines."""
         if self._durability is not None:
-            self._durability.sync()
+            self._logged(self._durability.sync)
+
+    def _logged(self, write: Callable[..., None], *args: object) -> None:
+        """Run one WAL write for operations the database already committed.
+
+        If it raises, memory is ahead of the log: the engine turns
+        read-only (``promote_writable`` re-arms) before re-raising, so no
+        later write can land on top of the unlogged one.
+        """
+        try:
+            write(*args)
+        except Exception as error:
+            self._database.set_read_only(
+                f"write-ahead log failed after an apply: {error}"
+            )
+            raise
 
     # ------------------------------------------------------------------ #
     # Replication & failover
@@ -499,7 +515,7 @@ class Engine:
         with self._database.lifecycle_lock:
             self._database.register(name, bag_type, instance)
             if self._durability is not None:
-                self._durability.commit(record)
+                self._logged(self._durability.commit, record)
         self._datasets[name] = handle
         self._dataset_schemas[name] = schema
         return handle
@@ -594,7 +610,7 @@ class Engine:
         with self._database.lifecycle_lock:
             self._views[name] = handle
             if self._durability is not None:
-                self._durability.commit(record)
+                self._logged(self._durability.commit, record)
         return handle
 
     def explain(self, view: Union[str, ViewHandle]) -> MaintenancePlan:
@@ -623,7 +639,7 @@ class Engine:
         with self._database.lifecycle_lock:
             delta = self._database.apply_update(update)
             if not update.is_empty():
-                durability.log_update(update)
+                self._logged(durability.log_update, update)
             return delta
 
     def apply_stream(

@@ -90,16 +90,6 @@ class Environment:
         env.deltas.update(deltas)
         return env
 
-    def with_elem(self, name: str, value: Any) -> "Environment":
-        env = self.copy()
-        env.elem_vars[name] = value
-        return env
-
-    def with_bag_var(self, name: str, value: Value) -> "Environment":
-        env = self.copy()
-        env.bag_vars[name] = value
-        return env
-
 
 def evaluate(
     expr: Expr, env: Optional[Environment] = None, counter: Optional[OpCounter] = None

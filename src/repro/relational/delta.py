@@ -52,15 +52,6 @@ def _depends(expr: ra.RAExpr, targets: FrozenSet[str]) -> bool:
     return any(_depends(child, targets) for child in expr.children())
 
 
-def _empty_of(expr: ra.RAExpr) -> ra.RAExpr:
-    """An expression denoting the empty bag with the same schema.
-
-    ``e ⊎ ⊖(e)`` is identically empty; it keeps the schema without requiring
-    a dedicated constant node.
-    """
-    return ra.UnionAll(expr, ra.NegateRel(expr))
-
-
 def _delta(expr: ra.RAExpr, targets: FrozenSet[str], order: int) -> ra.RAExpr:
     if not _depends(expr, targets):
         return _EmptyRel(expr.schema())

@@ -33,12 +33,17 @@ from __future__ import annotations
 import base64
 import os
 import shutil
-import struct
-import zlib
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.durability.checkpoint import list_checkpoints, read_manifest
-from repro.durability.wal import SEGMENT_MAGIC, list_segments, segment_filename
+from repro.durability.wal import (
+    SEGMENT_MAGIC,
+    WAL_HEADER_BYTES,
+    list_segments,
+    segment_filename,
+    unframe,
+    walk_frames,
+)
 from repro.errors import ReproError
 
 __all__ = [
@@ -53,12 +58,6 @@ __all__ = [
     "read_frames",
     "wal_end_position",
 ]
-
-#: Every segment file starts with the 8-byte magic; offset 8 is the first
-#: record frame, and the canonical "start of segment" position.
-WAL_HEADER_BYTES = len(SEGMENT_MAGIC)
-
-_FRAME = struct.Struct("<II")
 
 #: Default byte budget of one feed chunk (keeps long-poll responses and
 #: replica apply batches bounded).
@@ -195,37 +194,29 @@ def read_frames(
             )
         try:
             with open(path, "rb") as handle:
+                header = handle.read(WAL_HEADER_BYTES)
+                size = os.fstat(handle.fileno()).st_size
+                handle.seek(offset)
                 data = handle.read()
         except FileNotFoundError:
             # Checkpoint-pruned between listing and reading.
             return FeedChunk("pruned", frames, (segment, offset), end)
-        if data[:WAL_HEADER_BYTES] != SEGMENT_MAGIC:
-            if segment == newest and len(data) < WAL_HEADER_BYTES:
+        if header != SEGMENT_MAGIC:
+            if segment == newest and len(header) < WAL_HEADER_BYTES:
                 # A rotation in progress: the new segment exists but its
                 # header is not durable yet.  Nothing to ship from it.
                 break
             return FeedChunk("diverged", frames, (segment, offset), end)
-        if offset > len(data):
+        if offset > size:
             return FeedChunk("diverged", frames, (segment, offset), end)
-        pos = offset
-        size = len(data)
-        while pos < size and shipped < max_bytes:
-            if size - pos < _FRAME.size:
-                break
-            length, crc = _FRAME.unpack_from(data, pos)
-            frame_end = pos + _FRAME.size + length
-            if frame_end > size:
-                break
-            payload = data[pos + _FRAME.size : frame_end]
-            if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-                break
-            frames.append((segment, pos, data[pos:frame_end]))
-            shipped += frame_end - pos
-            pos = frame_end
-        offset = pos
+        spans, walked, _ = walk_frames(data, 0, budget=max_bytes - shipped)
+        for start, stop in spans:
+            frames.append((segment, offset + start, data[start:stop]))
+        shipped += walked
+        offset += walked
         if shipped >= max_bytes:
             break
-        if segment < newest and pos >= size:
+        if segment < newest and walked >= len(data):
             segment += 1
             offset = WAL_HEADER_BYTES
         else:
@@ -240,34 +231,29 @@ def count_lag(
     """``(records, bytes)`` of durable stream between ``position`` and the end.
 
     What ``/health`` and ``/stats`` report as ``replication_lag``: the
-    records a subscriber parked at ``position`` has not yet shipped.
+    complete, CRC-valid frames a subscriber parked at ``position`` has not
+    yet shipped — the frames :func:`read_frames` would ship, so the lag
+    stops where the feed stops (a missing segment or an invalid frame).
     """
     if end is None:
         end = wal_end_position(wal_dir)
     segment, offset = normalize_position(wal_dir, *position)
+    by_number = dict(list_segments(wal_dir))
     records = 0
     lag_bytes = 0
-    for number, path in list_segments(wal_dir):
-        if number < segment or number > end[0]:
-            continue
+    while segment <= end[0] and segment in by_number:
         try:
-            with open(path, "rb") as handle:
-                data = handle.read()
+            with open(by_number[segment], "rb") as handle:
+                handle.seek(offset)
+                data = handle.read(max(0, end[1] - offset) if segment == end[0] else -1)
         except OSError:
-            continue
-        pos = offset if number == segment else WAL_HEADER_BYTES
-        stop = end[1] if number == end[0] else len(data)
-        stop = min(stop, len(data))
-        while pos < stop:
-            if stop - pos < _FRAME.size:
-                break
-            length, crc = _FRAME.unpack_from(data, pos)
-            frame_end = pos + _FRAME.size + length
-            if frame_end > stop:
-                break
-            records += 1
-            lag_bytes += frame_end - pos
-            pos = frame_end
+            break
+        spans, walked, _ = walk_frames(data, 0)
+        records += len(spans)
+        lag_bytes += walked
+        if walked < len(data):
+            break
+        segment, offset = segment + 1, WAL_HEADER_BYTES
     return records, lag_bytes
 
 
@@ -436,16 +422,14 @@ def decode_frames(encoded: List[Dict[str, Any]]) -> List[Tuple[int, int, bytes]]
     frames = []
     for entry in encoded:
         data = base64.b64decode(entry["data"])
-        if len(data) < _FRAME.size:
-            raise ReplicationError("shipped frame shorter than its header")
-        length, crc = _FRAME.unpack_from(data, 0)
-        payload = data[_FRAME.size :]
-        if len(payload) != length or zlib.crc32(payload) & 0xFFFFFFFF != crc:
-            raise ReplicationError("shipped frame failed its CRC check")
+        frame_payload(data)
         frames.append((int(entry["segment"]), int(entry["offset"]), data))
     return frames
 
 
 def frame_payload(frame: bytes) -> bytes:
-    """The record payload of one raw frame (header stripped)."""
-    return frame[_FRAME.size :]
+    """The record payload of one raw frame (header stripped, CRC checked)."""
+    try:
+        return unframe(frame)
+    except ValueError as error:
+        raise ReplicationError(f"shipped frame failed its check: {error}") from None

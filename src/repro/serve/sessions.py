@@ -41,6 +41,7 @@ from repro.engine import Engine, EngineSnapshot
 from repro.errors import EngineError
 from repro.ivm.updates import Update
 from repro.replication.feed import (
+    FeedChunk,
     count_lag,
     encode_frames,
     frame_payload,
@@ -237,24 +238,14 @@ class TenantSession:
         self.snapshot = PublishedSnapshot(self.engine.snapshot())
 
     def _apply_batch(self, updates: List[Update]) -> Dict[str, Any]:
-        version = self.engine.state_version
-        try:
-            applied = self.engine.apply_stream(updates, batched=True)
-            # Sync-before-ack: a durable tenant fsyncs the WAL (per the
-            # engine's fsync policy) before any waiter in this batch is
-            # released, so a synchronous apply the client saw acknowledged
-            # survives a crash.
-            self.engine.sync_wal()
-        except Exception as error:
-            if self.engine.state_version != version:
-                # The batch applied but its log write failed: the engine is
-                # ahead of its WAL.  Refuse further writes (``promote``
-                # re-arms), which also keeps the worker's one-at-a-time
-                # retry from applying these updates a second time.
-                self.engine.database.set_read_only(
-                    f"write-ahead log failed after an apply: {error}"
-                )
-            raise
+        applied = self.engine.apply_stream(updates, batched=True)
+        # Sync-before-ack: a durable tenant fsyncs the WAL (per the engine's
+        # fsync policy) before any waiter in this batch is released, so a
+        # synchronous apply the client saw acknowledged survives a crash.
+        # A failed append or sync leaves the engine read-only, which also
+        # keeps the worker's one-at-a-time retry from applying these
+        # updates a second time.
+        self.engine.sync_wal()
         return {"applied": applied, "version": self.engine.state_version}
 
     def _create_dataset(self, name: str, fields: Any, rows: Any) -> Dict[str, Any]:
@@ -446,40 +437,30 @@ class TenantSession:
                 f"a subscriber advertised replication epoch {subscriber_epoch}",
             )
         wal_dir = self._wal_dir()
+        bootstrap = None
         if want_bootstrap:
             bootstrap = package_bootstrap(self._checkpoint_root())
-            end = wal_end_position(wal_dir)
-            if bootstrap is not None:
-                next_position = (int(bootstrap["wal_start_segment"]), 8)
-            else:
-                next_position = (1, 8)
-            records, lag_bytes = count_lag(wal_dir, next_position, end)
-            body = {
-                "tenant": self.name,
-                "role": self.role,
-                "epoch": self.engine.replication_epoch,
-                "state_version": self.snapshot.version,
-                "status": "ok",
-                "frames": [],
-                "next": list(next_position),
-                "end": list(end),
-                "lag_records": records,
-                "lag_bytes": lag_bytes,
-            }
-            if bootstrap is not None:
-                body["bootstrap"] = bootstrap
-            return body
-        deadline = time.monotonic() + max(0.0, min(float(wait), 30.0))
-        while True:
-            chunk = read_frames(wal_dir, from_segment, from_offset, max_bytes=max_bytes)
-            if (
-                chunk.frames
-                or chunk.status != "ok"
-                or self._closed
-                or time.monotonic() >= deadline
-            ):
-                break
-            time.sleep(0.05)
+            segment = 1 if bootstrap is None else int(bootstrap["wal_start_segment"])
+            chunk = FeedChunk("ok", [], (segment, 8), wal_end_position(wal_dir))
+        else:
+            deadline = time.monotonic() + max(0.0, min(float(wait), 30.0))
+            while True:
+                chunk = read_frames(
+                    wal_dir, from_segment, from_offset, max_bytes=max_bytes
+                )
+                if (
+                    chunk.frames
+                    or chunk.status != "ok"
+                    or self._closed
+                    or time.monotonic() >= deadline
+                ):
+                    break
+                time.sleep(0.05)
+            if chunk.status == "pruned":
+                # The requested segment fell behind a checkpoint: ship the
+                # checkpoint itself so the subscriber can reseed in one
+                # round trip instead of discovering it needs to ask.
+                bootstrap = package_bootstrap(self._checkpoint_root())
         records, lag_bytes = count_lag(wal_dir, chunk.next, chunk.end)
         body = {
             "tenant": self.name,
@@ -493,13 +474,8 @@ class TenantSession:
             "lag_records": records,
             "lag_bytes": lag_bytes,
         }
-        if chunk.status == "pruned":
-            # The requested segment fell behind a checkpoint: ship the
-            # checkpoint itself so the subscriber can reseed in one round
-            # trip instead of discovering it needs to ask.
-            bootstrap = package_bootstrap(self._checkpoint_root())
-            if bootstrap is not None:
-                body["bootstrap"] = bootstrap
+        if bootstrap is not None:
+            body["bootstrap"] = bootstrap
         return body
 
     def promote(self, *, epoch: Optional[int] = None) -> Dict[str, Any]:
@@ -686,12 +662,6 @@ class TenantSession:
                 self.body_hits += 1
             else:
                 self.body_misses += 1
-
-    def dataset_record(self, name: str) -> Record:
-        record = self.records.get(name)
-        if record is None:
-            raise ProtocolError(f"no dataset named {name!r}", code="not_found")
-        return record
 
     def stats(self) -> Dict[str, Any]:
         snapshot = self.snapshot

@@ -13,11 +13,14 @@ durable-tenant features (sync-before-ack, checkpoint route, recovery 503 +
 
 from __future__ import annotations
 
+import errno
 import os
 import pickle
 import shutil
+import struct
 import threading
 import time
+import zlib
 
 import pytest
 
@@ -59,11 +62,13 @@ from repro.durability.records import (
     decode_record,
     encode_dataset_record,
     encode_update_record,
+    encode_view_record,
 )
-from repro.durability.wal import list_segments, scan_segment
+from repro.durability.wal import SEGMENT_MAGIC, list_segments, scan_segment
 from repro.engine import Engine
 from repro.errors import EngineError, WorkloadError
 from repro.ivm.updates import Update, deletions, insertions
+from repro.nrc.types import BASE, bag_of
 from repro.serve import ReproServer, ServerConfig
 from repro.serve.protocol import ProtocolError
 from repro.serve.sessions import SessionManager, TenantSession
@@ -263,6 +268,64 @@ class TestWAL:
                 assert left.read() == right.read()
         for _, extra in originals[len(mirrored) :]:
             assert os.path.getsize(extra) == 8  # magic only, no records
+
+
+# --------------------------------------------------------------------------- #
+# The on-disk format, rebuilt from its documented layout
+# --------------------------------------------------------------------------- #
+def _framed(payload: bytes) -> bytes:
+    """``u32 length (LE) | u32 crc32 (LE) | payload``, as docs/durability.md
+    specifies it — built here, not by the codec under test."""
+    return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+
+
+class TestOnDiskFormat:
+    def test_segments_and_checkpoint_files_match_the_layout(self, tmp_path):
+        data_dir = str(tmp_path / "db")
+        wal_dir = os.path.join(data_dir, "wal")
+        engine = Engine(data_dir=data_dir)
+        schema = bag_of(BASE)
+        relation = engine.dataset("R", schema, rows=[1, 2])
+        handle = engine.view("all", relation, strategy="classic")
+        updates = [insertions("R", [3]), deletions("R", [1])]
+        for update in updates:
+            engine.apply(update)
+        engine.sync_wal()
+        payloads = [
+            encode_dataset_record("R", schema, Bag([1, 2])),
+            encode_view_record(
+                "all",
+                handle.strategy,
+                handle.expr,
+                handle.targets,
+                handle.expected_update_size,
+            ),
+        ] + [encode_update_record(update) for update in updates]
+        assert [number for number, _ in list_segments(wal_dir)] == [1]
+        [(_, first)] = list_segments(wal_dir)
+        with open(first, "rb") as segment:
+            assert segment.read() == SEGMENT_MAGIC + b"".join(map(_framed, payloads))
+
+        engine.checkpoint()
+        tail = insertions("R", [4])
+        engine.apply(tail)
+        engine.close()
+        assert [number for number, _ in list_segments(wal_dir)] == [2]
+        [(_, second)] = list_segments(wal_dir)
+        with open(second, "rb") as segment:
+            assert segment.read() == SEGMENT_MAGIC + _framed(encode_update_record(tail))
+
+        [(_, checkpoint)] = list_checkpoints(os.path.join(data_dir, "checkpoints"))
+        names = sorted(os.listdir(checkpoint))
+        assert _MANIFEST in names and len(names) > 1
+        for name in names:
+            with open(os.path.join(checkpoint, name), "rb") as blob:
+                data = blob.read()
+            assert data[:8] == struct.pack("<II", len(data) - 8, zlib.crc32(data[8:]))
+            if name != _MANIFEST:
+                assert data[8] in (0x01, 0x02)  # pair codec / pickle blob kind
+        with open(os.path.join(checkpoint, _MANIFEST), "rb") as manifest:
+            assert pickle.loads(manifest.read()[8:])["wal_start_segment"] == 2
 
 
 # --------------------------------------------------------------------------- #
@@ -516,6 +579,50 @@ class TestEngineDurability:
         with pytest.raises(WorkloadError, match="read-only"):
             recovered.apply(insertions("M", [("X", "Y", "Z")]))
         recovered.close()
+
+    def test_failed_log_append_turns_the_engine_read_only(self, tmp_path, monkeypatch):
+        """An update the database committed but the WAL could not record
+        leaves memory ahead of the log: the engine must refuse the next
+        write instead of logging it on top of the gap."""
+        data_dir = str(tmp_path / "db")
+        engine = Engine(data_dir=data_dir)
+        engine.dataset("R", bag_of(BASE))
+        engine.sync_wal()
+
+        def full_disk(wal, payload):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(WriteAheadLog, "append", full_disk)
+            with pytest.raises(OSError, match="No space left"):
+                engine.apply(insertions("R", [1]))
+        assert "write-ahead log failed after an apply" in engine.read_only
+        assert "No space left" in engine.read_only
+        with pytest.raises(WorkloadError, match="read-only"):
+            engine.apply(insertions("R", [2]))
+        engine.close()
+
+        reopened = Engine(data_dir=data_dir)
+        assert reopened.snapshot().datasets["R"] == Bag()
+        reopened.close()
+
+    def test_failed_wal_sync_turns_the_engine_read_only(self, tmp_path, monkeypatch):
+        data_dir = str(tmp_path / "db")
+        engine = Engine(data_dir=data_dir)
+        engine.dataset("R", bag_of(BASE))
+
+        def failing_sync(wal):
+            raise OSError(errno.EIO, "Input/output error")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(WriteAheadLog, "sync", failing_sync)
+            engine.apply(insertions("R", [1]))
+            with pytest.raises(OSError):
+                engine.sync_wal()
+        assert "Input/output error" in engine.read_only
+        with pytest.raises(WorkloadError, match="read-only"):
+            engine.view("all", engine.dataset_handle("R"))
+        engine.close()
 
     def test_checkpoint_refused_on_read_only_engine(self, tmp_path):
         data_dir = _write_corrupted_first_segment(tmp_path)

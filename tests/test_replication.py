@@ -155,6 +155,18 @@ class TestFeed:
         corrupted[0]["data"] = base64.b64encode(bytes(raw)).decode("ascii")
         with pytest.raises(ReplicationError):
             decode_frames(corrupted)
+        # A bad CRC on the last frame: the feed never ships it, so the lag
+        # reported from where the feed stops must not count it either.
+        path = os.path.join(source, sorted(os.listdir(source))[-1])
+        with open(path, "r+b") as handle:
+            handle.seek(-1, os.SEEK_END)
+            last = handle.read(1)
+            handle.seek(-1, os.SEEK_END)
+            handle.write(bytes([last[0] ^ 0xFF]))
+        chunk = read_frames(source, 1, 8)
+        assert [frame_payload(raw) for _, _, raw in chunk.frames] == [b"aa", b"bb"]
+        assert count_lag(source, chunk.next) == (0, 0)
+        assert count_lag(source, (1, 8)) == (2, chunk.next[1] - 8)
 
 
 # --------------------------------------------------------------------------- #

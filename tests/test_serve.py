@@ -19,6 +19,7 @@ import pytest
 
 from repro.bag import Bag
 from repro.client.api import APIClient, APIError
+from repro.durability import WriteAheadLog
 from repro.engine import Engine
 from repro.errors import EvaluationError, WorkloadError
 from repro.ivm import Update
@@ -364,17 +365,17 @@ class TestCoalescedRejection:
         finally:
             session.close()
 
-    def test_batch_applied_but_not_synced_is_applied_once(self, tmp_path):
+    def test_batch_applied_but_not_synced_is_applied_once(self, tmp_path, monkeypatch):
         """A batch whose WAL sync failed is already in the engine, so the
-        tenant turns read-only before the one-at-a-time retry, which then
+        engine turns read-only before the one-at-a-time retry, which then
         applies nothing a second time."""
         session = _films_session(data_dir=str(tmp_path))
         engine = session.engine
 
-        def failing_sync():
+        def failing_sync(wal):
             raise OSError("disk gone")
 
-        engine.sync_wal = failing_sync
+        monkeypatch.setattr(WriteAheadLog, "sync", failing_sync)
         try:
             commands = _coalesced(session, [("b", 1995), ("d", 2010)])
             for command in commands:
