@@ -5,9 +5,10 @@ Run with::
     python examples/quickstart.py
 
 One Engine owns the database.  Views are declared with
-``engine.view(name, query, strategy="auto")``: the cost model of Section 4
-picks the maintenance strategy per view, and ``engine.explain`` shows the
-estimates behind each choice.  The example builds the paper's filter query
+``engine.view(name, query, strategy="auto")``: the query's fragment picks
+the maintenance strategy per view (Theorem 4: delta processing for IncNRC+,
+shredding for the rest), and ``engine.explain`` shows the rule behind each
+choice and the derived delta or shredded query.  The example builds the paper's filter query
 (Examples 2 and 3) through the comprehension DSL and the nested ``related``
 query (Example 1), and maintains both under the same update stream.
 """

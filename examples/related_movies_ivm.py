@@ -49,7 +49,7 @@ def paper_instance_walkthrough() -> None:
 def scaled_comparison(size: int) -> None:
     """Compare per-update work of auto-planned IVM against re-evaluation."""
     query = related_query()
-    engine = movies_engine(generate_movies(size), expected_update_size=4)
+    engine = movies_engine(generate_movies(size))
     naive = engine.view("naive", query, strategy="naive")
     auto = engine.view("related", query, strategy="auto")
     print("\n" + engine.explain(auto).render())

@@ -26,7 +26,6 @@ from repro.engine import (
     Engine,
     MaintenancePlan,
     Session,
-    StrategyEstimate,
     ViewHandle,
 )
 from repro.ivm.updates import Update, UpdateStream, deletions, insertions
@@ -50,7 +49,6 @@ __all__ = [
     "Session",
     "ViewHandle",
     "MaintenancePlan",
-    "StrategyEstimate",
     "Update",
     "UpdateStream",
     "insertions",

@@ -271,19 +271,8 @@ def _cmd_views(api: APIClient, args: argparse.Namespace) -> int:
             f"(requested {plan['requested']}), execution={plan['execution']}"
         )
         console.print(f"reason: {plan['reason']}")
-        table = Table(title="Candidates")
-        for header in ("strategy", "eligible", "tcost", "scan", "total", "reason"):
-            table.add_column(header)
-        for estimate in plan["estimates"]:
-            table.add_row(
-                estimate["strategy"],
-                "yes" if estimate["eligible"] else "no",
-                _render_cell(estimate["tcost"]),
-                _render_cell(estimate["scan_cost"]),
-                _render_cell(estimate["total"]),
-                estimate["reason"],
-            )
-        console.print(table)
+        for label, text in plan["artifacts"].items():
+            console.print(f"{label}: {text}")
         if args.verbose:
             console.print(json.dumps(plan, indent=2))
         return 0

@@ -314,7 +314,6 @@ class DurabilityManager:
                 spec["expr"],
                 strategy=spec["strategy"],
                 targets=spec["targets"],
-                expected_update_size=spec["expected_update_size"],
             )
         database.restore_state_version(loaded.manifest["state_version"])
 
@@ -326,14 +325,8 @@ class DurabilityManager:
             name, schema, rows = value
             engine.dataset(name, schema, rows=rows)
         elif kind == "view":
-            name, strategy, expr, targets, expected_update_size = value
-            engine.view(
-                name,
-                expr,
-                strategy=strategy,
-                targets=targets,
-                expected_update_size=expected_update_size,
-            )
+            name, strategy, expr, targets = value
+            engine.view(name, expr, strategy=strategy, targets=targets)
         elif kind == "vacuum":
             pass  # legacy X record: writes retire dead state themselves now
         else:  # pragma: no cover - decode_record owns the type dispatch
@@ -443,13 +436,12 @@ class DurabilityManager:
         strategy: str,
         expr: Any,
         targets,
-        expected_update_size: int,
     ) -> Optional[bytes]:
         """Encode a view record up front — an unpicklable query fails loudly
         here, before the view is built; ``None`` when not logging."""
         if not self.logging:
             return None
-        return encode_view_record(name, strategy, expr, targets, expected_update_size)
+        return encode_view_record(name, strategy, expr, targets)
 
     def commit(self, record: Optional[bytes]) -> None:
         """Append a prepared record once the operation actually applied."""
@@ -491,7 +483,6 @@ class DurabilityManager:
                     "strategy": handle.strategy,
                     "expr": handle.expr,
                     "targets": handle.targets,
-                    "expected_update_size": handle.expected_update_size,
                 }
             )
         datasets = []

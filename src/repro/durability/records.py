@@ -154,21 +154,13 @@ def encode_view_record(
     strategy: str,
     expr: Any,
     targets: Optional[Sequence[str]],
-    expected_update_size: int,
 ) -> bytes:
     """``V`` record: view spec with the *resolved* strategy pinned.
 
     Pinning means replay recreates the view with the exact backend the
-    original run chose, even if the cost model's auto pick would differ on
-    the restored (larger) database.
+    original run chose, even if a later planner would pick another.
     """
-    spec = (
-        name,
-        strategy,
-        expr,
-        tuple(targets) if targets is not None else None,
-        expected_update_size,
-    )
+    spec = (name, strategy, expr, tuple(targets) if targets is not None else None)
     try:
         blob = pickle.dumps(spec, protocol=PICKLE_PROTOCOL)
     except Exception as error:
@@ -189,7 +181,7 @@ def decode_record(payload: bytes) -> Tuple[str, Any]:
     """Decode one record payload to ``(kind, value)``.
 
     ``("update", Update)``, ``("dataset", (name, schema, rows))``,
-    ``("view", (name, strategy, expr, targets, expected_update_size))``, or
+    ``("view", (name, strategy, expr, targets))``, or
     ``("vacuum", None)`` for a legacy ``X`` record.  Raises ``ValueError``
     on an unknown type byte — the manager treats that as segment corruption.
     """
@@ -223,7 +215,9 @@ def decode_record(payload: bytes) -> Tuple[str, Any]:
         return "dataset", (name, schema, rows)
     if record_type == _RT_VIEW:
         kind, blob, _ = _read_blob(payload, pos)
-        return "view", pickle.loads(blob)
+        # Records written before the planner became a rule carry a fifth
+        # field (an assumed update size); the pinned strategy makes it moot.
+        return "view", tuple(pickle.loads(blob)[:4])
     if record_type == _RT_VACUUM:
         return "vacuum", None
     raise ValueError(f"unknown WAL record type byte 0x{record_type:02x}")

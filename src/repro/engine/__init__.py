@@ -2,15 +2,17 @@
 
 The paper's thesis is that a single calculus serves naive re-evaluation,
 classical delta processing, recursive (higher-order) IVM and shredded/nested
-IVM, with the cost model of Section 4 deciding which to use.  This package is
-that thesis as an API: :class:`Engine` registers datasets and views, and
-``strategy="auto"`` routes through the cost-driven planner, whose
+IVM, with the query's fragment deciding which to use (Theorem 4).  This
+package is that thesis as an API: :class:`Engine` registers datasets and
+views, and ``strategy="auto"`` applies the planner's rule — ``classic``, or
+``recursive`` when the delta has database-dependent parts (Section 4.1), for
+IncNRC+ queries; ``nested`` for the rest (Section 5).  The planner's
 :data:`~repro.engine.planner.STRATEGIES` table holds the four strategies.
 """
 
 from repro.engine.core import Engine, EngineSnapshot, Session, ViewHandle
-from repro.engine.plan import MaintenancePlan, StrategyEstimate
-from repro.engine.planner import STRATEGIES, PlanningInputs, plan_view
+from repro.engine.plan import MaintenancePlan
+from repro.engine.planner import STRATEGIES, plan_view
 
 __all__ = [
     "Engine",
@@ -18,8 +20,6 @@ __all__ = [
     "Session",
     "ViewHandle",
     "MaintenancePlan",
-    "StrategyEstimate",
-    "PlanningInputs",
     "STRATEGIES",
     "plan_view",
 ]

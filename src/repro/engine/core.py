@@ -1,7 +1,7 @@
 """The :class:`Engine` facade — the library's public API.
 
-One object owns the database, plans maintenance strategies through the cost
-model, and dispatches updates to every registered view::
+One object owns the database, picks each view's maintenance strategy from its
+query's fragment, and dispatches updates to every registered view::
 
     engine = Engine()
     movies = engine.dataset("M", MOVIE_RECORD, rows=PAPER_MOVIES)
@@ -15,8 +15,10 @@ surface-DSL :class:`~repro.surface.Dataset` to build queries against) or a
 raw :class:`~repro.nrc.types.BagType` (returning the matching
 :class:`~repro.nrc.ast.Relation` node for hand-written NRC+).  ``view``
 accepts either a surface :class:`~repro.surface.Query` or an NRC+
-:class:`~repro.nrc.ast.Expr`; ``strategy="auto"`` routes through
-:mod:`repro.engine.planner`, explicit names pick from its strategy table.
+:class:`~repro.nrc.ast.Expr`; ``strategy="auto"`` applies
+:mod:`repro.engine.planner`'s rule (Theorem 4: ``classic`` or ``recursive``
+for IncNRC+, ``nested`` otherwise), explicit names pick from its strategy
+table.
 
 The low-level :class:`~repro.ivm.Database` and view classes remain available
 as the implementation layer, but new code should not wire them by hand.
@@ -31,13 +33,13 @@ from repro.durability.faults import FaultInjector
 from repro.durability.manager import DurabilityManager, RecoveryReport
 from repro.engine.plan import MaintenancePlan
 from repro.engine.planner import STRATEGIES, plan_view
-from repro.errors import EngineError, NotInFragmentError
+from repro.errors import EngineError
 from repro.ivm.database import Database, ShreddedDelta
 from repro.ivm.updates import Update, UpdateStream, deletions, insertions
 from repro.ivm.views import MaintenanceStats, View
 from repro.nrc import ast
-from repro.nrc.analysis import is_incremental_fragment
 from repro.nrc.ast import Expr
+from repro.nrc.pretty import render
 from repro.nrc.types import BagType
 from repro.surface.dsl import Dataset, Query
 from repro.surface.schema import Record
@@ -72,7 +74,6 @@ class ViewHandle:
         *,
         expr=None,
         targets: Optional[Tuple[str, ...]] = None,
-        expected_update_size: int = 1,
     ) -> None:
         self.name = name
         self.strategy = strategy
@@ -82,7 +83,6 @@ class ViewHandle:
         # and recreate it bit-for-bit on recovery.
         self.expr = expr
         self.targets = targets
-        self.expected_update_size = expected_update_size
 
     def result(self) -> Bag:
         return self.view.result()
@@ -162,7 +162,6 @@ class Engine:
     def __init__(
         self,
         *,
-        expected_update_size: int = 1,
         data_dir: Optional[str] = None,
         fsync: Optional[str] = None,
         fault_injector: Optional[FaultInjector] = None,
@@ -185,7 +184,6 @@ class Engine:
         the standby (see ``docs/replication.md``).
         """
         self._database = Database()
-        self._expected_update_size = expected_update_size
         self._views: Dict[str, ViewHandle] = {}
         self._datasets: Dict[str, object] = {}
         # Original schema arguments (Record or BagType), as passed by the
@@ -379,10 +377,21 @@ class Engine:
         return self._durability.capture(self)
 
     def write_checkpoint(self, capture) -> Mapping[str, object]:
-        """Encode a capture to disk atomically; prunes covered WAL segments."""
+        """Encode a capture to disk atomically; prunes covered WAL segments.
+
+        A storage failure (``OSError``) turns the engine read-only before it
+        re-raises, as a failed log write does: a disk that cannot hold the
+        checkpoint will not hold the log either.  The earlier checkpoint and
+        the WAL are not pruned, so reopening the directory restores the
+        state before the failure; ``promote_writable`` re-arms.
+        """
         if self._durability is None:
             raise EngineError("checkpoint requires an engine opened with data_dir")
-        return self._durability.write_capture(capture)
+        try:
+            return self._durability.write_capture(capture)
+        except OSError as error:
+            self._database.set_read_only(f"checkpoint write failed: {error}")
+            raise
 
     def checkpoint(self) -> Mapping[str, object]:
         """Capture and write a checkpoint in one call (single-threaded use)."""
@@ -530,14 +539,12 @@ class Engine:
         strategy: str = "auto",
         *,
         targets: Optional[Sequence[str]] = None,
-        expected_update_size: Optional[int] = None,
     ) -> ViewHandle:
         """Create and materialize a maintained view.
 
-        ``strategy="auto"`` lets the cost model pick the strategy; any of
-        ``"naive"``, ``"classic"``, ``"recursive"``, ``"nested"`` selects it
-        explicitly (the estimates are still computed so :meth:`explain`
-        stays informative).
+        ``strategy="auto"`` picks the strategy from the query's fragment
+        (:mod:`repro.engine.planner`); any of ``"naive"``, ``"classic"``,
+        ``"recursive"``, ``"nested"`` selects it explicitly.
         """
         if name in self._views:
             raise EngineError(f"view {name!r} already exists")
@@ -549,38 +556,14 @@ class Engine:
             raise TypeError(
                 f"query must be a surface Query or an NRC+ Expr, got {type(query).__name__}"
             )
-        effective_expected = (
-            expected_update_size
-            if expected_update_size is not None
-            else self._expected_update_size
-        )
-        plan = plan_view(
-            expr,
-            self._database,
-            name=name,
-            requested=strategy,
-            expected_update_size=effective_expected,
-            targets=targets,
-        )
+        plan = plan_view(expr, name=name, requested=strategy, targets=targets)
         chosen = STRATEGIES[plan.strategy]
-        if targets is not None and not chosen.inc_nrc:
-            raise EngineError(
-                f"backend {plan.strategy!r} derives its own update sources and cannot "
-                f"honor an explicit targets list for view {name!r}"
-            )
-        if chosen.inc_nrc and not is_incremental_fragment(expr):
-            raise NotInFragmentError(
-                f"backend {plan.strategy!r} cannot maintain view {name!r}: "
-                f"query is outside its supported fragment"
-            )
         # Encode the WAL record before building: a query that does not
         # pickle must fail loudly here, not corrupt the log (the resolved
         # strategy is pinned so replay never re-plans).
         record = None
         if self._durability is not None:
-            record = self._durability.prepare_view(
-                name, plan.strategy, expr, targets, effective_expected
-            )
+            record = self._durability.prepare_view(name, plan.strategy, expr, targets)
         if chosen.inc_nrc:
             view = chosen.view(expr, self._database, targets=targets)
         else:
@@ -592,8 +575,10 @@ class Engine:
             plan,
             expr=expr,
             targets=tuple(targets) if targets is not None else None,
-            expected_update_size=effective_expected,
         )
+        if chosen.artifact is not None:
+            label, derived = chosen.artifact
+            plan.artifacts[label] = render(derived(view))
         plan.execution = handle.execution
         registered = {
             requirement.key() for requirement in view.registered_index_requirements()

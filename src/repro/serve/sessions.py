@@ -94,7 +94,9 @@ class TenantRecoveringError(RuntimeError):
 
 
 class TenantNotWritableError(RuntimeError):
-    """The tenant is a replica or a fenced ex-primary — writes go elsewhere.
+    """The tenant is a replica, a fenced ex-primary, or a primary whose
+    engine turned read-only (a failed log or checkpoint write) — writes go
+    elsewhere, or wait for an operator's ``promote``.
 
     The server maps it to **503** *without* a ``Retry-After`` header: the
     plain SDK surfaces it immediately (retrying the same node would never
@@ -104,11 +106,17 @@ class TenantNotWritableError(RuntimeError):
 
     def __init__(self, name: str, role: str, reason: Optional[str] = None) -> None:
         detail = f" ({reason})" if reason else ""
-        described = "fenced" if role == "fenced" else f"a {role}"
-        super().__init__(
-            f"tenant {name!r} is {described} and does not accept writes{detail}; "
-            f"send writes to the current primary"
-        )
+        if role == "primary":
+            super().__init__(
+                f"tenant {name!r} is read-only and does not accept writes{detail}; "
+                f"promote re-arms it"
+            )
+        else:
+            described = "fenced" if role == "fenced" else f"a {role}"
+            super().__init__(
+                f"tenant {name!r} is {described} and does not accept writes{detail}; "
+                f"send writes to the current primary"
+            )
         self.tenant = name
         self.role = role
 
@@ -226,9 +234,26 @@ class TenantSession:
         assert self._data_dir is not None
         return os.path.join(self._data_dir, "checkpoints")
 
-    def _check_writable(self) -> None:
+    def _check_primary(self) -> None:
         if self.role != "primary":
             raise TenantNotWritableError(self.name, self.role, self.engine.read_only)
+
+    def _check_writable(self) -> None:
+        self._check_primary()
+        if self.engine.read_only is not None:
+            raise TenantNotWritableError(self.name, self.role, self.engine.read_only)
+
+    def _await_write(self, command: Command) -> Dict[str, Any]:
+        """Wait for a write; one that left the engine read-only (a failed
+        WAL append or sync) answers as every later write will."""
+        try:
+            return command.result(SYNC_TIMEOUT)
+        except Exception as error:
+            if self.engine.read_only is None:
+                raise
+            raise TenantNotWritableError(
+                self.name, self.role, self.engine.read_only
+            ) from error
 
     # ------------------------------------------------------------------ #
     # Writer-thread internals
@@ -354,14 +379,14 @@ class TenantSession:
         return self.worker.submit(Command("apply", run=lambda: None, payload=update))
 
     def apply_sync(self, update: Update) -> Dict[str, Any]:
-        return self.submit_apply(update).result(SYNC_TIMEOUT)
+        return self._await_write(self.submit_apply(update))
 
     def create_dataset(self, name: str, fields: Any, rows: Any = None) -> Dict[str, Any]:
         self._check_writable()
         command = Command(
             "dataset", run=lambda: self._create_dataset(name, fields, rows)
         )
-        return self.worker.submit(command).result(SYNC_TIMEOUT)
+        return self._await_write(self.worker.submit(command))
 
     def create_view(
         self, name: str, query_spec: Any, strategy: str = "auto"
@@ -370,7 +395,7 @@ class TenantSession:
         command = Command(
             "view", run=lambda: self._create_view(name, query_spec, strategy)
         )
-        return self.worker.submit(command).result(SYNC_TIMEOUT)
+        return self._await_write(self.worker.submit(command))
 
     def checkpoint(self) -> Dict[str, Any]:
         """Cut a snapshot checkpoint without stalling ingest.
@@ -381,7 +406,7 @@ class TenantSession:
         *encode + fsync* runs right here on the handler thread, so the
         worker is back to applying updates immediately.
         """
-        self._check_writable()
+        self._check_primary()
         if not self.engine.durable:
             raise ProtocolError(
                 f"tenant {self.name!r} is not durable (server has no --data-dir)"
@@ -391,13 +416,19 @@ class TenantSession:
             # anyway would claim coverage it does not have and double-apply
             # the surviving WAL segments on the next open.
             raise ProtocolError(
-                f"tenant {self.name!r} is read-only after recovery "
+                f"tenant {self.name!r} is read-only "
                 f"({self.engine.read_only}); checkpoint refused"
             )
         capture = self.worker.submit(
             Command("checkpoint", run=self.engine.checkpoint_capture)
         ).result(SYNC_TIMEOUT)
-        written = dict(self.engine.write_checkpoint(capture))
+        try:
+            written = dict(self.engine.write_checkpoint(capture))
+        except OSError as error:
+            # The engine turned read-only; later writes answer the same.
+            raise TenantNotWritableError(
+                self.name, self.role, self.engine.read_only
+            ) from error
         written["tenant"] = self.name
         return written
 

@@ -152,7 +152,6 @@ def movies_engine(
     count: int = 300,
     seed: int = 7,
     relation: str = "M",
-    expected_update_size: int = 1,
 ):
     """An :class:`~repro.engine.Engine` preloaded with the movies relation.
 
@@ -161,7 +160,7 @@ def movies_engine(
     """
     from repro.engine import Engine
 
-    engine = Engine(expected_update_size=expected_update_size)
+    engine = Engine()
     bag = movies if movies is not None else generate_movies(count, seed=seed)
     engine.dataset(relation, MOVIE_SCHEMA, bag)
     return engine

@@ -77,12 +77,11 @@ def bag_of_bags_engine(
     inner_cardinality: int,
     seed: int = 9,
     relation: str = "R",
-    expected_update_size: int = 1,
 ):
     """An :class:`~repro.engine.Engine` preloaded with a ``Bag(Bag(Base))`` relation."""
     from repro.engine import Engine
 
-    engine = Engine(expected_update_size=expected_update_size)
+    engine = Engine()
     engine.dataset(
         relation,
         bag_of(bag_of(BASE)),

@@ -86,14 +86,13 @@ def social_engine(
     num_cities: int = 10,
     posts_per_user: int = 3,
     seed: int = 3,
-    expected_update_size: int = 1,
 ):
     """An :class:`~repro.engine.Engine` preloaded with Users and Posts."""
     from repro.engine import Engine
 
     users = generate_users(num_users, num_cities=num_cities, seed=seed)
     posts = generate_posts(users, posts_per_user=posts_per_user)
-    engine = Engine(expected_update_size=expected_update_size)
+    engine = Engine()
     engine.dataset("Users", USER_SCHEMA, users)
     engine.dataset("Posts", POST_SCHEMA, posts)
     return engine

@@ -318,7 +318,7 @@ class TestKeyInterning:
 @settings(max_examples=8, deadline=None)
 def test_builder_equals_full_copy_across_strategies(strategy, seed):
     movies = generate_movies(30, seed=seed)
-    engine = movies_engine(movies, expected_update_size=2)
+    engine = movies_engine(movies)
     view = engine.view("v", genre_selfjoin_query(), strategy=strategy)
     full_relation = movies
     for update in movie_update_stream(

@@ -218,7 +218,8 @@ class TestCLI:
         capsys.readouterr()
         assert _run(live, "views", "explain", "dramas") == 0
         out = capsys.readouterr().out
-        assert "strategy=" in out and "Candidates" in out
+        assert "strategy=classic" in out and "reason: IncNRC+" in out
+        assert "delta query:" in out
         assert _run(live, "views", "indexes", "dramas") == 0
         assert "Indexes" in capsys.readouterr().out
 

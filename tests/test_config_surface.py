@@ -34,7 +34,6 @@ ENVIRONMENT_READERS = {"src/repro/client/api.py", "src/repro/client/cli.py"}
 
 #: ``Engine(...)``'s keyword parameters, in signature order.
 ENGINE_OPTIONS = (
-    "expected_update_size",
     "data_dir",
     "fsync",
     "fault_injector",

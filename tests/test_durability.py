@@ -58,7 +58,12 @@ from repro.durability.faults import (
     engine_state,
     state_differences,
 )
+from repro.durability import manager as manager_module
 from repro.durability.records import (
+    _RT_VIEW,
+    KIND_PICKLE,
+    PICKLE_PROTOCOL,
+    _write_blob,
     decode_record,
     encode_dataset_record,
     encode_update_record,
@@ -68,6 +73,7 @@ from repro.durability.wal import SEGMENT_MAGIC, list_segments, scan_segment
 from repro.engine import Engine
 from repro.errors import EngineError, WorkloadError
 from repro.ivm.updates import Update, deletions, insertions
+from repro.nrc import ast
 from repro.nrc.types import BASE, bag_of
 from repro.serve import ReproServer, ServerConfig
 from repro.serve.protocol import ProtocolError
@@ -293,13 +299,7 @@ class TestOnDiskFormat:
         engine.sync_wal()
         payloads = [
             encode_dataset_record("R", schema, Bag([1, 2])),
-            encode_view_record(
-                "all",
-                handle.strategy,
-                handle.expr,
-                handle.targets,
-                handle.expected_update_size,
-            ),
+            encode_view_record("all", handle.strategy, handle.expr, handle.targets),
         ] + [encode_update_record(update) for update in updates]
         assert [number for number, _ in list_segments(wal_dir)] == [1]
         [(_, first)] = list_segments(wal_dir)
@@ -402,6 +402,63 @@ class TestRecordCodec:
         finally:
             with_x.close()
             without_x.close()
+
+    def test_legacy_five_field_view_record_replays_its_pinned_strategy(self, tmp_path):
+        """``V`` records once carried an assumed update size as a fifth
+        field; a WAL holding one still replays, the field is ignored and the
+        pinned strategy is used."""
+        data_dir = str(tmp_path / "legacy")
+        relation = ast.Relation("R", bag_of(BASE))
+        legacy_view = bytearray([_RT_VIEW])
+        _write_blob(
+            legacy_view,
+            KIND_PICKLE,
+            pickle.dumps(("all", "naive", relation, None, 4), protocol=PICKLE_PROTOCOL),
+        )
+        wal = WriteAheadLog(os.path.join(data_dir, "wal"), fsync="always")
+        for payload in (
+            encode_dataset_record("R", bag_of(BASE), Bag([1, 2])),
+            bytes(legacy_view),
+            encode_update_record(insertions("R", [3])),
+        ):
+            wal.append(payload)
+        wal.close()
+
+        engine = Engine(data_dir=data_dir)
+        try:
+            assert engine.read_only is None
+            assert engine.recovery_report.records_replayed == 3
+            assert engine["all"].strategy == "naive"
+            assert engine["all"].result() == Bag([1, 2, 3])
+        finally:
+            engine.close()
+
+    def test_legacy_manifest_view_entry_restores_its_pinned_strategy(self, tmp_path):
+        """A checkpoint manifest whose view entries carry the old
+        ``expected_update_size`` key restores; the key is ignored."""
+        data_dir = str(tmp_path / "legacy")
+        engine = Engine(data_dir=data_dir)
+        relation = engine.dataset("R", bag_of(BASE), rows=[1, 2])
+        engine.view("all", relation, strategy="naive")
+        engine.checkpoint()
+        engine.close()
+        [(seq, checkpoint)] = list_checkpoints(os.path.join(data_dir, "checkpoints"))
+        manifest = read_manifest(checkpoint)
+        for entry in manifest["views"]:
+            entry["expected_update_size"] = 4
+        _write_framed(
+            os.path.join(checkpoint, _MANIFEST),
+            pickle.dumps(manifest, protocol=PICKLE_PROTOCOL),
+        )
+
+        restored = Engine(data_dir=data_dir)
+        try:
+            assert restored.read_only is None
+            assert restored.recovery_report.checkpoint["seq"] == seq
+            assert restored["all"].strategy == "naive"
+            assert restored["all"].result() == Bag([1, 2])
+        finally:
+            restored.close()
 
     def test_unknown_record_type_raises(self):
         with pytest.raises(ValueError):
@@ -623,6 +680,40 @@ class TestEngineDurability:
         with pytest.raises(WorkloadError, match="read-only"):
             engine.view("all", engine.dataset_handle("R"))
         engine.close()
+
+    def test_failed_checkpoint_write_turns_the_engine_read_only(self, tmp_path, monkeypatch):
+        """A checkpoint the disk could not hold leaves the engine read-only
+        (``promote_writable`` re-arms); the earlier checkpoint and the WAL
+        were not pruned, so reopening restores the state before the failure."""
+        data_dir = str(tmp_path / "db")
+        engine = Engine(data_dir=data_dir, fsync="batch")
+        _drive(engine)
+        engine.checkpoint()
+        engine.apply(insertions("M", [("Her", "Drama", "Jonze")]))
+        engine.sync_wal()
+        expected = engine_state(engine)
+
+        def full_disk(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(manager_module, "write_checkpoint", full_disk)
+            with pytest.raises(OSError, match="No space left"):
+                engine.checkpoint()
+        assert "checkpoint write failed" in engine.read_only
+        assert "No space left" in engine.read_only
+        with pytest.raises(WorkloadError, match="read-only"):
+            engine.apply(insertions("M", [("Heat", "Crime", "Mann")]))
+        engine.promote_writable()
+        assert engine.read_only is None
+        engine.close()
+
+        reopened = Engine(data_dir=data_dir, fsync="batch")
+        try:
+            assert reopened.read_only is None
+            assert state_differences(expected, engine_state(reopened)) == []
+        finally:
+            reopened.close()
 
     def test_checkpoint_refused_on_read_only_engine(self, tmp_path):
         data_dir = _write_corrupted_first_segment(tmp_path)
@@ -857,6 +948,39 @@ class TestServeDurability:
                 UpdatesClient(api, tenant="t").checkpoint()
             assert excinfo.value.status == 400
             assert "not durable" in excinfo.value.message
+
+    def test_failed_checkpoint_write_answers_not_writable(self, tmp_path, monkeypatch):
+        """ENOSPC while writing a checkpoint answers 503 ``not_writable``
+        (not 500), and the tenant stops taking writes."""
+        data_dir = str(tmp_path / "serve")
+        with ReproServer(ServerConfig(port=0, data_dir=data_dir, fsync="batch")) as server:
+            api = APIClient(server.url, max_retries=0)
+            DatasetsClient(api, tenant="t").create(
+                "M", ["name", "gen", "dir"], rows=[["Drive", "Drama", "Refn"]]
+            )
+            updates = UpdatesClient(api, tenant="t")
+            updates.checkpoint()
+            updates.insert("M", [["Her", "Drama", "Jonze"]])
+
+            def full_disk(*args, **kwargs):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            monkeypatch.setattr(manager_module, "write_checkpoint", full_disk)
+            with pytest.raises(APIError) as failed:
+                updates.checkpoint()
+            assert (failed.value.status, failed.value.code) == (503, "not_writable")
+            assert "checkpoint write failed" in failed.value.message
+            with pytest.raises(APIError) as refused:
+                updates.insert("M", [["Heat", "Crime", "Mann"]])
+            assert (refused.value.status, refused.value.code) == (503, "not_writable")
+            before = server.sessions.get("t").engine.snapshot().datasets["M"]
+            api.close()
+
+        reopened = Engine(data_dir=os.path.join(data_dir, "t"))
+        try:
+            assert reopened.snapshot().datasets["M"] == before
+        finally:
+            reopened.close()
 
     def test_checkpoint_refused_for_read_only_tenant(self, tmp_path):
         data_dir = _write_corrupted_first_segment(tmp_path, "t")

@@ -120,13 +120,6 @@ def test_query_type_validation():
         engine.view("bad", "select * from M")
 
 
-def test_view_rejects_zero_expected_update_size():
-    engine = Engine()
-    engine.dataset("M", MOVIE_SCHEMA, PAPER_MOVIES)
-    with pytest.raises(EngineError):
-        engine.view("dramas", drama_filter(), expected_update_size=0)
-
-
 def test_view_on_a_closed_engine_fails_before_materializing(monkeypatch):
     engine = Engine()
     relation = engine.dataset("R", bag_of(BASE), Bag(["a"]))
@@ -149,12 +142,11 @@ def test_explicit_targets_restrict_auto_to_honoring_backends():
     engine = Engine()
     engine.dataset("M", MOVIE_SCHEMA, PAPER_MOVIES)
     view = engine.view("dramas", drama_filter(), targets=["M"])
-    assert view.strategy in ("classic", "recursive")
-    naive_estimate = view.plan.estimate_for("naive")
-    assert not naive_estimate.eligible
-    assert "targets" in naive_estimate.reason
-    with pytest.raises(EngineError):
+    assert view.strategy == "classic"
+    with pytest.raises(EngineError, match="targets"):
         engine.view("dramas2", drama_filter(), strategy="nested", targets=["M"])
+    with pytest.raises(EngineError, match="targets"):
+        engine.view("related", related_query(), targets=["M"])
 
 
 # --------------------------------------------------------------------------- #

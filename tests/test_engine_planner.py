@@ -1,20 +1,34 @@
-"""Cost-driven strategy planning over the paper's four strategies."""
+"""Strategy planning over the paper's four strategies: Theorem 4 as a rule."""
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
-from repro.engine import STRATEGIES, plan_view
-from repro.engine.planner import PlanningInputs
-from repro.errors import EngineError
+import repro.cost.size
+from repro.engine import STRATEGIES, Engine, plan_view, planner
+from repro.errors import EngineError, NotInFragmentError, ShreddingError
+from repro.ivm.naive import NaiveView
 from repro.nrc import ast, builders as build, predicates as preds
 from repro.nrc.types import BASE, bag_of
+from repro.serve.protocol import query_from_spec, record_from_spec
+from repro.serve.smoke import (
+    _CLASSICS_QUERY as SMOKE_CLASSICS,
+    _DRAMAS_QUERY as SMOKE_DRAMAS,
+    _RELATED_QUERY as SMOKE_RELATED,
+    _YEARS_QUERY as SMOKE_YEARS,
+)
+from repro.surface import Dataset
 from repro.workloads import (
     MOVIE_SCHEMA,
     bag_of_bags_engine,
+    feed_query,
     generate_movies,
+    genre_selfjoin_query,
     movies_engine,
     related_query,
+    related_query_dsl,
 )
 
 
@@ -31,7 +45,7 @@ def selfjoin_query():
 
 
 # --------------------------------------------------------------------------- #
-# Auto planning: the cost model picks different backends per view
+# Auto planning: the query's fragment picks different backends per view
 # --------------------------------------------------------------------------- #
 def test_auto_selects_different_backends_per_view():
     """Acceptance: `strategy="auto"` routes distinct views to distinct engines."""
@@ -48,85 +62,123 @@ def test_auto_selects_different_backends_per_view():
     assert len({dramas.strategy, related.strategy, selfjoin.strategy}) == 3
 
 
-def test_auto_falls_back_to_naive_when_updates_dominate():
-    # d ≫ n: re-evaluation is cheaper than processing a huge delta.
-    engine = movies_engine(generate_movies(5), expected_update_size=500)
-    view = engine.view("dramas", drama_filter(), strategy="auto")
-    assert view.strategy == "naive"
-    plan = engine.explain(view)
-    assert "naive" in plan.reason
+def _spec_query(spec, **datasets):
+    """A served view's query: a JSON spec over wire-declared datasets."""
+    handles = {
+        name: Dataset(name, record_from_spec(name, fields))
+        for name, fields in datasets.items()
+    }
+    return query_from_spec(spec, handles).to_expr()
 
 
-def test_explain_reports_cost_estimates_behind_the_choice():
+MOVIE_FIELDS = ["name", "gen", "dir"]
+YEAR_FIELDS = ["name", "year"]
+CATALOG_SPEC = {"from": "M", "var": "m", "select": [["row", "m"]]}
+
+#: ``auto``'s pick at every site that creates a view with it: tests, the
+#: examples, the served smoke flow and the benchmark's ``feed``.
+AUTO_SITES = {
+    "dramas": (drama_filter, "classic"),
+    "dramas (served)": (lambda: _spec_query(SMOKE_DRAMAS, M=MOVIE_FIELDS), "classic"),
+    "catalog": (lambda: _spec_query(CATALOG_SPEC, M=MOVIE_FIELDS), "classic"),
+    "genre self-join": (genre_selfjoin_query, "classic"),
+    "years": (lambda: _spec_query(SMOKE_YEARS, Y=YEAR_FIELDS), "classic"),
+    "classics": (lambda: _spec_query(SMOKE_CLASSICS, Y=YEAR_FIELDS), "classic"),
+    "flatten self-join": (selfjoin_query, "recursive"),
+    "related": (related_query, "nested"),
+    "related (dsl)": (related_query_dsl, "nested"),
+    "related (served)": (lambda: _spec_query(SMOKE_RELATED, M=MOVIE_FIELDS), "nested"),
+    "feed": (feed_query, "nested"),
+}
+
+
+@pytest.mark.parametrize("site", AUTO_SITES)
+def test_auto_pick_at_every_site(site):
+    build_query, expected = AUTO_SITES[site]
+    assert plan_view(build_query()).strategy == expected
+
+
+def test_auto_on_an_empty_dataset_picks_by_fragment():
+    """The pick depends on the query alone: an empty relation, where every
+    strategy's work is zero, still gets an incremental strategy."""
+    engine = Engine()
+    engine.dataset("M", MOVIE_SCHEMA)
+    assert engine.view("dramas", drama_filter()).strategy == "classic"
+    assert engine.view("related", related_query()).strategy == "nested"
+
+
+@pytest.mark.parametrize("strategy", [*STRATEGIES, "auto"])
+def test_view_creation_measures_no_stored_bag(monkeypatch, strategy):
+    measured = repro.cost.size.size_of
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("view creation measured a stored bag")
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "size_of", None) is measured:
+            monkeypatch.setattr(module, "size_of", refuse)
+    engine = movies_engine(generate_movies(20))
+    query = related_query() if strategy in ("naive", "nested") else drama_filter()
+    view = engine.view("v", query, strategy=strategy)
+    engine.insert("M", [("Jarhead", "Drama", "Mendes")])
+    assert view.result() == NaiveView(query, engine.database, register=False).result()
+
+
+def test_explain_reports_the_rule_behind_the_choice():
     engine = movies_engine(generate_movies(50))
-    view = engine.view("dramas", drama_filter(), strategy="auto")
+    engine.view("dramas", drama_filter(), strategy="auto")
     plan = engine.explain("dramas")
 
     assert plan.strategy == "classic"
     assert plan.requested == "auto"
-    naive = plan.estimate_for("naive")
-    chosen = plan.chosen_estimate
-    assert naive is not None and naive.total is not None
-    assert chosen is not None and chosen.total is not None
-    assert chosen.total < naive.total
-    # The classic/recursive/nested fragments are all eligible and estimated.
-    for name in ("naive", "classic", "recursive", "nested"):
-        assert plan.estimate_for(name) is not None
-    # Numbers and the delta query show up in the rendered explanation.
+    assert "Thm. 4" in plan.reason and "Prop. 4.1" in plan.reason
+    # The built view's delta query shows up in the rendered explanation.
+    assert "delta query" in plan.artifacts
     text = plan.render()
-    assert "tcost=" in text and "total=" in text
-    assert "delta query" in text
-    assert str(chosen.total) in plan.reason
+    assert "reason   : IncNRC+" in text and "delta query:" in text
 
 
 def test_nested_view_planning_marks_fragment_violations():
     engine = movies_engine(generate_movies(30))
     plan = engine.view("related", related_query(), strategy="auto").plan
-    classic = plan.estimate_for("classic")
-    recursive = plan.estimate_for("recursive")
-    assert classic is not None and not classic.eligible
-    assert recursive is not None and not recursive.eligible
-    assert "shredding" in classic.reason
-    nested = plan.estimate_for("nested")
-    assert nested is not None and nested.eligible and nested.total is not None
+    assert plan.strategy == "nested"
+    assert "outside IncNRC+" in plan.reason and "§5" in plan.reason
+    assert "shredded flat" in plan.artifacts
+    for strategy in ("classic", "recursive"):
+        with pytest.raises(NotInFragmentError):
+            plan_view(related_query(), requested=strategy)
 
 
-def test_explicit_strategy_still_records_estimates():
+def test_explicit_strategy_is_used_as_is():
     engine = movies_engine(generate_movies(20))
     view = engine.view("dramas", drama_filter(), strategy="naive")
     plan = view.plan
     assert plan.strategy == "naive"
     assert plan.requested == "naive"
     assert plan.reason == "explicitly requested"
-    assert plan.estimate_for("classic").total is not None
+    assert plan.artifacts == {}
+    with pytest.raises(EngineError, match="unknown strategy"):
+        plan_view(drama_filter(), requested="cheapest")
 
 
 def test_recursive_choice_reflects_materializations():
     engine = bag_of_bags_engine(20, 4)
     plan = engine.view("selfjoin", selfjoin_query(), strategy="auto").plan
-    chosen = plan.chosen_estimate
     assert plan.strategy == "recursive"
-    assert "materializes 1" in chosen.reason
-    # Recursive wins precisely because it stops re-scanning the base relation.
-    classic = plan.estimate_for("classic")
-    assert chosen.scan_cost == 0
-    assert classic.scan_cost > 0
+    assert "materializes 1" in plan.reason and "§4.1" in plan.reason
     assert "residual delta" in plan.artifacts
 
 
-def test_plan_view_validates_update_size():
-    engine = movies_engine(generate_movies(5))
-    with pytest.raises(EngineError):
-        plan_view(drama_filter(), engine.database, expected_update_size=0)
+def test_auto_falls_back_to_naive_only_when_shredding_fails(monkeypatch):
+    def unshreddable(query):
+        raise ShreddingError("no shredding rule")
 
-
-def test_planning_inputs_targets_default_to_referenced_relations():
-    engine = movies_engine(generate_movies(5))
-    inputs = PlanningInputs(drama_filter(), engine.database)
-    assert inputs.targets == ("M",)
-    context = inputs.base_context()
-    assert ("M", 1) in context.deltas
-    assert context.deltas[("M", 1)].cardinality == 1
+    monkeypatch.setattr(planner, "shred_query", unshreddable)
+    plan = plan_view(related_query())
+    assert plan.strategy == "naive"
+    assert "cannot shred" in plan.reason
+    # IncNRC+ queries never reach the shredder.
+    assert plan_view(drama_filter()).strategy == "classic"
 
 
 # --------------------------------------------------------------------------- #

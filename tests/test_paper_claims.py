@@ -55,7 +55,7 @@ DRAMAS = build.filter_query(M, preds.eq(preds.var_path("x", 1), preds.const("Dra
 
 def _movies_ops(query, strategy, size, batch):
     """Mean per-update operations of ``strategy`` vs naive re-evaluation."""
-    engine = movies_engine(generate_movies(size), expected_update_size=batch)
+    engine = movies_engine(generate_movies(size))
     naive = engine.view("naive", query, strategy="naive")
     maintained = engine.view("maintained", query, strategy=strategy)
     engine.apply_stream(movie_update_stream(1, batch, seed=STREAM_SEED))

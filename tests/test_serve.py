@@ -11,6 +11,8 @@ scheduler, sockets gone).
 
 from __future__ import annotations
 
+import errno
+import http.client
 import json
 import threading
 import time
@@ -206,9 +208,9 @@ class TestJsonSerializableIntrospection:
         assert plan["view"] == "related"
         assert plan["strategy"] == "nested"
         assert isinstance(plan["query"], str)
-        assert {e["strategy"] for e in plan["estimates"]} >= {"naive", "nested"}
-        for estimate in plan["estimates"]:
-            assert isinstance(estimate["eligible"], bool)
+        assert plan["reason"] == "explicitly requested"
+        assert set(plan["artifacts"]) == {"shredded flat"}
+        assert "estimates" not in plan and "expected_update_size" not in plan
 
 
 # --------------------------------------------------------------------------- #
@@ -387,6 +389,51 @@ class TestCoalescedRejection:
             assert "write-ahead log failed" in engine.read_only
         finally:
             session.close()
+
+
+# --------------------------------------------------------------------------- #
+# A primary whose engine turned read-only
+# --------------------------------------------------------------------------- #
+def _post(connection, path, body):
+    connection.request(
+        "POST", path, json.dumps(body), {"Content-Type": "application/json"}
+    )
+    response = connection.getresponse()
+    return response.status, response.getheader("Retry-After"), json.loads(response.read())
+
+
+class TestReadOnlyPrimary:
+    def test_failed_log_write_and_every_later_write_answer_not_writable(
+        self, tmp_path, monkeypatch
+    ):
+        """The write whose WAL append hit a full disk and each write after it
+        answer 503 ``not_writable`` without ``Retry-After``, as on a fenced
+        tenant, with the engine's reason in the message."""
+        with ReproServer(ServerConfig(port=0, data_dir=str(tmp_path))) as server:
+            connection = http.client.HTTPConnection(*server.address, timeout=10)
+            try:
+                status, _, _ = _post(
+                    connection, "/v1/t/datasets", {"name": "Y", "fields": ["name", "year"]}
+                )
+                assert status == 201
+
+                def full_disk(wal, payload):
+                    raise OSError(errno.ENOSPC, "No space left on device")
+
+                monkeypatch.setattr(WriteAheadLog, "append", full_disk)
+                writes = [
+                    ("/v1/t/apply", {"updates": [{"Y": {"rows": [["a", 1990]]}}]}),
+                    ("/v1/t/apply", {"updates": [{"Y": {"rows": [["b", 2010]]}}]}),
+                    ("/v1/t/datasets", {"name": "Z", "fields": ["name"]}),
+                    ("/v1/t/views", {"name": "v", "query": OLD_FILMS}),
+                ]
+                for path, body in writes:
+                    status, retry_after, payload = _post(connection, path, body)
+                    assert (status, retry_after) == (503, None)
+                    assert payload["error"]["code"] == "not_writable"
+                    assert "No space left on device" in payload["error"]["message"]
+            finally:
+                connection.close()
 
 
 # --------------------------------------------------------------------------- #
@@ -614,13 +661,12 @@ class TestEngineOptions:
         with pytest.raises(ValueError, match=message):
             ReproServer(ServerConfig(port=0, engine_options=options))
 
-    def test_good_engine_options_reach_the_tenant_engine(self):
-        options = {"expected_update_size": 4}
-        with ReproServer(ServerConfig(port=0, engine_options=options)) as server:
+    def test_good_engine_options_reach_the_tenant_engine(self, tmp_path):
+        options = {"fsync": "off"}
+        config = ServerConfig(port=0, data_dir=str(tmp_path), engine_options=options)
+        with ReproServer(config) as server:
             api = APIClient(server.url)
             api.post("v1/t/datasets", {"name": "M", "fields": ["a"], "rows": [["x"]]})
-            spec = {"from": "M", "var": "m", "select": [["field", "m", "a"]]}
-            api.post("v1/t/views", {"name": "v", "query": spec})
             api.close()
-            plan = server.sessions.get("t").engine.explain("v")
-            assert plan.expected_update_size == 4
+            durability = server.sessions.get("t").engine.durability_report()
+            assert durability["policy"] == "off"

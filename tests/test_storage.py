@@ -245,7 +245,7 @@ class TestRelationStore:
 # Differential maintenance: indexed vs rebuild vs interpreter
 # --------------------------------------------------------------------------- #
 def _maintain(strategy, query, base, stream, schema=MOVIE_SCHEMA):
-    engine = movies_engine(base, expected_update_size=4)
+    engine = movies_engine(base)
     view = engine.view("v", query, strategy=strategy)
     engine.apply_stream(stream)
     return view

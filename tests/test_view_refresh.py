@@ -69,7 +69,7 @@ def test_streams_three_configs_agree(strategy):
 def _multi_view_run(interpreted):
     with forced_interpretation(interpreted):
         movies = generate_movies(50, seed=11)
-        engine = movies_engine(movies, expected_update_size=2)
+        engine = movies_engine(movies)
         catalog = build.for_in("x", ast.Relation("M", MOVIE_SCHEMA), ast.SngVar("x"))
         views = [
             engine.view("selfjoin", genre_selfjoin_query(), strategy="classic"),
