@@ -697,7 +697,7 @@ def _pairs_source(singleton: ast.DictSingleton, relation: str, var: str) -> Expr
     The parameters ``Π`` become projections of one loop variable over the
     active-label relation, whose elements are value tuples ``ε``; the loop
     is pushed through top-level unions, so each term of a delta body is
-    its own loop — one the compiler's delta-first order can turn into a
+    its own loop — one the plan's delta-first order can turn into a
     walk of ``Δ`` probing the relation's index.
     """
     positions = {param: index for index, param in enumerate(singleton.params)}

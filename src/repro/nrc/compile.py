@@ -36,48 +36,37 @@ view-registration time, into a tree of closures and generated loops that
   an enclosing loop resolves that index once for its whole walk (and skips
   the walk when the build side is empty), and each outer tuple probes it, so
   selective joins cost time proportional to the matching pairs; sites over
-  the same source and key paths share one build per evaluation.  A guard
-  with no such equality but a disjunction ``D₁ ∨ … ∨ Dₖ`` (k ≤ 3) each of
-  whose terms holds one — ``related``'s genre-or-director guard — becomes k
-  hash-join sites, one probe per term: site i tests ``¬D₁ … ¬Dᵢ₋₁ ∧ Dᵢ``
-  with the rest of the guard, so a pair several terms hold for is emitted
-  once, by the first, with its exact multiplicity, and each site falls back
-  to its loop twin on its own,
-* walks **deltas first**: ``for x in S union for y in ΔT union …`` is
-  compiled as ``for y in ΔT union for x in S union …`` when both sources are
-  closed and ``x ≠ y`` (:func:`_delta_first`), so the join probes ``S``'s
-  index once per update element instead of walking ``S`` — a delta costs
-  ``O(|Δ| + matches)``, not ``O(|S| + matches)``, and
+  the same source and key paths share one build per evaluation, and a ``⊎``
+  of sites binds as one.  The join order and shape are chosen before:
+  :class:`CompiledQuery` compiles :func:`repro.nrc.plan.plan` of its
+  expression, which walks deltas first and splits disjunctive joins, and
 * **hoists loop-invariant sub-expressions**: any computation that reads no
   binder slot is evaluated at most once per evaluation (memoized in a
   per-call cache), no matter how many loop iterations reference it.
 
-The strict interpreter remains the semantic reference; compiled and
-interpreted evaluation must agree on every input (the differential tests in
-``tests/test_compile.py`` enforce this, and the oracle that ends every
-benchmark run re-checks it on real workloads).  Inside
-:func:`forced_interpretation` (a test hook) :func:`try_compile` returns
-``None``, so views built there fall back to the interpreter, which
-evaluates the delta as derived, in its literal binder order.
+The strict interpreter remains the semantic reference, on the literal
+query; compiled and interpreted evaluation must agree on every input (the
+differential tests in ``tests/test_compile.py`` and the oracle that ends
+every benchmark run).  Inside :func:`forced_interpretation` (a test hook)
+:func:`try_compile` returns ``None``, so views built there are interpreted.
 
 One bounded caveat applies to *ill-typed* input only: a hash-join does not
 evaluate guard conjuncts for pairs its index already excludes, so an error
 the interpreter would raise on such a pair (e.g. an ordered comparison over
 non-base values, which the type system forbids) is not reproduced.  And
-the compiled pipeline walks sources and pairs in its own order (deltas
+the compiled pipeline walks sources and pairs in the plan's order (deltas
 first, and a materialised ``⊎`` holds its terms' elements in term order
 where the interpreter's ``Bag.union`` may not), so which of several errors
-fires first — hence which
-:class:`~repro.errors.EvaluationError` subclass is raised — is unspecified.
-Either side may raise where the other does not: an erroring source the
-interpreter never reaches (the other binder's source being empty) may still
-raise, and an erroring base source the interpreter walks first (an unbound
-relation, say) is never evaluated when the update source the compiled plan
-walks first is empty, so the plan returns ``∅`` where the interpreter raises.
-Equality conjuncts themselves never diverge — keys that hashing cannot
-match faithfully (non-base values, ``NaN``, erroring operands) degrade to a
-nested-loop twin that follows interpreter conjunct order exactly.
-Well-typed queries (:mod:`repro.nrc.typecheck`) are unaffected.
+fires first — hence which :class:`~repro.errors.EvaluationError` subclass
+is raised — is unspecified.  Either side may raise where the other does
+not: an erroring source the interpreter never reaches (the other binder's
+source being empty) may still raise, and an erroring base source the
+interpreter walks first (an unbound relation, say) is never evaluated when
+the update source the plan walks first is empty.  Equality conjuncts
+themselves never diverge — keys that hashing cannot match faithfully
+(non-base values, ``NaN``, erroring operands) degrade to a nested-loop twin
+that follows interpreter conjunct order exactly.  Well-typed queries
+(:mod:`repro.nrc.typecheck`) are unaffected.
 
 Operation counters are threaded through, and ``tests/test_paper_claims.py``
 pins them: compiled evaluation reports the operations it *actually* performs
@@ -95,7 +84,7 @@ from __future__ import annotations
 
 from contextlib import ExitStack, contextmanager
 from functools import partial
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.bag.bag import Bag, EMPTY_BAG
 from repro.bag.builder import BagBuilder
@@ -106,11 +95,10 @@ from repro.instrument import OpCounter, maybe_count
 from repro.labels import Label
 from repro.nrc import ast, kernels
 from repro.nrc import predicates as preds
-from repro.nrc.analysis import free_elem_vars, referenced_deltas
 from repro.nrc.ast import Expr
 from repro.nrc.evaluator import Environment, evaluate_bag as _interpret_bag
 from repro.nrc.kernels import MISSING as _MISSING, KernelModule, project as _project_value
-from repro.nrc.traverse import map_expr
+from repro.nrc.plan import conjuncts as plan_conjuncts, plan, where_chain
 
 __all__ = [
     "CompiledQuery",
@@ -237,6 +225,17 @@ def _as_dict(value: Any) -> DictValue:
     return value
 
 
+def _emit_all(emits: Sequence[_Emit]) -> _Emit:
+    """One ``emit`` running ``emits`` in order: a ``⊎`` of producers."""
+    emits = tuple(emits)
+
+    def emit(ctx: _Ctx, frame: List[Any], mult: int, sink: Dict[Any, int]) -> None:
+        for term in emits:
+            term(ctx, frame, mult, sink)
+
+    return emit
+
+
 def _merge(sink: Dict[Any, int], pairs, mult: int) -> None:
     """Add ``mult ×`` materialised ``(element, multiplicity)`` pairs into ``sink``.
 
@@ -280,21 +279,11 @@ def _charge(counter: Optional[OpCounter], units: _Units, times: int = 1) -> None
 
 _Fn = Callable[[_Ctx, List[Any]], Any]
 _Emit = Callable[[_Ctx, List[Any], int, Dict[Any, int]], None]
-# A hash-join atom: the build path into the loop variable and the kernel
-# expression of the matching probe-key part.
-_Atom = Tuple[Tuple[int, ...], Any]
-# One disjunct of a hash-joinable disjunction: its kernel expression and its
-# conjuncts' (kernel expression, atom or None).
-_Disjunct = Tuple[Any, List[Tuple[Any, Optional[_Atom]]]]
-# A guard conjunct: its kernel expression, deps, its hash-join atom if it is
-# one, and its disjuncts if it is a disjunction every term of which holds an
-# atom; a guard: binder slot and conjuncts.
-_Conjunct = Tuple[Any, frozenset, Optional[_Atom], Optional[List[_Disjunct]]]
+# A guard conjunct: its kernel expression, deps and, if it is a hash-join
+# atom, the build path into the loop variable and the kernel expression of
+# the matching probe-key part; a guard: binder slot and conjuncts.
+_Conjunct = Tuple[Any, frozenset, Optional[Tuple[Tuple[int, ...], Any]]]
 _Guard = Tuple[int, List[_Conjunct]]
-
-#: Disjunctions with more terms keep the nested loop: each term is one probe
-#: (and one index) per outer element.
-_MAX_DISJUNCTS = 3
 
 
 class _Node:
@@ -312,10 +301,11 @@ class _Node:
         with multiplicity 1.  A walk site inlines it into its loop; anywhere
         else :meth:`emitter` generates a one-element ``emit`` from it.
     ``bind(ctx, frame)``
-        a hash-join site: resolve its loop-invariant index and return
-        ``(emit, units)`` — the ``emit`` to use while that index stands and
-        what each of its invocations incurs — or ``None`` when the build
-        side is empty, so the site emits nothing whatever the frame holds.
+        a hash-join site, or a ``⊎`` of them: resolve its loop-invariant
+        indexes and return ``(emit, units)`` — the ``emit`` to use while
+        they stand and what each of its invocations incurs — or ``None``
+        when every build side is empty, so it emits nothing whatever the
+        frame holds.
         An enclosing loop binds once per run instead of once per element.
     ``value(ctx, frame)``
         the value itself: dictionaries, and bags that already exist
@@ -451,44 +441,6 @@ class IndexRequirement:
 
     def __repr__(self) -> str:
         return f"IndexRequirement({self.render()})"
-
-
-# --------------------------------------------------------------------------- #
-# Delta-first binder order
-# --------------------------------------------------------------------------- #
-def _delta_first(expr: Expr) -> Expr:
-    """Reorder adjacent binders so update-symbol sources are walked first.
-
-    ``for x in S union for y in T union B`` becomes ``for y in T union for x
-    in S union B`` when ``T`` mentions an update symbol and ``S`` does not,
-    both sources are closed and ``x ≠ y``: then the two sums commute, and the
-    swapped inner ``for x in S where x.p = y.q`` is a hash-join over ``S``
-    probed once per ``Δ`` element instead of a walk over all of ``S`` —
-    ``O(|T| + matches)`` where the literal order pays ``O(|S| + matches)``.
-    Without an equality atom both orders walk ``|S|·|T|`` pairs, so the
-    swap is never asymptotically worse.  Applied bottom-up, so a ``Δ``
-    binder moves past a whole chain of base-relation binders.  Only the
-    compiled pipeline is reordered; the interpreter runs the literal order.
-    """
-    return map_expr(expr, _hoist_delta_binder)
-
-
-def _hoist_delta_binder(node: Expr) -> Expr:
-    if not (isinstance(node, ast.For) and isinstance(node.body, ast.For)):
-        return node
-    outer, inner = node, node.body
-    if (
-        outer.var == inner.var
-        or not referenced_deltas(inner.source)
-        or referenced_deltas(outer.source)
-        or free_elem_vars(outer.source)
-        or free_elem_vars(inner.source)
-    ):
-        return node
-    # The moved-in binder may now sit above another Δ binder: keep sinking it.
-    return ast.For(
-        inner.var, inner.source, _hoist_delta_binder(ast.For(outer.var, outer.source, inner.body))
-    )
 
 
 class _Compiler:
@@ -714,15 +666,6 @@ class _Compiler:
     # ------------------------------------------------------------------ #
     # For: nested loops, guard analysis and hash-joins
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _flatten_conjuncts(predicate: preds.Predicate) -> List[preds.Predicate]:
-        if isinstance(predicate, preds.And):
-            conjuncts: List[preds.Predicate] = []
-            for term in predicate.terms:
-                conjuncts.extend(_Compiler._flatten_conjuncts(term))
-            return conjuncts
-        return [predicate]
-
     def _compile_For(self, expr: ast.For) -> _Node:
         if isinstance(expr.source, ast.Pred):
             return self._compile_guard(expr)
@@ -732,107 +675,33 @@ class _Compiler:
         join_var = None if source.deps else expr.var
         with self._bound(self._elem_scope, expr.var) as slot:
             guards, body = self._compile_chain(expr.body, join_var)
-        if any(
-            atom is not None or disjuncts is not None
-            for _, conjuncts in guards
-            for _, _, atom, disjuncts in conjuncts
-        ):
+        if any(atom is not None for _, conjuncts in guards for _, _, atom in conjuncts):
             return self._compile_hash_join(expr, source, slot, guards, body)
         return self._compile_loop(expr, source, slot, guards, body)
 
     def _compile_chain(self, expr: Expr, join_var: Optional[str]) -> Tuple[List[_Guard], _Node]:
-        """The chain of ``where`` guards (``for _w in p(x̄) union …``) at ``expr``, and its body.
+        """The ``where`` guards at ``expr`` (:func:`repro.nrc.plan.where_chain`) and their body.
 
         Each guard is ``(slot, conjuncts)``; a conjunct is ``(predicate,
-        deps, atom, disjuncts)``, where ``atom`` is its hash-join equality
-        over loop variable ``join_var`` and ``disjuncts`` its terms when it
-        is a disjunction each of whose (at most :data:`_MAX_DISJUNCTS`)
-        terms holds one (``None`` when it is not, or when there is no
-        candidate loop).  Guard i's predicate is the *source* of its
-        binder, so it is compiled with only the loop variable and guards
-        1..i-1 in scope: a guard binder never shadows names inside its own
-        predicate, mirroring interpreter scoping — so an enclosing variable a
-        later guard rebinds still probes as outer.
+        deps, atom)``, ``atom`` its hash-join equality over ``join_var``.
+        Guard i's predicate is compiled with only the loop variable and
+        guards 1..i-1 in scope, as the interpreter scopes it.
         """
         guards: List[_Guard] = []
-        local_names = {join_var}
         with ExitStack() as scopes:
-            while isinstance(expr, ast.For) and isinstance(expr.source, ast.Pred):
+            for guard, atom_of in where_chain(expr, join_var):
                 conjuncts = []
-                for conjunct in self._flatten_conjuncts(expr.source.predicate):
+                for conjunct in plan_conjuncts(guard.source.predicate):
                     test, deps = self._compile_predicate(conjunct)
-                    atom = disjuncts = None
-                    if join_var is not None:
-                        atom = self._equality_atom(conjunct, join_var, local_names)
-                        if atom is None:
-                            disjuncts = self._disjuncts(conjunct, join_var, local_names)
-                    conjuncts.append((test, deps, atom, disjuncts))
-                slot = scopes.enter_context(self._bound(self._elem_scope, expr.var))
+                    atom = atom_of(conjunct)
+                    if atom is not None:
+                        atom = (atom[0], self._compile_operand(atom[1])[0])
+                    conjuncts.append((test, deps, atom))
+                slot = scopes.enter_context(self._bound(self._elem_scope, guard.var))
                 guards.append((slot, conjuncts))
-                local_names.add(expr.var)
-                if expr.var == join_var:
-                    # The guard rebinds the loop variable's name: later
-                    # conjuncts mentioning it no longer see the loop element.
-                    join_var = None
-                expr = expr.body
+                expr = guard.body
             body = self.compile(expr)
         return guards, body
-
-    def _equality_atom(
-        self, conjunct: preds.Predicate, loop_var: str, local_names: Set[str]
-    ) -> Optional[Tuple[Tuple[int, ...], Any]]:
-        """Classify one guard conjunct as a hashable equality, if possible.
-
-        A conjunct qualifies when it is ``==`` between a projection of the
-        loop variable and something computable *outside* the loop: a
-        projection of an enclosing variable, or a constant.  The result
-        pairs the build-side path into the loop variable with the expression
-        computing the matching key part from the outer frame.
-        """
-        if not isinstance(conjunct, preds.Comparison) or conjunct.op != "==":
-            return None
-
-        def is_loop_side(operand: preds.Operand) -> bool:
-            return isinstance(operand, preds.VarPath) and operand.var == loop_var
-
-        def is_outer_side(operand: preds.Operand) -> bool:
-            if isinstance(operand, preds.Const):
-                return True
-            return isinstance(operand, preds.VarPath) and operand.var not in local_names
-
-        if is_loop_side(conjunct.left) and is_outer_side(conjunct.right):
-            loop_operand, outer_operand = conjunct.left, conjunct.right
-        elif is_loop_side(conjunct.right) and is_outer_side(conjunct.left):
-            loop_operand, outer_operand = conjunct.right, conjunct.left
-        else:
-            return None
-        return loop_operand.path, self._compile_operand(outer_operand)[0]  # type: ignore[union-attr]
-
-    def _disjuncts(
-        self, conjunct: preds.Predicate, loop_var: str, local_names: Set[str]
-    ) -> Optional[List[_Disjunct]]:
-        """The terms of a disjunction every one of which holds an equality atom.
-
-        ``None`` unless ``conjunct`` is an ``∨`` of at most
-        :data:`_MAX_DISJUNCTS` terms, each with at least one conjunct that
-        :meth:`_equality_atom` accepts: the disjunction then joins as one
-        hash probe per term (see :meth:`_join_branches`).
-        """
-        if not isinstance(conjunct, preds.Or) or len(conjunct.terms) > _MAX_DISJUNCTS:
-            return None
-        disjuncts: List[_Disjunct] = []
-        for term in conjunct.terms:
-            parts = [
-                (
-                    self._compile_predicate(part)[0],
-                    self._equality_atom(part, loop_var, local_names),
-                )
-                for part in self._flatten_conjuncts(term)
-            ]
-            if all(atom is None for _, atom in parts):
-                return None
-            disjuncts.append((self._compile_predicate(term)[0], parts))
-        return disjuncts
 
     @staticmethod
     def _guard_test(conjuncts: Sequence[_Conjunct]) -> kernels.AllOf:
@@ -942,9 +811,7 @@ class _Compiler:
         self-equal, so dict identity lookup would wrongly match it) and key
         computations that raise all degrade to ``emit_loop`` — a nested-loop
         twin that evaluates every guard conjunct in original order, exactly
-        as the interpreter does.  A guard joined through a disjunction runs
-        one such site per disjunct (:meth:`_join_branches`), each falling
-        back on its own.
+        as the interpreter does.
         """
         conjuncts = [conjunct for _, guard_conjuncts in guards for conjunct in guard_conjuncts]
         guard_slots = [guard_slot for guard_slot, _ in guards]
@@ -953,81 +820,15 @@ class _Compiler:
             source = self._memoized(source)
         source_value = source.valuer()
         run = None if body.element is not None else body.emitter()
-        binds = [
-            self._hash_join_site(
-                expr, source_value, slot, guard_slots, atoms, bucket_tests, loop_tests, body, run
-            )
-            for atoms, bucket_tests, loop_tests in self._join_branches(conjuncts)
-        ]
+        # Buckets test the conjuncts that are not atoms, the loop twin all of
+        # them, in interpreter order.
+        atoms = [atom for _, _, atom in conjuncts if atom is not None]
+        bucket_tests = [test for test, _, atom in conjuncts if atom is None]
+        loop_tests = [test for test, _, _ in conjuncts]
         # Every guard conjunct (atoms included) contributes deps; probe-side
         # slots are never local, so subtracting the local slots keeps them.
         deps = body.deps.union(*(conjunct[1] for conjunct in conjuncts))
         deps = frozenset(deps - {slot, *guard_slots})
-        if len(binds) == 1:
-            return _Node(deps, bind=binds[0])
-
-        def bind(ctx: _Ctx, frame: List[Any]) -> Optional[Tuple[_Emit, _Units]]:
-            # The sites share their source: all of them are empty or none.
-            bound = [site for site in (site_bind(ctx, frame) for site_bind in binds) if site]
-            if not bound:
-                return None
-            emits = tuple(emit for emit, _ in bound)
-
-            def emit(ctx: _Ctx, frame: List[Any], mult: int, sink: Dict[Any, int]) -> None:
-                for site in emits:
-                    site(ctx, frame, mult, sink)
-
-            return emit, _units(*(units for _, units in bound))
-
-        return _Node(deps, bind=bind)
-
-    @staticmethod
-    def _join_branches(
-        conjuncts: Sequence[_Conjunct],
-    ) -> List[Tuple[List[_Atom], List[Any], List[Any]]]:
-        """The hash-join sites of a guard: ``(atoms, bucket tests, loop tests)`` each.
-
-        With equality atoms, one site: its buckets test the other conjuncts,
-        its loop twin all of them.  Without, the first joinable disjunction
-        ``D₁ ∨ … ∨ Dₖ`` splits the join into k sites, one per term: site i
-        probes ``Dᵢ``'s atoms and tests the guard with the disjunction
-        replaced by ``¬D₁ ∧ … ∧ ¬Dᵢ₋₁ ∧ Dᵢ``, so a pair several terms hold
-        for is emitted by the first one only — once, with its exact
-        multiplicity — and every conjunct is tested in interpreter order.
-        """
-        atoms = [conjunct[2] for conjunct in conjuncts if conjunct[2] is not None]
-        if atoms:
-            residual = [conjunct[0] for conjunct in conjuncts if conjunct[2] is None]
-            return [(atoms, residual, [conjunct[0] for conjunct in conjuncts])]
-        position = next(index for index, conjunct in enumerate(conjuncts) if conjunct[3])
-        before = [conjunct[0] for conjunct in conjuncts[:position]]
-        after = [conjunct[0] for conjunct in conjuncts[position + 1 :]]
-        branches = []
-        earlier: List[Any] = []
-        for test, parts in conjuncts[position][3]:
-            branches.append(
-                (
-                    [atom for _, atom in parts if atom is not None],
-                    before + earlier + [part for part, atom in parts if atom is None] + after,
-                    before + earlier + [part for part, _ in parts] + after,
-                )
-            )
-            earlier.append(kernels.Negation(test))
-        return branches
-
-    def _hash_join_site(
-        self,
-        expr: ast.For,
-        source_value: _Fn,
-        slot: int,
-        guard_slots: List[int],
-        atoms: List[_Atom],
-        bucket_tests: List[Any],
-        loop_tests: List[Any],
-        body: _Node,
-        run: Optional[_Emit],
-    ) -> Callable[[_Ctx, List[Any]], Optional[Tuple[_Emit, _Units]]]:
-        """One build-once/probe-per-tuple site over ``expr``'s source: its ``bind``."""
         build_paths = tuple(path for path, _ in atoms)
         # Sites over the same source and key paths share one build per
         # evaluation (both M-side terms of a swapped self-join delta): a
@@ -1158,7 +959,7 @@ class _Compiler:
                 return None
             return partial(emit_probe, index.get), _PROBED
 
-        return bind
+        return _Node(deps, bind=bind)
 
     # ------------------------------------------------------------------ #
     # Structural constructs
@@ -1225,13 +1026,20 @@ class _Compiler:
 
     def _compile_Union(self, expr: ast.Union) -> _Node:
         terms = [self.compile(term) for term in expr.terms]
-        term_emits = tuple(term.emitter() for term in terms)
-
-        def emit(ctx: _Ctx, frame: List[Any], mult: int, sink: Dict[Any, int]) -> None:
-            for term in term_emits:
-                term(ctx, frame, mult, sink)
-
         deps = frozenset().union(*(term.deps for term in terms))
+        if all(term.bind is not None for term in terms):
+            # Join sites only (a split disjunctive join): one bind resolves
+            # every index, so an enclosing walk does so once, not per element.
+            binds = tuple(term.bind for term in terms)
+
+            def bind(ctx: _Ctx, frame: List[Any]) -> Optional[Tuple[_Emit, _Units]]:
+                bound = [site for site in (term_bind(ctx, frame) for term_bind in binds) if site]
+                if not bound:
+                    return None
+                return _emit_all([emit for emit, _ in bound]), _units(*(u for _, u in bound))
+
+            return _Node(deps, bind=bind)
+        emit = _emit_all([term.emitter() for term in terms])
         return _Node(deps, _units(*(term.units for term in terms)), emit=emit)
 
     def _compile_Negate(self, expr: ast.Negate) -> _Node:
@@ -1351,7 +1159,7 @@ class CompiledQuery:
         self.expr = expr
         self.tag = tag
         compiler = _Compiler(tag)
-        root = compiler.compile(_delta_first(expr))
+        root = compiler.compile(plan(expr))
         # The root is a pipeline breaker: a bag-typed query materialises its
         # accumulator here, once, without re-hashing it — or, given a target
         # store, emits into that store's dict instead.  A value-typed root

@@ -41,6 +41,7 @@ from itertools import islice
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.bag.bag import Bag
+from repro.bag.values import is_base_value
 from repro.ivm.updates import Update
 from repro.labels import Label
 from repro.nrc.types import BagType
@@ -311,6 +312,8 @@ def _operand_from_spec(spec: Any, scope: Mapping[str, RowVar]):
     if kind == "const":
         if len(spec) != 2:
             raise ProtocolError("'const' operands are ['const', value]")
+        if not is_base_value(spec[1]):
+            raise ProtocolError(f"'const' operands are base values, got {spec[1]!r}")
         return spec[1]
     raise ProtocolError(f"unknown operand kind {kind!r}")
 

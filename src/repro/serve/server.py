@@ -124,7 +124,6 @@ class ServerConfig:
         "port",
         "queue_depth",
         "coalesce",
-        "engine_options",
         "quiet",
         "data_dir",
         "fsync",
@@ -140,7 +139,6 @@ class ServerConfig:
         *,
         queue_depth: int = 256,
         coalesce: int = 64,
-        engine_options: Optional[Dict[str, Any]] = None,
         quiet: bool = True,
         data_dir: Optional[str] = None,
         fsync: Optional[str] = None,
@@ -152,7 +150,6 @@ class ServerConfig:
         self.port = port
         self.queue_depth = queue_depth
         self.coalesce = coalesce
-        self.engine_options = dict(engine_options or {})
         self.quiet = quiet
         self.data_dir = data_dir
         self.fsync = fsync
@@ -675,7 +672,6 @@ class ReproServer:
     def __init__(self, config: Optional[ServerConfig] = None, **kwargs: Any) -> None:
         self.config = config or ServerConfig(**kwargs)
         self.sessions = SessionManager(
-            engine_options=self.config.engine_options,
             queue_depth=self.config.queue_depth,
             coalesce=self.config.coalesce,
             data_dir=self.config.data_dir,
@@ -689,6 +685,7 @@ class ReproServer:
         self._httpd = _HTTPServer((self.config.host, self.config.port), _Handler)
         self._httpd.repro = self
         self._thread: Optional[threading.Thread] = None
+        self._serving = False  # set by start() / serve_forever()
         self._recovery_thread: Optional[threading.Thread] = None
         self._discovery_thread: Optional[threading.Thread] = None
         self._closed = False
@@ -775,6 +772,8 @@ class ReproServer:
         """Serve on a background thread (tests, benchmarks, embedding)."""
         if self._thread is not None:
             raise RuntimeError("server already started")
+        with self._close_lock:
+            self._serving = True
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
             name="repro-serve-accept",
@@ -785,7 +784,10 @@ class ReproServer:
 
     def serve_forever(self) -> None:
         """Serve on the calling thread (what ``repro-cli serve`` runs)."""
-        self._httpd.serve_forever()
+        with self._close_lock:  # a close() that came first skipped the shutdown
+            self._serving = not self._closed
+        if self._serving:
+            self._httpd.serve_forever()
 
     def install_signal_handlers(self) -> None:
         """SIGTERM/SIGINT → graceful close (drain ingest, join schedulers).
@@ -824,13 +826,16 @@ class ReproServer:
         with self._close_lock:
             first = not self._closed
             self._closed = True
+            serving = self._serving
         if not first:
             # A close is already in flight (e.g. the signal-handler thread);
             # wait for it so "after close() returns" means fully closed.
             self._close_done.wait(60.0)
             return
         try:
-            self._httpd.shutdown()
+            if serving:
+                # ``shutdown()`` waits for the serve loop: one never run hangs it.
+                self._httpd.shutdown()
             self._httpd.server_close()
             self._httpd.stop_reading()
             if self._thread is not None:

@@ -28,7 +28,6 @@ thread-safety notes):
 
 from __future__ import annotations
 
-import inspect
 import os
 import shutil
 import threading
@@ -748,31 +747,12 @@ class TenantSession:
         self.engine.close()
 
 
-def check_engine_options(options: Dict[str, Any]) -> None:
-    """Raise ``ValueError`` unless every tenant engine could be built from
-    ``options``.
-
-    Tenants build their engines lazily, on first use; a bad option found
-    there would answer every tenant creation with a 500.  So the options
-    are bound against ``Engine``'s signature (an unknown key fails) and an
-    explicit fsync policy goes through the resolver the engine itself runs.
-    """
-    try:
-        arguments = inspect.signature(Engine).bind(**options).arguments
-    except TypeError as error:
-        raise ValueError(f"engine_options: {error}") from None
-    fsync = arguments.get("fsync")
-    if fsync is not None:
-        resolve_fsync_policy(fsync)
-
-
 class SessionManager:
     """The named tenants of one server."""
 
     def __init__(
         self,
         *,
-        engine_options: Optional[Dict[str, Any]] = None,
         queue_depth: int = 256,
         coalesce: int = 64,
         data_dir: Optional[str] = None,
@@ -781,7 +761,6 @@ class SessionManager:
         poll_wait: float = 5.0,
         poll_interval: float = 0.05,
     ) -> None:
-        self._engine_options = dict(engine_options or {})
         self._queue_depth = queue_depth
         self._coalesce = coalesce
         self._data_dir = data_dir
@@ -791,9 +770,10 @@ class SessionManager:
         self._poll_interval = poll_interval
         if self._replica_of is not None and data_dir is None:
             raise ProtocolError("--replica-of requires a durable server (--data-dir)")
-        # Every tenant's engine is built from these options; the name only
-        # picks its data subdirectory.
-        check_engine_options(self._tenant_options(""))
+        if data_dir is not None:
+            # Tenant engines open lazily: a bad policy must stop the server
+            # before it listens, not answer every tenant creation with a 500.
+            resolve_fsync_policy(fsync)
         self._sessions: Dict[str, TenantSession] = {}
         self._recovering: set = set()
         # Tenants whose startup recovery raised: name → error summary.
@@ -807,13 +787,10 @@ class SessionManager:
         return self._data_dir
 
     def _tenant_options(self, name: str) -> Dict[str, Any]:
-        options = dict(self._engine_options)
-        if self._data_dir is not None:
-            # One subdirectory per tenant: WAL + checkpoints never mix.
-            options["data_dir"] = os.path.join(self._data_dir, name)
-            if self._fsync is not None:
-                options.setdefault("fsync", self._fsync)
-        return options
+        if self._data_dir is None:
+            return {}
+        # One subdirectory per tenant: WAL + checkpoints never mix.
+        return {"data_dir": os.path.join(self._data_dir, name), "fsync": self._fsync}
 
     def _create(self, name: str) -> TenantSession:
         with self._lock:

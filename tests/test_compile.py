@@ -639,6 +639,7 @@ from hypothesis import strategies as st
 
 import repro.nrc.compile as compile_module
 import repro.nrc.evaluator as evaluator_module
+import repro.nrc.plan as plan_module
 from repro.errors import EvaluationError, NotInFragmentError, TypeCheckError
 from repro.nrc.typecheck import infer_type
 from repro.nrc.types import tuple_of
@@ -818,14 +819,14 @@ def _well_typed(expr):
 
 def _literal_plan(expr):
     """``expr`` compiled in its literal binder order (no Δ-first rewrite)."""
-    with mock.patch.object(compile_module, "_delta_first", lambda literal: literal):
+    with mock.patch.object(plan_module, "delta_first", lambda literal: literal):
         return compile_expr(expr)
 
 
 def _interpret_in_compiled_order(expr, env):
     """The interpreter, walking in the order the compiled pipeline walks.
 
-    The compiler walks Δ binders first (``_delta_first``) and materialises a
+    The compiler walks Δ binders first (``delta_first``) and materialises a
     ``⊎`` with its elements in term order, where ``Bag.union`` puts the
     larger operand's elements first.  On ill-typed input these orders decide
     which error fires first, or whether an erroring source is reached.
@@ -838,7 +839,7 @@ def _interpret_in_compiled_order(expr, env):
         return Bag.from_pairs(pairs)
 
     with mock.patch.object(evaluator_module._Evaluator, "_eval_Union", union_in_term_order):
-        return evaluate_bag(compile_module._delta_first(expr), env)
+        return evaluate_bag(plan_module.delta_first(expr), env)
 
 
 def _coarse(outcome):
@@ -870,7 +871,7 @@ def _assert_delta_outcome(expr, env):
     references = [
         _coarse(interpreted),
         _coarse(_outcome(lambda: _literal_plan(expr).evaluate_bag(env))),
-        _coarse(_outcome(lambda: evaluate_bag(compile_module._delta_first(expr), env))),
+        _coarse(_outcome(lambda: evaluate_bag(plan_module.delta_first(expr), env))),
     ]
     assert _coarse(compiled) in references
 
@@ -1289,3 +1290,107 @@ class TestDisjunctiveJoinDifferential:
             )
             outer = target if swapped else source
             assert counter.get("hash_probes") == count * len(evaluate_bag(outer, env))
+
+
+# --------------------------------------------------------------------------- #
+# The plan: the rewrites the compiled pipeline runs, checked on the interpreter
+# --------------------------------------------------------------------------- #
+class TestPlanRewrites:
+    @settings(max_examples=300, deadline=None)
+    @given(_bag_exprs(), _environments())
+    def test_plan_of_generated_expressions_agrees(self, generated, env):
+        # The interpreter on plan(q) ≡ the interpreter on q, error class
+        # included, for q and its delta.  Ill-typed input is out of scope:
+        # there the Δ-first order decides which error fires first.
+        expr, _ = generated
+        queries = [expr]
+        try:
+            queries.append(delta(expr, ("A", "B", "R")))
+        except NotInFragmentError:
+            pass
+        for query in queries:
+            if _well_typed(query):
+                planned = plan_module.plan(query)
+                assert _outcome(lambda: evaluate_bag(planned, env)) == _outcome(
+                    lambda: evaluate_bag(query, env)
+                )
+
+    @settings(max_examples=300, deadline=None)
+    @given(_disjunctive_joins(), _join_environments())
+    def test_plan_of_disjunctive_joins_agrees(self, generated, drawn):
+        # NaN and compound keys included: each split term raises where the
+        # disjunction does, since it tests the same terms on the same pairs.
+        query, count, joinable = generated
+        _, env = drawn
+        planned = plan_module.plan(query)
+        assert _outcome(lambda: evaluate_bag(planned, env)) == _outcome(
+            lambda: evaluate_bag(query, env)
+        )
+        split = planned != plan_module.delta_first(query)
+        if not joinable or count > 3:
+            assert not split
+        elif query.var != query.body.var:
+            assert split
+
+    def test_related_delta_pair_query_plan(self):
+        # related's delta pair query filters the active-label relation by
+        # genre-or-director against ΔM^F: the plan walks ΔM^F and probes the
+        # relation once per disjunct, each term guarded by its own equality.
+        engine = movies_engine(generate_movies(20, seed=1))
+        view = engine.view("related", related_query(), strategy="nested").view
+        (state,) = view._dict_states
+        (part,) = state.parts.values()
+        planned = plan_module.plan(part.delta_query)
+        assert isinstance(planned, ast.For)
+        assert planned.source == ast.DeltaRelation("M__F", MOVIE_SCHEMA, 1)
+        assert isinstance(planned.body, ast.Union) and len(planned.body.terms) == 2
+        keys = []
+        for branch in planned.body.terms:
+            assert isinstance(branch, ast.For) and branch.source == ast.Relation(
+                part.relation, branch.source.schema
+            )
+            (guard, atom_of), = plan_module.where_chain(branch.body, branch.var)
+            atoms = [
+                atom
+                for atom in map(atom_of, plan_module.conjuncts(guard.source.predicate))
+                if atom is not None
+            ]
+            assert len(atoms) == 1
+            keys.append(atoms[0][0])
+        assert keys == [(0, 1), (0, 2)]
+
+    def test_split_keeps_conjunct_order(self):
+        # before ∧ (D₁ ∨ D₂) ∧ after: term i tests ¬D₁ … ¬Dᵢ₋₁ ∧ Dᵢ in place.
+        before = preds.ne(preds.var_path("y", 0), preds.const("a"))
+        after = preds.lt(preds.var_path("y", 1), preds.var_path("x", 1))
+        first = preds.eq(preds.var_path("x", 0), preds.var_path("y", 0))
+        second = preds.eq(preds.var_path("x", 1), preds.var_path("y", 1))
+        guard = preds.And((before, preds.Or((first, second)), after))
+        pair = build.tuple_bag(ast.SngVar("x"), ast.SngVar("y"))
+        inner = build.for_in("y", _GEN_A, pair, condition=guard)
+        planned = plan_module.plan(ast.For("x", _GEN_A, inner))
+        guards = [term.body.source.predicate for term in planned.body.terms]
+        assert guards == [
+            preds.And((before, first, after)),
+            preds.And((before, preds.Not(first), second, after)),
+        ]
+
+    def test_empty_disjunction_guard_is_a_plain_loop(self):
+        # ∨ of no terms is false: nothing to probe, so the join stays a loop.
+        inner = build.for_in("y", _GEN_A, ast.SngVar("y"), condition=preds.Or(()))
+        query = ast.For("x", _GEN_A, inner)
+        assert plan_module.plan(query) == query
+        _assert_agree(query, Environment(relations={"A": Bag([("a", "b")])}))
+
+    def test_no_split_over_a_source_that_reads_a_binder(self):
+        # for x in A: for y in sng(x) where (…∨…): the inner source varies
+        # per x, so it cannot be indexed once and stays one loop.
+        condition = preds.Or(
+            (
+                preds.eq(preds.var_path("y", 0), preds.var_path("x", 0)),
+                preds.eq(preds.var_path("y", 1), preds.var_path("x", 1)),
+            )
+        )
+        inner = build.for_in("y", ast.SngVar("x"), ast.SngVar("y"), condition=condition)
+        query = ast.For("x", _GEN_A, inner)
+        assert plan_module.plan(query) == query

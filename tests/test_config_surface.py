@@ -45,7 +45,6 @@ SERVER_CONFIG_FIELDS = (
     "port",
     "queue_depth",
     "coalesce",
-    "engine_options",
     "quiet",
     "data_dir",
     "fsync",

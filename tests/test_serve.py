@@ -18,12 +18,14 @@ import threading
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.bag import Bag
 from repro.client.api import APIClient, APIError
 from repro.durability import WriteAheadLog
 from repro.engine import Engine
-from repro.errors import EvaluationError, WorkloadError
+from repro.errors import EvaluationError, ReproError, WorkloadError
 from repro.ivm import Update
 from repro.serve import (
     BackpressureError,
@@ -184,6 +186,136 @@ class TestQuerySpec:
         for spec in bad_specs:
             with pytest.raises(ProtocolError):
                 query_from_spec(spec, datasets)
+
+
+# Operand constants that are not base values: a view spec holding one is a
+# bad request, never an internal error.
+NON_BASE_CONSTANTS = (
+    ["eq", ["field", "m", "name"], ["const", [1, 2]]],
+    ["eq", ["field", "m", "name"], ["const", {"a": 1}]],
+    ["lt", ["field", "m", "name"], ["const", None]],
+)
+
+#: JSON values, and the wire grammar's shapes built from them, so generated
+#: specs reach past each decoder's first check.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=8,
+)
+
+
+def _mostly(shaped):
+    """``shaped`` three draws in four, any JSON value otherwise."""
+    return st.one_of(shaped, shaped, shaped, _json_values)
+
+
+_vars = _mostly(st.sampled_from(["m", "m2"]))
+_fields = _mostly(st.sampled_from(["name", "gen", "dir", "nope"]))
+_operands = _mostly(
+    st.builds(lambda var, name: ["field", var, name], _vars, _fields)
+    | st.builds(lambda value: ["const", value], _mostly(st.sampled_from(["a", 1, 2.5, True])))
+)
+_where_specs = st.recursive(
+    st.builds(
+        lambda kind, left, right: [kind, left, right],
+        st.sampled_from(["eq", "ne", "lt", "le", "gt", "ge", "is"]),
+        _operands,
+        _operands,
+    ),
+    lambda children: st.builds(
+        lambda kind, parts: [kind, *parts],
+        st.sampled_from(["and", "or", "not"]),
+        st.lists(children, max_size=3),
+    ),
+    max_leaves=4,
+)
+_query_specs = st.deferred(
+    lambda: _mostly(
+        st.fixed_dictionaries(
+            {"from": _mostly(st.sampled_from(["M", "N"]))},
+            optional={
+                "var": _vars,
+                "where": _mostly(_where_specs),
+                "select": _mostly(st.lists(_select_specs, max_size=3)),
+            },
+        )
+    )
+)
+_select_specs = _mostly(
+    st.builds(lambda var, name: ["field", var, name], _vars, _fields)
+    | st.builds(lambda var: ["row", var], _vars)
+    | st.builds(lambda query: ["nest", query], _query_specs)
+)
+_updates = _mostly(
+    st.dictionaries(
+        st.sampled_from(["M", "N"]) | st.text(max_size=3),
+        _mostly(
+            st.fixed_dictionaries(
+                {},
+                optional={
+                    "rows": _mostly(st.lists(_json_values, max_size=3)),
+                    "pairs": _mostly(st.lists(st.lists(_json_values, max_size=3), max_size=3)),
+                },
+            )
+        ),
+        max_size=2,
+    )
+)
+_record_specs = st.deferred(
+    lambda: _mostly(
+        st.lists(
+            _mostly(_fields | st.fixed_dictionaries({"name": _fields, "bag": _record_specs})),
+            max_size=3,
+        )
+    )
+)
+
+
+def _wire_outcome(thunk):
+    """Run one decoder: it may succeed or refuse with a 4xx error, nothing else."""
+    try:
+        thunk()
+    except (ProtocolError, ReproError):
+        pass
+
+
+class TestGeneratedWireSpecs:
+    """Generated JSON into the decoders the server runs on request bodies:
+    the only errors allowed are the two ``_dispatch`` answers with a 4xx."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_query_specs)
+    @example({"from": "M", "var": "m", "where": NON_BASE_CONSTANTS[0]})
+    @example({"from": "M", "var": "m", "where": NON_BASE_CONSTANTS[1]})
+    @example({"from": "M", "var": "m", "where": NON_BASE_CONSTANTS[2]})
+    def test_query_specs(self, spec):
+        datasets = {"M": _record_engine().dataset_handle("M")}
+        _wire_outcome(lambda: query_from_spec(spec, datasets))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_updates)
+    def test_updates(self, payload):
+        _wire_outcome(lambda: decode_update(payload))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_record_specs)
+    def test_record_specs(self, fields):
+        _wire_outcome(lambda: record_from_spec("M", fields))
+
+    @pytest.mark.parametrize("where", NON_BASE_CONSTANTS)
+    def test_non_base_constant_is_a_bad_request(self, server, where):
+        connection = http.client.HTTPConnection(*server.address, timeout=10)
+        try:
+            fields = {"name": "M", "fields": ["name", "gen", "dir"]}
+            assert _post(connection, "/v1/t/datasets", fields)[0] == 201
+            query = {"from": "M", "var": "m", "where": where}
+            status, _, payload = _post(connection, "/v1/t/views", {"name": "v", "query": query})
+        finally:
+            connection.close()
+        assert status == 400
+        assert payload["error"]["code"] == "bad_request"
 
 
 # --------------------------------------------------------------------------- #
@@ -638,6 +770,16 @@ class TestShutdown:
         server.close()
         server.close()
 
+    def test_close_of_a_server_never_started_returns(self):
+        # Closing a server that never served returns, and serving it after
+        # that close returns at once instead of serving a closed socket.
+        server = ReproServer(ServerConfig(port=0))
+        for step in (server.close, server.serve_forever):
+            thread = threading.Thread(target=step, daemon=True)
+            thread.start()
+            thread.join(5)
+            assert not thread.is_alive()
+
     def test_stopped_worker_rejects_submissions(self):
         worker = IngestWorker("t", capacity=4, apply_batch=lambda updates: {})
         assert worker.drain_and_stop()
@@ -646,24 +788,14 @@ class TestShutdown:
 
 
 class TestEngineOptions:
-    @pytest.mark.parametrize(
-        "options, message",
-        [
-            ({"shards": 4}, "unexpected keyword argument 'shards'"),
-            ({"parallel_views": 0}, "unexpected keyword argument 'parallel_views'"),
-            ({"fsync": "sometimes"}, "fsync policy"),
-            ({"backend": "serial"}, "unexpected keyword argument 'backend'"),
-        ],
-    )
-    def test_bad_engine_options_fail_at_construction(self, options, message):
-        """Tenants build engines lazily; a bad option must stop the server
+    def test_bad_fsync_policy_fails_at_construction(self, tmp_path):
+        """Tenants build engines lazily; a bad policy must stop the server
         before it listens, not answer every tenant creation with a 500."""
-        with pytest.raises(ValueError, match=message):
-            ReproServer(ServerConfig(port=0, engine_options=options))
+        with pytest.raises(ValueError, match="fsync policy"):
+            ReproServer(ServerConfig(port=0, fsync="sometimes", data_dir=str(tmp_path)))
 
     def test_good_engine_options_reach_the_tenant_engine(self, tmp_path):
-        options = {"fsync": "off"}
-        config = ServerConfig(port=0, data_dir=str(tmp_path), engine_options=options)
+        config = ServerConfig(port=0, fsync="off", data_dir=str(tmp_path))
         with ReproServer(config) as server:
             api = APIClient(server.url)
             api.post("v1/t/datasets", {"name": "M", "fields": ["a"], "rows": [["x"]]})
