@@ -1,11 +1,18 @@
 """The base HTTP client: one connection policy shared by every resource.
 
-:class:`APIClient` speaks the server's JSON protocol over the standard
-library (:mod:`http.client` — no third-party HTTP dependency).  It keeps
-**one persistent connection per client per thread**: a call pays a TCP
-connect (and the server a handler thread) only the first time a thread uses
-the client, or after the connection was lost.  The client also owns the
-retry policy:
+:class:`APIClient` speaks the server's JSON protocol as plain HTTP/1.1 over
+a socket — standard library only, no HTTP client library.  It keeps **one
+persistent connection per client per thread**: one ``TCP_NODELAY`` socket
+and one buffered reader over it, so a call pays a TCP connect (and the
+server a handler thread) only the first time a thread uses the client, or
+after the connection was lost.  A request leaves in a single write — head
+(with ``Host`` and, when there is a body, ``Content-Length``) and body
+together; a response is read as a bounded status line, at most
+:data:`MAX_HEADERS` header lines and a ``Content-Length`` body (a 304 has
+none).  A response framed any other way (chunked, unsized, cut short) is a
+connection error, and a ``Connection: close`` from the server closes the
+socket after the body.  Only ``http://`` URLs are accepted: no server in
+this project speaks TLS.  The client also owns the retry policy:
 
 * **a reused connection found dead** — the server restarted or closed it
   for being idle, which shows as a send error or an EOF where the status
@@ -43,10 +50,10 @@ service CLIs.
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import random
+import socket
 import threading
 import time
 import weakref
@@ -59,6 +66,12 @@ __all__ = ["APIClient", "APIError", "DEFAULT_SERVER", "DEFAULT_TENANT"]
 DEFAULT_SERVER = "REPRO_SERVER"
 DEFAULT_TENANT = "REPRO_TENANT"
 
+#: Longest status or header line the client reads.
+MAX_LINE = 65536
+
+#: Most header lines one response may carry.
+MAX_HEADERS = 100
+
 
 class APIError(Exception):
     """A non-retryable (or retries-exhausted) API failure."""
@@ -68,6 +81,109 @@ class APIError(Exception):
         self.status = status
         self.code = code
         self.message = message
+
+
+class _Response:
+    """One response as read off the wire: status, reason, headers keyed by
+    lower-cased name, body."""
+
+    __slots__ = ("status", "reason", "headers", "body")
+
+    def __init__(self, status: int, reason: str, headers: Dict[str, str], body: bytes) -> None:
+        self.status = status
+        self.reason = reason
+        self.headers = headers
+        self.body = body
+
+
+class _Connection:
+    """One thread's socket to the server and the one buffered reader over
+    it, both kept for the socket's whole life (``sock`` is None while
+    closed)."""
+
+    def __init__(self) -> None:
+        self.sock: Optional[socket.socket] = None
+        self.reader: Any = None
+
+    def open(self, address: Tuple[str, int], timeout: float) -> None:
+        sock = socket.create_connection(address, timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.sock, self.reader = sock, sock.makefile("rb")
+
+    def send(self, request: bytes) -> bytes:
+        """Send a whole request in one write; return the status line.  A
+        :class:`ConnectionError` here means no response byte arrived."""
+        sock, reader = self.sock, self.reader
+        if sock is None:  # close() on another thread since it was opened
+            raise ConnectionError("connection closed by the client")
+        try:
+            sock.sendall(request)
+            status_line = reader.readline(MAX_LINE + 1)
+        except ValueError:  # closed by close() on another thread
+            raise ConnectionError("connection closed by the client") from None
+        if not status_line:
+            raise ConnectionError("server closed the connection before answering")
+        return status_line
+
+    def receive(self, status_line: bytes) -> _Response:
+        """The rest of the response after ``status_line``: bounded header
+        lines and a ``Content-Length`` body (none for a 304).  A response
+        framed any other way is a :class:`ConnectionError`."""
+        reader = self.reader
+        if reader is None:  # close() on another thread since the request left
+            raise ConnectionError("connection closed by the client")
+        try:
+            version, _, rest = status_line.decode("iso-8859-1").partition(" ")
+            code, _, reason = rest.partition(" ")
+            if (
+                len(status_line) > MAX_LINE
+                or not version.startswith("HTTP/1.")
+                or not (code.isascii() and code.isdigit() and len(code) == 3)
+            ):
+                raise ConnectionError(f"malformed status line {status_line[:80]!r}")
+            headers: Dict[str, str] = {}
+            for _ in range(MAX_HEADERS + 1):
+                line = reader.readline(MAX_LINE + 1)
+                if line in (b"\r\n", b"\n"):
+                    break
+                name, colon, value = line.decode("iso-8859-1").partition(":")
+                if not colon or len(line) > MAX_LINE:
+                    raise ConnectionError(f"malformed header line {line[:80]!r}")
+                headers.setdefault(name.strip().lower(), value.strip(" \t\r\n"))
+            else:
+                raise ConnectionError("more than %d response headers" % MAX_HEADERS)
+            status = int(code)
+            length = headers.get("content-length")
+            if status == 304:
+                body = b""
+            elif "transfer-encoding" in headers or length is None:
+                raise ConnectionError("response without a Content-Length")
+            elif not (length.isascii() and length.isdigit()):
+                raise ConnectionError(f"malformed Content-Length {length!r}")
+            else:
+                body = reader.read(int(length))
+                if len(body) != int(length):
+                    raise ConnectionError(
+                        f"response body cut short at {len(body)} of {length} bytes"
+                    )
+        except ValueError:  # closed by close() on another thread
+            raise ConnectionError("connection closed by the client") from None
+        if headers.get("connection", "").lower() == "close":
+            self.close()
+        return _Response(status, reason.rstrip("\r\n"), headers, body)
+
+    def close(self) -> None:
+        """Shut the socket (waking a read another thread has blocked on it)
+        and drop it; the next request on this connection reopens it."""
+        sock, reader = self.sock, self.reader
+        self.sock = self.reader = None
+        if sock is not None:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # never connected, or already reset
+            reader.close()
+            sock.close()
 
 
 class APIClient:
@@ -88,9 +204,15 @@ class APIClient:
             base_url = os.environ.get(DEFAULT_SERVER, "http://127.0.0.1:8765")
         self.base_url = base_url.rstrip("/")
         parts = urlsplit(self.base_url)
-        if parts.scheme not in ("http", "https") or not parts.hostname:
-            raise ValueError(f"server URL must be http(s)://host[:port], got {base_url!r}")
-        self._parts = parts
+        if parts.scheme != "http" or not parts.hostname:
+            raise ValueError(
+                f"server URL must be http://host[:port] (https is not supported), "
+                f"got {base_url!r}"
+            )
+        self._path = parts.path
+        self._address = (parts.hostname, parts.port or 80)
+        host = f"[{parts.hostname}]" if ":" in parts.hostname else parts.hostname
+        self._host = host if parts.port in (None, 80) else f"{host}:{parts.port}"
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff_base = backoff_base
@@ -103,41 +225,33 @@ class APIClient:
         # entry (and its socket) goes when the thread or the client does.
         # ``_connections`` sees them all without keeping any, for close().
         self._local = threading.local()
-        self._connections: "weakref.WeakSet[http.client.HTTPConnection]" = weakref.WeakSet()
+        self._connections: "weakref.WeakSet[_Connection]" = weakref.WeakSet()
         # Observability for tests and the CLI's --verbose mode.
         self.retries_performed = 0
 
     # ------------------------------------------------------------------ #
-    def _exchange(
-        self, method: str, target: str, data: Optional[bytes], headers: Dict[str, str]
-    ) -> Tuple[http.client.HTTPResponse, bytes]:
+    def _exchange(self, request: bytes) -> _Response:
         """Send one request on this thread's connection and read the whole
         response, reopening the connection once if it was reused and turned
         out dead before any response byte.  Any failure leaves it closed;
         the next call reconnects."""
         connection = getattr(self._local, "connection", None)
         if connection is None:
-            factory = (
-                http.client.HTTPSConnection
-                if self._parts.scheme == "https"
-                else http.client.HTTPConnection
-            )
-            connection = self._local.connection = factory(
-                self._parts.hostname, self._parts.port, timeout=self.timeout
-            )
+            connection = self._local.connection = _Connection()
             self._connections.add(connection)
         reused = connection.sock is not None
         try:
+            if not reused:
+                connection.open(self._address, self.timeout)
             try:
-                connection.request(method, target, body=data, headers=headers)
-                response = connection.getresponse()
-            except ConnectionError:  # incl. RemoteDisconnected: EOF for a status line
+                status_line = connection.send(request)
+            except ConnectionError:
                 if not reused:
                     raise
                 connection.close()
-                connection.request(method, target, body=data, headers=headers)
-                response = connection.getresponse()
-            return response, response.read()
+                connection.open(self._address, self.timeout)
+                status_line = connection.send(request)
+            return connection.receive(status_line)
         except BaseException:
             connection.close()
             raise
@@ -157,11 +271,19 @@ class APIClient:
         the server's ``etag`` and the ``version`` parsed from it — so
         polling callers branch on ``payload.get("unchanged")``.
         """
-        target = f"{self._parts.path}/{path.lstrip('/')}"
-        data = None if body is None else json.dumps(body).encode("utf-8")
-        request_headers = {"Content-Type": "application/json"}
+        data = b"" if body is None else json.dumps(body).encode("utf-8")
+        request_headers = {"Host": self._host, "Content-Type": "application/json"}
+        if body is not None:
+            request_headers["Content-Length"] = str(len(data))
         if headers:
             request_headers.update(headers)
+        head = [f"{method} {self._path}/{path.lstrip('/')} HTTP/1.1"]
+        for name, value in request_headers.items():
+            line = f"{name}: {value}"
+            if "\r" in line or "\n" in line:
+                raise ValueError(f"header {name!r} holds a line break")
+            head.append(line)
+        request = ("\r\n".join(head) + "\r\n\r\n").encode("iso-8859-1") + data
         attempt = 0
         started = time.monotonic()
         slept = 0.0
@@ -177,8 +299,8 @@ class APIClient:
 
         while True:
             try:
-                response, payload = self._exchange(method, target, data, request_headers)
-            except (OSError, http.client.HTTPException) as error:
+                response = self._exchange(request)
+            except OSError as error:
                 url = f"{self.base_url}/{path.lstrip('/')}"
                 if attempt < self.max_retries:
                     delay = self.backoff_base * (2 ** attempt)
@@ -199,15 +321,15 @@ class APIClient:
                 raise APIError(0, "connection", f"{url}: {error}") from None
             status = response.status
             if 200 <= status < 300:
-                return json.loads(payload.decode("utf-8")) if payload else {}
+                return json.loads(response.body.decode("utf-8")) if response.body else {}
             if status == 304:
                 return self._decode_not_modified(response)
-            code, message = self._decode_error(payload, response.reason)
+            code, message = self._decode_error(response.body, response.reason)
             # 429 is always the admission-control contract; 503 is
             # retryable only when the server stamped a Retry-After (a
             # tenant mid-recovery) — a bare 503 (apply timeout) is not.
             retryable = status == 429 or (
-                status == 503 and response.headers.get("Retry-After") is not None
+                status == 503 and "retry-after" in response.headers
             )
             if retryable and attempt < self.max_retries:
                 retry_after = self._retry_after_of(response)
@@ -226,9 +348,9 @@ class APIClient:
             raise APIError(status, code, message)
 
     @staticmethod
-    def _decode_not_modified(response: http.client.HTTPResponse) -> Dict[str, Any]:
+    def _decode_not_modified(response: _Response) -> Dict[str, Any]:
         payload: Dict[str, Any] = {"unchanged": True, "not_modified": True}
-        etag = response.headers.get("ETag")
+        etag = response.headers.get("etag")
         if etag:
             payload["etag"] = etag
             stripped = etag.strip()
@@ -239,8 +361,8 @@ class APIClient:
                 payload["version"] = int(stripped)
         return payload
 
-    def _retry_after_of(self, response: http.client.HTTPResponse) -> float:
-        header = response.headers.get("Retry-After")
+    def _retry_after_of(self, response: _Response) -> float:
+        header = response.headers.get("retry-after")
         try:
             retry_after = float(header) if header is not None else self.backoff_base
         except ValueError:

@@ -1,7 +1,8 @@
 """The replica-side link: long-poll the primary, mirror, apply.
 
 :class:`ReplicaLink` is a daemon thread owned by a replica tenant session.
-Each iteration long-polls ``GET /v1/{tenant}/wal`` on the upstream for
+Each iteration long-polls ``GET /v1/{tenant}/wal`` on the upstream — over
+one persistent :class:`~repro.client.api.APIClient` connection — for
 frames past the local mirror's end, then hands the batch to the session's
 single-writer worker, which (in order) appends the frames verbatim to the
 local WAL mirror, fsyncs, and applies each payload through the engine's
@@ -26,13 +27,11 @@ of an apply without widening the durability layer's ``CRASH_POINTS``.
 
 from __future__ import annotations
 
-import json
 import threading
-import urllib.error
 import urllib.parse
-import urllib.request
 from typing import Any, Callable, Dict, Optional
 
+from repro.client.api import APIClient, APIError
 from repro.replication.feed import ReplicationError, decode_frames
 
 __all__ = ["ReplicaLink"]
@@ -110,6 +109,9 @@ class ReplicaLink:
         self._last_error: Optional[str] = None
         self._connected = False
         self.crashed = False
+        # The loop retries on its own schedule; the client keeps the one
+        # connection the long polls reuse.
+        self._api = APIClient(self.upstream, timeout=poll_wait + 10.0, max_retries=0)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -210,6 +212,7 @@ class ReplicaLink:
                 # The server long-polled already; a short local sleep just
                 # bounds the request rate on an idle stream.
                 self._stop.wait(self.poll_interval)
+        self._api.close()
 
     def _poll_once(self) -> bool:
         """One fetch/mirror/apply round.  Returns True if frames landed."""
@@ -282,26 +285,18 @@ class ReplicaLink:
             raise _LinkCrash(point) from error
 
     def _fetch(self, params: Dict[str, str]) -> Dict[str, Any]:
-        url = (
-            f"{self.upstream}/v1/{urllib.parse.quote(self.tenant)}/wal?"
+        path = (
+            f"v1/{urllib.parse.quote(self.tenant)}/wal?"
             + urllib.parse.urlencode(params)
         )
-        request = urllib.request.Request(url, method="GET")
         try:
-            with urllib.request.urlopen(
-                request, timeout=self.poll_wait + 10.0
-            ) as response:
-                payload = response.read()
-        except urllib.error.HTTPError as error:
-            detail = ""
-            try:
-                detail = error.read().decode("utf-8", "replace")[:200]
-            except Exception:  # noqa: BLE001 - detail is best-effort
-                pass
+            return self._api.get(path)
+        except APIError as error:
+            if not error.status:
+                raise  # no answer: the loop backs off and polls again
             raise ReplicationError(
-                f"upstream {error.code} for {self.tenant}: {detail}"
+                f"upstream {error.status} for {self.tenant}: {error.message[:200]}"
             ) from error
-        return json.loads(payload.decode("utf-8"))
 
 
 class _LinkCrash(Exception):

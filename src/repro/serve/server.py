@@ -1,11 +1,14 @@
 """The threaded HTTP server: IVM-as-a-service over the JSON wire protocol.
 
-Pure standard library (:mod:`http.server` + :mod:`socketserver` threading
-mix-in): connections are persistent (HTTP/1.1 keep-alive) and each runs on
-its own handler thread until the client closes it or it sits idle past
-:attr:`_Handler.timeout`; writes funnel into the per-tenant single-writer
-ingest queues, reads serve from pinned snapshots.  Routes (all bodies JSON;
-``{t}`` is the tenant name):
+Pure standard library: :class:`http.server.ThreadingHTTPServer` accepts
+connections and runs each on its own handler thread, which reads request
+heads with its own lean HTTP/1.1 reader (:meth:`_Handler.parse_request` —
+request line, then at most :data:`MAX_HEADERS` bounded header lines into a
+case-insensitive dict; no :mod:`email` parsing).  Connections are
+persistent (HTTP/1.1 keep-alive) until the client closes one or it sits
+idle past :attr:`_Handler.timeout`; writes funnel into the per-tenant
+single-writer ingest queues, reads serve from pinned snapshots.  Routes
+(all bodies JSON; ``{t}`` is the tenant name):
 
 ========  =====================================  ==================================
 method    path                                   meaning
@@ -29,6 +32,14 @@ GET       ``/v1/{t}/wal``                        long-poll WAL frame feed (repli
 POST      ``/v1/{t}/promote``                    flip a replica writable (epoch bump)
 POST      ``/v1/{t}/demote``                     fence this tenant at a newer epoch
 ========  =====================================  ==================================
+
+Request heads: a header line over :data:`MAX_HEADER_LINE` bytes or more than
+:data:`MAX_HEADERS` lines is **431**; a malformed request line or version, a
+header line without a colon, whitespace before the colon, an obs-fold
+continuation line, or conflicting ``Content-Length`` values are **400**; a
+version of ``HTTP/2.0`` or higher is **505**; a method other than ``GET`` /
+``POST`` is **405**.  Each refusal closes the connection; an empty request
+line closes it without an answer.
 
 Error bodies are ``{"error": {"code": ..., "message": ...}}``.  A full
 ingest queue answers **429** with a ``Retry-After`` header (seconds, float)
@@ -66,7 +77,9 @@ SIGTERM/SIGINT to exactly that, so a supervised server exits cleanly.
 
 from __future__ import annotations
 
+import email.utils
 import json
+import re
 import signal
 import socket
 import threading
@@ -76,6 +89,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
+from repro.client.api import APIClient
 from repro.errors import EngineError, NotInFragmentError, ReproError
 from repro.serve.ingest import BackpressureError
 from repro.serve.protocol import (
@@ -101,6 +115,12 @@ MAX_BODY_BYTES = 64 << 20
 #: encoded per request, so an unbounded one would be an uncached full read.
 MAX_PAGE_ROWS = 10_000
 
+#: Longest request-head line the server reads (a longer one is 431).
+MAX_HEADER_LINE = 65536
+
+#: Most header lines one request head may carry (more is 431).
+MAX_HEADERS = 100
+
 #: HTTP status of the :class:`ProtocolError` codes that are not plain 400s.
 _STATUS_OF_CODE = {"not_found": 404, "epoch_conflict": 409, "too_large": 413}
 
@@ -114,6 +134,56 @@ def _epoch(value: Any) -> int:
     if type(value) is not int:
         raise ProtocolError(f"'epoch' must be an integer, got {value!r}")
     return value
+
+
+class _Headers(dict):
+    """Request headers keyed by lower-cased name; ``get``, ``in`` and ``[]``
+    fold the name they are asked for the same way."""
+
+    __slots__ = ()
+
+    def get(self, name: str, default: Any = None) -> Any:
+        return dict.get(self, name.lower(), default)
+
+    def __contains__(self, name: str) -> bool:  # type: ignore[override]
+        return dict.__contains__(self, name.lower())
+
+    def __getitem__(self, name: str) -> str:
+        return dict.__getitem__(self, name.lower())
+
+
+class _HeadError(Exception):
+    """A request head the server refuses: answered with ``status``."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+#: A request line's version: ``HTTP/<major>.<minor>``, ASCII digits only.
+_VERSION = re.compile(r"HTTP/(\d{1,10})\.(\d{1,10})", re.ASCII)
+
+
+def _read_headers(rfile: Any) -> _Headers:
+    """Header lines up to the blank line (or EOF), bounded in length and
+    number; the first value of a repeated name wins, except that repeated
+    ``Content-Length`` values must agree."""
+    headers = _Headers()
+    for _ in range(MAX_HEADERS + 1):
+        line = rfile.readline(MAX_HEADER_LINE + 1)
+        if len(line) > MAX_HEADER_LINE:
+            raise _HeadError(431, "Line too long")
+        if line in (b"\r\n", b"\n", b""):
+            return headers
+        if line[0] in b" \t":
+            raise _HeadError(400, "Obsolete line folding")
+        name, colon, value = line.decode("iso-8859-1").partition(":")
+        if not colon or not name or name != name.rstrip():
+            raise _HeadError(400, f"Bad header line {line[:80]!r}")
+        key, value = name.lower(), value.strip(" \t\r\n")
+        if headers.setdefault(key, value) != value and key == "content-length":
+            raise _HeadError(400, "Conflicting Content-Length values")
+    raise _HeadError(431, "Too many headers")
 
 
 class ServerConfig:
@@ -169,6 +239,76 @@ class _Handler(BaseHTTPRequestHandler):
     #: (or stalled this long mid-request) is closed, so a silent client
     #: cannot hold its handler thread forever.
     timeout = 60.0
+
+    # ------------------------------------------------------------------ #
+    # Request heads
+    # ------------------------------------------------------------------ #
+    def parse_request(self) -> bool:
+        """Read the request head that follows ``raw_requestline``.
+
+        Sets ``command``, ``path``, ``request_version``, ``headers`` and
+        ``close_connection``, and answers ``Expect: 100-continue``; True when
+        the request goes on to dispatch.  A refused head is answered with
+        :meth:`send_error` and gives False.
+        """
+        self.command = None
+        self.close_connection = True
+        self.requestline = requestline = str(
+            self.raw_requestline, "iso-8859-1"
+        ).rstrip("\r\n")
+        words = requestline.split()
+        if not words:
+            return False
+        try:
+            if len(words) != 3:
+                raise _HeadError(400, f"Bad request syntax ({requestline!r})")
+            command, path, version = words
+            match = _VERSION.fullmatch(version)
+            if match is None:
+                raise _HeadError(400, f"Bad request version ({version!r})")
+            number = int(match[1]), int(match[2])
+            if number >= (2, 0):
+                raise _HeadError(505, f"Invalid HTTP version ({version[5:]})")
+            self.request_version = version
+            self.command = command
+            # ``//x`` would read as a scheme-relative URL; collapse it.
+            self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+            self.headers = headers = _read_headers(self.rfile)
+            if command not in ("GET", "POST"):
+                raise _HeadError(405, f"Unsupported method ({command!r})")
+        except _HeadError as error:
+            self.send_error(error.status, str(error))
+            return False
+        connection = headers.get("Connection", "").lower()
+        self.close_connection = connection == "close" or (
+            connection != "keep-alive" and number < (1, 1)
+        )
+        if number >= (1, 1) and headers.get("Expect", "").lower() == "100-continue":
+            return self.handle_expect_100()
+        return True
+
+    def send_error(
+        self, code: int, message: Optional[str] = None, explain: Optional[str] = None
+    ) -> None:
+        """Refuse a request head (the stdlib's 414 for an over-long request
+        line comes here too) the way every error is answered — a JSON body
+        in one write — and close: the rest of the head is unread."""
+        self._body_unread = True
+        status = HTTPStatus(code)
+        self._send_error_json(code, status.name.lower(), message or status.phrase)
+
+    def date_time_string(self, timestamp: Optional[float] = None) -> str:
+        """The ``Date`` header value, formatted at most once a second."""
+        if timestamp is not None:
+            return super().date_time_string(timestamp)
+        second = int(time.time())
+        date = self.server.date  # type: ignore[attr-defined]
+        if date[0] != second:
+            date = self.server.date = (  # type: ignore[attr-defined]
+                second,
+                email.utils.formatdate(second, usegmt=True),
+            )
+        return date[1]
 
     # ------------------------------------------------------------------ #
     # Plumbing
@@ -448,7 +588,9 @@ class _Handler(BaseHTTPRequestHandler):
                 lambda limit, offset: {
                     "version": snapshot.version,
                     "dataset": name,
-                    **encode_bag_page(bag, limit, offset),
+                    **encode_bag_page(
+                        snapshot.counted(f"datasets/{name}", bag), limit, offset
+                    ),
                 },
             )
             return
@@ -486,7 +628,9 @@ class _Handler(BaseHTTPRequestHandler):
                         "version": snapshot.version,
                         "view": name,
                         "strategy": session.view_handle(name).strategy,
-                        **encode_bag_page(bag, limit, offset),
+                        **encode_bag_page(
+                            snapshot.counted(f"views/{name}", bag), limit, offset
+                        ),
                     },
                 )
                 return
@@ -511,11 +655,15 @@ class _Handler(BaseHTTPRequestHandler):
                 lambda limit, offset: {
                     "version": snapshot.version,
                     "datasets": {
-                        name: encode_bag_page(bag, limit, offset)
+                        name: encode_bag_page(
+                            snapshot.counted(f"datasets/{name}", bag), limit, offset
+                        )
                         for name, bag in sorted(snapshot.datasets.items())
                     },
                     "views": {
-                        name: encode_bag_page(bag, limit, offset)
+                        name: encode_bag_page(
+                            snapshot.counted(f"views/{name}", bag), limit, offset
+                        )
                         for name, bag in sorted(snapshot.views.items())
                     },
                 },
@@ -644,6 +792,8 @@ class _HTTPServer(ThreadingHTTPServer):
     def __init__(self, *args: Any) -> None:
         super().__init__(*args)
         self._connections: set = set()  # open client sockets
+        # The Date header of this second, (whole second, formatted).
+        self.date: Tuple[int, str] = (0, "")
 
     def get_request(self) -> Tuple[socket.socket, Any]:
         request = super().get_request()
@@ -671,6 +821,13 @@ class ReproServer:
 
     def __init__(self, config: Optional[ServerConfig] = None, **kwargs: Any) -> None:
         self.config = config or ServerConfig(**kwargs)
+        # A replica_of that is not an http:// URL stops the server here,
+        # before it listens.
+        upstream = (
+            None
+            if self.config.replica_of is None
+            else APIClient(self.config.replica_of, timeout=5.0, max_retries=0)
+        )
         self.sessions = SessionManager(
             queue_depth=self.config.queue_depth,
             coalesce=self.config.coalesce,
@@ -691,12 +848,13 @@ class ReproServer:
         self._closed = False
         self._close_lock = threading.Lock()
         self._close_done = threading.Event()
-        if self.config.replica_of is not None:
+        if upstream is not None:
             # Follow the upstream's tenant list: any tenant the primary
             # serves gets a local replica session (which bootstraps itself
             # over the WAL feed) without waiting for a client to ask.
             self._discovery_thread = threading.Thread(
                 target=self._discover_upstream_tenants,
+                args=(upstream,),
                 name="repro-serve-discover",
                 daemon=True,
             )
@@ -713,22 +871,16 @@ class ReproServer:
             self._recovery_thread.start()
 
     # ------------------------------------------------------------------ #
-    def _discover_upstream_tenants(self) -> None:
+    def _discover_upstream_tenants(self, upstream: APIClient) -> None:
         """Poll the upstream's ``/health`` and open replica sessions.
 
         Best-effort and quiet: a partitioned or dead upstream just means
         no *new* tenants appear — existing replica sessions keep their own
         links (which do their own retrying).
         """
-        import json as _json
-        import urllib.request
-
-        upstream = (self.config.replica_of or "").rstrip("/")
         while not self._closed:
             try:
-                with urllib.request.urlopen(f"{upstream}/health", timeout=5.0) as resp:
-                    body = _json.loads(resp.read().decode("utf-8"))
-                for name in body.get("tenants", []):
+                for name in upstream.get("health").get("tenants", []):
                     if self._closed:
                         break
                     try:
@@ -739,8 +891,9 @@ class ReproServer:
                 pass
             for _ in range(10):
                 if self._closed:
-                    return
+                    break
                 time.sleep(0.2)
+        upstream.close()
 
     @property
     def address(self) -> Tuple[str, int]:

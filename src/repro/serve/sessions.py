@@ -32,8 +32,10 @@ import os
 import shutil
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.bag import Bag
+from repro.client.api import APIClient, APIError
 from repro.durability.manager import load_replication_state, store_replication_state
 from repro.durability.wal import resolve_fsync_policy
 from repro.engine import Engine, EngineSnapshot
@@ -121,25 +123,57 @@ class TenantNotWritableError(RuntimeError):
 
 
 class PublishedSnapshot(EngineSnapshot):
-    """What readers pin: an engine snapshot plus the response bodies built
+    """What readers pin: an engine snapshot plus what readers have derived
     from it so far.
 
     ``bodies`` maps a fully-read resource (``"views/dramas"``,
     ``"datasets/M"``, ``"snapshot"``) to the UTF-8 JSON body the server
-    sent for it at this version.  It starts empty and is filled by readers
-    (:mod:`repro.serve.server`); an entry is bytes, so it keeps no part of
-    the snapshot alive, and the map is garbage with the snapshot — at most
-    one body per fully-read resource per live snapshot, nothing to
-    invalidate.
+    sent for it at this version; ``counts`` maps a dataset or view resource
+    to its whole-bag ``(distinct, cardinality)``, so a page walks only the
+    pairs it returns (:meth:`counted`).  Both start empty and are filled by
+    readers (:mod:`repro.serve.server`); an entry keeps no part of the
+    snapshot alive, and the maps are garbage with the snapshot — at most one
+    entry per resource per live snapshot, nothing to invalidate.
     """
 
-    __slots__ = ("bodies",)
+    __slots__ = ("bodies", "counts")
 
     def __init__(self, snapshot: EngineSnapshot) -> None:
         self.version = snapshot.version
         self.datasets = snapshot.datasets
         self.views = snapshot.views
         self.bodies: Dict[str, bytes] = {}
+        self.counts: Dict[str, Tuple[int, int]] = {}
+
+    def counted(self, resource: str, bag: Bag) -> "CountedBag":
+        """``bag`` — this snapshot's ``resource`` — with its whole-bag counts
+        taken once per version rather than once per page."""
+        counts = self.counts.get(resource)
+        if counts is None:
+            counts = self.counts[resource] = (bag.distinct_size(), bag.cardinality())
+        return CountedBag(bag, counts)
+
+
+class CountedBag:
+    """What :func:`~repro.serve.protocol.encode_bag_page` reads of a bag —
+    its pairs, ``distinct_size`` and ``cardinality`` — with the two counts
+    already known, so the encoder keeps its ``(bag, limit, offset)``
+    signature."""
+
+    __slots__ = ("_bag", "_distinct", "_cardinality")
+
+    def __init__(self, bag: Bag, counts: Tuple[int, int]) -> None:
+        self._bag = bag
+        self._distinct, self._cardinality = counts
+
+    def items(self) -> Iterator[Tuple[Any, int]]:
+        return self._bag.items()
+
+    def distinct_size(self) -> int:
+        return self._distinct
+
+    def cardinality(self) -> int:
+        return self._cardinality
 
 
 class TenantSession:
@@ -623,32 +657,22 @@ class TenantSession:
         """Best-effort demotion of the old primary, off the request path."""
 
         def _fence() -> None:
-            import json as _json
-            import urllib.error
-            import urllib.request
-
-            url = f"{upstream}/v1/{self.name}/demote"
-            payload = _json.dumps(
-                {"epoch": epoch, "reason": f"superseded by promotion of {self.name!r}"}
-            ).encode("utf-8")
+            api = APIClient(upstream, timeout=5.0, max_retries=0)
+            body = {"epoch": epoch, "reason": f"superseded by promotion of {self.name!r}"}
             deadline = time.monotonic() + 15.0
-            while time.monotonic() < deadline:
-                request = urllib.request.Request(
-                    url,
-                    data=payload,
-                    method="POST",
-                    headers={"Content-Type": "application/json"},
-                )
-                try:
-                    with urllib.request.urlopen(request, timeout=5.0):
+            try:
+                while time.monotonic() < deadline:
+                    try:
+                        api.post(f"v1/{self.name}/demote", body)
                         return
-                except urllib.error.HTTPError as error:
-                    if error.code in (400, 409):
-                        # Already fenced at (or past) this epoch — done.
-                        return
-                except Exception:  # noqa: BLE001 - dead upstream is normal
-                    pass
-                time.sleep(0.5)
+                    except APIError as error:
+                        if error.status in (400, 409):
+                            # Already fenced at (or past) this epoch — done.
+                            return
+                        # Anything else (a dead upstream is normal): try again.
+                    time.sleep(0.5)
+            finally:
+                api.close()
 
         threading.Thread(
             target=_fence, name=f"fencer-{self.name}", daemon=True

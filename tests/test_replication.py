@@ -414,6 +414,19 @@ class TestServeReplication:
         assert status["role"] == "replica"
         assert status["replication_lag"]["records"] == 0
 
+    def test_replica_polls_reuse_one_connection(self, pair):
+        """The link's long polls go through one persistent ``APIClient``
+        connection: the primary sees no new connection per poll."""
+        primary, replica = pair
+        _seed(APIClient(primary.url, max_retries=1, sleep=lambda _: None))
+        link = replica.sessions.get("default").link
+        _wait(lambda: link.status()["polls"] >= 2)
+        (connection,) = list(link._api._connections)
+        sock = connection.sock
+        polls = link.status()["polls"]
+        _wait(lambda: link.status()["polls"] >= polls + 3)
+        assert sock is not None and connection.sock is sock
+
     def test_wal_feed_endpoint_ships_decodable_frames(self, pair):
         primary, replica = pair
         api = APIClient(primary.url, max_retries=1, sleep=lambda _: None)

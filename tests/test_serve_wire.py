@@ -1,11 +1,13 @@
 """The serve wire path: one body per published version, one connection per
-client, and request bodies that cannot desynchronise a persistent connection.
+client, request heads read by the server's own HTTP/1.1 reader, and request
+bodies that cannot desynchronise a persistent connection.
 
 The cache tests compare what the server sends with the payload built the
-long way from the pinned snapshot; the connection tests talk to the server
-over raw sockets (to see exactly which bytes come back on one connection)
-and drive :class:`~repro.client.api.APIClient` against a scripted socket
-peer (to see exactly which requests it sends, and how often).
+long way from the pinned snapshot; the connection and head tests talk to
+the server over raw sockets (to see exactly which bytes come back on one
+connection) and drive :class:`~repro.client.api.APIClient` against a
+scripted socket peer (to see exactly which requests it sends, and how
+often).  ``http.client`` stays the reference client of these tests.
 """
 
 from __future__ import annotations
@@ -17,9 +19,13 @@ import socket
 import sys
 import threading
 import time
+from http import HTTPStatus
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.bag import Bag
 from repro.client import DatasetsClient, ServerClient, UpdatesClient, ViewsClient
 from repro.client.api import APIClient, APIError
 from repro.serve import ReproServer, ServerConfig
@@ -193,6 +199,39 @@ class TestBodyPerVersion:
         UpdatesClient(api).insert("M", [["new", "Drama", "d9"]])
         assert session.snapshot is not old
         assert session.snapshot.bodies == {}
+
+    def test_pages_of_one_version_count_the_bag_once(self, server, api, monkeypatch):
+        """A page's whole-bag ``distinct`` / ``cardinality`` come from the
+        pinned snapshot's ``counts``: the first read of a version counts the
+        bag, later pages of that version only walk their own pairs."""
+        _seed(api)
+        path = f"/v1/{TENANT}/views/dramas"
+        want = {  # json round trip: the wire has lists where the encoder has tuples
+            (limit, offset): json.loads(
+                json.dumps(_expected(server, "views/dramas", limit, offset))
+            )
+            for limit, offset in [(2, 0), (2, 2), (3, 1)]
+        }
+        counted = []
+        cardinality = Bag.cardinality
+        monkeypatch.setattr(
+            Bag, "cardinality", lambda bag: counted.append(1) or cardinality(bag)
+        )
+        bodies = {}
+        for limit, offset in [(2, 0), (2, 2), (3, 1), (2, 2)]:
+            _, _, body = _get(server, f"{path}?limit={limit}&offset={offset}")
+            assert json.loads(body) == want[limit, offset]
+            assert bodies.setdefault((limit, offset), body) == body
+            assert len(counted) == 1
+        _get(server, path)  # the full read shares the version's counts
+        _get(server, f"/v1/{TENANT}/snapshot?limit=1")
+        assert len(counted) == 3  # the snapshot's other bags: M and related
+        # The next version counts afresh.
+        UpdatesClient(api).insert("M", [["new", "Drama", "d9"]])
+        counted.clear()
+        _get(server, f"{path}?limit=2")
+        _get(server, f"{path}?limit=2&offset=2")
+        assert len(counted) == 1
 
     def test_body_version_always_matches_its_etag(self, server, api):
         """Readers racing publishes: whatever version a response carries in
@@ -503,6 +542,271 @@ class TestRequestBodies:
 
 
 # --------------------------------------------------------------------------- #
+# Request heads: the server's own HTTP/1.1 reader
+# --------------------------------------------------------------------------- #
+def _responses(received):
+    """Split the bytes of one connection into (status, headers, body)
+    responses, walking ``Content-Length`` (never searching bodies, which
+    may quote the request)."""
+    responses = []
+    while received:
+        head, _, received = received.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("iso-8859-1").split("\r\n")
+        version, status, _ = status_line.split(" ", 2)
+        assert version == "HTTP/1.1"
+        headers = {}
+        for line in lines:
+            name, _, value = line.partition(":")
+            headers[name.lower()] = value.strip()
+        length = int(headers.get("content-length", 0))
+        responses.append((int(status), headers, received[:length]))
+        received = received[length:]
+    return responses
+
+
+def _head(request_line, *header_lines):
+    return "\r\n".join([request_line, *header_lines, "", ""]).encode("iso-8859-1")
+
+
+def _healthy(server):
+    status, _, body = _get(server, "/health")
+    assert status == 200 and json.loads(body)["status"] == "ok"
+
+
+class TestRequestHead:
+    """One case per rule of the head reader, each on its own connection;
+    every refusal closes that connection and leaves the server serving."""
+
+    @pytest.mark.parametrize(
+        "data, status",
+        [
+            pytest.param(b"GET /health\r\n\r\n", 400, id="two-word-line"),
+            pytest.param(b"GET\r\n\r\n", 400, id="one-word-line"),
+            pytest.param(b"GET /health HTTP/1.1 x\r\n\r\n", 400, id="four-word-line"),
+            pytest.param(_head("GET /health HTTP/1"), 400, id="version-no-minor"),
+            pytest.param(_head("GET /health HTTP/1.1.1"), 400, id="version-three-parts"),
+            pytest.param(_head("GET /health HTTP/x.1"), 400, id="version-not-a-number"),
+            pytest.param(_head("GET /health HTTP/\xb2.1"), 400, id="version-superscript"),
+            pytest.param(_head("GET /health FTP/1.1"), 400, id="version-not-http"),
+            pytest.param(_head("GET /health HTTP/2.0"), 505, id="http-2.0"),
+            pytest.param(_head("GET /health HTTP/3.1"), 505, id="http-3.1"),
+            pytest.param(_head("GET /health HTTP/1.1", "Host t"), 400, id="no-colon"),
+            pytest.param(_head("GET /health HTTP/1.1", ": t"), 400, id="empty-name"),
+            pytest.param(
+                _head("GET /health HTTP/1.1", "Host : t"), 400, id="space-before-colon"
+            ),
+            pytest.param(
+                _head("GET /health HTTP/1.1", "X-A: 1", " X-B: 2"), 400, id="obs-fold"
+            ),
+            pytest.param(
+                _head(f"POST /v1/{TENANT}/apply HTTP/1.1", "Content-Length: 2",
+                      "Content-Length: 3"),
+                400,
+                id="conflicting-content-length",
+            ),
+            pytest.param(
+                _head("GET /health HTTP/1.1", *[f"X-{i}: {i}" for i in range(101)]),
+                431,
+                id="101-headers",
+            ),
+            pytest.param(
+                _head("GET /health HTTP/1.1", "X-Big: " + "a" * 65536),
+                431,
+                id="long-header-line",
+            ),
+            pytest.param(
+                _head("GET /" + "a" * 65536 + " HTTP/1.1"), 414, id="long-request-line"
+            ),
+            pytest.param(_head("PUT /health HTTP/1.1"), 405, id="unknown-method"),
+            pytest.param(_head("HEAD /health HTTP/1.1"), 405, id="head-method"),
+        ],
+    )
+    def test_refused_head_answers_and_closes(self, server, data, status):
+        received, closed = _talk(server, data + GET_HEALTH)
+        ((answered, headers, body),) = _responses(received)
+        assert answered == status and closed
+        assert headers["connection"] == "close"
+        assert json.loads(body)["error"]["code"] == HTTPStatus(status).name.lower()
+        _healthy(server)
+
+    def test_at_the_bounds_the_head_is_read(self, server):
+        data = _head(
+            "GET /health HTTP/1.1",
+            "Host:\tt",
+            *[f"X-{i}: {i}" for i in range(98)],
+            "X-Big: " + "a" * (65536 - len("X-Big: \r\n")),
+        )
+        received, closed = _talk(server, data + GET_HEALTH, 0.5)
+        assert [status for status, _, _ in _responses(received)] == [200, 200]
+        assert not closed
+
+    def test_empty_request_line_closes_silently(self, server):
+        received, closed = _talk(server, b"\r\n" + GET_HEALTH)
+        assert (received, closed) == (b"", True)
+        _healthy(server)
+
+    @pytest.mark.parametrize(
+        "version, connection, closes",
+        [
+            ("HTTP/1.1", None, False),
+            ("HTTP/1.1", "close", True),
+            ("HTTP/1.1", "Keep-Alive", False),
+            ("HTTP/1.0", None, True),
+            ("HTTP/1.0", "keep-alive", False),
+            ("HTTP/1.0", "CLOSE", True),
+        ],
+    )
+    def test_connection_persistence(self, server, version, connection, closes):
+        lines = ["Host: t"] + ([f"Connection: {connection}"] if connection else [])
+        received, closed = _talk(server, _head(f"GET /health {version}", *lines), 0.5)
+        ((status, headers, _),) = _responses(received)
+        assert status == 200 and closed == closes
+        assert headers["date"].endswith(" GMT")
+
+    def test_header_names_are_case_insensitive(self, server, api):
+        _seed(api)
+        path = f"/v1/{TENANT}/views/dramas"
+        _, headers, _ = _get(server, path)
+        received, _ = _talk(
+            server,
+            _head(f"GET {path} HTTP/1.1", "host: t", f"if-none-match: {headers['ETag']}")
+            + _head(f"GET {path} HTTP/1.1", f"IF-NONE-MATCH: {headers['ETag']}"),
+            0.5,
+        )
+        assert [(status, body) for status, _, body in _responses(received)] == [
+            (304, b""),
+            (304, b""),
+        ]
+
+    def test_repeated_equal_content_length_is_one_length(self, server):
+        body = b'{"name": "M", "fields": ["a"]}'
+        data = _head(
+            f"POST /v1/{TENANT}/datasets HTTP/1.1",
+            f"Content-Length: {len(body)}",
+            f"content-length: {len(body)}",
+        )
+        received, closed = _talk(server, data + body + GET_HEALTH, 0.5)
+        assert [status for status, _, _ in _responses(received)] == [201, 200]
+        assert not closed
+
+    def test_expect_100_continue_post(self, server):
+        body = b'{"name": "M", "fields": ["a"]}'
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            sock.sendall(
+                _head(
+                    f"POST /v1/{TENANT}/datasets HTTP/1.1",
+                    "Host: t",
+                    "Expect: 100-continue",
+                    f"Content-Length: {len(body)}",
+                )
+            )
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                interim += sock.recv(1)
+            # The body goes only once the server asked for it.
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body + GET_HEALTH)
+            received = b""
+            while received.count(b"HTTP/1.1 ") < 2 or not received.endswith(b"}"):
+                received += sock.recv(65536)
+        ((created, _, payload), (health, _, _)) = _responses(received)
+        assert (created, health) == (201, 200)
+        assert json.loads(payload)["dataset"] == "M"
+
+    def test_transfer_encoding_request_closes_after_the_answer(self, server):
+        data = _head(
+            f"POST /v1/{TENANT}/apply HTTP/1.1", "Transfer-Encoding: chunked"
+        ) + b"5\r\nhello\r\n0\r\n\r\n"
+        received, closed = _talk(server, data + GET_HEALTH)
+        ((status, headers, _),) = _responses(received)
+        assert status == 400 and headers["connection"] == "close" and closed
+
+
+#: Fuzzed request heads: a request line from methods, routes and versions
+#: (2.x versions excepted — their 505 is pinned above), header lines from
+#: well-formed, broken and junk ones, and junk bytes after the head.
+_ROUTES = [
+    "/health",
+    "/stats",
+    f"/v1/{TENANT}/views",
+    f"/v1/{TENANT}/views/dramas?limit=2",
+    f"/v1/{TENANT}/datasets",
+    f"/v1/{TENANT}/datasets/M",
+    f"/v1/{TENANT}/snapshot?offset=x",
+    f"/v1/{TENANT}/apply",
+    f"/v1/{TENANT}/wal?wait=0",
+    "//health",
+    "/v1/",
+    "*",
+]
+_TOKEN = st.text(
+    st.characters(min_codepoint=33, max_codepoint=255, blacklist_characters=":"),
+    min_size=1,
+    max_size=12,
+)
+_REQUEST_LINE = st.one_of(
+    st.tuples(
+        st.sampled_from(["GET", "POST", "PUT", "DELETE", "HEAD", "get", "OPTIONS"]) | _TOKEN,
+        st.sampled_from(_ROUTES) | _TOKEN,
+        st.sampled_from(["HTTP/1.1", "HTTP/1.0", "HTTP/0.9", "HTTP/1", "http/1.1"]) | _TOKEN,
+    ).map(" ".join),
+    st.text(st.characters(min_codepoint=1, max_codepoint=255, blacklist_characters="\r\n"),
+            max_size=40),
+)
+_HEADER_LINE = st.one_of(
+    st.tuples(
+        st.sampled_from(
+            ["Host", "Content-Length", "content-length", "Connection", "Expect",
+             "If-None-Match", "Transfer-Encoding", "X-Junk"]
+        ) | _TOKEN,
+        st.sampled_from(["", "0", "5", "-1", "close", "keep-alive", "100-continue",
+                         '"1"', "*", "chunked"]) | _TOKEN,
+    ).map(lambda pair: f"{pair[0]}: {pair[1]}"),
+    st.text(st.characters(min_codepoint=1, max_codepoint=255, blacklist_characters="\r\n"),
+            max_size=30),
+)
+
+
+class TestRequestHeadFuzz:
+    def test_no_head_gets_a_5xx_or_breaks_the_server(self, server, api, monkeypatch):
+        _seed(api)
+        crashes = []  # a handler that raised hangs up silently: catch it here
+        monkeypatch.setattr(
+            server._httpd, "handle_error", lambda request, address: crashes.append(
+                sys.exc_info()[1]
+            )
+        )
+
+        @settings(
+            max_examples=150,
+            deadline=None,
+            suppress_health_check=[HealthCheck.function_scoped_fixture],
+        )
+        @given(
+            request_line=_REQUEST_LINE,
+            header_lines=st.lists(_HEADER_LINE, max_size=6),
+            junk=st.binary(max_size=40),
+        )
+        def check(request_line, header_lines, junk):
+            data = _head(request_line, *header_lines) + junk
+            received = b""
+            with socket.create_connection(server.address, timeout=10.0) as sock:
+                sock.sendall(data)
+                sock.shutdown(socket.SHUT_WR)  # no body beyond these bytes
+                try:
+                    while chunk := sock.recv(65536):
+                        received += chunk
+                except ConnectionResetError:
+                    pass  # closed with our junk still unread
+            for status, _, _ in _responses(received):
+                assert 100 <= status < 500, (data, received)
+            _healthy(server)
+            assert not crashes, (data, crashes)
+
+        check()
+
+
+# --------------------------------------------------------------------------- #
 # One connection per client (per thread)
 # --------------------------------------------------------------------------- #
 class TestPersistentConnection:
@@ -572,13 +876,23 @@ class TestPersistentConnection:
 class _Peer:
     """A scripted socket peer: ``script[i]`` says what to do with the i-th
     request head it reads — ``"answer"`` (200, keep-alive), ``"drop"`` (close
-    without a byte) or ``"partial"`` (a response cut short inside its body, then close)."""
+    without a byte), ``"partial"`` (a response cut short inside its body,
+    then close), or one of :data:`CLOSING` (that response, then close)."""
 
     ANSWER = b'HTTP/1.1 200 OK\r\nContent-Length: 11\r\n\r\n{"ok":true}'
+    CLOSING = {
+        "close": b'HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 11\r\n\r\n'
+        b'{"ok":true}',
+        "unsized": b'HTTP/1.1 200 OK\r\n\r\n{"ok":true}',
+        "chunked": b'HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n'
+        b'b\r\n{"ok":true}\r\n0\r\n\r\n',
+    }
 
     def __init__(self, script):
         self.script = list(script)
         self.requests = []
+        self.heads = []  # every request head, as sent
+        self.connections = 0
         self.listener = socket.create_server(("127.0.0.1", 0))
         self.url = "http://127.0.0.1:%d" % self.listener.getsockname()[1]
         self.thread = threading.Thread(target=self._serve, daemon=True)
@@ -590,6 +904,7 @@ class _Peer:
                 connection, _ = self.listener.accept()
             except OSError:
                 return
+            self.connections += 1
             # Both, or the file object keeps the socket open past the close.
             with connection, connection.makefile("rb") as reader:
                 while self.script:
@@ -605,6 +920,7 @@ class _Peer:
                         if line.lower().startswith(b"content-length:"):
                             length = int(line.split(b":")[1])
                     reader.read(length)
+                    self.heads.append(head)
                     self.requests.append(head.split(b" ", 1)[0].decode())
                     action = self.script.pop(0)
                     if action == "answer":
@@ -612,6 +928,7 @@ class _Peer:
                         continue
                     if action == "partial":
                         connection.sendall(self.ANSWER[:-5])
+                    connection.sendall(self.CLOSING.get(action, b""))
                     break
 
     def close(self):
@@ -669,3 +986,61 @@ class TestResendOnce:
         finally:
             api.close()
             peer.close()
+
+
+class TestTransport:
+    def test_connection_close_reconnects_outside_the_retry_budget(self):
+        peer = _Peer(["close", "answer"])
+        api = APIClient(peer.url, max_retries=0)
+        try:
+            assert api.get("x") == {"ok": True}
+            assert api._local.connection.sock is None  # closed after the body
+            assert api.get("x") == {"ok": True}
+            assert (peer.requests, peer.connections) == (["GET", "GET"], 2)
+            assert api.retries_performed == 0
+        finally:
+            api.close()
+            peer.close()
+
+    @pytest.mark.parametrize("framing", ["unsized", "chunked"])
+    def test_unframed_response_is_a_connection_error_and_not_resent(self, framing):
+        peer = _Peer(["answer", framing])
+        api = APIClient(peer.url, max_retries=0)
+        try:
+            api.get("x")
+            with pytest.raises(APIError) as info:
+                api.post("x", {"a": 1})  # on the reused connection
+            assert info.value.code == "connection"
+            assert peer.requests == ["GET", "POST"]
+        finally:
+            api.close()
+            peer.close()
+
+    def test_request_head_carries_host_and_length(self):
+        peer = _Peer(["answer", "answer"])
+        api = APIClient(peer.url + "/base", max_retries=0)
+        port = peer.url.rsplit(":", 1)[1]
+        try:
+            api.get("x", headers={"If-None-Match": '"3"'})
+            api.post("y", {"a": 1})
+        finally:
+            api.close()
+            peer.close()
+        get, post = (head.decode().split("\r\n") for head in peer.heads)
+        assert get[0] == "GET /base/x HTTP/1.1"
+        assert f"Host: 127.0.0.1:{port}" in get and 'If-None-Match: "3"' in get
+        assert not any(line.startswith("Content-Length") for line in get)
+        assert post[0] == "POST /base/y HTTP/1.1"
+        assert f"Content-Length: {len(json.dumps({'a': 1}))}" in post
+
+    def test_header_with_a_line_break_is_refused(self):
+        api = APIClient("http://127.0.0.1:1", max_retries=0)
+        with pytest.raises(ValueError):
+            api.get("x", headers={"X-A": "1\r\nX-B: 2"})
+
+    @pytest.mark.parametrize(
+        "url", ["https://127.0.0.1:8765", "ftp://127.0.0.1", "127.0.0.1:8765", "http://"]
+    )
+    def test_only_http_urls_are_accepted(self, url):
+        with pytest.raises(ValueError):
+            APIClient(url)
