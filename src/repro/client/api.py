@@ -7,12 +7,15 @@ and one buffered reader over it, so a call pays a TCP connect (and the
 server a handler thread) only the first time a thread uses the client, or
 after the connection was lost.  A request leaves in a single write — head
 (with ``Host`` and, when there is a body, ``Content-Length``) and body
-together; a response is read as a bounded status line, at most
-:data:`MAX_HEADERS` header lines and a ``Content-Length`` body (a 304 has
-none).  A response framed any other way (chunked, unsized, cut short) is a
-connection error, and a ``Connection: close`` from the server closes the
-socket after the body.  Only ``http://`` URLs are accepted: no server in
-this project speaks TLS.  The client also owns the retry policy:
+together, and a request target holding a space, a control character or
+a non-ASCII character is refused with :class:`ValueError` before a byte is
+sent.  A response is read as a bounded status line, the header lines
+(:func:`read_headers`, the same bounded reader the server parses request
+heads with) and a ``Content-Length`` body (a 304 has none).  A response
+framed any other way (chunked, unsized, cut short) is a connection error,
+and a ``Connection: close`` from the server closes the socket after the
+body.  Only ``http://`` URLs are accepted: no server in this project
+speaks TLS.  The client also owns the retry policy:
 
 * **a reused connection found dead** — the server restarted or closed it
   for being idle, which shows as a send error or an EOF where the status
@@ -53,6 +56,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import socket
 import threading
 import time
@@ -66,11 +70,17 @@ __all__ = ["APIClient", "APIError", "DEFAULT_SERVER", "DEFAULT_TENANT"]
 DEFAULT_SERVER = "REPRO_SERVER"
 DEFAULT_TENANT = "REPRO_TENANT"
 
-#: Longest status or header line the client reads.
+#: Longest status, request or header line either end reads (the server
+#: answers a longer one 431).
 MAX_LINE = 65536
 
-#: Most header lines one response may carry.
+#: Most header lines one head may carry (the server answers more 431).
 MAX_HEADERS = 100
+
+#: A character a request target may not hold: a control character, a
+#: space, DEL, or anything outside ASCII.  Such a target would break the
+#: request line — with a CR LF, into a second request on the kept socket.
+_UNSAFE_TARGET = re.compile(r"[^\x21-\x7e]")
 
 
 class APIError(Exception):
@@ -83,13 +93,64 @@ class APIError(Exception):
         self.message = message
 
 
+class HeadError(Exception):
+    """A head that :func:`read_headers` refuses; the server answers it with
+    ``status``."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+class Headers(dict):
+    """Header values keyed by lower-cased name; ``get``, ``in`` and ``[]``
+    fold the name they are asked for the same way."""
+
+    __slots__ = ()
+
+    def get(self, name: str, default: Any = None) -> Any:
+        return dict.get(self, name.lower(), default)
+
+    def __contains__(self, name: str) -> bool:  # type: ignore[override]
+        return dict.__contains__(self, name.lower())
+
+    def __getitem__(self, name: str) -> str:
+        return dict.__getitem__(self, name.lower())
+
+
+def read_headers(reader: Any) -> Headers:
+    """The header lines of a request or response head, up to the blank line
+    (or EOF), bounded in length and number.  The first value of a repeated
+    name wins, except that repeated ``Content-Length`` values must agree.
+    Refusals raise :class:`HeadError`: 431 for a line over :data:`MAX_LINE`
+    bytes or more than :data:`MAX_HEADERS` lines, 400 for an obs-fold
+    line, a line without a colon or with whitespace before it, and
+    conflicting ``Content-Length`` values."""
+    headers = Headers()
+    for _ in range(MAX_HEADERS + 1):
+        line = reader.readline(MAX_LINE + 1)
+        if len(line) > MAX_LINE:
+            raise HeadError(431, "Line too long")
+        if line in (b"\r\n", b"\n", b""):
+            return headers
+        if line[0] in b" \t":
+            raise HeadError(400, "Obsolete line folding")
+        name, colon, value = line.decode("iso-8859-1").partition(":")
+        if not colon or not name or name != name.rstrip():
+            raise HeadError(400, f"Bad header line {line[:80]!r}")
+        key, value = name.lower(), value.strip(" \t\r\n")
+        if headers.setdefault(key, value) != value and key == "content-length":
+            raise HeadError(400, "Conflicting Content-Length values")
+    raise HeadError(431, "Too many headers")
+
+
 class _Response:
     """One response as read off the wire: status, reason, headers keyed by
     lower-cased name, body."""
 
     __slots__ = ("status", "reason", "headers", "body")
 
-    def __init__(self, status: int, reason: str, headers: Dict[str, str], body: bytes) -> None:
+    def __init__(self, status: int, reason: str, headers: Headers, body: bytes) -> None:
         self.status = status
         self.reason = reason
         self.headers = headers
@@ -141,17 +202,10 @@ class _Connection:
                 or not (code.isascii() and code.isdigit() and len(code) == 3)
             ):
                 raise ConnectionError(f"malformed status line {status_line[:80]!r}")
-            headers: Dict[str, str] = {}
-            for _ in range(MAX_HEADERS + 1):
-                line = reader.readline(MAX_LINE + 1)
-                if line in (b"\r\n", b"\n"):
-                    break
-                name, colon, value = line.decode("iso-8859-1").partition(":")
-                if not colon or len(line) > MAX_LINE:
-                    raise ConnectionError(f"malformed header line {line[:80]!r}")
-                headers.setdefault(name.strip().lower(), value.strip(" \t\r\n"))
-            else:
-                raise ConnectionError("more than %d response headers" % MAX_HEADERS)
+            try:
+                headers = read_headers(reader)
+            except HeadError as error:
+                raise ConnectionError(f"malformed response head: {error}") from None
             status = int(code)
             length = headers.get("content-length")
             if status == 304:
@@ -277,7 +331,13 @@ class APIClient:
             request_headers["Content-Length"] = str(len(data))
         if headers:
             request_headers.update(headers)
-        head = [f"{method} {self._path}/{path.lstrip('/')} HTTP/1.1"]
+        target = f"{self._path}/{path.lstrip('/')}"
+        if _UNSAFE_TARGET.search(method) or _UNSAFE_TARGET.search(target):
+            raise ValueError(
+                f"request {method!r} {target!r} holds a space, a control "
+                f"character or a non-ASCII character"
+            )
+        head = [f"{method} {target} HTTP/1.1"]
         for name, value in request_headers.items():
             line = f"{name}: {value}"
             if "\r" in line or "\n" in line:

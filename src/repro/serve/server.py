@@ -3,12 +3,13 @@
 Pure standard library: :class:`http.server.ThreadingHTTPServer` accepts
 connections and runs each on its own handler thread, which reads request
 heads with its own lean HTTP/1.1 reader (:meth:`_Handler.parse_request` —
-request line, then at most :data:`MAX_HEADERS` bounded header lines into a
-case-insensitive dict; no :mod:`email` parsing).  Connections are
-persistent (HTTP/1.1 keep-alive) until the client closes one or it sits
-idle past :attr:`_Handler.timeout`; writes funnel into the per-tenant
-single-writer ingest queues, reads serve from pinned snapshots.  Routes
-(all bodies JSON; ``{t}`` is the tenant name):
+request line, then the bounded header lines of
+:func:`repro.client.api.read_headers` into a case-insensitive dict; no
+:mod:`email` parsing).  Connections are persistent (HTTP/1.1 keep-alive)
+until the client closes one or it sits idle past :attr:`_Handler.timeout`;
+writes funnel into the per-tenant single-writer ingest queues, reads serve
+from pinned snapshots.  Routes (all bodies JSON; ``{t}`` is the tenant
+name):
 
 ========  =====================================  ==================================
 method    path                                   meaning
@@ -33,13 +34,14 @@ POST      ``/v1/{t}/promote``                    flip a replica writable (epoch 
 POST      ``/v1/{t}/demote``                     fence this tenant at a newer epoch
 ========  =====================================  ==================================
 
-Request heads: a header line over :data:`MAX_HEADER_LINE` bytes or more than
-:data:`MAX_HEADERS` lines is **431**; a malformed request line or version, a
-header line without a colon, whitespace before the colon, an obs-fold
-continuation line, or conflicting ``Content-Length`` values are **400**; a
-version of ``HTTP/2.0`` or higher is **505**; a method other than ``GET`` /
-``POST`` is **405**.  Each refusal closes the connection; an empty request
-line closes it without an answer.
+Request heads: a header line over :data:`~repro.client.api.MAX_LINE` bytes
+or more than :data:`~repro.client.api.MAX_HEADERS` lines is **431**; a
+malformed request line or version, a header line without a colon,
+whitespace before the colon, an obs-fold continuation line, or conflicting
+``Content-Length`` values are **400**; a version of ``HTTP/2.0`` or higher
+is **505**; a method other than ``GET`` / ``POST`` is **405**.  Each
+refusal closes the connection; an empty request line closes it without an
+answer.
 
 Error bodies are ``{"error": {"code": ..., "message": ...}}``.  A full
 ingest queue answers **429** with a ``Retry-After`` header (seconds, float)
@@ -89,7 +91,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from repro.client.api import APIClient
+from repro.client.api import APIClient, HeadError, read_headers
 from repro.errors import EngineError, NotInFragmentError, ReproError
 from repro.serve.ingest import BackpressureError
 from repro.serve.protocol import (
@@ -115,12 +117,6 @@ MAX_BODY_BYTES = 64 << 20
 #: encoded per request, so an unbounded one would be an uncached full read.
 MAX_PAGE_ROWS = 10_000
 
-#: Longest request-head line the server reads (a longer one is 431).
-MAX_HEADER_LINE = 65536
-
-#: Most header lines one request head may carry (more is 431).
-MAX_HEADERS = 100
-
 #: HTTP status of the :class:`ProtocolError` codes that are not plain 400s.
 _STATUS_OF_CODE = {"not_found": 404, "epoch_conflict": 409, "too_large": 413}
 
@@ -136,54 +132,8 @@ def _epoch(value: Any) -> int:
     return value
 
 
-class _Headers(dict):
-    """Request headers keyed by lower-cased name; ``get``, ``in`` and ``[]``
-    fold the name they are asked for the same way."""
-
-    __slots__ = ()
-
-    def get(self, name: str, default: Any = None) -> Any:
-        return dict.get(self, name.lower(), default)
-
-    def __contains__(self, name: str) -> bool:  # type: ignore[override]
-        return dict.__contains__(self, name.lower())
-
-    def __getitem__(self, name: str) -> str:
-        return dict.__getitem__(self, name.lower())
-
-
-class _HeadError(Exception):
-    """A request head the server refuses: answered with ``status``."""
-
-    def __init__(self, status: int, message: str) -> None:
-        super().__init__(message)
-        self.status = status
-
-
 #: A request line's version: ``HTTP/<major>.<minor>``, ASCII digits only.
 _VERSION = re.compile(r"HTTP/(\d{1,10})\.(\d{1,10})", re.ASCII)
-
-
-def _read_headers(rfile: Any) -> _Headers:
-    """Header lines up to the blank line (or EOF), bounded in length and
-    number; the first value of a repeated name wins, except that repeated
-    ``Content-Length`` values must agree."""
-    headers = _Headers()
-    for _ in range(MAX_HEADERS + 1):
-        line = rfile.readline(MAX_HEADER_LINE + 1)
-        if len(line) > MAX_HEADER_LINE:
-            raise _HeadError(431, "Line too long")
-        if line in (b"\r\n", b"\n", b""):
-            return headers
-        if line[0] in b" \t":
-            raise _HeadError(400, "Obsolete line folding")
-        name, colon, value = line.decode("iso-8859-1").partition(":")
-        if not colon or not name or name != name.rstrip():
-            raise _HeadError(400, f"Bad header line {line[:80]!r}")
-        key, value = name.lower(), value.strip(" \t\r\n")
-        if headers.setdefault(key, value) != value and key == "content-length":
-            raise _HeadError(400, "Conflicting Content-Length values")
-    raise _HeadError(431, "Too many headers")
 
 
 class ServerConfig:
@@ -261,22 +211,22 @@ class _Handler(BaseHTTPRequestHandler):
             return False
         try:
             if len(words) != 3:
-                raise _HeadError(400, f"Bad request syntax ({requestline!r})")
+                raise HeadError(400, f"Bad request syntax ({requestline!r})")
             command, path, version = words
             match = _VERSION.fullmatch(version)
             if match is None:
-                raise _HeadError(400, f"Bad request version ({version!r})")
+                raise HeadError(400, f"Bad request version ({version!r})")
             number = int(match[1]), int(match[2])
             if number >= (2, 0):
-                raise _HeadError(505, f"Invalid HTTP version ({version[5:]})")
+                raise HeadError(505, f"Invalid HTTP version ({version[5:]})")
             self.request_version = version
             self.command = command
             # ``//x`` would read as a scheme-relative URL; collapse it.
             self.path = "/" + path.lstrip("/") if path.startswith("//") else path
-            self.headers = headers = _read_headers(self.rfile)
+            self.headers = headers = read_headers(self.rfile)
             if command not in ("GET", "POST"):
-                raise _HeadError(405, f"Unsupported method ({command!r})")
-        except _HeadError as error:
+                raise HeadError(405, f"Unsupported method ({command!r})")
+        except HeadError as error:
             self.send_error(error.status, str(error))
             return False
         connection = headers.get("Connection", "").lower()
@@ -298,7 +248,8 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_error_json(code, status.name.lower(), message or status.phrase)
 
     def date_time_string(self, timestamp: Optional[float] = None) -> str:
-        """The ``Date`` header value, formatted at most once a second."""
+        """The ``Date`` header value, formatted at most once a second:
+        ``formatdate`` costs about as much as a tenth of a whole 304."""
         if timestamp is not None:
             return super().date_time_string(timestamp)
         second = int(time.time())
@@ -792,7 +743,7 @@ class _HTTPServer(ThreadingHTTPServer):
     def __init__(self, *args: Any) -> None:
         super().__init__(*args)
         self._connections: set = set()  # open client sockets
-        # The Date header of this second, (whole second, formatted).
+        # The Date header of the current second: (whole second, text).
         self.date: Tuple[int, str] = (0, "")
 
     def get_request(self) -> Tuple[socket.socket, Any]:

@@ -886,6 +886,8 @@ class _Peer:
         "unsized": b'HTTP/1.1 200 OK\r\n\r\n{"ok":true}',
         "chunked": b'HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n'
         b'b\r\n{"ok":true}\r\n0\r\n\r\n',
+        "conflicting": b"HTTP/1.1 200 OK\r\nContent-Length: 11\r\nContent-Length: 12\r\n"
+        b'\r\n{"ok":true}',
     }
 
     def __init__(self, script):
@@ -1002,7 +1004,7 @@ class TestTransport:
             api.close()
             peer.close()
 
-    @pytest.mark.parametrize("framing", ["unsized", "chunked"])
+    @pytest.mark.parametrize("framing", ["unsized", "chunked", "conflicting"])
     def test_unframed_response_is_a_connection_error_and_not_resent(self, framing):
         peer = _Peer(["answer", framing])
         api = APIClient(peer.url, max_retries=0)
@@ -1037,6 +1039,32 @@ class TestTransport:
         api = APIClient("http://127.0.0.1:1", max_retries=0)
         with pytest.raises(ValueError):
             api.get("x", headers={"X-A": "1\r\nX-B: 2"})
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            "v1/t/views/x\r\nGET /health HTTP/1.1",
+            "v1/t/views/a b",
+            "v1/t/views/x\x7f",
+            "v1/t/views/x\x00",
+            "v1/t/views/\u00e9",
+        ],
+    )
+    def test_target_that_would_break_the_request_line_is_refused(self, target):
+        peer = _Peer(["answer", "answer"])
+        api = APIClient(peer.url, max_retries=0)
+        try:
+            api.get("x")
+            with pytest.raises(ValueError):
+                api.get(target)  # nothing sent on the kept-alive socket
+            assert api.get("y") == {"ok": True}
+        finally:
+            api.close()
+            peer.close()
+        assert [head.split(b"\r\n", 1)[0] for head in peer.heads] == [
+            b"GET /x HTTP/1.1",
+            b"GET /y HTTP/1.1",
+        ]
 
     @pytest.mark.parametrize(
         "url", ["https://127.0.0.1:8765", "ftp://127.0.0.1", "127.0.0.1:8765", "http://"]
