@@ -2,10 +2,11 @@
 
 The first-order delta of this query still depends on the database (it
 mentions ``flatten(R)``), so recursive IVM materializes that part once and
-maintains it with the second-order delta.  The cost-driven planner detects
-exactly this — the residual delta never re-scans ``R`` — and picks the
-recursive backend on its own.  The script prints the delta tower, the
-planner's reasoning, and the per-update work of all three strategies.
+maintains it with the second-order delta.  The planner detects exactly this
+— partial evaluation of the delta materializes a sub-expression, so the
+residual delta never re-scans ``R`` — and picks the recursive backend on
+its own.  The script prints the tower of iterated deltas, the planner's
+reasoning, and the per-update work of all three strategies.
 
 Run with::
 
@@ -14,7 +15,7 @@ Run with::
 
 import sys
 
-from repro.delta import delta_tower
+from repro.delta import degree, delta
 from repro.nrc import ast
 from repro.nrc.pretty import render
 from repro.nrc.types import BASE, bag_of
@@ -28,9 +29,11 @@ def main() -> None:
     query = ast.Product((ast.Flatten(relation), ast.Flatten(relation)))
 
     # The tower of higher-order deltas (Theorem 2: height = degree = 2).
-    tower = delta_tower(query, ["R"])
-    print("query degree:", tower.height)
-    for order, level in enumerate(tower.levels):
+    levels = [query]
+    while degree(levels[-1], ["R"]):
+        levels.append(delta(levels[-1], ["R"], order=len(levels)))
+    print("query degree:", len(levels) - 1)
+    for order, level in enumerate(levels):
         print(f"  δ^{order}(h) =", render(level))
 
     engine = bag_of_bags_engine(size, inner_cardinality=4)

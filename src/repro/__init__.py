@@ -3,8 +3,10 @@
 A from-scratch reproduction of Koch, Lupei and Tannen, *Incremental View
 Maintenance for Collection Programming* (PODS 2016): the positive nested
 relational calculus on bags, its delta rules, cost model, shredding
-transformation and the IVM engines (classical, recursive and nested/shredded)
-built on top of them.
+transformation and the IVM engines built on top of them: one flat runtime
+(classic IVM is recursive IVM with nothing materialized) and the
+nested/shredded one.  Appendix A.1's flat RA+ is NRC+'s flat fragment and
+needs no engine of its own.
 
 The public API is the :mod:`repro.engine` facade::
 

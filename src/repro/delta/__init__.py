@@ -1,13 +1,10 @@
-"""Delta derivation for IncNRC+: delta rules, degrees and higher-order towers."""
+"""Delta derivation for IncNRC+: delta rules and degrees."""
 
 from repro.delta.degree import degree
-from repro.delta.higher_order import DeltaTower, delta_tower
 from repro.delta.rules import delta, delta_var_name, depends_on
 
 __all__ = [
     "degree",
-    "DeltaTower",
-    "delta_tower",
     "delta",
     "delta_var_name",
     "depends_on",

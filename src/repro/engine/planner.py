@@ -53,7 +53,7 @@ class Strategy(NamedTuple):
 STRATEGIES: Dict[str, Strategy] = {
     "naive": Strategy(NaiveView, inc_nrc=False),
     "classic": Strategy(
-        ClassicIVMView, inc_nrc=True, artifact=("delta query", attrgetter("delta_query"))
+        ClassicIVMView, inc_nrc=True, artifact=("delta query", attrgetter("residual_delta"))
     ),
     "recursive": Strategy(
         RecursiveIVMView,

@@ -99,8 +99,12 @@ def delta_first(expr: Expr) -> Expr:
 
     ``for x in S union for y in T union B`` becomes ``for y in T union for x
     in S union B`` when ``T`` mentions an update symbol and ``S`` does not,
-    both sources are closed and ``x ≠ y``, so the two sums commute.  Without
-    an equality atom both orders walk ``|S|·|T|`` pairs, so the swap is never
+    ``T`` is closed, ``y`` is not free in ``S`` and ``x ≠ y``, so the two
+    sums commute.  ``x``'s ``where`` guards move with it: ``for x in S where
+    p union for y in T union B`` becomes ``for y in T union for x in S where
+    p union B`` when ``y`` is not free in ``p`` either.  A guard of a ``Δ``
+    loop keeps its place, filtering before the loops below it.  Without an
+    equality atom both orders walk ``|S|·|T|`` pairs, so the swap is never
     asymptotically worse.  Applied bottom-up, so a ``Δ`` binder moves past a
     whole chain of base-relation binders.
     """
@@ -108,20 +112,30 @@ def delta_first(expr: Expr) -> Expr:
 
 
 def _hoist_delta_binder(node: Expr) -> Expr:
-    if not (isinstance(node, ast.For) and isinstance(node.body, ast.For)):
+    if not isinstance(node, ast.For) or isinstance(node.source, ast.Pred):
         return node
-    outer, inner = node, node.body
+    passed = [node]  # the binder and its where guards, outermost first
+    inner = node.body
+    while isinstance(inner, ast.For) and isinstance(inner.source, ast.Pred):
+        passed.append(inner)
+        inner = inner.body
     if (
-        outer.var == inner.var
+        not isinstance(inner, ast.For)
         or not referenced_deltas(inner.source)
-        or referenced_deltas(outer.source)
-        or free_elem_vars(outer.source)
+        or referenced_deltas(node.source)
         or free_elem_vars(inner.source)
+        or any(
+            binder.var == inner.var or inner.var in free_elem_vars(binder.source)
+            for binder in passed
+        )
     ):
         return node
+    body = inner.body
+    for binder in reversed(passed[1:]):
+        body = ast.For(binder.var, binder.source, body)
     # The moved-in binder may now sit above another Δ binder: keep sinking it.
     return ast.For(
-        inner.var, inner.source, _hoist_delta_binder(ast.For(outer.var, outer.source, inner.body))
+        inner.var, inner.source, _hoist_delta_binder(ast.For(node.var, node.source, body))
     )
 
 

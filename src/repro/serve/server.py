@@ -509,6 +509,11 @@ class _Handler(BaseHTTPRequestHandler):
     ) -> None:
         snapshot = session.snapshot  # pinned once per request
         if rest == ["datasets"]:
+            # The version's counts, shared with the datasets' pages.
+            counted = {
+                name: snapshot.counted(f"datasets/{name}", bag)
+                for name, bag in snapshot.datasets.items()
+            }
             self._send_json(
                 {
                     "version": snapshot.version,
@@ -518,10 +523,10 @@ class _Handler(BaseHTTPRequestHandler):
                             "fields": fields_spec_of(session.records[name])
                             if name in session.records
                             else [],
-                            "distinct": snapshot.datasets[name].distinct_size(),
-                            "cardinality": snapshot.datasets[name].cardinality(),
+                            "distinct": counted[name].distinct_size(),
+                            "cardinality": counted[name].cardinality(),
                         }
-                        for name in sorted(snapshot.datasets)
+                        for name in sorted(counted)
                     ],
                 }
             )

@@ -6,7 +6,8 @@ Provides
   (``Sh(movie, loc, time)``, used by the flat example of Appendix A.1),
 * the ``related`` query of Example 1 (both as a raw NRC+ AST and through the
   comprehension DSL),
-* the flat ``DOz`` query of Example 8, and
+* the flat ``DOz`` query of Example 8 (Appendix A.1's RA+ join as an NRC+
+  query), and
 * update-stream generators (insertions, deletions, mixes) with controllable
   batch size ``d``.
 """
@@ -24,7 +25,6 @@ from repro.nrc import builders as build
 from repro.nrc import predicates as preds
 from repro.nrc.ast import Expr
 from repro.nrc.types import BASE, BagType, tuple_of
-from repro.relational import BaseRel, Project, RelSchema, ThetaJoin, Select
 from repro.surface import Dataset, Record, STRING, field_types, nest
 
 __all__ = [
@@ -55,7 +55,8 @@ MOVIE_SCHEMA = BagType(MOVIE_TYPE)
 #: asymmetric join of :func:`featured_join_query`.
 FEATURED_SCHEMA = BagType(tuple_of(BASE, BASE))
 MOVIE_RECORD = Record("Movie", field_types(name=STRING, gen=STRING, dir=STRING))
-SHOWTIME_SCHEMA = RelSchema(("movie", "loc", "time"))
+#: Showtimes ⟨movie, loc, time⟩ of Example 8's flat ``Sh`` relation.
+SHOWTIME_SCHEMA = BagType(tuple_of(BASE, BASE, BASE))
 
 #: The three-movie instance of Example 1 and its single-tuple update.
 PAPER_MOVIES = Bag(
@@ -303,23 +304,23 @@ def featured_update_stream(
     return stream
 
 
-def doz_query(movies_rel: str = "Mflat", showtimes_rel: str = "Sh"):
-    """Example 8's flat query: dramas playing in Oz (relational algebra).
+def doz_query(movies_rel: str = "Mflat", showtimes_rel: str = "Sh") -> Expr:
+    """Example 8's flat query: the dramas playing in Oz.
 
-    The join is expressed as a selection over a Cartesian product, matching
-    the step-counting model of Appendix A.1 in which re-evaluating a join is
-    quadratic while its delta is linear in the update.  A hash-join variant
-    is available through :class:`repro.relational.ThetaJoin`.
+    ``for s in Sh where s.1 = 'Oz' union for m in Mflat where m.0 = s.0 ∧
+    m.1 = 'Drama' union sng(s.0)`` over ``Mflat(movie, genre)`` and
+    ``Sh(movie, loc, time)`` — Appendix A.1's RA+ join, written in the flat
+    fragment of NRC+ (for, where, ×, ⊎, sng) that RA+ is.
     """
-    from repro.relational import CrossProduct
-
-    movies = BaseRel(movies_rel, RelSchema(("movie", "genre")))
-    showtimes = BaseRel(showtimes_rel, SHOWTIME_SCHEMA)
-    dramas = Select(movies, lambda row: row["genre"] == "Drama", "genre = Drama")
-    in_oz = Select(showtimes, lambda row: row["loc"] == "Oz", "loc = Oz")
-    joined = Select(
-        CrossProduct(in_oz, dramas),
-        lambda row: row["movie"] == row["movie_r"],
-        "Sh.movie = M.movie",
+    showtimes = ast.Relation(showtimes_rel, SHOWTIME_SCHEMA)
+    movies = ast.Relation(movies_rel, BagType(tuple_of(BASE, BASE)))
+    condition = preds.And(
+        (
+            preds.eq(preds.var_path("m", 0), preds.var_path("s", 0)),
+            preds.eq(preds.var_path("m", 1), preds.const("Drama")),
+        )
     )
-    return Project(joined, ("movie",))
+    inner = build.for_in("m", movies, build.proj("s", 0), condition=condition)
+    return build.for_in(
+        "s", showtimes, inner, condition=preds.eq(preds.var_path("s", 1), preds.const("Oz"))
+    )

@@ -212,3 +212,40 @@ def test_the_view_refresh_names_are_inert_residue():
     ViewRefreshScheduler().run([lambda index=index: order.append(index) for index in range(3)])
     assert order == [0, 1, 2]
     assert isinstance(Database().refresh_mode(), str)
+
+
+def test_classic_and_recursive_refreshes_are_timed_apart(monkeypatch, spans):
+    """The tracer keeps one wrapper per function object: were ``on_update``
+    shared by the two flat view classes, every flat refresh would be timed
+    as ``ivm.classic.refresh`` and ``ivm.recursive.refresh_s`` would read 0."""
+    from repro.ivm import ClassicIVMView, RecursiveIVMView
+    from repro.workloads import genre_selfjoin_query, movies_engine
+
+    assert ClassicIVMView.on_update is not RecursiveIVMView.on_update
+    calls = {}
+    wrapped = {}
+
+    def counting(span_name, original):
+        def counted(*args, **kwargs):
+            calls[span_name] = calls.get(span_name, 0) + 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for span_name, sites in spans.items():
+        if span_name not in ("ivm.classic.refresh", "ivm.recursive.refresh"):
+            continue
+        for module_name, path in sites:
+            owner = importlib.import_module(module_name)
+            *parents, attribute = path.split(".")
+            for name in parents:
+                owner = getattr(owner, name)
+            original = getattr(owner, attribute)
+            wrapped.setdefault(id(original), counting(span_name, original))
+            monkeypatch.setattr(owner, attribute, wrapped[id(original)])
+
+    engine = movies_engine(count=20)
+    for strategy in ("classic", "recursive"):
+        engine.view(strategy, genre_selfjoin_query(), strategy=strategy)
+    engine.insert("M", [("Fresh", "Drama", "Someone")])
+    assert calls == {"ivm.classic.refresh": 1, "ivm.recursive.refresh": 1}

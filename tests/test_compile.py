@@ -1382,6 +1382,47 @@ class TestPlanRewrites:
         assert plan_module.plan(query) == query
         _assert_agree(query, Environment(relations={"A": Bag([("a", "b")])}))
 
+    def test_delta_binder_moves_past_a_guard(self):
+        # for s in A where s.0 = 'a' union for m in ΔA where m.1 = s.1: the Δ
+        # loop moves past s and its guard, so an empty ΔA walks nothing.
+        delta_a = ast.DeltaRelation("A", PAIR_T, 1)
+        on_key = preds.eq(preds.var_path("m", 1), preds.var_path("s", 1))
+        pair = build.tuple_bag(ast.SngVar("s"), ast.SngVar("m"))
+        inner = build.for_in("m", delta_a, pair, condition=on_key)
+        in_a = preds.eq(preds.var_path("s", 0), preds.const("a"))
+        query = build.for_in("s", _GEN_A, inner, condition=in_a)
+        planned = plan_module.plan(query)
+        assert isinstance(planned, ast.For) and planned.source == delta_a
+        assert planned.body.var == "s" and planned.body.body.source == query.body.source
+        env = Environment(
+            relations={"A": Bag([("a", "x"), ("b", "x"), ("a", "y")])},
+            deltas={("A", 1): Bag([("c", "x"), ("d", "z")])},
+        )
+        assert evaluate_bag(planned, env) == evaluate_bag(query, env)
+        _assert_agree(query, env)
+        # A Δ loop's own guard keeps filtering before the Δ loop below it.
+        both = ast.For("s", delta_a, query.body)
+        assert plan_module.plan(both) == both
+
+    def test_delta_binder_stays_below_a_guard_that_reads_its_name(self):
+        # for m in A union for s in A where s.0 = m.0 union for m in ΔA: the
+        # guard's m is the outer binder, which the moved loop would capture.
+        delta_a = ast.DeltaRelation("A", PAIR_T, 1)
+        inner = build.for_in(
+            "s",
+            _GEN_A,
+            ast.For("m", delta_a, ast.SngVar("s")),
+            condition=preds.eq(preds.var_path("s", 0), preds.var_path("m", 0)),
+        )
+        query = ast.For("m", _GEN_A, inner)
+        planned = plan_module.plan(query)
+        assert planned.body.body.body.source == delta_a
+        env = Environment(
+            relations={"A": Bag([("a", "x"), ("b", "y")])},
+            deltas={("A", 1): Bag([("c", "z")])},
+        )
+        assert evaluate_bag(planned, env) == evaluate_bag(query, env)
+
     def test_no_split_over_a_source_that_reads_a_binder(self):
         # for x in A: for y in sng(x) where (…∨…): the inner source varies
         # per x, so it cannot be indexed once and stays one loop.

@@ -1,8 +1,8 @@
-"""Tests for degrees (Theorem 2) and higher-order delta towers (Section 4.1)."""
+"""Tests for degrees (Theorem 2) and towers of iterated deltas (Section 4.1)."""
 
 import pytest
 
-from repro.delta import degree, delta, delta_tower
+from repro.delta import degree, delta
 from repro.errors import NotInFragmentError
 from repro.nrc import ast, builders as build, predicates as preds
 from repro.nrc.analysis import referenced_sources
@@ -90,33 +90,27 @@ class TestTheorem2:
                 current = delta(current, ["M"], order=4 - expected)
 
 
+def _tower(query, targets):
+    """``h, δ(h), δ²(h), …`` until a level no longer depends on ``targets``."""
+    levels = [query]
+    while degree(levels[-1], targets):
+        levels.append(delta(levels[-1], targets, order=len(levels)))
+    return levels
+
+
 class TestDeltaTowers:
     def test_tower_height_equals_degree(self, selfjoin_query):
-        tower = delta_tower(selfjoin_query, ["R"])
-        assert tower.height == 2
-        assert tower.degrees() == (2, 1, 0)
-
-    def test_tower_levels_are_accessible(self, selfjoin_query):
-        tower = delta_tower(selfjoin_query, ["R"])
-        assert tower.query == selfjoin_query
-        assert tower.level(0) == selfjoin_query
-        assert tower.level(2) == tower.levels[-1]
+        levels = _tower(selfjoin_query, ["R"])
+        assert [degree(level, ["R"]) for level in levels] == [2, 1, 0]
 
     def test_degree_zero_query_has_flat_tower(self):
-        tower = delta_tower(ast.SngUnit(), ["M"])
-        assert tower.height == 0
-
-    def test_max_height_truncates(self):
-        query = ast.Product((M, M, M))
-        tower = delta_tower(query, ["M"], max_height=1)
-        assert tower.height == 1
+        assert _tower(ast.SngUnit(), ["M"]) == [ast.SngUnit()]
 
     def test_tower_of_degree_five(self):
         query = ast.Product(tuple(ast.Flatten(R) for _ in range(5)))
-        tower = delta_tower(query, ["R"])
-        assert tower.height == 5
-        assert tower.degrees() == (5, 4, 3, 2, 1, 0)
+        levels = _tower(query, ["R"])
+        assert [degree(level, ["R"]) for level in levels] == [5, 4, 3, 2, 1, 0]
 
     def test_last_level_mentions_only_updates(self, selfjoin_query):
-        tower = delta_tower(selfjoin_query, ["R"])
-        assert referenced_sources(tower.levels[-1]) == frozenset()
+        levels = _tower(selfjoin_query, ["R"])
+        assert referenced_sources(levels[-1]) == frozenset()

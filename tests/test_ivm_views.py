@@ -65,7 +65,7 @@ class TestClassicIVMView:
 
     def test_delta_query_is_exposed(self, movie_db):
         classic = ClassicIVMView(drama_filter(), movie_db)
-        assert "ΔM" in render(classic.delta_query)
+        assert "ΔM" in render(classic.residual_delta)
 
     def test_rejects_queries_outside_the_fragment(self, movie_db, related):
         with pytest.raises(NotInFragmentError):

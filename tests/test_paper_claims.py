@@ -19,19 +19,20 @@ import pytest
 from repro.bag import Bag
 from repro.circuits import build_recompute_circuit, build_update_circuit
 from repro.cost import CostContext, cost_of, tcost
-from repro.delta import degree, delta_tower
+from repro.delta import degree, delta
+from repro.engine import Engine
 from repro.instrument import OpCounter
 from repro.ivm import Update
 from repro.labels import Label
 from repro.nrc import ast, builders as build, predicates as preds
 from repro.nrc.evaluator import Environment, evaluate_bag
-from repro.nrc.types import BASE, bag_of
-from repro.relational import RelSchema, RelationalDatabase, RelationalIVMView, RelationalNaiveView
+from repro.nrc.types import BASE, bag_of, tuple_of
 from repro.shredding import ValueShredder, shred_query, unshred_bag
 from repro.shredding.context import iter_context_dicts
 from repro.shredding.shred_database import build_shredded_environment, input_dict_name
 from repro.workloads import (
     MOVIE_SCHEMA,
+    SHOWTIME_SCHEMA,
     bag_of_bags_engine,
     doz_query,
     generate_movies,
@@ -109,28 +110,55 @@ def test_e3_selfjoin_recursive_le_classic_lt_naive():
 
 
 # --------------------------------------------------------------------------- #
-# E4 — Appendix A.1 / Example 8: flat relational join IVM
+# E4 — Appendix A.1 / Example 8: the flat DOz join, classic IVM vs naive
 # --------------------------------------------------------------------------- #
-E4 = {100: (312, 2), 400: (1_242, 2)}
+E4 = {100: (343, 15), 400: (1_337, 15)}
 
 
-def test_e4_relational_join_ivm_vs_naive_tuples_scanned():
+def _e4_engine(n):
+    """Example 8's instance at scale ``n``: the first ``n // 10`` movies play
+    in Oz, and the update adds two Oz showtimes of the first drama."""
+    movies = generate_movies(n)
+    flat_movies = Bag((name, genre) for name, genre, _ in movies.elements())
+    oz = Bag((name, "Oz", "20:00") for name, _ in list(flat_movies.elements())[: n // 10])
+    drama = min(name for name, genre in flat_movies.elements() if genre == "Drama")
+    engine = Engine()
+    engine.dataset("Mflat", bag_of(tuple_of(BASE, BASE)), flat_movies)
+    engine.dataset("Sh", SHOWTIME_SCHEMA, generate_showtimes(movies).union(oz))
+    return engine, Update(relations={"Sh": Bag((drama, "Oz", f"{18 + s}:00") for s in range(2))})
+
+
+def test_e4_flat_join_classic_vs_naive():
     measured = {}
     for n in E4:
-        movies = generate_movies(n)
-        flat_movies = Bag((name, genre) for name, genre, _ in movies.elements())
-        oz = Bag((name, "Oz", "20:00") for name, _ in list(flat_movies.items())[: n // 10])
-        drama = min(name for name, genre in flat_movies.elements() if genre == "Drama")
-        database = RelationalDatabase()
-        database.register("Mflat", RelSchema(("movie", "genre")), flat_movies)
-        database.register("Sh", RelSchema(("movie", "loc", "time")), generate_showtimes(movies).union(oz))
-        naive = RelationalNaiveView(doz_query("Mflat", "Sh"), database)
-        ivm = RelationalIVMView(doz_query("Mflat", "Sh"), database)
-        database.apply_update({"Sh": Bag((drama, "Oz", f"{18 + s}:00") for s in range(2))})
-        measured[n] = (naive.stats.mean_update_operations, ivm.stats.mean_update_operations)
+        engine, update = _e4_engine(n)
+        views = [engine.view(s, doz_query(), strategy=s) for s in ("naive", "classic")]
+        engine.apply(update)
+        measured[n] = tuple(view.stats.mean_update_operations for view in views)
     assert measured == E4
     (naive_small, ivm_small), (naive_large, ivm_large) = measured.values()
     assert 0 < ivm_small == ivm_large < naive_small < naive_large
+
+
+#: What the relational-algebra evaluator this NRC+ query replaced gave on the
+#: E4 instances, before and after the update.
+E4_DOZ = {
+    100: ({"Movie000004": 1}, {"Movie000004": 3}),
+    400: (
+        {"Movie000004": 1, "Movie000011": 1, "Movie000022": 1, "Movie000037": 1},
+        {"Movie000004": 3, "Movie000011": 1, "Movie000022": 1, "Movie000037": 1},
+    ),
+}
+
+
+def test_e4_doz_equals_the_relational_algebra_result():
+    for n, (before, after) in E4_DOZ.items():
+        engine, update = _e4_engine(n)
+        view = engine.view("doz", doz_query(), strategy="classic")
+        assert dict(view.result().items()) == before
+        engine.apply(update)
+        assert dict(view.result().items()) == after
+        assert view.result() == evaluate_bag(doz_query(), engine.database.environment())
 
 
 # --------------------------------------------------------------------------- #
@@ -190,11 +218,14 @@ def test_e6_measured_ops_and_tcost_per_n():
 # --------------------------------------------------------------------------- #
 # E7 — Theorem 2: deg(δ(h)) = deg(h) − 1, so towers have height deg(h)
 # --------------------------------------------------------------------------- #
-def test_e7_delta_tower_degrees_drop_by_one():
+def test_e7_iterated_delta_degrees_drop_by_one():
     for k in range(1, 5):
         query = ast.Flatten(R) if k == 1 else ast.Product((ast.Flatten(R),) * k)
         assert degree(query, ("R",)) == k
-        assert delta_tower(query, targets=("R",)).degrees() == tuple(range(k, -1, -1))
+        levels = [query]
+        for order in range(1, k + 1):
+            levels.append(delta(levels[-1], ("R",), order=order))
+        assert tuple(degree(level, ("R",)) for level in levels) == tuple(range(k, -1, -1))
 
 
 # --------------------------------------------------------------------------- #

@@ -6,13 +6,12 @@ and checks our implementation against the values printed in the paper itself.
 
 from repro.bag import Bag, EMPTY_BAG
 from repro.cost import ATOM_COST, BagCost, CostContext, TupleCost, cost_of, size_of, tcost
-from repro.delta import delta, delta_tower
+from repro.delta import delta
 from repro.ivm import Database, NaiveView, NestedIVMView, Update
 from repro.nrc import ast, builders as build, predicates as preds
 from repro.nrc.evaluator import Environment, evaluate_bag
 from repro.nrc.pretty import render
 from repro.nrc.types import BASE, bag_of, tuple_of
-from repro.relational import RelSchema, relational_delta
 from repro.shredding import shred_query
 from repro.workloads import MOVIE_SCHEMA, PAPER_MOVIES, PAPER_UPDATE, doz_query, related_query
 
@@ -99,13 +98,11 @@ class TestExample2And3Filter:
 
 class TestExample4HigherOrderDeltas:
     def test_first_and_second_order_deltas(self, selfjoin_query):
-        tower = delta_tower(selfjoin_query, ["R"])
-        assert tower.height == 2
-        first = render(tower.level(1))
-        second = render(tower.level(2))
-        assert "flatten(ΔR)" in first and "flatten(R)" in first
-        assert "flatten(R)" not in second
-        assert "Δ'R" in second
+        first = delta(selfjoin_query, ["R"])
+        second = delta(first, ["R"], order=2)
+        assert "flatten(ΔR)" in render(first) and "flatten(R)" in render(first)
+        assert "flatten(R)" not in render(second)
+        assert "Δ'R" in render(second)
 
 
 class TestExample5And6Costs:
@@ -140,19 +137,21 @@ class TestExample8FlatDOz:
     def test_doz_and_its_delta(self):
         movies = Bag([("Drive", "Drama"), ("Skyfall", "Action")])
         shows = Bag([("Drive", "Oz", "20:00"), ("Skyfall", "Oz", "21:00")])
-        database = {"Mflat": movies, "Sh": shows}
+        relations = {"Mflat": movies, "Sh": shows}
         query = doz_query()
-        assert query.evaluate(database) == Bag([("Drive",)])
+        assert evaluate_bag(query, Environment(relations=relations)) == Bag(["Drive"])
 
         delta_sh = Bag([("Melancholia", "Oz", "22:00")])
         delta_m = Bag([("Melancholia", "Drama")])
         post = {"Mflat": movies.union(delta_m), "Sh": shows.union(delta_sh)}
-        delta_query = relational_delta(query)
-        incremental = query.evaluate(database).union(
-            delta_query.evaluate(database, {("Sh", 1): delta_sh, ("Mflat", 1): delta_m})
+        updates = Environment(
+            relations=relations, deltas={("Sh", 1): delta_sh, ("Mflat", 1): delta_m}
         )
-        assert incremental == query.evaluate(post)
-        assert incremental.multiplicity(("Melancholia",)) == 1
+        incremental = evaluate_bag(query, Environment(relations=relations)).union(
+            evaluate_bag(delta(query), updates)
+        )
+        assert incremental == evaluate_bag(query, Environment(relations=post))
+        assert incremental.multiplicity("Melancholia") == 1
 
 
 class TestExample9NStr:

@@ -233,6 +233,27 @@ class TestBodyPerVersion:
         _get(server, f"{path}?limit=2&offset=2")
         assert len(counted) == 1
 
+    def test_dataset_listings_of_one_version_count_each_bag_once(
+        self, server, api, monkeypatch
+    ):
+        """``GET /datasets`` takes each dataset's counts from the pinned
+        snapshot too: a second listing of the same version walks no bag."""
+        _seed(api)
+        counted = []
+        cardinality = Bag.cardinality
+        monkeypatch.setattr(
+            Bag, "cardinality", lambda bag: counted.append(1) or cardinality(bag)
+        )
+        path = f"/v1/{TENANT}/datasets"
+        _, _, first = _get(server, path)
+        walks = len(counted)
+        (listed,) = json.loads(first)["datasets"]
+        assert walks == 1 and listed["cardinality"] == 20
+        _, _, second = _get(server, path)
+        assert second == first and len(counted) == walks
+        _get(server, f"/v1/{TENANT}/datasets/M?limit=1")  # a page shares them
+        assert len(counted) == walks
+
     def test_body_version_always_matches_its_etag(self, server, api):
         """Readers racing publishes: whatever version a response carries in
         its ETag is the version of the body behind it."""

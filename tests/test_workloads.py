@@ -5,7 +5,8 @@ import pytest
 from repro.bag import Bag
 from repro.errors import WorkloadError
 from repro.nrc.evaluator import Environment, evaluate_bag
-from repro.nrc.types import BagType
+from repro.nrc.typecheck import infer_type
+from repro.nrc.types import BASE, BagType
 from repro.workloads import (
     MOVIE_SCHEMA,
     PAPER_MOVIES,
@@ -70,8 +71,8 @@ class TestMovieWorkload:
         assert rows["Drive"] == Bag()
         assert rows["Skyfall"] == Bag(["Rush"])
 
-    def test_doz_query_builds(self):
-        assert doz_query().schema().columns == ("movie",)
+    def test_doz_query_yields_movie_names(self):
+        assert infer_type(doz_query()) == BagType(BASE)
 
 
 class TestNestedWorkload:
